@@ -98,31 +98,47 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _setting(args: argparse.Namespace, flag: str, env_name: str, parse, default):
+    # a flag or env value that is present is used as given, never defaulted
+    value = getattr(args, flag, None)
+    if value is not None:
+        return value
+    text = _env(env_name)
+    return default if text is None else parse(text)
+
+
+def _positive(name: str, value):
+    if not value > 0:
+        raise ValueError(f"{name} must be positive, got {value}")
+    return value
+
+
+def _grid(name: str, text: str) -> tuple[complex, ...]:
+    grid = _parse_complex_list(text)
+    if not grid:
+        raise ValueError(f"the {name} grid is empty")
+    return grid
+
+
 def _config_from(args: argparse.Namespace) -> CheckConfig:
     cfg = CheckConfig()
-    env_int = lambda name: int(_env(name)) if _env(name) else None
-    n_max = getattr(args, "n_max", None) or env_int("N_MAX") or cfg.n_max
+    n_max = _setting(args, "n_max", "N_MAX", int, cfg.n_max)
     if not 1 <= n_max <= MAX_N:
         raise ValueError(f"n-max must lie in 1..{MAX_N}")
-    q_order = getattr(args, "q_order", None) or env_int("Q_ORDER") or cfg.q_order
-    m_max = getattr(args, "m_max", None) or env_int("M_MAX") or cfg.m_max
-    mode = getattr(args, "mode", None) or _env("MODE") or cfg.mode
-    tol_env = _env("TOLERANCE")
-    tol = getattr(args, "tol", None) or (float(tol_env) if tol_env else cfg.tolerance)
-    z_text = getattr(args, "z", None) or _env("Z")
-    c_text = getattr(args, "c", None) or _env("C")
+    z_text = _setting(args, "z", "Z", str, None)
+    c_text = _setting(args, "c", "C", str, None)
     cfg = replace(
         cfg,
         n_max=n_max,
-        q_order=q_order,
-        m_max=m_max,
-        mode=mode,
-        tolerance=tol,
+        q_order=_positive("q-order", _setting(args, "q_order", "Q_ORDER", int, cfg.q_order)),
+        m_max=_positive("m-max", _setting(args, "m_max", "M_MAX", int, cfg.m_max)),
+        mode=_setting(args, "mode", "MODE", str, cfg.mode),
+        tolerance=_positive("tol", _setting(args, "tol", "TOLERANCE", float, cfg.tolerance)),
     )
-    if z_text:
-        cfg = replace(cfg, z_grid=_parse_complex_list(z_text))
-    if c_text:
-        cfg = replace(cfg, c_grid=_parse_complex_list(c_text))
+    if z_text is not None:
+        cfg = replace(cfg, z_grid=_grid("z", z_text))
+    if c_text is not None:
+        cfg = replace(cfg, c_grid=_grid("c", c_text))
     return cfg
 
 
@@ -185,9 +201,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_series(args: argparse.Namespace) -> int:
-    order = args.order or int(_env("Q_ORDER") or 0) or 30
-    if order < 1:
-        raise ValueError("order must be positive")
+    order = _positive("order", _setting(args, "order", "Q_ORDER", int, 30))
     c = _parse_c_value(args.c)
     name = args.name
     if name == "A":

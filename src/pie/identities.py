@@ -1,12 +1,14 @@
 """Registry of identity checkers with exact and numeric modes.
 
 Every identity in scope has a closed tag; check_identity dispatches a tag to
-its checker and returns a machine-readable IdentityReport.  Exact mode
-compares normal forms in Q[c] (or plain integers) with zero tolerance.
-Numeric mode samples fixed complex grids for (z, c) and compares within a
-relative tolerance, recording a condition estimate (the ratio of the sum of
-term magnitudes to the result magnitude) instead of ever widening the
-tolerance.
+its checker and returns a machine-readable IdentityReport.  Each weighted
+side is built once per n as an exact integer weight profile (see the weight
+profiles section).  Exact mode compares normal forms in Q[c] (or plain
+integers) derived from the profiles with zero tolerance.  Numeric mode
+evaluates both profiles on fixed complex grids for (z, c) and compares
+within a relative tolerance, recording a condition estimate (the sum of the
+left side's term magnitudes over its value's magnitude) instead of ever
+widening the tolerance.
 """
 
 from __future__ import annotations
@@ -16,12 +18,14 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import comb, factorial
 
 from .errors import AlgorithmFault
 from .exact import (
     C,
     CPolynomial,
+    Scalar,
     WeightParams,
     bell_polynomial,
     complex_power,
@@ -32,9 +36,10 @@ from .exact import (
 )
 from .involution import class_sum
 from .partitions import (
+    _table_cap,
     count_exact_part_sizes,
-    distinct_stats,
     partitions_by_largest_and_sizes,
+    signed_window_counts,
 )
 from .series import (
     ExpSeries,
@@ -134,17 +139,6 @@ def _stringify(value):
     return str(value)
 
 
-def _sign(num_parts: int) -> int:
-    return -1 if num_parts % 2 == 0 else 1
-
-
-def _cap(n: int) -> int:
-    cap = 32
-    while cap < n:
-        cap *= 2
-    return cap
-
-
 @lru_cache(maxsize=None)
 def _divisor_counts(limit: int) -> tuple[int, ...]:
     arr = [0] * (limit + 1)
@@ -175,19 +169,118 @@ def _poly(acc: dict[int, int]) -> CPolynomial:
     return CPolynomial({e: v for e, v in acc.items() if v})
 
 
-# -- two-variable weighted sum (window weights against sigma_{z,c}) ---------
+# -- weight profiles ------------------------------------------------------------
+#
+# Each weighted side below is sum_e a_n(e) * e^z * c^e with integer a_n(e): a
+# profile, stored as ascending (e, a_n(e)) pairs with a_n(e) != 0.  The
+# functions e -> e^z c^e are linearly independent, so two sides agree for
+# every (z, c) exactly when their profiles are equal; the exponent and (z, c)
+# grids only rescale and evaluate a profile built once per n.  The D(n) sides
+# are linear maps of the signed (smallest, largest) histogram H_n, the P(n)
+# sides come from the (largest, #sizes) counts of the size-count DP.
+#
+# In the binomial sums, terms with base l - j = 0 contribute nothing for
+# every exponent k, including k = 0: they are the constant terms annihilated
+# by the weight operator, and the analytic continuation from k > 0 keeps
+# them at zero.
+
+Profile = tuple[tuple[int, int], ...]
 
 
-def _thm21_lhs_numeric(n: int, z: complex, c: complex) -> tuple[complex, float]:
+def _profile(acc: dict[int, int]) -> Profile:
+    return tuple(sorted((e, a) for e, a in acc.items() if a))
+
+
+@lru_cache(maxsize=None)
+def _window_profile(n: int) -> Profile:
+    # sign * (c^(l-s+1) + ... + c^l) over D(n), by a difference array
+    diff = [0] * (n + 2)
+    for (s, largest), h in signed_window_counts(n).items():
+        diff[largest - s + 1] += h
+        diff[largest + 1] -= h
+    return _profile(dict(enumerate(accumulate(diff))))
+
+
+@lru_cache(maxsize=None)
+def _smallest_profile(n: int) -> Profile:
+    # sign * c^s over D(n)
+    acc: dict[int, int] = {}
+    for (s, _largest), h in signed_window_counts(n).items():
+        acc[s] = acc.get(s, 0) + h
+    return _profile(acc)
+
+
+@lru_cache(maxsize=None)
+def _initial_profile(n: int) -> Profile:
+    # sign * (c + c^2 + ... + c^s) over D(n): suffix sums of the smallest part
+    smallest = dict(_smallest_profile(n))
+    acc: dict[int, int] = {}
+    running = 0
+    for j in range(n, 0, -1):
+        running += smallest.get(j, 0)
+        acc[j] = running
+    return _profile(acc)
+
+
+@lru_cache(maxsize=None)
+def _binomial_profile(n: int) -> Profile:
+    # sum over P(n) of sum_{j=0..v} (-1)^j C(v, j) c^(l-j), base 0 dropped
+    acc: dict[int, int] = {}
+    for (largest, v), cnt in partitions_by_largest_and_sizes(n).items():
+        for j in range(v + 1):
+            base = largest - j
+            if base:
+                acc[base] = acc.get(base, 0) + cnt * (-1) ** j * comb(v, j)
+    return _profile(acc)
+
+
+@lru_cache(maxsize=None)
+def _shifted_binomial_profile(n: int) -> Profile:
+    # sum over P(n) with v >= 2 of sum_{j<v} (-1)^j C(v-1, j) c^(l-j), plus
+    # sum over d | n of c^d; l - j >= l - v + 1 >= 1, so no base is 0
+    acc: dict[int, int] = {}
+    for (largest, v), cnt in partitions_by_largest_and_sizes(n).items():
+        if v < 2:
+            continue
+        for j in range(v):
+            base = largest - j
+            acc[base] = acc.get(base, 0) + cnt * (-1) ** j * comb(v - 1, j)
+    for d in divisors(n):
+        acc[d] = acc.get(d, 0) + 1
+    return _profile(acc)
+
+
+def _divisor_profile(n: int) -> Profile:
+    return tuple((d, 1) for d in divisors(n))
+
+
+def _weighted(profile: Profile, k: int) -> CPolynomial:
+    """The profile under the weight e^k, as an exact polynomial in c."""
+    return _poly({e: a * e**k for e, a in profile})
+
+
+def _at(profile: Profile, k: int, c: Scalar) -> Scalar:
+    """The profile under the weight e^k at an exact scalar c."""
+    return sum(a * e**k * c**e for e, a in profile)
+
+
+def _evaluate(profile: Profile, z: complex, c: complex) -> tuple[complex, float]:
+    """sum_e a(e) * e^z * c^e in complex doubles, and the sum of the term
+    magnitudes, whose ratio to the value is the condition estimate."""
     total = 0j
-    abs_sum = 0.0
-    for s, largest, k in distinct_stats(n):
-        sign = _sign(k)
-        for e in range(largest - s + 1, largest + 1):
-            term = complex_power(e, z) * c**e
-            total += sign * term
-            abs_sum += abs(term)
-    return total, abs_sum
+    magnitude = 0.0
+    for e, a in profile:
+        term = a * complex_power(e, z) * c**e
+        total += term
+        magnitude += abs(term)
+    return total, magnitude
+
+
+def _exact_k(k) -> bool:
+    return isinstance(k, int) and not isinstance(k, bool) and k >= 0
+
+
+# -- two-variable weighted sum (window weights against sigma_{z,c}) ---------
 
 
 def lhs_rhs_thm21(n: int, w: WeightParams):
@@ -198,138 +291,37 @@ def lhs_rhs_thm21(n: int, w: WeightParams):
     if n < 1:
         raise ValueError("n must be positive")
     if w.mode == "exact":
-        z = w.z
-        acc: dict[int, int] = {}
-        for s, largest, k in distinct_stats(n):
-            sign = _sign(k)
-            for e in range(largest - s + 1, largest + 1):
-                acc[e] = acc.get(e, 0) + sign * e**z
-        return _poly(acc), sigma_zc_exact(z, n)
+        return _weighted(_window_profile(n), w.z), sigma_zc_exact(w.z, n)
     z, c = complex(w.z), complex(w.c)
-    lhs, _ = _thm21_lhs_numeric(n, z, c)
-    return lhs, sigma_zc_numeric(z, c, n)
+    return _evaluate(_window_profile(n), z, c)[0], sigma_zc_numeric(z, c, n)
 
 
 # -- smallest-part powers against the binomial largest-part sums ------------
-#
-# Terms with base l - j = 0 contribute nothing for every exponent k,
-# including k = 0: they are the constant terms annihilated by the weight
-# operator, and the analytic continuation from k > 0 keeps them at zero.
-
-
-def _thm23_exact_symbolic(n: int, k: int) -> tuple[CPolynomial, CPolynomial]:
-    lhs: dict[int, int] = {}
-    for s, _largest, kp in distinct_stats(n):
-        lhs[s] = lhs.get(s, 0) + _sign(kp) * s**k
-    rhs: dict[int, int] = {}
-    for (largest, v), cnt in partitions_by_largest_and_sizes(n).items():
-        for j in range(v + 1):
-            base = largest - j
-            if base == 0:
-                continue
-            w = cnt * (-1) ** j * comb(v, j) * base**k
-            rhs[base] = rhs.get(base, 0) + w
-    return _poly(lhs), _poly(rhs)
-
-
-def _thm23_exact_scalar(n: int, k: int, c: Fraction) -> tuple[Fraction, Fraction]:
-    cpow = [Fraction(1)]
-    for _ in range(n):
-        cpow.append(cpow[-1] * c)
-    lhs = Fraction(0)
-    for s, _largest, kp in distinct_stats(n):
-        lhs += _sign(kp) * s**k * cpow[s]
-    rhs = Fraction(0)
-    for (largest, v), cnt in partitions_by_largest_and_sizes(n).items():
-        for j in range(v + 1):
-            base = largest - j
-            if base == 0:
-                continue
-            rhs += cnt * (-1) ** j * comb(v, j) * base**k * cpow[base]
-    return lhs, rhs
-
-
-def _thm23_numeric(n: int, z: complex, c: complex) -> tuple[complex, complex, float]:
-    lhs = 0j
-    abs_sum = 0.0
-    for s, _largest, kp in distinct_stats(n):
-        term = complex_power(s, z) * c**s
-        lhs += _sign(kp) * term
-        abs_sum += abs(term)
-    rhs = 0j
-    for (largest, v), cnt in partitions_by_largest_and_sizes(n).items():
-        for j in range(v + 1):
-            base = largest - j
-            if base == 0:
-                continue
-            rhs += cnt * (-1) ** j * comb(v, j) * complex_power(base, z) * c**base
-    return lhs, rhs, abs_sum
 
 
 def lhs_rhs_thm23(n: int, k, c):
     """Both sides of the smallest-part power identity at a single n."""
     if n < 1:
         raise ValueError("n must be positive")
-    exact_k = isinstance(k, int) and not isinstance(k, bool) and k >= 0
-    if exact_k and isinstance(c, CPolynomial):
-        return _thm23_exact_symbolic(n, k)
-    if exact_k and isinstance(c, (int, Fraction)):
-        return _thm23_exact_scalar(n, k, Fraction(c))
-    lhs, rhs, _ = _thm23_numeric(n, complex(k), complex(c))
-    return lhs, rhs
+    sides = (_smallest_profile(n), _binomial_profile(n))
+    if _exact_k(k) and isinstance(c, CPolynomial):
+        return tuple(_weighted(p, k) for p in sides)
+    if _exact_k(k) and isinstance(c, (int, Fraction)):
+        return tuple(_at(p, k, c) for p in sides)
+    return tuple(_evaluate(p, complex(k), complex(c))[0] for p in sides)
 
 
 # -- initial-segment powers with the shifted binomial sums ------------------
-
-
-def _thm26_exact_symbolic(n: int, k: int) -> tuple[CPolynomial, CPolynomial]:
-    lhs: dict[int, int] = {}
-    for s, _largest, kp in distinct_stats(n):
-        sign = _sign(kp)
-        for j in range(1, s + 1):
-            lhs[j] = lhs.get(j, 0) + sign * j**k
-    rhs: dict[int, int] = {}
-    for (largest, v), cnt in partitions_by_largest_and_sizes(n).items():
-        if v < 2:
-            continue
-        for j in range(v):
-            base = largest - j
-            w = cnt * (-1) ** j * comb(v - 1, j) * base**k
-            rhs[base] = rhs.get(base, 0) + w
-    for d in divisors(n):
-        rhs[d] = rhs.get(d, 0) + d**k
-    return _poly(lhs), _poly(rhs)
-
-
-def _thm26_numeric(n: int, z: complex, c: complex) -> tuple[complex, complex, float]:
-    lhs = 0j
-    abs_sum = 0.0
-    for s, _largest, kp in distinct_stats(n):
-        sign = _sign(kp)
-        for j in range(1, s + 1):
-            term = complex_power(j, z) * c**j
-            lhs += sign * term
-            abs_sum += abs(term)
-    rhs = 0j
-    for (largest, v), cnt in partitions_by_largest_and_sizes(n).items():
-        if v < 2:
-            continue
-        for j in range(v):
-            base = largest - j
-            rhs += cnt * (-1) ** j * comb(v - 1, j) * complex_power(base, z) * c**base
-    rhs += sigma_zc_numeric(z, c, n)
-    return lhs, rhs, abs_sum
 
 
 def lhs_rhs_thm26(n: int, k, c):
     """Both sides of the initial-segment power identity at a single n."""
     if n < 1:
         raise ValueError("n must be positive")
-    exact_k = isinstance(k, int) and not isinstance(k, bool) and k >= 0
-    if exact_k and isinstance(c, CPolynomial):
-        return _thm26_exact_symbolic(n, k)
-    lhs, rhs, _ = _thm26_numeric(n, complex(k), complex(c))
-    return lhs, rhs
+    sides = (_initial_profile(n), _shifted_binomial_profile(n))
+    if _exact_k(k) and isinstance(c, CPolynomial):
+        return tuple(_weighted(p, k) for p in sides)
+    return tuple(_evaluate(p, complex(k), complex(c))[0] for p in sides)
 
 
 # -- integer corollaries -----------------------------------------------------
@@ -340,9 +332,7 @@ def check_cor27(n: int) -> tuple[int, int]:
     if n < 1:
         raise ValueError("n must be positive")
     lhs = count_exact_part_sizes(n, 2)
-    rhs = 0
-    for s, largest, k in distinct_stats(n):
-        rhs += (-_sign(k)) * s * (largest - s)
+    rhs = -sum(h * s * (largest - s) for (s, largest), h in signed_window_counts(n).items())
     return lhs, rhs
 
 
@@ -350,7 +340,7 @@ def check_cor25(n: int) -> tuple[int, int]:
     """Count with exactly two part sizes vs the divisor-count convolution."""
     if n < 1:
         raise ValueError("n must be positive")
-    d = _divisor_counts(_cap(n))
+    d = _divisor_counts(_table_cap(n))
     convolution = sum(d[j] * d[n - j] for j in range(1, n))
     numerator = convolution + d[n] - sigma_int(1, n)
     if numerator % 2:
@@ -369,15 +359,12 @@ def check_agl(n: int, scaled: bool) -> tuple[CPolynomial, CPolynomial]:
     """
     if n < 1:
         raise ValueError("n must be positive")
-    lhs: dict[int, int] = {}
-    for s, _largest, kp in distinct_stats(n):
-        sign = _sign(kp)
-        if scaled:
-            lhs[s] = lhs.get(s, 0) + sign
-            lhs[0] = lhs.get(0, 0) - sign
-        else:
-            for e in range(s):
-                lhs[e] = lhs.get(e, 0) + sign
+    if scaled:
+        smallest = _smallest_profile(n)
+        lhs = dict(smallest)
+        lhs[0] = -sum(a for _s, a in smallest)
+    else:
+        lhs = {j - 1: a for j, a in _initial_profile(n)}
     rhs: dict[int, int] = {}
     for (largest, v), cnt in partitions_by_largest_and_sizes(n).items():
         p = v if scaled else v - 1
@@ -483,12 +470,67 @@ def _within(lhs: complex, rhs: complex, tol: float) -> bool:
 # -- checkers -----------------------------------------------------------------
 
 
+def _exact_sweep(
+    ident: IdentityId, cfg: CheckConfig, rng: dict, sides, key: str = "k"
+) -> IdentityReport:
+    """Compare sides(n, k) for every n <= n_max and k in the exponent grid."""
+    t0 = time.perf_counter()
+    failure = None
+    for n in range(1, cfg.n_max + 1):
+        for k in cfg.exponents:
+            lhs, rhs = sides(n, k)
+            if lhs != rhs:
+                failure = {"n": n, key: k, "lhs": lhs, "rhs": rhs}
+                break
+        if failure:
+            break
+    return _report(ident, "exact", rng, failure, t0)
+
+
+def _numeric_sweep(
+    ident: IdentityId, cfg: CheckConfig, profiles, key: str = "k", c_is_one: bool = False
+) -> IdentityReport:
+    """Evaluate both profiles(n) over the (z, c) grids for every n <= n_max.
+
+    c_is_one replaces the c grid by c = 1, as the corollary states it.  The
+    condition is the worst sum of left-side term magnitudes over the left
+    side's value.
+    """
+    t0 = time.perf_counter()
+    rng = {"n_max": cfg.n_max, "z_grid": list(cfg.z_grid)}
+    if c_is_one:
+        rng["c"] = 1
+    else:
+        rng["c_grid"] = list(cfg.c_grid)
+    rng["tolerance"] = cfg.tolerance
+    failure = None
+    cond_max = 0.0
+    for n in range(1, cfg.n_max + 1):
+        lhs_profile, rhs_profile = profiles(n)
+        for z in cfg.z_grid:
+            for c in (1 + 0j,) if c_is_one else cfg.c_grid:
+                lhs, magnitude = _evaluate(lhs_profile, z, c)
+                rhs, _ = _evaluate(rhs_profile, z, c)
+                cond_max = max(cond_max, magnitude / max(1.0, abs(lhs)))
+                if not _within(lhs, rhs, cfg.tolerance):
+                    failure = {"n": n, key: z, "lhs": lhs, "rhs": rhs}
+                    if not c_is_one:
+                        failure["c"] = c
+                    break
+            if failure:
+                break
+        if failure:
+            break
+    return _report(ident, "numeric", rng, failure, t0, cond_max)
+
+
 def _check_bs_basic(cfg: CheckConfig) -> IdentityReport:
     t0 = time.perf_counter()
     rng = {"n_max": cfg.n_max}
     failure = None
     for n in range(1, cfg.n_max + 1):
-        lhs = sum(_sign(k) * s for s, _l, k in distinct_stats(n))
+        # a window holds s weights, so sum_e a(e) is the signed smallest-part sum
+        lhs = _at(_window_profile(n), 0, 1)
         rhs = len(divisors(n))
         if lhs != rhs:
             failure = {"n": n, "lhs": lhs, "rhs": rhs}
@@ -497,176 +539,54 @@ def _check_bs_basic(cfg: CheckConfig) -> IdentityReport:
 
 
 def _check_bs_int(cfg: CheckConfig) -> IdentityReport:
-    t0 = time.perf_counter()
     rng = {"n_max": cfg.n_max, "exponents": list(cfg.exponents)}
-    failure = None
-    for n in range(1, cfg.n_max + 1):
-        for z in cfg.exponents:
-            lhs = 0
-            for s, largest, k in distinct_stats(n):
-                sign = _sign(k)
-                lhs += sign * sum(e**z for e in range(largest - s + 1, largest + 1))
-            rhs = sigma_int(z, n)
-            if lhs != rhs:
-                failure = {"n": n, "z": z, "lhs": lhs, "rhs": rhs}
-                break
-        if failure:
-            break
-    return _report(IdentityId.BS_INT, "exact", rng, failure, t0)
+    sides = lambda n, z: (_at(_window_profile(n), z, 1), sigma_int(z, n))
+    return _exact_sweep(IdentityId.BS_INT, cfg, rng, sides, key="z")
 
 
 def _check_bs_onevar(cfg: CheckConfig) -> IdentityReport:
-    t0 = time.perf_counter()
+    ident = IdentityId.BS_ONEVAR
     if cfg.mode == "exact":
         rng = {"n_max": cfg.n_max, "exponents": list(cfg.exponents), "c": "symbolic"}
-        failure = None
-        for n in range(1, cfg.n_max + 1):
-            for z in cfg.exponents:
-                lhs, rhs = lhs_rhs_thm21(n, WeightParams(z, C))
-                if lhs != rhs:
-                    failure = {"n": n, "z": z, "lhs": lhs, "rhs": rhs}
-                    break
-            if failure:
-                break
-        return _report(IdentityId.BS_ONEVAR, "exact", rng, failure, t0)
-
-    rng = {
-        "n_max": cfg.n_max,
-        "z_grid": list(cfg.z_grid),
-        "c_grid": list(cfg.c_grid),
-        "tolerance": cfg.tolerance,
-    }
-    failure = None
-    cond_max = 0.0
-    for n in range(1, cfg.n_max + 1):
-        for z in cfg.z_grid:
-            for c in cfg.c_grid:
-                lhs, abs_sum = _thm21_lhs_numeric(n, z, c)
-                rhs = sigma_zc_numeric(z, c, n)
-                cond_max = max(cond_max, abs_sum / max(1.0, abs(lhs)))
-                if not _within(lhs, rhs, cfg.tolerance):
-                    failure = {"n": n, "z": z, "c": c, "lhs": lhs, "rhs": rhs}
-                    break
-            if failure:
-                break
-        if failure:
-            break
-    return _report(IdentityId.BS_ONEVAR, "numeric", rng, failure, t0, cond_max)
+        sides = lambda n, z: lhs_rhs_thm21(n, WeightParams(z, C))
+        return _exact_sweep(ident, cfg, rng, sides, key="z")
+    profiles = lambda n: (_window_profile(n), _divisor_profile(n))
+    return _numeric_sweep(ident, cfg, profiles, key="z")
 
 
 def _check_thm_2_3(cfg: CheckConfig) -> IdentityReport:
-    t0 = time.perf_counter()
     if cfg.mode == "exact":
         rng = {"n_max": cfg.n_max, "exponents": list(cfg.exponents), "c": "symbolic"}
-        failure = None
-        for n in range(1, cfg.n_max + 1):
-            for k in cfg.exponents:
-                lhs, rhs = _thm23_exact_symbolic(n, k)
-                if lhs != rhs:
-                    failure = {"n": n, "k": k, "lhs": lhs, "rhs": rhs}
-                    break
-            if failure:
-                break
-        return _report(IdentityId.THM_2_3, "exact", rng, failure, t0)
+        sides = lambda n, k: lhs_rhs_thm23(n, k, C)
+        return _exact_sweep(IdentityId.THM_2_3, cfg, rng, sides)
+    profiles = lambda n: (_smallest_profile(n), _binomial_profile(n))
+    return _numeric_sweep(IdentityId.THM_2_3, cfg, profiles)
 
-    rng = {
-        "n_max": cfg.n_max,
-        "z_grid": list(cfg.z_grid),
-        "c_grid": list(cfg.c_grid),
-        "tolerance": cfg.tolerance,
-    }
-    failure = None
-    cond_max = 0.0
-    for n in range(1, cfg.n_max + 1):
-        for z in cfg.z_grid:
-            for c in cfg.c_grid:
-                lhs, rhs, abs_sum = _thm23_numeric(n, z, c)
-                cond_max = max(cond_max, abs_sum / max(1.0, abs(lhs)))
-                if not _within(lhs, rhs, cfg.tolerance):
-                    failure = {"n": n, "k": z, "c": c, "lhs": lhs, "rhs": rhs}
-                    break
-            if failure:
-                break
-        if failure:
-            break
-    return _report(IdentityId.THM_2_3, "numeric", rng, failure, t0, cond_max)
+
+def _cor24_sides(n: int, k: int) -> tuple[int, int]:
+    lhs = _at(_smallest_profile(n), k, 1)
+    rhs = _at(_binomial_profile(n), k, 1)
+    if k == 1 and lhs == rhs:
+        # the k=1 chain collapses to the divisor count
+        rhs = len(divisors(n))
+    return lhs, rhs
 
 
 def _check_cor_2_4(cfg: CheckConfig) -> IdentityReport:
-    t0 = time.perf_counter()
     if cfg.mode == "exact":
         rng = {"n_max": cfg.n_max, "exponents": list(cfg.exponents), "c": 1}
-        failure = None
-        for n in range(1, cfg.n_max + 1):
-            for k in cfg.exponents:
-                lhs, rhs = _thm23_exact_scalar(n, k, Fraction(1))
-                if lhs != rhs:
-                    failure = {"n": n, "k": k, "lhs": lhs, "rhs": rhs}
-                    break
-                if k == 1 and lhs != len(divisors(n)):
-                    # the k=1 chain collapses to the divisor count
-                    failure = {"n": n, "k": k, "lhs": lhs, "rhs": len(divisors(n))}
-                    break
-            if failure:
-                break
-        return _report(IdentityId.COR_2_4, "exact", rng, failure, t0)
-
-    rng = {
-        "n_max": cfg.n_max,
-        "z_grid": list(cfg.z_grid),
-        "c": 1,
-        "tolerance": cfg.tolerance,
-    }
-    failure = None
-    cond_max = 0.0
-    for n in range(1, cfg.n_max + 1):
-        for z in cfg.z_grid:
-            lhs, rhs, abs_sum = _thm23_numeric(n, z, 1 + 0j)
-            cond_max = max(cond_max, abs_sum / max(1.0, abs(lhs)))
-            if not _within(lhs, rhs, cfg.tolerance):
-                failure = {"n": n, "k": z, "lhs": lhs, "rhs": rhs}
-                break
-        if failure:
-            break
-    return _report(IdentityId.COR_2_4, "numeric", rng, failure, t0, cond_max)
+        return _exact_sweep(IdentityId.COR_2_4, cfg, rng, _cor24_sides)
+    profiles = lambda n: (_smallest_profile(n), _binomial_profile(n))
+    return _numeric_sweep(IdentityId.COR_2_4, cfg, profiles, c_is_one=True)
 
 
 def _check_thm_2_6(cfg: CheckConfig) -> IdentityReport:
-    t0 = time.perf_counter()
     if cfg.mode == "exact":
         rng = {"n_max": cfg.n_max, "exponents": list(cfg.exponents), "c": "symbolic"}
-        failure = None
-        for n in range(1, cfg.n_max + 1):
-            for k in cfg.exponents:
-                lhs, rhs = _thm26_exact_symbolic(n, k)
-                if lhs != rhs:
-                    failure = {"n": n, "k": k, "lhs": lhs, "rhs": rhs}
-                    break
-            if failure:
-                break
-        return _report(IdentityId.THM_2_6, "exact", rng, failure, t0)
-
-    rng = {
-        "n_max": cfg.n_max,
-        "z_grid": list(cfg.z_grid),
-        "c_grid": list(cfg.c_grid),
-        "tolerance": cfg.tolerance,
-    }
-    failure = None
-    cond_max = 0.0
-    for n in range(1, cfg.n_max + 1):
-        for z in cfg.z_grid:
-            for c in cfg.c_grid:
-                lhs, rhs, abs_sum = _thm26_numeric(n, z, c)
-                cond_max = max(cond_max, abs_sum / max(1.0, abs(lhs)))
-                if not _within(lhs, rhs, cfg.tolerance):
-                    failure = {"n": n, "k": z, "c": c, "lhs": lhs, "rhs": rhs}
-                    break
-            if failure:
-                break
-        if failure:
-            break
-    return _report(IdentityId.THM_2_6, "numeric", rng, failure, t0, cond_max)
+        sides = lambda n, k: lhs_rhs_thm26(n, k, C)
+        return _exact_sweep(IdentityId.THM_2_6, cfg, rng, sides)
+    profiles = lambda n: (_initial_profile(n), _shifted_binomial_profile(n))
+    return _numeric_sweep(IdentityId.THM_2_6, cfg, profiles)
 
 
 def _check_cor_2_5(cfg: CheckConfig) -> IdentityReport:
@@ -804,7 +724,7 @@ def _check_dilcher_cm(cfg: CheckConfig) -> IdentityReport:
     for m in range(1, 5):
         coeffs = series_M(m, 1, n_max)
         for n in range(1, n_max + 1):
-            enumerated = sum(_sign(k) * s**m for s, _l, k in distinct_stats(n))
+            enumerated = _at(_smallest_profile(n), m, 1)
             formula = convolution_value(m, n)
             series_coeff = coeffs[n]
             if not (enumerated == formula == series_coeff):
@@ -828,11 +748,9 @@ def _check_eq_1_13(cfg: CheckConfig) -> IdentityReport:
     for m in range(1, cfg.m_max + 1):
         coeffs = series_M(m, C, cfg.n_max)
         for n in range(1, cfg.n_max + 1):
-            acc: dict[int, int] = {}
-            for s, _l, k in distinct_stats(n):
-                acc[s] = acc.get(s, 0) + _sign(k) * s**m
-            if coeffs[n] != _poly(acc):
-                failure = {"m": m, "n": n, "series": coeffs[n], "weights": _poly(acc)}
+            weights = _weighted(_smallest_profile(n), m)
+            if coeffs[n] != weights:
+                failure = {"m": m, "n": n, "series": coeffs[n], "weights": weights}
                 break
         if failure:
             break

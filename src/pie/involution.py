@@ -28,7 +28,7 @@ from math import ceil
 from typing import Iterator
 
 from .errors import AlgorithmFault
-from .partitions import Partition, distinct_stats, enumerate_distinct
+from .partitions import Partition, enumerate_distinct, signed_window_counts
 
 CASE_REMOVE = "case1"
 CASE_INSERT = "case2"
@@ -175,14 +175,17 @@ def stopping_candidates(p: Partition, N: int) -> list[int]:
 
 
 def class_sum(n: int, N: int) -> int:
-    """Signed count sum over D(n) within C(N): 1 when N | n, else 0."""
+    """Signed count sum over D(n) within C(N): 1 when N | n, else 0.
+
+    Read off the signed (smallest, largest) histogram, independent of the
+    pairing, which enumerates the class members themselves.
+    """
     if not 1 <= N <= n:
         raise ValueError("need 1 <= N <= n")
-    total = 0
-    for smallest, largest, k in distinct_stats(n):
-        if largest >= N > largest - smallest:
-            total += -1 if k % 2 == 0 else 1
-    return total
+    return sum(
+        h for (smallest, largest), h in signed_window_counts(n).items()
+        if largest >= N > largest - smallest
+    )
 
 
 def class_members(n: int, N: int) -> Iterator[Partition]:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 from typing import Iterator
 
 # Full enumeration of P(n) is exponential; refuse accidental big n unless the
@@ -217,17 +218,6 @@ def _table_cap(n: int) -> int:
 
 
 @lru_cache(maxsize=4)
-def _size_count_table(cap: int) -> tuple[tuple[int, ...], ...]:
-    # final table over all part sizes <= cap
-    vmax = _max_distinct_sizes(cap)
-    f = [[0] * (cap + 1) for _ in range(vmax + 1)]
-    f[0][0] = 1
-    for m in range(1, cap + 1):
-        _apply_size(f, m, vmax, cap)
-    return tuple(tuple(row) for row in f)
-
-
-@lru_cache(maxsize=4)
 def _size_count_history(cap: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     # history[m] = table restricted to part sizes <= m
     vmax = _max_distinct_sizes(cap)
@@ -253,8 +243,7 @@ def count_exact_part_sizes(n: int, t: int) -> int:
         raise ValueError("t must be positive")
     if t * (t + 1) // 2 > n:
         return 0
-    table = _size_count_table(_table_cap(n))
-    return table[t][n]
+    return _size_count_history(_table_cap(n))[-1][t][n]
 
 
 @lru_cache(maxsize=None)
@@ -283,18 +272,41 @@ def partitions_by_largest_and_sizes(n: int) -> dict[tuple[int, int], int]:
     return out
 
 
-@lru_cache(maxsize=None)
-def distinct_stats(n: int) -> tuple[tuple[int, int, int], ...]:
-    """(smallest, largest, num_parts) for every member of D(n), cached.
+@lru_cache(maxsize=4)
+def _signed_window_table(cap: int) -> tuple[MappingProxyType[tuple[int, int], int], ...]:
+    # table[n][(s, l)] = H_n(s, l) for every n <= cap, nonzero cells only.
+    # For s < l the middle parts form a distinct subset of (s, l) summing to
+    # n - s - l, each one flipping the sign, so H_n(s, l) is minus the
+    # q^(n-s-l) coefficient of prod_{s<j<l} (1 - q^j).  The product for
+    # (s, l + 1) is the one for (s, l) times (1 - q^l), truncated at the
+    # largest degree any n <= cap still reads.
+    table: list[dict[tuple[int, int], int]] = [{} for _ in range(cap + 1)]
+    for s in range(1, cap + 1):
+        table[s][(s, s)] = 1
+        poly = [1] + [0] * (cap - 2 * s - 1)
+        for l in range(s + 1, cap - s + 1):
+            key = (s, l)
+            base = s + l
+            for d, a in enumerate(poly):
+                if a:
+                    table[base + d][key] = -a
+            del poly[-1:]
+            for i in range(len(poly) - 1, l - 1, -1):
+                poly[i] -= poly[i - l]
+    # read-only views: every caller shares the cached rows
+    return tuple(MappingProxyType(row) for row in table)
 
-    Enumeration order matches enumerate_distinct.  D(n) stays small (about
-    1.1e4 at n = 60), so caching the raw stat triples keeps the identity
-    sweeps cheap without materializing Partition objects.
+
+def signed_window_counts(n: int) -> MappingProxyType[tuple[int, int], int]:
+    """H_n(s, l): the signed count of D(n) by (smallest, largest) part.
+
+    Each distinct-part partition of n with smallest part s and largest part
+    l contributes (-1)^(#parts - 1) to the cell (s, l); only nonzero cells
+    are kept.  Every sum over D(n) whose summand depends on a partition only
+    through (s, l, parity of #parts) is a linear map of this histogram, which
+    has at most n^2/4 cells where |D(n)| grows like exp(pi * sqrt(n / 3)).
+    Built for every n up to the table cap in one integer pass, cached.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n == 0:
-        return ()
-    return tuple(
-        (t[-1], t[0], len(t)) for t in _descending_distinct_parts(n, n)
-    )
+    return _signed_window_table(_table_cap(n))[n]

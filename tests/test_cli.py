@@ -1,6 +1,12 @@
 """The command-line front end: flags, formats, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from pie.cli import main
 
@@ -89,18 +95,9 @@ def test_verify_numeric_mode(capsys):
     assert all(r["mode"] == "numeric" for r in reports)
 
 
-def test_verify_failure_exit_code(capsys):
+def test_verify_failure_exit_code(capsys, skewed_binomial_profile):
     code, out, _ = run(
-        capsys,
-        "verify",
-        "--id",
-        "thm_2_3",
-        "--mode",
-        "numeric",
-        "--n-max",
-        "25",
-        "--tol",
-        "1e-300",
+        capsys, "verify", "--id", "thm_2_3", "--mode", "numeric", "--n-max", "25"
     )
     assert code == 1
     reports = json.loads(out)
@@ -183,3 +180,72 @@ def test_report_all(capsys):
     lines = out.strip().splitlines()
     assert len(lines) == 22  # 18 exact + 4 numeric
     assert all(line.startswith("PASS") for line in lines)
+
+
+def test_cor_2_4_numeric_holds_past_n_59(capsys):
+    # the per-partition float sums used to lose 1e-8 to cancellation at n=59
+    code, out, _ = run(
+        capsys, "verify", "--id", "cor_2_4", "--mode", "numeric", "--n-max", "60"
+    )
+    assert code == 0
+    assert json.loads(out)[0]["status"] == "pass"
+
+
+@pytest.mark.parametrize(
+    "argv, env",
+    [
+        (("verify", "--id", "bs_basic", "--n-max", "0"), {}),
+        (("verify", "--id", "bs_basic", "--q-order", "0"), {}),
+        (("verify", "--id", "bs_basic", "--m-max", "-1"), {}),
+        (("verify", "--id", "bs_basic", "--tol", "0"), {}),
+        (("report-all", "--n-max", "0"), {}),
+        (("series", "--name", "K", "--order", "0"), {}),
+        (("verify", "--id", "bs_basic"), {"PIE_N_MAX": "0"}),
+        (("verify", "--id", "bs_basic"), {"PIE_TOLERANCE": "0"}),
+        (("series", "--name", "K"), {"PIE_Q_ORDER": "0"}),
+        (("verify", "--id", "bs_onevar", "--mode", "numeric", "--z", ""), {}),
+    ],
+    ids=[
+        "n-max-0",
+        "q-order-0",
+        "m-max-negative",
+        "tol-0",
+        "report-all-n-max-0",
+        "series-order-0",
+        "env-n-max-0",
+        "env-tolerance-0",
+        "env-series-order-0",
+        "empty-z-grid",
+    ],
+)
+def test_zero_or_empty_settings_are_usage_errors(capsys, monkeypatch, argv, env):
+    # a value that is present is validated, never replaced by a default
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "usage error" in err
+
+
+def test_report_all_bytes_stable_across_processes():
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PIE_")}
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    env["PIE_Z"] = "1.25-0.5j,-1.5+0.25j,0.75,-0.5+0.5j"
+    env["PIE_C"] = "0.5+0.25j,-0.6,0.3-0.4j,0.1+0.7j"
+    outs = []
+    for hash_seed in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "pie", "report-all", "--n-max", "20", "--q-order", "12"],
+            env={**env, "PYTHONHASHSEED": hash_seed},
+            capture_output=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    reports = json.loads(outs[0])
+    assert len(reports) == 22
+    numeric = [r for r in reports if r["mode"] == "numeric"]
+    assert all(r["range"]["z_grid"][0] == "(1.25-0.5j)" for r in numeric)

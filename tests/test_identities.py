@@ -1,6 +1,7 @@
 """The identity registry: frozen examples, sweeps, numeric grids, reports."""
 
 import json
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -21,6 +22,7 @@ from pie.identities import (
     lhs_rhs_thm26,
     run_all,
 )
+from pie.partitions import enumerate_distinct
 
 EXACT_CFG = CheckConfig(n_max=30, q_order=20, m_max=3)
 
@@ -155,8 +157,8 @@ def test_numeric_rejected_for_exact_only_identities():
         check_identity(IdentityId.CLASS_SUM, replace(NUMERIC_CFG, n_max=10))
 
 
-def test_numeric_failure_is_reported_not_raised():
-    cfg = replace(NUMERIC_CFG, n_max=25, tolerance=1e-300)
+def test_numeric_failure_is_reported_not_raised(skewed_binomial_profile):
+    cfg = replace(NUMERIC_CFG, n_max=25)
     rep = check_identity(IdentityId.THM_2_3, cfg)
     assert rep.status == "fail"
     assert rep.first_failure is not None
@@ -201,10 +203,60 @@ def test_report_json_shape():
     json.dumps(d)  # serializable as-is
 
 
-def test_report_values_render_as_strings():
-    rep = check_identity(IdentityId.THM_2_3, replace(NUMERIC_CFG, tolerance=1e-300))
+def test_report_values_render_as_strings(skewed_binomial_profile):
+    rep = check_identity(IdentityId.THM_2_3, NUMERIC_CFG)
     d = rep.to_json_dict()
     assert d["status"] == "fail"
     assert isinstance(d["first_failure"]["lhs"], str)
     assert isinstance(d["first_failure"]["rhs"], str)
     json.dumps(d)
+
+
+# -- numeric mode against a 50-digit oracle ----------------------------------------
+
+
+def _oracle_weights(tag: str, s: int, l: int) -> range:
+    # the exponents e a partition with smallest s and largest l weights by e^z c^e
+    if tag == "bs_onevar":
+        return range(l - s + 1, l + 1)
+    if tag == "thm_2_6":
+        return range(1, s + 1)
+    return range(s, s + 1)
+
+
+@pytest.mark.parametrize(
+    "tag, n",
+    [
+        (tag, n)
+        for tag, worst in (("bs_onevar", 13), ("thm_2_3", 46), ("cor_2_4", 59), ("thm_2_6", 32))
+        for n in (worst, 60)
+    ],
+)
+def test_numeric_values_against_mpmath_oracle(tag, n):
+    # the per-partition definition over enumerate_distinct(n), at 50 digits,
+    # independent of the histogram DP and the profiles numeric mode evaluates;
+    # the first n of each tag is where its relative error peaks for n <= 60
+    mpmath = pytest.importorskip("mpmath")
+    tally = Counter()
+    for p in enumerate_distinct(n):
+        tally[p.smallest, p.largest] += 1 if p.num_parts % 2 else -1
+    cfg = CheckConfig()
+    c_grid = (1 + 0j,) if tag == "cor_2_4" else cfg.c_grid
+    with mpmath.workdps(50):
+        for z in cfg.z_grid:
+            for c in c_grid:
+                zm, cm = mpmath.mpc(z), mpmath.mpc(c)
+                w = {e: mpmath.power(e, zm) * cm**e for e in range(1, n + 1)}
+                ref = mpmath.fsum(
+                    h * w[e]
+                    for (s, l), h in tally.items()
+                    for e in _oracle_weights(tag, s, l)
+                )
+                if tag == "bs_onevar":
+                    sides = lhs_rhs_thm21(n, WeightParams(z, c))
+                elif tag == "thm_2_6":
+                    sides = lhs_rhs_thm26(n, z, c)
+                else:
+                    sides = lhs_rhs_thm23(n, z, c)
+                for got in sides:
+                    assert abs(mpmath.mpc(got) - ref) <= 1e-12 * abs(ref), (z, c, got)

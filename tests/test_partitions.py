@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 from pie.partitions import (
     Partition,
     count_exact_part_sizes,
-    distinct_stats,
     enumerate_distinct,
     enumerate_partitions,
     partition_count,
     partitions_by_largest_and_sizes,
+    signed_window_counts,
     stats,
 )
 
@@ -167,12 +167,19 @@ def test_profile_by_largest_and_sizes_against_enumeration(n):
     assert partitions_by_largest_and_sizes(n) == dict(brute)
 
 
-@pytest.mark.parametrize("n", range(1, 31))
+@pytest.mark.parametrize("n", range(1, 61))
 def test_distinct_stats_matches_enumeration(n):
-    expected = tuple(
-        (p.smallest, p.largest, p.num_parts) for p in enumerate_distinct(n)
-    )
-    assert distinct_stats(n) == expected
+    # the histogram DP against the signed (smallest, largest) tally of D(n)
+    brute = Counter()
+    for p in enumerate_distinct(n):
+        brute[(p.smallest, p.largest)] += 1 if p.num_parts % 2 else -1
+    assert signed_window_counts(n) == {key: h for key, h in brute.items() if h}
+    # class sums over l >= N > l - s detect divisibility
+    for N in range(1, n + 1):
+        total = sum(
+            h for (s, l), h in signed_window_counts(n).items() if l >= N > l - s
+        )
+        assert total == (1 if n % N == 0 else 0)
 
 
 def test_partition_str():
