@@ -20,8 +20,8 @@ Usage:
 
 import sys
 
-from pie.exact import sigma_zc_numeric
-from pie.identities import _evaluate, _window_profile
+from pie.exact import divisors, fractional_weight
+from pie.identities import _window_profile
 
 Z_GRID = (1.5 + 0j, -1 + 0j, -2 + 0j, 0.5 + 0.5j, 2 - 1j, 3.5 + 0j)
 C_GRID = (0.4 + 0j, -0.3 + 0j, 0.4 - 0.3j, 0.2 + 0.7j, 0.85 + 0j)
@@ -35,8 +35,8 @@ def main() -> int:
             cond = 0.0
             err = 0.0
             for n in range(1, n_max + 1):
-                lhs, magnitude = _evaluate(_window_profile(n), z, c)
-                rhs = sigma_zc_numeric(z, c, n)
+                lhs, magnitude = fractional_weight(_window_profile(n), z, c)
+                rhs, _ = fractional_weight([(d, 1) for d in divisors(n)], z, c)
                 cond = max(cond, magnitude / max(1.0, abs(lhs)))
                 err = max(err, abs(lhs - rhs) / max(1.0, abs(rhs)))
             print(f"{z!s:>12s} {c!s:>12s} {cond:10.3g} {err:12.3g}")

@@ -11,7 +11,7 @@ Library surface:
 """
 
 from .errors import AlgorithmFault
-from .exact import C, CPolynomial, WeightParams, bell_polynomial, divisors, sigma_int
+from .exact import C, CPolynomial, bell_polynomial, divisors, sigma_int
 from .identities import CheckConfig, IdentityId, IdentityReport, check_identity, run_all
 from .involution import PairingTrace, class_sum, in_class, membership_count, pair
 from .partitions import (
@@ -39,7 +39,6 @@ __all__ = [
     "Partition",
     "PartitionStats",
     "TruncatedSeries",
-    "WeightParams",
     "bell_polynomial",
     "check_identity",
     "class_sum",

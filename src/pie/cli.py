@@ -13,12 +13,13 @@ import csv
 import json
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from fractions import Fraction
 
 from .errors import AlgorithmFault
 from .exact import C
-from .identities import CheckConfig, IdentityId, check_identity, run_all
+from .identities import NUMERIC_CAPABLE, CheckConfig, IdentityId, check_identity, run_all
 from .involution import class_members, class_sum, pair, trace_lines, verify_pairing_class
 from .series import (
     coefficient_rows,
@@ -30,10 +31,8 @@ from .series import (
 )
 
 MAX_N = 200
-
-
-def _env(name: str, default: str | None = None) -> str | None:
-    return os.environ.get(f"PIE_{name}", default)
+FORMATS = ("json", "csv", "text")
+MODES = ("exact", "numeric")
 
 
 def _parse_complex(text: str) -> complex:
@@ -64,11 +63,11 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--n-max", type=int, default=None)
     verify.add_argument("--q-order", type=int, default=None)
     verify.add_argument("--m-max", type=int, default=None)
-    verify.add_argument("--mode", choices=("exact", "numeric"), default=None)
+    verify.add_argument("--mode", choices=MODES, default=None)
     verify.add_argument("--z", default=None, help="comma-separated complex grid")
     verify.add_argument("--c", default=None, help="comma-separated complex grid")
     verify.add_argument("--tol", type=float, default=None)
-    verify.add_argument("--format", choices=("json", "csv", "text"), default=None)
+    verify.add_argument("--format", choices=FORMATS, default=None)
     verify.add_argument("--output", default=None)
     verify.add_argument("--timings", action="store_true")
 
@@ -91,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     rep = sub.add_parser("report-all", help="full manifest of every check")
     rep.add_argument("--n-max", type=int, default=None)
     rep.add_argument("--q-order", type=int, default=None)
-    rep.add_argument("--format", choices=("json", "csv", "text"), default=None)
+    rep.add_argument("--format", choices=FORMATS, default=None)
     rep.add_argument("--output", default=None)
     rep.add_argument("--timings", action="store_true")
 
@@ -103,8 +102,17 @@ def _setting(args: argparse.Namespace, flag: str, env_name: str, parse, default)
     value = getattr(args, flag, None)
     if value is not None:
         return value
-    text = _env(env_name)
+    text = os.environ.get(f"PIE_{env_name}")
     return default if text is None else parse(text)
+
+
+def _choice(name: str, choices: tuple[str, ...]):
+    def parse(text: str) -> str:
+        if text not in choices:
+            raise ValueError(f"{name} must be one of {', '.join(choices)}, got {text!r}")
+        return text
+
+    return parse
 
 
 def _positive(name: str, value):
@@ -132,7 +140,7 @@ def _config_from(args: argparse.Namespace) -> CheckConfig:
         n_max=n_max,
         q_order=_positive("q-order", _setting(args, "q_order", "Q_ORDER", int, cfg.q_order)),
         m_max=_positive("m-max", _setting(args, "m_max", "M_MAX", int, cfg.m_max)),
-        mode=_setting(args, "mode", "MODE", str, cfg.mode),
+        mode=_setting(args, "mode", "MODE", _choice("mode", MODES), cfg.mode),
         tolerance=_positive("tol", _setting(args, "tol", "TOLERANCE", float, cfg.tolerance)),
     )
     if z_text is not None:
@@ -142,10 +150,14 @@ def _config_from(args: argparse.Namespace) -> CheckConfig:
     return cfg
 
 
-def _open_sink(path: str | None):
+@contextmanager
+def _sink(args: argparse.Namespace):
+    path = _setting(args, "output", "OUTPUT", str, None)
     if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline=""), True
+        yield sys.stdout
+    else:
+        with open(path, "w", encoding="utf-8", newline="") as sink:
+            yield sink
 
 
 def emit_report(reports, fmt: str, sink, timings: bool = False) -> None:
@@ -178,26 +190,24 @@ def emit_report(reports, fmt: str, sink, timings: bool = False) -> None:
             sink.write(f"{mark} {d['id']} [{d['mode']}]{extra}\n")
 
 
+def _emit(args: argparse.Namespace, run) -> int:
+    """Run the checks and write their reports; exit 1 if any failed."""
+    fmt = _setting(args, "format", "FORMAT", _choice("format", FORMATS), "json")
+    reports = run()
+    with _sink(args) as sink:
+        emit_report(reports, fmt, sink, timings=args.timings)
+    return 0 if all(r.passed for r in reports) else 1
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
     cfg = _config_from(args)
-    if args.all:
-        if cfg.mode == "numeric":
-            from .identities import NUMERIC_CAPABLE
-
-            idents = [i for i in IdentityId if i in NUMERIC_CAPABLE]
-        else:
-            idents = list(IdentityId)
-    else:
+    if not args.all:
         idents = [args.ident]
-    reports = [check_identity(i, cfg) for i in idents]
-    fmt = args.format or _env("FORMAT") or "json"
-    sink, close = _open_sink(args.output or _env("OUTPUT"))
-    try:
-        emit_report(reports, fmt, sink, timings=args.timings)
-    finally:
-        if close:
-            sink.close()
-    return 0 if all(r.passed for r in reports) else 1
+    elif cfg.mode == "numeric":
+        idents = [i for i in IdentityId if i in NUMERIC_CAPABLE]
+    else:
+        idents = list(IdentityId)
+    return _emit(args, lambda: [check_identity(i, cfg) for i in idents])
 
 
 def _cmd_series(args: argparse.Namespace) -> int:
@@ -214,14 +224,10 @@ def _cmd_series(args: argparse.Namespace) -> int:
         result = series_entry4(c, order)[0]
     else:
         result = series_dilcher_binomial(args.m, order)[0]
-    sink, close = _open_sink(args.output or _env("OUTPUT"))
-    try:
+    with _sink(args) as sink:
         writer = csv.writer(sink, lineterminator="\n")
         for power, coeff in coefficient_rows(result):
             writer.writerow([power, coeff])
-    finally:
-        if close:
-            sink.close()
     return 0
 
 
@@ -231,8 +237,7 @@ def _cmd_involution(args: argparse.Namespace) -> int:
         raise ValueError(f"n must lie in 1..{MAX_N}")
     if not 1 <= N <= n:
         raise ValueError("need 1 <= N-divisor <= n")
-    sink, close = _open_sink(args.output or _env("OUTPUT"))
-    try:
+    with _sink(args) as sink:
         if args.sweep:
             for modulus in range(1, n + 1):
                 counts = verify_pairing_class(n, modulus)
@@ -259,22 +264,11 @@ def _cmd_involution(args: argparse.Namespace) -> int:
                 sink.write(f"{p} -> {target} ({trace.case})\n")
         sink.write(f"class_sum={class_sum(n, N)}\n")
         return 0
-    finally:
-        if close:
-            sink.close()
 
 
 def _cmd_report_all(args: argparse.Namespace) -> int:
     cfg = _config_from(args)
-    reports = run_all(cfg)
-    fmt = args.format or _env("FORMAT") or "json"
-    sink, close = _open_sink(args.output or _env("OUTPUT"))
-    try:
-        emit_report(reports, fmt, sink, timings=args.timings)
-    finally:
-        if close:
-            sink.close()
-    return 0 if all(r.passed for r in reports) else 1
+    return _emit(args, lambda: run_all(cfg))
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, isqrt
 from typing import Sequence, Union
@@ -20,11 +19,6 @@ Scalar = Union[int, Fraction]
 
 # Bell polynomial degree guard; the identity checks never need more.
 BELL_DEGREE_CAP = 10
-
-# Default disk for numeric c values; alternating sums stay well conditioned
-# inside it.  Finite identity sums are exact for any c, so this is a
-# conditioning guard, not a convergence requirement.
-DEFAULT_C_DISK = 0.9
 
 
 def _exact(value: object) -> Fraction:
@@ -240,29 +234,24 @@ def complex_power(j: int, z: complex) -> complex:
     return cmath.exp(complex(z) * math.log(j))
 
 
-def sigma_zc_numeric(z: complex, c: complex, n: int) -> complex:
-    """Sum over d | n of d^z * c^d in complex doubles."""
-    c = complex(c)
-    return sum(complex_power(d, z) * c**d for d in divisors(n))
+def fractional_weight(pairs, z: complex, c: complex) -> tuple[complex, float]:
+    """sum_e a(e) * e^z * c^e over (e, a(e)) pairs in complex doubles, and
+    the sum of the term magnitudes, whose ratio to the value is the
+    condition estimate.
 
-
-def fractional_weight(p: CPolynomial, z: complex, c: complex) -> complex:
-    """Apply the weight operator sending c^j to j^z * c^j, then evaluate at c.
-
-    z = 0 is the identity map (the constant term survives); for any other z
-    the constant term is annihilated, matching (c * d/dc)^k for integer k.
+    This is the weight operator sending c^e to e^z * c^e, evaluated at c; a
+    weight profile and CPolynomial.items() are both such pairs.  At e = 0
+    it is the identity for z = 0 and annihilates the term otherwise,
+    matching (c * d/dc)^k for integer k.
     """
     c = complex(c)
-    z = complex(z)
     total = 0j
-    for e, v in p.items():
-        if e == 0:
-            if z == 0:
-                total += complex(v)
-            continue
-        w = complex_power(e, z) if z != 0 else 1 + 0j
-        total += complex(v) * w * c**e
-    return total
+    magnitude = 0.0
+    for e, a in pairs:
+        term = a * (complex_power(e, z) if e else complex(z == 0)) * c**e
+        total += term
+        magnitude += abs(term)
+    return total, magnitude
 
 
 def bell_polynomial(m: int, u: Sequence, cap: int = BELL_DEGREE_CAP):
@@ -326,32 +315,3 @@ def bell_polynomial_direct(m: int, u: Sequence, cap: int = BELL_DEGREE_CAP):
         term = coeff * term
         acc = term if acc is None else acc + term
     return acc
-
-
-@dataclass(frozen=True)
-class WeightParams:
-    """The (z, c) weight pair of an identity check.
-
-    Exact mode: z a nonnegative integer and c exact (the indeterminate or a
-    rational); both sides of the identity are then honest polynomials.
-    Numeric mode: anything else; z and c are coerced to complex, and |c| is
-    kept inside the conditioning disk unless disk_radius is None.
-    """
-
-    z: object
-    c: object
-    disk_radius: float | None = DEFAULT_C_DISK
-
-    def __post_init__(self) -> None:
-        if self.mode == "numeric":
-            r = self.disk_radius
-            if r is not None and abs(complex(self.c)) > r:  # type: ignore[arg-type]
-                raise ValueError(f"|c| exceeds the conditioning disk {r}")
-
-    @property
-    def mode(self) -> str:
-        z_exact = isinstance(self.z, int) and not isinstance(self.z, bool) and self.z >= 0
-        c_exact = isinstance(self.c, (int, Fraction, CPolynomial)) and not isinstance(
-            self.c, bool
-        )
-        return "exact" if (z_exact and c_exact) else "numeric"

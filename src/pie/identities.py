@@ -3,12 +3,25 @@
 Every identity in scope has a closed tag; check_identity dispatches a tag to
 its checker and returns a machine-readable IdentityReport.  Each weighted
 side is built once per n as an exact integer weight profile (see the weight
-profiles section).  Exact mode compares normal forms in Q[c] (or plain
-integers) derived from the profiles with zero tolerance.  Numeric mode
-evaluates both profiles on fixed complex grids for (z, c) and compares
-within a relative tolerance, recording a condition estimate (the sum of the
-left side's term magnitudes over its value's magnitude) instead of ever
-widening the tolerance.
+profiles section).
+
+An exact checker declares the range it covers and a search.  Every search
+is the one first-failure search _first: it walks a grid of points, in
+order, and stops at the first point where the checker's mismatch function
+finds a difference; the failure record is that point merged with the
+difference.  Exact comparisons are of normal forms in Q[c] (or plain
+integers) derived from the profiles, with zero tolerance.
+
+The four identities with a numeric form share one table: tag -> both
+profiles at n, the name of the exponent axis, and whether c = 1.  Numeric
+mode evaluates both profiles with exact.fractional_weight on fixed complex
+grids for (z, c) and compares within a relative tolerance, recording a
+condition estimate (the sum of the left side's term magnitudes over its
+value's magnitude) instead of ever widening the tolerance.
+
+check_identity alone times a check, runs its search, turns an AlgorithmFault
+into a failing report over the checker's declared range, and builds the
+report.
 """
 
 from __future__ import annotations
@@ -17,8 +30,8 @@ import time
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
-from itertools import accumulate
+from functools import cache, lru_cache, partial
+from itertools import accumulate, product
 from math import comb, factorial
 
 from .errors import AlgorithmFault
@@ -26,13 +39,10 @@ from .exact import (
     C,
     CPolynomial,
     Scalar,
-    WeightParams,
     bell_polynomial,
-    complex_power,
     divisors,
+    fractional_weight,
     sigma_int,
-    sigma_zc_exact,
-    sigma_zc_numeric,
 )
 from .involution import class_sum
 from .partitions import (
@@ -71,12 +81,6 @@ class IdentityId(str, Enum):
     AGL_PTI = "agl_pti"
     AGL_SCALED = "agl_scaled"
     CLASS_SUM = "class_sum"
-
-
-# identities whose statements extend to complex (z, c) sampling
-NUMERIC_CAPABLE = frozenset(
-    {IdentityId.BS_ONEVAR, IdentityId.THM_2_3, IdentityId.COR_2_4, IdentityId.THM_2_6}
-)
 
 
 @dataclass(frozen=True)
@@ -250,8 +254,24 @@ def _shifted_binomial_profile(n: int) -> Profile:
     return _profile(acc)
 
 
+@lru_cache(maxsize=None)
 def _divisor_profile(n: int) -> Profile:
     return tuple((d, 1) for d in divisors(n))
+
+
+# both sides of each weighted identity at n, as a pair of profiles
+
+
+def _thm21_profiles(n: int) -> tuple[Profile, Profile]:
+    return _window_profile(n), _divisor_profile(n)
+
+
+def _thm23_profiles(n: int) -> tuple[Profile, Profile]:
+    return _smallest_profile(n), _binomial_profile(n)
+
+
+def _thm26_profiles(n: int) -> tuple[Profile, Profile]:
+    return _initial_profile(n), _shifted_binomial_profile(n)
 
 
 def _weighted(profile: Profile, k: int) -> CPolynomial:
@@ -264,67 +284,41 @@ def _at(profile: Profile, k: int, c: Scalar) -> Scalar:
     return sum(a * e**k * c**e for e, a in profile)
 
 
-def _evaluate(profile: Profile, z: complex, c: complex) -> tuple[complex, float]:
-    """sum_e a(e) * e^z * c^e in complex doubles, and the sum of the term
-    magnitudes, whose ratio to the value is the condition estimate."""
-    total = 0j
-    magnitude = 0.0
-    for e, a in profile:
-        term = a * complex_power(e, z) * c**e
-        total += term
-        magnitude += abs(term)
-    return total, magnitude
+# -- single-point sides -------------------------------------------------------
 
 
-def _exact_k(k) -> bool:
-    return isinstance(k, int) and not isinstance(k, bool) and k >= 0
+def _sides(profiles, n: int, k, c) -> tuple:
+    """Both sides of a weighted identity at one (n, k, c).
 
-
-# -- two-variable weighted sum (window weights against sigma_{z,c}) ---------
-
-
-def lhs_rhs_thm21(n: int, w: WeightParams):
-    """Both sides of the two-variable weighted identity at a single n.
-
-    Exact mode returns a pair of CPolynomial; numeric mode a pair of complex.
+    The types of (k, c) choose the arithmetic: a nonnegative integer k with
+    symbolic c gives a pair of CPolynomial, with an exact rational c a pair
+    of exact scalars; anything else is evaluated in complex doubles.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    if w.mode == "exact":
-        return _weighted(_window_profile(n), w.z), sigma_zc_exact(w.z, n)
-    z, c = complex(w.z), complex(w.c)
-    return _evaluate(_window_profile(n), z, c)[0], sigma_zc_numeric(z, c, n)
+    sides = profiles(n)
+    if isinstance(k, int) and not isinstance(k, bool) and k >= 0:
+        if isinstance(c, CPolynomial):
+            return tuple(_weighted(p, k) for p in sides)
+        if isinstance(c, (int, Fraction)):
+            return tuple(_at(p, k, c) for p in sides)
+    return tuple(fractional_weight(p, k, c)[0] for p in sides)
 
 
-# -- smallest-part powers against the binomial largest-part sums ------------
+def lhs_rhs_thm21(n: int, z, c):
+    """Both sides of the two-variable weighted identity (window weights
+    against sigma_{z,c}) at a single n."""
+    return _sides(_thm21_profiles, n, z, c)
 
 
 def lhs_rhs_thm23(n: int, k, c):
     """Both sides of the smallest-part power identity at a single n."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    sides = (_smallest_profile(n), _binomial_profile(n))
-    if _exact_k(k) and isinstance(c, CPolynomial):
-        return tuple(_weighted(p, k) for p in sides)
-    if _exact_k(k) and isinstance(c, (int, Fraction)):
-        return tuple(_at(p, k, c) for p in sides)
-    return tuple(_evaluate(p, complex(k), complex(c))[0] for p in sides)
-
-
-# -- initial-segment powers with the shifted binomial sums ------------------
+    return _sides(_thm23_profiles, n, k, c)
 
 
 def lhs_rhs_thm26(n: int, k, c):
     """Both sides of the initial-segment power identity at a single n."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    sides = (_initial_profile(n), _shifted_binomial_profile(n))
-    if _exact_k(k) and isinstance(c, CPolynomial):
-        return tuple(_weighted(p, k) for p in sides)
-    return tuple(_evaluate(p, complex(k), complex(c))[0] for p in sides)
-
-
-# -- integer corollaries -----------------------------------------------------
+    return _sides(_thm26_profiles, n, k, c)
 
 
 def check_cor27(n: int) -> tuple[int, int]:
@@ -346,9 +340,6 @@ def check_cor25(n: int) -> tuple[int, int]:
     if numerator % 2:
         raise AlgorithmFault(f"half-integer right side at n={n}: {numerator}/2")
     return count_exact_part_sizes(n, 2), numerator // 2
-
-
-# -- geometric-weight identity and its scaled form --------------------------
 
 
 def check_agl(n: int, scaled: bool) -> tuple[CPolynomial, CPolynomial]:
@@ -375,10 +366,8 @@ def check_agl(n: int, scaled: bool) -> tuple[CPolynomial, CPolynomial]:
     return _poly(lhs), _poly(rhs)
 
 
-# -- exponential generating function routes ----------------------------------
-
-
 def _thm22_routes(m_max: int, q_order: int, c):
+    """The two exponential-generating-function routes and the Bell pairs."""
     a_series = series_A(c, q_order)
     ms = [series_M(m, c, q_order) for m in range(1, m_max + 1)]
     ks = [series_K(m, c, q_order) for m in range(1, m_max + 1)]
@@ -399,168 +388,64 @@ def _thm22_routes(m_max: int, q_order: int, c):
     return direct, via_exp, bell_pairs
 
 
-def _first_series_diff(a: TruncatedSeries, b: TruncatedSeries) -> int:
-    for e in range(a.order + 1):
-        if a.coeffs[e] != b.coeffs[e]:
-            return e
-    return -1
+# -- the first-failure search -------------------------------------------------
 
 
-def check_thm22(m_max: int, q_order: int, c) -> "IdentityReport":
-    """Compare the two exponential-generating-function routes and the Bell
-    polynomial closed form, for one exact c.  Reported under the
-    t-expansion tag; the failure record says which part broke.
+def _first(points, mismatch) -> dict | None:
+    """The first point where mismatch finds a difference, merged with it.
+
+    Points are dicts whose keys are the failure record's keys; mismatch
+    takes a point's values in order and returns None when they agree.
     """
-    if not 1 <= m_max <= 6:
-        raise ValueError("m_max must be between 1 and 6")
-    if q_order < 10:
-        raise ValueError("q_order must be at least 10")
-    t0 = time.perf_counter()
-    rng = {"m_max": m_max, "q_order": q_order, "c": c}
-    failure = None
-    direct, via_exp, bell_pairs = _thm22_routes(m_max, q_order, c)
-    for m in range(m_max + 1):
-        if direct[m] != via_exp[m]:
-            failure = {
-                "part": "t-expansion",
-                "m": m,
-                "q_power": _first_series_diff(direct[m], via_exp[m]),
-                "c": c,
-            }
-            break
-    if failure is None:
-        for m, (lhs, rhs) in enumerate(bell_pairs, start=1):
-            if lhs != rhs:
-                failure = {
-                    "part": "bell",
-                    "m": m,
-                    "q_power": _first_series_diff(lhs, rhs),
-                    "c": c,
-                }
-                break
-    return _report(IdentityId.THM_2_2_EXP, "exact", rng, failure, t0)
+    for point in points:
+        difference = mismatch(*point.values())
+        if difference:
+            return {**point, **difference}
+    return None
 
 
-# -- report harness -----------------------------------------------------------
+def _grid(**axes) -> list[dict]:
+    """The points of the product of the axes, the first axis outermost."""
+    return [dict(zip(axes, values)) for values in product(*axes.values())]
 
 
-def _report(
-    ident: IdentityId,
-    mode: str,
-    rng: dict,
-    failure: dict | None,
-    t0: float,
-    condition: float | None = None,
-) -> IdentityReport:
-    return IdentityReport(
-        id=ident,
-        mode=mode,
-        range=rng,
-        status="pass" if failure is None else "fail",
-        first_failure=failure,
-        elapsed_ms=(time.perf_counter() - t0) * 1000.0,
-        condition=condition,
-    )
+def _differ(lhs, rhs, names: tuple[str, str] = ("lhs", "rhs")) -> dict | None:
+    return None if lhs == rhs else dict(zip(names, (lhs, rhs)))
 
 
-def _within(lhs: complex, rhs: complex, tol: float) -> bool:
-    return abs(lhs - rhs) <= tol * max(1.0, abs(rhs))
+def _series_differ(a, b, values: bool = True) -> dict | None:
+    """The first q-power where two truncated series differ, and with values
+    the two coefficients there."""
+    for e, (x, y) in enumerate(zip(a.coeffs, b.coeffs)):
+        if x != y:
+            return {"q_power": e, "lhs": x, "rhs": y} if values else {"q_power": e}
+    return None
 
 
-# -- checkers -----------------------------------------------------------------
+def _divisor_series(order: int) -> TruncatedSeries:
+    """The divisor-count series sum d(n) q^n with integer coefficients."""
+    return TruncatedSeries(order, _divisor_counts(order))
 
 
-def _exact_sweep(
-    ident: IdentityId, cfg: CheckConfig, rng: dict, sides, key: str = "k"
-) -> IdentityReport:
+# -- exact checkers: each returns its range and its search ----------------------
+
+
+def _ns(cfg: CheckConfig) -> range:
+    return range(1, cfg.n_max + 1)
+
+
+def _over_n(cfg: CheckConfig, mismatch, **rng):
+    """Search mismatch(n) for every n <= n_max."""
+    return {"n_max": cfg.n_max, **rng}, partial(_first, _grid(n=_ns(cfg)), mismatch)
+
+
+def _sweep(cfg: CheckConfig, sides, key: str = "k", **rng):
     """Compare sides(n, k) for every n <= n_max and k in the exponent grid."""
-    t0 = time.perf_counter()
-    failure = None
-    for n in range(1, cfg.n_max + 1):
-        for k in cfg.exponents:
-            lhs, rhs = sides(n, k)
-            if lhs != rhs:
-                failure = {"n": n, key: k, "lhs": lhs, "rhs": rhs}
-                break
-        if failure:
-            break
-    return _report(ident, "exact", rng, failure, t0)
-
-
-def _numeric_sweep(
-    ident: IdentityId, cfg: CheckConfig, profiles, key: str = "k", c_is_one: bool = False
-) -> IdentityReport:
-    """Evaluate both profiles(n) over the (z, c) grids for every n <= n_max.
-
-    c_is_one replaces the c grid by c = 1, as the corollary states it.  The
-    condition is the worst sum of left-side term magnitudes over the left
-    side's value.
-    """
-    t0 = time.perf_counter()
-    rng = {"n_max": cfg.n_max, "z_grid": list(cfg.z_grid)}
-    if c_is_one:
-        rng["c"] = 1
-    else:
-        rng["c_grid"] = list(cfg.c_grid)
-    rng["tolerance"] = cfg.tolerance
-    failure = None
-    cond_max = 0.0
-    for n in range(1, cfg.n_max + 1):
-        lhs_profile, rhs_profile = profiles(n)
-        for z in cfg.z_grid:
-            for c in (1 + 0j,) if c_is_one else cfg.c_grid:
-                lhs, magnitude = _evaluate(lhs_profile, z, c)
-                rhs, _ = _evaluate(rhs_profile, z, c)
-                cond_max = max(cond_max, magnitude / max(1.0, abs(lhs)))
-                if not _within(lhs, rhs, cfg.tolerance):
-                    failure = {"n": n, key: z, "lhs": lhs, "rhs": rhs}
-                    if not c_is_one:
-                        failure["c"] = c
-                    break
-            if failure:
-                break
-        if failure:
-            break
-    return _report(ident, "numeric", rng, failure, t0, cond_max)
-
-
-def _check_bs_basic(cfg: CheckConfig) -> IdentityReport:
-    t0 = time.perf_counter()
-    rng = {"n_max": cfg.n_max}
-    failure = None
-    for n in range(1, cfg.n_max + 1):
-        # a window holds s weights, so sum_e a(e) is the signed smallest-part sum
-        lhs = _at(_window_profile(n), 0, 1)
-        rhs = len(divisors(n))
-        if lhs != rhs:
-            failure = {"n": n, "lhs": lhs, "rhs": rhs}
-            break
-    return _report(IdentityId.BS_BASIC, "exact", rng, failure, t0)
-
-
-def _check_bs_int(cfg: CheckConfig) -> IdentityReport:
-    rng = {"n_max": cfg.n_max, "exponents": list(cfg.exponents)}
-    sides = lambda n, z: (_at(_window_profile(n), z, 1), sigma_int(z, n))
-    return _exact_sweep(IdentityId.BS_INT, cfg, rng, sides, key="z")
-
-
-def _check_bs_onevar(cfg: CheckConfig) -> IdentityReport:
-    ident = IdentityId.BS_ONEVAR
-    if cfg.mode == "exact":
-        rng = {"n_max": cfg.n_max, "exponents": list(cfg.exponents), "c": "symbolic"}
-        sides = lambda n, z: lhs_rhs_thm21(n, WeightParams(z, C))
-        return _exact_sweep(ident, cfg, rng, sides, key="z")
-    profiles = lambda n: (_window_profile(n), _divisor_profile(n))
-    return _numeric_sweep(ident, cfg, profiles, key="z")
-
-
-def _check_thm_2_3(cfg: CheckConfig) -> IdentityReport:
-    if cfg.mode == "exact":
-        rng = {"n_max": cfg.n_max, "exponents": list(cfg.exponents), "c": "symbolic"}
-        sides = lambda n, k: lhs_rhs_thm23(n, k, C)
-        return _exact_sweep(IdentityId.THM_2_3, cfg, rng, sides)
-    profiles = lambda n: (_smallest_profile(n), _binomial_profile(n))
-    return _numeric_sweep(IdentityId.THM_2_3, cfg, profiles)
+    points = _grid(n=_ns(cfg), **{key: cfg.exponents})
+    mismatch = lambda n, k: _differ(*sides(n, k))
+    return {"n_max": cfg.n_max, "exponents": list(cfg.exponents), **rng}, partial(
+        _first, points, mismatch
+    )
 
 
 def _cor24_sides(n: int, k: int) -> tuple[int, int]:
@@ -572,249 +457,201 @@ def _cor24_sides(n: int, k: int) -> tuple[int, int]:
     return lhs, rhs
 
 
-def _check_cor_2_4(cfg: CheckConfig) -> IdentityReport:
-    if cfg.mode == "exact":
-        rng = {"n_max": cfg.n_max, "exponents": list(cfg.exponents), "c": 1}
-        return _exact_sweep(IdentityId.COR_2_4, cfg, rng, _cor24_sides)
-    profiles = lambda n: (_smallest_profile(n), _binomial_profile(n))
-    return _numeric_sweep(IdentityId.COR_2_4, cfg, profiles, c_is_one=True)
+def _check_class_sum(cfg: CheckConfig):
+    points = [{"n": n, "N": N} for n in _ns(cfg) for N in range(1, n + 1)]
+    mismatch = lambda n, N: _differ(class_sum(n, N), 1 if n % N == 0 else 0)
+    return {"n_max": cfg.n_max}, partial(_first, points, mismatch)
 
 
-def _check_thm_2_6(cfg: CheckConfig) -> IdentityReport:
-    if cfg.mode == "exact":
-        rng = {"n_max": cfg.n_max, "exponents": list(cfg.exponents), "c": "symbolic"}
-        sides = lambda n, k: lhs_rhs_thm26(n, k, C)
-        return _exact_sweep(IdentityId.THM_2_6, cfg, rng, sides)
-    profiles = lambda n: (_initial_profile(n), _shifted_binomial_profile(n))
-    return _numeric_sweep(IdentityId.THM_2_6, cfg, profiles)
+def _check_entry4(cfg: CheckConfig):
+    q = cfg.q_order
 
-
-def _check_cor_2_5(cfg: CheckConfig) -> IdentityReport:
-    t0 = time.perf_counter()
-    rng = {"n_max": cfg.n_max}
-    failure = None
-    for n in range(1, cfg.n_max + 1):
-        lhs, rhs = check_cor25(n)
-        if lhs != rhs:
-            failure = {"n": n, "lhs": lhs, "rhs": rhs}
-            break
-    return _report(IdentityId.COR_2_5, "exact", rng, failure, t0)
-
-
-def _check_cor_2_7(cfg: CheckConfig) -> IdentityReport:
-    t0 = time.perf_counter()
-    rng = {"n_max": cfg.n_max}
-    failure = None
-    for n in range(1, cfg.n_max + 1):
-        lhs, rhs = check_cor27(n)
-        if lhs != rhs:
-            failure = {"n": n, "lhs": lhs, "rhs": rhs}
-            break
-    return _report(IdentityId.COR_2_7, "exact", rng, failure, t0)
-
-
-def _check_agl(cfg: CheckConfig, scaled: bool) -> IdentityReport:
-    ident = IdentityId.AGL_SCALED if scaled else IdentityId.AGL_PTI
-    t0 = time.perf_counter()
-    rng = {"n_max": cfg.n_max, "c": "symbolic", "scaled": scaled}
-    failure = None
-    for n in range(1, cfg.n_max + 1):
-        lhs, rhs = check_agl(n, scaled)
-        if lhs != rhs:
-            failure = {"n": n, "lhs": lhs, "rhs": rhs}
-            break
-    return _report(ident, "exact", rng, failure, t0)
-
-
-def _check_class_sum(cfg: CheckConfig) -> IdentityReport:
-    t0 = time.perf_counter()
-    rng = {"n_max": cfg.n_max}
-    failure = None
-    for n in range(1, cfg.n_max + 1):
-        for N in range(1, n + 1):
-            got = class_sum(n, N)
-            want = 1 if n % N == 0 else 0
-            if got != want:
-                failure = {"n": n, "N": N, "lhs": got, "rhs": want}
-                break
-        if failure:
-            break
-    return _report(IdentityId.CLASS_SUM, "exact", rng, failure, t0)
-
-
-def _check_entry4(cfg: CheckConfig) -> IdentityReport:
-    t0 = time.perf_counter()
-    rng = {"q_order": cfg.q_order, "c": ["symbolic", 1]}
-    failure = None
-    lhs, rhs = series_entry4(C, cfg.q_order)
-    if lhs != rhs:
-        e = _first_series_diff(lhs, rhs)
-        failure = {"c": "symbolic", "q_power": e, "lhs": lhs[e], "rhs": rhs[e]}
-    if failure is None:
+    def mismatch(c):
+        if c == "symbolic":
+            return _series_differ(*series_entry4(C, q))
         # c = 1 collapses to the divisor-count series
-        lhs1, rhs1 = series_entry4(1, cfg.q_order)
-        d = _divisor_counts(cfg.q_order)
-        for e in range(1, cfg.q_order + 1):
-            if lhs1[e] != d[e] or rhs1[e] != d[e]:
-                failure = {"c": 1, "q_power": e, "lhs": lhs1[e], "rhs": d[e]}
-                break
-    return _report(IdentityId.ENTRY4, "exact", rng, failure, t0)
+        divisor = _divisor_series(q)
+        lhs, rhs = series_entry4(1, q)
+        return _series_differ(lhs, divisor) or _series_differ(rhs, divisor)
+
+    return {"q_order": q, "c": ["symbolic", 1]}, partial(
+        _first, _grid(c=("symbolic", 1)), mismatch
+    )
 
 
-def _check_uchimura(cfg: CheckConfig) -> IdentityReport:
-    t0 = time.perf_counter()
-    rng = {"q_order": cfg.q_order}
-    failure = None
-    first = series_M(1, 1, cfg.q_order)
-    second = series_entry4(1, cfg.q_order)[0]
-    third = series_K(1, 1, cfg.q_order)
-    d = _divisor_counts(cfg.q_order)
-    for name, s in (("M-form", first), ("alternating", second), ("lambert", third)):
-        for e in range(1, cfg.q_order + 1):
-            if s[e] != d[e]:
-                failure = {"form": name, "q_power": e, "lhs": s[e], "rhs": d[e]}
-                break
-        if failure:
-            break
-    if failure is None and not (first == second == third):
-        failure = {"form": "pairwise", "q_power": _first_series_diff(first, second)}
-    return _report(IdentityId.UCHIMURA_TRIPLE, "exact", rng, failure, t0)
+def _check_uchimura(cfg: CheckConfig):
+    q = cfg.q_order
+
+    def search():
+        # three constructions of sum d(n) q^n, each against the divisor counts
+        forms = {
+            "M-form": series_M(1, 1, q),
+            "alternating": series_entry4(1, q)[0],
+            "lambert": series_K(1, 1, q),
+        }
+        divisor = _divisor_series(q)
+        return _first(_grid(form=forms), lambda form: _series_differ(forms[form], divisor))
+
+    return {"q_order": q}, search
 
 
-def _check_thm_1_2(cfg: CheckConfig) -> IdentityReport:
-    t0 = time.perf_counter()
-    rng = {"q_order": cfg.q_order, "k_max": cfg.k_fold_max}
-    failure = None
-    for k in range(1, cfg.k_fold_max + 1):
+def _check_thm_1_2(cfg: CheckConfig):
+    def mismatch(k):
         a, b, c3 = series_dilcher_binomial(k, cfg.q_order)
-        if a != b or a != c3:
-            other = b if a != b else c3
-            e = _first_series_diff(a, other)
-            failure = {"k": k, "q_power": e, "lhs": a[e], "rhs": other[e]}
-            break
-    return _report(IdentityId.THM_1_2, "exact", rng, failure, t0)
+        return _series_differ(a, b) or _series_differ(a, c3)
+
+    return {"q_order": cfg.q_order, "k_max": cfg.k_fold_max}, partial(
+        _first, _grid(k=range(1, cfg.k_fold_max + 1)), mismatch
+    )
 
 
-def _check_dilcher_cm(cfg: CheckConfig) -> IdentityReport:
-    t0 = time.perf_counter()
+def _check_dilcher_cm(cfg: CheckConfig):
     n_max = cfg.n_max
-    rng = {"n_max": n_max, "m_max": 4}
-    d = _divisor_counts(n_max)
-    s1 = _sigma_powers(n_max, 1)
-    s2 = _sigma_powers(n_max, 2)
-    s3 = _sigma_powers(n_max, 3)
-    dd = _conv(d, d, n_max)
-    ddd = _conv(dd, d, n_max)
-    dddd = _conv(ddd, d, n_max)
-    ds1 = _conv(d, s1, n_max)
-    s1s1 = _conv(s1, s1, n_max)
-    ds2 = _conv(d, s2, n_max)
-    dds1 = _conv(dd, s1, n_max)
 
-    def convolution_value(m: int, n: int) -> int:
-        if m == 1:
-            return d[n]
-        if m == 2:
-            return s1[n] + dd[n]
-        if m == 3:
-            return s2[n] + 3 * ds1[n] + ddd[n]
-        return s3[n] + 3 * s1s1[n] + 4 * ds2[n] + 6 * dds1[n] + dddd[n]
+    def search():
+        d = _divisor_counts(n_max)
+        s1 = _sigma_powers(n_max, 1)
+        s2 = _sigma_powers(n_max, 2)
+        s3 = _sigma_powers(n_max, 3)
+        dd = _conv(d, d, n_max)
+        ddd = _conv(dd, d, n_max)
+        dddd = _conv(ddd, d, n_max)
+        ds1 = _conv(d, s1, n_max)
+        s1s1 = _conv(s1, s1, n_max)
+        ds2 = _conv(d, s2, n_max)
+        dds1 = _conv(dd, s1, n_max)
+        formulas = {
+            1: lambda n: d[n],
+            2: lambda n: s1[n] + dd[n],
+            3: lambda n: s2[n] + 3 * ds1[n] + ddd[n],
+            4: lambda n: s3[n] + 3 * s1s1[n] + 4 * ds2[n] + 6 * dds1[n] + dddd[n],
+        }
+        series = {m: series_M(m, 1, n_max) for m in formulas}
 
-    failure = None
-    for m in range(1, 5):
-        coeffs = series_M(m, 1, n_max)
-        for n in range(1, n_max + 1):
+        def mismatch(m, n):
             enumerated = _at(_smallest_profile(n), m, 1)
-            formula = convolution_value(m, n)
-            series_coeff = coeffs[n]
-            if not (enumerated == formula == series_coeff):
-                failure = {
-                    "m": m,
-                    "n": n,
-                    "enumerated": enumerated,
-                    "convolution": formula,
-                    "series": series_coeff,
-                }
-                break
-        if failure:
-            break
-    return _report(IdentityId.DILCHER_CM, "exact", rng, failure, t0)
+            formula = formulas[m](n)
+            if not enumerated == formula == series[m][n]:
+                return {"enumerated": enumerated, "convolution": formula, "series": series[m][n]}
+            return None
+
+        return _first(_grid(m=formulas, n=_ns(cfg)), mismatch)
+
+    return {"n_max": n_max, "m_max": 4}, search
 
 
-def _check_eq_1_13(cfg: CheckConfig) -> IdentityReport:
-    t0 = time.perf_counter()
-    rng = {"n_max": cfg.n_max, "m_max": cfg.m_max, "c": "symbolic"}
-    failure = None
-    for m in range(1, cfg.m_max + 1):
-        coeffs = series_M(m, C, cfg.n_max)
-        for n in range(1, cfg.n_max + 1):
-            weights = _weighted(_smallest_profile(n), m)
-            if coeffs[n] != weights:
-                failure = {"m": m, "n": n, "series": coeffs[n], "weights": weights}
-                break
-        if failure:
-            break
-    return _report(IdentityId.EQ_1_13, "exact", rng, failure, t0)
+def _check_eq_1_13(cfg: CheckConfig):
+    def search():
+        series = {m: series_M(m, C, cfg.n_max) for m in range(1, cfg.m_max + 1)}
+        return _first(
+            _grid(m=series, n=_ns(cfg)),
+            lambda m, n: _differ(
+                series[m][n], _weighted(_smallest_profile(n), m), ("series", "weights")
+            ),
+        )
+
+    return {"n_max": cfg.n_max, "m_max": cfg.m_max, "c": "symbolic"}, search
 
 
-def _check_thm22_tag(cfg: CheckConfig, part: str, ident: IdentityId) -> IdentityReport:
-    t0 = time.perf_counter()
+def _check_thm22(cfg: CheckConfig, part: str):
+    # the t-expansion part compares the two routes at m = 0..m_max, the Bell
+    # part each M_m against its closed form at m = 1..m_max
+    routes = cache(lambda c: _thm22_routes(cfg.m_max, cfg.q_order, c))
+    if part == "exp":
+        ms = range(cfg.m_max + 1)
+        pair = lambda c, m: (routes(c)[0][m], routes(c)[1][m])
+    else:
+        ms = range(1, cfg.m_max + 1)
+        pair = lambda c, m: routes(c)[2][m - 1]
     rng = {
         "m_max": cfg.m_max,
         "q_order": cfg.q_order,
         "c_values": list(cfg.c_exact),
         "part": part,
     }
-    failure = None
-    for c in cfg.c_exact:
-        direct, via_exp, bell_pairs = _thm22_routes(cfg.m_max, cfg.q_order, c)
-        if part == "exp":
-            for m in range(cfg.m_max + 1):
-                if direct[m] != via_exp[m]:
-                    failure = {
-                        "c": c,
-                        "m": m,
-                        "q_power": _first_series_diff(direct[m], via_exp[m]),
-                    }
-                    break
-        else:
-            for m, (lhs, rhs) in enumerate(bell_pairs, start=1):
-                if lhs != rhs:
-                    failure = {
-                        "c": c,
-                        "m": m,
-                        "q_power": _first_series_diff(lhs, rhs),
-                    }
-                    break
-        if failure:
-            break
-    return _report(ident, "exact", rng, failure, t0)
+    mismatch = lambda c, m: _series_differ(*pair(c, m), values=False)
+    return rng, partial(_first, _grid(c=cfg.c_exact, m=ms), mismatch)
 
 
 REGISTRY = {
-    IdentityId.BS_BASIC: _check_bs_basic,
-    IdentityId.BS_INT: _check_bs_int,
-    IdentityId.BS_ONEVAR: _check_bs_onevar,
+    # a window holds s weights, so sum_e a(e) is the signed smallest-part sum
+    IdentityId.BS_BASIC: lambda cfg: _over_n(
+        cfg, lambda n: _differ(_at(_window_profile(n), 0, 1), len(divisors(n)))
+    ),
+    IdentityId.BS_INT: lambda cfg: _sweep(
+        cfg, lambda n, z: (_at(_window_profile(n), z, 1), sigma_int(z, n)), key="z"
+    ),
+    IdentityId.BS_ONEVAR: lambda cfg: _sweep(
+        cfg, lambda n, z: lhs_rhs_thm21(n, z, C), key="z", c="symbolic"
+    ),
     IdentityId.UCHIMURA_TRIPLE: _check_uchimura,
     IdentityId.ENTRY4: _check_entry4,
     IdentityId.DILCHER_CM: _check_dilcher_cm,
     IdentityId.EQ_1_13: _check_eq_1_13,
     IdentityId.THM_1_2: _check_thm_1_2,
-    IdentityId.THM_2_2_EXP: lambda cfg: _check_thm22_tag(
-        cfg, "exp", IdentityId.THM_2_2_EXP
+    IdentityId.THM_2_2_EXP: lambda cfg: _check_thm22(cfg, "exp"),
+    IdentityId.THM_2_2_BELL: lambda cfg: _check_thm22(cfg, "bell"),
+    IdentityId.THM_2_3: lambda cfg: _sweep(
+        cfg, lambda n, k: lhs_rhs_thm23(n, k, C), c="symbolic"
     ),
-    IdentityId.THM_2_2_BELL: lambda cfg: _check_thm22_tag(
-        cfg, "bell", IdentityId.THM_2_2_BELL
+    IdentityId.COR_2_4: lambda cfg: _sweep(cfg, _cor24_sides, c=1),
+    IdentityId.COR_2_5: lambda cfg: _over_n(cfg, lambda n: _differ(*check_cor25(n))),
+    IdentityId.THM_2_6: lambda cfg: _sweep(
+        cfg, lambda n, k: lhs_rhs_thm26(n, k, C), c="symbolic"
     ),
-    IdentityId.THM_2_3: _check_thm_2_3,
-    IdentityId.COR_2_4: _check_cor_2_4,
-    IdentityId.COR_2_5: _check_cor_2_5,
-    IdentityId.THM_2_6: _check_thm_2_6,
-    IdentityId.COR_2_7: _check_cor_2_7,
-    IdentityId.AGL_PTI: lambda cfg: _check_agl(cfg, scaled=False),
-    IdentityId.AGL_SCALED: lambda cfg: _check_agl(cfg, scaled=True),
+    IdentityId.COR_2_7: lambda cfg: _over_n(cfg, lambda n: _differ(*check_cor27(n))),
+    IdentityId.AGL_PTI: lambda cfg: _over_n(
+        cfg, lambda n: _differ(*check_agl(n, False)), c="symbolic", scaled=False
+    ),
+    IdentityId.AGL_SCALED: lambda cfg: _over_n(
+        cfg, lambda n: _differ(*check_agl(n, True)), c="symbolic", scaled=True
+    ),
     IdentityId.CLASS_SUM: _check_class_sum,
 }
+
+
+# -- numeric checkers ---------------------------------------------------------
+
+# tag -> (both profiles at n, name of the exponent axis, whether c = 1 as the
+# corollary states it instead of the c grid)
+NUMERIC = {
+    IdentityId.BS_ONEVAR: (_thm21_profiles, "z", False),
+    IdentityId.THM_2_3: (_thm23_profiles, "k", False),
+    IdentityId.COR_2_4: (_thm23_profiles, "k", True),
+    IdentityId.THM_2_6: (_thm26_profiles, "k", False),
+}
+
+# identities whose statements extend to complex (z, c) sampling
+NUMERIC_CAPABLE = frozenset(NUMERIC)
+
+
+def _numeric_check(cfg: CheckConfig, profiles, key: str, c_is_one: bool):
+    """Evaluate both profiles(n) over the (z, c) grids for every n <= n_max.
+
+    Returns the range, the search, and the list the search fills with each
+    point's condition: the sum of left-side term magnitudes over the left
+    side's value.
+    """
+    axes = {"n": _ns(cfg), key: cfg.z_grid}
+    rng = {"n_max": cfg.n_max, "z_grid": list(cfg.z_grid)}
+    if c_is_one:
+        rng["c"] = 1
+    else:
+        rng["c_grid"] = list(cfg.c_grid)
+        axes["c"] = cfg.c_grid
+    rng["tolerance"] = cfg.tolerance
+    conditions: list[float] = []
+
+    def mismatch(n, z, c=1 + 0j):
+        lhs_profile, rhs_profile = profiles(n)
+        lhs, magnitude = fractional_weight(lhs_profile, z, c)
+        rhs, _ = fractional_weight(rhs_profile, z, c)
+        conditions.append(magnitude / max(1.0, abs(lhs)))
+        if abs(lhs - rhs) <= cfg.tolerance * max(1.0, abs(rhs)):
+            return None
+        return {"lhs": lhs, "rhs": rhs}
+
+    return rng, partial(_first, _grid(**axes), mismatch), conditions
 
 
 def check_identity(ident, config: CheckConfig | None = None) -> IdentityReport:
@@ -822,7 +659,7 @@ def check_identity(ident, config: CheckConfig | None = None) -> IdentityReport:
 
     Unknown tags raise ValueError; requesting numeric mode for an identity
     without a numeric form raises ValueError as well.  Internal faults become
-    failing reports, never silent repairs.
+    failing reports over the check's declared range, never silent repairs.
     """
     if config is None:
         config = CheckConfig()
@@ -833,14 +670,27 @@ def check_identity(ident, config: CheckConfig | None = None) -> IdentityReport:
             raise ValueError(f"unknown identity tag: {ident!r}") from None
     if config.mode not in ("exact", "numeric"):
         raise ValueError(f"unknown mode: {config.mode!r}")
-    if config.mode == "numeric" and ident not in NUMERIC_CAPABLE:
+    conditions = None
+    if config.mode == "exact":
+        rng, search = REGISTRY[ident](config)
+    elif ident in NUMERIC:
+        rng, search, conditions = _numeric_check(config, *NUMERIC[ident])
+    else:
         raise ValueError(f"identity {ident.value} has no numeric mode")
-    checker = REGISTRY[ident]
     t0 = time.perf_counter()
     try:
-        return checker(config)
+        failure = search()
     except AlgorithmFault as fault:
-        return _report(ident, config.mode, {"n_max": config.n_max}, {"fault": str(fault)}, t0)
+        failure = {"fault": str(fault)}
+    return IdentityReport(
+        id=ident,
+        mode=config.mode,
+        range=rng,
+        status="pass" if failure is None else "fail",
+        first_failure=failure,
+        elapsed_ms=(time.perf_counter() - t0) * 1000.0,
+        condition=None if conditions is None else max([0.0, *conditions]),
+    )
 
 
 def run_all(config: CheckConfig | None = None, include_numeric: bool = True):

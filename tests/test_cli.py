@@ -204,6 +204,9 @@ def test_cor_2_4_numeric_holds_past_n_59(capsys):
         (("verify", "--id", "bs_basic"), {"PIE_TOLERANCE": "0"}),
         (("series", "--name", "K"), {"PIE_Q_ORDER": "0"}),
         (("verify", "--id", "bs_onevar", "--mode", "numeric", "--z", ""), {}),
+        (("verify", "--id", "bs_basic", "--n-max", "3"), {"PIE_FORMAT": "bogus"}),
+        (("report-all", "--n-max", "3"), {"PIE_FORMAT": "bogus"}),
+        (("verify", "--id", "bs_basic", "--n-max", "3"), {"PIE_MODE": "fuzzy"}),
     ],
     ids=[
         "n-max-0",
@@ -216,10 +219,14 @@ def test_cor_2_4_numeric_holds_past_n_59(capsys):
         "env-tolerance-0",
         "env-series-order-0",
         "empty-z-grid",
+        "env-format-bogus",
+        "report-all-env-format-bogus",
+        "env-mode-bogus",
     ],
 )
 def test_zero_or_empty_settings_are_usage_errors(capsys, monkeypatch, argv, env):
-    # a value that is present is validated, never replaced by a default
+    # a value that is present is validated, never replaced by a default or
+    # read as some other choice
     for name, value in env.items():
         monkeypatch.setenv(name, value)
     code, out, err = run(capsys, *argv)

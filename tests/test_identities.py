@@ -7,7 +7,9 @@ from fractions import Fraction
 
 import pytest
 
-from pie.exact import C, CPolynomial, WeightParams, divisors
+from pie import identities
+from pie.errors import AlgorithmFault
+from pie.exact import C, CPolynomial, divisors
 from pie.identities import (
     NUMERIC_CAPABLE,
     CheckConfig,
@@ -16,7 +18,6 @@ from pie.identities import (
     check_cor25,
     check_cor27,
     check_identity,
-    check_thm22,
     lhs_rhs_thm21,
     lhs_rhs_thm23,
     lhs_rhs_thm26,
@@ -36,19 +37,19 @@ NUMERIC_CFG = CheckConfig(n_max=25, mode="numeric", z_grid=Z_GRID, c_grid=C_GRID
 
 
 def test_thm21_exact_example():
-    lhs, rhs = lhs_rhs_thm21(4, WeightParams(1, C))
+    lhs, rhs = lhs_rhs_thm21(4, 1, C)
     assert lhs == CPolynomial({1: 1, 2: 2, 4: 4})
     assert rhs == lhs
 
 
 def test_thm21_trivial_n1():
     for z in (0, 1, 2):
-        lhs, rhs = lhs_rhs_thm21(1, WeightParams(z, C))
+        lhs, rhs = lhs_rhs_thm21(1, z, C)
         assert lhs == C and rhs == C
 
 
 def test_thm21_divisor_count_specialization():
-    lhs, rhs = lhs_rhs_thm21(6, WeightParams(0, C))
+    lhs, rhs = lhs_rhs_thm21(6, 0, C)
     assert lhs.evaluate(Fraction(1)) == 4
     assert rhs.evaluate(Fraction(1)) == 4
 
@@ -97,13 +98,23 @@ def test_agl_examples():
 
 
 def test_check_thm22_report():
-    rep = check_thm22(3, 15, Fraction(1))
+    cfg = CheckConfig(m_max=3, q_order=15, c_exact=(Fraction(1),))
+    rep = check_identity(IdentityId.THM_2_2_EXP, cfg)
     assert rep.status == "pass"
     assert rep.id is IdentityId.THM_2_2_EXP
-    with pytest.raises(ValueError):
-        check_thm22(0, 15, Fraction(1))
-    with pytest.raises(ValueError):
-        check_thm22(3, 5, Fraction(1))
+    assert rep.range["c_values"] == [Fraction(1)]
+
+
+def test_single_point_sides_at_an_exact_rational_c():
+    # one dispatch: an exact rational c gives exact Fractions, equal to the
+    # symbolic polynomials evaluated at that c
+    half = Fraction(1, 2)
+    for sides in (lhs_rhs_thm21, lhs_rhs_thm23, lhs_rhs_thm26):
+        lhs, rhs = sides(4, 1, half)
+        assert type(lhs) is Fraction and type(rhs) is Fraction
+        assert lhs == rhs
+        symbolic = sides(4, 1, C)
+        assert (lhs, rhs) == tuple(p.evaluate(half) for p in symbolic)
 
 
 # -- exact sweeps ----------------------------------------------------------------
@@ -212,6 +223,128 @@ def test_report_values_render_as_strings(skewed_binomial_profile):
     json.dumps(d)
 
 
+# -- failure records -----------------------------------------------------------
+
+
+def _skew_cell(real):
+    # the one-part partition (n) counted twice in H_n
+    def skewed(n):
+        counts = dict(real(n))
+        counts[n, n] = counts.get((n, n), 0) + 1
+        return counts
+
+    return skewed
+
+
+def _skew_one_part(real):
+    # the one-part partition (n) counted twice by (largest, #sizes)
+    def skewed(n):
+        counts = dict(real(n))
+        counts[n, 1] = counts.get((n, 1), 0) + 1
+        return counts
+
+    return skewed
+
+
+def _plus_one(real):
+    return lambda *args: real(*args) + 1
+
+
+def _double(real):
+    return lambda *args: real(*args).scale(2)
+
+
+def _double_last(real):
+    # builders returning a tuple of series: the last one doubles
+    def skewed(*args):
+        *head, last = real(*args)
+        return (*head, last.scale(2))
+
+    return skewed
+
+
+LHS_RHS = {"lhs", "rhs"}
+
+# (tag, mode, builder identities imports by name or None for the
+# skewed_binomial_profile fixture, skew, keys of the failure record)
+FORCED_FAILURES = [
+    ("bs_basic", "exact", "signed_window_counts", _skew_cell, {"n"} | LHS_RHS),
+    ("bs_int", "exact", "signed_window_counts", _skew_cell, {"n", "z"} | LHS_RHS),
+    ("bs_onevar", "exact", "signed_window_counts", _skew_cell, {"n", "z"} | LHS_RHS),
+    ("uchimura_triple", "exact", "series_K", _double, {"form", "q_power"} | LHS_RHS),
+    ("entry4", "exact", "series_entry4", _double_last, {"c", "q_power"} | LHS_RHS),
+    (
+        "dilcher_cm",
+        "exact",
+        "series_M",
+        _double,
+        {"m", "n", "enumerated", "convolution", "series"},
+    ),
+    ("eq_1_13", "exact", "series_M", _double, {"m", "n", "series", "weights"}),
+    ("thm_1_2", "exact", "series_dilcher_binomial", _double_last, {"k", "q_power"} | LHS_RHS),
+    ("thm_2_2_exp", "exact", "series_K", _double, {"c", "m", "q_power"}),
+    ("thm_2_2_bell", "exact", "series_K", _double, {"c", "m", "q_power"}),
+    ("thm_2_3", "exact", None, None, {"n", "k"} | LHS_RHS),
+    ("cor_2_4", "exact", None, None, {"n", "k"} | LHS_RHS),
+    ("cor_2_5", "exact", "count_exact_part_sizes", _plus_one, {"n"} | LHS_RHS),
+    ("thm_2_6", "exact", "signed_window_counts", _skew_cell, {"n", "k"} | LHS_RHS),
+    ("cor_2_7", "exact", "count_exact_part_sizes", _plus_one, {"n"} | LHS_RHS),
+    ("agl_pti", "exact", "partitions_by_largest_and_sizes", _skew_one_part, {"n"} | LHS_RHS),
+    (
+        "agl_scaled",
+        "exact",
+        "partitions_by_largest_and_sizes",
+        _skew_one_part,
+        {"n"} | LHS_RHS,
+    ),
+    ("class_sum", "exact", "class_sum", _plus_one, {"n", "N"} | LHS_RHS),
+    ("bs_onevar", "numeric", "signed_window_counts", _skew_cell, {"n", "z", "c"} | LHS_RHS),
+    ("thm_2_3", "numeric", None, None, {"n", "k", "c"} | LHS_RHS),
+    ("cor_2_4", "numeric", None, None, {"n", "k"} | LHS_RHS),
+    ("thm_2_6", "numeric", "signed_window_counts", _skew_cell, {"n", "k", "c"} | LHS_RHS),
+]
+
+
+def _clear_caches():
+    for value in vars(identities).values():
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "tag, mode, builder, skew, keys",
+    FORCED_FAILURES,
+    ids=[f"{tag}-{mode}" for tag, mode, *_ in FORCED_FAILURES],
+)
+def test_forced_failure_record(request, monkeypatch, tag, mode, builder, skew, keys):
+    if builder is None:
+        request.getfixturevalue("skewed_binomial_profile")
+    else:
+        monkeypatch.setattr(identities, builder, skew(getattr(identities, builder)))
+    _clear_caches()  # cached profiles would hide the skew
+    try:
+        rep = check_identity(tag, CheckConfig(n_max=6, q_order=10, m_max=2, mode=mode))
+    finally:
+        _clear_caches()
+    assert rep.status == "fail"
+    assert set(rep.first_failure) == keys
+
+
+def test_fault_report_keeps_range(monkeypatch):
+    cfg = CheckConfig(m_max=2, q_order=10)
+    passing = check_identity(IdentityId.THM_2_2_EXP, cfg)
+
+    def broken(c, order):
+        raise AlgorithmFault("constructions disagree")
+
+    monkeypatch.setattr(identities, "series_A", broken)
+    rep = check_identity(IdentityId.THM_2_2_EXP, cfg)
+    assert rep.status == "fail"
+    assert rep.first_failure == {"fault": "constructions disagree"}
+    assert rep.range == passing.range
+    assert set(rep.range) == {"m_max", "q_order", "c_values", "part"}
+
+
 # -- numeric mode against a 50-digit oracle ----------------------------------------
 
 
@@ -253,7 +386,7 @@ def test_numeric_values_against_mpmath_oracle(tag, n):
                     for e in _oracle_weights(tag, s, l)
                 )
                 if tag == "bs_onevar":
-                    sides = lhs_rhs_thm21(n, WeightParams(z, c))
+                    sides = lhs_rhs_thm21(n, z, c)
                 elif tag == "thm_2_6":
                     sides = lhs_rhs_thm26(n, z, c)
                 else:
