@@ -614,7 +614,7 @@ REGISTRY = {
 
 # tag -> (both profiles at n, name of the exponent axis, whether c = 1 as the
 # corollary states it instead of the c grid)
-NUMERIC = {
+_NUMERIC = {
     IdentityId.BS_ONEVAR: (_thm21_profiles, "z", False),
     IdentityId.THM_2_3: (_thm23_profiles, "k", False),
     IdentityId.COR_2_4: (_thm23_profiles, "k", True),
@@ -622,7 +622,7 @@ NUMERIC = {
 }
 
 # identities whose statements extend to complex (z, c) sampling
-NUMERIC_CAPABLE = frozenset(NUMERIC)
+NUMERIC_CAPABLE = frozenset(_NUMERIC)
 
 
 def _numeric_check(cfg: CheckConfig, profiles, key: str, c_is_one: bool):
@@ -673,8 +673,8 @@ def check_identity(ident, config: CheckConfig | None = None) -> IdentityReport:
     conditions = None
     if config.mode == "exact":
         rng, search = REGISTRY[ident](config)
-    elif ident in NUMERIC:
-        rng, search, conditions = _numeric_check(config, *NUMERIC[ident])
+    elif ident in _NUMERIC:
+        rng, search, conditions = _numeric_check(config, *_NUMERIC[ident])
     else:
         raise ValueError(f"identity {ident.value} has no numeric mode")
     t0 = time.perf_counter()
