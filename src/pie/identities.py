@@ -144,15 +144,6 @@ def _stringify(value):
 
 
 @lru_cache(maxsize=None)
-def _divisor_counts(limit: int) -> tuple[int, ...]:
-    arr = [0] * (limit + 1)
-    for d in range(1, limit + 1):
-        for m in range(d, limit + 1, d):
-            arr[m] += 1
-    return tuple(arr)
-
-
-@lru_cache(maxsize=None)
 def _sigma_powers(limit: int, z: int) -> tuple[int, ...]:
     arr = [0] * (limit + 1)
     for d in range(1, limit + 1):
@@ -334,7 +325,7 @@ def check_cor25(n: int) -> tuple[int, int]:
     """Count with exactly two part sizes vs the divisor-count convolution."""
     if n < 1:
         raise ValueError("n must be positive")
-    d = _divisor_counts(_table_cap(n))
+    d = _sigma_powers(_table_cap(n), 0)
     convolution = sum(d[j] * d[n - j] for j in range(1, n))
     numerator = convolution + d[n] - sigma_int(1, n)
     if numerator % 2:
@@ -366,26 +357,22 @@ def check_agl(n: int, scaled: bool) -> tuple[CPolynomial, CPolynomial]:
     return _poly(lhs), _poly(rhs)
 
 
-def _thm22_routes(m_max: int, q_order: int, c):
-    """The two exponential-generating-function routes and the Bell pairs."""
+def _thm22_pairs(part: str, m_max: int, q_order: int, c) -> dict:
+    """m -> the two series one part of thm_2_2 compares at c: the direct
+    and the t-exponential route at m = 0..m_max for the exp part, each M_m
+    and its Bell closed form at m = 1..m_max for the bell part."""
     a_series = series_A(c, q_order)
-    ms = [series_M(m, c, q_order) for m in range(1, m_max + 1)]
-    ks = [series_K(m, c, q_order) for m in range(1, m_max + 1)]
-    direct = ExpSeries(
-        [a_series]
-        + [ms[m - 1].scale(Fraction(1, factorial(m))) for m in range(1, m_max + 1)]
-    )
-    ring = a_series.ring
+    ms = range(1, m_max + 1)
+    ks = [series_K(m, c, q_order) for m in ms]
+    if part == "bell":
+        return {m: (series_M(m, c, q_order), a_series * bell_polynomial(m, ks[:m])) for m in ms}
+    direct = [a_series] + [series_M(m, c, q_order).scale(Fraction(1, factorial(m))) for m in ms]
     gen = ExpSeries(
-        [TruncatedSeries.zero(q_order, ring)]
-        + [ks[m - 1].scale(Fraction(1, factorial(m))) for m in range(1, m_max + 1)]
+        [TruncatedSeries.zero(q_order, a_series.ring)]
+        + [ks[m - 1].scale(Fraction(1, factorial(m))) for m in ms]
     )
     via_exp = gen.exp().scale_coeffs(a_series)
-    bell_pairs = [
-        (ms[m - 1], a_series * bell_polynomial(m, ks[:m]))
-        for m in range(1, m_max + 1)
-    ]
-    return direct, via_exp, bell_pairs
+    return {m: (direct[m], via_exp[m]) for m in range(m_max + 1)}
 
 
 # -- the first-failure search -------------------------------------------------
@@ -420,11 +407,6 @@ def _series_differ(a, b, values: bool = True) -> dict | None:
         if x != y:
             return {"q_power": e, "lhs": x, "rhs": y} if values else {"q_power": e}
     return None
-
-
-def _divisor_series(order: int) -> TruncatedSeries:
-    """The divisor-count series sum d(n) q^n with integer coefficients."""
-    return TruncatedSeries(order, _divisor_counts(order))
 
 
 # -- exact checkers: each returns its range and its search ----------------------
@@ -470,7 +452,7 @@ def _check_entry4(cfg: CheckConfig):
         if c == "symbolic":
             return _series_differ(*series_entry4(C, q))
         # c = 1 collapses to the divisor-count series
-        divisor = _divisor_series(q)
+        divisor = TruncatedSeries(q, _sigma_powers(q, 0))
         lhs, rhs = series_entry4(1, q)
         return _series_differ(lhs, divisor) or _series_differ(rhs, divisor)
 
@@ -489,7 +471,7 @@ def _check_uchimura(cfg: CheckConfig):
             "alternating": series_entry4(1, q)[0],
             "lambert": series_K(1, 1, q),
         }
-        divisor = _divisor_series(q)
+        divisor = TruncatedSeries(q, _sigma_powers(q, 0))
         return _first(_grid(form=forms), lambda form: _series_differ(forms[form], divisor))
 
     return {"q_order": q}, search
@@ -509,7 +491,7 @@ def _check_dilcher_cm(cfg: CheckConfig):
     n_max = cfg.n_max
 
     def search():
-        d = _divisor_counts(n_max)
+        d = _sigma_powers(n_max, 0)
         s1 = _sigma_powers(n_max, 1)
         s2 = _sigma_powers(n_max, 2)
         s3 = _sigma_powers(n_max, 3)
@@ -554,22 +536,15 @@ def _check_eq_1_13(cfg: CheckConfig):
 
 
 def _check_thm22(cfg: CheckConfig, part: str):
-    # the t-expansion part compares the two routes at m = 0..m_max, the Bell
-    # part each M_m against its closed form at m = 1..m_max
-    routes = cache(lambda c: _thm22_routes(cfg.m_max, cfg.q_order, c))
-    if part == "exp":
-        ms = range(cfg.m_max + 1)
-        pair = lambda c, m: (routes(c)[0][m], routes(c)[1][m])
-    else:
-        ms = range(1, cfg.m_max + 1)
-        pair = lambda c, m: routes(c)[2][m - 1]
+    pairs = cache(lambda c: _thm22_pairs(part, cfg.m_max, cfg.q_order, c))
+    ms = range(cfg.m_max + 1) if part == "exp" else range(1, cfg.m_max + 1)
     rng = {
         "m_max": cfg.m_max,
         "q_order": cfg.q_order,
         "c_values": list(cfg.c_exact),
         "part": part,
     }
-    mismatch = lambda c, m: _series_differ(*pair(c, m), values=False)
+    mismatch = lambda c, m: _series_differ(*pairs(c)[m], values=False)
     return rng, partial(_first, _grid(c=cfg.c_exact, m=ms), mismatch)
 
 

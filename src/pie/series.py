@@ -3,9 +3,11 @@
 A TruncatedSeries tracks the coefficients of q^0 .. q^Q exactly, with
 coefficients drawn from the rationals or from Q[c] (CPolynomial).  No
 floating point ever enters this module.  Named builders at the bottom
-assemble the generating functions the identity suite compares; builders
-documented as double constructions compute the same series two independent
-ways and raise AlgorithmFault if the results differ.
+assemble the generating functions the identity suite compares.  They build
+every product and quotient of factors (1 - x q^k) one factor at a time and
+never invert a whole series.  Builders documented as double constructions
+still compute the same series two independent ways and raise AlgorithmFault
+if the results differ.
 """
 
 from __future__ import annotations
@@ -87,33 +89,6 @@ class TruncatedSeries:
     def one(cls, order: int, ring: CoefficientRing = RATIONAL) -> "TruncatedSeries":
         vals = [ring.zero] * (order + 1)
         vals[0] = ring.one
-        return cls(order, vals, ring)
-
-    @classmethod
-    def monomial(
-        cls,
-        order: int,
-        exponent: int,
-        coefficient: object = 1,
-        ring: CoefficientRing | None = None,
-    ) -> "TruncatedSeries":
-        if ring is None:
-            ring = ring_for(coefficient)
-        vals = [ring.zero] * (order + 1)
-        if 0 <= exponent <= order:
-            vals[exponent] = ring.coerce(coefficient)
-        return cls(order, vals, ring)
-
-    @classmethod
-    def geometric(
-        cls, order: int, step: int, ring: CoefficientRing = RATIONAL
-    ) -> "TruncatedSeries":
-        """1/(1 - q^step) = 1 + q^step + q^(2 step) + ..."""
-        if step < 1:
-            raise ValueError("step must be positive")
-        vals = [ring.zero] * (order + 1)
-        for e in range(0, order + 1, step):
-            vals[e] = ring.one
         return cls(order, vals, ring)
 
     # -- ring plumbing -----------------------------------------------------
@@ -320,44 +295,81 @@ def coefficient_rows(series: TruncatedSeries) -> list[tuple[int, str]]:
     return [(e, str(v)) for e, v in enumerate(series.coeffs) if v]
 
 
+# -- factor-at-a-time kernels ----------------------------------------------
+#
+# Each kernel updates a plain coefficient list in place at O(Q) per factor;
+# the list's length fixes the truncation order.  _over_factor needs k >= 1;
+# at k = 0 the descending walk of _times_factor scales by 1 - x.
+
+
+def _times_factor(coeffs: list, x: ScalarLike, k: int) -> list:
+    """Multiply by (1 - x q^k), walking descending."""
+    for e in range(len(coeffs) - 1, k - 1, -1):
+        if coeffs[e - k]:
+            coeffs[e] = coeffs[e] - x * coeffs[e - k]
+    return coeffs
+
+
+def _over_factor(coeffs: list, x: ScalarLike, k: int) -> list:
+    """Divide by (1 - x q^k), walking ascending."""
+    for e in range(k, len(coeffs)):
+        if coeffs[e - k]:
+            coeffs[e] = coeffs[e] + x * coeffs[e - k]
+    return coeffs
+
+
+def _add_shifted(acc: list, coeffs: Sequence, shift: int, weight: ScalarLike) -> list:
+    """Add weight * q^shift * coeffs, truncated at the order of acc."""
+    for i in range(min(len(coeffs), len(acc) - shift)):
+        if coeffs[i]:
+            acc[shift + i] = acc[shift + i] + weight * coeffs[i]
+    return acc
+
+
 # -- q-Pochhammer products --------------------------------------------------
+
+
+def _product(x: ScalarLike, ks: Iterable[int], order: int) -> TruncatedSeries:
+    """prod_{k in ks} (1 - x q^k), truncated at the given order."""
+    ring = ring_for(x)
+    coeffs = [ring.one] + [ring.zero] * order
+    for k in ks:
+        _times_factor(coeffs, x, k)
+    return TruncatedSeries(order, coeffs, ring)
 
 
 def pochhammer_finite(x: ScalarLike, n: int, order: int) -> TruncatedSeries:
     """(x q; q)_n = prod_{k=1..n} (1 - x q^k), truncated at the given order."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    ring = ring_for(x)
-    out = TruncatedSeries.one(order, ring)
-    for k in range(1, min(n, order) + 1):
-        factor = TruncatedSeries.one(order, ring) - TruncatedSeries.monomial(
-            order, k, x, ring
-        )
-        out = out * factor
-    return out
+    return _product(x, range(1, min(n, order) + 1), order)
 
 
 def pochhammer_infinite(x: ScalarLike, order: int, start: int = 1) -> TruncatedSeries:
     """prod_{k >= start} (1 - x q^k) truncated; factors past the order are 1."""
-    ring = ring_for(x)
-    out = TruncatedSeries.one(order, ring)
-    for k in range(start, order + 1):
-        factor = TruncatedSeries.one(order, ring) - TruncatedSeries.monomial(
-            order, k, x, ring
-        )
-        out = out * factor
-    return out
+    if start < 0:
+        raise ValueError("start must be nonnegative")
+    return _product(x, range(start, order + 1), order)
 
 
 @lru_cache(maxsize=8)
-def _unit_tails(order: int) -> tuple[TruncatedSeries, ...]:
-    # tails[n] = prod_{k >= n+1} (1 - q^k), built descending so each tail
-    # costs one sparse multiplication
-    tails = [TruncatedSeries.one(order)] * (order + 1)
-    for n in range(order - 1, -1, -1):
-        factor = TruncatedSeries.one(order) - TruncatedSeries.monomial(order, n + 1)
-        tails[n] = tails[n + 1] * factor
-    return tuple(tails)
+def _unit_tails(order: int) -> tuple[tuple[int, ...], ...]:
+    # tails[n] = prod_{k >= n+1} (1 - q^k) with integer coefficients, built
+    # descending so each tail costs one factor
+    tails = [(1,) + (0,) * order]
+    for k in range(order, 0, -1):
+        tails.append(tuple(_times_factor(list(tails[-1]), 1, k)))
+    return tuple(reversed(tails))
+
+
+def _tail_sum(weights: Sequence, order: int, ring: CoefficientRing) -> TruncatedSeries:
+    """sum_n weights[n] q^n (q^{n+1})_inf, truncated at the order."""
+    tails = _unit_tails(order)
+    acc = [ring.zero] * (order + 1)
+    for n, w in enumerate(weights):
+        if w:
+            _add_shifted(acc, tails[n], n, w)
+    return TruncatedSeries(order, acc, ring)
 
 
 def lambert_block(j: int, order: int, ring: CoefficientRing = RATIONAL) -> TruncatedSeries:
@@ -377,24 +389,43 @@ def _scalar_powers(c: ScalarLike, order: int) -> list:
     return powers
 
 
+def _alternating_sum(
+    x: ScalarLike, fold: int, shift: Callable, weight: Callable, order: int
+) -> TruncatedSeries:
+    """sum_{n>=1} (-1)^(n-1) weight(n) q^shift(n) / ((1-q^n)^fold (xq)_n).
+
+    A running 1/(xq)_n takes one factor per n and is cut to the degrees that
+    shift(n), increasing in n, leaves inside the order.
+    """
+    ring = ring_for(x)
+    acc = [ring.zero] * (order + 1)
+    inv = [ring.one] + [ring.zero] * order
+    n = 1
+    while shift(n) <= order:
+        del inv[order - shift(n) + 1 :]
+        body = list(_over_factor(inv, x, n))
+        for _ in range(fold):
+            _over_factor(body, 1, n)
+        _add_shifted(acc, body, shift(n), (-1) ** (n - 1) * weight(n))
+        n += 1
+    return TruncatedSeries(order, acc, ring)
+
+
 # -- named series -----------------------------------------------------------
 
 
 def series_A_quotient(c: ScalarLike, order: int) -> TruncatedSeries:
     """(q)_inf / (cq)_inf via the product quotient."""
-    num = pochhammer_infinite(1, order)
-    den = pochhammer_infinite(c, order)
-    return num * den.inverse()
+    ring = ring_for(c)
+    coeffs = [ring.coerce(v) for v in pochhammer_infinite(1, order).coeffs]
+    for k in range(1, order + 1):
+        _over_factor(coeffs, c, k)
+    return TruncatedSeries(order, coeffs, ring)
 
 
 def series_A_euler(c: ScalarLike, order: int) -> TruncatedSeries:
     """(q)_inf / (cq)_inf via the Euler expansion sum_n c^n q^n (q^{n+1})_inf."""
-    tails = _unit_tails(order)
-    cpow = _scalar_powers(c, order)
-    acc = TruncatedSeries.zero(order, ring_for(c))
-    for n in range(0, order + 1):
-        acc = acc + tails[n].shift(n).scale(cpow[n])
-    return acc
+    return _tail_sum(_scalar_powers(c, order), order, ring_for(c))
 
 
 def series_A(c: ScalarLike, order: int) -> TruncatedSeries:
@@ -417,12 +448,9 @@ def series_M(m: int, c: ScalarLike, order: int) -> TruncatedSeries:
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
-    tails = _unit_tails(order)
     cpow = _scalar_powers(c, order)
-    acc = TruncatedSeries.zero(order, ring_for(c))
-    for n in range(1, order + 1):
-        acc = acc + tails[n].shift(n).scale(n**m * cpow[n])
-    return acc
+    weights = [0] + [n**m * cpow[n] for n in range(1, order + 1)]
+    return _tail_sum(weights, order, ring_for(c))
 
 
 def series_K_divisor(m: int, c: ScalarLike, order: int) -> TruncatedSeries:
@@ -447,10 +475,13 @@ def series_K_lambert(m: int, c: ScalarLike, order: int) -> TruncatedSeries:
         raise ValueError("m must be positive")
     ring = ring_for(c)
     cpow = _scalar_powers(c, order)
-    acc = TruncatedSeries.zero(order, ring)
+    vals = [ring.zero] * (order + 1)
     for j in range(1, order + 1):
-        acc = acc + lambert_block(j, order, ring).scale(j ** (m - 1) * cpow[j])
-    return acc
+        weight = j ** (m - 1) * cpow[j]
+        if weight:
+            for e in range(j, order + 1, j):
+                vals[e] = vals[e] + weight
+    return TruncatedSeries(order, vals, ring)
 
 
 def series_K(m: int, c: ScalarLike, order: int) -> TruncatedSeries:
@@ -473,22 +504,9 @@ def series_entry4(c: ScalarLike, order: int) -> tuple[TruncatedSeries, Truncated
     Returned as (lhs, rhs); their equality is an identity check, and the
     c = 1 coefficients are the divisor counts d(n).
     """
-    ring = ring_for(c)
-    lhs = TruncatedSeries.zero(order, ring)
     cpow = _scalar_powers(c, order)
-    n = 1
-    while n * (n + 1) // 2 <= order:
-        tri = n * (n + 1) // 2
-        body = TruncatedSeries.geometric(order, n, RATIONAL) * pochhammer_finite(
-            c, n, order
-        ).inverse()
-        sign = 1 if n % 2 == 1 else -1
-        lhs = lhs + body.shift(tri).scale(sign * cpow[n])
-        n += 1
-    rhs = TruncatedSeries.zero(order, ring)
-    for j in range(1, order + 1):
-        rhs = rhs + lambert_block(j, order, ring).scale(cpow[j])
-    return lhs, rhs
+    lhs = _alternating_sum(c, 1, lambda n: n * (n + 1) // 2, lambda n: cpow[n], order)
+    return lhs, series_K_lambert(1, c, order)
 
 
 def series_dilcher_binomial(
@@ -509,41 +527,27 @@ def series_dilcher_binomial(
     if order < k:
         raise ValueError("order must be at least k")
 
-    tails = _unit_tails(order)
-    a = TruncatedSeries.zero(order)
-    for n in range(k, order + 1):
-        a = a + tails[n].shift(n).scale(comb(n, k))
+    a = _tail_sum([comb(n, k) for n in range(order + 1)], order, RATIONAL)
 
     offset = comb(k, 2)
-    oi = order + offset
-    b_raw = TruncatedSeries.zero(oi)
-    n = 1
-    while comb(n + k, 2) <= oi:
-        tri = comb(n + k, 2)
-        geo_k = TruncatedSeries.geometric(oi, n)
-        body = TruncatedSeries.one(oi)
-        for _ in range(k):
-            body = body * geo_k
-        body = body * pochhammer_finite(1, n, oi).inverse()
-        sign = 1 if n % 2 == 1 else -1
-        b_raw = b_raw + body.shift(tri).scale(sign)
-        n += 1
-    if any(b_raw.coeffs[i] for i in range(offset)):
+    b_raw = _alternating_sum(1, k, lambda n: comb(n + k, 2), lambda n: 1, order + offset)
+    if any(b_raw.coeffs[:offset]):
         raise AlgorithmFault(
             f"k-fold alternating sum has support below q^{offset} (k={k})"
         )
-    b = TruncatedSeries(order, b_raw.coeffs[offset : offset + order + 1])
+    b = TruncatedSeries(order, b_raw.coeffs[offset:])
 
-    # (c): A_level[j] = sum over chains ending at top index j; prefix sums
-    prev = [TruncatedSeries.one(order)] * (order + 1)
+    # (c): level[j] = sum over chains ending at top index j, as prefix sums of
+    # q^j/(1-q^j) times the previous level at j
+    zero, one = RATIONAL.zero, RATIONAL.one
+    prev = [[one] + [zero] * order] * (order + 1)
     for _ in range(k):
-        cur = [TruncatedSeries.zero(order)] * (order + 1)
+        cur = [[zero] * (order + 1)]
         for j in range(1, order + 1):
-            cur[j] = cur[j - 1] + lambert_block(j, order) * prev[j]
+            block = _over_factor(prev[j][: order + 1 - j], 1, j)
+            cur.append(_add_shifted(list(cur[-1]), block, j, 1))
         prev = cur
-    c3 = prev[order]
-
-    return a, b, c3
+    return a, b, TruncatedSeries(order, prev[order])
 
 
 class ExpSeries:

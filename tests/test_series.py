@@ -6,11 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pie.exact import C
+from pie.exact import C, CPolynomial
 from pie.series import (
     CPOLY,
+    RATIONAL,
     ExpSeries,
     TruncatedSeries,
+    _over_factor,
+    _times_factor,
     coefficient_rows,
     lambert_block,
     pochhammer_finite,
@@ -46,8 +49,8 @@ def test_mul_identity():
 
 
 def test_geometric_telescopes():
-    geo = TruncatedSeries.geometric(10, 1)
-    assert geo * S(10, 1, -1) == TruncatedSeries.one(10)
+    one = TruncatedSeries.one(10)
+    assert (one + lambert_block(1, 10)) * S(10, 1, -1) == one
 
 
 def test_order_mismatch_is_an_error():
@@ -176,6 +179,66 @@ def test_pochhammer_infinite_pentagonal():
 def test_pochhammer_infinite_trivial_cases():
     assert pochhammer_infinite(0, 5) == TruncatedSeries.one(5)
     assert pochhammer_infinite(1, 5, start=7) == TruncatedSeries.one(5)
+
+
+def test_pochhammer_infinite_start():
+    with pytest.raises(ValueError):
+        pochhammer_infinite(1, 5, start=-2)
+    half = Fraction(1, 2)
+    assert pochhammer_infinite(half, 5, start=0) == pochhammer_infinite(half, 5).scale(half)
+
+
+# -- factor kernels -----------------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=12).flatmap(
+        lambda order: st.tuples(
+            st.just(order),
+            st.lists(
+                st.fractions(min_value=-3, max_value=3, max_denominator=4),
+                min_size=order + 1,
+                max_size=order + 1,
+            ),
+            st.integers(min_value=1, max_value=order),
+        )
+    ),
+    st.one_of(
+        st.fractions(min_value=-2, max_value=2, max_denominator=3),
+        st.sampled_from([C, 2 * C - 1, C**2 + Fraction(1, 2)]),
+    ),
+)
+def test_factor_kernels_match_series_arithmetic(case, x):
+    # the kernels against multiplying by (1 - x q^k) and by its inverse
+    order, coeffs, k = case
+    f = TruncatedSeries.from_coeffs(order, coeffs)
+    one = TruncatedSeries.one(order)
+    factor = one - one.shift(k).scale(x)
+    ring = factor.ring
+    lifted = [ring.coerce(v) for v in coeffs]
+    assert TruncatedSeries(order, _times_factor(list(lifted), x, k), ring) == f * factor
+    assert TruncatedSeries(order, _over_factor(list(lifted), x, k), ring) == f * factor.inverse()
+
+
+@pytest.mark.parametrize("c", [Fraction(1), Fraction(2, 3), Fraction(-1, 2), Fraction(0)])
+def test_symbolic_series_evaluate_to_the_series_at_c(c):
+    order = 20
+    builders = {
+        "A": lambda c: series_A(c, order),
+        "M1": lambda c: series_M(1, c, order),
+        "M3": lambda c: series_M(3, c, order),
+        "K1": lambda c: series_K(1, c, order),
+        "K3": lambda c: series_K(3, c, order),
+        "entry4 lhs": lambda c: series_entry4(c, order)[0],
+        "entry4 rhs": lambda c: series_entry4(c, order)[1],
+    }
+    for name, build in builders.items():
+        symbolic, at_c = build(C), build(c)
+        assert symbolic.ring is CPOLY and at_c.ring is RATIONAL, name
+        assert all(isinstance(v, CPolynomial) for v in symbolic.coeffs), name
+        assert all(isinstance(v, Fraction) for v in at_c.coeffs), name
+        assert [v.evaluate(c) for v in symbolic.coeffs] == list(at_c.coeffs), name
 
 
 # -- named series -------------------------------------------------------------
