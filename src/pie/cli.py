@@ -20,7 +20,7 @@ from fractions import Fraction
 from .errors import AlgorithmFault
 from .exact import C
 from .identities import NUMERIC_CAPABLE, CheckConfig, IdentityId, check_identity, run_all
-from .involution import class_members, class_sum, pair, trace_lines, verify_pairing_class
+from .involution import class_members, class_sum, pair, trace_lines, verify_pairings
 from .series import (
     coefficient_rows,
     series_A,
@@ -46,7 +46,10 @@ def _parse_complex_list(text: str) -> tuple[complex, ...]:
 def _parse_c_value(text: str):
     if text.strip().lower() == "symbolic":
         return C
-    return Fraction(text.strip())
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"--c {text!r} has a zero denominator") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -239,10 +242,8 @@ def _cmd_involution(args: argparse.Namespace) -> int:
         raise ValueError("need 1 <= N-divisor <= n")
     with _sink(args) as sink:
         if args.sweep:
-            for modulus in range(1, n + 1):
-                counts = verify_pairing_class(n, modulus)
-                total = class_sum(n, modulus)
-                expected = 1 if n % modulus == 0 else 0
+            for modulus, counts in verify_pairings(n, range(1, n + 1)).items():
+                total, expected = class_sum(n, modulus), int(n % modulus == 0)
                 if total != expected:
                     raise AlgorithmFault(
                         f"class sum {total} != {expected} at n={n}, N={modulus}"
@@ -253,7 +254,7 @@ def _cmd_involution(args: argparse.Namespace) -> int:
                 )
             sink.write(f"sweep ok for n={n}\n")
             return 0
-        verify_pairing_class(n, N)
+        verify_pairings(n, (N,))
         for p in class_members(n, N):
             trace = pair(p, N)
             if args.trace:

@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from functools import cache, lru_cache, partial
-from itertools import accumulate, product
+from itertools import product
 from math import comb, factorial
 
 from .errors import AlgorithmFault
@@ -44,7 +44,7 @@ from .exact import (
     fractional_weight,
     sigma_int,
 )
-from .involution import class_sum
+from .involution import _window_sums, class_sum
 from .partitions import (
     _table_cap,
     count_exact_part_sizes,
@@ -188,12 +188,8 @@ def _profile(acc: dict[int, int]) -> Profile:
 
 @lru_cache(maxsize=None)
 def _window_profile(n: int) -> Profile:
-    # sign * (c^(l-s+1) + ... + c^l) over D(n), by a difference array
-    diff = [0] * (n + 2)
-    for (s, largest), h in signed_window_counts(n).items():
-        diff[largest - s + 1] += h
-        diff[largest + 1] -= h
-    return _profile(dict(enumerate(accumulate(diff))))
+    # sign * (c^(l-s+1) + ... + c^l) over D(n): c^N carries the class sum of C(N)
+    return _profile(dict(enumerate(_window_sums(signed_window_counts(n), n))))
 
 
 @lru_cache(maxsize=None)

@@ -14,18 +14,26 @@ window).  The pairing:
             then insert T as a new part.
   fixed   - the single-part partition (n) with N | n pairs with nothing.
 
-Both directions run the same generic min/max loop; the closed forms for
-small j are kept as a cross-check oracle.  Any departure from the proven
-regime (nonpositive intermediate, duplicate output part, guard overrun,
-output outside the class) raises AlgorithmFault rather than being repaired.
+One kernel, _pair_parts, runs both directions on plain part tuples; pair
+wraps it with a step record.  A partition with smallest part s and largest
+part l lies in exactly the classes N in (l - s, l], so verify_pairings
+checks every asked class in one pass over D(n), pairing each partition in
+each of its classes.  class_sums reads the class sums off the signed
+(smallest, largest) histogram, independent of the pairing.  Any departure
+from the proven regime (several parts divisible by N, guard overrun,
+nonpositive intermediate, duplicate inserted or output part, output of the
+wrong size or outside the class, a second stopping point) raises
+AlgorithmFault rather than being repaired.
 """
 
 from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import accumulate
 from math import ceil
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .errors import AlgorithmFault
 from .partitions import Partition, enumerate_distinct, signed_window_counts
@@ -68,83 +76,75 @@ def membership_count(p: Partition) -> int:
 
 def pair(p: Partition, N: int) -> PairingTrace:
     """Apply the pairing to p within C(N) and return the full trace."""
-    _require_distinct(p)
     if not in_class(p, N):
         raise ValueError(f"{p} is not in the class C({N})")
-    n = p.n
-    parts = p.parts
+    steps: list[tuple[tuple[int, ...], str]] = []
+    case, moved, out = _pair_parts(p.parts, N, p.n, steps)
+    return PairingTrace(p, N, case, tuple(steps), moved, None if out is None else Partition(out))
+
+
+def _pair_parts(
+    parts: tuple[int, ...], N: int, n: int, steps: list | None = None
+) -> tuple[str, int | None, tuple[int, ...] | None]:
+    """The pairing kernel on the descending parts of a member of C(N) of n.
+
+    Returns (case, part removed or inserted, descending output parts); the
+    fixed point returns (CASE_FIXED, None, None).  When steps is a list, the
+    ascending working parts after each step are appended with its action.
+    """
     multiples = [a for a in parts if a % N == 0]
     if len(multiples) > 1:
-        raise AlgorithmFault(
-            f"window property violated: {p} has several parts divisible by {N}"
-        )
-
-    if len(parts) == 1 and multiples:
-        return PairingTrace(p, N, CASE_FIXED, (), None, None)
-
-    steps: list[tuple[tuple[int, ...], str]] = []
-
+        raise _fault(parts, N, f"window property violated: several parts divisible by {N}")
+    if multiples and len(parts) == 1:
+        return CASE_FIXED, None, None
+    working = sorted(parts)
     if multiples:
-        removed = multiples[0]
-        j = removed // N
-        working = sorted(a for a in parts if a != removed)
-        steps.append((tuple(working), f"remove {removed}"))
-        for _ in range(j):
+        case, moved = CASE_REMOVE, multiples[0]
+        working.remove(moved)
+        if steps is not None:
+            steps.append((tuple(working), f"remove {moved}"))
+        for _ in range(moved // N):
             low = working.pop(0)
             insort(working, low + N)
-            steps.append((tuple(working), f"add {N} to smallest part {low}"))
-        out = _validated_output(working, p, N, n)
-        return PairingTrace(p, N, CASE_REMOVE, tuple(steps), removed, out)
+            if steps is not None:
+                steps.append((tuple(working), f"add {N} to smallest part {low}"))
+    else:
+        guard = ceil(n / N)
+        for j, high in _subtractions(working, N):
+            if j > guard:
+                raise _fault(parts, N, f"subtraction loop exceeded guard {guard}")
+            if steps is not None:
+                steps.append((tuple(working), f"subtract {N} from largest part {high}"))
+            if working[-1] - N < j * N < working[0] + N:
+                break
+        else:
+            raise _fault(parts, N, f"nonpositive intermediate part {working[-1] - N}")
+        case, moved = CASE_INSERT, j * N
+        if moved in working:
+            raise _fault(parts, N, f"inserted part {moved} duplicates an existing part")
+        insort(working, moved)
+        if steps is not None:
+            steps.append((tuple(working), f"insert {moved}"))
+    out = tuple(reversed(working))
+    if len(set(out)) != len(out):
+        raise _fault(parts, N, f"duplicate part in output {_show(out)}")
+    if sum(out) != n:
+        raise _fault(parts, N, f"output {_show(out)} does not partition {n}")
+    if not out[0] >= N > out[0] - out[-1]:
+        raise _fault(parts, N, f"output {_show(out)} left C({N})")
+    return case, moved, out
 
-    working = sorted(parts)
-    guard = ceil(n / N)
+
+def _subtractions(working: list[int], N: int):
+    # subtract N from the largest of the ascending parts in working, again
+    # and again while it stays positive; yield j and the part it was taken
+    # from after the j-th subtraction
     j = 0
-    while True:
-        j += 1
-        if j > guard:
-            raise AlgorithmFault(
-                f"subtraction loop exceeded guard {guard} for {p}, N={N}"
-            )
+    while working[-1] > N:
         high = working.pop()
-        if high - N <= 0:
-            raise AlgorithmFault(
-                f"nonpositive intermediate part {high - N} for {p}, N={N}"
-            )
         insort(working, high - N)
-        total = j * N
-        steps.append((tuple(working), f"subtract {N} from largest part {high}"))
-        if working[-1] - N < total < working[0] + N:
-            break
-    if total in working:
-        raise AlgorithmFault(
-            f"inserted part {total} duplicates an existing part for {p}, N={N}"
-        )
-    insort(working, total)
-    steps.append((tuple(working), f"insert {total}"))
-    out = _validated_output(working, p, N, n)
-    return PairingTrace(p, N, CASE_INSERT, tuple(steps), total, out)
-
-
-def case1_closed_form(p: Partition, N: int) -> Partition:
-    """Closed-form image for case 1 when the removed part is j*N with
-    j <= (number of parts) - 1: the other j smallest parts each gain N once.
-
-    Cross-check oracle for the generic loop; outside its regime (j too
-    large) it is not applicable and raises ValueError.
-    """
-    _require_distinct(p)
-    if not in_class(p, N):
-        raise ValueError(f"{p} is not in the class C({N})")
-    multiples = [a for a in p.parts if a % N == 0]
-    if not multiples or len(p.parts) < 2:
-        raise ValueError("closed form applies to case 1 inputs only")
-    removed = multiples[0]
-    j = removed // N
-    rest = sorted(a for a in p.parts if a != removed)
-    if j > len(rest):
-        raise ValueError("closed form needs j <= number of remaining parts")
-    bumped = [a + N for a in rest[:j]] + rest[j:]
-    return Partition(tuple(sorted(bumped, reverse=True)))
+        j += 1
+        yield j, high
 
 
 def stopping_candidates(p: Partition, N: int) -> list[int]:
@@ -152,40 +152,42 @@ def stopping_candidates(p: Partition, N: int) -> list[int]:
     the subtraction sequence keeps every part positive.
 
     The pairing uses the first such j; the proof needs it to be unique, and
-    the test suite asserts exactly one candidate throughout the desk range.
+    verify_pairings raises AlgorithmFault on a case-2 input with a second j.
     """
     _require_distinct(p)
     if not in_class(p, N):
         raise ValueError(f"{p} is not in the class C({N})")
     if any(a % N == 0 for a in p.parts):
         raise ValueError("stopping scan applies to case 2 inputs only")
-    working = sorted(p.parts)
-    hits = []
-    j = 0
-    while True:
-        j += 1
-        high = working.pop()
-        if high - N <= 0:
-            break
-        insort(working, high - N)
-        total = j * N
-        if working[-1] - N < total < working[0] + N:
-            hits.append(j)
-    return hits
+    return _stopping_js(p.parts, N)
+
+
+def _stopping_js(parts: tuple[int, ...], N: int) -> list[int]:
+    working = sorted(parts)
+    return [j for j, _ in _subtractions(working, N) if working[-1] - N < j * N < working[0] + N]
+
+
+@lru_cache(maxsize=None)
+def class_sums(n: int) -> tuple[int, ...]:
+    """Entry N is the signed sum over D(n) within C(N), for N = 0..n, read
+    off the signed (smallest, largest) histogram, independent of the pairing."""
+    return _window_sums(signed_window_counts(n), n)
+
+
+def _window_sums(histogram, n: int) -> tuple[int, ...]:
+    # entry N = 0..n sums the cells (s, l) with l - s < N <= l, by a difference array
+    diff = [0] * (n + 2)
+    for (s, largest), h in histogram.items():
+        diff[largest - s + 1] += h
+        diff[largest + 1] -= h
+    return tuple(accumulate(diff[: n + 1]))
 
 
 def class_sum(n: int, N: int) -> int:
-    """Signed count sum over D(n) within C(N): 1 when N | n, else 0.
-
-    Read off the signed (smallest, largest) histogram, independent of the
-    pairing, which enumerates the class members themselves.
-    """
+    """Signed count sum over D(n) within C(N): 1 when N | n, else 0."""
     if not 1 <= N <= n:
         raise ValueError("need 1 <= N <= n")
-    return sum(
-        h for (smallest, largest), h in signed_window_counts(n).items()
-        if largest >= N > largest - smallest
-    )
+    return class_sums(n)[N]
 
 
 def class_members(n: int, N: int) -> Iterator[Partition]:
@@ -195,43 +197,47 @@ def class_members(n: int, N: int) -> Iterator[Partition]:
             yield p
 
 
-def verify_pairing_class(n: int, N: int) -> dict[str, int]:
-    """Check the pairing on one class: parity reversal, closure, involution,
-    and the predicted fixed points.  Raises AlgorithmFault on any violation.
+def verify_pairings(n: int, moduli: Iterable[int]) -> dict[int, dict[str, int]]:
+    """Check the pairing on the classes C(N), N in moduli, in one pass over
+    D(n): parity reversal, closure, involution, a unique case-2 stopping
+    point and the predicted fixed points.  Raises AlgorithmFault on any
+    violation; returns {N: {"members": ..., "fixed": ...}} in moduli order.
     """
-    members = 0
-    fixed = 0
-    for p in class_members(n, N):
-        members += 1
-        tr = pair(p, N)
-        if tr.is_fixed:
-            fixed += 1
-            if len(p.parts) != 1 or n % N != 0:
-                raise AlgorithmFault(f"unexpected fixed point {p} for N={N}")
-            continue
-        out = tr.output
-        assert out is not None
-        if abs(out.num_parts - p.num_parts) != 1:
-            raise AlgorithmFault(f"parity not reversed: {p} -> {out}, N={N}")
-        if out.n != n or not out.is_distinct or not in_class(out, N):
-            raise AlgorithmFault(f"output left the class: {p} -> {out}, N={N}")
-        back = pair(out, N)
-        if back.is_fixed or back.output != p:
-            raise AlgorithmFault(f"not an involution at {p}, N={N}")
-    expected_fixed = 1 if n % N == 0 else 0
-    if fixed != expected_fixed:
-        raise AlgorithmFault(
-            f"fixed point count {fixed} != {expected_fixed} for n={n}, N={N}"
-        )
-    return {"members": members, "fixed": fixed}
+    tallies = {N: [0, 0] for N in moduli}  # members, fixed points
+    if not all(1 <= N <= n for N in tallies):
+        raise ValueError("need 1 <= N <= n for every modulus")
+    for p in enumerate_distinct(n):
+        parts = p.parts
+        for N in range(parts[0] - parts[-1] + 1, parts[0] + 1):
+            tally = tallies.get(N)
+            if tally is None:
+                continue
+            tally[0] += 1
+            case, _, out = _pair_parts(parts, N, n)
+            if out is None:
+                tally[1] += 1
+                if len(parts) != 1 or n % N != 0:
+                    raise _fault(parts, N, "unexpected fixed point")
+            elif abs(len(out) - len(parts)) != 1:
+                raise _fault(parts, N, f"parity not reversed by the image {_show(out)}")
+            elif not (sum(out) == n and len(set(out)) == len(out)
+                      and out[0] >= N > out[0] - out[-1]):
+                raise _fault(parts, N, f"the image {_show(out)} left the class")
+            elif _pair_parts(out, N, n)[2] != parts:
+                raise _fault(parts, N, f"not an involution: the image is {_show(out)}")
+            elif case == CASE_INSERT and len(_stopping_js(parts, N)) != 1:
+                raise _fault(parts, N, "the stopping window admits a second j")
+    for N, (_, fixed) in tallies.items():
+        if fixed != (expected := 1 if n % N == 0 else 0):
+            raise AlgorithmFault(f"fixed point count {fixed} != {expected} for n={n}, N={N}")
+    return {N: {"members": members, "fixed": fixed} for N, (members, fixed) in tallies.items()}
 
 
 def trace_lines(trace: PairingTrace) -> list[str]:
     """Line-oriented text rendering of a trace, one step per line."""
     lines = [f"input {trace.input} N={trace.modulus} case={trace.case}"]
     for snapshot, action in trace.steps:
-        shown = "+".join(str(a) for a in reversed(snapshot))
-        lines.append(f"step {action}: working {shown}")
+        lines.append(f"step {action}: working {_show(reversed(snapshot))}")
     if trace.is_fixed:
         lines.append("fixed")
     else:
@@ -246,12 +252,9 @@ def _require_distinct(p: Partition) -> None:
         raise ValueError(f"{p} does not have distinct parts")
 
 
-def _validated_output(working: list[int], p: Partition, N: int, n: int) -> Partition:
-    if len(set(working)) != len(working):
-        raise AlgorithmFault(f"duplicate part in output {working} for {p}, N={N}")
-    if sum(working) != n:
-        raise AlgorithmFault(f"output {working} does not partition {n}")
-    out = Partition(tuple(sorted(working, reverse=True)))
-    if not in_class(out, N):
-        raise AlgorithmFault(f"output {out} left C({N}) (input {p})")
-    return out
+def _show(parts) -> str:
+    return "+".join(map(str, parts))
+
+
+def _fault(parts: tuple[int, ...], N: int, what: str) -> AlgorithmFault:
+    return AlgorithmFault(f"{what} for {_show(parts)}, N={N}")

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from pie.exact import C, bell_polynomial, bell_polynomial_direct
 from pie.identities import CheckConfig, IdentityId, check_identity
-from pie.involution import verify_pairing_class
+from pie.involution import verify_pairings
 from pie.partitions import count_exact_part_sizes
 from pie.series import (
     series_A_euler,
@@ -75,12 +75,11 @@ def test_criterion_04_class_sum_lemma():
 
 
 def test_criterion_05_involution_properties():
-    with criterion(5, "pairing is a parity-reversing class involution, n<=40"):
-        # verify_pairing_class raises AlgorithmFault on any violation,
-        # including a j-loop guard overrun
-        for n in range(1, 41):
-            for N in range(1, n + 1):
-                verify_pairing_class(n, N)
+    with criterion(5, "pairing is a parity-reversing class involution, n<=60"):
+        # verify_pairings raises AlgorithmFault on any violation, including a
+        # j-loop guard overrun and a second case-2 stopping point
+        for n in range(1, 61):
+            verify_pairings(n, range(1, n + 1))
 
 
 def test_criterion_06_exponential_generating_functions():

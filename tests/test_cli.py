@@ -207,6 +207,7 @@ def test_cor_2_4_numeric_holds_past_n_59(capsys):
         (("verify", "--id", "bs_basic", "--n-max", "3"), {"PIE_FORMAT": "bogus"}),
         (("report-all", "--n-max", "3"), {"PIE_FORMAT": "bogus"}),
         (("verify", "--id", "bs_basic", "--n-max", "3"), {"PIE_MODE": "fuzzy"}),
+        (("series", "--name", "A", "--c", "1/0", "--order", "5"), {}),
     ],
     ids=[
         "n-max-0",
@@ -222,6 +223,7 @@ def test_cor_2_4_numeric_holds_past_n_59(capsys):
         "env-format-bogus",
         "report-all-env-format-bogus",
         "env-mode-bogus",
+        "series-c-zero-denominator",
     ],
 )
 def test_zero_or_empty_settings_are_usage_errors(capsys, monkeypatch, argv, env):

@@ -1,25 +1,84 @@
 """The window-class pairing: membership, traces, closure, the class-sum lemma."""
 
+import hashlib
+import re
+from bisect import insort
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pie import involution
+from pie.cli import main
+from pie.errors import AlgorithmFault
 from pie.involution import (
-    case1_closed_form,
+    _pair_parts,
     class_members,
     class_sum,
+    class_sums,
     in_class,
     membership_count,
     pair,
     stopping_candidates,
     trace_lines,
-    verify_pairing_class,
+    verify_pairings,
 )
-from pie.partitions import Partition, enumerate_distinct
+from pie.partitions import Partition, enumerate_distinct, signed_window_counts
 
 
 def P(*parts):
     return Partition(tuple(parts))
+
+
+def case1_closed_form(p: Partition, N: int) -> Partition:
+    """Closed-form image for case 1 when the removed part is j*N with
+    j <= (number of parts) - 1: the other j smallest parts each gain N once.
+
+    Cross-check oracle for the pairing loop; outside its regime (j too
+    large) it is not applicable and raises ValueError.
+    """
+    if not in_class(p, N):
+        raise ValueError(f"{p} is not in the class C({N})")
+    multiples = [a for a in p.parts if a % N == 0]
+    if not multiples or len(p.parts) < 2:
+        raise ValueError("closed form applies to case 1 inputs only")
+    removed = multiples[0]
+    j = removed // N
+    rest = sorted(a for a in p.parts if a != removed)
+    if j > len(rest):
+        raise ValueError("closed form needs j <= number of remaining parts")
+    bumped = [a + N for a in rest[:j]] + rest[j:]
+    return Partition(tuple(sorted(bumped, reverse=True)))
+
+
+def reference_pair(parts, N):
+    """The pairing as a plain min/max loop on an ascending list, without
+    checks: (case, part removed or inserted, steps, descending output)."""
+    multiples = [a for a in parts if a % N == 0]
+    if multiples and len(parts) == 1:
+        return "fixed", None, (), None
+    steps = []
+    if multiples:
+        moved = multiples[0]
+        working = sorted(a for a in parts if a != moved)
+        steps.append((tuple(working), f"remove {moved}"))
+        for _ in range(moved // N):
+            low = working.pop(0)
+            insort(working, low + N)
+            steps.append((tuple(working), f"add {N} to smallest part {low}"))
+        return "case1", moved, tuple(steps), tuple(sorted(working, reverse=True))
+    working = sorted(parts)
+    j = 0
+    while True:
+        j += 1
+        high = working.pop()
+        insort(working, high - N)
+        steps.append((tuple(working), f"subtract {N} from largest part {high}"))
+        if working[-1] - N < j * N < working[0] + N:
+            break
+    insort(working, j * N)
+    steps.append((tuple(working), f"insert {j * N}"))
+    return "case2", j * N, tuple(steps), tuple(sorted(working, reverse=True))
 
 
 # -- membership ----------------------------------------------------------------
@@ -135,8 +194,89 @@ def test_case1_loop_matches_closed_form(n):
 
 @pytest.mark.parametrize("n", range(1, 31))
 def test_pairing_properties_sweep(n):
-    for N in range(1, n + 1):
-        verify_pairing_class(n, N)
+    verify_pairings(n, range(1, n + 1))
+
+
+@pytest.mark.parametrize("n", range(1, 31))
+def test_verify_pairings_counts_match_class_members(n):
+    counts = verify_pairings(n, range(1, n + 1))
+    assert list(counts) == list(range(1, n + 1))
+    for N, tally in counts.items():
+        members = list(class_members(n, N))
+        fixed = sum(1 for p in members if len(p.parts) == 1 and n % N == 0)
+        assert tally == {"members": len(members), "fixed": fixed}
+    # a subset of the moduli gets the same counts from its own pass
+    assert verify_pairings(n, (n, 1)) == {n: counts[n], 1: counts[1]}
+
+
+def test_verify_pairings_rejects_moduli_outside_range():
+    with pytest.raises(ValueError):
+        verify_pairings(6, (0,))
+    with pytest.raises(ValueError):
+        verify_pairings(6, (3, 7))
+
+
+# the trace lines of every pairing in D(n), n <= 20, each followed by the
+# part moved: their count and sha256 pin the rendered traces
+TRACE_LINES_N20 = 4836
+TRACE_DIGEST_N20 = "8824b242c05de2a0b2567d590a84d76551d4a97a47ded5db57d88ed3b237e905"
+
+
+def test_pair_outputs_and_traces_unchanged():
+    lines = []
+    for n in range(1, 21):
+        for p in enumerate_distinct(n):
+            for N in range(p.largest - p.smallest + 1, p.largest + 1):
+                tr = pair(p, N)
+                case, moved, steps, out = reference_pair(p.parts, N)
+                assert (tr.case, tr.removed_or_inserted, tr.steps) == (case, moved, steps)
+                assert tr.output == (None if out is None else Partition(out))
+                lines += trace_lines(tr)
+                lines.append(f"moved {tr.removed_or_inserted}")
+    assert len(lines) == TRACE_LINES_N20
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == TRACE_DIGEST_N20
+
+
+@pytest.mark.parametrize(
+    "parts, N, n, message",
+    [
+        ((2, 1), 1, 3, "several parts divisible by 1"),
+        ((7,), 2, 2, "exceeded guard 1"),
+        ((1,), 2, 1, "nonpositive intermediate part -1"),
+        ((3, 1), 2, 4, "duplicate part in output"),
+        ((4, 2), 4, 7, "does not partition 7"),
+        ((5, 1), 2, 6, "left C(2)"),
+    ],
+    ids=[
+        "several-multiples", "guard", "nonpositive", "duplicate-output", "wrong-sum", "outside"
+    ],
+)
+def test_pair_parts_faults_outside_the_regime(parts, N, n, message):
+    # inputs outside C(N), or a wrong n, reach each check of the kernel; an
+    # inserted part j*N cannot equal a working part, which is not 0 mod N
+    with pytest.raises(AlgorithmFault, match=re.escape(message)):
+        _pair_parts(parts, N, n)
+
+
+@pytest.mark.parametrize(
+    "image, message",
+    [((6,), "not an involution"), ((5, 1), "parity"), ((4, 2, 1), "left the class")],
+    ids=["in-class", "same-parity", "wrong-sum"],
+)
+def test_wrong_image_faults_the_sweep(monkeypatch, capsys, image, message):
+    def skewed(parts, N, n, steps=None):
+        if parts == (4, 2) and N == 3:
+            return "case2", 3, image
+        return kernel(parts, N, n, steps)
+
+    kernel = involution._pair_parts
+    monkeypatch.setattr(involution, "_pair_parts", skewed)
+    with pytest.raises(AlgorithmFault, match=message):
+        verify_pairings(6, range(1, 7))
+    assert main(["involution", "--n", "6", "--N-divisor", "1", "--sweep"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "algorithm fault" in captured.err
 
 
 def test_pairing_high_quotient_case():
@@ -175,6 +315,12 @@ def test_stopping_window_admits_exactly_one_j(n):
             assert len(stopping_candidates(p, N)) == 1, (p.parts, N)
 
 
+def test_second_stopping_point_faults_the_sweep(monkeypatch):
+    monkeypatch.setattr(involution, "_stopping_js", lambda parts, N: [1, 2])
+    with pytest.raises(AlgorithmFault, match="second j"):
+        verify_pairings(6, range(1, 7))
+
+
 def test_stopping_scan_rejects_case1_input():
     with pytest.raises(ValueError):
         stopping_candidates(P(4, 2), 4)
@@ -200,6 +346,16 @@ def test_class_sum_validation():
 def test_class_sum_detects_divisibility(n):
     for N in range(1, n + 1):
         assert class_sum(n, N) == (1 if n % N == 0 else 0)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 12, 45])
+def test_class_sums_match_a_window_scan(n):
+    # the difference array against a direct scan of every histogram cell
+    scan = [
+        sum(h for (s, l), h in signed_window_counts(n).items() if l >= N > l - s)
+        for N in range(n + 1)
+    ]
+    assert class_sums(n) == tuple(scan)
 
 
 def test_class_members_of_six_modulus_three():
