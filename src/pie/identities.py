@@ -261,9 +261,23 @@ def _thm26_profiles(n: int) -> tuple[Profile, Profile]:
     return _initial_profile(n), _shifted_binomial_profile(n)
 
 
+def _terms(profile: Profile, k: int) -> Profile:
+    """The profile under the weight e^k, as its nonzero (e, a * e^k) pairs."""
+    return tuple((e, w) for e, a in profile if (w := a * e**k))
+
+
 def _weighted(profile: Profile, k: int) -> CPolynomial:
     """The profile under the weight e^k, as an exact polynomial in c."""
-    return _poly({e: a * e**k for e, a in profile})
+    return CPolynomial(dict(_terms(profile, k)))
+
+
+def _weighted_differ(profiles, n: int, k: int) -> dict | None:
+    """Both profiles(n) under the weight e^k, compared as integer maps and
+    reported as polynomials in c where they differ."""
+    lhs, rhs = profiles(n)
+    if _terms(lhs, k) == _terms(rhs, k):
+        return None
+    return {"lhs": _weighted(lhs, k), "rhs": _weighted(rhs, k)}
 
 
 def _at(profile: Profile, k: int, c: Scalar) -> Scalar:
@@ -397,12 +411,13 @@ def _differ(lhs, rhs, names: tuple[str, str] = ("lhs", "rhs")) -> dict | None:
 
 
 def _series_differ(a, b, values: bool = True) -> dict | None:
-    """The first q-power where two truncated series differ, and with values
-    the two coefficients there."""
-    for e, (x, y) in enumerate(zip(a.coeffs, b.coeffs)):
-        if x != y:
-            return {"q_power": e, "lhs": x, "rhs": y} if values else {"q_power": e}
-    return None
+    """The first q-power where series a differs from b, and with values the
+    two coefficients there; b is a series or a tuple of int coefficients,
+    reported as ints."""
+    e = a.first_difference(b if isinstance(b, TruncatedSeries) else TruncatedSeries(a.order, b))
+    if e is None:
+        return None
+    return {"q_power": e, "lhs": a[e], "rhs": b[e]} if values else {"q_power": e}
 
 
 # -- exact checkers: each returns its range and its search ----------------------
@@ -417,10 +432,9 @@ def _over_n(cfg: CheckConfig, mismatch, **rng):
     return {"n_max": cfg.n_max, **rng}, partial(_first, _grid(n=_ns(cfg)), mismatch)
 
 
-def _sweep(cfg: CheckConfig, sides, key: str = "k", **rng):
-    """Compare sides(n, k) for every n <= n_max and k in the exponent grid."""
+def _sweep(cfg: CheckConfig, mismatch, key: str = "k", **rng):
+    """Search mismatch(n, k) for every n <= n_max and k in the exponent grid."""
     points = _grid(n=_ns(cfg), **{key: cfg.exponents})
-    mismatch = lambda n, k: _differ(*sides(n, k))
     return {"n_max": cfg.n_max, "exponents": list(cfg.exponents), **rng}, partial(
         _first, points, mismatch
     )
@@ -448,7 +462,7 @@ def _check_entry4(cfg: CheckConfig):
         if c == "symbolic":
             return _series_differ(*series_entry4(C, q))
         # c = 1 collapses to the divisor-count series
-        divisor = TruncatedSeries(q, _sigma_powers(q, 0))
+        divisor = _sigma_powers(q, 0)
         lhs, rhs = series_entry4(1, q)
         return _series_differ(lhs, divisor) or _series_differ(rhs, divisor)
 
@@ -467,7 +481,7 @@ def _check_uchimura(cfg: CheckConfig):
             "alternating": series_entry4(1, q)[0],
             "lambert": series_K(1, 1, q),
         }
-        divisor = TruncatedSeries(q, _sigma_powers(q, 0))
+        divisor = _sigma_powers(q, 0)
         return _first(_grid(form=forms), lambda form: _series_differ(forms[form], divisor))
 
     return {"q_order": q}, search
@@ -550,10 +564,10 @@ REGISTRY = {
         cfg, lambda n: _differ(_at(_window_profile(n), 0, 1), len(divisors(n)))
     ),
     IdentityId.BS_INT: lambda cfg: _sweep(
-        cfg, lambda n, z: (_at(_window_profile(n), z, 1), sigma_int(z, n)), key="z"
+        cfg, lambda n, z: _differ(_at(_window_profile(n), z, 1), sigma_int(z, n)), key="z"
     ),
     IdentityId.BS_ONEVAR: lambda cfg: _sweep(
-        cfg, lambda n, z: lhs_rhs_thm21(n, z, C), key="z", c="symbolic"
+        cfg, partial(_weighted_differ, _thm21_profiles), key="z", c="symbolic"
     ),
     IdentityId.UCHIMURA_TRIPLE: _check_uchimura,
     IdentityId.ENTRY4: _check_entry4,
@@ -563,12 +577,12 @@ REGISTRY = {
     IdentityId.THM_2_2_EXP: lambda cfg: _check_thm22(cfg, "exp"),
     IdentityId.THM_2_2_BELL: lambda cfg: _check_thm22(cfg, "bell"),
     IdentityId.THM_2_3: lambda cfg: _sweep(
-        cfg, lambda n, k: lhs_rhs_thm23(n, k, C), c="symbolic"
+        cfg, partial(_weighted_differ, _thm23_profiles), c="symbolic"
     ),
-    IdentityId.COR_2_4: lambda cfg: _sweep(cfg, _cor24_sides, c=1),
+    IdentityId.COR_2_4: lambda cfg: _sweep(cfg, lambda n, k: _differ(*_cor24_sides(n, k)), c=1),
     IdentityId.COR_2_5: lambda cfg: _over_n(cfg, lambda n: _differ(*check_cor25(n))),
     IdentityId.THM_2_6: lambda cfg: _sweep(
-        cfg, lambda n, k: lhs_rhs_thm26(n, k, C), c="symbolic"
+        cfg, partial(_weighted_differ, _thm26_profiles), c="symbolic"
     ),
     IdentityId.COR_2_7: lambda cfg: _over_n(cfg, lambda n: _differ(*check_cor27(n))),
     IdentityId.AGL_PTI: lambda cfg: _over_n(

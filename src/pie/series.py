@@ -2,12 +2,24 @@
 
 A TruncatedSeries tracks the coefficients of q^0 .. q^Q exactly, with
 coefficients drawn from the rationals or from Q[c] (CPolynomial).  No
-floating point ever enters this module.  Named builders at the bottom
-assemble the generating functions the identity suite compares.  They build
-every product and quotient of factors (1 - x q^k) one factor at a time and
-never invert a whole series.  Builders documented as double constructions
-still compute the same series two independent ways and raise AlgorithmFault
-if the results differ.
+floating point ever enters this module.
+
+A rational series stores Python ints graded by an integer r >= 1: the q^n
+coefficient is nums[n] / (den * r**n).  Built at c = p/r, a series takes
+grade r, so c q^k multiplies numerators by the integer p * r**(k-1), a unit
+factor (1 - q^k) weighs r**k, and a product of two series of one grade is
+an integer convolution.  Only scaling by a non-integer rational (the 1/m!
+of an exponential generating function) changes den, and operands of other
+grades or dens are brought to their lcm.  A Q[c] series stores CPolynomial
+coefficients with den = r = 1.  Fraction is the boundary only: coeffs,
+indexing, str and coefficient_rows give rational coefficients as Fraction.
+
+Named builders at the bottom assemble the generating functions the identity
+suite compares.  They build every product and quotient of factors
+(1 - x q^k) one factor at a time on stored numerators and never invert a
+whole series.  Builders documented as double constructions still compute
+the same series two independent ways and raise AlgorithmFault if the
+results differ.
 """
 
 from __future__ import annotations
@@ -15,7 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, lcm
+from operator import add, mul, sub
 from typing import Callable, Iterable, Sequence, Union
 
 from .errors import AlgorithmFault
@@ -36,12 +49,12 @@ def _coerce_fraction(value: object) -> Fraction:
 @dataclass(frozen=True)
 class CoefficientRing:
     name: str
-    zero: Coefficient
-    one: Coefficient
+    zero: object  # zero and one in stored form
+    one: object
     coerce: Callable[[object], Coefficient]
 
 
-RATIONAL = CoefficientRing("rational", Fraction(0), Fraction(1), _coerce_fraction)
+RATIONAL = CoefficientRing("rational", 0, 1, _coerce_fraction)
 CPOLY = CoefficientRing("cpoly", CPolynomial(0), CPolynomial(1), CPolynomial.coerce)
 
 
@@ -49,24 +62,48 @@ def ring_for(scalar: object) -> CoefficientRing:
     return CPOLY if isinstance(scalar, CPolynomial) else RATIONAL
 
 
-class TruncatedSeries:
-    """Power series in q known exactly through order Q, immutable."""
+def _split(c: ScalarLike) -> tuple:
+    """c as (p, r) with c = p/r, r >= 1 and r = 1 for a CPolynomial: series
+    built at c take grade r, where c q^k weighs p * r**(k-1)."""
+    if isinstance(c, (int, CPolynomial)):
+        return c, 1
+    c = _coerce_fraction(c)
+    return c.numerator, c.denominator
 
-    __slots__ = ("order", "coeffs", "ring")
+
+class TruncatedSeries:
+    """Power series in q known exactly through order Q, immutable.
+
+    nums, den and grade are the stored form the module docstring describes;
+    coeffs gives the coefficients themselves.
+    """
+
+    __slots__ = ("order", "nums", "grade", "den", "ring")
 
     def __init__(
         self,
         order: int,
-        coeffs: Sequence[Coefficient],
+        coeffs: Sequence[object],
         ring: CoefficientRing = RATIONAL,
     ):
         if order < 0:
             raise ValueError("order must be nonnegative")
         if len(coeffs) != order + 1:
             raise ValueError("need exactly order+1 coefficients")
-        self.order = order
-        self.coeffs = tuple(coeffs)
-        self.ring = ring
+        den = 1
+        if ring is RATIONAL:
+            values = [_coerce_fraction(v) for v in coeffs]
+            den = lcm(*(v.denominator for v in values))
+            coeffs = [v.numerator * (den // v.denominator) for v in values]
+        self.order, self.nums, self.ring = order, tuple(coeffs), ring
+        self.grade, self.den = 1, den
+
+    @classmethod
+    def _stored(cls, order: int, nums: Iterable, grade=1, den=1, ring=RATIONAL):
+        """A series from stored numerators, taken as they are."""
+        out = cls.__new__(cls)
+        out.order, out.nums, out.grade, out.den, out.ring = order, tuple(nums), grade, den, ring
+        return out
 
     # -- constructors ------------------------------------------------------
 
@@ -83,22 +120,28 @@ class TruncatedSeries:
 
     @classmethod
     def zero(cls, order: int, ring: CoefficientRing = RATIONAL) -> "TruncatedSeries":
-        return cls(order, [ring.zero] * (order + 1), ring)
+        return cls._stored(order, [ring.zero] * (order + 1), ring=ring)
 
     @classmethod
     def one(cls, order: int, ring: CoefficientRing = RATIONAL) -> "TruncatedSeries":
-        vals = [ring.zero] * (order + 1)
-        vals[0] = ring.one
-        return cls(order, vals, ring)
+        return cls._stored(order, [ring.one] + [ring.zero] * order, ring=ring)
+
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficients of q^0 .. q^Q, as Fraction in a rational series."""
+        if self.ring is not RATIONAL:
+            return self.nums
+        return tuple(Fraction(v, self.den * self.grade**e) for e, v in enumerate(self.nums))
 
     # -- ring plumbing -----------------------------------------------------
 
     def _lift(self) -> "TruncatedSeries":
-        return TruncatedSeries(
-            self.order, [CPolynomial(v) for v in self.coeffs], CPOLY
+        return TruncatedSeries._stored(
+            self.order, [CPolynomial(v) for v in self.coeffs], ring=CPOLY
         )
 
     def _match(self, other: "TruncatedSeries"):
+        """Both series over one ring, and the lcm of their grades."""
         if self.order != other.order:
             raise ValueError(
                 f"series order mismatch: {self.order} vs {other.order}"
@@ -111,45 +154,45 @@ class TruncatedSeries:
                 b = b._lift()
             else:
                 raise ValueError("incompatible coefficient rings")
-        return a, b
+        return a, b, lcm(a.grade, b.grade)
+
+    def _numerators(self, grade: int, den: int) -> Sequence:
+        """The stored numerators at a multiple of this grade and den."""
+        step, w = grade // self.grade, den // self.den
+        if step == 1 and w == 1:
+            return self.nums
+        return [v * w * step**e for e, v in enumerate(self.nums)]
+
+    def _termwise(self, other: object, op) -> "TruncatedSeries":
+        if not isinstance(other, TruncatedSeries):
+            return NotImplemented
+        a, b, grade = self._match(other)
+        den = lcm(a.den, b.den)
+        nums = map(op, a._numerators(grade, den), b._numerators(grade, den))
+        return TruncatedSeries._stored(a.order, nums, grade, den, a.ring)
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        a, b = self._match(other)
-        return TruncatedSeries(
-            a.order, [x + y for x, y in zip(a.coeffs, b.coeffs)], a.ring
-        )
+        return self._termwise(other, add)
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        a, b = self._match(other)
-        return TruncatedSeries(
-            a.order, [x - y for x, y in zip(a.coeffs, b.coeffs)], a.ring
-        )
+        return self._termwise(other, sub)
 
     def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries(self.order, [-x for x in self.coeffs], self.ring)
+        return TruncatedSeries._stored(
+            self.order, [-v for v in self.nums], self.grade, self.den, self.ring
+        )
 
     def __mul__(self, other: object) -> "TruncatedSeries":
         if not isinstance(other, TruncatedSeries):
             if isinstance(other, (int, Fraction, CPolynomial)):
                 return self.scale(other)
             return NotImplemented
-        a, b = self._match(other)
-        n = a.order
-        out: list = [a.ring.zero] * (n + 1)
-        for i, x in enumerate(a.coeffs):
-            if not x:
-                continue
-            for j in range(n - i + 1):
-                y = b.coeffs[j]
-                if y:
-                    out[i + j] = out[i + j] + x * y
-        return TruncatedSeries(n, out, a.ring)
+        a, b, grade = self._match(other)
+        xs, ys = a._numerators(grade, a.den), b._numerators(grade, b.den)
+        out = [sum(map(mul, xs[: e + 1], ys[e::-1]), a.ring.zero) for e in range(a.order + 1)]
+        return TruncatedSeries._stored(a.order, out, grade, a.den * b.den, a.ring)
 
     def __rmul__(self, other: object) -> "TruncatedSeries":
         if isinstance(other, (int, Fraction, CPolynomial)):
@@ -160,29 +203,36 @@ class TruncatedSeries:
         ring = self.ring
         if isinstance(scalar, CPolynomial) and ring is RATIONAL:
             return self._lift().scale(scalar)
-        s = ring.coerce(scalar)
+        s = scalar if isinstance(scalar, int) else ring.coerce(scalar)
         if not s:
             return TruncatedSeries.zero(self.order, ring)
-        return TruncatedSeries(self.order, [v * s for v in self.coeffs], ring)
+        if ring is not RATIONAL:
+            return TruncatedSeries._stored(self.order, [v * s for v in self.nums], ring=ring)
+        nums = [v * s.numerator for v in self.nums]
+        return TruncatedSeries._stored(self.order, nums, self.grade, self.den * s.denominator)
 
     def shift(self, k: int) -> "TruncatedSeries":
         """Multiply by q^k (k >= 0); coefficients past the order fall off."""
         if k < 0:
             raise ValueError("shift must be nonnegative")
         n = self.order
-        vals = [self.ring.zero] * (n + 1)
-        for i in range(0, n + 1 - k):
-            vals[i + k] = self.coeffs[i]
-        return TruncatedSeries(n, vals, self.ring)
+        w = self.grade**k
+        kept = [v * w for v in self.nums[: max(n + 1 - k, 0)]]
+        return TruncatedSeries._stored(
+            n, [self.ring.zero] * (n + 1 - len(kept)) + kept, self.grade, self.den, self.ring
+        )
 
     def truncate(self, new_order: int) -> "TruncatedSeries":
         if new_order > self.order:
             raise ValueError("cannot extend a truncated series")
-        return TruncatedSeries(new_order, self.coeffs[: new_order + 1], self.ring)
+        return TruncatedSeries._stored(
+            new_order, self.nums[: new_order + 1], self.grade, self.den, self.ring
+        )
 
     def inverse(self) -> "TruncatedSeries":
         """Multiplicative inverse; the constant term must be a unit."""
-        f0 = self.coeffs[0]
+        f = self.coeffs
+        f0 = f[0]
         if isinstance(f0, CPolynomial):
             if f0.degree > 0 or f0.is_zero:
                 raise ValueError("constant term is not invertible")
@@ -197,7 +247,7 @@ class TruncatedSeries:
         for m in range(1, n + 1):
             acc = None
             for k in range(1, m + 1):
-                fk = self.coeffs[k]
+                fk = f[k]
                 if not fk:
                     continue
                 term = fk * out[m - k]
@@ -212,7 +262,8 @@ class TruncatedSeries:
         Uses the derivative recurrence  n*E_n = sum_{k=1..n} k f_k E_{n-k},
         so only scalar divisions by n occur and everything stays exact.
         """
-        if self.coeffs[0]:
+        f = self.coeffs
+        if f[0]:
             raise ValueError("exp needs a zero constant term")
         n = self.order
         out: list = [self.ring.zero] * (n + 1)
@@ -220,7 +271,7 @@ class TruncatedSeries:
         for m in range(1, n + 1):
             acc = None
             for k in range(1, m + 1):
-                fk = self.coeffs[k]
+                fk = f[k]
                 if not fk:
                     continue
                 term = (Fraction(k, m) * fk) * out[m - k]
@@ -234,7 +285,8 @@ class TruncatedSeries:
 
         L_n = f_n - (1/n) sum_{k=1..n-1} k L_k f_{n-k}, from f = exp(L).
         """
-        if not self.coeffs[0] == self.ring.one:
+        f = self.coeffs
+        if not f[0] == self.ring.one:
             raise ValueError("log needs constant term one")
         n = self.order
         out: list = [self.ring.zero] * (n + 1)
@@ -242,12 +294,12 @@ class TruncatedSeries:
             acc = None
             for k in range(1, m):
                 lk = out[k]
-                fk = self.coeffs[m - k]
+                fk = f[m - k]
                 if not lk or not fk:
                     continue
                 term = (Fraction(k, m) * lk) * fk
                 acc = term if acc is None else acc + term
-            out[m] = self.coeffs[m] - acc if acc is not None else self.coeffs[m]
+            out[m] = f[m] - acc if acc is not None else f[m]
         return TruncatedSeries(n, out, self.ring)
 
     # -- access / comparison ----------------------------------------------
@@ -255,15 +307,17 @@ class TruncatedSeries:
     def __getitem__(self, power: int) -> Coefficient:
         if not 0 <= power <= self.order:
             raise IndexError(f"power {power} outside tracked range 0..{self.order}")
-        return self.coeffs[power]
+        v = self.nums[power]
+        return Fraction(v, self.den * self.grade**power) if self.ring is RATIONAL else v
+
+    def first_difference(self, other: "TruncatedSeries") -> int | None:
+        """The lowest power of q where two series of one order differ, or None."""
+        return next((e for e, v in enumerate((self - other).nums) if v), None)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        if self.order != other.order:
-            return False
-        a, b = self._match(other)
-        return all(x == y for x, y in zip(a.coeffs, b.coeffs))
+        return self.order == other.order and self.first_difference(other) is None
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -297,29 +351,31 @@ def coefficient_rows(series: TruncatedSeries) -> list[tuple[int, str]]:
 
 # -- factor-at-a-time kernels ----------------------------------------------
 #
-# Each kernel updates a plain coefficient list in place at O(Q) per factor;
-# the list's length fixes the truncation order.  _over_factor needs k >= 1;
-# at k = 0 the descending walk of _times_factor scales by 1 - x.
+# Each kernel updates a list of stored numerators in place at O(Q) per
+# factor; the list's length fixes the truncation order.  A weight w is the
+# stored weight of x q^k at the list's grade r, that is x * r**k: p r^(k-1)
+# for x = p/r, r^k for x = 1.  _over_factor needs k >= 1.
 
 
-def _times_factor(coeffs: list, x: ScalarLike, k: int) -> list:
-    """Multiply by (1 - x q^k), walking descending."""
+def _times_factor(coeffs: list, w: ScalarLike, k: int) -> list:
+    """Multiply by (1 - x q^k) of stored weight w, walking descending."""
     for e in range(len(coeffs) - 1, k - 1, -1):
         if coeffs[e - k]:
-            coeffs[e] = coeffs[e] - x * coeffs[e - k]
+            coeffs[e] = coeffs[e] - w * coeffs[e - k]
     return coeffs
 
 
-def _over_factor(coeffs: list, x: ScalarLike, k: int) -> list:
-    """Divide by (1 - x q^k), walking ascending."""
+def _over_factor(coeffs: list, w: ScalarLike, k: int) -> list:
+    """Divide by (1 - x q^k) of stored weight w, walking ascending."""
     for e in range(k, len(coeffs)):
         if coeffs[e - k]:
-            coeffs[e] = coeffs[e] + x * coeffs[e - k]
+            coeffs[e] = coeffs[e] + w * coeffs[e - k]
     return coeffs
 
 
 def _add_shifted(acc: list, coeffs: Sequence, shift: int, weight: ScalarLike) -> list:
-    """Add weight * q^shift * coeffs, truncated at the order of acc."""
+    """Add weight * q^shift * coeffs, truncated at the order of acc; at a
+    grade r, weight is the stored weight x * r**shift of x q^shift."""
     for i in range(min(len(coeffs), len(acc) - shift)):
         if coeffs[i]:
             acc[shift + i] = acc[shift + i] + weight * coeffs[i]
@@ -330,12 +386,13 @@ def _add_shifted(acc: list, coeffs: Sequence, shift: int, weight: ScalarLike) ->
 
 
 def _product(x: ScalarLike, ks: Iterable[int], order: int) -> TruncatedSeries:
-    """prod_{k in ks} (1 - x q^k), truncated at the given order."""
+    """prod_{k in ks} (1 - x q^k) for k >= 1, truncated at the given order."""
     ring = ring_for(x)
-    coeffs = [ring.one] + [ring.zero] * order
+    p, r = _split(x)
+    nums = [ring.one] + [ring.zero] * order
     for k in ks:
-        _times_factor(coeffs, x, k)
-    return TruncatedSeries(order, coeffs, ring)
+        _times_factor(nums, p * r ** (k - 1), k)
+    return TruncatedSeries._stored(order, nums, r, 1, ring)
 
 
 def pochhammer_finite(x: ScalarLike, n: int, order: int) -> TruncatedSeries:
@@ -349,27 +406,31 @@ def pochhammer_infinite(x: ScalarLike, order: int, start: int = 1) -> TruncatedS
     """prod_{k >= start} (1 - x q^k) truncated; factors past the order are 1."""
     if start < 0:
         raise ValueError("start must be nonnegative")
-    return _product(x, range(start, order + 1), order)
+    product = _product(x, range(max(start, 1), order + 1), order)
+    return product.scale(1 - x) if start == 0 else product
 
 
 @lru_cache(maxsize=8)
-def _unit_tails(order: int) -> tuple[tuple[int, ...], ...]:
-    # tails[n] = prod_{k >= n+1} (1 - q^k) with integer coefficients, built
+def _unit_tails(order: int, grade: int) -> tuple[tuple[int, ...], ...]:
+    # tails[n] = prod_{k >= n+1} (1 - q^k) stored at the grade, built
     # descending so each tail costs one factor
     tails = [(1,) + (0,) * order]
     for k in range(order, 0, -1):
-        tails.append(tuple(_times_factor(list(tails[-1]), 1, k)))
+        tails.append(tuple(_times_factor(list(tails[-1]), grade**k, k)))
     return tuple(reversed(tails))
 
 
-def _tail_sum(weights: Sequence, order: int, ring: CoefficientRing) -> TruncatedSeries:
-    """sum_n weights[n] q^n (q^{n+1})_inf, truncated at the order."""
-    tails = _unit_tails(order)
+def _tail_sum(
+    weights: Sequence, order: int, grade: int, ring: CoefficientRing
+) -> TruncatedSeries:
+    """sum_n w_n q^n (q^{n+1})_inf, truncated at the order, from the stored
+    weights weights[n] = w_n * grade**n of w_n q^n."""
+    tails = _unit_tails(order, grade)
     acc = [ring.zero] * (order + 1)
     for n, w in enumerate(weights):
         if w:
             _add_shifted(acc, tails[n], n, w)
-    return TruncatedSeries(order, acc, ring)
+    return TruncatedSeries._stored(order, acc, grade, 1, ring)
 
 
 def lambert_block(j: int, order: int, ring: CoefficientRing = RATIONAL) -> TruncatedSeries:
@@ -379,7 +440,7 @@ def lambert_block(j: int, order: int, ring: CoefficientRing = RATIONAL) -> Trunc
     vals = [ring.zero] * (order + 1)
     for e in range(j, order + 1, j):
         vals[e] = ring.one
-    return TruncatedSeries(order, vals, ring)
+    return TruncatedSeries._stored(order, vals, ring=ring)
 
 
 def _scalar_powers(c: ScalarLike, order: int) -> list:
@@ -392,40 +453,50 @@ def _scalar_powers(c: ScalarLike, order: int) -> list:
 def _alternating_sum(
     x: ScalarLike, fold: int, shift: Callable, weight: Callable, order: int
 ) -> TruncatedSeries:
-    """sum_{n>=1} (-1)^(n-1) weight(n) q^shift(n) / ((1-q^n)^fold (xq)_n).
+    """sum_{n>=1} (-1)^(n-1) w_n q^shift(n) / ((1-q^n)^fold (xq)_n), at the
+    grade r of x, from the stored weights weight(n) = w_n * r**n of w_n q^n;
+    shift(n) >= n.
 
     A running 1/(xq)_n takes one factor per n and is cut to the degrees that
     shift(n), increasing in n, leaves inside the order.
     """
     ring = ring_for(x)
+    p, r = _split(x)
     acc = [ring.zero] * (order + 1)
     inv = [ring.one] + [ring.zero] * order
     n = 1
     while shift(n) <= order:
         del inv[order - shift(n) + 1 :]
-        body = list(_over_factor(inv, x, n))
+        body = list(_over_factor(inv, p * r ** (n - 1), n))
         for _ in range(fold):
-            _over_factor(body, 1, n)
-        _add_shifted(acc, body, shift(n), (-1) ** (n - 1) * weight(n))
+            _over_factor(body, r**n, n)
+        _add_shifted(acc, body, shift(n), (-1) ** (n - 1) * weight(n) * r ** (shift(n) - n))
         n += 1
-    return TruncatedSeries(order, acc, ring)
+    return TruncatedSeries._stored(order, acc, r, 1, ring)
 
 
 # -- named series -----------------------------------------------------------
+#
+# A builder at c = p/r works on numerators stored at grade r: c^n q^n
+# weighs p^n there, and d^(m-1) c^d q^n weighs d^(m-1) p^d r^(n-d).
 
 
 def series_A_quotient(c: ScalarLike, order: int) -> TruncatedSeries:
     """(q)_inf / (cq)_inf via the product quotient."""
     ring = ring_for(c)
-    coeffs = [ring.coerce(v) for v in pochhammer_infinite(1, order).coeffs]
+    p, r = _split(c)
+    nums = [ring.one] + [ring.zero] * order
     for k in range(1, order + 1):
-        _over_factor(coeffs, c, k)
-    return TruncatedSeries(order, coeffs, ring)
+        _times_factor(nums, r**k, k)
+    for k in range(1, order + 1):
+        _over_factor(nums, p * r ** (k - 1), k)
+    return TruncatedSeries._stored(order, nums, r, 1, ring)
 
 
 def series_A_euler(c: ScalarLike, order: int) -> TruncatedSeries:
     """(q)_inf / (cq)_inf via the Euler expansion sum_n c^n q^n (q^{n+1})_inf."""
-    return _tail_sum(_scalar_powers(c, order), order, ring_for(c))
+    p, r = _split(c)
+    return _tail_sum(_scalar_powers(p, order), order, r, ring_for(c))
 
 
 def series_A(c: ScalarLike, order: int) -> TruncatedSeries:
@@ -448,9 +519,10 @@ def series_M(m: int, c: ScalarLike, order: int) -> TruncatedSeries:
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
-    cpow = _scalar_powers(c, order)
-    weights = [0] + [n**m * cpow[n] for n in range(1, order + 1)]
-    return _tail_sum(weights, order, ring_for(c))
+    p, r = _split(c)
+    ppow = _scalar_powers(p, order)
+    weights = [0] + [n**m * ppow[n] for n in range(1, order + 1)]
+    return _tail_sum(weights, order, r, ring_for(c))
 
 
 def series_K_divisor(m: int, c: ScalarLike, order: int) -> TruncatedSeries:
@@ -458,15 +530,16 @@ def series_K_divisor(m: int, c: ScalarLike, order: int) -> TruncatedSeries:
     if m < 1:
         raise ValueError("m must be positive")
     ring = ring_for(c)
-    cpow = _scalar_powers(c, order)
+    p, r = _split(c)
+    ppow, rpow = _scalar_powers(p, order), _scalar_powers(r, order)
     vals = [ring.zero]
     for n in range(1, order + 1):
         total = None
         for d in divisors(n):
-            term = d ** (m - 1) * cpow[d]
+            term = d ** (m - 1) * rpow[n - d] * ppow[d]
             total = term if total is None else total + term
-        vals.append(ring.coerce(total))
-    return TruncatedSeries(order, vals, ring)
+        vals.append(total)
+    return TruncatedSeries._stored(order, vals, r, 1, ring)
 
 
 def series_K_lambert(m: int, c: ScalarLike, order: int) -> TruncatedSeries:
@@ -474,14 +547,15 @@ def series_K_lambert(m: int, c: ScalarLike, order: int) -> TruncatedSeries:
     if m < 1:
         raise ValueError("m must be positive")
     ring = ring_for(c)
-    cpow = _scalar_powers(c, order)
+    p, r = _split(c)
+    ppow, rpow = _scalar_powers(p, order), _scalar_powers(r, order)
     vals = [ring.zero] * (order + 1)
     for j in range(1, order + 1):
-        weight = j ** (m - 1) * cpow[j]
+        weight = j ** (m - 1) * ppow[j]
         if weight:
             for e in range(j, order + 1, j):
-                vals[e] = vals[e] + weight
-    return TruncatedSeries(order, vals, ring)
+                vals[e] = vals[e] + rpow[e - j] * weight
+    return TruncatedSeries._stored(order, vals, r, 1, ring)
 
 
 def series_K(m: int, c: ScalarLike, order: int) -> TruncatedSeries:
@@ -504,8 +578,8 @@ def series_entry4(c: ScalarLike, order: int) -> tuple[TruncatedSeries, Truncated
     Returned as (lhs, rhs); their equality is an identity check, and the
     c = 1 coefficients are the divisor counts d(n).
     """
-    cpow = _scalar_powers(c, order)
-    lhs = _alternating_sum(c, 1, lambda n: n * (n + 1) // 2, lambda n: cpow[n], order)
+    ppow = _scalar_powers(_split(c)[0], order)
+    lhs = _alternating_sum(c, 1, lambda n: n * (n + 1) // 2, lambda n: ppow[n], order)
     return lhs, series_K_lambert(1, c, order)
 
 
@@ -527,27 +601,26 @@ def series_dilcher_binomial(
     if order < k:
         raise ValueError("order must be at least k")
 
-    a = _tail_sum([comb(n, k) for n in range(order + 1)], order, RATIONAL)
+    a = _tail_sum([comb(n, k) for n in range(order + 1)], order, 1, RATIONAL)
 
     offset = comb(k, 2)
     b_raw = _alternating_sum(1, k, lambda n: comb(n + k, 2), lambda n: 1, order + offset)
-    if any(b_raw.coeffs[:offset]):
+    if any(b_raw.nums[:offset]):
         raise AlgorithmFault(
             f"k-fold alternating sum has support below q^{offset} (k={k})"
         )
-    b = TruncatedSeries(order, b_raw.coeffs[offset:])
+    b = TruncatedSeries._stored(order, b_raw.nums[offset:])
 
     # (c): level[j] = sum over chains ending at top index j, as prefix sums of
     # q^j/(1-q^j) times the previous level at j
-    zero, one = RATIONAL.zero, RATIONAL.one
-    prev = [[one] + [zero] * order] * (order + 1)
+    prev = [[1] + [0] * order] * (order + 1)
     for _ in range(k):
-        cur = [[zero] * (order + 1)]
+        cur = [[0] * (order + 1)]
         for j in range(1, order + 1):
             block = _over_factor(prev[j][: order + 1 - j], 1, j)
             cur.append(_add_shifted(list(cur[-1]), block, j, 1))
         prev = cur
-    return a, b, TruncatedSeries(order, prev[order])
+    return a, b, TruncatedSeries._stored(order, prev[order])
 
 
 class ExpSeries:
@@ -586,7 +659,7 @@ class ExpSeries:
 
     def exp(self) -> "ExpSeries":
         """exp in t of a series with zero t-constant, coefficientwise exact."""
-        if any(self.coeffs[0].coeffs):
+        if any(self.coeffs[0].nums):
             raise ValueError("exp needs a zero t-constant term")
         n = self.t_order
         ring = self.coeffs[0].ring

@@ -208,6 +208,7 @@ def test_cor_2_4_numeric_holds_past_n_59(capsys):
         (("report-all", "--n-max", "3"), {"PIE_FORMAT": "bogus"}),
         (("verify", "--id", "bs_basic", "--n-max", "3"), {"PIE_MODE": "fuzzy"}),
         (("series", "--name", "A", "--c", "1/0", "--order", "5"), {}),
+        (("involution", "--n", "101", "--N-divisor", "1", "--sweep"), {}),
     ],
     ids=[
         "n-max-0",
@@ -224,6 +225,7 @@ def test_cor_2_4_numeric_holds_past_n_59(capsys):
         "report-all-env-format-bogus",
         "env-mode-bogus",
         "series-c-zero-denominator",
+        "involution-n-above-bound",
     ],
 )
 def test_zero_or_empty_settings_are_usage_errors(capsys, monkeypatch, argv, env):

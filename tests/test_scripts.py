@@ -1,5 +1,8 @@
-"""Every experiment driver under scripts/ runs to exit 0 at a small size."""
+"""Every experiment driver under scripts/ runs to exit 0 at a small size, and
+the benchmark tracer still finds every method it wraps."""
 
+import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -33,3 +36,24 @@ def test_script_runs(name):
     )
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stdout
+
+
+def test_traced_methods_exist():
+    # perfbench/traced_pie.py wraps cls.__dict__[meth] for every name in its
+    # METHODS table; a method renamed or removed here breaks --trace 1
+    spec = importlib.util.spec_from_file_location(
+        "traced_pie", ROOT / "perfbench" / "traced_pie.py"
+    )
+    traced = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(traced)
+    assert {cls for classes in traced.METHODS.values() for cls in classes} == {
+        "CPolynomial",
+        "TruncatedSeries",
+        "ExpSeries",
+    }
+    for layer, classes in traced.METHODS.items():
+        module = importlib.import_module(f"pie.{layer}")
+        for cls_name, methods in classes.items():
+            cls = getattr(module, cls_name)
+            for meth in methods:
+                assert callable(cls.__dict__.get(meth)), f"{cls_name}.{meth}"

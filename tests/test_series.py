@@ -1,6 +1,7 @@
 """Truncated q-series arithmetic and the named generating functions."""
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -13,11 +14,13 @@ from pie.series import (
     ExpSeries,
     TruncatedSeries,
     _over_factor,
+    _split,
     _times_factor,
     coefficient_rows,
     lambert_block,
     pochhammer_finite,
     pochhammer_infinite,
+    ring_for,
     series_A,
     series_A_euler,
     series_A_quotient,
@@ -188,37 +191,94 @@ def test_pochhammer_infinite_start():
     assert pochhammer_infinite(half, 5, start=0) == pochhammer_infinite(half, 5).scale(half)
 
 
-# -- factor kernels -----------------------------------------------------------
+# -- the integer ring against the Fraction schoolbook ---------------------------
+
+
+def schoolbook(a, b):
+    """Reference truncated product of two coefficient sequences, computed
+    directly on Fraction or CPolynomial values."""
+    n = len(a) - 1
+    out = [0] * (n + 1)
+    for i, x in enumerate(a):
+        for j in range(n - i + 1):
+            out[i + j] = out[i + j] + x * b[j]
+    return out
+
+
+def regraded(f, grade, den_factor=1):
+    """The same rational series stored at another grade and denominator."""
+    den = f.den * den_factor
+    return TruncatedSeries._stored(f.order, f._numerators(grade, den), grade, den)
+
+
+FRACTIONS = st.fractions(min_value=-3, max_value=3, max_denominator=7)
+SCALARS = st.one_of(FRACTIONS, st.sampled_from([C, 2 * C - 1, C**2 + Fraction(1, 2)]))
+
+
+def _series_cases(count):
+    return st.integers(min_value=1, max_value=12).flatmap(
+        lambda order: st.tuples(
+            st.just(order),
+            *[st.lists(FRACTIONS, min_size=order + 1, max_size=order + 1)] * count,
+            st.integers(min_value=1, max_value=order),
+        )
+    )
 
 
 @settings(max_examples=60, deadline=None)
-@given(
-    st.integers(min_value=1, max_value=12).flatmap(
-        lambda order: st.tuples(
-            st.just(order),
-            st.lists(
-                st.fractions(min_value=-3, max_value=3, max_denominator=4),
-                min_size=order + 1,
-                max_size=order + 1,
-            ),
-            st.integers(min_value=1, max_value=order),
-        )
-    ),
-    st.one_of(
-        st.fractions(min_value=-2, max_value=2, max_denominator=3),
-        st.sampled_from([C, 2 * C - 1, C**2 + Fraction(1, 2)]),
-    ),
-)
+@given(_series_cases(1), SCALARS)
 def test_factor_kernels_match_series_arithmetic(case, x):
-    # the kernels against multiplying by (1 - x q^k) and by its inverse
+    # the kernels on numerators stored at x's grade against multiplying by
+    # (1 - x q^k) and by its geometric inverse, sum_j x^j q^(jk)
     order, coeffs, k = case
     f = TruncatedSeries.from_coeffs(order, coeffs)
-    one = TruncatedSeries.one(order)
-    factor = one - one.shift(k).scale(x)
-    ring = factor.ring
-    lifted = [ring.coerce(v) for v in coeffs]
-    assert TruncatedSeries(order, _times_factor(list(lifted), x, k), ring) == f * factor
-    assert TruncatedSeries(order, _over_factor(list(lifted), x, k), ring) == f * factor.inverse()
+    ring = ring_for(x)
+    p, r = _split(x)
+    g = f._lift() if ring is CPOLY else regraded(f, r)
+    factor = [1] + [0] * order
+    factor[k] = -x
+    geometric = [0] * (order + 1)
+    for j in range(order // k + 1):
+        geometric[j * k] = x**j
+    w = p * r ** (k - 1)
+    for kernel, other in ((_times_factor, factor), (_over_factor, geometric)):
+        got = TruncatedSeries._stored(order, kernel(list(g.nums), w, k), g.grade, g.den, ring)
+        assert list(got.coeffs) == schoolbook(f.coeffs, other), kernel.__name__
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    _series_cases(2),
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=0, max_value=5),
+)
+def test_integer_ring_matches_fraction_schoolbook(case, r1, r2, den_factor, m):
+    # products, scaling, sums and equality across grades and denominators
+    order, a, b, _ = case
+    f, g = TruncatedSeries.from_coeffs(order, a), TruncatedSeries.from_coeffs(order, b)
+    fr, gr = regraded(f, r1, den_factor), regraded(g, r2)
+    assert fr == f and gr == g and fr.coeffs == f.coeffs
+    assert list((fr * gr).coeffs) == schoolbook(a, b)
+    assert list((fr + gr).coeffs) == [x + y for x, y in zip(a, b)]
+    inverse = Fraction(1, factorial(m))
+    assert list(fr.scale(inverse).coeffs) == [x * inverse for x in a]
+    first = next((e for e, (x, y) in enumerate(zip(a, b)) if x != y), None)
+    assert fr.first_difference(gr) == first
+    assert (fr == gr) is (first is None)
+
+
+def test_rational_coefficients_are_fractions():
+    # ints are stored, Fractions are read out, whatever the construction
+    for f in (
+        TruncatedSeries(3, [1, 2, 0, -1]),
+        series_K(2, 1, 8),
+        series_A(Fraction(2, 3), 8),
+        series_M(1, Fraction(-1, 2), 8).scale(Fraction(1, 2)),
+    ):
+        assert all(type(v) is Fraction for v in f.coeffs)
+        assert all(type(f[n]) is Fraction for n in range(f.order + 1))
 
 
 @pytest.mark.parametrize("c", [Fraction(1), Fraction(2, 3), Fraction(-1, 2), Fraction(0)])
