@@ -1,0 +1,100 @@
+#!/usr/bin/env python3
+"""Print a sha256 digest of every byte-stable `pie` output, one per command.
+
+Each line is `<sha256 of stdout>  <command>`, with ` (exit N)` appended when
+the command exits nonzero; the script then exits 1 after printing them all.
+The commands cover:
+
+  - report-all at 40/25, 60/12 and 12/60 (n-max/q-order) in json, csv and
+    text, with and without PIE_Z=1,-0.5+0.25j PIE_C=0.3,-0.2j;
+  - pie series --order 40 for A, M, K and entry4 at --m 1 and --m 3, with
+    --c symbolic, 1, 2/3, -1/2 and 0.
+
+Every command runs in a fresh interpreter with no other PIE_* variable set.
+Two source trees give byte-identical outputs exactly when a diff of this
+script's output against both is empty:
+
+    python scripts/output_digests.py > after.txt
+    python scripts/output_digests.py --src /path/to/other/src > before.txt
+    diff before.txt after.txt
+
+Usage:
+    python scripts/output_digests.py [scale] [--src PATH]
+
+scale (default 1) multiplies every range, which is kept at least 4, the
+smallest q-order the default m-max admits; 0.1 gives a quick smoke run.
+"""
+
+import argparse
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+REPORT_RANGES = ((40, 25), (60, 12), (12, 60))
+FORMATS = ("json", "csv", "text")
+GRID_ENV = {"PIE_Z": "1,-0.5+0.25j", "PIE_C": "0.3,-0.2j"}
+SERIES_ORDER = 40
+SERIES_NAMES = ("A", "M", "K", "entry4")
+SERIES_MS = (1, 3)
+SERIES_CS = ("symbolic", "1", "2/3", "-1/2", "0")
+MIN_RANGE = 4
+
+
+def commands(scale: float):
+    """(env, argv) for every digested command, in a fixed order."""
+
+    def scaled(value: int) -> str:
+        return str(max(MIN_RANGE, round(value * scale)))
+
+    for env in ({}, GRID_ENV):
+        for n_max, q_order in REPORT_RANGES:
+            for fmt in FORMATS:
+                yield env, [
+                    "report-all", "--n-max", scaled(n_max), "--q-order", scaled(q_order),
+                    "--format", fmt,
+                ]
+    for name in SERIES_NAMES:
+        for m in SERIES_MS:
+            for c in SERIES_CS:
+                # --c=VALUE, since argparse reads a bare -1/2 as a flag
+                yield {}, [
+                    "series", "--name", name, "--m", str(m), f"--c={c}",
+                    "--order", scaled(SERIES_ORDER),
+                ]
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("scale", nargs="?", type=float, default=1.0)
+    parser.add_argument(
+        "--src",
+        type=Path,
+        default=Path(__file__).resolve().parent.parent / "src",
+        help="the source tree holding the pie package to run",
+    )
+    args = parser.parse_args()
+    if not args.scale > 0:
+        parser.error("scale must be positive")
+    if not (args.src / "pie" / "__init__.py").is_file():
+        parser.error(f"no pie package under {args.src}")
+    base = {k: v for k, v in os.environ.items() if not k.startswith("PIE_")}
+    base["PYTHONPATH"] = str(args.src.resolve())
+    failed = 0
+    for env, argv in commands(args.scale):
+        proc = subprocess.run(
+            [sys.executable, "-m", "pie", *argv],
+            env={**base, **env},
+            capture_output=True,
+            timeout=600,
+        )
+        shown = " ".join([*(f"{k}={v}" for k, v in env.items()), "pie", *argv])
+        status = f" (exit {proc.returncode})" if proc.returncode else ""
+        failed += bool(proc.returncode)
+        print(f"{hashlib.sha256(proc.stdout).hexdigest()}  {shown}{status}", flush=True)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

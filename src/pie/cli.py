@@ -9,6 +9,7 @@ configuration; wall-clock timings are emitted only under --timings.
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import json
 import os
@@ -127,10 +128,20 @@ def _positive(name: str, value):
     return value
 
 
+def _tolerance(value: float) -> float:
+    # a relative tolerance of 1 or more, inf included, passes every numeric
+    # check; nan fails both comparisons
+    if not 0 < value < 1:
+        raise ValueError(f"tol must lie in (0, 1), got {value}")
+    return value
+
+
 def _grid(name: str, text: str) -> tuple[complex, ...]:
     grid = _parse_complex_list(text)
     if not grid:
         raise ValueError(f"the {name} grid is empty")
+    if not all(map(cmath.isfinite, grid)):
+        raise ValueError(f"the {name} grid has a non-finite point")
     return grid
 
 
@@ -147,7 +158,7 @@ def _config_from(args: argparse.Namespace) -> CheckConfig:
         q_order=_positive("q-order", _setting(args, "q_order", "Q_ORDER", int, cfg.q_order)),
         m_max=_positive("m-max", _setting(args, "m_max", "M_MAX", int, cfg.m_max)),
         mode=_setting(args, "mode", "MODE", _choice("mode", MODES), cfg.mode),
-        tolerance=_positive("tol", _setting(args, "tol", "TOLERANCE", float, cfg.tolerance)),
+        tolerance=_tolerance(_setting(args, "tol", "TOLERANCE", float, cfg.tolerance)),
     )
     if z_text is not None:
         cfg = replace(cfg, z_grid=_grid("z", z_text))

@@ -1,8 +1,12 @@
 """Divisor sums, exact polynomials in c, complex powers, Bell polynomials.
 
 The exact mode of every identity check lives in the ring Q[c]; CPolynomial
-is that ring.  Numeric mode works in complex doubles with j^z defined through
-the principal real logarithm of the positive integer j.
+is that ring.  Its coefficients are kept in an integer normal form: a
+coefficient is stored as a Python int when it is integral and as a Fraction
+only when it is not, so the integer polynomials the identities produce run
+on int arithmetic.  Fraction is the boundary: coefficient, items and exact
+evaluation return Fraction.  Numeric mode works in complex doubles with j^z
+defined through the principal real logarithm of the positive integer j.
 """
 
 from __future__ import annotations
@@ -10,28 +14,36 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
-from math import comb, factorial, isqrt
+from math import comb, isqrt
 from typing import Sequence, Union
-
-from .partitions import enumerate_partitions
 
 Scalar = Union[int, Fraction]
 
 # Bell polynomial degree guard; the identity checks never need more.
 BELL_DEGREE_CAP = 10
 
+# _normal tests "every value is an int" as one issuperset call, at C speed
+_INT = frozenset((int,))
 
-def _exact(value: object) -> Fraction:
+
+def _exact(value: object) -> Scalar:
+    """value in normal form: an int when integral, a Fraction otherwise."""
+    if type(value) is int:
+        return value
     if isinstance(value, float):
         raise TypeError("exact coefficients only; got a float")
-    return Fraction(value)  # type: ignore[arg-type]
+    f = value if isinstance(value, Fraction) else Fraction(value)  # type: ignore[arg-type]
+    return f.numerator if f.denominator == 1 else f
 
 
 class CPolynomial:
     """A polynomial in one indeterminate c with exact rational coefficients.
 
-    Stored as exponent -> coefficient with no zero entries, so equality is
-    syntactic equality of the normal form.
+    Stored as exponent -> coefficient with no zero entries, each coefficient
+    an int when integral and a Fraction otherwise, so equality is syntactic
+    equality of the normal form.  coefficient, items and evaluate at an
+    exact point give Fraction; str and repr print every coefficient as a
+    Fraction would.
     """
 
     __slots__ = ("_coeffs",)
@@ -40,7 +52,7 @@ class CPolynomial:
         if isinstance(coeffs, CPolynomial):
             self._coeffs = dict(coeffs._coeffs)
         elif isinstance(coeffs, dict):
-            data: dict[int, Fraction] = {}
+            data: dict[int, Scalar] = {}
             for e, v in coeffs.items():
                 if not isinstance(e, int) or e < 0:
                     raise ValueError(f"exponents must be nonnegative ints: {e}")
@@ -51,6 +63,17 @@ class CPolynomial:
         else:
             f = _exact(coeffs)
             self._coeffs = {0: f} if f else {}
+
+    @staticmethod
+    def _normal(data: dict[int, Scalar]) -> "CPolynomial":
+        """A polynomial around data, whose entries are nonzero ints or
+        Fractions; integral Fractions become ints in place."""
+        if not _INT.issuperset(map(type, data.values())):
+            for e, v in data.items():
+                data[e] = _exact(v)
+        out = CPolynomial.__new__(CPolynomial)
+        out._coeffs = data
+        return out
 
     @classmethod
     def coerce(cls, value: object) -> "CPolynomial":
@@ -66,10 +89,10 @@ class CPolynomial:
         return max(self._coeffs) if self._coeffs else -1
 
     def coefficient(self, exponent: int) -> Fraction:
-        return self._coeffs.get(exponent, Fraction(0))
+        return Fraction(self._coeffs.get(exponent, 0))
 
     def items(self) -> tuple[tuple[int, Fraction], ...]:
-        return tuple(sorted(self._coeffs.items()))
+        return tuple((e, Fraction(v)) for e, v in sorted(self._coeffs.items()))
 
     def __bool__(self) -> bool:
         return bool(self._coeffs)
@@ -86,9 +109,7 @@ class CPolynomial:
                 data[e] = s
             else:
                 data.pop(e, None)
-        out = CPolynomial.__new__(CPolynomial)
-        out._coeffs = data
-        return out
+        return CPolynomial._normal(data)
 
     __radd__ = __add__
 
@@ -110,12 +131,10 @@ class CPolynomial:
     def __mul__(self, other: object) -> "CPolynomial":
         if isinstance(other, (int, Fraction)):
             f = _exact(other)
-            out = CPolynomial.__new__(CPolynomial)
-            out._coeffs = {e: v * f for e, v in self._coeffs.items()} if f else {}
-            return out
+            return CPolynomial._normal({e: v * f for e, v in self._coeffs.items()} if f else {})
         if not isinstance(other, CPolynomial):
             return NotImplemented
-        data: dict[int, Fraction] = {}
+        data: dict[int, Scalar] = {}
         for e1, v1 in self._coeffs.items():
             for e2, v2 in other._coeffs.items():
                 e = e1 + e2
@@ -124,9 +143,7 @@ class CPolynomial:
                     data[e] = s
                 else:
                     data.pop(e, None)
-        out = CPolynomial.__new__(CPolynomial)
-        out._coeffs = data
-        return out
+        return CPolynomial._normal(data)
 
     __rmul__ = __mul__
 
@@ -159,7 +176,8 @@ class CPolynomial:
         return NotImplemented
 
     def evaluate(self, x: object):
-        """Evaluate at x; exact for Fraction/int x, complex otherwise."""
+        """Evaluate at x; a Fraction for Fraction/int x, complex otherwise."""
+        exact = isinstance(x, (int, Fraction))
         if isinstance(x, float):
             x = complex(x)
         total = None
@@ -167,8 +185,8 @@ class CPolynomial:
             term = v * x**e if e else v * (x**0)
             total = term if total is None else total + term
         if total is None:
-            return Fraction(0) if isinstance(x, (int, Fraction)) else 0j
-        return total
+            return Fraction(0) if exact else 0j
+        return Fraction(total) if exact else total
 
     __call__ = evaluate
 
@@ -190,7 +208,7 @@ class CPolynomial:
         return " + ".join(pieces).replace("+ -", "- ")
 
     def __repr__(self) -> str:
-        return f"CPolynomial({dict(sorted(self._coeffs.items()))!r})"
+        return f"CPolynomial({dict(self.items())!r})"
 
 
 # the indeterminate
@@ -216,13 +234,6 @@ def sigma_int(z: int, n: int) -> int:
     if not isinstance(z, int) or z < 0:
         raise ValueError("z must be a nonnegative integer")
     return sum(d**z for d in divisors(n))
-
-
-def sigma_zc_exact(z: int, n: int) -> CPolynomial:
-    """The divisor polynomial: sum over d | n of d^z * c^d."""
-    if not isinstance(z, int) or z < 0:
-        raise ValueError("z must be a nonnegative integer")
-    return CPolynomial({d: d**z for d in divisors(n)})
 
 
 def complex_power(j: int, z: complex) -> complex:
@@ -278,40 +289,3 @@ def bell_polynomial(m: int, u: Sequence, cap: int = BELL_DEGREE_CAP):
             acc = term if acc is None else acc + term
         ys.append(acc)
     return ys[m]
-
-
-def bell_polynomial_direct(m: int, u: Sequence, cap: int = BELL_DEGREE_CAP):
-    """Y_m evaluated straight from its sum over partitions of m.
-
-    Independent of the recurrence route: for each multiset of parts with
-    k_1 + 2 k_2 + ... + m k_m = m the contribution is
-
-        m! / (k_1! ... k_m!) * prod_i (u_i / i!)^{k_i}
-
-    whose scalar factor is always an integer.
-    """
-    if not isinstance(m, int) or m < 0:
-        raise ValueError("m must be a nonnegative integer")
-    if m > cap:
-        raise ValueError(f"m={m} exceeds the Bell degree cap {cap}")
-    if m == 0:
-        return 1
-    if len(u) < m:
-        raise ValueError(f"need {m} arguments, got {len(u)}")
-    acc = None
-    for p in enumerate_partitions(m):
-        mult = [0] * (m + 1)
-        for a in p.parts:
-            mult[a] += 1
-        denom = 1
-        for i in range(1, m + 1):
-            if mult[i]:
-                denom *= factorial(mult[i]) * factorial(i) ** mult[i]
-        coeff = factorial(m) // denom
-        term = None
-        for i in range(1, m + 1):
-            for _ in range(mult[i]):
-                term = u[i - 1] if term is None else term * u[i - 1]
-        term = coeff * term
-        acc = term if acc is None else acc + term
-    return acc

@@ -209,6 +209,20 @@ def test_cor_2_4_numeric_holds_past_n_59(capsys):
         (("verify", "--id", "bs_basic", "--n-max", "3"), {"PIE_MODE": "fuzzy"}),
         (("series", "--name", "A", "--c", "1/0", "--order", "5"), {}),
         (("involution", "--n", "101", "--N-divisor", "1", "--sweep"), {}),
+        (("verify", "--id", "bs_onevar", "--mode", "numeric", "--n-max", "3", "--z", "nan"), {}),
+        (("verify", "--id", "bs_onevar", "--mode", "numeric", "--n-max", "3", "--c", "nan+1j"), {}),
+        (("verify", "--id", "bs_onevar", "--mode", "numeric", "--n-max", "3", "--z", "1e400"), {}),
+        (("verify", "--id", "bs_onevar", "--mode", "numeric", "--n-max", "3", "--z", "1,-inf"), {}),
+        (("verify", "--id", "bs_onevar", "--mode", "numeric", "--n-max", "3", "--tol", "inf"), {}),
+        (("verify", "--id", "bs_onevar", "--mode", "numeric", "--n-max", "3", "--tol", "1e308"), {}),
+        (("verify", "--id", "bs_onevar", "--mode", "numeric", "--n-max", "3", "--tol", "1"), {}),
+        (("verify", "--id", "bs_onevar", "--mode", "numeric", "--n-max", "3", "--tol", "nan"), {}),
+        (("verify", "--id", "bs_onevar", "--mode", "numeric", "--n-max", "3"), {"PIE_Z": "nan"}),
+        (("verify", "--id", "bs_onevar", "--mode", "numeric", "--n-max", "3"), {"PIE_C": "0.5,1e400j"}),
+        (("verify", "--id", "bs_onevar", "--mode", "numeric", "--n-max", "3"), {"PIE_TOLERANCE": "inf"}),
+        (("report-all", "--n-max", "3"), {"PIE_Z": "nan"}),
+        (("report-all", "--n-max", "3"), {"PIE_C": "inf"}),
+        (("report-all", "--n-max", "3"), {"PIE_TOLERANCE": "1e308"}),
     ],
     ids=[
         "n-max-0",
@@ -226,6 +240,20 @@ def test_cor_2_4_numeric_holds_past_n_59(capsys):
         "env-mode-bogus",
         "series-c-zero-denominator",
         "involution-n-above-bound",
+        "z-nan",
+        "c-nan-real-part",
+        "z-overflows-to-inf",
+        "z-grid-with-minus-inf",
+        "tol-inf",
+        "tol-1e308",
+        "tol-1",
+        "tol-nan",
+        "env-z-nan",
+        "env-c-overflows-to-inf",
+        "env-tolerance-inf",
+        "report-all-env-z-nan",
+        "report-all-env-c-inf",
+        "report-all-env-tolerance-1e308",
     ],
 )
 def test_zero_or_empty_settings_are_usage_errors(capsys, monkeypatch, argv, env):

@@ -1,6 +1,7 @@
 """Divisor arithmetic, the c-polynomial ring, complex powers, Bell polynomials."""
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
 import sympy
@@ -8,17 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pie.exact import (
+    BELL_DEGREE_CAP,
     C,
     CPolynomial,
     bell_polynomial,
-    bell_polynomial_direct,
     complex_power,
     divisors,
     fractional_weight,
     sigma_int,
-    sigma_zc_exact,
 )
 from pie.identities import lhs_rhs_thm21
+from pie.partitions import enumerate_partitions
 
 # frozen from a 40-digit re-summation of sum_d d^z c^d over d | 12
 SIGMA_ORACLE_Z = complex(1.5, 0.5)
@@ -27,6 +28,53 @@ SIGMA_ORACLE_VALUE = complex(0.5705320035297089, -2.027539296014291)
 
 # frozen from a 40-digit evaluation of exp(i ln 2)
 TWO_TO_THE_I = complex(0.7692389013639721, 0.6389612763136348)
+
+
+# -- test-local oracles ------------------------------------------------------
+
+
+def sigma_zc_exact(z: int, n: int) -> CPolynomial:
+    """The divisor polynomial: sum over d | n of d^z * c^d."""
+    if not isinstance(z, int) or z < 0:
+        raise ValueError("z must be a nonnegative integer")
+    return CPolynomial({d: d**z for d in divisors(n)})
+
+
+def bell_polynomial_direct(m: int, u, cap: int = BELL_DEGREE_CAP):
+    """Y_m evaluated straight from its sum over partitions of m.
+
+    Independent of the recurrence route: for each multiset of parts with
+    k_1 + 2 k_2 + ... + m k_m = m the contribution is
+
+        m! / (k_1! ... k_m!) * prod_i (u_i / i!)^{k_i}
+
+    whose scalar factor is always an integer.
+    """
+    if not isinstance(m, int) or m < 0:
+        raise ValueError("m must be a nonnegative integer")
+    if m > cap:
+        raise ValueError(f"m={m} exceeds the Bell degree cap {cap}")
+    if m == 0:
+        return 1
+    if len(u) < m:
+        raise ValueError(f"need {m} arguments, got {len(u)}")
+    acc = None
+    for p in enumerate_partitions(m):
+        mult = [0] * (m + 1)
+        for a in p.parts:
+            mult[a] += 1
+        denom = 1
+        for i in range(1, m + 1):
+            if mult[i]:
+                denom *= factorial(mult[i]) * factorial(i) ** mult[i]
+        coeff = factorial(m) // denom
+        term = None
+        for i in range(1, m + 1):
+            for _ in range(mult[i]):
+                term = u[i - 1] if term is None else term * u[i - 1]
+        term = coeff * term
+        acc = term if acc is None else acc + term
+    return acc
 
 
 def test_divisors_examples():
@@ -202,6 +250,77 @@ def test_cpoly_ring_axioms(a, b, c):
 def test_cpoly_evaluation_is_a_homomorphism(a, b, x):
     assert (a + b).evaluate(x) == a.evaluate(x) + b.evaluate(x)
     assert (a * b).evaluate(x) == a.evaluate(x) * b.evaluate(x)
+
+
+# integer or Fraction coefficients, so integral values arrive both ways
+mixed_coeffs = st.one_of(st.integers(min_value=-9, max_value=9), small_fracs)
+mixed_dicts = st.dictionaries(st.integers(min_value=0, max_value=6), mixed_coeffs, max_size=4)
+
+
+def _oracle(data) -> dict[int, Fraction]:
+    return {e: Fraction(v) for e, v in data.items() if v}
+
+
+def _oracle_mul(a, b) -> dict[int, Fraction]:
+    out: dict[int, Fraction] = {}
+    for e1, v1 in a.items():
+        for e2, v2 in b.items():
+            out[e1 + e2] = out.get(e1 + e2, Fraction(0)) + v1 * v2
+    return _oracle(out)
+
+
+def _oracle_add(a, b, sign=1) -> dict[int, Fraction]:
+    return _oracle({e: a.get(e, 0) + sign * b.get(e, 0) for e in a.keys() | b.keys()})
+
+
+def _assert_normal_form(p: CPolynomial, expected: dict[int, Fraction]) -> None:
+    for e, v in p._coeffs.items():
+        assert type(v) is (int if v.denominator == 1 else Fraction), (e, v)
+    # the Fraction boundary, as a Fraction-stored polynomial gives it
+    items = tuple(sorted(expected.items()))
+    assert p.items() == items
+    assert all(type(v) is Fraction for _, v in p.items())
+    for e in range(-1, 14):
+        assert p.coefficient(e) == expected.get(e, 0)
+        assert type(p.coefficient(e)) is Fraction
+    assert repr(p) == f"CPolynomial({dict(items)!r})"
+    stored_as_fractions = CPolynomial.__new__(CPolynomial)
+    stored_as_fractions._coeffs = dict(expected)
+    assert str(p) == str(stored_as_fractions)
+
+
+@settings(max_examples=150, deadline=None)
+@given(mixed_dicts, mixed_dicts, small_fracs.filter(bool), st.integers(0, 3))
+def test_cpoly_integer_normal_form(a, b, divisor, k):
+    oa, ob = _oracle(a), _oracle(b)
+    pa, pb = CPolynomial(a), CPolynomial(b)
+    _assert_normal_form(pa, oa)
+    _assert_normal_form(pa + pb, _oracle_add(oa, ob))
+    _assert_normal_form(pa - pb, _oracle_add(oa, ob, -1))
+    _assert_normal_form(-pa, _oracle_add({}, oa, -1))
+    _assert_normal_form(pa * pb, _oracle_mul(oa, ob))
+    _assert_normal_form(pa * divisor, _oracle({e: v * divisor for e, v in oa.items()}))
+    _assert_normal_form(pa / divisor, _oracle({e: v / divisor for e, v in oa.items()}))
+    power = {0: Fraction(1)}
+    for _ in range(k):
+        power = _oracle_mul(power, oa)
+    _assert_normal_form(pa**k, power)
+    for x in (divisor, Fraction(2), 3):
+        value = pa.evaluate(x)
+        assert type(value) is Fraction
+        assert value == sum((v * Fraction(x) ** e for e, v in oa.items()), Fraction(0))
+
+
+def test_cpoly_boundary_examples():
+    p = CPolynomial({0: 3, 1: Fraction(4, 2), 2: Fraction(1, 2)})
+    assert p._coeffs == {0: 3, 1: 2, 2: Fraction(1, 2)}
+    assert [type(v) for v in p._coeffs.values()] == [int, int, Fraction]
+    assert repr(p) == "CPolynomial({0: Fraction(3, 1), 1: Fraction(2, 1), 2: Fraction(1, 2)})"
+    assert str(p) == "3 + 2*c + 1/2*c^2"
+    assert p.items() == ((0, Fraction(3)), (1, Fraction(2)), (2, Fraction(1, 2)))
+    assert p.evaluate(1) == Fraction(11, 2) and type(CPolynomial(4).evaluate(1)) is Fraction
+    assert type(CPolynomial(0).evaluate(Fraction(1, 3))) is Fraction
+    assert p.evaluate(2j) == 3 + 4j - 2
 
 
 # -- Bell polynomials ---------------------------------------------------------

@@ -14,6 +14,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SMALL_ARGS = {
     "involution_tableau.py": ["6"],
     "numeric_conditioning.py": ["8"],
+    "output_digests.py": ["0.1"],
     "run_checks.py": ["8", "12"],
 }
 

@@ -281,6 +281,22 @@ def test_rational_coefficients_are_fractions():
         assert all(type(f[n]) is Fraction for n in range(f.order + 1))
 
 
+def test_symbolic_series_coefficients_are_ints():
+    # the Q[c] builders, a lifted integral series and the ring's one stay on
+    # int arithmetic: no coefficient of c^e in a stored q-coefficient is a
+    # Fraction
+    for f in (
+        *series_entry4(C, 40),
+        series_M(3, C, 30),
+        series_K(2, C, 30),
+        series_A(C, 20),
+        series_K(2, 1, 20)._lift(),
+        TruncatedSeries.one(5, CPOLY),
+    ):
+        assert f.ring is CPOLY
+        assert all(type(v) is int for poly in f.nums for v in poly._coeffs.values())
+
+
 @pytest.mark.parametrize("c", [Fraction(1), Fraction(2, 3), Fraction(-1, 2), Fraction(0)])
 def test_symbolic_series_evaluate_to_the_series_at_c(c):
     order = 20
