@@ -6,7 +6,11 @@ the command exits nonzero; the script then exits 1 after printing them all.
 The commands cover:
 
   - report-all at 40/25, 60/12 and 12/60 (n-max/q-order) in json, csv and
-    text, with and without PIE_Z=1,-0.5+0.25j PIE_C=0.3,-0.2j;
+    text, under three numeric grids: the built-in one,
+    PIE_Z=1,-0.5+0.25j PIE_C=0.3,-0.2j, and
+    PIE_Z=0,-0j,1.5-0.5j,1.5-0.5j PIE_C=-0.3,0.85,0.4-0.3j,-0j, whose
+    signed zeros and repeated point exercise the numeric power tables,
+    which go by grid position (0j == -0j, yet their powers differ);
   - pie series --order 40 for A, M, K and entry4 at --m 1 and --m 3, with
     --c symbolic, 1, 2/3, -1/2 and 0.
 
@@ -34,7 +38,11 @@ from pathlib import Path
 
 REPORT_RANGES = ((40, 25), (60, 12), (12, 60))
 FORMATS = ("json", "csv", "text")
-GRID_ENV = {"PIE_Z": "1,-0.5+0.25j", "PIE_C": "0.3,-0.2j"}
+GRID_ENVS = (
+    {},
+    {"PIE_Z": "1,-0.5+0.25j", "PIE_C": "0.3,-0.2j"},
+    {"PIE_Z": "0,-0j,1.5-0.5j,1.5-0.5j", "PIE_C": "-0.3,0.85,0.4-0.3j,-0j"},
+)
 SERIES_ORDER = 40
 SERIES_NAMES = ("A", "M", "K", "entry4")
 SERIES_MS = (1, 3)
@@ -48,7 +56,7 @@ def commands(scale: float):
     def scaled(value: int) -> str:
         return str(max(MIN_RANGE, round(value * scale)))
 
-    for env in ({}, GRID_ENV):
+    for env in GRID_ENVS:
         for n_max, q_order in REPORT_RANGES:
             for fmt in FORMATS:
                 yield env, [

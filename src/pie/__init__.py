@@ -16,12 +16,9 @@ from .identities import CheckConfig, IdentityId, IdentityReport, check_identity,
 from .involution import PairingTrace, class_sum, in_class, membership_count, pair
 from .partitions import (
     Partition,
-    PartitionStats,
     count_exact_part_sizes,
     enumerate_distinct,
     enumerate_partitions,
-    partition_count,
-    stats,
 )
 from .series import ExpSeries, TruncatedSeries
 
@@ -37,7 +34,6 @@ __all__ = [
     "IdentityReport",
     "PairingTrace",
     "Partition",
-    "PartitionStats",
     "TruncatedSeries",
     "bell_polynomial",
     "check_identity",
@@ -49,9 +45,7 @@ __all__ = [
     "in_class",
     "membership_count",
     "pair",
-    "partition_count",
     "run_all",
     "sigma_int",
-    "stats",
     "__version__",
 ]

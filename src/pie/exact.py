@@ -245,6 +245,42 @@ def complex_power(j: int, z: complex) -> complex:
     return cmath.exp(complex(z) * math.log(j))
 
 
+def _table(name: str, point, top: int, power) -> list[complex]:
+    """power(e) for e = 0..top; an overflow is a ValueError naming the point."""
+    try:
+        return [power(e) for e in range(top + 1)]
+    except OverflowError:
+        raise ValueError(f"{name}={point} overflows a double at a power <= {top}") from None
+
+
+def _z_powers(z: complex, top: int) -> list[complex]:
+    """e^z for e = 0..top, entry 0 being 1 for z = 0 and 0 otherwise."""
+    return _table("z", z, top, lambda e: complex_power(e, z) if e else complex(z == 0))
+
+
+def _c_powers(c: complex, top: int) -> list[complex]:
+    """complex(c)**e for e = 0..top, each by ** and not a running product."""
+    c = complex(c)
+    return _table("c", c, top, lambda e: c**e)
+
+
+def _weigh(pairs, z_powers: Sequence[complex]) -> list[tuple[int, complex]]:
+    """(e, a(e) * e^z) for each (e, a(e)) pair, from z's power table."""
+    return [(e, a * z_powers[e]) for e, a in pairs]
+
+
+def _sum_weighed(weighed, c_powers: Sequence[complex]) -> tuple[complex, float]:
+    """sum_e w(e) * c^e over weighed pairs in their order, from c's power
+    table, and the sum of the term magnitudes."""
+    total = 0j
+    magnitude = 0.0
+    for e, w in weighed:
+        term = w * c_powers[e]
+        total += term
+        magnitude += abs(term)
+    return total, magnitude
+
+
 def fractional_weight(pairs, z: complex, c: complex) -> tuple[complex, float]:
     """sum_e a(e) * e^z * c^e over (e, a(e)) pairs in complex doubles, and
     the sum of the term magnitudes, whose ratio to the value is the
@@ -254,15 +290,16 @@ def fractional_weight(pairs, z: complex, c: complex) -> tuple[complex, float]:
     weight profile and CPolynomial.items() are both such pairs.  At e = 0
     it is the identity for z = 0 and annihilates the term otherwise,
     matching (c * d/dc)^k for integer k.
+
+    It composes two stages over power tables, which numeric checks build
+    once per grid point and call directly: _weigh forms a(e) * e^z, and
+    _sum_weighed adds (a(e) * e^z) * c^e in the pairs' order.  e^z comes
+    from complex_power and c^e from complex(c)**e, so every term, and so
+    every sum, is bit-identical however the tables are shared.
     """
-    c = complex(c)
-    total = 0j
-    magnitude = 0.0
-    for e, a in pairs:
-        term = a * (complex_power(e, z) if e else complex(z == 0)) * c**e
-        total += term
-        magnitude += abs(term)
-    return total, magnitude
+    pairs = tuple(pairs)
+    top = max((e for e, _a in pairs), default=0)
+    return _sum_weighed(_weigh(pairs, _z_powers(z, top)), _c_powers(c, top))
 
 
 def bell_polynomial(m: int, u: Sequence, cap: int = BELL_DEGREE_CAP):

@@ -17,7 +17,11 @@ profiles at n, the name of the exponent axis, and whether c = 1.  Numeric
 mode evaluates both profiles with exact.fractional_weight on fixed complex
 grids for (z, c) and compares within a relative tolerance, recording a
 condition estimate (the sum of the left side's term magnitudes over its
-value's magnitude) instead of ever widening the tolerance.
+value's magnitude) instead of ever widening the tolerance.  A numeric check
+runs fractional_weight's two stages on power tables keyed by grid position:
+e^z for e <= n_max once per z, c^e once per c, and each profile weighed once
+per (n, z).  Every term is formed as a single-point call forms it, so values,
+conditions and failure records are bit-identical to per-point evaluation.
 
 check_identity alone times a check, runs its search, turns an AlgorithmFault
 into a failing report over the checker's declared range, and builds the
@@ -39,6 +43,10 @@ from .exact import (
     C,
     CPolynomial,
     Scalar,
+    _c_powers,
+    _sum_weighed,
+    _weigh,
+    _z_powers,
     bell_polynomial,
     divisors,
     fractional_weight,
@@ -213,15 +221,21 @@ def _initial_profile(n: int) -> Profile:
     return _profile(acc)
 
 
+@cache
+def _signed_binomials(v: int) -> tuple[int, ...]:
+    """(-1)^j C(v, j) for j = 0..v."""
+    return tuple((-1) ** j * comb(v, j) for j in range(v + 1))
+
+
 @lru_cache(maxsize=None)
 def _binomial_profile(n: int) -> Profile:
     # sum over P(n) of sum_{j=0..v} (-1)^j C(v, j) c^(l-j), base 0 dropped
     acc: dict[int, int] = {}
     for (largest, v), cnt in partitions_by_largest_and_sizes(n).items():
-        for j in range(v + 1):
+        for j, b in enumerate(_signed_binomials(v)):
             base = largest - j
             if base:
-                acc[base] = acc.get(base, 0) + cnt * (-1) ** j * comb(v, j)
+                acc[base] = acc.get(base, 0) + cnt * b
     return _profile(acc)
 
 
@@ -233,9 +247,9 @@ def _shifted_binomial_profile(n: int) -> Profile:
     for (largest, v), cnt in partitions_by_largest_and_sizes(n).items():
         if v < 2:
             continue
-        for j in range(v):
+        for j, b in enumerate(_signed_binomials(v - 1)):
             base = largest - j
-            acc[base] = acc.get(base, 0) + cnt * (-1) ** j * comb(v - 1, j)
+            acc[base] = acc.get(base, 0) + cnt * b
     for d in divisors(n):
         acc[d] = acc.get(d, 0) + 1
     return _profile(acc)
@@ -361,9 +375,9 @@ def check_agl(n: int, scaled: bool) -> tuple[CPolynomial, CPolynomial]:
     for (largest, v), cnt in partitions_by_largest_and_sizes(n).items():
         p = v if scaled else v - 1
         base = largest - v
+        row = _signed_binomials(p)
         for i in range(p + 1):
-            w = cnt * comb(p, i) * (-1) ** (p - i)
-            rhs[base + i] = rhs.get(base + i, 0) + w
+            rhs[base + i] = rhs.get(base + i, 0) + cnt * row[p - i]
     return _poly(lhs), _poly(rhs)
 
 
@@ -615,28 +629,43 @@ def _numeric_check(cfg: CheckConfig, profiles, key: str, c_is_one: bool):
 
     Returns the range, the search, and the list the search fills with each
     point's condition: the sum of left-side term magnitudes over the left
-    side's value.
+    side's value.  The search's points hold grid positions, which a failure
+    record replaces by their values: 0j == -0j, yet their powers differ.
     """
-    axes = {"n": _ns(cfg), key: cfg.z_grid}
-    rng = {"n_max": cfg.n_max, "z_grid": list(cfg.z_grid)}
+    z_grid = cfg.z_grid
+    c_grid = (1 + 0j,) if c_is_one else cfg.c_grid
+    axes = {"n": _ns(cfg), key: range(len(z_grid))}
+    rng = {"n_max": cfg.n_max, "z_grid": list(z_grid)}
     if c_is_one:
         rng["c"] = 1
     else:
-        rng["c_grid"] = list(cfg.c_grid)
-        axes["c"] = cfg.c_grid
+        rng["c_grid"] = list(c_grid)
+        axes["c"] = range(len(c_grid))
     rng["tolerance"] = cfg.tolerance
     conditions: list[float] = []
 
-    def mismatch(n, z, c=1 + 0j):
-        lhs_profile, rhs_profile = profiles(n)
-        lhs, magnitude = fractional_weight(lhs_profile, z, c)
-        rhs, _ = fractional_weight(rhs_profile, z, c)
-        conditions.append(magnitude / max(1.0, abs(lhs)))
-        if abs(lhs - rhs) <= cfg.tolerance * max(1.0, abs(rhs)):
-            return None
-        return {"lhs": lhs, "rhs": rhs}
+    def search():
+        z_powers = [_z_powers(z, cfg.n_max) for z in z_grid]
+        c_powers = [_c_powers(c, cfg.n_max) for c in c_grid]
+        # c is the innermost axis, so a one-entry memo of (n, z position)
+        # and both profiles weighed there serves every c
+        memo: list = [None, None]
 
-    return rng, partial(_first, _grid(**axes), mismatch), conditions
+        def mismatch(n, i, j=0):
+            if memo[0] != (n, i):
+                memo[:] = (n, i), [_weigh(p, z_powers[i]) for p in profiles(n)]
+            lhs_weighed, rhs_weighed = memo[1]
+            lhs, magnitude = _sum_weighed(lhs_weighed, c_powers[j])
+            rhs, _ = _sum_weighed(rhs_weighed, c_powers[j])
+            conditions.append(magnitude / max(1.0, abs(lhs)))
+            if abs(lhs - rhs) <= cfg.tolerance * max(1.0, abs(rhs)):
+                return None
+            values = {key: z_grid[i]} if c_is_one else {key: z_grid[i], "c": c_grid[j]}
+            return {**values, "lhs": lhs, "rhs": rhs}
+
+        return _first(_grid(**axes), mismatch)
+
+    return rng, search, conditions
 
 
 def check_identity(ident, config: CheckConfig | None = None) -> IdentityReport:

@@ -74,21 +74,6 @@ class Partition:
         return "+".join(str(a) for a in self.parts) if self.parts else "(empty)"
 
 
-@dataclass(frozen=True)
-class PartitionStats:
-    """The four statistics every weighted identity consumes."""
-
-    smallest: int
-    largest: int
-    num_parts: int
-    num_distinct: int
-
-
-def stats(p: Partition) -> PartitionStats:
-    """Return (smallest, largest, #parts, #distinct sizes) of a nonempty partition."""
-    return PartitionStats(p.smallest, p.largest, p.num_parts, p.num_distinct)
-
-
 def _descending_parts(n: int, cap: int) -> Iterator[tuple[int, ...]]:
     # Recursive descent; each prefix is shared through one buffer.
     buf: list[int] = []
@@ -156,35 +141,6 @@ def enumerate_distinct(
         return
     for t in _descending_distinct_parts(n, n):
         yield Partition(t)
-
-
-_PCOUNTS: list[int] = [1]
-
-
-def partition_count(n: int) -> int:
-    """p(n) by the pentagonal-number recurrence, exact for any n >= 0.
-
-    Serves as the independent oracle for the enumerators.
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    P = _PCOUNTS
-    while len(P) <= n:
-        m = len(P)
-        total = 0
-        k = 1
-        while True:
-            g1 = k * (3 * k - 1) // 2
-            if g1 > m:
-                break
-            sign = -1 if k % 2 == 0 else 1
-            total += sign * P[m - g1]
-            g2 = g1 + k
-            if g2 <= m:
-                total += sign * P[m - g2]
-            k += 1
-        P.append(total)
-    return P[n]
 
 
 def _max_distinct_sizes(n: int) -> int:

@@ -395,13 +395,6 @@ def _product(x: ScalarLike, ks: Iterable[int], order: int) -> TruncatedSeries:
     return TruncatedSeries._stored(order, nums, r, 1, ring)
 
 
-def pochhammer_finite(x: ScalarLike, n: int, order: int) -> TruncatedSeries:
-    """(x q; q)_n = prod_{k=1..n} (1 - x q^k), truncated at the given order."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return _product(x, range(1, min(n, order) + 1), order)
-
-
 def pochhammer_infinite(x: ScalarLike, order: int, start: int = 1) -> TruncatedSeries:
     """prod_{k >= start} (1 - x q^k) truncated; factors past the order are 1."""
     if start < 0:
@@ -431,16 +424,6 @@ def _tail_sum(
         if w:
             _add_shifted(acc, tails[n], n, w)
     return TruncatedSeries._stored(order, acc, grade, 1, ring)
-
-
-def lambert_block(j: int, order: int, ring: CoefficientRing = RATIONAL) -> TruncatedSeries:
-    """q^j / (1 - q^j) = q^j + q^(2j) + ..., the building block of Lambert sums."""
-    if j < 1:
-        raise ValueError("j must be positive")
-    vals = [ring.zero] * (order + 1)
-    for e in range(j, order + 1, j):
-        vals[e] = ring.one
-    return TruncatedSeries._stored(order, vals, ring=ring)
 
 
 def _scalar_powers(c: ScalarLike, order: int) -> list:

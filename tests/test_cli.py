@@ -223,6 +223,13 @@ def test_cor_2_4_numeric_holds_past_n_59(capsys):
         (("report-all", "--n-max", "3"), {"PIE_Z": "nan"}),
         (("report-all", "--n-max", "3"), {"PIE_C": "inf"}),
         (("report-all", "--n-max", "3"), {"PIE_TOLERANCE": "1e308"}),
+        (("verify", "--id", "bs_onevar", "--mode", "numeric", "--n-max", "3", "--z", "1e308", "--c", "0.5"), {}),
+        (("verify", "--id", "bs_onevar", "--mode", "numeric", "--n-max", "3", "--c", "1e300"), {}),
+        (("verify", "--id", "thm_2_6", "--mode", "numeric", "--n-max", "60", "--z", "200"), {}),
+        (("verify", "--id", "bs_onevar", "--mode", "numeric", "--n-max", "3"), {"PIE_Z": "1e308"}),
+        (("verify", "--id", "bs_onevar", "--mode", "numeric", "--n-max", "3"), {"PIE_C": "1e300"}),
+        (("report-all", "--n-max", "3"), {"PIE_Z": "1e308"}),
+        (("report-all", "--n-max", "3"), {"PIE_C": "0.5,1e300"}),
     ],
     ids=[
         "n-max-0",
@@ -254,6 +261,13 @@ def test_cor_2_4_numeric_holds_past_n_59(capsys):
         "report-all-env-z-nan",
         "report-all-env-c-inf",
         "report-all-env-tolerance-1e308",
+        "z-power-overflows",
+        "c-power-overflows",
+        "z-200-overflows-at-n-max-60",
+        "env-z-power-overflows",
+        "env-c-power-overflows",
+        "report-all-env-z-power-overflows",
+        "report-all-env-c-power-overflows",
     ],
 )
 def test_zero_or_empty_settings_are_usage_errors(capsys, monkeypatch, argv, env):
@@ -265,6 +279,31 @@ def test_zero_or_empty_settings_are_usage_errors(capsys, monkeypatch, argv, env)
     assert code == 2
     assert out == ""
     assert "usage error" in err
+
+
+@pytest.mark.parametrize(
+    "argv, point",
+    [
+        (("--id", "bs_onevar", "--n-max", "3", "--z", "1e308", "--c", "0.5"), "z=(1e+308+0j)"),
+        (("--id", "bs_onevar", "--n-max", "3", "--c", "1e300"), "c=(1e+300+0j)"),
+        (("--id", "thm_2_6", "--n-max", "60", "--z", "1.5,200"), "z=(200+0j)"),
+    ],
+    ids=["z", "c", "z-second-grid-point"],
+)
+def test_power_overflow_names_the_point(capsys, argv, point):
+    code, out, err = run(capsys, "verify", "--mode", "numeric", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error: ") and point in err
+
+
+def test_largest_z_below_overflow_passes(capsys):
+    # 60^170 is about 1e302, still a double
+    code, out, _ = run(
+        capsys, "verify", "--id", "thm_2_6", "--mode", "numeric", "--n-max", "60", "--z", "170"
+    )
+    assert code == 0
+    assert json.loads(out)[0]["status"] == "pass"
 
 
 def test_report_all_bytes_stable_across_processes():

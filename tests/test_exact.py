@@ -5,13 +5,17 @@ from math import factorial
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pie.exact import (
     BELL_DEGREE_CAP,
     C,
     CPolynomial,
+    _c_powers,
+    _sum_weighed,
+    _weigh,
+    _z_powers,
     bell_polynomial,
     complex_power,
     divisors,
@@ -187,6 +191,68 @@ def test_fractional_weight_matches_exact_operator(z):
             expected = _theta(expected)
         got, _ = fractional_weight(p.items(), z, complex(c))
         assert got == pytest.approx(complex(expected.evaluate(c)))
+
+
+def per_term_weight(pairs, z, c) -> tuple[complex, float]:
+    """sum_e a(e) * e^z * c^e with every power formed per term, and the sum
+    of the term magnitudes: the reference the power tables must reproduce."""
+    c = complex(c)
+    total, magnitude = 0j, 0.0
+    for e, a in pairs:
+        term = a * (complex_power(e, z) if e else complex(z == 0)) * c**e
+        # a plain running sum: sum() of floats is compensated from Python 3.12
+        total += term
+        magnitude += abs(term)
+    return total, magnitude
+
+
+def same_bits(x, y) -> bool:
+    # == with signed zeros told apart
+    return x == y and repr(x) == repr(y)
+
+
+SIGNED_ZEROS = st.sampled_from([0j, -0j, complex(-0.0, 0.0), complex(0.0, -0.0)])
+WEIGHT_PAIRS = st.dictionaries(
+    st.integers(0, 30),
+    st.integers(-(10**6), 10**6) | st.fractions(max_denominator=50),
+    min_size=1,
+).map(lambda d: sorted(d.items()))
+
+
+def _grid_points(max_magnitude: float):
+    point = SIGNED_ZEROS | st.complex_numbers(max_magnitude=max_magnitude)
+    # the first point again at the end: a duplicate grid position
+    return st.lists(point, min_size=1, max_size=3).map(lambda g: g + g[:1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(pairs=WEIGHT_PAIRS, z_grid=_grid_points(3.0), c_grid=_grid_points(2.0))
+@example(pairs=[(0, 3), (1, -2), (4, 5)], z_grid=[0j, -0j, 0j], c_grid=[-0j, 0j, -0j])
+@example(pairs=[(0, 1)], z_grid=[complex(0.0, -0.0)], c_grid=[complex(-0.0, 0.0)])
+def test_power_tables_are_bit_identical_to_per_term_powers(pairs, z_grid, c_grid):
+    # the numeric checks' path: tables per grid position to a top past every
+    # exponent, each pairs list weighed once per z and summed at every c
+    top = 30
+    c_tables = [_c_powers(c, top) for c in c_grid]
+    for z in z_grid:
+        weighed = _weigh(pairs, _z_powers(z, top))
+        for c, c_table in zip(c_grid, c_tables):
+            value, magnitude = _sum_weighed(weighed, c_table)
+            ref_value, ref_magnitude = per_term_weight(pairs, z, c)
+            assert same_bits(value, ref_value), (z, c)
+            assert same_bits(magnitude, ref_magnitude), (z, c)
+            single = fractional_weight(pairs, z, c)
+            assert same_bits(single[0], ref_value) and same_bits(single[1], ref_magnitude)
+
+
+def test_power_tables_entry_zero_and_overflow():
+    assert _z_powers(0j, 2)[0] == 1 and _z_powers(-0j, 2)[0] == 1
+    assert _z_powers(1.5, 2)[0] == 0
+    with pytest.raises(ValueError, match=r"z=1000 "):
+        _z_powers(1000, 3)
+    with pytest.raises(ValueError, match=r"c=\(1e\+300\+0j\)"):
+        _c_powers(1e300, 2)
+    assert fractional_weight([], 1000, 1e300) == (0j, 0.0)
 
 
 # -- CPolynomial ring ---------------------------------------------------------

@@ -1,15 +1,16 @@
 """The identity registry: frozen examples, sweeps, numeric grids, reports."""
 
 import json
+import sys
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from pie import identities
+from pie import exact, identities
 from pie.errors import AlgorithmFault
-from pie.exact import C, CPolynomial, divisors
+from pie.exact import C, CPolynomial, divisors, fractional_weight
 from pie.identities import (
     NUMERIC_CAPABLE,
     CheckConfig,
@@ -174,6 +175,61 @@ def test_numeric_failure_is_reported_not_raised(skewed_binomial_profile):
     assert rep.status == "fail"
     assert rep.first_failure is not None
     assert "n" in rep.first_failure
+
+
+# signed zeros and a repeated point: the power tables go by grid position
+EDGE_Z = (0j, -0j, 1.5 - 0.5j, 1.5 - 0.5j)
+EDGE_C = (-0.3 + 0j, 0.85 + 0j, 0.4 - 0.3j, -0j)
+EDGE_CFG = CheckConfig(n_max=12, mode="numeric", z_grid=EDGE_Z, c_grid=EDGE_C)
+
+
+@pytest.mark.parametrize("ident", sorted(NUMERIC_CAPABLE, key=lambda i: i.value))
+def test_numeric_condition_matches_single_point_sums(ident):
+    # the table-driven check against fractional_weight at every grid point,
+    # itself checked bit for bit against per-term powers in test_exact
+    profiles, _key, c_is_one = identities._NUMERIC[ident]
+    conditions = [0.0]
+    for n in range(1, EDGE_CFG.n_max + 1):
+        lhs = profiles(n)[0]
+        for z in EDGE_Z:
+            for c in (1 + 0j,) if c_is_one else EDGE_C:
+                value, magnitude = fractional_weight(lhs, z, c)
+                conditions.append(magnitude / max(1.0, abs(value)))
+    rep = check_identity(ident, EDGE_CFG)
+    assert rep.passed
+    assert rep.condition == max(conditions)
+
+
+def test_numeric_failure_record_matches_single_point_sums(skewed_binomial_profile):
+    rep = check_identity(IdentityId.THM_2_3, EDGE_CFG)
+    failure = rep.first_failure
+    lhs, rhs = identities._thm23_profiles(failure["n"])
+    assert failure["lhs"] == fractional_weight(lhs, failure["k"], failure["c"])[0]
+    assert failure["rhs"] == fractional_weight(rhs, failure["k"], failure["c"])[0]
+
+
+def test_numeric_check_powers_once_per_exponent_and_z(monkeypatch):
+    real = exact.complex_power
+    calls = []
+
+    def counted(j, z):
+        calls.append((j, z))
+        return real(j, z)
+
+    binders = [
+        module
+        for name, module in list(sys.modules.items())
+        if (name == "pie" or name.startswith("pie."))
+        and getattr(module, "complex_power", None) is real
+    ]
+    assert exact in binders
+    for module in binders:
+        monkeypatch.setattr(module, "complex_power", counted)
+    cfg = replace(NUMERIC_CFG, n_max=20)
+    for ident in NUMERIC_CAPABLE:
+        calls.clear()
+        assert check_identity(ident, cfg).passed
+        assert 0 < len(calls) <= cfg.n_max * len(cfg.z_grid)
 
 
 # -- dispatch and reports ------------------------------------------------------------

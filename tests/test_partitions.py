@@ -1,6 +1,7 @@
 """Enumeration, statistics, and counting of partitions."""
 
 from collections import Counter
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings
@@ -11,14 +12,59 @@ from pie.partitions import (
     count_exact_part_sizes,
     enumerate_distinct,
     enumerate_partitions,
-    partition_count,
     partitions_by_largest_and_sizes,
     signed_window_counts,
-    stats,
 )
 
 # hand-checked initial segment of the partition counts
 P_SMALL = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
+
+
+# -- test-local oracles ------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class PartitionStats:
+    """The four statistics every weighted identity consumes."""
+
+    smallest: int
+    largest: int
+    num_parts: int
+    num_distinct: int
+
+
+def stats(p: Partition) -> PartitionStats:
+    """Return (smallest, largest, #parts, #distinct sizes) of a nonempty partition."""
+    return PartitionStats(p.smallest, p.largest, p.num_parts, p.num_distinct)
+
+
+_PCOUNTS: list[int] = [1]
+
+
+def partition_count(n: int) -> int:
+    """p(n) by the pentagonal-number recurrence, exact for any n >= 0.
+
+    Serves as the independent oracle for the enumerators.
+    """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    P = _PCOUNTS
+    while len(P) <= n:
+        m = len(P)
+        total = 0
+        k = 1
+        while True:
+            g1 = k * (3 * k - 1) // 2
+            if g1 > m:
+                break
+            sign = -1 if k % 2 == 0 else 1
+            total += sign * P[m - g1]
+            g2 = g1 + k
+            if g2 <= m:
+                total += sign * P[m - g2]
+            k += 1
+        P.append(total)
+    return P[n]
 
 
 def test_partitions_of_one():

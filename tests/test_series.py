@@ -14,11 +14,10 @@ from pie.series import (
     ExpSeries,
     TruncatedSeries,
     _over_factor,
+    _product,
     _split,
     _times_factor,
     coefficient_rows,
-    lambert_block,
-    pochhammer_finite,
     pochhammer_infinite,
     ring_for,
     series_A,
@@ -37,6 +36,23 @@ D_COUNTS = [0, 1, 2, 2, 3, 2, 4, 2, 4, 3, 4, 2, 6, 2, 4, 4, 5, 2, 6, 2, 6]
 
 def S(order, *coeffs):
     return TruncatedSeries.from_coeffs(order, coeffs)
+
+
+# -- test-local series --------------------------------------------------------
+
+
+def pochhammer_finite(x, n: int, order: int) -> TruncatedSeries:
+    """(x q; q)_n = prod_{k=1..n} (1 - x q^k), truncated at the given order."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    return _product(x, range(1, min(n, order) + 1), order)
+
+
+def lambert_block(j: int, order: int) -> TruncatedSeries:
+    """q^j / (1 - q^j) = q^j + q^(2j) + ..., the building block of Lambert sums."""
+    if j < 1:
+        raise ValueError("j must be positive")
+    return TruncatedSeries.from_coeffs(order, [int(e > 0 and e % j == 0) for e in range(order + 1)])
 
 
 # -- elementwise arithmetic ---------------------------------------------------
