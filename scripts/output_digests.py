@@ -12,7 +12,8 @@ The commands cover:
     signed zeros and repeated point exercise the numeric power tables,
     which go by grid position (0j == -0j, yet their powers differ);
   - pie series --order 40 for A, M, K and entry4 at --m 1 and --m 3, with
-    --c symbolic, 1, 2/3, -1/2 and 0.
+    --c symbolic, 1, 2/3, -1/2 and 0, and for dilcher, which takes no c, at
+    --m 1 and --m 3.
 
 Every command runs in a fresh interpreter with no other PIE_* variable set.
 Two source trees give byte-identical outputs exactly when a diff of this
@@ -71,6 +72,8 @@ def commands(scale: float):
                     "series", "--name", name, "--m", str(m), f"--c={c}",
                     "--order", scaled(SERIES_ORDER),
                 ]
+    for m in SERIES_MS:
+        yield {}, ["series", "--name", "dilcher", "--m", str(m), "--order", scaled(SERIES_ORDER)]
 
 
 def main() -> int:

@@ -4,7 +4,7 @@ Library surface:
 
   partitions  - enumeration, statistics, and exact counting of partitions
   exact       - divisor sums, polynomials in c, complex powers, Bell polys
-  series      - truncated q-series over exact rings and the named builders
+  series      - truncated q-series in one graded stored form, and builders
   involution  - the sign-reversing pairing on distinct-part partitions
   identities  - the closed registry of identity checkers and reports
   cli         - the `pie` command-line front end

@@ -75,10 +75,6 @@ class CPolynomial:
         out._coeffs = data
         return out
 
-    @classmethod
-    def coerce(cls, value: object) -> "CPolynomial":
-        return value if isinstance(value, CPolynomial) else cls(value)
-
     @property
     def is_zero(self) -> bool:
         return not self._coeffs

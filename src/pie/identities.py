@@ -31,6 +31,7 @@ report.
 from __future__ import annotations
 
 import time
+from cmath import isfinite
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
@@ -392,7 +393,7 @@ def _thm22_pairs(part: str, m_max: int, q_order: int, c) -> dict:
         return {m: (series_M(m, c, q_order), a_series * bell_polynomial(m, ks[:m])) for m in ms}
     direct = [a_series] + [series_M(m, c, q_order).scale(Fraction(1, factorial(m))) for m in ms]
     gen = ExpSeries(
-        [TruncatedSeries.zero(q_order, a_series.ring)]
+        [TruncatedSeries.zero(q_order)]
         + [ks[m - 1].scale(Fraction(1, factorial(m))) for m in ms]
     )
     via_exp = gen.exp().scale_coeffs(a_series)
@@ -630,7 +631,10 @@ def _numeric_check(cfg: CheckConfig, profiles, key: str, c_is_one: bool):
     Returns the range, the search, and the list the search fills with each
     point's condition: the sum of left-side term magnitudes over the left
     side's value.  The search's points hold grid positions, which a failure
-    record replaces by their values: 0j == -0j, yet their powers differ.
+    record replaces by their values: 0j == -0j, yet their powers differ.  A
+    point where either side or the magnitude sum is not finite is a
+    ValueError naming n, z and c: an overflowing term says nothing about the
+    identity.
     """
     z_grid = cfg.z_grid
     c_grid = (1 + 0j,) if c_is_one else cfg.c_grid
@@ -657,6 +661,10 @@ def _numeric_check(cfg: CheckConfig, profiles, key: str, c_is_one: bool):
             lhs_weighed, rhs_weighed = memo[1]
             lhs, magnitude = _sum_weighed(lhs_weighed, c_powers[j])
             rhs, _ = _sum_weighed(rhs_weighed, c_powers[j])
+            if not (isfinite(lhs) and isfinite(rhs) and isfinite(magnitude)):
+                raise ValueError(
+                    f"a term at n={n}, z={z_grid[i]}, c={c_grid[j]} overflows a double"
+                )
             conditions.append(magnitude / max(1.0, abs(lhs)))
             if abs(lhs - rhs) <= cfg.tolerance * max(1.0, abs(rhs)):
                 return None
@@ -707,17 +715,16 @@ def check_identity(ident, config: CheckConfig | None = None) -> IdentityReport:
     )
 
 
-def run_all(config: CheckConfig | None = None, include_numeric: bool = True):
+def run_all(config: CheckConfig | None = None):
     """Exact reports for every tag, then numeric reports where defined."""
     if config is None:
         config = CheckConfig()
     exact_cfg = replace(config, mode="exact")
     reports = [check_identity(ident, exact_cfg) for ident in IdentityId]
-    if include_numeric:
-        numeric_cfg = replace(config, mode="numeric")
-        reports += [
-            check_identity(ident, numeric_cfg)
-            for ident in IdentityId
-            if ident in NUMERIC_CAPABLE
-        ]
+    numeric_cfg = replace(config, mode="numeric")
+    reports += [
+        check_identity(ident, numeric_cfg)
+        for ident in IdentityId
+        if ident in NUMERIC_CAPABLE
+    ]
     return reports

@@ -1,18 +1,21 @@
-"""Truncated formal power series in q over exact coefficient rings.
+"""Truncated formal power series in q over exact coefficients in Q[c].
 
-A TruncatedSeries tracks the coefficients of q^0 .. q^Q exactly, with
-coefficients drawn from the rationals or from Q[c] (CPolynomial).  No
+A TruncatedSeries tracks the coefficients of q^0 .. q^Q exactly.  No
 floating point ever enters this module.
 
-A rational series stores Python ints graded by an integer r >= 1: the q^n
-coefficient is nums[n] / (den * r**n).  Built at c = p/r, a series takes
-grade r, so c q^k multiplies numerators by the integer p * r**(k-1), a unit
-factor (1 - q^k) weighs r**k, and a product of two series of one grade is
-an integer convolution.  Only scaling by a non-integer rational (the 1/m!
-of an exponential generating function) changes den, and operands of other
-grades or dens are brought to their lcm.  A Q[c] series stores CPolynomial
-coefficients with den = r = 1.  Fraction is the boundary only: coeffs,
-indexing, str and coefficient_rows give rational coefficients as Fraction.
+Every series has one stored form: numerators graded by an integer r >= 1
+over one integer den, the q^n coefficient being nums[n] / (den * r**n).  A
+numerator is a Python int, or a CPolynomial where c is symbolic.  Built at
+c = p/r, a series takes grade r, so c q^k multiplies numerators by p *
+r**(k-1), a unit factor (1 - q^k) weighs r**k, and a product of two series
+of one grade is a convolution of numerators.  Built at symbolic c, a series
+takes r = 1 and c q^k multiplies numerators by the CPolynomial c.  Only
+scaling by a non-integer rational (the 1/m! of an exponential generating
+function) changes den, and operands of other grades or dens are brought to
+their lcm.  Fraction is the boundary: coeffs, indexing, str and
+coefficient_rows give an int numerator's coefficient as a Fraction and a
+CPolynomial numerator's as a CPolynomial, so a c-free coefficient of a
+symbolic series reads out as a Fraction.
 
 Named builders at the bottom assemble the generating functions the identity
 suite compares.  They build every product and quotient of factors
@@ -24,7 +27,6 @@ results differ.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm
@@ -32,129 +34,83 @@ from operator import add, mul, sub
 from typing import Callable, Iterable, Sequence, Union
 
 from .errors import AlgorithmFault
-from .exact import CPolynomial, divisors
+from .exact import CPolynomial, _exact, divisors
 
 Coefficient = Union[Fraction, CPolynomial]
 ScalarLike = Union[int, Fraction, CPolynomial]
 
 
-def _coerce_fraction(value: object) -> Fraction:
-    if isinstance(value, float):
-        raise TypeError("exact coefficients only; got a float")
-    if isinstance(value, CPolynomial):
-        raise TypeError("CPolynomial coefficient in a rational series")
-    return Fraction(value)  # type: ignore[arg-type]
-
-
-@dataclass(frozen=True)
-class CoefficientRing:
-    name: str
-    zero: object  # zero and one in stored form
-    one: object
-    coerce: Callable[[object], Coefficient]
-
-
-RATIONAL = CoefficientRing("rational", 0, 1, _coerce_fraction)
-CPOLY = CoefficientRing("cpoly", CPolynomial(0), CPolynomial(1), CPolynomial.coerce)
-
-
-def ring_for(scalar: object) -> CoefficientRing:
-    return CPOLY if isinstance(scalar, CPolynomial) else RATIONAL
-
-
 def _split(c: ScalarLike) -> tuple:
     """c as (p, r) with c = p/r, r >= 1 and r = 1 for a CPolynomial: series
-    built at c take grade r, where c q^k weighs p * r**(k-1)."""
-    if isinstance(c, (int, CPolynomial)):
+    built at c take grade r, where c q^k weighs p * r**(k-1).  A float is a
+    TypeError."""
+    if isinstance(c, CPolynomial):
         return c, 1
-    c = _coerce_fraction(c)
+    c = _exact(c)
     return c.numerator, c.denominator
+
+
+def _coefficient(num, d: int) -> Coefficient:
+    """The coefficient num / d of a stored numerator over the integer d."""
+    if isinstance(num, CPolynomial):
+        return num if d == 1 else num * Fraction(1, d)
+    return Fraction(num, d)
 
 
 class TruncatedSeries:
     """Power series in q known exactly through order Q, immutable.
 
-    nums, den and grade are the stored form the module docstring describes;
-    coeffs gives the coefficients themselves.
+    order, nums, grade and den are the one stored form the module docstring
+    describes; coeffs gives the coefficients themselves.  The constructor
+    takes coefficients that are ints, Fractions or CPolynomials.
     """
 
-    __slots__ = ("order", "nums", "grade", "den", "ring")
+    __slots__ = ("order", "nums", "grade", "den")
 
-    def __init__(
-        self,
-        order: int,
-        coeffs: Sequence[object],
-        ring: CoefficientRing = RATIONAL,
-    ):
+    def __init__(self, order: int, coeffs: Sequence[object]):
         if order < 0:
             raise ValueError("order must be nonnegative")
         if len(coeffs) != order + 1:
             raise ValueError("need exactly order+1 coefficients")
-        den = 1
-        if ring is RATIONAL:
-            values = [_coerce_fraction(v) for v in coeffs]
-            den = lcm(*(v.denominator for v in values))
-            coeffs = [v.numerator * (den // v.denominator) for v in values]
-        self.order, self.nums, self.ring = order, tuple(coeffs), ring
-        self.grade, self.den = 1, den
+        values = [v if isinstance(v, CPolynomial) else _exact(v) for v in coeffs]
+        den = lcm(*(v.denominator for v in values if type(v) is Fraction))
+        self.order, self.grade, self.den = order, 1, den
+        self.nums = tuple(
+            v.numerator * (den // v.denominator) if type(v) is Fraction else v * den
+            for v in values
+        )
 
     @classmethod
-    def _stored(cls, order: int, nums: Iterable, grade=1, den=1, ring=RATIONAL):
+    def _stored(cls, order: int, nums: Iterable, grade=1, den=1):
         """A series from stored numerators, taken as they are."""
         out = cls.__new__(cls)
-        out.order, out.nums, out.grade, out.den, out.ring = order, tuple(nums), grade, den, ring
+        out.order, out.nums, out.grade, out.den = order, tuple(nums), grade, den
         return out
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_coeffs(
-        cls,
-        order: int,
-        coeffs: Iterable[object],
-        ring: CoefficientRing = RATIONAL,
-    ) -> "TruncatedSeries":
-        vals = [ring.coerce(v) for v in coeffs][: order + 1]
-        vals += [ring.zero] * (order + 1 - len(vals))
-        return cls(order, vals, ring)
+    def zero(cls, order: int) -> "TruncatedSeries":
+        return cls._stored(order, [0] * (order + 1))
 
     @classmethod
-    def zero(cls, order: int, ring: CoefficientRing = RATIONAL) -> "TruncatedSeries":
-        return cls._stored(order, [ring.zero] * (order + 1), ring=ring)
-
-    @classmethod
-    def one(cls, order: int, ring: CoefficientRing = RATIONAL) -> "TruncatedSeries":
-        return cls._stored(order, [ring.one] + [ring.zero] * order, ring=ring)
+    def one(cls, order: int) -> "TruncatedSeries":
+        return cls._stored(order, [1] + [0] * order)
 
     @property
     def coeffs(self) -> tuple:
-        """The coefficients of q^0 .. q^Q, as Fraction in a rational series."""
-        if self.ring is not RATIONAL:
-            return self.nums
-        return tuple(Fraction(v, self.den * self.grade**e) for e, v in enumerate(self.nums))
+        """The coefficients of q^0 .. q^Q, each a Fraction or a CPolynomial."""
+        return tuple(_coefficient(v, self.den * self.grade**e) for e, v in enumerate(self.nums))
 
-    # -- ring plumbing -----------------------------------------------------
+    # -- stored-form plumbing ----------------------------------------------
 
-    def _lift(self) -> "TruncatedSeries":
-        return TruncatedSeries._stored(
-            self.order, [CPolynomial(v) for v in self.coeffs], ring=CPOLY
-        )
-
-    def _match(self, other: "TruncatedSeries"):
-        """Both series over one ring, and the lcm of their grades."""
+    def _match(self, other: "TruncatedSeries") -> int:
+        """The lcm of the grades of two series of one order."""
         if self.order != other.order:
             raise ValueError(
                 f"series order mismatch: {self.order} vs {other.order}"
             )
-        a, b = self, other
-        if a.ring is not b.ring:
-            if a.ring is RATIONAL:
-                a = a._lift()
-            elif b.ring is RATIONAL:
-                b = b._lift()
-            else:
-                raise ValueError("incompatible coefficient rings")
-        return a, b, lcm(a.grade, b.grade)
+        return lcm(self.grade, other.grade)
 
     def _numerators(self, grade: int, den: int) -> Sequence:
         """The stored numerators at a multiple of this grade and den."""
@@ -166,10 +122,9 @@ class TruncatedSeries:
     def _termwise(self, other: object, op) -> "TruncatedSeries":
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        a, b, grade = self._match(other)
-        den = lcm(a.den, b.den)
-        nums = map(op, a._numerators(grade, den), b._numerators(grade, den))
-        return TruncatedSeries._stored(a.order, nums, grade, den, a.ring)
+        grade, den = self._match(other), lcm(self.den, other.den)
+        nums = map(op, self._numerators(grade, den), other._numerators(grade, den))
+        return TruncatedSeries._stored(self.order, nums, grade, den)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -181,7 +136,7 @@ class TruncatedSeries:
 
     def __neg__(self) -> "TruncatedSeries":
         return TruncatedSeries._stored(
-            self.order, [-v for v in self.nums], self.grade, self.den, self.ring
+            self.order, [-v for v in self.nums], self.grade, self.den
         )
 
     def __mul__(self, other: object) -> "TruncatedSeries":
@@ -189,10 +144,10 @@ class TruncatedSeries:
             if isinstance(other, (int, Fraction, CPolynomial)):
                 return self.scale(other)
             return NotImplemented
-        a, b, grade = self._match(other)
-        xs, ys = a._numerators(grade, a.den), b._numerators(grade, b.den)
-        out = [sum(map(mul, xs[: e + 1], ys[e::-1]), a.ring.zero) for e in range(a.order + 1)]
-        return TruncatedSeries._stored(a.order, out, grade, a.den * b.den, a.ring)
+        grade = self._match(other)
+        xs, ys = self._numerators(grade, self.den), other._numerators(grade, other.den)
+        out = [sum(map(mul, xs[: e + 1], ys[e::-1])) for e in range(self.order + 1)]
+        return TruncatedSeries._stored(self.order, out, grade, self.den * other.den)
 
     def __rmul__(self, other: object) -> "TruncatedSeries":
         if isinstance(other, (int, Fraction, CPolynomial)):
@@ -200,16 +155,11 @@ class TruncatedSeries:
         return NotImplemented
 
     def scale(self, scalar: ScalarLike) -> "TruncatedSeries":
-        ring = self.ring
-        if isinstance(scalar, CPolynomial) and ring is RATIONAL:
-            return self._lift().scale(scalar)
-        s = scalar if isinstance(scalar, int) else ring.coerce(scalar)
-        if not s:
-            return TruncatedSeries.zero(self.order, ring)
-        if ring is not RATIONAL:
-            return TruncatedSeries._stored(self.order, [v * s for v in self.nums], ring=ring)
-        nums = [v * s.numerator for v in self.nums]
-        return TruncatedSeries._stored(self.order, nums, self.grade, self.den * s.denominator)
+        p, r = _split(scalar)
+        if not p:
+            return TruncatedSeries.zero(self.order)
+        nums = [v * p for v in self.nums]
+        return TruncatedSeries._stored(self.order, nums, self.grade, self.den * r)
 
     def shift(self, k: int) -> "TruncatedSeries":
         """Multiply by q^k (k >= 0); coefficients past the order fall off."""
@@ -219,14 +169,14 @@ class TruncatedSeries:
         w = self.grade**k
         kept = [v * w for v in self.nums[: max(n + 1 - k, 0)]]
         return TruncatedSeries._stored(
-            n, [self.ring.zero] * (n + 1 - len(kept)) + kept, self.grade, self.den, self.ring
+            n, [0] * (n + 1 - len(kept)) + kept, self.grade, self.den
         )
 
     def truncate(self, new_order: int) -> "TruncatedSeries":
         if new_order > self.order:
             raise ValueError("cannot extend a truncated series")
         return TruncatedSeries._stored(
-            new_order, self.nums[: new_order + 1], self.grade, self.den, self.ring
+            new_order, self.nums[: new_order + 1], self.grade, self.den
         )
 
     def inverse(self) -> "TruncatedSeries":
@@ -234,15 +184,12 @@ class TruncatedSeries:
         f = self.coeffs
         f0 = f[0]
         if isinstance(f0, CPolynomial):
-            if f0.degree > 0 or f0.is_zero:
-                raise ValueError("constant term is not invertible")
-            g0 = CPolynomial(Fraction(1) / f0.coefficient(0))
-        else:
-            if not f0:
-                raise ValueError("constant term is not invertible")
-            g0 = Fraction(1) / f0
+            f0 = f0.coefficient(0) if f0.degree <= 0 else 0
+        if not f0:
+            raise ValueError("constant term is not invertible")
+        g0 = 1 / f0
         n = self.order
-        out: list = [self.ring.zero] * (n + 1)
+        out: list = [0] * (n + 1)
         out[0] = g0
         for m in range(1, n + 1):
             acc = None
@@ -254,7 +201,7 @@ class TruncatedSeries:
                 acc = term if acc is None else acc + term
             if acc is not None:
                 out[m] = -(g0 * acc)
-        return TruncatedSeries(n, out, self.ring)
+        return TruncatedSeries(n, out)
 
     def exp(self) -> "TruncatedSeries":
         """exp of a series with zero constant term.
@@ -266,8 +213,8 @@ class TruncatedSeries:
         if f[0]:
             raise ValueError("exp needs a zero constant term")
         n = self.order
-        out: list = [self.ring.zero] * (n + 1)
-        out[0] = self.ring.one
+        out: list = [0] * (n + 1)
+        out[0] = 1
         for m in range(1, n + 1):
             acc = None
             for k in range(1, m + 1):
@@ -278,7 +225,7 @@ class TruncatedSeries:
                 acc = term if acc is None else acc + term
             if acc is not None:
                 out[m] = acc
-        return TruncatedSeries(n, out, self.ring)
+        return TruncatedSeries(n, out)
 
     def log(self) -> "TruncatedSeries":
         """log of a series with constant term one.
@@ -286,10 +233,10 @@ class TruncatedSeries:
         L_n = f_n - (1/n) sum_{k=1..n-1} k L_k f_{n-k}, from f = exp(L).
         """
         f = self.coeffs
-        if not f[0] == self.ring.one:
+        if not f[0] == 1:
             raise ValueError("log needs constant term one")
         n = self.order
-        out: list = [self.ring.zero] * (n + 1)
+        out: list = [0] * (n + 1)
         for m in range(1, n + 1):
             acc = None
             for k in range(1, m):
@@ -300,15 +247,14 @@ class TruncatedSeries:
                 term = (Fraction(k, m) * lk) * fk
                 acc = term if acc is None else acc + term
             out[m] = f[m] - acc if acc is not None else f[m]
-        return TruncatedSeries(n, out, self.ring)
+        return TruncatedSeries(n, out)
 
     # -- access / comparison ----------------------------------------------
 
     def __getitem__(self, power: int) -> Coefficient:
         if not 0 <= power <= self.order:
             raise IndexError(f"power {power} outside tracked range 0..{self.order}")
-        v = self.nums[power]
-        return Fraction(v, self.den * self.grade**power) if self.ring is RATIONAL else v
+        return _coefficient(self.nums[power], self.den * self.grade**power)
 
     def first_difference(self, other: "TruncatedSeries") -> int | None:
         """The lowest power of q where two series of one order differ, or None."""
@@ -387,12 +333,11 @@ def _add_shifted(acc: list, coeffs: Sequence, shift: int, weight: ScalarLike) ->
 
 def _product(x: ScalarLike, ks: Iterable[int], order: int) -> TruncatedSeries:
     """prod_{k in ks} (1 - x q^k) for k >= 1, truncated at the given order."""
-    ring = ring_for(x)
     p, r = _split(x)
-    nums = [ring.one] + [ring.zero] * order
+    nums = [1] + [0] * order
     for k in ks:
         _times_factor(nums, p * r ** (k - 1), k)
-    return TruncatedSeries._stored(order, nums, r, 1, ring)
+    return TruncatedSeries._stored(order, nums, r)
 
 
 def pochhammer_infinite(x: ScalarLike, order: int, start: int = 1) -> TruncatedSeries:
@@ -413,21 +358,19 @@ def _unit_tails(order: int, grade: int) -> tuple[tuple[int, ...], ...]:
     return tuple(reversed(tails))
 
 
-def _tail_sum(
-    weights: Sequence, order: int, grade: int, ring: CoefficientRing
-) -> TruncatedSeries:
+def _tail_sum(weights: Sequence, order: int, grade: int) -> TruncatedSeries:
     """sum_n w_n q^n (q^{n+1})_inf, truncated at the order, from the stored
     weights weights[n] = w_n * grade**n of w_n q^n."""
     tails = _unit_tails(order, grade)
-    acc = [ring.zero] * (order + 1)
+    acc = [0] * (order + 1)
     for n, w in enumerate(weights):
         if w:
             _add_shifted(acc, tails[n], n, w)
-    return TruncatedSeries._stored(order, acc, grade, 1, ring)
+    return TruncatedSeries._stored(order, acc, grade)
 
 
 def _scalar_powers(c: ScalarLike, order: int) -> list:
-    powers = [ring_for(c).one]
+    powers = [1]
     for _ in range(order):
         powers.append(powers[-1] * c)
     return powers
@@ -443,10 +386,9 @@ def _alternating_sum(
     A running 1/(xq)_n takes one factor per n and is cut to the degrees that
     shift(n), increasing in n, leaves inside the order.
     """
-    ring = ring_for(x)
     p, r = _split(x)
-    acc = [ring.zero] * (order + 1)
-    inv = [ring.one] + [ring.zero] * order
+    acc = [0] * (order + 1)
+    inv = [1] + [0] * order
     n = 1
     while shift(n) <= order:
         del inv[order - shift(n) + 1 :]
@@ -455,7 +397,7 @@ def _alternating_sum(
             _over_factor(body, r**n, n)
         _add_shifted(acc, body, shift(n), (-1) ** (n - 1) * weight(n) * r ** (shift(n) - n))
         n += 1
-    return TruncatedSeries._stored(order, acc, r, 1, ring)
+    return TruncatedSeries._stored(order, acc, r)
 
 
 # -- named series -----------------------------------------------------------
@@ -466,20 +408,19 @@ def _alternating_sum(
 
 def series_A_quotient(c: ScalarLike, order: int) -> TruncatedSeries:
     """(q)_inf / (cq)_inf via the product quotient."""
-    ring = ring_for(c)
     p, r = _split(c)
-    nums = [ring.one] + [ring.zero] * order
+    nums = [1] + [0] * order
     for k in range(1, order + 1):
         _times_factor(nums, r**k, k)
     for k in range(1, order + 1):
         _over_factor(nums, p * r ** (k - 1), k)
-    return TruncatedSeries._stored(order, nums, r, 1, ring)
+    return TruncatedSeries._stored(order, nums, r)
 
 
 def series_A_euler(c: ScalarLike, order: int) -> TruncatedSeries:
     """(q)_inf / (cq)_inf via the Euler expansion sum_n c^n q^n (q^{n+1})_inf."""
     p, r = _split(c)
-    return _tail_sum(_scalar_powers(p, order), order, r, ring_for(c))
+    return _tail_sum(_scalar_powers(p, order), order, r)
 
 
 def series_A(c: ScalarLike, order: int) -> TruncatedSeries:
@@ -505,40 +446,38 @@ def series_M(m: int, c: ScalarLike, order: int) -> TruncatedSeries:
     p, r = _split(c)
     ppow = _scalar_powers(p, order)
     weights = [0] + [n**m * ppow[n] for n in range(1, order + 1)]
-    return _tail_sum(weights, order, r, ring_for(c))
+    return _tail_sum(weights, order, r)
 
 
 def series_K_divisor(m: int, c: ScalarLike, order: int) -> TruncatedSeries:
     """K_{m,c} = sum_n sigma_{m-1,c}(n) q^n from explicit divisor sums."""
     if m < 1:
         raise ValueError("m must be positive")
-    ring = ring_for(c)
     p, r = _split(c)
     ppow, rpow = _scalar_powers(p, order), _scalar_powers(r, order)
-    vals = [ring.zero]
+    vals = [0]
     for n in range(1, order + 1):
         total = None
         for d in divisors(n):
             term = d ** (m - 1) * rpow[n - d] * ppow[d]
             total = term if total is None else total + term
         vals.append(total)
-    return TruncatedSeries._stored(order, vals, r, 1, ring)
+    return TruncatedSeries._stored(order, vals, r)
 
 
 def series_K_lambert(m: int, c: ScalarLike, order: int) -> TruncatedSeries:
     """K_{m,c} as the Lambert sum over j of c^j j^(m-1) q^j/(1-q^j)."""
     if m < 1:
         raise ValueError("m must be positive")
-    ring = ring_for(c)
     p, r = _split(c)
     ppow, rpow = _scalar_powers(p, order), _scalar_powers(r, order)
-    vals = [ring.zero] * (order + 1)
+    vals = [0] * (order + 1)
     for j in range(1, order + 1):
         weight = j ** (m - 1) * ppow[j]
         if weight:
             for e in range(j, order + 1, j):
                 vals[e] = vals[e] + rpow[e - j] * weight
-    return TruncatedSeries._stored(order, vals, r, 1, ring)
+    return TruncatedSeries._stored(order, vals, r)
 
 
 def series_K(m: int, c: ScalarLike, order: int) -> TruncatedSeries:
@@ -584,7 +523,7 @@ def series_dilcher_binomial(
     if order < k:
         raise ValueError("order must be at least k")
 
-    a = _tail_sum([comb(n, k) for n in range(order + 1)], order, 1, RATIONAL)
+    a = _tail_sum([comb(n, k) for n in range(order + 1)], order, 1)
 
     offset = comb(k, 2)
     b_raw = _alternating_sum(1, k, lambda n: comb(n + k, 2), lambda n: 1, order + offset)
@@ -633,8 +572,7 @@ class ExpSeries:
     def __mul__(self, other: "ExpSeries") -> "ExpSeries":
         self._check(other)
         n = self.t_order
-        zero = TruncatedSeries.zero(self.q_order, self.coeffs[0].ring)
-        out = [zero] * (n + 1)
+        out = [TruncatedSeries.zero(self.q_order)] * (n + 1)
         for i, x in enumerate(self.coeffs):
             for j in range(n - i + 1):
                 out[i + j] = out[i + j] + x * other.coeffs[j]
@@ -645,11 +583,10 @@ class ExpSeries:
         if any(self.coeffs[0].nums):
             raise ValueError("exp needs a zero t-constant term")
         n = self.t_order
-        ring = self.coeffs[0].ring
-        out = [TruncatedSeries.zero(self.q_order, ring)] * (n + 1)
-        out[0] = TruncatedSeries.one(self.q_order, ring)
+        out = [TruncatedSeries.zero(self.q_order)] * (n + 1)
+        out[0] = TruncatedSeries.one(self.q_order)
         for m in range(1, n + 1):
-            acc = TruncatedSeries.zero(self.q_order, ring)
+            acc = TruncatedSeries.zero(self.q_order)
             for k in range(1, m + 1):
                 acc = acc + (self.coeffs[k] * out[m - k]).scale(Fraction(k, m))
             out[m] = acc

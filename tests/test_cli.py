@@ -230,6 +230,10 @@ def test_cor_2_4_numeric_holds_past_n_59(capsys):
         (("verify", "--id", "bs_onevar", "--mode", "numeric", "--n-max", "3"), {"PIE_C": "1e300"}),
         (("report-all", "--n-max", "3"), {"PIE_Z": "1e308"}),
         (("report-all", "--n-max", "3"), {"PIE_C": "0.5,1e300"}),
+        (("verify", "--id", "thm_2_6", "--mode", "numeric", "--n-max", "60", "--z", "170", "--c", "5"), {}),
+        (("verify", "--id", "bs_onevar", "--mode", "numeric", "--n-max", "60", "--z", "150", "--c", "30"), {}),
+        (("report-all", "--n-max", "60", "--q-order", "8"), {"PIE_Z": "170", "PIE_C": "5"}),
+        (("report-all", "--n-max", "60", "--q-order", "8"), {"PIE_Z": "150", "PIE_C": "30"}),
     ],
     ids=[
         "n-max-0",
@@ -268,6 +272,10 @@ def test_cor_2_4_numeric_holds_past_n_59(capsys):
         "env-c-power-overflows",
         "report-all-env-z-power-overflows",
         "report-all-env-c-power-overflows",
+        "thm-2-6-term-overflows",
+        "bs-onevar-term-overflows",
+        "report-all-env-term-overflows-z-170-c-5",
+        "report-all-env-term-overflows-z-150-c-30",
     ],
 )
 def test_zero_or_empty_settings_are_usage_errors(capsys, monkeypatch, argv, env):
@@ -287,8 +295,9 @@ def test_zero_or_empty_settings_are_usage_errors(capsys, monkeypatch, argv, env)
         (("--id", "bs_onevar", "--n-max", "3", "--z", "1e308", "--c", "0.5"), "z=(1e+308+0j)"),
         (("--id", "bs_onevar", "--n-max", "3", "--c", "1e300"), "c=(1e+300+0j)"),
         (("--id", "thm_2_6", "--n-max", "60", "--z", "1.5,200"), "z=(200+0j)"),
+        (("--id", "thm_2_6", "--n-max", "60", "--z", "170", "--c", "5"), "n=44, z=(170+0j), c=(5+0j)"),
     ],
-    ids=["z", "c", "z-second-grid-point"],
+    ids=["z", "c", "z-second-grid-point", "term"],
 )
 def test_power_overflow_names_the_point(capsys, argv, point):
     code, out, err = run(capsys, "verify", "--mode", "numeric", *argv)

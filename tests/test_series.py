@@ -9,8 +9,6 @@ from hypothesis import strategies as st
 
 from pie.exact import C, CPolynomial
 from pie.series import (
-    CPOLY,
-    RATIONAL,
     ExpSeries,
     TruncatedSeries,
     _over_factor,
@@ -19,7 +17,6 @@ from pie.series import (
     _times_factor,
     coefficient_rows,
     pochhammer_infinite,
-    ring_for,
     series_A,
     series_A_euler,
     series_A_quotient,
@@ -35,7 +32,8 @@ D_COUNTS = [0, 1, 2, 2, 3, 2, 4, 2, 4, 3, 4, 2, 6, 2, 4, 4, 5, 2, 6, 2, 6]
 
 
 def S(order, *coeffs):
-    return TruncatedSeries.from_coeffs(order, coeffs)
+    """The series with the given leading coefficients, zero past them."""
+    return TruncatedSeries(order, [*coeffs, *[0] * (order + 1 - len(coeffs))])
 
 
 # -- test-local series --------------------------------------------------------
@@ -52,7 +50,7 @@ def lambert_block(j: int, order: int) -> TruncatedSeries:
     """q^j / (1 - q^j) = q^j + q^(2j) + ..., the building block of Lambert sums."""
     if j < 1:
         raise ValueError("j must be positive")
-    return TruncatedSeries.from_coeffs(order, [int(e > 0 and e % j == 0) for e in range(order + 1)])
+    return TruncatedSeries(order, [int(e > 0 and e % j == 0) for e in range(order + 1)])
 
 
 # -- elementwise arithmetic ---------------------------------------------------
@@ -98,13 +96,18 @@ def test_shift_and_truncate():
 
 
 def test_scale_lifts_to_cpoly():
+    # a CPolynomial scalar multiplies the numerators and keeps grade and den
     f = S(3, 1, 1).scale(C)
-    assert f.ring is CPOLY
-    assert f[1] == C
+    assert f[1] == C and not f[2]
+    g = S(3, Fraction(1, 2), 1).scale(2 * C)
+    assert (g.grade, g.den) == (1, 2)
+    assert g == S(3, C, 2 * C) and g[0] == C
 
 
 def test_equality_across_rings():
-    assert S(2, 1, 2) == TruncatedSeries.from_coeffs(2, [1, 2], CPOLY)
+    # int and constant CPolynomial entries of one value are one series
+    assert S(2, 1, 2) == S(2, CPolynomial(1), CPolynomial(2))
+    assert S(2, Fraction(1, 2)) == S(2, CPolynomial(Fraction(1, 2)))
 
 
 # -- inverse ------------------------------------------------------------------
@@ -122,7 +125,7 @@ def test_inverse_requires_unit_constant():
     with pytest.raises(ValueError):
         S(4, 0, 1).inverse()
     with pytest.raises(ValueError):
-        TruncatedSeries.from_coeffs(4, [C], CPOLY).inverse()
+        S(4, C).inverse()
 
 
 @settings(max_examples=40, deadline=None)
@@ -134,7 +137,7 @@ def test_inverse_requires_unit_constant():
     )
 )
 def test_inverse_round_trip(tail):
-    f = TruncatedSeries.from_coeffs(16, [Fraction(1)] + tail)
+    f = S(16, Fraction(1), *tail)
     assert f.inverse().inverse() == f
     assert f * f.inverse() == TruncatedSeries.one(16)
 
@@ -169,7 +172,7 @@ def test_exp_log_preconditions():
     )
 )
 def test_exp_log_round_trip_random(tail):
-    f = TruncatedSeries.from_coeffs(14, [Fraction(0)] + tail)
+    f = S(14, Fraction(0), *tail)
     assert f.exp().log() == f
 
 
@@ -222,20 +225,25 @@ def schoolbook(a, b):
 
 
 def regraded(f, grade, den_factor=1):
-    """The same rational series stored at another grade and denominator."""
+    """The same series stored at another grade and denominator."""
     den = f.den * den_factor
     return TruncatedSeries._stored(f.order, f._numerators(grade, den), grade, den)
 
 
 FRACTIONS = st.fractions(min_value=-3, max_value=3, max_denominator=7)
-SCALARS = st.one_of(FRACTIONS, st.sampled_from([C, 2 * C - 1, C**2 + Fraction(1, 2)]))
+POLYS = st.sampled_from([C, 2 * C - 1, C**2 + Fraction(1, 2)])
+SCALARS = st.one_of(FRACTIONS, POLYS)
+# series entries mixing rationals with Q[c] polynomials, constant ones included
+ENTRIES = st.one_of(
+    FRACTIONS, st.tuples(FRACTIONS, FRACTIONS).map(lambda ab: ab[0] + ab[1] * C)
+)
 
 
 def _series_cases(count):
     return st.integers(min_value=1, max_value=12).flatmap(
         lambda order: st.tuples(
             st.just(order),
-            *[st.lists(FRACTIONS, min_size=order + 1, max_size=order + 1)] * count,
+            *[st.lists(ENTRIES, min_size=order + 1, max_size=order + 1)] * count,
             st.integers(min_value=1, max_value=order),
         )
     )
@@ -247,10 +255,9 @@ def test_factor_kernels_match_series_arithmetic(case, x):
     # the kernels on numerators stored at x's grade against multiplying by
     # (1 - x q^k) and by its geometric inverse, sum_j x^j q^(jk)
     order, coeffs, k = case
-    f = TruncatedSeries.from_coeffs(order, coeffs)
-    ring = ring_for(x)
+    f = TruncatedSeries(order, coeffs)
     p, r = _split(x)
-    g = f._lift() if ring is CPOLY else regraded(f, r)
+    g = regraded(f, r)
     factor = [1] + [0] * order
     factor[k] = -x
     geometric = [0] * (order + 1)
@@ -258,7 +265,7 @@ def test_factor_kernels_match_series_arithmetic(case, x):
         geometric[j * k] = x**j
     w = p * r ** (k - 1)
     for kernel, other in ((_times_factor, factor), (_over_factor, geometric)):
-        got = TruncatedSeries._stored(order, kernel(list(g.nums), w, k), g.grade, g.den, ring)
+        got = TruncatedSeries._stored(order, kernel(list(g.nums), w, k), g.grade, g.den)
         assert list(got.coeffs) == schoolbook(f.coeffs, other), kernel.__name__
 
 
@@ -269,17 +276,20 @@ def test_factor_kernels_match_series_arithmetic(case, x):
     st.integers(min_value=1, max_value=6),
     st.integers(min_value=1, max_value=5),
     st.integers(min_value=0, max_value=5),
+    POLYS,
 )
-def test_integer_ring_matches_fraction_schoolbook(case, r1, r2, den_factor, m):
-    # products, scaling, sums and equality across grades and denominators
+def test_integer_ring_matches_fraction_schoolbook(case, r1, r2, den_factor, m, poly):
+    # products, scaling, sums and equality across grades and denominators,
+    # on entries mixing rationals and Q[c] polynomials
     order, a, b, _ = case
-    f, g = TruncatedSeries.from_coeffs(order, a), TruncatedSeries.from_coeffs(order, b)
+    f, g = TruncatedSeries(order, a), TruncatedSeries(order, b)
     fr, gr = regraded(f, r1, den_factor), regraded(g, r2)
     assert fr == f and gr == g and fr.coeffs == f.coeffs
     assert list((fr * gr).coeffs) == schoolbook(a, b)
     assert list((fr + gr).coeffs) == [x + y for x, y in zip(a, b)]
     inverse = Fraction(1, factorial(m))
     assert list(fr.scale(inverse).coeffs) == [x * inverse for x in a]
+    assert list(fr.scale(poly).coeffs) == [x * poly for x in a]
     first = next((e for e, (x, y) in enumerate(zip(a, b)) if x != y), None)
     assert fr.first_difference(gr) == first
     assert (fr == gr) is (first is None)
@@ -295,22 +305,33 @@ def test_rational_coefficients_are_fractions():
     ):
         assert all(type(v) is Fraction for v in f.coeffs)
         assert all(type(f[n]) is Fraction for n in range(f.order + 1))
+    # a float is no exact coefficient: not as c, a scalar or an entry
+    for build in (
+        lambda: series_A(0.5, 5),
+        lambda: series_M(1, 0.5, 5),
+        lambda: S(2, 1).scale(0.5),
+        lambda: TruncatedSeries(1, [1, 0.5]),
+    ):
+        with pytest.raises(TypeError):
+            build()
 
 
 def test_symbolic_series_coefficients_are_ints():
-    # the Q[c] builders, a lifted integral series and the ring's one stay on
-    # int arithmetic: no coefficient of c^e in a stored q-coefficient is a
-    # Fraction
+    # the Q[c] builders and an integral series scaled by c stay on int
+    # arithmetic: every stored numerator is an int or a CPolynomial whose
+    # coefficients of c^e are ints
     for f in (
         *series_entry4(C, 40),
         series_M(3, C, 30),
         series_K(2, C, 30),
         series_A(C, 20),
-        series_K(2, 1, 20)._lift(),
-        TruncatedSeries.one(5, CPOLY),
+        series_K(2, 1, 20).scale(C),
+        TruncatedSeries.one(5).scale(C),
     ):
-        assert f.ring is CPOLY
-        assert all(type(v) is int for poly in f.nums for v in poly._coeffs.values())
+        assert (f.grade, f.den) == (1, 1)
+        assert any(isinstance(v, CPolynomial) for v in f.nums)
+        for v in f.nums:
+            assert type(v) is int or all(type(x) is int for x in v._coeffs.values())
 
 
 @pytest.mark.parametrize("c", [Fraction(1), Fraction(2, 3), Fraction(-1, 2), Fraction(0)])
@@ -327,10 +348,14 @@ def test_symbolic_series_evaluate_to_the_series_at_c(c):
     }
     for name, build in builders.items():
         symbolic, at_c = build(C), build(c)
-        assert symbolic.ring is CPOLY and at_c.ring is RATIONAL, name
-        assert all(isinstance(v, CPolynomial) for v in symbolic.coeffs), name
+        assert (symbolic.grade, at_c.grade) == (1, c.denominator), name
+        # a c-free coefficient of a symbolic series reads out as a Fraction
+        assert all(
+            type(v) is Fraction or v.degree > 0 for v in symbolic.coeffs
+        ), name
         assert all(isinstance(v, Fraction) for v in at_c.coeffs), name
-        assert [v.evaluate(c) for v in symbolic.coeffs] == list(at_c.coeffs), name
+        evaluated = [v.evaluate(c) if isinstance(v, CPolynomial) else v for v in symbolic.coeffs]
+        assert evaluated == list(at_c.coeffs), name
 
 
 # -- named series -------------------------------------------------------------
