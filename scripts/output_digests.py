@@ -13,7 +13,10 @@ The commands cover:
     which go by grid position (0j == -0j, yet their powers differ);
   - pie series --order 40 for A, M, K and entry4 at --m 1 and --m 3, with
     --c symbolic, 1, 2/3, -1/2 and 0, and for dilcher, which takes no c, at
-    --m 1 and --m 3.
+    --m 1 and --m 3;
+  - pie involution --sweep at --n 24 and --n 60, and at --n 20 the class
+    listing of --N-divisor 3 with --trace and that of --N-divisor 4
+    without it.
 
 Every command runs in a fresh interpreter with no other PIE_* variable set.
 Two source trees give byte-identical outputs exactly when a diff of this
@@ -26,8 +29,9 @@ script's output against both is empty:
 Usage:
     python scripts/output_digests.py [scale] [--src PATH]
 
-scale (default 1) multiplies every range, which is kept at least 4, the
-smallest q-order the default m-max admits; 0.1 gives a quick smoke run.
+scale (default 1) multiplies every range and every n, each kept at least
+4: the smallest q-order the default m-max admits, and no less than the
+listed moduli.  0.1 gives a quick smoke run.
 """
 
 import argparse
@@ -48,6 +52,9 @@ SERIES_ORDER = 40
 SERIES_NAMES = ("A", "M", "K", "entry4")
 SERIES_MS = (1, 3)
 SERIES_CS = ("symbolic", "1", "2/3", "-1/2", "0")
+SWEEP_NS = (24, 60)
+LISTING_N = 20
+LISTINGS = (("3", "--trace"), ("4",))
 MIN_RANGE = 4
 
 
@@ -74,6 +81,10 @@ def commands(scale: float):
                 ]
     for m in SERIES_MS:
         yield {}, ["series", "--name", "dilcher", "--m", str(m), "--order", scaled(SERIES_ORDER)]
+    for n in SWEEP_NS:
+        yield {}, ["involution", "--n", scaled(n), "--N-divisor", "1", "--sweep"]
+    for modulus, *flags in LISTINGS:
+        yield {}, ["involution", "--n", scaled(LISTING_N), "--N-divisor", modulus, *flags]
 
 
 def main() -> int:

@@ -277,6 +277,15 @@ def _sum_weighed(weighed, c_powers: Sequence[complex]) -> tuple[complex, float]:
     return total, magnitude
 
 
+def _weighed_value(weighed, c_powers: Sequence[complex]) -> complex:
+    """The value of _sum_weighed, from the same terms in the same order,
+    without the magnitude sum."""
+    total = 0j
+    for e, w in weighed:
+        total += w * c_powers[e]
+    return total
+
+
 def fractional_weight(pairs, z: complex, c: complex) -> tuple[complex, float]:
     """sum_e a(e) * e^z * c^e over (e, a(e)) pairs in complex doubles, and
     the sum of the term magnitudes, whose ratio to the value is the

@@ -47,6 +47,7 @@ from .exact import (
     _c_powers,
     _sum_weighed,
     _weigh,
+    _weighed_value,
     _z_powers,
     bell_polynomial,
     divisors,
@@ -660,7 +661,7 @@ def _numeric_check(cfg: CheckConfig, profiles, key: str, c_is_one: bool):
                 memo[:] = (n, i), [_weigh(p, z_powers[i]) for p in profiles(n)]
             lhs_weighed, rhs_weighed = memo[1]
             lhs, magnitude = _sum_weighed(lhs_weighed, c_powers[j])
-            rhs, _ = _sum_weighed(rhs_weighed, c_powers[j])
+            rhs = _weighed_value(rhs_weighed, c_powers[j])
             if not (isfinite(lhs) and isfinite(rhs) and isfinite(magnitude)):
                 raise ValueError(
                     f"a term at n={n}, z={z_grid[i]}, c={c_grid[j]} overflows a double"

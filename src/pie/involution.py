@@ -17,13 +17,17 @@ window).  The pairing:
 One kernel, _pair_parts, runs both directions on plain part tuples; pair
 wraps it with a step record.  A partition with smallest part s and largest
 part l lies in exactly the classes N in (l - s, l], so verify_pairings
-checks every asked class in one pass over D(n), pairing each partition in
-each of its classes.  class_sums reads the class sums off the signed
-(smallest, largest) histogram, independent of the pairing.  Any departure
-from the proven regime (several parts divisible by N, guard overrun,
-nonpositive intermediate, duplicate inserted or output part, output of the
-wrong size or outside the class, a second stopping point) raises
-AlgorithmFault rather than being repaired.
+checks every asked class in one pass over D(n).  It runs the kernel only
+from case-1 members and fixed points: each case-1 image must take case 2
+and map back, so the pairing sends case 1 one-to-one into case 2, and
+equal case-1 and case-2 counts per N then make every case-2 member the
+image of a case-1 member, whose pairing was checked both ways.  class_sums
+reads the class sums off the signed (smallest, largest) histogram,
+independent of the pairing.  Any departure from the proven regime (several
+parts divisible by N, guard overrun, nonpositive intermediate, duplicate
+inserted or output part, output of the wrong size or outside the class, a
+second stopping point, a case-2 member left over) raises AlgorithmFault
+rather than being repaired.
 """
 
 from __future__ import annotations
@@ -36,7 +40,14 @@ from math import ceil
 from typing import Iterable, Iterator
 
 from .errors import AlgorithmFault
-from .partitions import Partition, enumerate_distinct, signed_window_counts
+from .partitions import (
+    DEFAULT_ENUMERATION_GUARD,
+    Partition,
+    _descending_distinct_parts,
+    _require_enumerable,
+    enumerate_distinct,
+    signed_window_counts,
+)
 
 CASE_REMOVE = "case1"
 CASE_INSERT = "case2"
@@ -147,21 +158,6 @@ def _subtractions(working: list[int], N: int):
         yield j, high
 
 
-def stopping_candidates(p: Partition, N: int) -> list[int]:
-    """All j for which the case-2 stopping window holds, scanning as far as
-    the subtraction sequence keeps every part positive.
-
-    The pairing uses the first such j; the proof needs it to be unique, and
-    verify_pairings raises AlgorithmFault on a case-2 input with a second j.
-    """
-    _require_distinct(p)
-    if not in_class(p, N):
-        raise ValueError(f"{p} is not in the class C({N})")
-    if any(a % N == 0 for a in p.parts):
-        raise ValueError("stopping scan applies to case 2 inputs only")
-    return _stopping_js(p.parts, N)
-
-
 def _stopping_js(parts: tuple[int, ...], N: int) -> list[int]:
     working = sorted(parts)
     return [j for j, _ in _subtractions(working, N) if working[-1] - N < j * N < working[0] + N]
@@ -202,35 +198,64 @@ def verify_pairings(n: int, moduli: Iterable[int]) -> dict[int, dict[str, int]]:
     D(n): parity reversal, closure, involution, a unique case-2 stopping
     point and the predicted fixed points.  Raises AlgorithmFault on any
     violation; returns {N: {"members": ..., "fixed": ...}} in moduli order.
+    A case-2 member is only counted: the module docstring gives the
+    counting argument that covers it.  No state is kept per partition.
     """
-    tallies = {N: [0, 0] for N in moduli}  # members, fixed points
+    tallies = {N: [0, 0, 0] for N in moduli}  # case-1 members, case-2 members, fixed points
     if not all(1 <= N <= n for N in tallies):
         raise ValueError("need 1 <= N <= n for every modulus")
-    for p in enumerate_distinct(n):
-        parts = p.parts
-        for N in range(parts[0] - parts[-1] + 1, parts[0] + 1):
+    _require_enumerable(n, DEFAULT_ENUMERATION_GUARD)
+    if not tallies:
+        return {}
+    for parts in _descending_distinct_parts(n, n):
+        largest, smallest = parts[0], parts[-1]
+        for N in range(largest - smallest + 1, largest + 1):
             tally = tallies.get(N)
             if tally is None:
                 continue
-            tally[0] += 1
-            case, _, out = _pair_parts(parts, N, n)
-            if out is None:
+            # the one multiple of N the window [smallest, largest] can hold
+            multiple = largest - largest % N
+            if multiple < smallest or multiple not in parts:
                 tally[1] += 1
+                continue
+            _, _, image = _pair_parts(parts, N, n)
+            if image is None:
+                tally[2] += 1
                 if len(parts) != 1 or n % N != 0:
                     raise _fault(parts, N, "unexpected fixed point")
-            elif abs(len(out) - len(parts)) != 1:
-                raise _fault(parts, N, f"parity not reversed by the image {_show(out)}")
-            elif not (sum(out) == n and len(set(out)) == len(out)
-                      and out[0] >= N > out[0] - out[-1]):
-                raise _fault(parts, N, f"the image {_show(out)} left the class")
-            elif _pair_parts(out, N, n)[2] != parts:
-                raise _fault(parts, N, f"not an involution: the image is {_show(out)}")
-            elif case == CASE_INSERT and len(_stopping_js(parts, N)) != 1:
-                raise _fault(parts, N, "the stopping window admits a second j")
-    for N, (_, fixed) in tallies.items():
+                continue
+            tally[0] += 1
+            _check_image(parts, N, n, image)
+            case, _, back = _pair_parts(image, N, n)
+            if case != CASE_INSERT:
+                raise _fault(image, N, f"the image of {_show(parts)} takes {case}")
+            if back != parts:
+                # parts itself passes both image checks, so they run only
+                # here, to name what a wrong back image got wrong
+                _check_image(image, N, n, back)
+                raise _fault(parts, N, f"not an involution: the image is {_show(image)}")
+            if len(_stopping_js(image, N)) != 1:
+                raise _fault(image, N, "the stopping window admits a second j")
+    for N, (case1, case2, fixed) in tallies.items():
         if fixed != (expected := 1 if n % N == 0 else 0):
             raise AlgorithmFault(f"fixed point count {fixed} != {expected} for n={n}, N={N}")
-    return {N: {"members": members, "fixed": fixed} for N, (members, fixed) in tallies.items()}
+        if case2 != case1:
+            raise AlgorithmFault(
+                f"{case2} case-2 members != {case1} case-1 members for n={n}, N={N}"
+            )
+    return {
+        N: {"members": case1 + case2 + fixed, "fixed": fixed}
+        for N, (case1, case2, fixed) in tallies.items()
+    }
+
+
+def _check_image(parts: tuple[int, ...], N: int, n: int, image: tuple[int, ...]) -> None:
+    # parity reversal and closure of one image, checked outside the kernel
+    if abs(len(image) - len(parts)) != 1:
+        raise _fault(parts, N, f"parity not reversed by the image {_show(image)}")
+    if not (sum(image) == n and len(set(image)) == len(image)
+            and image[0] >= N > image[0] - image[-1]):
+        raise _fault(parts, N, f"the image {_show(image)} left the class")
 
 
 def trace_lines(trace: PairingTrace) -> list[str]:

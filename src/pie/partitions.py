@@ -110,6 +110,13 @@ def _descending_distinct_parts(n: int, cap: int) -> Iterator[tuple[int, ...]]:
     yield from rec(n, cap)
 
 
+def _require_enumerable(n: int, guard: int) -> None:
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if n > guard:
+        raise ValueError(f"n={n} exceeds the enumeration guard {guard}")
+
+
 def enumerate_partitions(
     n: int, guard: int = DEFAULT_ENUMERATION_GUARD
 ) -> Iterator[Partition]:
@@ -117,10 +124,7 @@ def enumerate_partitions(
 
     n = 0 yields the single empty partition by convention.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n > guard:
-        raise ValueError(f"n={n} exceeds the enumeration guard {guard}")
+    _require_enumerable(n, guard)
     if n == 0:
         yield Partition(())
         return
@@ -132,10 +136,7 @@ def enumerate_distinct(
     n: int, guard: int = DEFAULT_ENUMERATION_GUARD
 ) -> Iterator[Partition]:
     """Yield every partition of n with pairwise distinct parts, descending."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n > guard:
-        raise ValueError(f"n={n} exceeds the enumeration guard {guard}")
+    _require_enumerable(n, guard)
     if n == 0:
         yield Partition(())
         return

@@ -13,9 +13,9 @@ takes r = 1 and c q^k multiplies numerators by the CPolynomial c.  Only
 scaling by a non-integer rational (the 1/m! of an exponential generating
 function) changes den, and operands of other grades or dens are brought to
 their lcm.  Fraction is the boundary: coeffs, indexing, str and
-coefficient_rows give an int numerator's coefficient as a Fraction and a
-CPolynomial numerator's as a CPolynomial, so a c-free coefficient of a
-symbolic series reads out as a Fraction.
+coefficient_rows give a c-free coefficient as a Fraction, whether its
+numerator is an int or a CPolynomial that arithmetic cancelled to a
+constant, and any other coefficient as a CPolynomial.
 
 Named builders at the bottom assemble the generating functions the identity
 suite compares.  They build every product and quotient of factors
@@ -51,9 +51,13 @@ def _split(c: ScalarLike) -> tuple:
 
 
 def _coefficient(num, d: int) -> Coefficient:
-    """The coefficient num / d of a stored numerator over the integer d."""
+    """The coefficient num / d of a stored numerator over the integer d, a
+    Fraction when it is free of c."""
     if isinstance(num, CPolynomial):
-        return num if d == 1 else num * Fraction(1, d)
+        if num.degree > 0:
+            return num if d == 1 else num * Fraction(1, d)
+        # a sum or product of CPolynomials that cancels to a constant
+        num = num.coefficient(0)
     return Fraction(num, d)
 
 

@@ -13,13 +13,13 @@ from pie.cli import main
 from pie.errors import AlgorithmFault
 from pie.involution import (
     _pair_parts,
+    _stopping_js,
     class_members,
     class_sum,
     class_sums,
     in_class,
     membership_count,
     pair,
-    stopping_candidates,
     trace_lines,
     verify_pairings,
 )
@@ -49,6 +49,20 @@ def case1_closed_form(p: Partition, N: int) -> Partition:
         raise ValueError("closed form needs j <= number of remaining parts")
     bumped = [a + N for a in rest[:j]] + rest[j:]
     return Partition(tuple(sorted(bumped, reverse=True)))
+
+
+def stopping_candidates(p: Partition, N: int) -> list[int]:
+    """All j for which the case-2 stopping window holds, scanning as far as
+    the subtraction sequence keeps every part positive.
+
+    The pairing uses the first such j; the proof needs it to be unique, and
+    verify_pairings raises AlgorithmFault on a case-2 image with a second j.
+    """
+    if not in_class(p, N):
+        raise ValueError(f"{p} is not in the class C({N})")
+    if any(a % N == 0 for a in p.parts):
+        raise ValueError("stopping scan applies to case 2 inputs only")
+    return _stopping_js(p.parts, N)
 
 
 def reference_pair(parts, N):
@@ -214,6 +228,49 @@ def test_verify_pairings_rejects_moduli_outside_range():
         verify_pairings(6, (0,))
     with pytest.raises(ValueError):
         verify_pairings(6, (3, 7))
+
+
+def test_verify_pairings_keeps_the_enumeration_guard():
+    with pytest.raises(ValueError, match="exceeds the enumeration guard 200"):
+        verify_pairings(201, (1,))
+    with pytest.raises(ValueError, match="exceeds the enumeration guard 200"):
+        verify_pairings(201, ())
+    assert verify_pairings(0, ()) == {}
+
+
+def test_uncovered_case2_member_faults_the_sweep(monkeypatch):
+    # without 4+2, C(3) of 6 holds one case-1 member (3+2+1, whose image is
+    # 4+2) and no case-2 member, so the count no longer covers case 2
+    def dropped(n, cap):
+        return (parts for parts in walk(n, cap) if parts != (4, 2))
+
+    walk = involution._descending_distinct_parts
+    monkeypatch.setattr(involution, "_descending_distinct_parts", dropped)
+    message = "0 case-2 members != 1 case-1 members for n=6, N=3"
+    with pytest.raises(AlgorithmFault, match=re.escape(message)):
+        verify_pairings(6, range(1, 7))
+
+
+def test_sweep_runs_the_kernel_from_case1_members_and_fixed_points(monkeypatch):
+    # each case-1 member costs two kernel calls (its image and the image's
+    # image), a fixed point one, and a case-2 member none
+    n = 30
+    calls = dict.fromkeys(range(1, n + 1), 0)
+
+    def counted(parts, N, n, steps=None):
+        calls[N] += 1
+        return kernel(parts, N, n, steps)
+
+    kernel = involution._pair_parts
+    monkeypatch.setattr(involution, "_pair_parts", counted)
+    verify_pairings(n, range(1, n + 1))
+    expected = dict.fromkeys(range(1, n + 1), 0)
+    for p in enumerate_distinct(n):
+        for N in range(p.largest - p.smallest + 1, p.largest + 1):
+            if any(a % N == 0 for a in p.parts):
+                expected[N] += 1 if len(p.parts) == 1 else 2
+    assert calls == expected
+    assert sum(calls.values()) == 2 * 361 + 8  # 361 case-1 members, 8 divisors of 30
 
 
 # the trace lines of every pairing in D(n), n <= 20, each followed by the

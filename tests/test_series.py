@@ -358,6 +358,19 @@ def test_symbolic_series_evaluate_to_the_series_at_c(c):
         assert evaluated == list(at_c.coeffs), name
 
 
+def test_cancelled_coefficients_read_out_as_fractions():
+    # a difference or product whose CPolynomial numerators cancel to a
+    # constant reads out as the builders' c-free coefficients do
+    difference = series_A(C, 6) - series_A_euler(C, 6)
+    assert type(difference[3]) is type(TruncatedSeries.zero(6)[3]) is Fraction
+    assert all(type(v) is Fraction and v == 0 for v in difference.coeffs)
+    product = S(2, 1, C, 0) * S(2, 1, -C, 0)
+    assert [type(v) for v in product.coeffs] == [Fraction, Fraction, CPolynomial]
+    assert product.coeffs == (1, 0, -(C**2))
+    half = S(1, C + Fraction(1, 2)) - S(1, C)
+    assert half[0] == Fraction(1, 2) and type(half[0]) is Fraction
+
+
 # -- named series -------------------------------------------------------------
 
 
