@@ -8,44 +8,45 @@ Library surface:
   involution  - the sign-reversing pairing on distinct-part partitions
   identities  - the closed registry of identity checkers and reports
   cli         - the `pie` command-line front end
+
+`import pie` loads none of these layers.  A name in __all__ or a submodule
+is imported on first use (PEP 562), so `pie.run_all` loads the identity
+registry and the layers under it, while `pie.involution` loads only the
+pairing and the partitions it walks.
 """
 
-from .errors import AlgorithmFault
-from .exact import C, CPolynomial, bell_polynomial, divisors, sigma_int
-from .identities import CheckConfig, IdentityId, IdentityReport, check_identity, run_all
-from .involution import PairingTrace, class_sum, in_class, membership_count, pair
-from .partitions import (
-    Partition,
-    count_exact_part_sizes,
-    enumerate_distinct,
-    enumerate_partitions,
-)
-from .series import ExpSeries, TruncatedSeries
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlgorithmFault",
-    "C",
-    "CPolynomial",
-    "CheckConfig",
-    "ExpSeries",
-    "IdentityId",
-    "IdentityReport",
-    "PairingTrace",
-    "Partition",
-    "TruncatedSeries",
-    "bell_polynomial",
-    "check_identity",
-    "class_sum",
-    "count_exact_part_sizes",
-    "divisors",
-    "enumerate_distinct",
-    "enumerate_partitions",
-    "in_class",
-    "membership_count",
-    "pair",
-    "run_all",
-    "sigma_int",
-    "__version__",
-]
+_HOMES = {
+    "errors": ("AlgorithmFault",),
+    "exact": ("C", "CPolynomial", "bell_polynomial", "divisors", "sigma_int"),
+    "identities": ("CheckConfig", "IdentityId", "IdentityReport", "check_identity", "run_all"),
+    "involution": ("PairingTrace", "class_sum", "in_class", "membership_count", "pair"),
+    "partitions": (
+        "Partition",
+        "count_exact_part_sizes",
+        "enumerate_distinct",
+        "enumerate_partitions",
+    ),
+    "series": ("ExpSeries", "TruncatedSeries"),
+}
+_HOME = {name: module for module, names in _HOMES.items() for name in names}
+_SUBMODULES = (*_HOMES, "cli")
+
+__all__ = [*sorted(_HOME), "__version__"]
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_SUBMODULES})

@@ -4,32 +4,21 @@ Configuration precedence: flags override PIE_* environment variables, which
 override built-in defaults.  Exit codes: 0 all checks pass, 1 any failure or
 internal fault, 2 usage error.  Output is byte-stable for a fixed
 configuration; wall-clock timings are emitted only under --timings.
+
+Each command imports only the layers it runs, inside its handler:
+involution loads the pairing and partitions, series the exact and series
+layers, and verify and report-all the identity registry, which brings in
+every layer.  `import pie.cli` itself loads only this module and errors.
 """
 
 from __future__ import annotations
 
 import argparse
-import cmath
-import csv
-import json
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import replace
-from fractions import Fraction
 
 from .errors import AlgorithmFault
-from .exact import C
-from .identities import NUMERIC_CAPABLE, CheckConfig, IdentityId, check_identity, run_all
-from .involution import class_members, class_sum, pair, trace_lines, verify_pairings
-from .series import (
-    coefficient_rows,
-    series_A,
-    series_K,
-    series_M,
-    series_dilcher_binomial,
-    series_entry4,
-)
 
 MAX_N = 200
 # the pairing sweep walks all of D(n): |D(100)| = 444,793 takes about 7.5 s
@@ -48,6 +37,10 @@ def _parse_complex_list(text: str) -> tuple[complex, ...]:
 
 
 def _parse_c_value(text: str):
+    from fractions import Fraction
+
+    from .exact import C
+
     if text.strip().lower() == "symbolic":
         return C
     try:
@@ -137,6 +130,8 @@ def _tolerance(value: float) -> float:
 
 
 def _grid(name: str, text: str) -> tuple[complex, ...]:
+    import cmath
+
     grid = _parse_complex_list(text)
     if not grid:
         raise ValueError(f"the {name} grid is empty")
@@ -146,6 +141,10 @@ def _grid(name: str, text: str) -> tuple[complex, ...]:
 
 
 def _config_from(args: argparse.Namespace) -> CheckConfig:
+    from dataclasses import replace
+
+    from .identities import CheckConfig
+
     cfg = CheckConfig()
     n_max = _setting(args, "n_max", "N_MAX", int, cfg.n_max)
     if not 1 <= n_max <= MAX_N:
@@ -179,6 +178,9 @@ def _sink(args: argparse.Namespace):
 
 def emit_report(reports, fmt: str, sink, timings: bool = False) -> None:
     """Serialize reports bit-stably: sorted keys, fixed order, LF endings."""
+    import csv
+    import json
+
     dicts = [r.to_json_dict(include_timing=timings) for r in reports]
     if fmt == "json":
         sink.write(json.dumps(dicts, sort_keys=True, indent=2))
@@ -217,6 +219,8 @@ def _emit(args: argparse.Namespace, run) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .identities import NUMERIC_CAPABLE, IdentityId, check_identity
+
     cfg = _config_from(args)
     if not args.all:
         idents = [args.ident]
@@ -228,6 +232,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_series(args: argparse.Namespace) -> int:
+    import csv
+
+    from .series import coefficient_rows, series_A, series_K, series_M
+    from .series import series_dilcher_binomial, series_entry4
+
     order = _positive("order", _setting(args, "order", "Q_ORDER", int, 30))
     c = _parse_c_value(args.c)
     name = args.name
@@ -249,6 +258,8 @@ def _cmd_series(args: argparse.Namespace) -> int:
 
 
 def _cmd_involution(args: argparse.Namespace) -> int:
+    from .involution import class_members, class_sum, pair, trace_lines, verify_pairings
+
     n, N = args.n, args.modulus
     if not 1 <= n <= MAX_INVOLUTION_N:
         raise ValueError(f"n must lie in 1..{MAX_INVOLUTION_N}")
@@ -282,6 +293,8 @@ def _cmd_involution(args: argparse.Namespace) -> int:
 
 
 def _cmd_report_all(args: argparse.Namespace) -> int:
+    from .identities import run_all
+
     cfg = _config_from(args)
     return _emit(args, lambda: run_all(cfg))
 

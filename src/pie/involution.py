@@ -45,7 +45,6 @@ from .partitions import (
     Partition,
     _descending_distinct_parts,
     _require_enumerable,
-    enumerate_distinct,
     signed_window_counts,
 )
 
@@ -187,10 +186,14 @@ def class_sum(n: int, N: int) -> int:
 
 
 def class_members(n: int, N: int) -> Iterator[Partition]:
-    """Members of D(n) in C(N), in enumeration order."""
-    for p in enumerate_distinct(n):
-        if p.largest >= N > p.largest - p.smallest:
-            yield p
+    """Members of D(n) in C(N), in enumeration order.  The window is tested
+    on the plain part tuples; a Partition is built only for a member."""
+    _require_enumerable(n, DEFAULT_ENUMERATION_GUARD)
+    if n == 0:
+        raise ValueError("the empty partition has no class membership")
+    for parts in _descending_distinct_parts(n, n):
+        if parts[0] >= N > parts[0] - parts[-1]:
+            yield Partition(parts)
 
 
 def verify_pairings(n: int, moduli: Iterable[int]) -> dict[int, dict[str, int]]:

@@ -415,6 +415,19 @@ def test_class_sums_match_a_window_scan(n):
     assert class_sums(n) == tuple(scan)
 
 
+@pytest.mark.parametrize("n", range(1, 31))
+def test_class_members_match_enumerate_then_filter(n):
+    for N in range(1, n + 1):
+        expected = [p for p in enumerate_distinct(n) if p.largest >= N > p.largest - p.smallest]
+        assert list(class_members(n, N)) == expected
+
+
+def test_class_members_rejects_n_outside_enumerable_range():
+    for n in (0, -1, 201):
+        with pytest.raises(ValueError):
+            list(class_members(n, 1))
+
+
 def test_class_members_of_six_modulus_three():
     members = [p.parts for p in class_members(6, 3)]
     assert members == [(6,), (4, 2), (3, 2, 1)]

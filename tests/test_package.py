@@ -1,0 +1,173 @@
+"""The package surface resolves on first use, and each pie command loads only
+the layers it runs (checked in fresh interpreters, with no time bound)."""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import pie
+
+SRC = Path(pie.__file__).resolve().parent.parent
+LAYERS = ("partitions", "exact", "series", "involution", "identities", "cli", "errors")
+PUBLIC = [
+    "AlgorithmFault",
+    "C",
+    "CPolynomial",
+    "CheckConfig",
+    "ExpSeries",
+    "IdentityId",
+    "IdentityReport",
+    "PairingTrace",
+    "Partition",
+    "TruncatedSeries",
+    "bell_polynomial",
+    "check_identity",
+    "class_sum",
+    "count_exact_part_sizes",
+    "divisors",
+    "enumerate_distinct",
+    "enumerate_partitions",
+    "in_class",
+    "membership_count",
+    "pair",
+    "run_all",
+    "sigma_int",
+    "__version__",
+]
+HOMES = {
+    "AlgorithmFault": "errors",
+    "C": "exact",
+    "CPolynomial": "exact",
+    "CheckConfig": "identities",
+    "ExpSeries": "series",
+    "IdentityId": "identities",
+    "IdentityReport": "identities",
+    "PairingTrace": "involution",
+    "Partition": "partitions",
+    "TruncatedSeries": "series",
+    "bell_polynomial": "exact",
+    "check_identity": "identities",
+    "class_sum": "involution",
+    "count_exact_part_sizes": "partitions",
+    "divisors": "exact",
+    "enumerate_distinct": "partitions",
+    "enumerate_partitions": "partitions",
+    "in_class": "involution",
+    "membership_count": "involution",
+    "pair": "involution",
+    "run_all": "identities",
+    "sigma_int": "exact",
+}
+
+
+def test_all_is_unchanged():
+    assert pie.__all__ == PUBLIC
+    assert pie.__version__ == "0.1.0"
+
+
+@pytest.mark.parametrize("name", sorted(HOMES))
+def test_public_name_is_its_home_object(name):
+    home = importlib.import_module(f"pie.{HOMES[name]}")
+    assert getattr(pie, name) is getattr(home, name)
+
+
+def test_star_import_binds_exactly_all():
+    namespace: dict = {}
+    exec("from pie import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(PUBLIC)
+    assert all(namespace[name] is getattr(pie, name) for name in PUBLIC)
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'nonesuch'"):
+        pie.nonesuch
+    assert not hasattr(pie, "series_A")
+    with pytest.raises(ImportError):
+        exec("from pie import nonesuch", {})
+
+
+# -- import footprint, each case in a fresh interpreter -----------------------------
+
+
+LOADED = "sorted(m for m in sys.modules if m == 'pie' or m.startswith('pie.'))"
+
+
+def _fresh(code: str, result: str = LOADED):
+    """Run code in a fresh interpreter with its output swallowed, then
+    return the JSON value of the expression result (by default the pie
+    modules loaded)."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PIE_")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+    script = (
+        "import io, json, sys\n"
+        "from contextlib import redirect_stdout\n"
+        f"with redirect_stdout(io.StringIO()):\n    {code}\n"
+        f"print(json.dumps({result}))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    return json.loads(proc.stdout)
+
+
+def _main(*argv: str) -> str:
+    return f"import pie.cli; assert pie.cli.main({list(argv)!r}) == 0"
+
+
+def test_plain_import_loads_no_layer():
+    assert _fresh("import pie") == ["pie"]
+
+
+def test_dir_lists_public_names_and_layers_without_loading_them():
+    listed, loaded = _fresh("import pie; names = dir(pie)", f"[names, {LOADED}]")
+    assert set(PUBLIC) <= set(listed)
+    assert set(LAYERS) <= set(listed)
+    assert listed == sorted(listed)
+    assert loaded == ["pie"]
+
+
+def test_public_name_loads_only_its_home_and_what_it_imports():
+    assert _fresh("import pie; pie.AlgorithmFault") == ["pie", "pie.errors"]
+    assert _fresh("import pie; pie.pair") == [
+        "pie", "pie.errors", "pie.involution", "pie.partitions"
+    ]
+    assert _fresh("from pie import Partition") == ["pie", "pie.partitions"]
+
+
+def test_importing_the_cli_loads_only_errors():
+    assert _fresh("import pie.cli") == ["pie", "pie.cli", "pie.errors"]
+
+
+def test_plain_import_resolves_every_layer():
+    code = "import pie; [getattr(pie, name) for name in " + repr(LAYERS) + "]"
+    assert _fresh(code) == ["pie", *sorted(f"pie.{layer}" for layer in LAYERS)]
+
+
+def test_involution_sweep_loads_the_pairing_and_partitions():
+    loaded = _fresh(_main("involution", "--n", "8", "--N-divisor", "1", "--sweep"))
+    assert loaded == ["pie", "pie.cli", "pie.errors", "pie.involution", "pie.partitions"]
+
+
+def test_series_dump_loads_neither_identities_nor_involution():
+    loaded = _fresh(_main("series", "--name", "A", "--order", "5"))
+    assert loaded == ["pie", "pie.cli", "pie.errors", "pie.exact", "pie.series"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("report-all", "--n-max", "4", "--q-order", "4"),
+        ("verify", "--id", "bs_basic", "--n-max", "4"),
+    ],
+    ids=["report-all", "verify"],
+)
+def test_identity_commands_load_every_layer(argv):
+    loaded = _fresh(_main(*argv))
+    assert loaded == ["pie", *sorted(f"pie.{layer}" for layer in LAYERS)]
