@@ -37,7 +37,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cache, lru_cache, partial
 from itertools import product
-from math import comb, factorial
+from math import factorial
 
 from .errors import AlgorithmFault
 from .exact import (
@@ -56,6 +56,7 @@ from .exact import (
 )
 from .involution import _window_sums, class_sum
 from .partitions import (
+    _max_distinct_sizes,
     _table_cap,
     count_exact_part_sizes,
     partitions_by_largest_and_sizes,
@@ -170,10 +171,6 @@ def _conv(a, b, limit: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _poly(acc: dict[int, int]) -> CPolynomial:
-    return CPolynomial({e: v for e, v in acc.items() if v})
-
-
 # -- weight profiles ------------------------------------------------------------
 #
 # Each weighted side below is sum_e a_n(e) * e^z * c^e with integer a_n(e): a
@@ -184,10 +181,13 @@ def _poly(acc: dict[int, int]) -> CPolynomial:
 # are linear maps of the signed (smallest, largest) histogram H_n, the P(n)
 # sides come from the (largest, #sizes) counts of the size-count DP.
 #
-# In the binomial sums, terms with base l - j = 0 contribute nothing for
-# every exponent k, including k = 0: they are the constant terms annihilated
-# by the weight operator, and the analytic continuation from k > 0 keeps
-# them at zero.
+# The P(n) sides group the cells by v into G_v = sum_l cnt(l, v) * c^(l-v).
+# P_1 = sum_v G_v * (c-1)^(v-1), by Horner's rule in (c - 1), is agl_pti's
+# right side and P_0 = (c - 1) * P_1 agl_scaled's.  thm_2_3's is P_0 less its
+# constant term: a base l - j = 0 contributes nothing for every exponent k,
+# including k = 0, as the weight operator annihilates constants.  thm_2_6's
+# is c * (P_1 - G_1) plus its divisor term, which equals c * G_1, so it is
+# c * P_1; the tests check both overlaps on per-cell sums.
 
 Profile = tuple[tuple[int, int], ...]
 
@@ -223,37 +223,35 @@ def _initial_profile(n: int) -> Profile:
     return _profile(acc)
 
 
-@cache
-def _signed_binomials(v: int) -> tuple[int, ...]:
-    """(-1)^j C(v, j) for j = 0..v."""
-    return tuple((-1) ** j * comb(v, j) for j in range(v + 1))
+@lru_cache(maxsize=None)
+def _binomial_rows(n: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """G_1, P_1 and P_0 at n, each as its coefficients of c^0..c^n."""
+    cells = partitions_by_largest_and_sizes(n)
+    groups = [[0] * (n + 1) for _ in range(_max_distinct_sizes(n))]
+    for (largest, v), cnt in cells.items():
+        groups[v - 1][largest - v] += cnt
+    # Horner's rule: p1 <- (c - 1) * p1 + G_v for v = v_max..1
+    p1 = [0] * (n + 1)
+    for g in reversed(groups):
+        p1 = [b - a + x for a, b, x in zip(p1, [0, *p1], g)]
+    p0 = [b - a for a, b in zip(p1, [0, *p1])]
+    return tuple(groups[0]), tuple(p1), tuple(p0)
 
 
 @lru_cache(maxsize=None)
 def _binomial_profile(n: int) -> Profile:
-    # sum over P(n) of sum_{j=0..v} (-1)^j C(v, j) c^(l-j), base 0 dropped
-    acc: dict[int, int] = {}
-    for (largest, v), cnt in partitions_by_largest_and_sizes(n).items():
-        for j, b in enumerate(_signed_binomials(v)):
-            base = largest - j
-            if base:
-                acc[base] = acc.get(base, 0) + cnt * b
-    return _profile(acc)
+    # sum over P(n) of c^(l-v) (c-1)^v with base l - j = 0 dropped: P_0 less c^0
+    return _profile(dict(enumerate(_binomial_rows(n)[2][1:], 1)))
 
 
 @lru_cache(maxsize=None)
 def _shifted_binomial_profile(n: int) -> Profile:
-    # sum over P(n) with v >= 2 of sum_{j<v} (-1)^j C(v-1, j) c^(l-j), plus
-    # sum over d | n of c^d; l - j >= l - v + 1 >= 1, so no base is 0
-    acc: dict[int, int] = {}
-    for (largest, v), cnt in partitions_by_largest_and_sizes(n).items():
-        if v < 2:
-            continue
-        for j, b in enumerate(_signed_binomials(v - 1)):
-            base = largest - j
-            acc[base] = acc.get(base, 0) + cnt * b
+    # sum over P(n) with v >= 2 of c^(l-v+1) (c-1)^(v-1), plus sum over d | n
+    # of c^d: c * (P_1 - G_1) and the divisor term
+    g1, p1, _p0 = _binomial_rows(n)
+    acc = {e + 1: p - g for e, (g, p) in enumerate(zip(g1, p1))}
     for d in divisors(n):
-        acc[d] = acc.get(d, 0) + 1
+        acc[d] += 1
     return _profile(acc)
 
 
@@ -359,28 +357,20 @@ def check_cor25(n: int) -> tuple[int, int]:
     return count_exact_part_sizes(n, 2), numerator // 2
 
 
-def check_agl(n: int, scaled: bool) -> tuple[CPolynomial, CPolynomial]:
-    """Both sides of the geometric smallest-part weight identity.
+def check_agl(n: int, scaled: bool) -> tuple[Profile, Profile]:
+    """Both profiles of the geometric smallest-part weight identity.
 
-    Unscaled: weights 1 + c + ... + c^(s-1) against c^(l-v) (c-1)^(v-1);
-    scaled: weights c^s - 1 against c^(l-v) (c-1)^v.
+    Unscaled: weights 1 + c + ... + c^(s-1) over D(n) against P_1, the sum of
+    c^(l-v) (c-1)^(v-1) over P(n); scaled: weights c^s - 1 against P_0.
     """
     if n < 1:
         raise ValueError("n must be positive")
+    _g1, p1, p0 = _binomial_rows(n)
     if scaled:
         smallest = _smallest_profile(n)
-        lhs = dict(smallest)
-        lhs[0] = -sum(a for _s, a in smallest)
-    else:
-        lhs = {j - 1: a for j, a in _initial_profile(n)}
-    rhs: dict[int, int] = {}
-    for (largest, v), cnt in partitions_by_largest_and_sizes(n).items():
-        p = v if scaled else v - 1
-        base = largest - v
-        row = _signed_binomials(p)
-        for i in range(p + 1):
-            rhs[base + i] = rhs.get(base + i, 0) + cnt * row[p - i]
-    return _poly(lhs), _poly(rhs)
+        lhs = _profile({0: -sum(a for _s, a in smallest), **dict(smallest)})
+        return lhs, _profile(dict(enumerate(p0)))
+    return tuple((j - 1, a) for j, a in _initial_profile(n)), _profile(dict(enumerate(p1)))
 
 
 def _thm22_pairs(part: str, m_max: int, q_order: int, c) -> dict:
@@ -602,10 +592,16 @@ REGISTRY = {
     ),
     IdentityId.COR_2_7: lambda cfg: _over_n(cfg, lambda n: _differ(*check_cor27(n))),
     IdentityId.AGL_PTI: lambda cfg: _over_n(
-        cfg, lambda n: _differ(*check_agl(n, False)), c="symbolic", scaled=False
+        cfg,
+        partial(_weighted_differ, partial(check_agl, scaled=False), k=0),
+        c="symbolic",
+        scaled=False,
     ),
     IdentityId.AGL_SCALED: lambda cfg: _over_n(
-        cfg, lambda n: _differ(*check_agl(n, True)), c="symbolic", scaled=True
+        cfg,
+        partial(_weighted_differ, partial(check_agl, scaled=True), k=0),
+        c="symbolic",
+        scaled=True,
     ),
     IdentityId.CLASS_SUM: _check_class_sum,
 }

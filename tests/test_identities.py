@@ -5,6 +5,8 @@ import sys
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from functools import cache
+from math import comb
 
 import pytest
 
@@ -24,7 +26,7 @@ from pie.identities import (
     lhs_rhs_thm26,
     run_all,
 )
-from pie.partitions import enumerate_distinct
+from pie.partitions import enumerate_distinct, partitions_by_largest_and_sizes
 
 EXACT_CFG = CheckConfig(n_max=30, q_order=20, m_max=3)
 
@@ -88,14 +90,15 @@ def test_cor25_examples():
 
 
 def test_agl_examples():
+    # profiles: (e, a) pairs for the sides sum_e a * c^e
     lhs, rhs = check_agl(3, scaled=False)
-    assert lhs == CPolynomial({1: 1, 2: 1})
+    assert lhs == ((1, 1), (2, 1))  # c + c^2
     assert rhs == lhs
     lhs, rhs = check_agl(1, scaled=False)
-    assert lhs == 1 and rhs == 1
+    assert lhs == rhs == ((0, 1),)
     lhs, rhs = check_agl(5, scaled=True)
-    assert lhs.evaluate(Fraction(1)) == 0
-    assert rhs.evaluate(Fraction(1)) == 0
+    assert sum(a for _e, a in lhs) == 0  # both sides vanish at c = 1
+    assert sum(a for _e, a in rhs) == 0
 
 
 def test_check_thm22_report():
@@ -399,6 +402,113 @@ def test_fault_report_keeps_range(monkeypatch):
     assert rep.first_failure == {"fault": "constructions disagree"}
     assert rep.range == passing.range
     assert set(rep.range) == {"m_max", "q_order", "c_values", "part"}
+
+
+def _skew_two_sizes(real):
+    # the partition (n - 1, 1) counted twice by (largest, #sizes), for n >= 3
+    def skewed(n):
+        counts = dict(real(n))
+        if n >= 3:
+            counts[n - 1, 2] = counts.get((n - 1, 2), 0) + 1
+        return counts
+
+    return skewed
+
+
+# the tags whose right sides read the (largest, #sizes) cells, with the keys
+# of their failure records
+CELL_READERS = {
+    "thm_2_3": {"n", "k"} | LHS_RHS,
+    "cor_2_4": {"n", "k"} | LHS_RHS,
+    "thm_2_6": {"n", "k"} | LHS_RHS,
+    "agl_pti": {"n"} | LHS_RHS,
+    "agl_scaled": {"n"} | LHS_RHS,
+}
+
+
+@pytest.mark.parametrize("skew", [_skew_one_part, _skew_two_sizes])
+def test_skewed_cells_reach_every_cell_reader(monkeypatch, skew):
+    # every tag first runs on the true cells, so every cache holds true rows
+    # when the skew lands: clearing must reach the shared kernel, and no tag
+    # may read a row built before the skew
+    cfg = CheckConfig(n_max=6, q_order=10, m_max=2)
+    assert all(check_identity(tag, cfg).passed for tag in CELL_READERS)
+    real = identities.partitions_by_largest_and_sizes
+    monkeypatch.setattr(identities, "partitions_by_largest_and_sizes", skew(real))
+    _clear_caches()
+    try:
+        reports = {tag: check_identity(tag, cfg) for tag in CELL_READERS}
+    finally:
+        _clear_caches()
+    # thm_2_6 reads only cells with at least two sizes, c * (P_1 - G_1),
+    # so a skewed one-size cell leaves it passing
+    failing = set(CELL_READERS) - ({"thm_2_6"} if skew is _skew_one_part else set())
+    assert {tag for tag, rep in reports.items() if not rep.passed} == failing
+    for tag in failing:
+        assert set(reports[tag].first_failure) == CELL_READERS[tag]
+
+
+# -- the binomial-weight family against per-cell sums ------------------------------
+
+
+@cache
+def _signed_binomials(v: int) -> tuple[int, ...]:
+    """(-1)^j C(v, j) for j = 0..v."""
+    return tuple((-1) ** j * comb(v, j) for j in range(v + 1))
+
+
+@cache
+def _per_cell_sides(n: int) -> tuple:
+    """The four right sides the kernel builds, summed cell by cell over the
+    (largest l, #sizes v) counts with signed binomial rows: thm_2_3's and
+    thm_2_6's profiles, then agl_pti's and agl_scaled's right sides."""
+    binomial: dict[int, int] = {}
+    shifted: dict[int, int] = {}
+    pti: dict[int, int] = {}
+    scaled: dict[int, int] = {}
+    for (largest, v), cnt in partitions_by_largest_and_sizes(n).items():
+        # sum_{j=0..v} (-1)^j C(v, j) c^(l-j), base 0 dropped
+        for j, b in enumerate(_signed_binomials(v)):
+            base = largest - j
+            if base:
+                binomial[base] = binomial.get(base, 0) + cnt * b
+        # v >= 2: sum_{j<v} (-1)^j C(v-1, j) c^(l-j)
+        if v >= 2:
+            for j, b in enumerate(_signed_binomials(v - 1)):
+                base = largest - j
+                shifted[base] = shifted.get(base, 0) + cnt * b
+        # c^(l-v) (c-1)^p with p = v - 1 unscaled, p = v scaled
+        for p, acc in ((v - 1, pti), (v, scaled)):
+            row = _signed_binomials(p)
+            for i in range(p + 1):
+                e = largest - v + i
+                acc[e] = acc.get(e, 0) + cnt * row[p - i]
+    for d in divisors(n):
+        shifted[d] = shifted.get(d, 0) + 1
+    return tuple(
+        tuple(sorted((e, a) for e, a in acc.items() if a))
+        for acc in (binomial, shifted, pti, scaled)
+    )
+
+
+def test_binomial_kernel_matches_per_cell_sums():
+    for n in range(1, 201):
+        kernel = (
+            identities._binomial_profile(n),
+            identities._shifted_binomial_profile(n),
+            check_agl(n, scaled=False)[1],
+            check_agl(n, scaled=True)[1],
+        )
+        assert kernel == _per_cell_sides(n), n
+
+
+def test_binomial_family_overlaps():
+    # read off the per-cell sums, not the kernel: thm_2_6's right side is c
+    # times agl_pti's, and thm_2_3's is agl_scaled's without its constant term
+    for n in range(1, 201):
+        binomial, shifted, pti, scaled = _per_cell_sides(n)
+        assert shifted == tuple((e + 1, a) for e, a in pti), n
+        assert binomial == tuple((e, a) for e, a in scaled if e), n
 
 
 # -- numeric mode against a 50-digit oracle ----------------------------------------
