@@ -11,6 +11,9 @@ The commands cover:
     PIE_Z=0,-0j,1.5-0.5j,1.5-0.5j PIE_C=-0.3,0.85,0.4-0.3j,-0j, whose
     signed zeros and repeated point exercise the numeric power tables,
     which go by grid position (0j == -0j, yet their powers differ);
+  - report-all at the stretch range 200/80 in json under the built-in
+    grid, the one range that reaches the partition tables' caps 128 and
+    256;
   - pie series --order 40 for A, M, K and entry4 at --m 1 and --m 3, with
     --c symbolic, 1, 2/3, -1/2 and 0, and for dilcher, which takes no c, at
     --m 1 and --m 3;
@@ -42,6 +45,7 @@ import sys
 from pathlib import Path
 
 REPORT_RANGES = ((40, 25), (60, 12), (12, 60))
+STRETCH_RANGE = (200, 80)
 FORMATS = ("json", "csv", "text")
 GRID_ENVS = (
     {},
@@ -71,6 +75,10 @@ def commands(scale: float):
                     "report-all", "--n-max", scaled(n_max), "--q-order", scaled(q_order),
                     "--format", fmt,
                 ]
+    n_max, q_order = STRETCH_RANGE
+    yield {}, [
+        "report-all", "--n-max", scaled(n_max), "--q-order", scaled(q_order), "--format", "json",
+    ]
     for name in SERIES_NAMES:
         for m in SERIES_MS:
             for c in SERIES_CS:

@@ -527,10 +527,10 @@ def _check_dilcher_cm(cfg: CheckConfig):
         series = {m: series_M(m, 1, n_max) for m in formulas}
 
         def mismatch(m, n):
-            enumerated = _at(_smallest_profile(n), m, 1)
+            weights = _at(_smallest_profile(n), m, 1)
             formula = formulas[m](n)
-            if not enumerated == formula == series[m][n]:
-                return {"enumerated": enumerated, "convolution": formula, "series": series[m][n]}
+            if not weights == formula == series[m][n]:
+                return {"weights": weights, "convolution": formula, "series": series[m][n]}
             return None
 
         return _first(_grid(m=formulas, n=_ns(cfg)), mismatch)

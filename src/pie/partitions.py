@@ -16,6 +16,9 @@ from typing import Iterator
 # caller raises the guard explicitly.
 DEFAULT_ENUMERATION_GUARD = 200
 
+# the nonzero cells of one n in a cached table: every caller shares one read-only view
+Cells = MappingProxyType[tuple[int, int], int]
+
 
 @dataclass(frozen=True)
 class Partition:
@@ -152,21 +155,6 @@ def _max_distinct_sizes(n: int) -> int:
     return v
 
 
-def _apply_size(f: list[list[int]], m: int, vmax: int, cap: int) -> None:
-    # Extend the table with part size m taken with multiplicity >= 1.
-    # f[v][r] counts partitions of r from the sizes processed so far with
-    # exactly v distinct sizes; rows are updated top-down so that row v-1
-    # still holds the pre-m values when row v consumes it.
-    for v in range(vmax, 0, -1):
-        prev = f[v - 1]
-        row = f[v]
-        carry = [0] * (cap + 1)
-        for r in range(m, cap + 1):
-            s = prev[r - m] + carry[r - m]
-            carry[r] = s
-            row[r] += s
-
-
 def _table_cap(n: int) -> int:
     cap = 32
     while cap < n:
@@ -175,22 +163,33 @@ def _table_cap(n: int) -> int:
 
 
 @lru_cache(maxsize=4)
-def _size_count_history(cap: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    # history[m] = table restricted to part sizes <= m
+def _size_cell_table(cap: int) -> tuple[tuple[Cells, ...], tuple[tuple[int, ...], ...]]:
+    # table[n][(m, v)] counts partitions of n with largest part m and v sizes,
+    # for every n <= cap, in one pass over m = 1..cap; the final f comes back
+    # too.  f[v][r] counts partitions of r into sizes below m with v sizes, so
+    # carry[r] = sum_{k>=1} f[v-1][r - k*m] is cell (m, v) at n = r.  Rows go
+    # top-down: row v-1 still holds the sizes below m when row v reads it.
     vmax = _max_distinct_sizes(cap)
     f = [[0] * (cap + 1) for _ in range(vmax + 1)]
     f[0][0] = 1
-    history = [tuple(tuple(row) for row in f)]
+    table: list[dict[tuple[int, int], int]] = [{} for _ in range(cap + 1)]
     for m in range(1, cap + 1):
-        _apply_size(f, m, vmax, cap)
-        history.append(tuple(tuple(row) for row in f))
-    return tuple(history)
+        for v in range(vmax, 0, -1):
+            key, prev, row = (m, v), f[v - 1], f[v]
+            carry = [0] * (cap + 1)
+            for r in range(m, cap + 1):
+                s = prev[r - m] + carry[r - m]
+                if s:
+                    carry[r] = s
+                    row[r] += s
+                    table[r][key] = s
+    return tuple(MappingProxyType(row) for row in table), tuple(tuple(row) for row in f)
 
 
 def count_exact_part_sizes(n: int, t: int) -> int:
     """Number of partitions of n with exactly t distinct part sizes.
 
-    Dynamic programming over part sizes; scales to n in the hundreds, far
+    Read off the one-pass size-count DP; scales to n in the hundreds, far
     beyond what enumeration can reach.  count_exact_part_sizes(n, 1) equals
     the divisor count d(n).
     """
@@ -200,37 +199,24 @@ def count_exact_part_sizes(n: int, t: int) -> int:
         raise ValueError("t must be positive")
     if t * (t + 1) // 2 > n:
         return 0
-    return _size_count_history(_table_cap(n))[-1][t][n]
+    return _size_cell_table(_table_cap(n))[1][t][n]
 
 
-@lru_cache(maxsize=None)
-def partitions_by_largest_and_sizes(n: int) -> dict[tuple[int, int], int]:
+def partitions_by_largest_and_sizes(n: int) -> Cells:
     """Group P(n) by (largest part, number of distinct sizes), as counts.
 
     The sum-over-P(n) side of several identities depends on a partition only
-    through this pair, so the grouped counts replace full enumeration.
+    through this pair, so the grouped counts replace full enumeration.  Only
+    nonzero cells are kept, recorded for every n up to the table cap by one
+    pass of the size-count DP (see _size_cell_table), cached.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    history = _size_count_history(_table_cap(n))
-    vmax = _max_distinct_sizes(n)
-    out: dict[tuple[int, int], int] = {}
-    for largest in range(1, n + 1):
-        below = history[largest - 1]
-        for v in range(1, vmax + 1):
-            prev = below[v - 1]
-            total = 0
-            r = n - largest
-            while r >= 0:
-                total += prev[r]
-                r -= largest
-            if total:
-                out[(largest, v)] = total
-    return out
+    return _size_cell_table(_table_cap(n))[0][n]
 
 
 @lru_cache(maxsize=4)
-def _signed_window_table(cap: int) -> tuple[MappingProxyType[tuple[int, int], int], ...]:
+def _signed_window_table(cap: int) -> tuple[Cells, ...]:
     # table[n][(s, l)] = H_n(s, l) for every n <= cap, nonzero cells only.
     # For s < l the middle parts form a distinct subset of (s, l) summing to
     # n - s - l, each one flipping the sign, so H_n(s, l) is minus the
@@ -250,11 +236,10 @@ def _signed_window_table(cap: int) -> tuple[MappingProxyType[tuple[int, int], in
             del poly[-1:]
             for i in range(len(poly) - 1, l - 1, -1):
                 poly[i] -= poly[i - l]
-    # read-only views: every caller shares the cached rows
     return tuple(MappingProxyType(row) for row in table)
 
 
-def signed_window_counts(n: int) -> MappingProxyType[tuple[int, int], int]:
+def signed_window_counts(n: int) -> Cells:
     """H_n(s, l): the signed count of D(n) by (smallest, largest) part.
 
     Each distinct-part partition of n with smallest part s and largest part

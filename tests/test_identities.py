@@ -337,7 +337,7 @@ FORCED_FAILURES = [
         "exact",
         "series_M",
         _double,
-        {"m", "n", "enumerated", "convolution", "series"},
+        {"m", "n", "weights", "convolution", "series"},
     ),
     ("eq_1_13", "exact", "series_M", _double, {"m", "n", "series", "weights"}),
     ("thm_1_2", "exact", "series_dilcher_binomial", _double_last, {"k", "q_power"} | LHS_RHS),

@@ -2,6 +2,7 @@
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,8 @@ from hypothesis import strategies as st
 
 from pie.partitions import (
     Partition,
+    _signed_window_table,
+    _size_cell_table,
     count_exact_part_sizes,
     enumerate_distinct,
     enumerate_partitions,
@@ -211,6 +214,63 @@ def test_count_exact_part_sizes_validation():
 def test_profile_by_largest_and_sizes_against_enumeration(n):
     brute = Counter((p.largest, p.num_distinct) for p in enumerate_partitions(n))
     assert partitions_by_largest_and_sizes(n) == dict(brute)
+
+
+@cache
+def _bounded_count(n: int, k: int) -> int:
+    """Partitions of n with every part <= k: either no part k, or one k removed."""
+    if n == 0:
+        return 1
+    if k == 0:
+        return 0
+    return _bounded_count(n, k - 1) + (_bounded_count(n - k, k) if n >= k else 0)
+
+
+def _count_with_largest(n: int, largest: int) -> int:
+    # removing one largest part leaves a partition of n - l with parts <= l
+    return _bounded_count(n - largest, largest)
+
+
+# every n <= 200 crosses the table caps 32, 64, 128 and 256
+@pytest.mark.parametrize("n", range(1, 201))
+def test_size_cells_full_range(n):
+    cells = partitions_by_largest_and_sizes(n)
+    assert all(cnt > 0 for cnt in cells.values())
+    assert sum(cells.values()) == partition_count(n)
+    divisor_count = sum(1 for d in range(1, n + 1) if n % d == 0)
+    assert sum(cnt for (_largest, v), cnt in cells.items() if v == 1) == divisor_count
+    by_largest = Counter()
+    by_sizes = Counter()
+    for (largest, v), cnt in cells.items():
+        by_largest[largest] += cnt
+        by_sizes[v] += cnt
+    for largest in range(1, n + 1):
+        assert by_largest[largest] == _count_with_largest(n, largest)
+    for t in range(1, n + 1):
+        assert count_exact_part_sizes(n, t) == by_sizes[t]
+
+
+def test_cell_tables_do_not_depend_on_the_cap():
+    cells64, rows64 = _size_cell_table(64)
+    cells128, rows128 = _size_cell_table(128)
+    windows64, windows128 = _signed_window_table(64), _signed_window_table(128)
+    for n in range(65):
+        assert cells64[n] == cells128[n]
+        assert windows64[n] == windows128[n]
+        for v, row in enumerate(rows64):
+            assert row[n] == rows128[v][n]
+
+
+def test_cell_maps_are_read_only():
+    with pytest.raises(TypeError):
+        partitions_by_largest_and_sizes(5)[5, 1] = 2
+    with pytest.raises(TypeError):
+        signed_window_counts(5)[5, 5] = 2
+
+
+def test_count_exact_part_sizes_checks_n_first():
+    with pytest.raises(ValueError, match="n must be positive"):
+        count_exact_part_sizes(0, 0)
 
 
 @pytest.mark.parametrize("n", range(1, 61))
