@@ -17,9 +17,9 @@ The commands cover:
   - pie series --order 40 for A, M, K and entry4 at --m 1 and --m 3, with
     --c symbolic, 1, 2/3, -1/2 and 0, and for dilcher, which takes no c, at
     --m 1 and --m 3;
-  - pie involution --sweep at --n 24 and --n 60, and at --n 20 the class
-    listing of --N-divisor 3 with --trace and that of --N-divisor 4
-    without it.
+  - pie involution --sweep at --n 24, --n 60 and --n 80, at --n 20 the
+    class listing of --N-divisor 3 with --trace and that of --N-divisor 4
+    without it, and at --n 60 the listing of --N-divisor 7 with --trace.
 
 Every command runs in a fresh interpreter with no other PIE_* variable set.
 Two source trees give byte-identical outputs exactly when a diff of this
@@ -33,8 +33,8 @@ Usage:
     python scripts/output_digests.py [scale] [--src PATH]
 
 scale (default 1) multiplies every range and every n, each kept at least
-4: the smallest q-order the default m-max admits, and no less than the
-listed moduli.  0.1 gives a quick smoke run.
+4, the smallest q-order the default m-max admits, and a listing's n kept
+no less than its modulus.  0.1 gives a quick smoke run.
 """
 
 import argparse
@@ -56,17 +56,16 @@ SERIES_ORDER = 40
 SERIES_NAMES = ("A", "M", "K", "entry4")
 SERIES_MS = (1, 3)
 SERIES_CS = ("symbolic", "1", "2/3", "-1/2", "0")
-SWEEP_NS = (24, 60)
-LISTING_N = 20
-LISTINGS = (("3", "--trace"), ("4",))
+SWEEP_NS = (24, 60, 80)
+LISTINGS = ((20, 3, "--trace"), (20, 4), (60, 7, "--trace"))
 MIN_RANGE = 4
 
 
 def commands(scale: float):
     """(env, argv) for every digested command, in a fixed order."""
 
-    def scaled(value: int) -> str:
-        return str(max(MIN_RANGE, round(value * scale)))
+    def scaled(value: int, least: int = MIN_RANGE) -> str:
+        return str(max(least, round(value * scale)))
 
     for env in GRID_ENVS:
         for n_max, q_order in REPORT_RANGES:
@@ -91,8 +90,11 @@ def commands(scale: float):
         yield {}, ["series", "--name", "dilcher", "--m", str(m), "--order", scaled(SERIES_ORDER)]
     for n in SWEEP_NS:
         yield {}, ["involution", "--n", scaled(n), "--N-divisor", "1", "--sweep"]
-    for modulus, *flags in LISTINGS:
-        yield {}, ["involution", "--n", scaled(LISTING_N), "--N-divisor", modulus, *flags]
+    for n, modulus, *flags in LISTINGS:
+        yield {}, [
+            "involution", "--n", scaled(n, max(MIN_RANGE, modulus)),
+            "--N-divisor", str(modulus), *flags,
+        ]
 
 
 def main() -> int:

@@ -15,19 +15,21 @@ window).  The pairing:
   fixed   - the single-part partition (n) with N | n pairs with nothing.
 
 One kernel, _pair_parts, runs both directions on plain part tuples; pair
-wraps it with a step record.  A partition with smallest part s and largest
-part l lies in exactly the classes N in (l - s, l], so verify_pairings
-checks every asked class in one pass over D(n).  It runs the kernel only
-from case-1 members and fixed points: each case-1 image must take case 2
-and map back, so the pairing sends case 1 one-to-one into case 2, and
-equal case-1 and case-2 counts per N then make every case-2 member the
-image of a case-1 member, whose pairing was checked both ways.  class_sums
-reads the class sums off the signed (smallest, largest) histogram,
-independent of the pairing.  Any departure from the proven regime (several
-parts divisible by N, guard overrun, nonpositive intermediate, duplicate
-inserted or output part, output of the wrong size or outside the class, a
-second stopping point, a case-2 member left over) raises AlgorithmFault
-rather than being repaired.
+wraps it with a step record.  Its case-2 walk runs every subtraction while
+the parts stay positive, so the one walk that finds the stopping j also
+shows it is the only j in the window.  A partition with smallest part s and
+largest part l lies in exactly the classes N in (l - s, l], so
+verify_pairings checks every asked class in one pass over D(n).  It runs
+the kernel only from case-1 members and fixed points: each case-1 image
+must take case 2 and map back, so the pairing sends case 1 one-to-one into
+case 2, and equal case-1 and case-2 counts per N then make every case-2
+member the image of a case-1 member, whose pairing was checked both ways.
+class_sums reads the class sums off the signed (smallest, largest)
+histogram, independent of the pairing.  Any departure from the proven
+regime (several parts divisible by N, guard overrun, nonpositive
+intermediate, duplicate inserted or output part, output of the wrong size
+or outside the class, a second stopping point, a case-2 member left over)
+raises AlgorithmFault rather than being repaired.
 """
 
 from __future__ import annotations
@@ -119,17 +121,21 @@ def _pair_parts(
             if steps is not None:
                 steps.append((tuple(working), f"add {N} to smallest part {low}"))
     else:
-        guard = ceil(n / N)
+        # walk every subtraction: the first j in the window is the stopping
+        # point, and any later one disproves its uniqueness
+        guard, kept = ceil(n / N), None
         for j, high in _subtractions(working, N):
             if j > guard:
                 raise _fault(parts, N, f"subtraction loop exceeded guard {guard}")
-            if steps is not None:
+            if kept is None and steps is not None:
                 steps.append((tuple(working), f"subtract {N} from largest part {high}"))
             if working[-1] - N < j * N < working[0] + N:
-                break
-        else:
+                if kept is not None:
+                    raise _fault(parts, N, "the stopping window admits a second j")
+                moved, kept = j * N, working.copy()
+        if kept is None:
             raise _fault(parts, N, f"nonpositive intermediate part {working[-1] - N}")
-        case, moved = CASE_INSERT, j * N
+        case, working = CASE_INSERT, kept
         if moved in working:
             raise _fault(parts, N, f"inserted part {moved} duplicates an existing part")
         insort(working, moved)
@@ -157,11 +163,6 @@ def _subtractions(working: list[int], N: int):
         yield j, high
 
 
-def _stopping_js(parts: tuple[int, ...], N: int) -> list[int]:
-    working = sorted(parts)
-    return [j for j, _ in _subtractions(working, N) if working[-1] - N < j * N < working[0] + N]
-
-
 @lru_cache(maxsize=None)
 def class_sums(n: int) -> tuple[int, ...]:
     """Entry N is the signed sum over D(n) within C(N), for N = 0..n, read
@@ -186,14 +187,16 @@ def class_sum(n: int, N: int) -> int:
 
 
 def class_members(n: int, N: int) -> Iterator[Partition]:
-    """Members of D(n) in C(N), in enumeration order.  The window is tested
-    on the plain part tuples; a Partition is built only for a member."""
+    """Members of D(n) in C(N), in enumeration order.  Only the class is
+    walked: below each largest part l >= N the other parts exceed l - N."""
     _require_enumerable(n, DEFAULT_ENUMERATION_GUARD)
     if n == 0:
         raise ValueError("the empty partition has no class membership")
-    for parts in _descending_distinct_parts(n, n):
-        if parts[0] >= N > parts[0] - parts[-1]:
-            yield Partition(parts)
+    if N < 1:
+        raise ValueError("N must be positive")
+    for largest in range(n, N - 1, -1):
+        for rest in _descending_distinct_parts(n - largest, largest - 1, largest - N):
+            yield Partition((largest, *rest))
 
 
 def verify_pairings(n: int, moduli: Iterable[int]) -> dict[int, dict[str, int]]:
@@ -228,7 +231,9 @@ def verify_pairings(n: int, moduli: Iterable[int]) -> dict[int, dict[str, int]]:
                     raise _fault(parts, N, "unexpected fixed point")
                 continue
             tally[0] += 1
-            _check_image(parts, N, n, image)
+            # the kernel checked the image's sum, distinct parts and class
+            if abs(len(image) - len(parts)) != 1:
+                raise _fault(parts, N, f"parity not reversed by the image {_show(image)}")
             case, _, back = _pair_parts(image, N, n)
             if case != CASE_INSERT:
                 raise _fault(image, N, f"the image of {_show(parts)} takes {case}")
@@ -237,8 +242,6 @@ def verify_pairings(n: int, moduli: Iterable[int]) -> dict[int, dict[str, int]]:
                 # here, to name what a wrong back image got wrong
                 _check_image(image, N, n, back)
                 raise _fault(parts, N, f"not an involution: the image is {_show(image)}")
-            if len(_stopping_js(image, N)) != 1:
-                raise _fault(image, N, "the stopping window admits a second j")
     for N, (case1, case2, fixed) in tallies.items():
         if fixed != (expected := 1 if n % N == 0 else 0):
             raise AlgorithmFault(f"fixed point count {fixed} != {expected} for n={n}, N={N}")

@@ -94,17 +94,19 @@ def _descending_parts(n: int, cap: int) -> Iterator[tuple[int, ...]]:
     yield from rec(n, cap)
 
 
-def _descending_distinct_parts(n: int, cap: int) -> Iterator[tuple[int, ...]]:
+def _descending_distinct_parts(n: int, cap: int, floor: int = 0) -> Iterator[tuple[int, ...]]:
+    # every part lies in floor < part <= cap
     buf: list[int] = []
+    below_floor = floor * (floor + 1) // 2
 
     def rec(rem: int, bound: int) -> Iterator[tuple[int, ...]]:
         if rem == 0:
             yield tuple(buf)
             return
         top = bound if bound < rem else rem
-        for a in range(top, 0, -1):
-            # the leftover must fit under distinct parts < a
-            if rem - a > a * (a - 1) // 2:
+        for a in range(top, floor, -1):
+            # the leftover must fit under distinct parts in (floor, a)
+            if rem - a > a * (a - 1) // 2 - below_floor:
                 break
             buf.append(a)
             yield from rec(rem - a, a - 1)

@@ -13,7 +13,6 @@ from pie.cli import main
 from pie.errors import AlgorithmFault
 from pie.involution import (
     _pair_parts,
-    _stopping_js,
     class_members,
     class_sum,
     class_sums,
@@ -56,13 +55,21 @@ def stopping_candidates(p: Partition, N: int) -> list[int]:
     the subtraction sequence keeps every part positive.
 
     The pairing uses the first such j; the proof needs it to be unique, and
-    verify_pairings raises AlgorithmFault on a case-2 image with a second j.
+    the pairing kernel raises AlgorithmFault on a case-2 input with a second j.
     """
     if not in_class(p, N):
         raise ValueError(f"{p} is not in the class C({N})")
     if any(a % N == 0 for a in p.parts):
         raise ValueError("stopping scan applies to case 2 inputs only")
-    return _stopping_js(p.parts, N)
+    working = sorted(p.parts)
+    js = []
+    j = 0
+    while working[-1] > N:
+        j += 1
+        insort(working, working.pop() - N)
+        if working[-1] - N < j * N < working[0] + N:
+            js.append(j)
+    return js
 
 
 def reference_pair(parts, N):
@@ -372,10 +379,34 @@ def test_stopping_window_admits_exactly_one_j(n):
             assert len(stopping_candidates(p, N)) == 1, (p.parts, N)
 
 
-def test_second_stopping_point_faults_the_sweep(monkeypatch):
-    monkeypatch.setattr(involution, "_stopping_js", lambda parts, N: [1, 2])
+@pytest.fixture
+def doubled_subtractions(monkeypatch):
+    # every subtraction step is yielded twice, so the stopping j lies in the
+    # window twice in one walk
+    def doubled(working, N):
+        for step in walk(working, N):
+            yield step
+            yield step
+
+    walk = involution._subtractions
+    monkeypatch.setattr(involution, "_subtractions", doubled)
+
+
+@pytest.mark.usefixtures("doubled_subtractions")
+def test_second_stopping_point_faults_the_sweep(capsys):
     with pytest.raises(AlgorithmFault, match="second j"):
         verify_pairings(6, range(1, 7))
+    assert main(["involution", "--n", "6", "--N-divisor", "1", "--sweep"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "second j" in captured.err
+
+
+@pytest.mark.usefixtures("doubled_subtractions")
+def test_second_stopping_point_faults_the_kernel():
+    message = "the stopping window admits a second j for 5+4, N=3"
+    with pytest.raises(AlgorithmFault, match=re.escape(message)):
+        pair(P(5, 4), 3)
 
 
 def test_stopping_scan_rejects_case1_input():
@@ -420,6 +451,18 @@ def test_class_members_match_enumerate_then_filter(n):
     for N in range(1, n + 1):
         expected = [p for p in enumerate_distinct(n) if p.largest >= N > p.largest - p.smallest]
         assert list(class_members(n, N)) == expected
+
+
+@pytest.mark.parametrize("N", [1, 7, 25, 50])
+def test_class_members_walk_matches_enumerate_then_filter_at_50(N):
+    expected = [p for p in enumerate_distinct(50) if p.largest >= N > p.largest - p.smallest]
+    assert list(class_members(50, N)) == expected
+
+
+def test_class_members_rejects_nonpositive_modulus():
+    for N in (0, -3):
+        with pytest.raises(ValueError, match="N must be positive"):
+            list(class_members(6, N))
 
 
 def test_class_members_rejects_n_outside_enumerable_range():
