@@ -14,7 +14,9 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
+from functools import reduce
 from math import comb, isqrt
+from operator import add
 from typing import Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -315,19 +317,18 @@ def bell_polynomial(m: int, u: Sequence, cap: int = BELL_DEGREE_CAP):
     u may hold elements of any commutative ring that supports + and * with
     integers (rationals, CPolynomial, truncated series, symbolic terms).
     """
+    return _bell_polynomials(m, u, cap)[m]
+
+
+def _bell_polynomials(m: int, u: Sequence, cap: int = BELL_DEGREE_CAP) -> list:
+    """[Y_0, ..., Y_m] from one pass of bell_polynomial's recurrence."""
     if not isinstance(m, int) or m < 0:
         raise ValueError("m must be a nonnegative integer")
     if m > cap:
         raise ValueError(f"m={m} exceeds the Bell degree cap {cap}")
-    if m == 0:
-        return 1
     if len(u) < m:
         raise ValueError(f"need {m} arguments, got {len(u)}")
     ys: list = [1]
     for i in range(m):
-        acc = None
-        for k in range(i + 1):
-            term = comb(i, k) * ys[i - k] * u[k]
-            acc = term if acc is None else acc + term
-        ys.append(acc)
-    return ys[m]
+        ys.append(reduce(add, (comb(i, k) * ys[i - k] * u[k] for k in range(i + 1))))
+    return ys

@@ -3,7 +3,9 @@
 Every identity in scope has a closed tag; check_identity dispatches a tag to
 its checker and returns a machine-readable IdentityReport.  Each weighted
 side is built once per n as an exact integer weight profile (see the weight
-profiles section).
+profiles section).  The two parts of thm_2_2 read one cached build of A, K_m
+and M_m per (c, m_max, q_order), and the bell part takes every Y_m from one
+pass of the Bell recurrence.
 
 An exact checker declares the range it covers and a search.  Every search
 is the one first-failure search _first: it walks a grid of points, in
@@ -44,17 +46,17 @@ from .exact import (
     C,
     CPolynomial,
     Scalar,
+    _bell_polynomials,
     _c_powers,
     _sum_weighed,
     _weigh,
     _weighed_value,
     _z_powers,
-    bell_polynomial,
     divisors,
     fractional_weight,
     sigma_int,
 )
-from .involution import _window_sums, class_sum
+from .involution import class_sum, class_sums
 from .partitions import (
     _max_distinct_sizes,
     _table_cap,
@@ -199,7 +201,7 @@ def _profile(acc: dict[int, int]) -> Profile:
 @lru_cache(maxsize=None)
 def _window_profile(n: int) -> Profile:
     # sign * (c^(l-s+1) + ... + c^l) over D(n): c^N carries the class sum of C(N)
-    return _profile(dict(enumerate(_window_sums(signed_window_counts(n), n))))
+    return _profile(dict(enumerate(class_sums(n))))
 
 
 @lru_cache(maxsize=None)
@@ -373,21 +375,25 @@ def check_agl(n: int, scaled: bool) -> tuple[Profile, Profile]:
     return tuple((j - 1, a) for j, a in _initial_profile(n)), _profile(dict(enumerate(p1)))
 
 
+@lru_cache(maxsize=8)
+def _thm22_series(c, m_max: int, q_order: int) -> tuple:
+    """A, then K_m and M_m for m = 1..m_max, at c: built once for both parts."""
+    ms = range(1, m_max + 1)
+    a_series, ks = series_A(c, q_order), tuple(series_K(m, c, q_order) for m in ms)
+    return a_series, ks, tuple(series_M(m, c, q_order) for m in ms)
+
+
 def _thm22_pairs(part: str, m_max: int, q_order: int, c) -> dict:
     """m -> the two series one part of thm_2_2 compares at c: the direct
     and the t-exponential route at m = 0..m_max for the exp part, each M_m
     and its Bell closed form at m = 1..m_max for the bell part."""
-    a_series = series_A(c, q_order)
-    ms = range(1, m_max + 1)
-    ks = [series_K(m, c, q_order) for m in ms]
+    a_series, ks, ms = _thm22_series(c, m_max, q_order)
     if part == "bell":
-        return {m: (series_M(m, c, q_order), a_series * bell_polynomial(m, ks[:m])) for m in ms}
-    direct = [a_series] + [series_M(m, c, q_order).scale(Fraction(1, factorial(m))) for m in ms]
-    gen = ExpSeries(
-        [TruncatedSeries.zero(q_order)]
-        + [ks[m - 1].scale(Fraction(1, factorial(m))) for m in ms]
-    )
-    via_exp = gen.exp().scale_coeffs(a_series)
+        ys = _bell_polynomials(m_max, ks)
+        return {m: (ms[m - 1], a_series * ys[m]) for m in range(1, m_max + 1)}
+    egf = lambda series: [s.scale(Fraction(1, factorial(m))) for m, s in enumerate(series, 1)]
+    via_exp = ExpSeries([TruncatedSeries.zero(q_order), *egf(ks)]).exp().scale_coeffs(a_series)
+    direct = [a_series, *egf(ms)]
     return {m: (direct[m], via_exp[m]) for m in range(m_max + 1)}
 
 

@@ -19,7 +19,9 @@ wraps it with a step record.  Its case-2 walk runs every subtraction while
 the parts stay positive, so the one walk that finds the stopping j also
 shows it is the only j in the window.  A partition with smallest part s and
 largest part l lies in exactly the classes N in (l - s, l], so
-verify_pairings checks every asked class in one pass over D(n).  It runs
+verify_pairings checks every asked class in one walk: its largest part runs
+from n down to the least asked N, and its other parts stay above l minus the
+greatest, which for N = 1..n is all of D(n).  It runs
 the kernel only from case-1 members and fixed points: each case-1 image
 must take case 2 and map back, so the pairing sends case 1 one-to-one into
 case 2, and equal case-1 and case-2 counts per N then make every case-2
@@ -167,13 +169,9 @@ def _subtractions(working: list[int], N: int):
 def class_sums(n: int) -> tuple[int, ...]:
     """Entry N is the signed sum over D(n) within C(N), for N = 0..n, read
     off the signed (smallest, largest) histogram, independent of the pairing."""
-    return _window_sums(signed_window_counts(n), n)
-
-
-def _window_sums(histogram, n: int) -> tuple[int, ...]:
-    # entry N = 0..n sums the cells (s, l) with l - s < N <= l, by a difference array
+    # entry N sums the cells (s, l) with l - s < N <= l, by a difference array
     diff = [0] * (n + 2)
-    for (s, largest), h in histogram.items():
+    for (s, largest), h in signed_window_counts(n).items():
         diff[largest - s + 1] += h
         diff[largest + 1] -= h
     return tuple(accumulate(diff[: n + 1]))
@@ -195,14 +193,14 @@ def class_members(n: int, N: int) -> Iterator[Partition]:
     if N < 1:
         raise ValueError("N must be positive")
     for largest in range(n, N - 1, -1):
-        for rest in _descending_distinct_parts(n - largest, largest - 1, largest - N):
-            yield Partition((largest, *rest))
+        for parts in _descending_distinct_parts(n - largest, largest - 1, largest - N, (largest,)):
+            yield Partition(parts)
 
 
 def verify_pairings(n: int, moduli: Iterable[int]) -> dict[int, dict[str, int]]:
-    """Check the pairing on the classes C(N), N in moduli, in one pass over
-    D(n): parity reversal, closure, involution, a unique case-2 stopping
-    point and the predicted fixed points.  Raises AlgorithmFault on any
+    """Check the pairing on the classes C(N), N in moduli, in one walk over
+    their members: parity reversal, closure, involution, a unique case-2
+    stopping point and the predicted fixed points.  Raises AlgorithmFault on any
     violation; returns {N: {"members": ..., "fixed": ...}} in moduli order.
     A case-2 member is only counted: the module docstring gives the
     counting argument that covers it.  No state is kept per partition.
@@ -213,35 +211,38 @@ def verify_pairings(n: int, moduli: Iterable[int]) -> dict[int, dict[str, int]]:
     _require_enumerable(n, DEFAULT_ENUMERATION_GUARD)
     if not tallies:
         return {}
-    for parts in _descending_distinct_parts(n, n):
-        largest, smallest = parts[0], parts[-1]
-        for N in range(largest - smallest + 1, largest + 1):
-            tally = tallies.get(N)
-            if tally is None:
-                continue
-            # the one multiple of N the window [smallest, largest] can hold
-            multiple = largest - largest % N
-            if multiple < smallest or multiple not in parts:
-                tally[1] += 1
-                continue
-            _, _, image = _pair_parts(parts, N, n)
-            if image is None:
-                tally[2] += 1
-                if len(parts) != 1 or n % N != 0:
-                    raise _fault(parts, N, "unexpected fixed point")
-                continue
-            tally[0] += 1
-            # the kernel checked the image's sum, distinct parts and class
-            if abs(len(image) - len(parts)) != 1:
-                raise _fault(parts, N, f"parity not reversed by the image {_show(image)}")
-            case, _, back = _pair_parts(image, N, n)
-            if case != CASE_INSERT:
-                raise _fault(image, N, f"the image of {_show(parts)} takes {case}")
-            if back != parts:
-                # parts itself passes both image checks, so they run only
-                # here, to name what a wrong back image got wrong
-                _check_image(image, N, n, back)
-                raise _fault(parts, N, f"not an involution: the image is {_show(image)}")
+    low, high = min(tallies), max(tallies)
+    for largest in range(n, low - 1, -1):
+        floor = max(0, largest - high)
+        for parts in _descending_distinct_parts(n - largest, largest - 1, floor, (largest,)):
+            smallest = parts[-1]
+            for N in range(largest - smallest + 1, largest + 1):
+                tally = tallies.get(N)
+                if tally is None:
+                    continue
+                # the one multiple of N the window [smallest, largest] can hold
+                multiple = largest - largest % N
+                if multiple < smallest or multiple not in parts:
+                    tally[1] += 1
+                    continue
+                _, _, image = _pair_parts(parts, N, n)
+                if image is None:
+                    tally[2] += 1
+                    if len(parts) != 1 or n % N != 0:
+                        raise _fault(parts, N, "unexpected fixed point")
+                    continue
+                tally[0] += 1
+                # the kernel checked the image's sum, distinct parts and class
+                if abs(len(image) - len(parts)) != 1:
+                    raise _fault(parts, N, f"parity not reversed by the image {_show(image)}")
+                case, _, back = _pair_parts(image, N, n)
+                if case != CASE_INSERT:
+                    raise _fault(image, N, f"the image of {_show(parts)} takes {case}")
+                if back != parts:
+                    # parts itself passes both image checks, so they run only
+                    # here, to name what a wrong back image got wrong
+                    _check_image(image, N, n, back)
+                    raise _fault(parts, N, f"not an involution: the image is {_show(image)}")
     for N, (case1, case2, fixed) in tallies.items():
         if fixed != (expected := 1 if n % N == 0 else 0):
             raise AlgorithmFault(f"fixed point count {fixed} != {expected} for n={n}, N={N}")

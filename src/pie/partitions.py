@@ -94,9 +94,9 @@ def _descending_parts(n: int, cap: int) -> Iterator[tuple[int, ...]]:
     yield from rec(n, cap)
 
 
-def _descending_distinct_parts(n: int, cap: int, floor: int = 0) -> Iterator[tuple[int, ...]]:
-    # every part lies in floor < part <= cap
-    buf: list[int] = []
+def _descending_distinct_parts(n: int, cap: int, floor: int = 0, head=()) -> Iterator[tuple]:
+    # every part of n lies in floor < part <= cap; each tuple starts with head
+    buf = list(head)
     below_floor = floor * (floor + 1) // 2
 
     def rec(rem: int, bound: int) -> Iterator[tuple[int, ...]]:

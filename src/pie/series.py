@@ -5,17 +5,19 @@ floating point ever enters this module.
 
 Every series has one stored form: numerators graded by an integer r >= 1
 over one integer den, the q^n coefficient being nums[n] / (den * r**n).  A
-numerator is a Python int, or a CPolynomial where c is symbolic.  Built at
-c = p/r, a series takes grade r, so c q^k multiplies numerators by p *
-r**(k-1), a unit factor (1 - q^k) weighs r**k, and a product of two series
-of one grade is a convolution of numerators.  Built at symbolic c, a series
-takes r = 1 and c q^k multiplies numerators by the CPolynomial c.  Only
-scaling by a non-integer rational (the 1/m! of an exponential generating
-function) changes den, and operands of other grades or dens are brought to
-their lcm.  Fraction is the boundary: coeffs, indexing, str and
-coefficient_rows give a c-free coefficient as a Fraction, whether its
-numerator is an int or a CPolynomial that arithmetic cancelled to a
-constant, and any other coefficient as a CPolynomial.
+numerator is a Python int, or where c is symbolic a row: the tuple of the
+ints of c^0 .. c^d with a nonzero top entry, the zero row being ().  A series
+holds all ints or all rows.  Built at c = p/r, a series takes grade r, so
+c q^k multiplies numerators by p * r**(k-1), a unit factor (1 - q^k) weighs
+r**k, and a product of two series of one grade is a convolution of
+numerators.  A symbolic c = p/r has an int row p, so its weights are rows:
+c^a * w shifts a row by a and multiplies it by the int w, and a product of
+symbolic series is a bivariate product of rows.  Only scaling by a
+non-integer rational (the 1/m! of an exponential generating function) or a
+polynomial with rational coefficients changes den, and operands of other
+grades or dens are brought to their lcm.  Fraction and CPolynomial are the
+read-out types: coeffs, indexing, str and coefficient_rows give a c-free
+coefficient as a Fraction, and any other as a CPolynomial.
 
 Named builders at the bottom assemble the generating functions the identity
 suite compares.  They build every product and quotient of factors
@@ -28,7 +30,8 @@ results differ.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial, reduce
+from itertools import accumulate, repeat
 from math import comb, lcm
 from operator import add, mul, sub
 from typing import Callable, Iterable, Sequence, Union
@@ -38,26 +41,74 @@ from .exact import CPolynomial, _exact, divisors
 
 Coefficient = Union[Fraction, CPolynomial]
 ScalarLike = Union[int, Fraction, CPolynomial]
+Stored = Union[int, tuple]  # a numerator or weight: an int, or a row in c
 
 
 def _split(c: ScalarLike) -> tuple:
-    """c as (p, r) with c = p/r, r >= 1 and r = 1 for a CPolynomial: series
-    built at c take grade r, where c q^k weighs p * r**(k-1).  A float is a
-    TypeError."""
+    """c as (p, r) with c = p/r and r >= 1, p an int or, for a CPolynomial,
+    a row: series built at c take grade r, where c q^k weighs p * r**(k-1).
+    A float is a TypeError."""
     if isinstance(c, CPolynomial):
-        return c, 1
+        r = lcm(*(f.denominator for _e, f in c.items()))
+        return tuple(int(c.coefficient(e) * r) for e in range(c.degree + 1)), r
     c = _exact(c)
     return c.numerator, c.denominator
 
 
-def _coefficient(num, d: int) -> Coefficient:
+def _row(v: Stored) -> tuple:
+    return v if type(v) is tuple else (v,) if v else ()
+
+
+def _plus(x: Stored, y: Stored) -> Stored:
+    """x + y for stored values, a row when either is one."""
+    if type(x) is int and type(y) is int:
+        return x + y
+    x, y = _row(x), _row(y)
+    if len(x) < len(y):
+        x, y = y, x
+    out = [*map(add, x, y), *x[len(y) :]]
+    while out and not out[-1]:  # only rows of one length can cancel
+        out.pop()
+    return tuple(out)
+
+
+def _times(x: Stored, y: Stored) -> Stored:
+    """x * y for stored values, a row when either is one: a monomial w c^a
+    shifts the other row by a and multiplies it by w."""
+    if type(x) is int:
+        x, y = y, x
+    if type(y) is int:
+        if type(x) is int:
+            return x * y
+        return x if y == 1 else tuple(map(y.__mul__, x)) if y else ()
+    if not x or not y:
+        return ()
+    for x, y in ((x, y), (y, x)):
+        if not any(x[:-1]):
+            return (0,) * (len(x) - 1) + _times(y, x[-1])
+    # x split into its monomials
+    return reduce(_plus, (_times((0,) * a + (w,), y) for a, w in enumerate(x) if w))
+
+
+def _ops(*values: Stored) -> tuple:
+    """(plus, times) for stored values: add and mul, or _plus and _times once any is a row."""
+    return (_plus, _times) if tuple in map(type, values) else (add, mul)
+
+
+def _aligned(nums: Iterable[Stored]) -> tuple:
+    """Stored numerators as a tuple, all rows once any is a row."""
+    nums = tuple(nums)
+    return tuple(map(_row, nums)) if tuple in map(type, nums) else nums
+
+
+def _coefficient(num: Stored, d: int) -> Coefficient:
     """The coefficient num / d of a stored numerator over the integer d, a
     Fraction when it is free of c."""
-    if isinstance(num, CPolynomial):
-        if num.degree > 0:
-            return num if d == 1 else num * Fraction(1, d)
-        # a sum or product of CPolynomials that cancels to a constant
-        num = num.coefficient(0)
+    if type(num) is tuple:
+        if len(num) > 1:
+            values = (Fraction(v, d) for v in num) if d > 1 else num
+            return CPolynomial._normal({e: v for e, v in enumerate(values) if v})
+        num = num[0] if num else 0
     return Fraction(num, d)
 
 
@@ -66,7 +117,8 @@ class TruncatedSeries:
 
     order, nums, grade and den are the one stored form the module docstring
     describes; coeffs gives the coefficients themselves.  The constructor
-    takes coefficients that are ints, Fractions or CPolynomials.
+    takes coefficients that are ints, Fractions or CPolynomials, and clears
+    every denominator, a CPolynomial's included, into den.
     """
 
     __slots__ = ("order", "nums", "grade", "den")
@@ -76,19 +128,15 @@ class TruncatedSeries:
             raise ValueError("order must be nonnegative")
         if len(coeffs) != order + 1:
             raise ValueError("need exactly order+1 coefficients")
-        values = [v if isinstance(v, CPolynomial) else _exact(v) for v in coeffs]
-        den = lcm(*(v.denominator for v in values if type(v) is Fraction))
-        self.order, self.grade, self.den = order, 1, den
-        self.nums = tuple(
-            v.numerator * (den // v.denominator) if type(v) is Fraction else v * den
-            for v in values
-        )
+        parts = [_split(v) for v in coeffs]
+        self.order, self.grade, self.den = order, 1, lcm(*(r for _p, r in parts))
+        self.nums = _aligned(_times(p, self.den // r) for p, r in parts)
 
     @classmethod
-    def _stored(cls, order: int, nums: Iterable, grade=1, den=1):
-        """A series from stored numerators, taken as they are."""
+    def _stored(cls, order: int, nums: Iterable[Stored], grade=1, den=1):
+        """A series from stored numerators, all rows once any is a row."""
         out = cls.__new__(cls)
-        out.order, out.nums, out.grade, out.den = order, tuple(nums), grade, den
+        out.order, out.nums, out.grade, out.den = order, _aligned(nums), grade, den
         return out
 
     # -- constructors ------------------------------------------------------
@@ -111,9 +159,7 @@ class TruncatedSeries:
     def _match(self, other: "TruncatedSeries") -> int:
         """The lcm of the grades of two series of one order."""
         if self.order != other.order:
-            raise ValueError(
-                f"series order mismatch: {self.order} vs {other.order}"
-            )
+            raise ValueError(f"series order mismatch: {self.order} vs {other.order}")
         return lcm(self.grade, other.grade)
 
     def _numerators(self, grade: int, den: int) -> Sequence:
@@ -121,14 +167,17 @@ class TruncatedSeries:
         step, w = grade // self.grade, den // self.den
         if step == 1 and w == 1:
             return self.nums
-        return [v * w * step**e for e, v in enumerate(self.nums)]
+        weights = repeat(w) if step == 1 else (w * step**e for e in range(self.order + 1))
+        return list(map(_ops(self.nums[0])[1], self.nums, weights))
 
     def _termwise(self, other: object, op) -> "TruncatedSeries":
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         grade, den = self._match(other), lcm(self.den, other.den)
-        nums = map(op, self._numerators(grade, den), other._numerators(grade, den))
-        return TruncatedSeries._stored(self.order, nums, grade, den)
+        xs, ys = self._numerators(grade, den), other._numerators(grade, den)
+        if tuple in (type(xs[0]), type(ys[0])):
+            op, ys = _plus, ys if op is add else map(_times, ys, repeat(-1))
+        return TruncatedSeries._stored(self.order, map(op, xs, ys), grade, den)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -139,9 +188,7 @@ class TruncatedSeries:
         return self._termwise(other, sub)
 
     def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries._stored(
-            self.order, [-v for v in self.nums], self.grade, self.den
-        )
+        return self.scale(-1)
 
     def __mul__(self, other: object) -> "TruncatedSeries":
         if not isinstance(other, TruncatedSeries):
@@ -150,7 +197,10 @@ class TruncatedSeries:
             return NotImplemented
         grade = self._match(other)
         xs, ys = self._numerators(grade, self.den), other._numerators(grade, other.den)
-        out = [sum(map(mul, xs[: e + 1], ys[e::-1])) for e in range(self.order + 1)]
+        # ints convolve at C speed; rows make it a bivariate product
+        rows = tuple in (type(xs[0]), type(ys[0]))
+        total, times = (partial(reduce, _plus), _times) if rows else (sum, mul)
+        out = [total(map(times, xs[: e + 1], ys[e::-1])) for e in range(self.order + 1)]
         return TruncatedSeries._stored(self.order, out, grade, self.den * other.den)
 
     def __rmul__(self, other: object) -> "TruncatedSeries":
@@ -162,19 +212,16 @@ class TruncatedSeries:
         p, r = _split(scalar)
         if not p:
             return TruncatedSeries.zero(self.order)
-        nums = [v * p for v in self.nums]
+        nums = map(_ops(p, self.nums[0])[1], self.nums, repeat(p))
         return TruncatedSeries._stored(self.order, nums, self.grade, self.den * r)
 
     def shift(self, k: int) -> "TruncatedSeries":
         """Multiply by q^k (k >= 0); coefficients past the order fall off."""
         if k < 0:
             raise ValueError("shift must be nonnegative")
-        n = self.order
-        w = self.grade**k
-        kept = [v * w for v in self.nums[: max(n + 1 - k, 0)]]
-        return TruncatedSeries._stored(
-            n, [0] * (n + 1 - len(kept)) + kept, self.grade, self.den
-        )
+        n, times = self.order, _ops(self.nums[0])[1]
+        kept = list(map(times, self.nums[: max(n + 1 - k, 0)], repeat(self.grade**k)))
+        return TruncatedSeries._stored(n, [0] * (n + 1 - len(kept)) + kept, self.grade, self.den)
 
     def truncate(self, new_order: int) -> "TruncatedSeries":
         if new_order > self.order:
@@ -186,26 +233,14 @@ class TruncatedSeries:
     def inverse(self) -> "TruncatedSeries":
         """Multiplicative inverse; the constant term must be a unit."""
         f = self.coeffs
-        f0 = f[0]
-        if isinstance(f0, CPolynomial):
-            f0 = f0.coefficient(0) if f0.degree <= 0 else 0
-        if not f0:
+        # a CPolynomial coefficient has degree > 0: no unit of Q[c]
+        if isinstance(f[0], CPolynomial) or not f[0]:
             raise ValueError("constant term is not invertible")
-        g0 = 1 / f0
-        n = self.order
-        out: list = [0] * (n + 1)
-        out[0] = g0
-        for m in range(1, n + 1):
-            acc = None
-            for k in range(1, m + 1):
-                fk = f[k]
-                if not fk:
-                    continue
-                term = fk * out[m - k]
-                acc = term if acc is None else acc + term
-            if acc is not None:
-                out[m] = -(g0 * acc)
-        return TruncatedSeries(n, out)
+        out = [1 / f[0]]
+        for m in range(1, self.order + 1):
+            terms = (f[k] * out[m - k] for k in range(1, m + 1) if f[k])
+            out.append(-out[0] * sum(terms, Fraction(0)))
+        return TruncatedSeries(self.order, out)
 
     def exp(self) -> "TruncatedSeries":
         """exp of a series with zero constant term.
@@ -216,20 +251,11 @@ class TruncatedSeries:
         f = self.coeffs
         if f[0]:
             raise ValueError("exp needs a zero constant term")
-        n = self.order
-        out: list = [0] * (n + 1)
-        out[0] = 1
-        for m in range(1, n + 1):
-            acc = None
-            for k in range(1, m + 1):
-                fk = f[k]
-                if not fk:
-                    continue
-                term = (Fraction(k, m) * fk) * out[m - k]
-                acc = term if acc is None else acc + term
-            if acc is not None:
-                out[m] = acc
-        return TruncatedSeries(n, out)
+        out = [Fraction(1)]
+        for m in range(1, self.order + 1):
+            terms = (Fraction(k, m) * f[k] * out[m - k] for k in range(1, m + 1) if f[k])
+            out.append(sum(terms, Fraction(0)))
+        return TruncatedSeries(self.order, out)
 
     def log(self) -> "TruncatedSeries":
         """log of a series with constant term one.
@@ -239,19 +265,11 @@ class TruncatedSeries:
         f = self.coeffs
         if not f[0] == 1:
             raise ValueError("log needs constant term one")
-        n = self.order
-        out: list = [0] * (n + 1)
-        for m in range(1, n + 1):
-            acc = None
-            for k in range(1, m):
-                lk = out[k]
-                fk = f[m - k]
-                if not lk or not fk:
-                    continue
-                term = (Fraction(k, m) * lk) * fk
-                acc = term if acc is None else acc + term
-            out[m] = f[m] - acc if acc is not None else f[m]
-        return TruncatedSeries(n, out)
+        out = [Fraction(0)]
+        for m in range(1, self.order + 1):
+            terms = (Fraction(k, m) * out[k] * f[m - k] for k in range(1, m) if out[k])
+            out.append(f[m] - sum(terms, Fraction(0)))
+        return TruncatedSeries(self.order, out)
 
     # -- access / comparison ----------------------------------------------
 
@@ -304,31 +322,46 @@ def coefficient_rows(series: TruncatedSeries) -> list[tuple[int, str]]:
 # Each kernel updates a list of stored numerators in place at O(Q) per
 # factor; the list's length fixes the truncation order.  A weight w is the
 # stored weight of x q^k at the list's grade r, that is x * r**k: p r^(k-1)
-# for x = p/r, r^k for x = 1.  _over_factor needs k >= 1.
+# for x = p/r, r^k for x = 1.  _over_factor needs k >= 1.  A row weight or
+# row head takes the row helpers, ints the inline loop, so an int weight
+# walks a list only while its head is a row or it holds no row.
 
 
-def _times_factor(coeffs: list, w: ScalarLike, k: int) -> list:
+def _times_factor(coeffs: list, w: Stored, k: int) -> list:
     """Multiply by (1 - x q^k) of stored weight w, walking descending."""
-    for e in range(len(coeffs) - 1, k - 1, -1):
-        if coeffs[e - k]:
-            coeffs[e] = coeffs[e] - w * coeffs[e - k]
-    return coeffs
+    return _walk(coeffs, _times(w, -1), k, range(len(coeffs) - 1, k - 1, -1))
 
 
-def _over_factor(coeffs: list, w: ScalarLike, k: int) -> list:
+def _over_factor(coeffs: list, w: Stored, k: int) -> list:
     """Divide by (1 - x q^k) of stored weight w, walking ascending."""
-    for e in range(k, len(coeffs)):
-        if coeffs[e - k]:
-            coeffs[e] = coeffs[e] + w * coeffs[e - k]
+    return _walk(coeffs, w, k, range(k, len(coeffs)))
+
+
+def _walk(coeffs: list, w: Stored, k: int, es: range) -> list:
+    # coeffs[e] += w * coeffs[e - k] for e in the order es gives
+    if tuple in (type(w), type(coeffs[0])):
+        for e in es:
+            if coeffs[e - k]:
+                coeffs[e] = _plus(coeffs[e], _times(w, coeffs[e - k]))
+    else:
+        for e in es:
+            if coeffs[e - k]:
+                coeffs[e] += w * coeffs[e - k]
     return coeffs
 
 
-def _add_shifted(acc: list, coeffs: Sequence, shift: int, weight: ScalarLike) -> list:
+def _add_shifted(acc: list, coeffs: Sequence, shift: int, weight: Stored) -> list:
     """Add weight * q^shift * coeffs, truncated at the order of acc; at a
     grade r, weight is the stored weight x * r**shift of x q^shift."""
-    for i in range(min(len(coeffs), len(acc) - shift)):
-        if coeffs[i]:
-            acc[shift + i] = acc[shift + i] + weight * coeffs[i]
+    span = range(min(len(coeffs), len(acc) - shift))
+    if tuple in (type(weight), type(acc[0]), type(coeffs[0])):
+        for i in span:
+            if coeffs[i]:
+                acc[shift + i] = _plus(acc[shift + i], _times(weight, coeffs[i]))
+    else:
+        for i in span:
+            if coeffs[i]:
+                acc[shift + i] += weight * coeffs[i]
     return acc
 
 
@@ -340,7 +373,7 @@ def _product(x: ScalarLike, ks: Iterable[int], order: int) -> TruncatedSeries:
     p, r = _split(x)
     nums = [1] + [0] * order
     for k in ks:
-        _times_factor(nums, p * r ** (k - 1), k)
+        _times_factor(nums, _times(p, r ** (k - 1)), k)
     return TruncatedSeries._stored(order, nums, r)
 
 
@@ -349,7 +382,7 @@ def pochhammer_infinite(x: ScalarLike, order: int, start: int = 1) -> TruncatedS
     if start < 0:
         raise ValueError("start must be nonnegative")
     product = _product(x, range(max(start, 1), order + 1), order)
-    return product.scale(1 - x) if start == 0 else product
+    return product - product.scale(x) if start == 0 else product
 
 
 @lru_cache(maxsize=8)
@@ -364,7 +397,14 @@ def _unit_tails(order: int, grade: int) -> tuple[tuple[int, ...], ...]:
 
 def _tail_sum(weights: Sequence, order: int, grade: int) -> TruncatedSeries:
     """sum_n w_n q^n (q^{n+1})_inf, truncated at the order, from the stored
-    weights weights[n] = w_n * grade**n of w_n q^n."""
+    weights weights[n] = w_n * grade**n of w_n q^n: row weights take one int
+    sum per power of c, and its q^N coefficients make the row at q^N."""
+    if tuple in map(type, weights):
+        rows = [_row(w) for w in weights]
+        powers = range(max(map(len, rows)))
+        sums = [_tail_sum([r[a] if a < len(r) else 0 for r in rows], order, grade) for a in powers]
+        nums = [_plus((), row) for row in zip(*(s.nums for s in sums))]  # trimmed
+        return TruncatedSeries._stored(order, nums or [0] * (order + 1), grade)
     tails = _unit_tails(order, grade)
     acc = [0] * (order + 1)
     for n, w in enumerate(weights):
@@ -373,11 +413,8 @@ def _tail_sum(weights: Sequence, order: int, grade: int) -> TruncatedSeries:
     return TruncatedSeries._stored(order, acc, grade)
 
 
-def _scalar_powers(c: ScalarLike, order: int) -> list:
-    powers = [1]
-    for _ in range(order):
-        powers.append(powers[-1] * c)
-    return powers
+def _scalar_powers(c: Stored, order: int) -> list:
+    return list(accumulate(repeat(c, order), _ops(c)[1], initial=1))
 
 
 def _alternating_sum(
@@ -392,14 +429,16 @@ def _alternating_sum(
     """
     p, r = _split(x)
     acc = [0] * (order + 1)
-    inv = [1] + [0] * order
+    # a row head sends the int weights of the fold down the row path
+    inv = [(1,) if type(p) is tuple else 1] + [0] * order
     n = 1
     while shift(n) <= order:
         del inv[order - shift(n) + 1 :]
-        body = list(_over_factor(inv, p * r ** (n - 1), n))
+        body = list(_over_factor(inv, _times(p, r ** (n - 1)), n))
         for _ in range(fold):
             _over_factor(body, r**n, n)
-        _add_shifted(acc, body, shift(n), (-1) ** (n - 1) * weight(n) * r ** (shift(n) - n))
+        sign = (-1) ** (n - 1) * r ** (shift(n) - n)
+        _add_shifted(acc, body, shift(n), _times(weight(n), sign))
         n += 1
     return TruncatedSeries._stored(order, acc, r)
 
@@ -417,7 +456,7 @@ def series_A_quotient(c: ScalarLike, order: int) -> TruncatedSeries:
     for k in range(1, order + 1):
         _times_factor(nums, r**k, k)
     for k in range(1, order + 1):
-        _over_factor(nums, p * r ** (k - 1), k)
+        _over_factor(nums, _times(p, r ** (k - 1)), k)
     return TruncatedSeries._stored(order, nums, r)
 
 
@@ -432,9 +471,7 @@ def series_A(c: ScalarLike, order: int) -> TruncatedSeries:
     quo = series_A_quotient(c, order)
     eul = series_A_euler(c, order)
     if quo != eul:
-        raise AlgorithmFault(
-            f"series_A double construction disagrees at order {order} for c={c}"
-        )
+        raise AlgorithmFault(f"series_A double construction disagrees at order {order} for c={c}")
     return quo
 
 
@@ -449,7 +486,7 @@ def series_M(m: int, c: ScalarLike, order: int) -> TruncatedSeries:
         raise ValueError("m must be nonnegative")
     p, r = _split(c)
     ppow = _scalar_powers(p, order)
-    weights = [0] + [n**m * ppow[n] for n in range(1, order + 1)]
+    weights = [0] + [_times(ppow[n], n**m) for n in range(1, order + 1)]
     return _tail_sum(weights, order, r)
 
 
@@ -459,13 +496,11 @@ def series_K_divisor(m: int, c: ScalarLike, order: int) -> TruncatedSeries:
         raise ValueError("m must be positive")
     p, r = _split(c)
     ppow, rpow = _scalar_powers(p, order), _scalar_powers(r, order)
-    vals = [0]
+    plus, times = _ops(p)
+    vals = [0] * (order + 1)
     for n in range(1, order + 1):
-        total = None
         for d in divisors(n):
-            term = d ** (m - 1) * rpow[n - d] * ppow[d]
-            total = term if total is None else total + term
-        vals.append(total)
+            vals[n] = plus(vals[n], times(ppow[d], d ** (m - 1) * rpow[n - d]))
     return TruncatedSeries._stored(order, vals, r)
 
 
@@ -475,12 +510,13 @@ def series_K_lambert(m: int, c: ScalarLike, order: int) -> TruncatedSeries:
         raise ValueError("m must be positive")
     p, r = _split(c)
     ppow, rpow = _scalar_powers(p, order), _scalar_powers(r, order)
+    plus, times = _ops(p)
     vals = [0] * (order + 1)
     for j in range(1, order + 1):
-        weight = j ** (m - 1) * ppow[j]
+        weight = times(ppow[j], j ** (m - 1))
         if weight:
             for e in range(j, order + 1, j):
-                vals[e] = vals[e] + rpow[e - j] * weight
+                vals[e] = plus(vals[e], times(weight, rpow[e - j]))
     return TruncatedSeries._stored(order, vals, r)
 
 
@@ -489,9 +525,7 @@ def series_K(m: int, c: ScalarLike, order: int) -> TruncatedSeries:
     div = series_K_divisor(m, c, order)
     lam = series_K_lambert(m, c, order)
     if div != lam:
-        raise AlgorithmFault(
-            f"series_K double construction disagrees for m={m}, c={c}"
-        )
+        raise AlgorithmFault(f"series_K double construction disagrees for m={m}, c={c}")
     return div
 
 
@@ -586,14 +620,12 @@ class ExpSeries:
         """exp in t of a series with zero t-constant, coefficientwise exact."""
         if any(self.coeffs[0].nums):
             raise ValueError("exp needs a zero t-constant term")
-        n = self.t_order
-        out = [TruncatedSeries.zero(self.q_order)] * (n + 1)
-        out[0] = TruncatedSeries.one(self.q_order)
-        for m in range(1, n + 1):
-            acc = TruncatedSeries.zero(self.q_order)
-            for k in range(1, m + 1):
+        out = [TruncatedSeries.one(self.q_order)]
+        for m in range(1, self.t_order + 1):
+            acc = self.coeffs[m]  # the k = m term, coeffs[m] * out[0] with out[0] = 1
+            for k in range(1, m):
                 acc = acc + (self.coeffs[k] * out[m - k]).scale(Fraction(k, m))
-            out[m] = acc
+            out.append(acc)
         return ExpSeries(out)
 
     def scale_coeffs(self, series: TruncatedSeries) -> "ExpSeries":

@@ -230,6 +230,14 @@ def test_verify_pairings_counts_match_class_members(n):
     assert verify_pairings(n, (n, 1)) == {n: counts[n], 1: counts[1]}
 
 
+@pytest.mark.parametrize("n", range(1, 41))
+def test_single_modulus_walk_matches_the_full_sweep(n):
+    # a walk over one class C(N) counts what the walk over all of D(n) does
+    counts = verify_pairings(n, range(1, n + 1))
+    for N in range(1, n + 1):
+        assert verify_pairings(n, (N,)) == {N: counts[N]}
+
+
 def test_verify_pairings_rejects_moduli_outside_range():
     with pytest.raises(ValueError):
         verify_pairings(6, (0,))
@@ -248,8 +256,8 @@ def test_verify_pairings_keeps_the_enumeration_guard():
 def test_uncovered_case2_member_faults_the_sweep(monkeypatch):
     # without 4+2, C(3) of 6 holds one case-1 member (3+2+1, whose image is
     # 4+2) and no case-2 member, so the count no longer covers case 2
-    def dropped(n, cap):
-        return (parts for parts in walk(n, cap) if parts != (4, 2))
+    def dropped(n, cap, floor=0, head=()):
+        return (parts for parts in walk(n, cap, floor, head) if parts != (4, 2))
 
     walk = involution._descending_distinct_parts
     monkeypatch.setattr(involution, "_descending_distinct_parts", dropped)

@@ -250,6 +250,27 @@ def test_size_cells_full_range(n):
         assert count_exact_part_sizes(n, t) == by_sizes[t]
 
 
+def euler_coefficient(n: int) -> int:
+    """The q^n coefficient of (q)_inf by Euler's pentagonal number theorem:
+    (-1)^k at n = k(3k - 1)/2 and n = k(3k + 1)/2, and 0 elsewhere."""
+    k = 0
+    while k * (3 * k - 1) // 2 <= n:
+        if n in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
+            return (-1) ** k
+        k += 1
+    return 0
+
+
+# every n <= 200 crosses the table caps 32, 64, 128 and 256
+@pytest.mark.parametrize("n", range(1, 201))
+def test_signed_windows_full_range(n):
+    # the signs (-1)^(#parts - 1) over D(n) sum to -e(n), and the one-part
+    # partition (n) is the only member of the cell (n, n)
+    cells = signed_window_counts(n)
+    assert sum(cells.values()) == -euler_coefficient(n)
+    assert cells[n, n] == 1
+
+
 def test_cell_tables_do_not_depend_on_the_cap():
     cells64, rows64 = _size_cell_table(64)
     cells128, rows128 = _size_cell_table(128)

@@ -1,19 +1,21 @@
 """Truncated q-series arithmetic and the named generating functions."""
 
 from fractions import Fraction
+from functools import cache, partial
 from math import factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pie.exact import C, CPolynomial
+from pie.exact import C, CPolynomial, divisors
 from pie.series import (
     ExpSeries,
     TruncatedSeries,
     _over_factor,
     _product,
     _split,
+    _times,
     _times_factor,
     coefficient_rows,
     pochhammer_infinite,
@@ -263,7 +265,7 @@ def test_factor_kernels_match_series_arithmetic(case, x):
     geometric = [0] * (order + 1)
     for j in range(order // k + 1):
         geometric[j * k] = x**j
-    w = p * r ** (k - 1)
+    w = _times(p, r ** (k - 1))  # p is a row for a polynomial x
     for kernel, other in ((_times_factor, factor), (_over_factor, geometric)):
         got = TruncatedSeries._stored(order, kernel(list(g.nums), w, k), g.grade, g.den)
         assert list(got.coeffs) == schoolbook(f.coeffs, other), kernel.__name__
@@ -316,22 +318,31 @@ def test_rational_coefficients_are_fractions():
             build()
 
 
-def test_symbolic_series_coefficients_are_ints():
+def test_symbolic_series_coefficients_are_ints(monkeypatch):
     # the Q[c] builders and an integral series scaled by c stay on int
-    # arithmetic: every stored numerator is an int or a CPolynomial whose
-    # coefficients of c^e are ints
-    for f in (
-        *series_entry4(C, 40),
-        series_M(3, C, 30),
-        series_K(2, C, 30),
-        series_A(C, 20),
-        series_K(2, 1, 20).scale(C),
-        TruncatedSeries.one(5).scale(C),
-    ):
+    # arithmetic: no CPolynomial arithmetic runs while they build, and every
+    # stored numerator is a row of ints with a nonzero top entry
+    def banned(*args):
+        raise AssertionError("CPolynomial arithmetic in a symbolic build")
+
+    with monkeypatch.context() as patch:
+        for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "__mul__",
+                     "__rmul__", "__truediv__", "__pow__"):
+            patch.setattr(CPolynomial, name, banned)
+        built = (
+            *series_entry4(C, 40),
+            series_M(3, C, 30),
+            series_K(2, C, 30),
+            series_A(C, 20),
+            series_K(2, 1, 20).scale(C),
+            TruncatedSeries.one(5).scale(C),
+        )
+    for f in built:
         assert (f.grade, f.den) == (1, 1)
-        assert any(isinstance(v, CPolynomial) for v in f.nums)
+        assert any(len(v) > 1 for v in f.nums)
         for v in f.nums:
-            assert type(v) is int or all(type(x) is int for x in v._coeffs.values())
+            assert type(v) is tuple and all(type(x) is int for x in v)
+            assert not v or v[-1]
 
 
 @pytest.mark.parametrize("c", [Fraction(1), Fraction(2, 3), Fraction(-1, 2), Fraction(0)])
@@ -359,8 +370,8 @@ def test_symbolic_series_evaluate_to_the_series_at_c(c):
 
 
 def test_cancelled_coefficients_read_out_as_fractions():
-    # a difference or product whose CPolynomial numerators cancel to a
-    # constant reads out as the builders' c-free coefficients do
+    # a difference or product whose row numerators cancel to a constant
+    # reads out as the builders' c-free coefficients do
     difference = series_A(C, 6) - series_A_euler(C, 6)
     assert type(difference[3]) is type(TruncatedSeries.zero(6)[3]) is Fraction
     assert all(type(v) is Fraction and v == 0 for v in difference.coeffs)
@@ -369,6 +380,87 @@ def test_cancelled_coefficients_read_out_as_fractions():
     assert product.coeffs == (1, 0, -(C**2))
     half = S(1, C + Fraction(1, 2)) - S(1, C)
     assert half[0] == Fraction(1, 2) and type(half[0]) is Fraction
+
+
+# -- the CPolynomial-numerator construction, kept as an oracle ----------------
+#
+# Before rows, a symbolic numerator was a CPolynomial and every factor step
+# ran the ring's own + and *.  These builders keep that construction at
+# c = C on plain coefficient lists, sharing no code with the row helpers.
+
+
+def cp_times_factors(nums, x, ks):
+    """nums times prod_{k in ks} (1 - x q^k), in place."""
+    for k in ks:
+        for e in range(len(nums) - 1, k - 1, -1):
+            nums[e] = nums[e] - x * nums[e - k]
+    return nums
+
+
+def cp_over_factor(nums, x, k):
+    """nums over (1 - x q^k), in place."""
+    for e in range(k, len(nums)):
+        nums[e] = nums[e] + x * nums[e - k]
+    return nums
+
+
+def cp_one(order):
+    return [CPolynomial(1)] + [CPolynomial(0)] * order
+
+
+def cp_tail_sum(weights, order):
+    """sum_n w_n q^n (q^{n+1})_inf on CPolynomial numerators."""
+    acc = [CPolynomial(0)] * (order + 1)
+    for n, w in enumerate(weights):
+        tail = cp_times_factors(cp_one(order - n), 1, range(n + 1, order + 1))
+        for i, t in enumerate(tail):
+            acc[n + i] = acc[n + i] + w * t
+    return acc
+
+
+@cache
+def cp_series(order):
+    """name -> the CPolynomial coefficients of each symbolic builder's series."""
+    cpow = [C**n for n in range(order + 1)]
+    quotient = cp_times_factors(cp_one(order), 1, range(1, order + 1))
+    for k in range(1, order + 1):
+        cp_over_factor(quotient, C, k)
+    out = {"A": quotient}
+    for m in range(5):
+        out[f"M{m}"] = cp_tail_sum([n**m * cpow[n] if n else 0 for n in range(order + 1)], order)
+    for m in range(1, 5):
+        out[f"K{m}"] = [CPolynomial(0)] + [
+            sum((d ** (m - 1) * cpow[d] for d in divisors(n)), CPolynomial(0))
+            for n in range(1, order + 1)
+        ]
+    # sum_n (-1)^(n-1) c^n q^(n(n+1)/2) / ((1-q^n)(cq)_n), with a running 1/(cq)_n
+    lhs, inv, n = [CPolynomial(0)] * (order + 1), cp_one(order), 1
+    while n * (n + 1) // 2 <= order:
+        body = cp_over_factor(list(cp_over_factor(inv, C, n)), CPolynomial(1), n)
+        s = n * (n + 1) // 2
+        for i in range(order + 1 - s):
+            lhs[s + i] = lhs[s + i] + (-1) ** (n - 1) * cpow[n] * body[i]
+        n += 1
+    out["entry4 lhs"] = lhs
+    out["entry4 rhs"] = out["K1"]
+    return out
+
+
+ROW_BUILDERS = {
+    "A": lambda q: series_A(C, q),
+    **{f"M{m}": partial(series_M, m, C) for m in range(5)},
+    **{f"K{m}": partial(series_K, m, C) for m in range(1, 5)},
+    "entry4 lhs": lambda q: series_entry4(C, q)[0],
+    "entry4 rhs": lambda q: series_entry4(C, q)[1],
+}
+
+
+@pytest.mark.parametrize("name", ROW_BUILDERS)
+def test_symbolic_rows_match_the_cpolynomial_construction(name):
+    # a series at order Q is the first Q + 1 coefficients of the series
+    oracle = cp_series(80)[name]
+    for order in range(81):
+        assert list(ROW_BUILDERS[name](order).coeffs) == oracle[: order + 1], order
 
 
 # -- named series -------------------------------------------------------------
