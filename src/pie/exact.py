@@ -1,12 +1,16 @@
 """Divisor sums, exact polynomials in c, complex powers, Bell polynomials.
 
-The exact mode of every identity check lives in the ring Q[c]; CPolynomial
-is that ring.  Its coefficients are kept in an integer normal form: a
-coefficient is stored as a Python int when it is integral and as a Fraction
-only when it is not, so the integer polynomials the identities produce run
-on int arithmetic.  Fraction is the boundary: coefficient, items and exact
-evaluation return Fraction.  Numeric mode works in complex doubles with j^z
-defined through the principal real logarithm of the positive integer j.
+The exact mode of every identity check lives in the ring Q[c], whose one
+stored form is a row over a den: the row is the tuple of the ints of c^0 ..
+c^d with a nonzero top entry, the zero row being (), and the den is a
+positive int coprime to the row's entries, so equality is equality of the
+pair.  CPolynomial is that ring's value type.  _plus and _times are the row
+arithmetic, which CPolynomial shares with the q-series kernels: there a
+stored value is an int or a row, two ints give an int, and an int meets a
+row as the constant row.  Fraction is the boundary: coefficient, items and
+exact evaluation return Fraction, and str prints every coefficient as a
+Fraction would.  Numeric mode works in complex doubles with j^z defined
+through the principal real logarithm of the positive integer j.
 """
 
 from __future__ import annotations
@@ -15,106 +19,156 @@ import cmath
 import math
 from fractions import Fraction
 from functools import reduce
-from math import comb, isqrt
+from math import comb, gcd, isqrt, lcm
 from operator import add
-from typing import Sequence, Union
+from typing import Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction]
+Stored = Union[int, tuple]  # a value in Q[c]'s row arithmetic: an int, or a row in c
 
 # Bell polynomial degree guard; the identity checks never need more.
 BELL_DEGREE_CAP = 10
 
-# _normal tests "every value is an int" as one issuperset call, at C speed
-_INT = frozenset((int,))
 
-
-def _exact(value: object) -> Scalar:
-    """value in normal form: an int when integral, a Fraction otherwise."""
+def _ratio(value: object) -> tuple[int, int]:
+    """An exact scalar as (numerator, denominator) in lowest terms, the
+    denominator positive; a float is a TypeError."""
     if type(value) is int:
-        return value
+        return value, 1
     if isinstance(value, float):
         raise TypeError("exact coefficients only; got a float")
     f = value if isinstance(value, Fraction) else Fraction(value)  # type: ignore[arg-type]
-    return f.numerator if f.denominator == 1 else f
+    return f.numerator, f.denominator
+
+
+def _row(v: Stored) -> tuple:
+    return v if type(v) is tuple else (v,) if v else ()
+
+
+def _plus(x: Stored, y: Stored) -> Stored:
+    """x + y for stored values, a row when either is one."""
+    if type(x) is int and type(y) is int:
+        return x + y
+    x, y = _row(x), _row(y)
+    if len(x) < len(y):
+        x, y = y, x
+    out = [*map(add, x, y), *x[len(y) :]]
+    while out and not out[-1]:  # only rows of one length can cancel
+        out.pop()
+    return tuple(out)
+
+
+def _times(x: Stored, y: Stored) -> Stored:
+    """x * y for stored values, a row when either is one: a monomial w c^a
+    shifts the other row by a and multiplies it by w."""
+    if type(x) is int:
+        x, y = y, x
+    if type(y) is int:
+        if type(x) is int:
+            return x * y
+        return x if y == 1 else tuple(map(y.__mul__, x)) if y else ()
+    if not x or not y:
+        return ()
+    for x, y in ((x, y), (y, x)):
+        if not any(x[:-1]):
+            return (0,) * (len(x) - 1) + _times(y, x[-1])
+    # x split into its monomials
+    return reduce(_plus, (_times((0,) * a + (w,), y) for a, w in enumerate(x) if w))
+
+
+def _sum_text(coeffs: Iterable, x: str) -> str:
+    """'a + b*x + d*x^2 ...' from the coefficients of x^0, x^1, ..., each
+    printed as its format and zeros skipped, and "0" when all are zero: a
+    coefficient equal to 1 or -1 prints as the bare power of x or its
+    negative, and '+ -' as '- '."""
+    pieces = []
+    for e, a in enumerate(coeffs):
+        if not a:
+            continue
+        var = x if e == 1 else f"{x}^{e}"
+        if not e:
+            pieces.append(f"{a}")
+        elif a == 1:
+            pieces.append(var)
+        elif a == -1:
+            pieces.append(f"-{var}")
+        else:
+            pieces.append(f"{a}*{var}")
+    return " + ".join(pieces).replace("+ -", "- ") if pieces else "0"
 
 
 class CPolynomial:
     """A polynomial in one indeterminate c with exact rational coefficients.
 
-    Stored as exponent -> coefficient with no zero entries, each coefficient
-    an int when integral and a Fraction otherwise, so equality is syntactic
-    equality of the normal form.  coefficient, items and evaluate at an
-    exact point give Fraction; str and repr print every coefficient as a
-    Fraction would.
+    Stored as the module docstring's row _num over the den _den.
+    coefficient, items and evaluate at an exact point give Fraction; str and
+    repr print every coefficient as a Fraction would.
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_num", "_den")
 
     def __init__(self, coeffs: object = 0):
         if isinstance(coeffs, CPolynomial):
-            self._coeffs = dict(coeffs._coeffs)
-        elif isinstance(coeffs, dict):
-            data: dict[int, Scalar] = {}
-            for e, v in coeffs.items():
-                if not isinstance(e, int) or e < 0:
-                    raise ValueError(f"exponents must be nonnegative ints: {e}")
-                f = _exact(v)
-                if f:
-                    data[e] = f
-            self._coeffs = data
-        else:
-            f = _exact(coeffs)
-            self._coeffs = {0: f} if f else {}
-
-    @staticmethod
-    def _normal(data: dict[int, Scalar]) -> "CPolynomial":
-        """A polynomial around data, whose entries are nonzero ints or
-        Fractions; integral Fractions become ints in place."""
-        if not _INT.issuperset(map(type, data.values())):
+            self._num, self._den = coeffs._num, coeffs._den
+            return
+        data = coeffs if isinstance(coeffs, dict) else {0: coeffs}
+        for e in data:
+            if not isinstance(e, int) or e < 0:
+                raise ValueError(f"exponents must be nonnegative ints: {e}")
+        num, den = [0] * (max(data, default=-1) + 1), 1
+        if set(map(type, data.values())) <= {int}:  # as the identities' profiles are
             for e, v in data.items():
-                data[e] = _exact(v)
-        out = CPolynomial.__new__(CPolynomial)
-        out._coeffs = data
+                num[e] = v
+        else:
+            ratios = [(e, *_ratio(v)) for e, v in data.items()]
+            den = lcm(*(r for _e, _p, r in ratios))
+            for e, p, r in ratios:
+                num[e] = p * (den // r)
+        while num and not num[-1]:
+            num.pop()
+        self._num, self._den = tuple(num), den
+
+    @classmethod
+    def _of(cls, num: tuple, den: int) -> "CPolynomial":
+        """num / den for a row num and a positive int den, in lowest terms."""
+        g = gcd(den, *num)
+        if g != 1:
+            num, den = tuple(v // g for v in num), den // g
+        out = cls.__new__(cls)
+        out._num, out._den = num, den
         return out
 
     @property
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not self._num
 
     @property
     def degree(self) -> int:
         """Degree of the polynomial; -1 for the zero polynomial."""
-        return max(self._coeffs) if self._coeffs else -1
+        return len(self._num) - 1
 
     def coefficient(self, exponent: int) -> Fraction:
-        return Fraction(self._coeffs.get(exponent, 0))
+        v = self._num[exponent] if 0 <= exponent < len(self._num) else 0
+        return Fraction(v, self._den)
 
     def items(self) -> tuple[tuple[int, Fraction], ...]:
-        return tuple((e, Fraction(v)) for e, v in sorted(self._coeffs.items()))
+        return tuple((e, Fraction(v, self._den)) for e, v in enumerate(self._num) if v)
 
     def __bool__(self) -> bool:
-        return bool(self._coeffs)
+        return bool(self._num)
 
     def __add__(self, other: object) -> "CPolynomial":
         if isinstance(other, (int, Fraction)):
             other = CPolynomial(other)
         if not isinstance(other, CPolynomial):
             return NotImplemented
-        data = dict(self._coeffs)
-        for e, v in other._coeffs.items():
-            s = data.get(e, 0) + v
-            if s:
-                data[e] = s
-            else:
-                data.pop(e, None)
-        return CPolynomial._normal(data)
+        num = _plus(_times(self._num, other._den), _times(other._num, self._den))
+        return CPolynomial._of(num, self._den * other._den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "CPolynomial":
-        out = CPolynomial.__new__(CPolynomial)
-        out._coeffs = {e: -v for e, v in self._coeffs.items()}
-        return out
+        return CPolynomial._of(_times(self._num, -1), self._den)
 
     def __sub__(self, other: object) -> "CPolynomial":
         if isinstance(other, (int, Fraction)):
@@ -128,29 +182,19 @@ class CPolynomial:
 
     def __mul__(self, other: object) -> "CPolynomial":
         if isinstance(other, (int, Fraction)):
-            f = _exact(other)
-            return CPolynomial._normal({e: v * f for e, v in self._coeffs.items()} if f else {})
+            other = CPolynomial(other)
         if not isinstance(other, CPolynomial):
             return NotImplemented
-        data: dict[int, Scalar] = {}
-        for e1, v1 in self._coeffs.items():
-            for e2, v2 in other._coeffs.items():
-                e = e1 + e2
-                s = data.get(e, 0) + v1 * v2
-                if s:
-                    data[e] = s
-                else:
-                    data.pop(e, None)
-        return CPolynomial._normal(data)
+        return CPolynomial._of(_times(self._num, other._num), self._den * other._den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: object) -> "CPolynomial":
         if isinstance(other, (int, Fraction)):
-            f = _exact(other)
-            if not f:
+            if not other:
                 raise ZeroDivisionError("division by zero scalar")
-            return self * (Fraction(1) / f)
+            p, r = _ratio(other)
+            return CPolynomial._of(_times(self._num, r if p > 0 else -r), self._den * abs(p))
         return NotImplemented
 
     def __pow__(self, k: int) -> "CPolynomial":
@@ -167,43 +211,25 @@ class CPolynomial:
         return out
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, CPolynomial):
-            return self._coeffs == other._coeffs
-        if isinstance(other, (int, Fraction)):
-            return self._coeffs == CPolynomial(other)._coeffs
-        return NotImplemented
+        if not isinstance(other, CPolynomial):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = CPolynomial(other)
+        return self._num == other._num and self._den == other._den
 
     def evaluate(self, x: object):
-        """Evaluate at x; a Fraction for Fraction/int x, complex otherwise."""
+        """Evaluate at x, summing in ascending powers of c; a Fraction for
+        Fraction/int x, complex otherwise."""
         exact = isinstance(x, (int, Fraction))
         if isinstance(x, float):
             x = complex(x)
-        total = None
-        for e, v in self._coeffs.items():
-            term = v * x**e if e else v * (x**0)
-            total = term if total is None else total + term
-        if total is None:
-            return Fraction(0) if exact else 0j
-        return Fraction(total) if exact else total
+        return sum((v * x**e for e, v in self.items()), Fraction(0) if exact else 0j)
 
     __call__ = evaluate
 
     def __str__(self) -> str:
-        if not self._coeffs:
-            return "0"
-        pieces = []
-        for e, v in sorted(self._coeffs.items()):
-            if e == 0:
-                pieces.append(str(v))
-            else:
-                var = "c" if e == 1 else f"c^{e}"
-                if v == 1:
-                    pieces.append(var)
-                elif v == -1:
-                    pieces.append(f"-{var}")
-                else:
-                    pieces.append(f"{v}*{var}")
-        return " + ".join(pieces).replace("+ -", "- ")
+        num, den = self._num, self._den
+        return _sum_text(num if den == 1 else [Fraction(v, den) for v in num], "c")
 
     def __repr__(self) -> str:
         return f"CPolynomial({dict(self.items())!r})"

@@ -392,7 +392,8 @@ def _thm22_pairs(part: str, m_max: int, q_order: int, c) -> dict:
         ys = _bell_polynomials(m_max, ks)
         return {m: (ms[m - 1], a_series * ys[m]) for m in range(1, m_max + 1)}
     egf = lambda series: [s.scale(Fraction(1, factorial(m))) for m, s in enumerate(series, 1)]
-    via_exp = ExpSeries([TruncatedSeries.zero(q_order), *egf(ks)]).exp().scale_coeffs(a_series)
+    exp_k = ExpSeries([TruncatedSeries.zero(q_order), *egf(ks)]).exp().coeffs
+    via_exp = [a_series, *(s * a_series for s in exp_k[1:])]  # exp_k[0] is the series one
     direct = [a_series, *egf(ms)]
     return {m: (direct[m], via_exp[m]) for m in range(m_max + 1)}
 

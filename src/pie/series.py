@@ -5,19 +5,22 @@ floating point ever enters this module.
 
 Every series has one stored form: numerators graded by an integer r >= 1
 over one integer den, the q^n coefficient being nums[n] / (den * r**n).  A
-numerator is a Python int, or where c is symbolic a row: the tuple of the
-ints of c^0 .. c^d with a nonzero top entry, the zero row being ().  A series
-holds all ints or all rows.  Built at c = p/r, a series takes grade r, so
-c q^k multiplies numerators by p * r**(k-1), a unit factor (1 - q^k) weighs
+numerator is a Python int, or where c is symbolic a row, the form exact.py
+stores Q[c] in: the tuple of the ints of c^0 .. c^d with a nonzero top
+entry, the zero row being ().  A series holds all ints or all rows, and
+exact.py's _plus and _times, CPolynomial's own row arithmetic, add and
+multiply them.  Built at c = p/r, a series takes grade r, so c q^k
+multiplies numerators by p * r**(k-1), a unit factor (1 - q^k) weighs
 r**k, and a product of two series of one grade is a convolution of
-numerators.  A symbolic c = p/r has an int row p, so its weights are rows:
-c^a * w shifts a row by a and multiplies it by the int w, and a product of
-symbolic series is a bivariate product of rows.  Only scaling by a
-non-integer rational (the 1/m! of an exponential generating function) or a
-polynomial with rational coefficients changes den, and operands of other
-grades or dens are brought to their lcm.  Fraction and CPolynomial are the
-read-out types: coeffs, indexing, str and coefficient_rows give a c-free
-coefficient as a Fraction, and any other as a CPolynomial.
+numerators.  A symbolic c is a CPolynomial, stored as a row p over its den
+r, so its weights are rows: c^a * w shifts a row by a and multiplies it by
+the int w, and a product of symbolic series is a bivariate product of rows.
+Only scaling by a non-integer rational (the 1/m! of an exponential
+generating function) or a polynomial with rational coefficients changes
+den, and operands of other grades or dens are brought to their lcm.
+Fraction and CPolynomial are the read-out types: coeffs, indexing, str and
+coefficient_rows give a c-free coefficient as a Fraction, and any other as
+the CPolynomial of its row over den * r**n.
 
 Named builders at the bottom assemble the generating functions the identity
 suite compares.  They build every product and quotient of factors
@@ -37,57 +40,17 @@ from operator import add, mul, sub
 from typing import Callable, Iterable, Sequence, Union
 
 from .errors import AlgorithmFault
-from .exact import CPolynomial, _exact, divisors
+from .exact import CPolynomial, Stored, _plus, _ratio, _row, _sum_text, _times, divisors
 
 Coefficient = Union[Fraction, CPolynomial]
 ScalarLike = Union[int, Fraction, CPolynomial]
-Stored = Union[int, tuple]  # a numerator or weight: an int, or a row in c
 
 
 def _split(c: ScalarLike) -> tuple:
     """c as (p, r) with c = p/r and r >= 1, p an int or, for a CPolynomial,
-    a row: series built at c take grade r, where c q^k weighs p * r**(k-1).
-    A float is a TypeError."""
-    if isinstance(c, CPolynomial):
-        r = lcm(*(f.denominator for _e, f in c.items()))
-        return tuple(int(c.coefficient(e) * r) for e in range(c.degree + 1)), r
-    c = _exact(c)
-    return c.numerator, c.denominator
-
-
-def _row(v: Stored) -> tuple:
-    return v if type(v) is tuple else (v,) if v else ()
-
-
-def _plus(x: Stored, y: Stored) -> Stored:
-    """x + y for stored values, a row when either is one."""
-    if type(x) is int and type(y) is int:
-        return x + y
-    x, y = _row(x), _row(y)
-    if len(x) < len(y):
-        x, y = y, x
-    out = [*map(add, x, y), *x[len(y) :]]
-    while out and not out[-1]:  # only rows of one length can cancel
-        out.pop()
-    return tuple(out)
-
-
-def _times(x: Stored, y: Stored) -> Stored:
-    """x * y for stored values, a row when either is one: a monomial w c^a
-    shifts the other row by a and multiplies it by w."""
-    if type(x) is int:
-        x, y = y, x
-    if type(y) is int:
-        if type(x) is int:
-            return x * y
-        return x if y == 1 else tuple(map(y.__mul__, x)) if y else ()
-    if not x or not y:
-        return ()
-    for x, y in ((x, y), (y, x)):
-        if not any(x[:-1]):
-            return (0,) * (len(x) - 1) + _times(y, x[-1])
-    # x split into its monomials
-    return reduce(_plus, (_times((0,) * a + (w,), y) for a, w in enumerate(x) if w))
+    its stored row over its den r: series built at c take grade r, where
+    c q^k weighs p * r**(k-1).  A float is a TypeError."""
+    return (c._num, c._den) if isinstance(c, CPolynomial) else _ratio(c)
 
 
 def _ops(*values: Stored) -> tuple:
@@ -106,8 +69,7 @@ def _coefficient(num: Stored, d: int) -> Coefficient:
     Fraction when it is free of c."""
     if type(num) is tuple:
         if len(num) > 1:
-            values = (Fraction(v, d) for v in num) if d > 1 else num
-            return CPolynomial._normal({e: v for e, v in enumerate(values) if v})
+            return CPolynomial._of(num, d)
         num = num[0] if num else 0
     return Fraction(num, d)
 
@@ -290,23 +252,8 @@ class TruncatedSeries:
     __hash__ = None  # type: ignore[assignment]
 
     def __str__(self) -> str:
-        pieces = []
-        for e, v in enumerate(self.coeffs):
-            if not v:
-                continue
-            coeff = f"({v})" if isinstance(v, CPolynomial) else str(v)
-            if e == 0:
-                pieces.append(coeff)
-            else:
-                var = "q" if e == 1 else f"q^{e}"
-                if coeff == "1":
-                    pieces.append(var)
-                elif coeff == "-1":
-                    pieces.append(f"-{var}")
-                else:
-                    pieces.append(f"{coeff}*{var}")
-        body = " + ".join(pieces).replace("+ -", "- ") if pieces else "0"
-        return f"{body} + O(q^{self.order + 1})"
+        coeffs = (f"({v})" if isinstance(v, CPolynomial) else v for v in self.coeffs)
+        return f"{_sum_text(coeffs, 'q')} + O(q^{self.order + 1})"
 
     def __repr__(self) -> str:
         return f"TruncatedSeries(order={self.order}, {self})"

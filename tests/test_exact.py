@@ -1,7 +1,7 @@
 """Divisor arithmetic, the c-polynomial ring, complex powers, Bell polynomials."""
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
 import pytest
 import sympy
@@ -341,10 +341,30 @@ def _oracle_add(a, b, sign=1) -> dict[int, Fraction]:
     return _oracle({e: a.get(e, 0) + sign * b.get(e, 0) for e in a.keys() | b.keys()})
 
 
-def _assert_normal_form(p: CPolynomial, expected: dict[int, Fraction]) -> None:
-    for e, v in p._coeffs.items():
-        assert type(v) is (int if v.denominator == 1 else Fraction), (e, v)
-    # the Fraction boundary, as a Fraction-stored polynomial gives it
+def _poly_text(expected: dict[int, Fraction]) -> str:
+    """The str format, printed here from the expected coefficients."""
+    pieces = []
+    for e, v in sorted(expected.items()):
+        var = "c" if e == 1 else f"c^{e}"
+        if e == 0:
+            pieces.append(str(v))
+        elif v == 1:
+            pieces.append(var)
+        elif v == -1:
+            pieces.append(f"-{var}")
+        else:
+            pieces.append(f"{v}*{var}")
+    return " + ".join(pieces).replace("+ -", "- ") if pieces else "0"
+
+
+def _assert_row_form(p: CPolynomial, expected: dict[int, Fraction]) -> None:
+    # the stored form: a row of ints with no zero top entry, over a den >= 1
+    # coprime to the row
+    row, den = p._num, p._den
+    assert type(row) is tuple and all(type(v) is int for v in row), row
+    assert not row or row[-1], row
+    assert type(den) is int and den >= 1 and gcd(den, *row) == 1, (row, den)
+    # the Fraction boundary
     items = tuple(sorted(expected.items()))
     assert p.items() == items
     assert all(type(v) is Fraction for _, v in p.items())
@@ -352,9 +372,7 @@ def _assert_normal_form(p: CPolynomial, expected: dict[int, Fraction]) -> None:
         assert p.coefficient(e) == expected.get(e, 0)
         assert type(p.coefficient(e)) is Fraction
     assert repr(p) == f"CPolynomial({dict(items)!r})"
-    stored_as_fractions = CPolynomial.__new__(CPolynomial)
-    stored_as_fractions._coeffs = dict(expected)
-    assert str(p) == str(stored_as_fractions)
+    assert str(p) == _poly_text(expected)
 
 
 @settings(max_examples=150, deadline=None)
@@ -362,17 +380,17 @@ def _assert_normal_form(p: CPolynomial, expected: dict[int, Fraction]) -> None:
 def test_cpoly_integer_normal_form(a, b, divisor, k):
     oa, ob = _oracle(a), _oracle(b)
     pa, pb = CPolynomial(a), CPolynomial(b)
-    _assert_normal_form(pa, oa)
-    _assert_normal_form(pa + pb, _oracle_add(oa, ob))
-    _assert_normal_form(pa - pb, _oracle_add(oa, ob, -1))
-    _assert_normal_form(-pa, _oracle_add({}, oa, -1))
-    _assert_normal_form(pa * pb, _oracle_mul(oa, ob))
-    _assert_normal_form(pa * divisor, _oracle({e: v * divisor for e, v in oa.items()}))
-    _assert_normal_form(pa / divisor, _oracle({e: v / divisor for e, v in oa.items()}))
+    _assert_row_form(pa, oa)
+    _assert_row_form(pa + pb, _oracle_add(oa, ob))
+    _assert_row_form(pa - pb, _oracle_add(oa, ob, -1))
+    _assert_row_form(-pa, _oracle_add({}, oa, -1))
+    _assert_row_form(pa * pb, _oracle_mul(oa, ob))
+    _assert_row_form(pa * divisor, _oracle({e: v * divisor for e, v in oa.items()}))
+    _assert_row_form(pa / divisor, _oracle({e: v / divisor for e, v in oa.items()}))
     power = {0: Fraction(1)}
     for _ in range(k):
         power = _oracle_mul(power, oa)
-    _assert_normal_form(pa**k, power)
+    _assert_row_form(pa**k, power)
     for x in (divisor, Fraction(2), 3):
         value = pa.evaluate(x)
         assert type(value) is Fraction
@@ -381,8 +399,12 @@ def test_cpoly_integer_normal_form(a, b, divisor, k):
 
 def test_cpoly_boundary_examples():
     p = CPolynomial({0: 3, 1: Fraction(4, 2), 2: Fraction(1, 2)})
-    assert p._coeffs == {0: 3, 1: 2, 2: Fraction(1, 2)}
-    assert [type(v) for v in p._coeffs.values()] == [int, int, Fraction]
+    # stored over the lcm 2 of the coefficients' dens
+    assert (p._num, p._den) == ((6, 4, 1), 2)
+    assert [type(v) for v in p._num] == [int, int, int]
+    # a zero entry is dropped, and an integral Fraction stores over den 1
+    assert CPolynomial({3: 0, 1: Fraction(-6, 3)})._num == (0, -2)
+    assert (CPolynomial(Fraction(4, 2))._num, CPolynomial(Fraction(4, 2))._den) == ((2,), 1)
     assert repr(p) == "CPolynomial({0: Fraction(3, 1), 1: Fraction(2, 1), 2: Fraction(1, 2)})"
     assert str(p) == "3 + 2*c + 1/2*c^2"
     assert p.items() == ((0, Fraction(3)), (1, Fraction(2)), (2, Fraction(1, 2)))

@@ -567,6 +567,44 @@ def test_coefficient_rows_skip_zeros():
     assert rows == [(0, "1"), (2, "2/3"), (4, "-1")]
 
 
+@pytest.mark.parametrize(
+    "build, text",
+    [
+        # at a rational c
+        (
+            lambda: series_A(Fraction(2, 3), 4),
+            "1 - 1/3*q - 5/9*q^2 - 10/27*q^3 - 38/81*q^4 + O(q^5)",
+        ),
+        # symbolic coefficients print in parentheses
+        (
+            lambda: series_A(C, 4),
+            "1 + (-1 + c)*q + (-1 + c^2)*q^2 + (-c + c^3)*q^3 + (-c + c^4)*q^4 + O(q^5)",
+        ),
+        (
+            lambda: S(3, -C, 0, 1 - C, Fraction(1, 2) * C**2 - 1),
+            "(-c) + (1 - c)*q^2 + (-1 + 1/2*c^2)*q^3 + O(q^4)",
+        ),
+        (lambda: S(2, -1, C, -C), "-1 + (c)*q + (-c)*q^2 + O(q^3)"),
+        # unit and Fraction coefficients
+        (lambda: S(3, 0, -1, 1), "-q + q^2 + O(q^4)"),
+        (
+            lambda: S(4, Fraction(1, 2), Fraction(1, 2), -1, 0, Fraction(-3, 4)),
+            "1/2 + 1/2*q - q^2 - 3/4*q^4 + O(q^5)",
+        ),
+        (lambda: TruncatedSeries.zero(3), "0 + O(q^4)"),
+    ],
+)
+def test_series_str(build, text):
+    assert str(build()) == text
+
+
+def test_series_repr():
+    assert repr(S(3, 0, -1, 1)) == "TruncatedSeries(order=3, -q + q^2 + O(q^4))"
+    assert repr(series_A(C, 3)) == (
+        "TruncatedSeries(order=3, 1 + (-1 + c)*q + (-1 + c^2)*q^2 + (-c + c^3)*q^3 + O(q^4))"
+    )
+
+
 # -- series in t over q-series ------------------------------------------------
 
 
