@@ -33,8 +33,8 @@ Usage:
     python scripts/output_digests.py [scale] [--src PATH]
 
 scale (default 1) multiplies every range and every n, each kept at least
-4, the smallest q-order the default m-max admits, and a listing's n kept
-no less than its modulus.  0.1 gives a quick smoke run.
+4, the smallest q-order report-all admits (thm_1_2's k_max), and a
+listing's n kept no less than its modulus.  0.1 gives a quick smoke run.
 """
 
 import argparse

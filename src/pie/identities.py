@@ -11,8 +11,9 @@ An exact checker declares the range it covers and a search.  Every search
 is the one first-failure search _first: it walks a grid of points, in
 order, and stops at the first point where the checker's mismatch function
 finds a difference; the failure record is that point merged with the
-difference.  Exact comparisons are of normal forms in Q[c] (or plain
-integers) derived from the profiles, with zero tolerance.
+difference.  The profile-pair tags compare their two integer profiles once
+per n, a verdict for every complex z (or k) and c; the other exact checks
+compare series, normal forms in Q[c] or integers, all with zero tolerance.
 
 The four identities with a numeric form share one table: tag -> both
 profiles at n, the name of the exponent axis, and whether c = 1.  Numeric
@@ -143,9 +144,7 @@ class IdentityReport:
 
 
 def _stringify(value):
-    if value is None or isinstance(value, (int, str, bool)):
-        return value
-    if isinstance(value, float):
+    if value is None or isinstance(value, (int, float, str)):
         return value
     if isinstance(value, (Fraction, complex, CPolynomial)):
         return str(value)
@@ -178,10 +177,10 @@ def _conv(a, b, limit: int) -> tuple[int, ...]:
 # Each weighted side below is sum_e a_n(e) * e^z * c^e with integer a_n(e): a
 # profile, stored as ascending (e, a_n(e)) pairs with a_n(e) != 0.  The
 # functions e -> e^z c^e are linearly independent, so two sides agree for
-# every (z, c) exactly when their profiles are equal; the exponent and (z, c)
-# grids only rescale and evaluate a profile built once per n.  The D(n) sides
-# are linear maps of the signed (smallest, largest) histogram H_n, the P(n)
-# sides come from the (largest, #sizes) counts of the size-count DP.
+# every (z, c) exactly when their profiles are equal, as the exact checks test;
+# bs_int's exponents and the numeric grids evaluate a profile built once per
+# n.  The D(n) sides are linear maps of the signed (smallest, largest)
+# histogram H_n, the P(n) sides of the size-count DP's (largest, #sizes) cells.
 #
 # The P(n) sides group the cells by v into G_v = sum_l cnt(l, v) * c^(l-v).
 # P_1 = sum_v G_v * (c-1)^(v-1), by Horner's rule in (c - 1), is agl_pti's
@@ -277,23 +276,20 @@ def _thm26_profiles(n: int) -> tuple[Profile, Profile]:
     return _initial_profile(n), _shifted_binomial_profile(n)
 
 
-def _terms(profile: Profile, k: int) -> Profile:
-    """The profile under the weight e^k, as its nonzero (e, a * e^k) pairs."""
-    return tuple((e, w) for e, a in profile if (w := a * e**k))
-
-
 def _weighted(profile: Profile, k: int) -> CPolynomial:
     """The profile under the weight e^k, as an exact polynomial in c."""
-    return CPolynomial(dict(_terms(profile, k)))
+    return CPolynomial({e: a * e**k for e, a in profile})
 
 
-def _weighted_differ(profiles, n: int, k: int) -> dict | None:
-    """Both profiles(n) under the weight e^k, compared as integer maps and
-    reported as polynomials in c where they differ."""
+def _profiles_differ(profiles, n: int) -> dict | None:
+    """The least e where the two profiles(n) differ, with a_n(e) on each side
+    (0 where a side lacks e); profiles store no zero a_n(e), so one exists."""
     lhs, rhs = profiles(n)
-    if _terms(lhs, k) == _terms(rhs, k):
+    if lhs == rhs:
         return None
-    return {"lhs": _weighted(lhs, k), "rhs": _weighted(rhs, k)}
+    left, right = dict(lhs), dict(rhs)
+    e = min(e for e in left.keys() | right.keys() if left.get(e, 0) != right.get(e, 0))
+    return {"e": e, "lhs": left.get(e, 0), "rhs": right.get(e, 0)}
 
 
 def _at(profile: Profile, k: int, c: Scalar) -> Scalar:
@@ -445,12 +441,15 @@ def _over_n(cfg: CheckConfig, mismatch, **rng):
     return {"n_max": cfg.n_max, **rng}, partial(_first, _grid(n=_ns(cfg)), mismatch)
 
 
+def _profile_check(profiles, **rng):
+    """The checker comparing both profiles(n) once for every n <= n_max."""
+    return lambda cfg: _over_n(cfg, partial(_profiles_differ, profiles), **rng)
+
+
 def _sweep(cfg: CheckConfig, mismatch, key: str = "k", **rng):
     """Search mismatch(n, k) for every n <= n_max and k in the exponent grid."""
-    points = _grid(n=_ns(cfg), **{key: cfg.exponents})
-    return {"n_max": cfg.n_max, "exponents": list(cfg.exponents), **rng}, partial(
-        _first, points, mismatch
-    )
+    rng = {"n_max": cfg.n_max, "exponents": list(cfg.exponents), **rng}
+    return rng, partial(_first, _grid(n=_ns(cfg), **{key: cfg.exponents}), mismatch)
 
 
 def _cor24_sides(n: int, k: int) -> tuple[int, int]:
@@ -501,6 +500,9 @@ def _check_uchimura(cfg: CheckConfig):
 
 
 def _check_thm_1_2(cfg: CheckConfig):
+    if cfg.q_order < cfg.k_fold_max:
+        raise ValueError(f"q-order {cfg.q_order} is below thm_1_2's k_max = {cfg.k_fold_max}")
+
     def mismatch(k):
         a, b, c3 = series_dilcher_binomial(k, cfg.q_order)
         return _series_differ(a, b) or _series_differ(a, c3)
@@ -579,9 +581,7 @@ REGISTRY = {
     IdentityId.BS_INT: lambda cfg: _sweep(
         cfg, lambda n, z: _differ(_at(_window_profile(n), z, 1), sigma_int(z, n)), key="z"
     ),
-    IdentityId.BS_ONEVAR: lambda cfg: _sweep(
-        cfg, partial(_weighted_differ, _thm21_profiles), key="z", c="symbolic"
-    ),
+    IdentityId.BS_ONEVAR: _profile_check(_thm21_profiles, z="all complex", c="symbolic"),
     IdentityId.UCHIMURA_TRIPLE: _check_uchimura,
     IdentityId.ENTRY4: _check_entry4,
     IdentityId.DILCHER_CM: _check_dilcher_cm,
@@ -589,26 +589,16 @@ REGISTRY = {
     IdentityId.THM_1_2: _check_thm_1_2,
     IdentityId.THM_2_2_EXP: lambda cfg: _check_thm22(cfg, "exp"),
     IdentityId.THM_2_2_BELL: lambda cfg: _check_thm22(cfg, "bell"),
-    IdentityId.THM_2_3: lambda cfg: _sweep(
-        cfg, partial(_weighted_differ, _thm23_profiles), c="symbolic"
-    ),
+    IdentityId.THM_2_3: _profile_check(_thm23_profiles, k="all complex", c="symbolic"),
     IdentityId.COR_2_4: lambda cfg: _sweep(cfg, lambda n, k: _differ(*_cor24_sides(n, k)), c=1),
     IdentityId.COR_2_5: lambda cfg: _over_n(cfg, lambda n: _differ(*check_cor25(n))),
-    IdentityId.THM_2_6: lambda cfg: _sweep(
-        cfg, partial(_weighted_differ, _thm26_profiles), c="symbolic"
-    ),
+    IdentityId.THM_2_6: _profile_check(_thm26_profiles, k="all complex", c="symbolic"),
     IdentityId.COR_2_7: lambda cfg: _over_n(cfg, lambda n: _differ(*check_cor27(n))),
-    IdentityId.AGL_PTI: lambda cfg: _over_n(
-        cfg,
-        partial(_weighted_differ, partial(check_agl, scaled=False), k=0),
-        c="symbolic",
-        scaled=False,
+    IdentityId.AGL_PTI: _profile_check(
+        partial(check_agl, scaled=False), c="symbolic", scaled=False
     ),
-    IdentityId.AGL_SCALED: lambda cfg: _over_n(
-        cfg,
-        partial(_weighted_differ, partial(check_agl, scaled=True), k=0),
-        c="symbolic",
-        scaled=True,
+    IdentityId.AGL_SCALED: _profile_check(
+        partial(check_agl, scaled=True), c="symbolic", scaled=True
     ),
     IdentityId.CLASS_SUM: _check_class_sum,
 }

@@ -46,11 +46,12 @@ def test_criterion_01_signed_smallest_part_counts_divisors():
 
 
 def test_criterion_02_two_variable_weights_exact():
-    with criterion(2, "two-variable weighted identity, exact, n<=60, z<=4"):
+    with criterion(2, "two-variable weighted identity, exact, n<=60, all complex z"):
         t0 = time.perf_counter()
         cfg = CheckConfig(n_max=60, exponents=(0, 1, 2, 3, 4))
         rep = check_identity(IdentityId.BS_ONEVAR, cfg)
         assert rep.passed, rep.first_failure
+        assert rep.range["z"] == "all complex"
         assert time.perf_counter() - t0 < 120.0
 
 

@@ -123,6 +123,21 @@ def test_n_max_guard(capsys):
     assert "n-max" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("report-all", "--n-max", "5", "--q-order", "3"),
+        ("verify", "--all", "--n-max", "5", "--q-order", "1"),
+    ],
+    ids=["report-all", "verify-all"],
+)
+def test_q_order_below_thm_1_2_k_max_names_the_flag(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "q-order" in err and "thm_1_2" in err
+
+
 def test_output_file_and_formats(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, out, _ = run(

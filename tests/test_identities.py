@@ -5,7 +5,7 @@ import sys
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from math import comb
 
 import pytest
@@ -333,13 +333,15 @@ def _double_last(real):
 
 
 LHS_RHS = {"lhs", "rhs"}
+# the record of a profile-pair tag: the least e where a_n(e) differs
+PROFILE_RECORD = {"n", "e"} | LHS_RHS
 
 # (tag, mode, builder identities imports by name or None for the
 # skewed_binomial_profile fixture, skew, keys of the failure record)
 FORCED_FAILURES = [
     ("bs_basic", "exact", "class_sums", _skew_class_sums, {"n"} | LHS_RHS),
     ("bs_int", "exact", "class_sums", _skew_class_sums, {"n", "z"} | LHS_RHS),
-    ("bs_onevar", "exact", "class_sums", _skew_class_sums, {"n", "z"} | LHS_RHS),
+    ("bs_onevar", "exact", "class_sums", _skew_class_sums, PROFILE_RECORD),
     ("uchimura_triple", "exact", "series_K", _double, {"form", "q_power"} | LHS_RHS),
     ("entry4", "exact", "series_entry4", _double_last, {"c", "q_power"} | LHS_RHS),
     (
@@ -353,25 +355,29 @@ FORCED_FAILURES = [
     ("thm_1_2", "exact", "series_dilcher_binomial", _double_last, {"k", "q_power"} | LHS_RHS),
     ("thm_2_2_exp", "exact", "series_K", _double, {"c", "m", "q_power"}),
     ("thm_2_2_bell", "exact", "series_K", _double, {"c", "m", "q_power"}),
-    ("thm_2_3", "exact", None, None, {"n", "k"} | LHS_RHS),
+    ("thm_2_3", "exact", None, None, PROFILE_RECORD),
     ("cor_2_4", "exact", None, None, {"n", "k"} | LHS_RHS),
     ("cor_2_5", "exact", "count_exact_part_sizes", _plus_one, {"n"} | LHS_RHS),
-    ("thm_2_6", "exact", "signed_window_counts", _skew_cell, {"n", "k"} | LHS_RHS),
+    ("thm_2_6", "exact", "signed_window_counts", _skew_cell, PROFILE_RECORD),
     ("cor_2_7", "exact", "count_exact_part_sizes", _plus_one, {"n"} | LHS_RHS),
-    ("agl_pti", "exact", "partitions_by_largest_and_sizes", _skew_one_part, {"n"} | LHS_RHS),
-    (
-        "agl_scaled",
-        "exact",
-        "partitions_by_largest_and_sizes",
-        _skew_one_part,
-        {"n"} | LHS_RHS,
-    ),
+    ("agl_pti", "exact", "partitions_by_largest_and_sizes", _skew_one_part, PROFILE_RECORD),
+    ("agl_scaled", "exact", "partitions_by_largest_and_sizes", _skew_one_part, PROFILE_RECORD),
     ("class_sum", "exact", "class_sum", _plus_one, {"n", "N"} | LHS_RHS),
     ("bs_onevar", "numeric", "class_sums", _skew_class_sums, {"n", "z", "c"} | LHS_RHS),
     ("thm_2_3", "numeric", None, None, {"n", "k", "c"} | LHS_RHS),
     ("cor_2_4", "numeric", None, None, {"n", "k"} | LHS_RHS),
     ("thm_2_6", "numeric", "signed_window_counts", _skew_cell, {"n", "k", "c"} | LHS_RHS),
 ]
+
+
+# the profile pair each profile-pair tag compares at n
+PROFILE_PAIRS = {
+    "bs_onevar": identities._thm21_profiles,
+    "thm_2_3": identities._thm23_profiles,
+    "thm_2_6": identities._thm26_profiles,
+    "agl_pti": partial(check_agl, scaled=False),
+    "agl_scaled": partial(check_agl, scaled=True),
+}
 
 
 def _clear_caches():
@@ -390,13 +396,38 @@ def test_forced_failure_record(request, monkeypatch, tag, mode, builder, skew, k
         request.getfixturevalue("skewed_binomial_profile")
     else:
         monkeypatch.setattr(identities, builder, skew(getattr(identities, builder)))
+    profile_pair = mode == "exact" and tag in PROFILE_PAIRS
     _clear_caches()  # cached profiles would hide the skew
     try:
         rep = check_identity(tag, CheckConfig(n_max=6, q_order=10, m_max=2, mode=mode))
+        failure = rep.first_failure
+        if failure and profile_pair:
+            # the skewed profiles at the failing n, read while the skew holds
+            sides = [dict(p) for p in PROFILE_PAIRS[tag](failure["n"])]
     finally:
         _clear_caches()
     assert rep.status == "fail"
-    assert set(rep.first_failure) == keys
+    assert set(failure) == keys
+    if profile_pair:
+        values = [failure["lhs"], failure["rhs"]]
+        assert values == [side.get(failure["e"], 0) for side in sides]
+        assert all(type(v) is int for v in values)
+
+
+@pytest.mark.parametrize(
+    "lhs, rhs, record",
+    [
+        (((1, 2), (3, -1)), ((1, 2), (3, -1)), None),
+        # the least differing e is named, not a later one
+        (((1, 2), (3, -1), (5, 4)), ((1, 2), (3, 7), (5, 5)), {"e": 3, "lhs": -1, "rhs": 7}),
+        # an e on one side only reads 0 on the other, whichever side lacks it
+        (((1, 2), (4, 1)), ((1, 2), (2, -3), (4, 1)), {"e": 2, "lhs": 0, "rhs": -3}),
+        (((0, 1), (2, 5)), ((2, 5),), {"e": 0, "lhs": 1, "rhs": 0}),
+    ],
+    ids=["equal", "least-e", "rhs-only", "lhs-only"],
+)
+def test_profiles_differ_names_the_least_differing_e(lhs, rhs, record):
+    assert identities._profiles_differ(lambda n: (lhs, rhs), 7) == record
 
 
 def test_fault_report_keeps_range(monkeypatch):
@@ -432,11 +463,11 @@ def _skew_two_sizes(real):
 # the tags whose right sides read the (largest, #sizes) cells, with the keys
 # of their failure records
 CELL_READERS = {
-    "thm_2_3": {"n", "k"} | LHS_RHS,
+    "thm_2_3": PROFILE_RECORD,
     "cor_2_4": {"n", "k"} | LHS_RHS,
-    "thm_2_6": {"n", "k"} | LHS_RHS,
-    "agl_pti": {"n"} | LHS_RHS,
-    "agl_scaled": {"n"} | LHS_RHS,
+    "thm_2_6": PROFILE_RECORD,
+    "agl_pti": PROFILE_RECORD,
+    "agl_scaled": PROFILE_RECORD,
 }
 
 

@@ -1,9 +1,11 @@
-"""The package surface resolves on first use, and each pie command loads only
-the layers it runs (checked in fresh interpreters, with no time bound)."""
+"""The package surface resolves on first use, each pie command loads only
+the layers it runs, and the README's Library example prints what it says
+(the last two checked in fresh interpreters, with no time bound)."""
 
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -171,3 +173,24 @@ def test_series_dump_loads_neither_identities_nor_involution():
 def test_identity_commands_load_every_layer(argv):
     loaded = _fresh(_main(*argv))
     assert loaded == ["pie", *sorted(f"pie.{layer}" for layer in LAYERS)]
+
+
+# -- the README's Library example ----------------------------------------------------
+
+
+def test_readme_library_example_runs():
+    root = Path(__file__).resolve().parent.parent
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"```python\n(.*?)```", readme, re.S)
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PIE_")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(root / "src"), env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", block], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "pass",
+        "3+2+1",
+        # the divisor counts d(1..10) = 1, 2, 2, 3, 2, 4, 2, 4, 3, 4
+        "q + 2*q^2 + 2*q^3 + 3*q^4 + 2*q^5 + 4*q^6 + 2*q^7 + 4*q^8 + 3*q^9 + 4*q^10 + O(q^11)",
+    ]
