@@ -23,9 +23,10 @@ _HOMES = {
     "errors": ("AlgorithmFault",),
     "exact": ("C", "CPolynomial", "bell_polynomial", "divisors", "sigma_int"),
     "identities": ("CheckConfig", "IdentityId", "IdentityReport", "check_identity", "run_all"),
-    "involution": ("PairingTrace", "class_sum", "in_class", "membership_count", "pair"),
+    "involution": ("PairingTrace", "in_class", "membership_count", "pair"),
     "partitions": (
         "Partition",
+        "class_sum",
         "count_exact_part_sizes",
         "enumerate_distinct",
         "enumerate_partitions",

@@ -8,7 +8,8 @@ configuration; wall-clock timings are emitted only under --timings.
 Each command imports only the layers it runs, inside its handler:
 involution loads the pairing and partitions, series the exact and series
 layers, and verify and report-all the identity registry, which brings in
-every layer.  `import pie.cli` itself loads only this module and errors.
+every layer but the pairing.  `import pie.cli` itself loads only this module
+and errors.
 """
 
 from __future__ import annotations
@@ -183,30 +184,20 @@ def emit_report(reports, fmt: str, sink, timings: bool = False) -> None:
 
     dicts = [r.to_json_dict(include_timing=timings) for r in reports]
     if fmt == "json":
-        sink.write(json.dumps(dicts, sort_keys=True, indent=2))
-        sink.write("\n")
-    elif fmt == "csv":
-        writer = csv.writer(sink, lineterminator="\n")
+        sink.write(json.dumps(dicts, sort_keys=True, indent=2) + "\n")
+        return
+    writer = csv.writer(sink, lineterminator="\n")
+    if fmt == "csv":
         writer.writerow(["id", "mode", "status", "elapsed_ms", "first_failure"])
-        for d in dicts:
-            writer.writerow(
-                [
-                    d["id"],
-                    d["mode"],
-                    d["status"],
-                    "" if d["elapsed_ms"] is None else d["elapsed_ms"],
-                    "" if d["first_failure"] is None else json.dumps(
-                        d["first_failure"], sort_keys=True
-                    ),
-                ]
-            )
-    else:
-        for d in dicts:
+    for d in dicts:
+        failure = d["first_failure"]
+        failure = "" if failure is None else json.dumps(failure, sort_keys=True)
+        if fmt == "csv":
+            # csv writes None, the elapsed_ms of a run without --timings, as ""
+            writer.writerow([d["id"], d["mode"], d["status"], d["elapsed_ms"], failure])
+        else:
             mark = "PASS" if d["status"] == "pass" else "FAIL"
-            extra = ""
-            if d["first_failure"] is not None:
-                extra = " " + json.dumps(d["first_failure"], sort_keys=True)
-            sink.write(f"{mark} {d['id']} [{d['mode']}]{extra}\n")
+            sink.write(f"{mark} {d['id']} [{d['mode']}]{failure and ' ' + failure}\n")
 
 
 def _emit(args: argparse.Namespace, run) -> int:
@@ -238,18 +229,22 @@ def _cmd_series(args: argparse.Namespace) -> int:
     from .series import series_dilcher_binomial, series_entry4
 
     order = _positive("order", _setting(args, "order", "Q_ORDER", int, 30))
-    c = _parse_c_value(args.c)
-    name = args.name
-    if name == "A":
-        result = series_A(c, order)
-    elif name == "M":
-        result = series_M(args.m, c, order)
-    elif name == "K":
-        result = series_K(args.m, c, order)
-    elif name == "entry4":
-        result = series_entry4(c, order)[0]
-    else:
-        result = series_dilcher_binomial(args.m, order)[0]
+    c, name, m = _parse_c_value(args.c), args.name, args.m
+    # the builders' errors name their parameters (dilcher's k is --m), not the flags
+    least_m = {"M": 0, "K": 1, "dilcher": 1}.get(name, m)
+    if m < least_m:
+        raise ValueError(f"--m must be at least {least_m} for {name}, got {m}")
+    if name == "dilcher" and m > 6:
+        raise ValueError(f"--m must lie in 1..6 for dilcher, got {m}")
+    if name == "dilcher" and order < m:
+        raise ValueError(f"--order must be at least --m = {m} for dilcher, got {order}")
+    result = {
+        "A": lambda: series_A(c, order),
+        "M": lambda: series_M(m, c, order),
+        "K": lambda: series_K(m, c, order),
+        "entry4": lambda: series_entry4(c, order)[0],
+        "dilcher": lambda: series_dilcher_binomial(m, order)[0],
+    }[name]()
     with _sink(args) as sink:
         writer = csv.writer(sink, lineterminator="\n")
         for power, coeff in coefficient_rows(result):
@@ -259,20 +254,20 @@ def _cmd_series(args: argparse.Namespace) -> int:
 
 def _cmd_involution(args: argparse.Namespace) -> int:
     from .involution import class_members, class_sum, pair, trace_lines, verify_pairings
+    from .partitions import _size_tables
 
     n, N = args.n, args.modulus
     if not 1 <= n <= MAX_INVOLUTION_N:
         raise ValueError(f"n must lie in 1..{MAX_INVOLUTION_N}")
     if not 1 <= N <= n:
         raise ValueError("need 1 <= N-divisor <= n")
+    _size_tables(n)
     with _sink(args) as sink:
         if args.sweep:
             for modulus, counts in verify_pairings(n, range(1, n + 1)).items():
                 total, expected = class_sum(n, modulus), int(n % modulus == 0)
                 if total != expected:
-                    raise AlgorithmFault(
-                        f"class sum {total} != {expected} at n={n}, N={modulus}"
-                    )
+                    raise AlgorithmFault(f"class sum {total} != {expected} at n={n}, N={modulus}")
                 sink.write(
                     f"N={modulus} members={counts['members']} "
                     f"fixed={counts['fixed']} class_sum={total}\n"

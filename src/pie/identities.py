@@ -26,9 +26,9 @@ e^z for e <= n_max once per z, c^e once per c, and each profile weighed once
 per (n, z).  Every term is formed as a single-point call forms it, so values,
 conditions and failure records are bit-identical to per-point evaluation.
 
-check_identity alone times a check, runs its search, turns an AlgorithmFault
-into a failing report over the checker's declared range, and builds the
-report.
+check_identity alone times a check, runs its search with the partition
+tables sized to the run's n_max, turns an AlgorithmFault into a failing
+report over the checker's declared range, and builds the report.
 """
 
 from __future__ import annotations
@@ -57,10 +57,11 @@ from .exact import (
     fractional_weight,
     sigma_int,
 )
-from .involution import class_sum, class_sums
 from .partitions import (
     _max_distinct_sizes,
-    _table_cap,
+    _size_tables,
+    class_sum,
+    class_sums,
     count_exact_part_sizes,
     partitions_by_largest_and_sizes,
     signed_window_counts,
@@ -343,11 +344,12 @@ def check_cor27(n: int) -> tuple[int, int]:
     return lhs, rhs
 
 
-def check_cor25(n: int) -> tuple[int, int]:
-    """Count with exactly two part sizes vs the divisor-count convolution."""
+def check_cor25(n: int, n_max: int = 0) -> tuple[int, int]:
+    """Count with exactly two part sizes vs the divisor-count convolution;
+    a run over n <= n_max reads one table of divisor counts."""
     if n < 1:
         raise ValueError("n must be positive")
-    d = _sigma_powers(_table_cap(n), 0)
+    d = _sigma_powers(max(n, n_max), 0)
     convolution = sum(d[j] * d[n - j] for j in range(1, n))
     numerator = convolution + d[n] - sigma_int(1, n)
     if numerator % 2:
@@ -591,7 +593,7 @@ REGISTRY = {
     IdentityId.THM_2_2_BELL: lambda cfg: _check_thm22(cfg, "bell"),
     IdentityId.THM_2_3: _profile_check(_thm23_profiles, k="all complex", c="symbolic"),
     IdentityId.COR_2_4: lambda cfg: _sweep(cfg, lambda n, k: _differ(*_cor24_sides(n, k)), c=1),
-    IdentityId.COR_2_5: lambda cfg: _over_n(cfg, lambda n: _differ(*check_cor25(n))),
+    IdentityId.COR_2_5: lambda cfg: _over_n(cfg, lambda n: _differ(*check_cor25(n, cfg.n_max))),
     IdentityId.THM_2_6: _profile_check(_thm26_profiles, k="all complex", c="symbolic"),
     IdentityId.COR_2_7: lambda cfg: _over_n(cfg, lambda n: _differ(*check_cor27(n))),
     IdentityId.AGL_PTI: _profile_check(
@@ -693,6 +695,7 @@ def check_identity(ident, config: CheckConfig | None = None) -> IdentityReport:
         rng, search, conditions = _numeric_check(config, *_NUMERIC[ident])
     else:
         raise ValueError(f"identity {ident.value} has no numeric mode")
+    _size_tables(config.n_max)
     t0 = time.perf_counter()
     try:
         failure = search()

@@ -26,20 +26,18 @@ the kernel only from case-1 members and fixed points: each case-1 image
 must take case 2 and map back, so the pairing sends case 1 one-to-one into
 case 2, and equal case-1 and case-2 counts per N then make every case-2
 member the image of a case-1 member, whose pairing was checked both ways.
-class_sums reads the class sums off the signed (smallest, largest)
-histogram, independent of the pairing.  Any departure from the proven
-regime (several parts divisible by N, guard overrun, nonpositive
-intermediate, duplicate inserted or output part, output of the wrong size
-or outside the class, a second stopping point, a case-2 member left over)
-raises AlgorithmFault rather than being repaired.
+class_sum and class_sums, re-exported here, live in partitions beside the
+signed (smallest, largest) histogram they read, independent of the pairing.
+Any departure from the proven regime (several parts divisible by N, guard
+overrun, nonpositive intermediate, duplicate inserted or output part, output
+of the wrong size or outside the class, a second stopping point, a case-2
+member left over) raises AlgorithmFault rather than being repaired.
 """
 
 from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import accumulate
 from math import ceil
 from typing import Iterable, Iterator
 
@@ -49,8 +47,8 @@ from .partitions import (
     Partition,
     _descending_distinct_parts,
     _require_enumerable,
-    signed_window_counts,
 )
+from .partitions import class_sum, class_sums  # re-exported: they read H_n, not the pairing
 
 CASE_REMOVE = "case1"
 CASE_INSERT = "case2"
@@ -163,25 +161,6 @@ def _subtractions(working: list[int], N: int):
         insort(working, high - N)
         j += 1
         yield j, high
-
-
-@lru_cache(maxsize=None)
-def class_sums(n: int) -> tuple[int, ...]:
-    """Entry N is the signed sum over D(n) within C(N), for N = 0..n, read
-    off the signed (smallest, largest) histogram, independent of the pairing."""
-    # entry N sums the cells (s, l) with l - s < N <= l, by a difference array
-    diff = [0] * (n + 2)
-    for (s, largest), h in signed_window_counts(n).items():
-        diff[largest - s + 1] += h
-        diff[largest + 1] -= h
-    return tuple(accumulate(diff[: n + 1]))
-
-
-def class_sum(n: int, N: int) -> int:
-    """Signed count sum over D(n) within C(N): 1 when N | n, else 0."""
-    if not 1 <= N <= n:
-        raise ValueError("need 1 <= N <= n")
-    return class_sums(n)[N]
 
 
 def class_members(n: int, N: int) -> Iterator[Partition]:

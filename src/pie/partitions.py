@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from types import MappingProxyType
 from typing import Iterator
 
@@ -122,31 +123,19 @@ def _require_enumerable(n: int, guard: int) -> None:
         raise ValueError(f"n={n} exceeds the enumeration guard {guard}")
 
 
-def enumerate_partitions(
-    n: int, guard: int = DEFAULT_ENUMERATION_GUARD
-) -> Iterator[Partition]:
+def enumerate_partitions(n: int, guard: int = DEFAULT_ENUMERATION_GUARD) -> Iterator[Partition]:
     """Yield every partition of n exactly once, lexicographically descending.
 
     n = 0 yields the single empty partition by convention.
     """
     _require_enumerable(n, guard)
-    if n == 0:
-        yield Partition(())
-        return
-    for t in _descending_parts(n, n):
-        yield Partition(t)
+    yield from map(Partition, _descending_parts(n, n))
 
 
-def enumerate_distinct(
-    n: int, guard: int = DEFAULT_ENUMERATION_GUARD
-) -> Iterator[Partition]:
+def enumerate_distinct(n: int, guard: int = DEFAULT_ENUMERATION_GUARD) -> Iterator[Partition]:
     """Yield every partition of n with pairwise distinct parts, descending."""
     _require_enumerable(n, guard)
-    if n == 0:
-        yield Partition(())
-        return
-    for t in _descending_distinct_parts(n, n):
-        yield Partition(t)
+    yield from map(Partition, _descending_distinct_parts(n, n))
 
 
 def _max_distinct_sizes(n: int) -> int:
@@ -157,14 +146,30 @@ def _max_distinct_sizes(n: int) -> int:
     return v
 
 
-def _table_cap(n: int) -> int:
-    cap = 32
-    while cap < n:
-        cap *= 2
-    return cap
+# DP builder -> (cap, table): the table serves every n <= cap, or is None until
+# the first read after a run declared the cap
+_tables: dict = {}
 
 
-@lru_cache(maxsize=4)
+def _table(build, n: int):
+    # a read past the cap grows the table to the next power of two from 32,
+    # so stepping n up to 200 outside a run builds four tables
+    cap, table = _tables.get(build, (-1, None))
+    if cap < n:
+        cap, table = 1 << max(5, (n - 1).bit_length()), None
+    if table is None:
+        _tables[build] = cap, (table := build(cap))
+    return table
+
+
+def _size_tables(n_max: int) -> None:
+    """Declare a run over n <= n_max: a table that does not reach n_max is
+    built exactly to n_max at its first read, so once for the run."""
+    for build in (_signed_window_table, _size_cell_table):
+        if _tables.get(build, (-1,))[0] < n_max:
+            _tables[build] = n_max, None
+
+
 def _size_cell_table(cap: int) -> tuple[tuple[Cells, ...], tuple[tuple[int, ...], ...]]:
     # table[n][(m, v)] counts partitions of n with largest part m and v sizes,
     # for every n <= cap, in one pass over m = 1..cap; the final f comes back
@@ -201,7 +206,7 @@ def count_exact_part_sizes(n: int, t: int) -> int:
         raise ValueError("t must be positive")
     if t * (t + 1) // 2 > n:
         return 0
-    return _size_cell_table(_table_cap(n))[1][t][n]
+    return _table(_size_cell_table, n)[1][t][n]
 
 
 def partitions_by_largest_and_sizes(n: int) -> Cells:
@@ -214,10 +219,9 @@ def partitions_by_largest_and_sizes(n: int) -> Cells:
     """
     if n < 1:
         raise ValueError("n must be positive")
-    return _size_cell_table(_table_cap(n))[0][n]
+    return _table(_size_cell_table, n)[0][n]
 
 
-@lru_cache(maxsize=4)
 def _signed_window_table(cap: int) -> tuple[Cells, ...]:
     # table[n][(s, l)] = H_n(s, l) for every n <= cap, nonzero cells only.
     # For s < l the middle parts form a distinct subset of (s, l) summing to
@@ -253,4 +257,22 @@ def signed_window_counts(n: int) -> Cells:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return _signed_window_table(_table_cap(n))[n]
+    return _table(_signed_window_table, n)[n]
+
+
+@lru_cache(maxsize=None)
+def class_sums(n: int) -> tuple[int, ...]:
+    """Entry N is the signed sum over D(n) in the window class C(N), N = 0..n, off H_n."""
+    # entry N sums the cells (s, l) with l - s < N <= l, by a difference array
+    diff = [0] * (n + 2)
+    for (s, largest), h in signed_window_counts(n).items():
+        diff[largest - s + 1] += h
+        diff[largest + 1] -= h
+    return tuple(accumulate(diff[: n + 1]))
+
+
+def class_sum(n: int, N: int) -> int:
+    """Signed count sum over D(n) within C(N): 1 when N | n, else 0."""
+    if not 1 <= N <= n:
+        raise ValueError("need 1 <= N <= n")
+    return class_sums(n)[N]

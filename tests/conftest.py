@@ -2,7 +2,7 @@
 
 import pytest
 
-from pie import identities
+from pie import identities, partitions
 
 
 @pytest.fixture
@@ -19,3 +19,19 @@ def skewed_binomial_profile(monkeypatch):
         return ((e, a + 1), *rest)
 
     monkeypatch.setattr(identities, "_binomial_profile", skewed)
+
+
+@pytest.fixture
+def table_builds(monkeypatch):
+    """The caps each partition DP table is built at, from an empty cache:
+    {"cells": [...], "windows": [...]} in build order."""
+    builds = {"cells": [], "windows": []}
+    monkeypatch.setattr(partitions, "_tables", {})
+    for key, name in (("cells", "_size_cell_table"), ("windows", "_signed_window_table")):
+
+        def build(cap, real=getattr(partitions, name), caps=builds[key]):
+            caps.append(cap)
+            return real(cap)
+
+        monkeypatch.setattr(partitions, name, build)
+    return builds

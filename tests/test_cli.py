@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from pie.cli import main
+from pie.partitions import class_sums
 
 
 def run(capsys, *argv):
@@ -53,6 +54,14 @@ def test_involution_summary_and_sweep(capsys):
     code, out, _ = run(capsys, "involution", "--n", "10", "--N-divisor", "1", "--sweep")
     assert code == 0
     assert "sweep ok for n=10" in out
+
+
+def test_involution_builds_the_histogram_at_its_n(capsys, table_builds):
+    class_sums.cache_clear()  # so the class sum reads H_n
+    code, out, _ = run(capsys, "involution", "--n", "40", "--N-divisor", "7")
+    assert code == 0
+    assert out.endswith("class_sum=0\n")
+    assert table_builds == {"cells": [], "windows": [40]}
 
 
 def test_verify_single_identity_json(capsys):
@@ -136,6 +145,24 @@ def test_q_order_below_thm_1_2_k_max_names_the_flag(capsys, argv):
     assert code == 2
     assert out == ""
     assert "q-order" in err and "thm_1_2" in err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("--name", "dilcher", "--m", "4", "--order", "2"), "--order"),
+        (("--name", "dilcher", "--m", "7"), "--m"),
+        (("--name", "dilcher", "--m", "0"), "--m"),
+        (("--name", "M", "--m", "-1"), "--m"),
+        (("--name", "K", "--m", "0"), "--m"),
+    ],
+    ids=["dilcher-order-below-m", "dilcher-m-7", "dilcher-m-0", "M-m-negative", "K-m-0"],
+)
+def test_series_errors_name_the_flag(capsys, argv, flag):
+    code, out, err = run(capsys, "series", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error: ") and flag in err
 
 
 def test_output_file_and_formats(tmp_path, capsys):

@@ -260,6 +260,18 @@ def test_registry_is_closed_and_total():
     assert all(r.passed for r in reports)
 
 
+def test_run_all_builds_each_table_once_at_its_n_max(table_builds):
+    _clear_caches()  # so every n <= 40 reads the tables, not a cached profile
+    reports = run_all(CheckConfig(n_max=40, q_order=12, m_max=2))
+    assert all(r.passed for r in reports)
+    assert table_builds == {"cells": [40], "windows": [40]}
+
+
+def test_a_check_that_reads_no_table_builds_none(table_builds):
+    assert check_identity("entry4", CheckConfig(n_max=200, q_order=12)).passed
+    assert table_builds == {"cells": [], "windows": []}
+
+
 def test_report_json_shape():
     rep = check_identity(IdentityId.BS_BASIC, CheckConfig(n_max=10))
     d = rep.to_json_dict()

@@ -12,6 +12,7 @@ from pie.partitions import (
     Partition,
     _signed_window_table,
     _size_cell_table,
+    _size_tables,
     count_exact_part_sizes,
     enumerate_distinct,
     enumerate_partitions,
@@ -272,14 +273,39 @@ def test_signed_windows_full_range(n):
 
 
 def test_cell_tables_do_not_depend_on_the_cap():
-    cells64, rows64 = _size_cell_table(64)
-    cells128, rows128 = _size_cell_table(128)
-    windows64, windows128 = _signed_window_table(64), _signed_window_table(128)
-    for n in range(65):
-        assert cells64[n] == cells128[n]
-        assert windows64[n] == windows128[n]
-        for v, row in enumerate(rows64):
-            assert row[n] == rows128[v][n]
+    # a run builds its tables at its own n_max, so any two caps must agree
+    for small, large in ((64, 128), (40, 64), (130, 200)):
+        cells_s, rows_s = _size_cell_table(small)
+        cells_l, rows_l = _size_cell_table(large)
+        windows_s, windows_l = _signed_window_table(small), _signed_window_table(large)
+        assert len(cells_s) == len(windows_s) == small + 1
+        for n in range(small + 1):
+            assert cells_s[n] == cells_l[n]
+            assert windows_s[n] == windows_l[n]
+            for v, row in enumerate(rows_s):
+                assert row[n] == rows_l[v][n]
+
+
+def test_stepping_n_outside_a_run_grows_the_tables_geometrically(table_builds):
+    for n in range(1, 201):
+        signed_window_counts(n)
+        partitions_by_largest_and_sizes(n)
+        count_exact_part_sizes(n, 2)
+    assert table_builds == {"cells": [32, 64, 128, 256], "windows": [32, 64, 128, 256]}
+
+
+def test_a_declared_run_builds_each_table_once_at_its_n_max(table_builds):
+    _size_tables(130)
+    assert table_builds == {"cells": [], "windows": []}  # built at first read
+    for n in range(1, 131):
+        signed_window_counts(n)
+        partitions_by_largest_and_sizes(n)
+    _size_tables(100)  # the cached tables reach it
+    signed_window_counts(100)
+    assert table_builds == {"cells": [130], "windows": [130]}
+    # past the run's n_max, growth is geometric again
+    signed_window_counts(131)
+    assert table_builds == {"cells": [130], "windows": [130, 256]}
 
 
 def test_cell_maps_are_read_only():
