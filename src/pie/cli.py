@@ -179,15 +179,16 @@ def _sink(args: argparse.Namespace):
 
 def emit_report(reports, fmt: str, sink, timings: bool = False) -> None:
     """Serialize reports bit-stably: sorted keys, fixed order, LF endings."""
-    import csv
     import json
 
     dicts = [r.to_json_dict(include_timing=timings) for r in reports]
     if fmt == "json":
         sink.write(json.dumps(dicts, sort_keys=True, indent=2) + "\n")
         return
-    writer = csv.writer(sink, lineterminator="\n")
     if fmt == "csv":
+        import csv
+
+        writer = csv.writer(sink, lineterminator="\n")
         writer.writerow(["id", "mode", "status", "elapsed_ms", "first_failure"])
     for d in dicts:
         failure = d["first_failure"]

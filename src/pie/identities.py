@@ -21,10 +21,12 @@ mode evaluates both profiles with exact.fractional_weight on fixed complex
 grids for (z, c) and compares within a relative tolerance, recording a
 condition estimate (the sum of the left side's term magnitudes over its
 value's magnitude) instead of ever widening the tolerance.  A numeric check
-runs fractional_weight's two stages on power tables keyed by grid position:
-e^z for e <= n_max once per z, c^e once per c, and each profile weighed once
-per (n, z).  Every term is formed as a single-point call forms it, so values,
-conditions and failure records are bit-identical to per-point evaluation.
+is one loop nest over n, z and c running fractional_weight's two stages on
+power tables keyed by grid position: e^z for e <= n_max once per z, c^e once
+per c, and each profile weighed once per (n, z).  Where the two profiles are
+equal it sums one for both sides.  Every term is formed as a single-point
+call forms it, so values, conditions and failure records are bit-identical
+to per-point evaluation.
 
 check_identity alone times a check, runs its search with the partition
 tables sized to the run's n_max, turns an AlgorithmFault into a failing
@@ -60,6 +62,7 @@ from .exact import (
 from .partitions import (
     _max_distinct_sizes,
     _size_tables,
+    _table,
     class_sum,
     class_sums,
     count_exact_part_sizes,
@@ -344,12 +347,17 @@ def check_cor27(n: int) -> tuple[int, int]:
     return lhs, rhs
 
 
+# d(m) for m <= cap, uncached: partitions._table keeps one such table
+_divisor_counts = partial(_sigma_powers.__wrapped__, z=0)
+
+
 def check_cor25(n: int, n_max: int = 0) -> tuple[int, int]:
     """Count with exactly two part sizes vs the divisor-count convolution;
-    a run over n <= n_max reads one table of divisor counts."""
+    a run over n <= n_max reads its one table of divisor counts, other calls
+    one table that grows as the partition tables do."""
     if n < 1:
         raise ValueError("n must be positive")
-    d = _sigma_powers(max(n, n_max), 0)
+    d = _sigma_powers(n_max, 0) if n <= n_max else _table(_divisor_counts, n)
     convolution = sum(d[j] * d[n - j] for j in range(1, n))
     numerator = convolution + d[n] - sigma_int(1, n)
     if numerator % 2:
@@ -624,52 +632,43 @@ NUMERIC_CAPABLE = frozenset(_NUMERIC)
 def _numeric_check(cfg: CheckConfig, profiles, key: str, c_is_one: bool):
     """Evaluate both profiles(n) over the (z, c) grids for every n <= n_max.
 
-    Returns the range, the search, and the list the search fills with each
-    point's condition: the sum of left-side term magnitudes over the left
-    side's value.  The search's points hold grid positions, which a failure
-    record replaces by their values: 0j == -0j, yet their powers differ.  A
-    point where either side or the magnitude sum is not finite is a
-    ValueError naming n, z and c: an overflowing term says nothing about the
-    identity.
+    Returns the range, the search, and a function giving the worst condition
+    met: the sum of left-side term magnitudes over the left side's value.
+    The search nests n, z position and c position.  Where both profiles(n)
+    are equal tuples it sums one for both sides, bit-identical to a second
+    sum of the same terms.  The power tables go by position, since 0j == -0j
+    while their powers differ; a failure record holds the grid values.  A
+    point where a side or the magnitude sum is not finite is a ValueError
+    naming n, z and c: an overflowing term says nothing about the identity.
     """
-    z_grid = cfg.z_grid
+    z_grid, tol = cfg.z_grid, cfg.tolerance
     c_grid = (1 + 0j,) if c_is_one else cfg.c_grid
-    axes = {"n": _ns(cfg), key: range(len(z_grid))}
-    rng = {"n_max": cfg.n_max, "z_grid": list(z_grid)}
-    if c_is_one:
-        rng["c"] = 1
-    else:
-        rng["c_grid"] = list(c_grid)
-        axes["c"] = range(len(c_grid))
-    rng["tolerance"] = cfg.tolerance
-    conditions: list[float] = []
+    c_range = {"c": 1} if c_is_one else {"c_grid": list(c_grid)}
+    rng = {"n_max": cfg.n_max, "z_grid": list(z_grid), **c_range, "tolerance": tol}
+    worst = 0.0
 
     def search():
-        z_powers = [_z_powers(z, cfg.n_max) for z in z_grid]
-        c_powers = [_c_powers(c, cfg.n_max) for c in c_grid]
-        # c is the innermost axis, so a one-entry memo of (n, z position)
-        # and both profiles weighed there serves every c
-        memo: list = [None, None]
+        nonlocal worst
+        z_tables = [(z, _z_powers(z, cfg.n_max)) for z in z_grid]
+        c_tables = [(c, _c_powers(c, cfg.n_max)) for c in c_grid]
+        for n in _ns(cfg):
+            lhs_profile, rhs_profile = profiles(n)
+            shared = lhs_profile == rhs_profile
+            for z, z_powers in z_tables:
+                lhs_weighed = _weigh(lhs_profile, z_powers)
+                rhs_weighed = None if shared else _weigh(rhs_profile, z_powers)
+                for c, c_powers in c_tables:
+                    lhs, magnitude = _sum_weighed(lhs_weighed, c_powers)
+                    rhs = lhs if shared else _weighed_value(rhs_weighed, c_powers)
+                    if not (isfinite(lhs) and isfinite(rhs) and isfinite(magnitude)):
+                        raise ValueError(f"a term at n={n}, z={z}, c={c} overflows a double")
+                    worst = max(worst, magnitude / max(1.0, abs(lhs)))
+                    if not abs(lhs - rhs) <= tol * max(1.0, abs(rhs)):
+                        point = {key: z} if c_is_one else {key: z, "c": c}
+                        return {"n": n, **point, "lhs": lhs, "rhs": rhs}
+        return None
 
-        def mismatch(n, i, j=0):
-            if memo[0] != (n, i):
-                memo[:] = (n, i), [_weigh(p, z_powers[i]) for p in profiles(n)]
-            lhs_weighed, rhs_weighed = memo[1]
-            lhs, magnitude = _sum_weighed(lhs_weighed, c_powers[j])
-            rhs = _weighed_value(rhs_weighed, c_powers[j])
-            if not (isfinite(lhs) and isfinite(rhs) and isfinite(magnitude)):
-                raise ValueError(
-                    f"a term at n={n}, z={z_grid[i]}, c={c_grid[j]} overflows a double"
-                )
-            conditions.append(magnitude / max(1.0, abs(lhs)))
-            if abs(lhs - rhs) <= cfg.tolerance * max(1.0, abs(rhs)):
-                return None
-            values = {key: z_grid[i]} if c_is_one else {key: z_grid[i], "c": c_grid[j]}
-            return {**values, "lhs": lhs, "rhs": rhs}
-
-        return _first(_grid(**axes), mismatch)
-
-    return rng, search, conditions
+    return rng, search, lambda: worst
 
 
 def check_identity(ident, config: CheckConfig | None = None) -> IdentityReport:
@@ -688,11 +687,11 @@ def check_identity(ident, config: CheckConfig | None = None) -> IdentityReport:
             raise ValueError(f"unknown identity tag: {ident!r}") from None
     if config.mode not in ("exact", "numeric"):
         raise ValueError(f"unknown mode: {config.mode!r}")
-    conditions = None
+    worst = None
     if config.mode == "exact":
         rng, search = REGISTRY[ident](config)
     elif ident in _NUMERIC:
-        rng, search, conditions = _numeric_check(config, *_NUMERIC[ident])
+        rng, search, worst = _numeric_check(config, *_NUMERIC[ident])
     else:
         raise ValueError(f"identity {ident.value} has no numeric mode")
     _size_tables(config.n_max)
@@ -708,7 +707,7 @@ def check_identity(ident, config: CheckConfig | None = None) -> IdentityReport:
         status="pass" if failure is None else "fail",
         first_failure=failure,
         elapsed_ms=(time.perf_counter() - t0) * 1000.0,
-        condition=None if conditions is None else max([0.0, *conditions]),
+        condition=None if worst is None else worst(),
     )
 
 

@@ -146,8 +146,8 @@ def _max_distinct_sizes(n: int) -> int:
     return v
 
 
-# DP builder -> (cap, table): the table serves every n <= cap, or is None until
-# the first read after a run declared the cap
+# table builder -> (cap, table): the table serves every n <= cap, or is None
+# until the first read after a run declared the cap
 _tables: dict = {}
 
 

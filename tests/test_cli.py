@@ -1,5 +1,6 @@
 """The command-line front end: flags, formats, exit codes, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -222,6 +223,29 @@ def test_report_all(capsys):
     lines = out.strip().splitlines()
     assert len(lines) == 22  # 18 exact + 4 numeric
     assert all(line.startswith("PASS") for line in lines)
+
+
+# sha256 of the csv and text renderings, a passing report-all and a failing
+# numeric verify; pinned so that the lazy csv import changes neither
+REPORT_DIGESTS = {
+    ("pass", "csv"): "364320a15e65cd122be17a261cae009d685eafcc8367a94d73b40a71e20f4b01",
+    ("pass", "text"): "fd846494a1411f3556e72aef868ea2e3507278621449b4e2f1a2530f6c913721",
+    ("fail", "csv"): "38fecf5b5a579855a1254ec68fef6c04c2ce9deb89cd3b42f57914e3046bfe47",
+    ("fail", "text"): "ff524203fed2e33ca475f0abdf65791f015c4b9fc56926a5b211549e07fb9cc2",
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "text"])
+def test_csv_and_text_reports_keep_their_digests(capsys, request, fmt):
+    code, out, _ = run(capsys, "report-all", "--n-max", "12", "--q-order", "12", "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == REPORT_DIGESTS["pass", fmt]
+    request.getfixturevalue("skewed_binomial_profile")
+    code, out, _ = run(
+        capsys, "verify", "--all", "--mode", "numeric", "--n-max", "12", "--format", fmt
+    )
+    assert code == 1
+    assert hashlib.sha256(out.encode()).hexdigest() == REPORT_DIGESTS["fail", fmt]
 
 
 def test_cor_2_4_numeric_holds_past_n_59(capsys):

@@ -10,7 +10,7 @@ from math import comb
 
 import pytest
 
-from pie import exact, identities
+from pie import exact, identities, partitions
 from pie.errors import AlgorithmFault
 from pie.exact import C, CPolynomial, divisors, fractional_weight
 from pie.identities import (
@@ -26,7 +26,11 @@ from pie.identities import (
     lhs_rhs_thm26,
     run_all,
 )
-from pie.partitions import enumerate_distinct, partitions_by_largest_and_sizes
+from pie.partitions import (
+    count_exact_part_sizes,
+    enumerate_distinct,
+    partitions_by_largest_and_sizes,
+)
 
 EXACT_CFG = CheckConfig(n_max=30, q_order=20, m_max=3)
 
@@ -87,6 +91,25 @@ def test_cor25_examples():
     assert check_cor25(6) == (6, 6)
     assert check_cor25(1) == (0, 0)
     assert check_cor25(2) == (0, 0)
+
+
+def test_cor25_outside_a_run_grows_one_divisor_table(monkeypatch):
+    builds = []
+
+    def build(cap, real=identities._divisor_counts):
+        builds.append(cap)
+        return real(cap)
+
+    monkeypatch.setattr(partitions, "_tables", {})
+    monkeypatch.setattr(identities, "_divisor_counts", build)
+    cached = identities._sigma_powers.cache_info().currsize
+    d = [0] + [len(divisors(j)) for j in range(1, 201)]
+    for n in range(1, 201):
+        convolution = sum(d[j] * d[n - j] for j in range(1, n))
+        rhs = (convolution + d[n] - sum(divisors(n))) // 2
+        assert check_cor25(n) == (count_exact_part_sizes(n, 2), rhs) == check_cor25(n, 200)
+    assert builds == [32, 64, 128, 256]
+    assert identities._sigma_powers.cache_info().currsize <= cached + 1  # the run's table
 
 
 def test_agl_examples():
@@ -191,24 +214,57 @@ def test_numeric_condition_matches_single_point_sums(ident):
     # the table-driven check against fractional_weight at every grid point,
     # itself checked bit for bit against per-term powers in test_exact
     profiles, _key, c_is_one = identities._NUMERIC[ident]
-    conditions = [0.0]
-    for n in range(1, EDGE_CFG.n_max + 1):
-        lhs = profiles(n)[0]
-        for z in EDGE_Z:
-            for c in (1 + 0j,) if c_is_one else EDGE_C:
-                value, magnitude = fractional_weight(lhs, z, c)
-                conditions.append(magnitude / max(1.0, abs(value)))
-    rep = check_identity(ident, EDGE_CFG)
-    assert rep.passed
-    assert rep.condition == max(conditions)
+    for cfg in (CheckConfig(n_max=60, mode="numeric"), replace(EDGE_CFG, n_max=60)):
+        conditions = [0.0]
+        for n in range(1, cfg.n_max + 1):
+            lhs = profiles(n)[0]
+            for z in cfg.z_grid:
+                for c in (1 + 0j,) if c_is_one else cfg.c_grid:
+                    value, magnitude = fractional_weight(lhs, z, c)
+                    conditions.append(magnitude / max(1.0, abs(value)))
+        rep = check_identity(ident, cfg)
+        assert rep.passed
+        assert rep.condition == max(conditions)
 
 
-def test_numeric_failure_record_matches_single_point_sums(skewed_binomial_profile):
-    rep = check_identity(IdentityId.THM_2_3, EDGE_CFG)
-    failure = rep.first_failure
-    lhs, rhs = identities._thm23_profiles(failure["n"])
-    assert failure["lhs"] == fractional_weight(lhs, failure["k"], failure["c"])[0]
-    assert failure["rhs"] == fractional_weight(rhs, failure["k"], failure["c"])[0]
+def _count_sums(monkeypatch) -> Counter:
+    """Count the calls of the numeric search's weigh and sum stages."""
+    calls = Counter()
+    for name in ("_weigh", "_sum_weighed", "_weighed_value"):
+
+        def counted(*args, real=getattr(identities, name), name=name):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(identities, name, counted)
+    return calls
+
+
+def test_numeric_failure_record_matches_single_point_sums(monkeypatch, skewed_binomial_profile):
+    # the skew makes the profiles differ at every n, so the first point fails,
+    # and there the right side is weighed and summed on its own
+    calls = _count_sums(monkeypatch)
+    for ident in (IdentityId.THM_2_3, IdentityId.COR_2_4):
+        calls.clear()
+        failure = check_identity(ident, EDGE_CFG).first_failure
+        assert failure["n"] == 1 and failure["k"] == EDGE_Z[0]
+        assert calls == {"_weigh": 2, "_sum_weighed": 1, "_weighed_value": 1}
+        lhs, rhs = identities._thm23_profiles(failure["n"])
+        c = failure.get("c", 1 + 0j)
+        assert failure["lhs"] == fractional_weight(lhs, failure["k"], c)[0]
+        assert failure["rhs"] == fractional_weight(rhs, failure["k"], c)[0]
+
+
+@pytest.mark.parametrize("ident", sorted(NUMERIC_CAPABLE, key=lambda i: i.value))
+def test_numeric_equal_profiles_share_one_side(monkeypatch, ident):
+    calls = _count_sums(monkeypatch)
+    cfg = replace(NUMERIC_CFG, n_max=20)
+    c_points = 1 if identities._NUMERIC[ident][2] else len(cfg.c_grid)
+    assert check_identity(ident, cfg).passed
+    assert calls == {
+        "_weigh": cfg.n_max * len(cfg.z_grid),
+        "_sum_weighed": cfg.n_max * len(cfg.z_grid) * c_points,
+    }
 
 
 def test_numeric_check_powers_once_per_exponent_and_z(monkeypatch):

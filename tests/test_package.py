@@ -176,6 +176,13 @@ def test_identity_commands_load_every_layer(argv):
     assert loaded == ["pie", *sorted(f"pie.{layer}" for layer in LAYERS if layer != "involution")]
 
 
+def test_only_the_csv_format_loads_csv():
+    argv = ("report-all", "--n-max", "4", "--q-order", "4", "--format")
+    assert _fresh(_main(*argv, "json"), "'csv' in sys.modules") is False
+    assert _fresh(_main(*argv, "text"), "'csv' in sys.modules") is False
+    assert _fresh(_main(*argv, "csv"), "'csv' in sys.modules") is True
+
+
 # -- the README's Library example ----------------------------------------------------
 
 
