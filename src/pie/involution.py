@@ -37,14 +37,13 @@ member left over) raises AlgorithmFault rather than being repaired.
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import dataclass
-from math import ceil
 from typing import Iterable, Iterator
 
 from .errors import AlgorithmFault
 from .partitions import (
     DEFAULT_ENUMERATION_GUARD,
     Partition,
+    _Value,
     _descending_distinct_parts,
     _require_enumerable,
 )
@@ -55,16 +54,15 @@ CASE_INSERT = "case2"
 CASE_FIXED = "fixed"
 
 
-@dataclass(frozen=True)
-class PairingTrace:
+class PairingTrace(_Value):
     """Full step record of one application of the pairing."""
 
-    input: Partition
-    modulus: int
-    case: str
-    steps: tuple[tuple[tuple[int, ...], str], ...]
-    removed_or_inserted: int | None
-    output: Partition | None
+    __match_args__ = ("input", "modulus", "case", "steps", "removed_or_inserted", "output")
+
+    def __init__(self, input: Partition, modulus: int, case: str, steps: tuple,
+                 removed_or_inserted: int | None, output: Partition | None) -> None:
+        fields = input, modulus, case, steps, removed_or_inserted, output
+        self.__dict__.update(zip(self.__match_args__, fields))
 
     @property
     def is_fixed(self) -> bool:
@@ -104,14 +102,17 @@ def _pair_parts(
     fixed point returns (CASE_FIXED, None, None).  When steps is a list, the
     ascending working parts after each step are appended with its action.
     """
-    multiples = [a for a in parts if a % N == 0]
-    if len(multiples) > 1:
-        raise _fault(parts, N, f"window property violated: several parts divisible by {N}")
-    if multiples and len(parts) == 1:
+    moved = None
+    for a in parts:  # a plain loop beats a comprehension or map(N.__rmod__, parts)
+        if not a % N:
+            if moved is not None:
+                raise _fault(parts, N, f"window property violated: several parts divisible by {N}")
+            moved = a
+    if moved is not None and len(parts) == 1:
         return CASE_FIXED, None, None
     working = sorted(parts)
-    if multiples:
-        case, moved = CASE_REMOVE, multiples[0]
+    if moved is not None:
+        case = CASE_REMOVE
         working.remove(moved)
         if steps is not None:
             steps.append((tuple(working), f"remove {moved}"))
@@ -123,7 +124,7 @@ def _pair_parts(
     else:
         # walk every subtraction: the first j in the window is the stopping
         # point, and any later one disproves its uniqueness
-        guard, kept = ceil(n / N), None
+        guard, kept = -(-n // N), None
         for j, high in _subtractions(working, N):
             if j > guard:
                 raise _fault(parts, N, f"subtraction loop exceeded guard {guard}")

@@ -7,11 +7,10 @@ lexicographically descending order, so (n) comes first and (1,1,...,1) last.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 from types import MappingProxyType
-from typing import Iterator
+from typing import Iterable, Iterator
 
 # Full enumeration of P(n) is exponential; refuse accidental big n unless the
 # caller raises the guard explicitly.
@@ -21,26 +20,45 @@ DEFAULT_ENUMERATION_GUARD = 200
 Cells = MappingProxyType[tuple[int, int], int]
 
 
-@dataclass(frozen=True)
-class Partition:
+class _Value:
+    """A frozen record of the fields its init sets, in order, equal only to a
+    record of its own class.  Not a dataclass: the pairing never imports one."""
+
+    def __eq__(self, other):
+        return self.__dict__ == other.__dict__ if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self.__dict__.values()))
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={value!r}" for name, value in self.__dict__.items())
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Partition(_Value):
     """A partition stored as a nonincreasing tuple of positive parts.
 
     The empty partition (of 0) is constructible but carries no statistics;
     every statistic accessor rejects it.
     """
 
-    parts: tuple[int, ...]
+    __match_args__ = ("parts",)
 
-    def __post_init__(self) -> None:
-        parts = self.parts
+    def __init__(self, parts: Iterable[int]) -> None:
         if not isinstance(parts, tuple):
             parts = tuple(parts)
-            object.__setattr__(self, "parts", parts)
         if parts:
             if parts[-1] < 1:
                 raise ValueError(f"parts must be positive integers: {parts}")
             if list(parts) != sorted(parts, reverse=True):
                 raise ValueError(f"parts must be nonincreasing: {parts}")
+        self.__dict__["parts"] = parts
 
     @property
     def n(self) -> int:
@@ -96,24 +114,25 @@ def _descending_parts(n: int, cap: int) -> Iterator[tuple[int, ...]]:
 
 
 def _descending_distinct_parts(n: int, cap: int, floor: int = 0, head=()) -> Iterator[tuple]:
-    # every part of n lies in floor < part <= cap; each tuple starts with head
-    buf = list(head)
+    # every part of n lies in floor < part <= cap; each tuple starts with head.
+    # Depth first, each open level stacked as (remainder, next part to try).
+    buf, stack = list(head), []
     below_floor = floor * (floor + 1) // 2
-
-    def rec(rem: int, bound: int) -> Iterator[tuple[int, ...]]:
-        if rem == 0:
+    rem, a = n, cap if cap < n else n
+    while True:
+        if not rem:
             yield tuple(buf)
-            return
-        top = bound if bound < rem else rem
-        for a in range(top, floor, -1):
-            # the leftover must fit under distinct parts in (floor, a)
-            if rem - a > a * (a - 1) // 2 - below_floor:
-                break
+        # the leftover must fit under distinct parts in (floor, a)
+        elif a > floor and rem - a <= a * (a - 1) // 2 - below_floor:
+            stack.append((rem, a - 1))
             buf.append(a)
-            yield from rec(rem - a, a - 1)
-            buf.pop()
-
-    yield from rec(n, cap)
+            rem -= a
+            a = a - 1 if a <= rem else rem
+            continue
+        if not stack:
+            return
+        rem, a = stack.pop()
+        buf.pop()
 
 
 def _require_enumerable(n: int, guard: int) -> None:

@@ -1,6 +1,8 @@
 """The window-class pairing: membership, traces, closure, the class-sum lemma."""
 
+import copy
 import hashlib
+import pickle
 import re
 from bisect import insort
 
@@ -12,6 +14,7 @@ from pie import involution
 from pie.cli import main
 from pie.errors import AlgorithmFault
 from pie.involution import (
+    PairingTrace,
     _pair_parts,
     class_members,
     class_sum,
@@ -349,6 +352,39 @@ def test_wrong_image_faults_the_sweep(monkeypatch, capsys, image, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "algorithm fault" in captured.err
+
+
+def test_pairing_trace_value_semantics():
+    # a frozen record of its six fields: equal only to a PairingTrace,
+    # hashed and shown by the fields in order, and never assigned to
+    trace = pair(P(4, 2), 3)
+    steps = (((1, 2), "subtract 3 from largest part 4"), ((1, 2, 3), "insert 3"))
+    fields = (P(4, 2), 3, "case2", steps, 3, P(3, 2, 1))
+    names = ("input", "modulus", "case", "steps", "removed_or_inserted", "output")
+    assert PairingTrace.__match_args__ == names
+    assert tuple(getattr(trace, name) for name in names) == fields
+    assert trace == pair(P(4, 2), 3) == PairingTrace(*fields)
+    assert trace == PairingTrace(**dict(zip(names, fields)))
+    assert hash(trace) == hash(fields)
+    assert trace != fields and trace != pair(P(3, 2, 1), 3)
+    assert repr(trace) == (
+        "PairingTrace(input=Partition(parts=(4, 2)), modulus=3, case='case2', "
+        f"steps={steps!r}, removed_or_inserted=3, output=Partition(parts=(3, 2, 1)))"
+    )
+    fixed = pair(P(6), 3)
+    assert (fixed.is_fixed, fixed.removed_or_inserted, fixed.output) == (True, None, None)
+    assert hash(fixed) == hash((P(6), 3, "fixed", (), None, None))
+    with pytest.raises(AttributeError, match="cannot assign to field 'case'"):
+        trace.case = "case1"
+    with pytest.raises(AttributeError, match="cannot delete field 'output'"):
+        del trace.output
+    match trace:
+        case PairingTrace(Partition(parts), N, case, _, moved, Partition(image)):
+            assert (parts, N, case, moved, image) == ((4, 2), 3, "case2", 3, (3, 2, 1))
+        case _:
+            pytest.fail("PairingTrace did not match its positional pattern")
+    assert pickle.loads(pickle.dumps(trace)) == trace
+    assert copy.deepcopy(trace) == trace
 
 
 def test_pairing_high_quotient_case():

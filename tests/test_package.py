@@ -157,6 +157,21 @@ def test_involution_sweep_loads_the_pairing_and_partitions():
     assert loaded == ["pie", "pie.cli", "pie.errors", "pie.involution", "pie.partitions"]
 
 
+@pytest.mark.parametrize(
+    "code",
+    [
+        "import pie.involution",
+        _main("involution", "--n", "8", "--N-divisor", "1", "--sweep"),
+        _main("involution", "--n", "8", "--N-divisor", "3", "--trace"),
+    ],
+    ids=["import", "sweep", "trace"],
+)
+def test_the_pairing_loads_neither_dataclasses_nor_inspect(code):
+    # Partition and PairingTrace are plain classes, so the pairing path pays
+    # no import of dataclasses, which brings in inspect
+    assert _fresh(code, "[m for m in ('dataclasses', 'inspect') if m in sys.modules]") == []
+
+
 def test_series_dump_loads_neither_identities_nor_involution():
     loaded = _fresh(_main("series", "--name", "A", "--order", "5"))
     assert loaded == ["pie", "pie.cli", "pie.errors", "pie.exact", "pie.series"]

@@ -1,5 +1,8 @@
 """Enumeration, statistics, and counting of partitions."""
 
+import copy
+import pickle
+import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache
@@ -10,6 +13,7 @@ from hypothesis import strategies as st
 
 from pie.partitions import (
     Partition,
+    _descending_distinct_parts,
     _signed_window_table,
     _size_cell_table,
     _size_tables,
@@ -122,6 +126,19 @@ def test_distinct_equals_filtered_enumeration(n):
     assert [p.parts for p in enumerate_distinct(n)] == filtered
 
 
+@pytest.mark.parametrize("n", range(0, 31))
+def test_distinct_walk_against_filtered_enumeration(n):
+    # the stack walk against an independent list in the same order: the
+    # partitions of n with distinct parts in (floor, cap], head in front
+    distinct = [p.parts for p in enumerate_partitions(n) if p.is_distinct]
+    for cap in range(n + 2):
+        for floor in range(6):
+            window = [parts for parts in distinct if all(floor < a <= cap for a in parts)]
+            for head in ((), (99,)):
+                walked = list(_descending_distinct_parts(n, cap, floor, head))
+                assert walked == [head + parts for parts in window], (cap, floor, head)
+
+
 @pytest.mark.parametrize("n", [5, 12, 19, 26])
 def test_enumeration_is_lexicographically_descending(n):
     seen = [p.parts for p in enumerate_partitions(n)]
@@ -152,6 +169,43 @@ def test_partition_validation():
         Partition((3, 0))
     with pytest.raises(ValueError):
         Partition((2, -1))
+
+
+def test_partition_value_semantics():
+    # a frozen record of its parts: equal only to a Partition, hashed and
+    # shown by the parts, and never assigned to
+    p = Partition([4, 2])
+    assert type(p.parts) is tuple and p.parts == (4, 2)
+    assert p == Partition((4, 2)) == Partition(parts=iter((4, 2)))
+    assert hash(p) == hash(Partition((4, 2))) == hash(((4, 2),))
+    assert p != Partition((4, 1)) and p != (4, 2) and p != [4, 2]
+
+    class Sub(Partition):
+        pass
+
+    assert p != Sub((4, 2)) and Sub((4, 2)) != p
+    assert repr(p) == "Partition(parts=(4, 2))"
+    assert repr(Partition(())) == "Partition(parts=())"
+    assert repr(Sub((1,))).endswith(".Sub(parts=(1,))")
+    with pytest.raises(AttributeError, match="cannot assign to field 'parts'"):
+        p.parts = (6,)
+    with pytest.raises(AttributeError, match="cannot delete field 'parts'"):
+        del p.parts
+    with pytest.raises(AttributeError, match="cannot assign to field 'extra'"):
+        p.extra = 1
+    assert p.parts == (4, 2)
+    assert Partition.__match_args__ == ("parts",)
+    match p:
+        case Partition((largest, *rest)):
+            assert (largest, rest) == (4, [2])
+        case _:
+            pytest.fail("Partition did not match its positional pattern")
+    assert pickle.loads(pickle.dumps(p)) == p
+    assert copy.copy(p) == copy.deepcopy(p) == p
+    with pytest.raises(ValueError, match=re.escape("parts must be positive integers: (3, 0)")):
+        Partition([3, 0])
+    with pytest.raises(ValueError, match=re.escape("parts must be nonincreasing: (1, 2)")):
+        Partition(iter([1, 2]))
 
 
 def test_stats_examples():
