@@ -142,8 +142,6 @@ def _grid(name: str, text: str) -> tuple[complex, ...]:
 
 
 def _config_from(args: argparse.Namespace) -> CheckConfig:
-    from dataclasses import replace
-
     from .identities import CheckConfig
 
     cfg = CheckConfig()
@@ -152,19 +150,15 @@ def _config_from(args: argparse.Namespace) -> CheckConfig:
         raise ValueError(f"n-max must lie in 1..{MAX_N}")
     z_text = _setting(args, "z", "Z", str, None)
     c_text = _setting(args, "c", "C", str, None)
-    cfg = replace(
-        cfg,
+    return CheckConfig(
         n_max=n_max,
         q_order=_positive("q-order", _setting(args, "q_order", "Q_ORDER", int, cfg.q_order)),
         m_max=_positive("m-max", _setting(args, "m_max", "M_MAX", int, cfg.m_max)),
         mode=_setting(args, "mode", "MODE", _choice("mode", MODES), cfg.mode),
         tolerance=_tolerance(_setting(args, "tol", "TOLERANCE", float, cfg.tolerance)),
+        z_grid=cfg.z_grid if z_text is None else _grid("z", z_text),
+        c_grid=cfg.c_grid if c_text is None else _grid("c", c_text),
     )
-    if z_text is not None:
-        cfg = replace(cfg, z_grid=_grid("z", z_text))
-    if c_text is not None:
-        cfg = replace(cfg, c_grid=_grid("c", c_text))
-    return cfg
 
 
 @contextmanager

@@ -30,14 +30,15 @@ to per-point evaluation.
 
 check_identity alone times a check, runs its search with the partition
 tables sized to the run's n_max, turns an AlgorithmFault into a failing
-report over the checker's declared range, and builds the report.
+report over the checker's declared range, and builds the report.  The
+frozen CheckConfig and the assignable IdentityReport are plain records on
+partitions._Value, so no check imports dataclasses or inspect.
 """
 
 from __future__ import annotations
 
 import time
 from cmath import isfinite
-from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from functools import cache, lru_cache, partial
@@ -61,6 +62,7 @@ from .exact import (
 )
 from .partitions import (
     _max_distinct_sizes,
+    _Value,
     _size_tables,
     _table,
     class_sum,
@@ -101,33 +103,40 @@ class IdentityId(str, Enum):
     CLASS_SUM = "class_sum"
 
 
-@dataclass(frozen=True)
-class CheckConfig:
+class CheckConfig(_Value):
     """Shared knobs for the checkers; every grid is fixed, never random."""
 
-    n_max: int = 30
-    q_order: int = 25
-    m_max: int = 4
-    k_fold_max: int = 4
-    exponents: tuple[int, ...] = (0, 1, 2, 3, 4)
-    z_grid: tuple[complex, ...] = (1.5 + 0j, -1 + 0j, -2 + 0j, 0.5 + 0.5j)
-    c_grid: tuple[complex, ...] = (0.4 + 0j, -0.3 + 0j, 0.4 - 0.3j, 0.2 + 0.7j)
-    c_exact: tuple[Fraction, ...] = (Fraction(1), Fraction(2, 3), Fraction(-1, 2))
-    mode: str = "exact"
-    tolerance: float = 1e-9
+    __match_args__ = ("n_max", "q_order", "m_max", "k_fold_max", "exponents",
+                      "z_grid", "c_grid", "c_exact", "mode", "tolerance")
+
+    def __init__(self, n_max: int = 30, q_order: int = 25, m_max: int = 4, k_fold_max: int = 4,
+                 exponents: tuple[int, ...] = (0, 1, 2, 3, 4),
+                 z_grid: tuple[complex, ...] = (1.5 + 0j, -1 + 0j, -2 + 0j, 0.5 + 0.5j),
+                 c_grid: tuple[complex, ...] = (0.4 + 0j, -0.3 + 0j, 0.4 - 0.3j, 0.2 + 0.7j),
+                 c_exact: tuple[Fraction, ...] = (Fraction(1), Fraction(2, 3), Fraction(-1, 2)),
+                 mode: str = "exact", tolerance: float = 1e-9) -> None:
+        fields = (n_max, q_order, m_max, k_fold_max, exponents,
+                  z_grid, c_grid, c_exact, mode, tolerance)
+        self.__dict__.update(zip(self.__match_args__, fields))
+
+    def replace(self, **changes) -> CheckConfig:
+        """A copy with the named fields changed; an unknown name raises TypeError."""
+        return CheckConfig(**(self.__dict__ | changes))
 
 
-@dataclass
-class IdentityReport:
+class IdentityReport(_Value):
     """Verdict of one identity check over a parameter range."""
 
-    id: IdentityId
-    mode: str
-    range: dict
-    status: str
-    first_failure: dict | None
-    elapsed_ms: float
-    condition: float | None = None
+    __match_args__ = ("id", "mode", "range", "status", "first_failure", "elapsed_ms", "condition")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, id: IdentityId, mode: str, range: dict, status: str,
+                 first_failure: dict | None, elapsed_ms: float,
+                 condition: float | None = None) -> None:
+        fields = id, mode, range, status, first_failure, elapsed_ms, condition
+        self.__dict__.update(zip(self.__match_args__, fields))
 
     @property
     def passed(self) -> bool:
@@ -715,9 +724,9 @@ def run_all(config: CheckConfig | None = None):
     """Exact reports for every tag, then numeric reports where defined."""
     if config is None:
         config = CheckConfig()
-    exact_cfg = replace(config, mode="exact")
+    exact_cfg = config.replace(mode="exact")
     reports = [check_identity(ident, exact_cfg) for ident in IdentityId]
-    numeric_cfg = replace(config, mode="numeric")
+    numeric_cfg = config.replace(mode="numeric")
     reports += [
         check_identity(ident, numeric_cfg)
         for ident in IdentityId

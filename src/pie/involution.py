@@ -46,6 +46,7 @@ from .partitions import (
     _Value,
     _descending_distinct_parts,
     _require_enumerable,
+    _walked,
 )
 from .partitions import class_sum, class_sums  # re-exported: they read H_n, not the pairing
 
@@ -174,7 +175,7 @@ def class_members(n: int, N: int) -> Iterator[Partition]:
         raise ValueError("N must be positive")
     for largest in range(n, N - 1, -1):
         for parts in _descending_distinct_parts(n - largest, largest - 1, largest - N, (largest,)):
-            yield Partition(parts)
+            yield _walked(parts)
 
 
 def verify_pairings(n: int, moduli: Iterable[int]) -> dict[int, dict[str, int]]:

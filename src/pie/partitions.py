@@ -22,7 +22,8 @@ Cells = MappingProxyType[tuple[int, int], int]
 
 class _Value:
     """A frozen record of the fields its init sets, in order, equal only to a
-    record of its own class.  Not a dataclass: the pairing never imports one."""
+    record of its own class; a mutable one takes object's __setattr__ and
+    __delattr__, and __hash__ = None.  Not a dataclass, which loads inspect."""
 
     def __eq__(self, other):
         return self.__dict__ == other.__dict__ if type(other) is type(self) else NotImplemented
@@ -97,20 +98,26 @@ class Partition(_Value):
 
 
 def _descending_parts(n: int, cap: int) -> Iterator[tuple[int, ...]]:
-    # Recursive descent; each prefix is shared through one buffer.
-    buf: list[int] = []
-
-    def rec(rem: int, bound: int) -> Iterator[tuple[int, ...]]:
-        if rem == 0:
+    # parts <= cap; depth first, each open level stacked as (remainder, next
+    # part to try), and a remainder left for parts of 1 is yielded as ones
+    buf, stack = [], []
+    rem, a = n, cap if cap < n else n
+    while True:
+        if not rem:
             yield tuple(buf)
-            return
-        top = bound if bound < rem else rem
-        for a in range(top, 0, -1):
+        elif a > 1:
+            stack.append((rem, a - 1))
             buf.append(a)
-            yield from rec(rem - a, a)
-            buf.pop()
-
-    yield from rec(n, cap)
+            rem -= a
+            if rem < a:
+                a = rem
+            continue
+        elif a == 1:
+            yield (*buf, *(1,) * rem)
+        if not stack:
+            return
+        rem, a = stack.pop()
+        buf.pop()
 
 
 def _descending_distinct_parts(n: int, cap: int, floor: int = 0, head=()) -> Iterator[tuple]:
@@ -135,6 +142,14 @@ def _descending_distinct_parts(n: int, cap: int, floor: int = 0, head=()) -> Ite
         buf.pop()
 
 
+def _walked(parts: tuple[int, ...]) -> Partition:
+    # a walk yields nonincreasing positive tuples only, so the checks of
+    # Partition.__init__ are skipped
+    p = object.__new__(Partition)
+    p.__dict__["parts"] = parts
+    return p
+
+
 def _require_enumerable(n: int, guard: int) -> None:
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -148,13 +163,13 @@ def enumerate_partitions(n: int, guard: int = DEFAULT_ENUMERATION_GUARD) -> Iter
     n = 0 yields the single empty partition by convention.
     """
     _require_enumerable(n, guard)
-    yield from map(Partition, _descending_parts(n, n))
+    yield from map(_walked, _descending_parts(n, n))
 
 
 def enumerate_distinct(n: int, guard: int = DEFAULT_ENUMERATION_GUARD) -> Iterator[Partition]:
     """Yield every partition of n with pairwise distinct parts, descending."""
     _require_enumerable(n, guard)
-    yield from map(Partition, _descending_distinct_parts(n, n))
+    yield from map(_walked, _descending_distinct_parts(n, n))
 
 
 def _max_distinct_sizes(n: int) -> int:

@@ -1,9 +1,10 @@
 """The identity registry: frozen examples, sweeps, numeric grids, reports."""
 
 import json
+import pickle
+import re
 import sys
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 from functools import cache, partial
 from math import comb
@@ -185,18 +186,18 @@ def test_numeric_grid_within_tolerance(ident):
 
 
 def test_numeric_negative_integer_exponents():
-    cfg = replace(NUMERIC_CFG, z_grid=(-1 + 0j, -2 + 0j), n_max=30)
+    cfg = NUMERIC_CFG.replace(z_grid=(-1 + 0j, -2 + 0j), n_max=30)
     rep = check_identity(IdentityId.BS_ONEVAR, cfg)
     assert rep.passed
 
 
 def test_numeric_rejected_for_exact_only_identities():
     with pytest.raises(ValueError):
-        check_identity(IdentityId.CLASS_SUM, replace(NUMERIC_CFG, n_max=10))
+        check_identity(IdentityId.CLASS_SUM, NUMERIC_CFG.replace(n_max=10))
 
 
 def test_numeric_failure_is_reported_not_raised(skewed_binomial_profile):
-    cfg = replace(NUMERIC_CFG, n_max=25)
+    cfg = NUMERIC_CFG.replace(n_max=25)
     rep = check_identity(IdentityId.THM_2_3, cfg)
     assert rep.status == "fail"
     assert rep.first_failure is not None
@@ -214,7 +215,7 @@ def test_numeric_condition_matches_single_point_sums(ident):
     # the table-driven check against fractional_weight at every grid point,
     # itself checked bit for bit against per-term powers in test_exact
     profiles, _key, c_is_one = identities._NUMERIC[ident]
-    for cfg in (CheckConfig(n_max=60, mode="numeric"), replace(EDGE_CFG, n_max=60)):
+    for cfg in (CheckConfig(n_max=60, mode="numeric"), EDGE_CFG.replace(n_max=60)):
         conditions = [0.0]
         for n in range(1, cfg.n_max + 1):
             lhs = profiles(n)[0]
@@ -258,7 +259,7 @@ def test_numeric_failure_record_matches_single_point_sums(monkeypatch, skewed_bi
 @pytest.mark.parametrize("ident", sorted(NUMERIC_CAPABLE, key=lambda i: i.value))
 def test_numeric_equal_profiles_share_one_side(monkeypatch, ident):
     calls = _count_sums(monkeypatch)
-    cfg = replace(NUMERIC_CFG, n_max=20)
+    cfg = NUMERIC_CFG.replace(n_max=20)
     c_points = 1 if identities._NUMERIC[ident][2] else len(cfg.c_grid)
     assert check_identity(ident, cfg).passed
     assert calls == {
@@ -284,7 +285,7 @@ def test_numeric_check_powers_once_per_exponent_and_z(monkeypatch):
     assert exact in binders
     for module in binders:
         monkeypatch.setattr(module, "complex_power", counted)
-    cfg = replace(NUMERIC_CFG, n_max=20)
+    cfg = NUMERIC_CFG.replace(n_max=20)
     for ident in NUMERIC_CAPABLE:
         calls.clear()
         assert check_identity(ident, cfg).passed
@@ -326,6 +327,81 @@ def test_run_all_builds_each_table_once_at_its_n_max(table_builds):
 def test_a_check_that_reads_no_table_builds_none(table_builds):
     assert check_identity("entry4", CheckConfig(n_max=200, q_order=12)).passed
     assert table_builds == {"cells": [], "windows": []}
+
+
+def test_check_config_value_semantics():
+    # a frozen record of its ten fields, taken by position or keyword:
+    # equal only to a CheckConfig, hashed and shown by the fields in order
+    names = (
+        "n_max", "q_order", "m_max", "k_fold_max", "exponents",
+        "z_grid", "c_grid", "c_exact", "mode", "tolerance",
+    )
+    cfg = CheckConfig()
+    values = tuple(getattr(cfg, name) for name in names)
+    assert CheckConfig.__match_args__ == names
+    assert values[:4] + values[8:] == (30, 25, 4, 4, "exact", 1e-9)
+    assert cfg == CheckConfig(*values) == CheckConfig(**dict(zip(names, values)))
+    assert hash(cfg) == hash(CheckConfig()) == hash(values)
+    assert cfg != values and cfg != CheckConfig(n_max=31)
+    assert repr(cfg) == (
+        "CheckConfig(n_max=30, q_order=25, m_max=4, k_fold_max=4, exponents=(0, 1, 2, 3, 4), "
+        "z_grid=((1.5+0j), (-1+0j), (-2+0j), (0.5+0.5j)), "
+        "c_grid=((0.4+0j), (-0.3+0j), (0.4-0.3j), (0.2+0.7j)), "
+        "c_exact=(Fraction(1, 1), Fraction(2, 3), Fraction(-1, 2)), mode='exact', tolerance=1e-09)"
+    )
+    assert repr(CheckConfig(7, 9, mode="numeric", z_grid=(1j,))) == (
+        "CheckConfig(n_max=7, q_order=9, m_max=4, k_fold_max=4, exponents=(0, 1, 2, 3, 4), "
+        "z_grid=(1j,), c_grid=((0.4+0j), (-0.3+0j), (0.4-0.3j), (0.2+0.7j)), "
+        "c_exact=(Fraction(1, 1), Fraction(2, 3), Fraction(-1, 2)), mode='numeric', "
+        "tolerance=1e-09)"
+    )
+    with pytest.raises(AttributeError, match="cannot assign to field 'n_max'"):
+        cfg.n_max = 5
+    with pytest.raises(AttributeError, match="cannot delete field 'mode'"):
+        del cfg.mode
+    changed = cfg.replace(n_max=5, mode="numeric")
+    assert (changed.n_max, changed.mode, changed.q_order) == (5, "numeric", 25)
+    assert changed == CheckConfig(n_max=5, mode="numeric") and cfg == CheckConfig()
+    assert cfg.replace() == cfg
+    message = "CheckConfig.__init__() got an unexpected keyword argument 'nope'"
+    with pytest.raises(TypeError, match=re.escape(message)):
+        cfg.replace(nope=1)
+    match changed:
+        case CheckConfig(n_max, q_order, mode=mode):
+            assert (n_max, q_order, mode) == (5, 25, "numeric")
+        case _:
+            pytest.fail("CheckConfig did not match its positional pattern")
+    assert pickle.loads(pickle.dumps(changed)) == changed
+
+
+def test_identity_report_value_semantics():
+    # a record of its seven fields, equal only to an IdentityReport and
+    # shown by the fields in order; its fields stay assignable, so it has
+    # no hash
+    failure = {"n": 2, "lhs": Fraction(1, 2)}
+    fields = (IdentityId.CLASS_SUM, "exact", {"n": "1..3"}, "fail", failure, 1.5)
+    names = ("id", "mode", "range", "status", "first_failure", "elapsed_ms", "condition")
+    rep = identities.IdentityReport(*fields)
+    assert identities.IdentityReport.__match_args__ == names
+    assert tuple(getattr(rep, name) for name in names) == (*fields, None)
+    assert rep == identities.IdentityReport(**dict(zip(names, fields)), condition=None)
+    assert rep != (*fields, None) and rep != identities.IdentityReport(*fields, 2.0)
+    assert repr(rep) == (
+        "IdentityReport(id=<IdentityId.CLASS_SUM: 'class_sum'>, mode='exact', "
+        "range={'n': '1..3'}, status='fail', first_failure={'n': 2, 'lhs': Fraction(1, 2)}, "
+        "elapsed_ms=1.5, condition=None)"
+    )
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(rep)
+    assert not rep.passed
+    rep.status, rep.condition = "pass", 3.0
+    assert rep.passed and rep.to_json_dict()["condition"] == 3.0
+    match rep:
+        case identities.IdentityReport(ident, mode, condition=condition):
+            assert (ident, mode, condition) == (IdentityId.CLASS_SUM, "exact", 3.0)
+        case _:
+            pytest.fail("IdentityReport did not match its positional pattern")
+    assert pickle.loads(pickle.dumps(rep)) == rep
 
 
 def test_report_json_shape():

@@ -172,6 +172,20 @@ def test_the_pairing_loads_neither_dataclasses_nor_inspect(code):
     assert _fresh(code, "[m for m in ('dataclasses', 'inspect') if m in sys.modules]") == []
 
 
+@pytest.mark.parametrize(
+    "code",
+    [
+        "import pie.identities",
+        _main("report-all", "--n-max", "4", "--q-order", "4"),
+        _main("verify", "--id", "bs_basic", "--n-max", "4"),
+    ],
+    ids=["import", "report-all", "verify"],
+)
+def test_the_identity_checks_load_neither_dataclasses_nor_inspect(code):
+    # CheckConfig and IdentityReport are plain classes on the same record base
+    assert _fresh(code, "[m for m in ('dataclasses', 'inspect') if m in sys.modules]") == []
+
+
 def test_series_dump_loads_neither_identities_nor_involution():
     loaded = _fresh(_main("series", "--name", "A", "--order", "5"))
     assert loaded == ["pie", "pie.cli", "pie.errors", "pie.exact", "pie.series"]

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from pie.partitions import (
     Partition,
     _descending_distinct_parts,
+    _descending_parts,
     _signed_window_table,
     _size_cell_table,
     _size_tables,
@@ -124,6 +125,24 @@ def test_stream_count_n60():
 def test_distinct_equals_filtered_enumeration(n):
     filtered = [p.parts for p in enumerate_partitions(n) if p.is_distinct]
     assert [p.parts for p in enumerate_distinct(n)] == filtered
+
+
+@cache
+def _recursive_parts(n: int, cap: int) -> list[tuple[int, ...]]:
+    # the partitions of n into parts <= cap, largest part first, by recursion
+    if not n:
+        return [()]
+    return [(a, *rest) for a in range(min(n, cap), 0, -1) for rest in _recursive_parts(n - a, a)]
+
+
+@pytest.mark.parametrize("n", range(0, 31))
+def test_walk_against_recursive_enumeration(n):
+    for cap in range(n + 2):
+        assert list(_descending_parts(n, cap)) == _recursive_parts(n, cap), cap
+    # the walkers build each Partition unchecked: equal to the checked one
+    walked = list(enumerate_partitions(n))
+    assert walked == [Partition(parts) for parts in _recursive_parts(n, n)]
+    assert all(type(p) is Partition for p in walked)
 
 
 @pytest.mark.parametrize("n", range(0, 31))
