@@ -305,15 +305,6 @@ def _sum_weighed(weighed, c_powers: Sequence[complex]) -> tuple[complex, float]:
     return total, magnitude
 
 
-def _weighed_value(weighed, c_powers: Sequence[complex]) -> complex:
-    """The value of _sum_weighed, from the same terms in the same order,
-    without the magnitude sum."""
-    total = 0j
-    for e, w in weighed:
-        total += w * c_powers[e]
-    return total
-
-
 def fractional_weight(pairs, z: complex, c: complex) -> tuple[complex, float]:
     """sum_e a(e) * e^z * c^e over (e, a(e)) pairs in complex doubles, and
     the sum of the term magnitudes, whose ratio to the value is the
@@ -326,7 +317,8 @@ def fractional_weight(pairs, z: complex, c: complex) -> tuple[complex, float]:
 
     It composes two stages over power tables, which numeric checks build
     once per grid point and call directly: _weigh forms a(e) * e^z, and
-    _sum_weighed adds (a(e) * e^z) * c^e in the pairs' order.  e^z comes
+    _sum_weighed, the one weighed sum, adds (a(e) * e^z) * c^e in the
+    pairs' order; a check reads both sides' values from it.  e^z comes
     from complex_power and c^e from complex(c)**e, so every term, and so
     every sum, is bit-identical however the tables are shared.
     """

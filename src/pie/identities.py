@@ -5,7 +5,8 @@ its checker and returns a machine-readable IdentityReport.  Each weighted
 side is built once per n as an exact integer weight profile (see the weight
 profiles section).  The two parts of thm_2_2 read one cached build of A, K_m
 and M_m per (c, m_max, q_order), and the bell part takes every Y_m from one
-pass of the Bell recurrence.
+pass of the Bell recurrence.  Every read of the divisor counts d(m) goes
+through one table, _divisor_counts under partitions._table.
 
 An exact checker declares the range it covers and a search.  Every search
 is the one first-failure search _first: it walks a grid of points, in
@@ -23,7 +24,8 @@ condition estimate (the sum of the left side's term magnitudes over its
 value's magnitude) instead of ever widening the tolerance.  A numeric check
 is one loop nest over n, z and c running fractional_weight's two stages on
 power tables keyed by grid position: e^z for e <= n_max once per z, c^e once
-per c, and each profile weighed once per (n, z).  Where the two profiles are
+per c, and each profile weighed once per (n, z).  Each side's value comes
+from the one weighed sum, exact._sum_weighed; where the two profiles are
 equal it sums one for both sides.  Every term is formed as a single-point
 call forms it, so values, conditions and failure records are bit-identical
 to per-point evaluation.
@@ -54,7 +56,6 @@ from .exact import (
     _c_powers,
     _sum_weighed,
     _weigh,
-    _weighed_value,
     _z_powers,
     divisors,
     fractional_weight,
@@ -168,7 +169,6 @@ def _stringify(value):
     return str(value)
 
 
-@lru_cache(maxsize=None)
 def _sigma_powers(limit: int, z: int) -> tuple[int, ...]:
     arr = [0] * (limit + 1)
     for d in range(1, limit + 1):
@@ -176,6 +176,10 @@ def _sigma_powers(limit: int, z: int) -> tuple[int, ...]:
         for m in range(d, limit + 1, d):
             arr[m] += dz
     return tuple(arr)
+
+
+# d(m) for m <= cap: partitions._table keeps the one table every d(m) read shares
+_divisor_counts = partial(_sigma_powers, z=0)
 
 
 def _conv(a, b, limit: int) -> tuple[int, ...]:
@@ -356,17 +360,11 @@ def check_cor27(n: int) -> tuple[int, int]:
     return lhs, rhs
 
 
-# d(m) for m <= cap, uncached: partitions._table keeps one such table
-_divisor_counts = partial(_sigma_powers.__wrapped__, z=0)
-
-
-def check_cor25(n: int, n_max: int = 0) -> tuple[int, int]:
-    """Count with exactly two part sizes vs the divisor-count convolution;
-    a run over n <= n_max reads its one table of divisor counts, other calls
-    one table that grows as the partition tables do."""
+def check_cor25(n: int) -> tuple[int, int]:
+    """Count with exactly two part sizes vs the divisor-count convolution."""
     if n < 1:
         raise ValueError("n must be positive")
-    d = _sigma_powers(n_max, 0) if n <= n_max else _table(_divisor_counts, n)
+    d = _table(_divisor_counts, n)
     convolution = sum(d[j] * d[n - j] for j in range(1, n))
     numerator = convolution + d[n] - sigma_int(1, n)
     if numerator % 2:
@@ -493,7 +491,7 @@ def _check_entry4(cfg: CheckConfig):
         if c == "symbolic":
             return _series_differ(*series_entry4(C, q))
         # c = 1 collapses to the divisor-count series
-        divisor = _sigma_powers(q, 0)
+        divisor = _table(_divisor_counts, q)[: q + 1]
         lhs, rhs = series_entry4(1, q)
         return _series_differ(lhs, divisor) or _series_differ(rhs, divisor)
 
@@ -512,7 +510,7 @@ def _check_uchimura(cfg: CheckConfig):
             "alternating": series_entry4(1, q)[0],
             "lambert": series_K(1, 1, q),
         }
-        divisor = _sigma_powers(q, 0)
+        divisor = _table(_divisor_counts, q)[: q + 1]
         return _first(_grid(form=forms), lambda form: _series_differ(forms[form], divisor))
 
     return {"q_order": q}, search
@@ -535,10 +533,8 @@ def _check_dilcher_cm(cfg: CheckConfig):
     n_max = cfg.n_max
 
     def search():
-        d = _sigma_powers(n_max, 0)
-        s1 = _sigma_powers(n_max, 1)
-        s2 = _sigma_powers(n_max, 2)
-        s3 = _sigma_powers(n_max, 3)
+        d = _table(_divisor_counts, n_max)
+        s1, s2, s3 = (_sigma_powers(n_max, z) for z in (1, 2, 3))
         dd = _conv(d, d, n_max)
         ddd = _conv(dd, d, n_max)
         dddd = _conv(ddd, d, n_max)
@@ -610,7 +606,7 @@ REGISTRY = {
     IdentityId.THM_2_2_BELL: lambda cfg: _check_thm22(cfg, "bell"),
     IdentityId.THM_2_3: _profile_check(_thm23_profiles, k="all complex", c="symbolic"),
     IdentityId.COR_2_4: lambda cfg: _sweep(cfg, lambda n, k: _differ(*_cor24_sides(n, k)), c=1),
-    IdentityId.COR_2_5: lambda cfg: _over_n(cfg, lambda n: _differ(*check_cor25(n, cfg.n_max))),
+    IdentityId.COR_2_5: lambda cfg: _over_n(cfg, lambda n: _differ(*check_cor25(n))),
     IdentityId.THM_2_6: _profile_check(_thm26_profiles, k="all complex", c="symbolic"),
     IdentityId.COR_2_7: lambda cfg: _over_n(cfg, lambda n: _differ(*check_cor27(n))),
     IdentityId.AGL_PTI: _profile_check(
@@ -668,7 +664,7 @@ def _numeric_check(cfg: CheckConfig, profiles, key: str, c_is_one: bool):
                 rhs_weighed = None if shared else _weigh(rhs_profile, z_powers)
                 for c, c_powers in c_tables:
                     lhs, magnitude = _sum_weighed(lhs_weighed, c_powers)
-                    rhs = lhs if shared else _weighed_value(rhs_weighed, c_powers)
+                    rhs = lhs if shared else _sum_weighed(rhs_weighed, c_powers)[0]
                     if not (isfinite(lhs) and isfinite(rhs) and isfinite(magnitude)):
                         raise ValueError(f"a term at n={n}, z={z}, c={c} overflows a double")
                     worst = max(worst, magnitude / max(1.0, abs(lhs)))

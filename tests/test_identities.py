@@ -103,14 +103,41 @@ def test_cor25_outside_a_run_grows_one_divisor_table(monkeypatch):
 
     monkeypatch.setattr(partitions, "_tables", {})
     monkeypatch.setattr(identities, "_divisor_counts", build)
-    cached = identities._sigma_powers.cache_info().currsize
-    d = [0] + [len(divisors(j)) for j in range(1, 201)]
+    d = (0, *(len(divisors(j)) for j in range(1, 257)))
     for n in range(1, 201):
         convolution = sum(d[j] * d[n - j] for j in range(1, n))
         rhs = (convolution + d[n] - sum(divisors(n))) // 2
-        assert check_cor25(n) == (count_exact_part_sizes(n, 2), rhs) == check_cor25(n, 200)
+        assert check_cor25(n) == (count_exact_part_sizes(n, 2), rhs)
     assert builds == [32, 64, 128, 256]
-    assert identities._sigma_powers.cache_info().currsize <= cached + 1  # the run's table
+    assert partitions._tables[build] == (256, d)  # the one table, grown in place
+
+
+def test_divisor_count_readers_share_one_table(monkeypatch):
+    # each reader in turn reaches past the table's cap and grows it once; then
+    # every reader, at every step's range, builds nothing more
+    steps = [
+        ("cor_2_5", CheckConfig(n_max=20, q_order=10)),
+        ("entry4", CheckConfig(n_max=10, q_order=50)),
+        ("uchimura_triple", CheckConfig(n_max=10, q_order=100)),
+        ("dilcher_cm", CheckConfig(n_max=150, q_order=10)),
+    ]
+    builds = []
+
+    def build(cap, real=identities._divisor_counts):
+        table = real(cap)
+        assert table == (0, *(len(divisors(m)) for m in range(1, cap + 1)))
+        builds.append(cap)
+        return table
+
+    monkeypatch.setattr(partitions, "_tables", {})
+    monkeypatch.setattr(identities, "_divisor_counts", build)
+    for ident, cfg in steps:
+        assert check_identity(ident, cfg).passed, ident
+    assert builds == [32, 64, 128, 256]
+    for ident, _cfg in steps:
+        for _reader, cfg in steps:
+            assert check_identity(ident, cfg).passed, (ident, cfg)
+    assert builds == [32, 64, 128, 256]
 
 
 def test_agl_examples():
@@ -231,7 +258,7 @@ def test_numeric_condition_matches_single_point_sums(ident):
 def _count_sums(monkeypatch) -> Counter:
     """Count the calls of the numeric search's weigh and sum stages."""
     calls = Counter()
-    for name in ("_weigh", "_sum_weighed", "_weighed_value"):
+    for name in ("_weigh", "_sum_weighed"):
 
         def counted(*args, real=getattr(identities, name), name=name):
             calls[name] += 1
@@ -249,7 +276,7 @@ def test_numeric_failure_record_matches_single_point_sums(monkeypatch, skewed_bi
         calls.clear()
         failure = check_identity(ident, EDGE_CFG).first_failure
         assert failure["n"] == 1 and failure["k"] == EDGE_Z[0]
-        assert calls == {"_weigh": 2, "_sum_weighed": 1, "_weighed_value": 1}
+        assert calls == {"_weigh": 2, "_sum_weighed": 2}
         lhs, rhs = identities._thm23_profiles(failure["n"])
         c = failure.get("c", 1 + 0j)
         assert failure["lhs"] == fractional_weight(lhs, failure["k"], c)[0]

@@ -103,7 +103,8 @@ LOADED = "sorted(m for m in sys.modules if m == 'pie' or m.startswith('pie.'))"
 def _fresh(code: str, result: str = LOADED):
     """Run code in a fresh interpreter with its output swallowed, then
     return the JSON value of the expression result (by default the pie
-    modules loaded)."""
+    modules loaded).  The child runs with -S, so no site start-up hook loads
+    a module the case would count: each case sees what pie alone loads."""
     env = {k: v for k, v in os.environ.items() if not k.startswith("PIE_")}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
     script = (
@@ -113,7 +114,7 @@ def _fresh(code: str, result: str = LOADED):
         f"print(json.dumps({result}))\n"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, timeout=120
+        [sys.executable, "-S", "-c", script], env=env, capture_output=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr.decode()
     return json.loads(proc.stdout)
