@@ -25,6 +25,8 @@ MAX_N = 200
 # a pairing sweep walks all of D(n): 1.2 s at |D(80)| = 77,312 and 5.9 s at |D(100)| =
 # 444,793 (medians, shared 2-vCPU host, Python 3.11); |D(200)| = 487,067,746 would take hours
 MAX_INVOLUTION_N = 100
+# the long-q range CI runs, report-all --n-max 12 --q-order 300, takes about 1.2 s
+MAX_Q_ORDER = 300
 FORMATS = ("json", "csv", "text")
 MODES = ("exact", "numeric")
 
@@ -122,6 +124,12 @@ def _positive(name: str, value):
     return value
 
 
+def _within(name: str, value: int, high: int) -> int:
+    if not 1 <= value <= high:
+        raise ValueError(f"{name} must lie in 1..{high}, got {value}")
+    return value
+
+
 def _tolerance(value: float) -> float:
     # a relative tolerance of 1 or more, inf included, passes every numeric
     # check; nan fails both comparisons
@@ -145,14 +153,13 @@ def _config_from(args: argparse.Namespace) -> CheckConfig:
     from .identities import CheckConfig
 
     cfg = CheckConfig()
-    n_max = _setting(args, "n_max", "N_MAX", int, cfg.n_max)
-    if not 1 <= n_max <= MAX_N:
-        raise ValueError(f"n-max must lie in 1..{MAX_N}")
+    n_max = _within("n-max", _setting(args, "n_max", "N_MAX", int, cfg.n_max), MAX_N)
+    q_order = _setting(args, "q_order", "Q_ORDER", int, cfg.q_order)
     z_text = _setting(args, "z", "Z", str, None)
     c_text = _setting(args, "c", "C", str, None)
     return CheckConfig(
         n_max=n_max,
-        q_order=_positive("q-order", _setting(args, "q_order", "Q_ORDER", int, cfg.q_order)),
+        q_order=_within("q-order", q_order, MAX_Q_ORDER),
         m_max=_positive("m-max", _setting(args, "m_max", "M_MAX", int, cfg.m_max)),
         mode=_setting(args, "mode", "MODE", _choice("mode", MODES), cfg.mode),
         tolerance=_tolerance(_setting(args, "tol", "TOLERANCE", float, cfg.tolerance)),
@@ -223,7 +230,7 @@ def _cmd_series(args: argparse.Namespace) -> int:
     from .series import coefficient_rows, series_A, series_K, series_M
     from .series import series_dilcher_binomial, series_entry4
 
-    order = _positive("order", _setting(args, "order", "Q_ORDER", int, 30))
+    order = _within("order", _setting(args, "order", "Q_ORDER", int, 30), MAX_Q_ORDER)
     c, name, m = _parse_c_value(args.c), args.name, args.m
     # the builders' errors name their parameters (dilcher's k is --m), not the flags
     least_m = {"M": 0, "K": 1, "dilcher": 1}.get(name, m)
@@ -252,8 +259,7 @@ def _cmd_involution(args: argparse.Namespace) -> int:
     from .partitions import _size_tables
 
     n, N = args.n, args.modulus
-    if not 1 <= n <= MAX_INVOLUTION_N:
-        raise ValueError(f"n must lie in 1..{MAX_INVOLUTION_N}")
+    _within("n", n, MAX_INVOLUTION_N)
     if not 1 <= N <= n:
         raise ValueError("need 1 <= N-divisor <= n")
     _size_tables(n)

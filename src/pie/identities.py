@@ -182,13 +182,6 @@ def _sigma_powers(limit: int, z: int) -> tuple[int, ...]:
 _divisor_counts = partial(_sigma_powers, z=0)
 
 
-def _conv(a, b, limit: int) -> tuple[int, ...]:
-    out = [0] * (limit + 1)
-    for n in range(2, limit + 1):
-        out[n] = sum(a[j] * b[n - j] for j in range(1, n))
-    return tuple(out)
-
-
 # -- weight profiles ------------------------------------------------------------
 #
 # Each weighted side below is sum_e a_n(e) * e^z * c^e with integer a_n(e): a
@@ -210,35 +203,35 @@ def _conv(a, b, limit: int) -> tuple[int, ...]:
 Profile = tuple[tuple[int, int], ...]
 
 
-def _profile(acc: dict[int, int]) -> Profile:
-    return tuple(sorted((e, a) for e, a in acc.items() if a))
+def _profile(row) -> Profile:
+    """The profile of a dense row, row[e] = a_n(e)."""
+    return tuple((e, a) for e, a in enumerate(row) if a)
 
 
 @lru_cache(maxsize=None)
 def _window_profile(n: int) -> Profile:
     # sign * (c^(l-s+1) + ... + c^l) over D(n): c^N carries the class sum of C(N)
-    return _profile(dict(enumerate(class_sums(n))))
+    return _profile(class_sums(n))
 
 
 @lru_cache(maxsize=None)
 def _smallest_profile(n: int) -> Profile:
     # sign * c^s over D(n)
-    acc: dict[int, int] = {}
+    row = [0] * (n + 1)
     for (s, _largest), h in signed_window_counts(n).items():
-        acc[s] = acc.get(s, 0) + h
-    return _profile(acc)
+        row[s] += h
+    return _profile(row)
 
 
 @lru_cache(maxsize=None)
 def _initial_profile(n: int) -> Profile:
     # sign * (c + c^2 + ... + c^s) over D(n): suffix sums of the smallest part
-    smallest = dict(_smallest_profile(n))
-    acc: dict[int, int] = {}
-    running = 0
+    row = [0] * (n + 2)
+    for s, a in _smallest_profile(n):
+        row[s] = a
     for j in range(n, 0, -1):
-        running += smallest.get(j, 0)
-        acc[j] = running
-    return _profile(acc)
+        row[j] += row[j + 1]
+    return _profile(row)
 
 
 @lru_cache(maxsize=None)
@@ -259,7 +252,7 @@ def _binomial_rows(n: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int,
 @lru_cache(maxsize=None)
 def _binomial_profile(n: int) -> Profile:
     # sum over P(n) of c^(l-v) (c-1)^v with base l - j = 0 dropped: P_0 less c^0
-    return _profile(dict(enumerate(_binomial_rows(n)[2][1:], 1)))
+    return _profile((0, *_binomial_rows(n)[2][1:]))
 
 
 @lru_cache(maxsize=None)
@@ -267,10 +260,10 @@ def _shifted_binomial_profile(n: int) -> Profile:
     # sum over P(n) with v >= 2 of c^(l-v+1) (c-1)^(v-1), plus sum over d | n
     # of c^d: c * (P_1 - G_1) and the divisor term
     g1, p1, _p0 = _binomial_rows(n)
-    acc = {e + 1: p - g for e, (g, p) in enumerate(zip(g1, p1))}
+    row = [0, *(p - g for g, p in zip(g1, p1))]
     for d in divisors(n):
-        acc[d] += 1
-    return _profile(acc)
+        row[d] += 1
+    return _profile(row)
 
 
 @lru_cache(maxsize=None)
@@ -382,10 +375,11 @@ def check_agl(n: int, scaled: bool) -> tuple[Profile, Profile]:
         raise ValueError("n must be positive")
     _g1, p1, p0 = _binomial_rows(n)
     if scaled:
+        # c^s - 1 over D(n): minus the signed count at e = 0, then the
+        # smallest parts' profile, which starts at e = 1
         smallest = _smallest_profile(n)
-        lhs = _profile({0: -sum(a for _s, a in smallest), **dict(smallest)})
-        return lhs, _profile(dict(enumerate(p0)))
-    return tuple((j - 1, a) for j, a in _initial_profile(n)), _profile(dict(enumerate(p1)))
+        return _profile((-sum(a for _s, a in smallest),)) + smallest, _profile(p0)
+    return tuple((j - 1, a) for j, a in _initial_profile(n)), _profile(p1)
 
 
 @lru_cache(maxsize=8)
@@ -533,15 +527,14 @@ def _check_dilcher_cm(cfg: CheckConfig):
     n_max = cfg.n_max
 
     def search():
-        d = _table(_divisor_counts, n_max)
-        s1, s2, s3 = (_sigma_powers(n_max, z) for z in (1, 2, 3))
-        dd = _conv(d, d, n_max)
-        ddd = _conv(dd, d, n_max)
-        dddd = _conv(ddd, d, n_max)
-        ds1 = _conv(d, s1, n_max)
-        s1s1 = _conv(s1, s1, n_max)
-        ds2 = _conv(d, s2, n_max)
-        dds1 = _conv(dd, s1, n_max)
+        # sigma_0..sigma_3 as int series: their products are the convolutions
+        tables = _table(_divisor_counts, n_max), *(_sigma_powers(n_max, z) for z in (1, 2, 3))
+        d, s1, s2, s3 = (TruncatedSeries._stored(n_max, t[: n_max + 1]) for t in tables)
+        dd = d * d
+        ddd = dd * d
+        d, s1, s2, s3, dd, ddd, dddd, ds1, s1s1, ds2, dds1 = (
+            x.nums for x in (d, s1, s2, s3, dd, ddd, ddd * d, d * s1, s1 * s1, d * s2, dd * s1)
+        )
         formulas = {
             1: lambda n: d[n],
             2: lambda n: s1[n] + dd[n],

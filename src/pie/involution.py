@@ -18,14 +18,15 @@ One kernel, _pair_parts, runs both directions on plain part tuples; pair
 wraps it with a step record.  Its case-2 walk runs every subtraction while
 the parts stay positive, so the one walk that finds the stopping j also
 shows it is the only j in the window.  A partition with smallest part s and
-largest part l lies in exactly the classes N in (l - s, l], so
-verify_pairings checks every asked class in one walk: its largest part runs
-from n down to the least asked N, and its other parts stay above l minus the
-greatest, which for N = 1..n is all of D(n).  It runs
-the kernel only from case-1 members and fixed points: each case-1 image
-must take case 2 and map back, so the pairing sends case 1 one-to-one into
-case 2, and equal case-1 and case-2 counts per N then make every case-2
-member the image of a case-1 member, whose pairing was checked both ways.
+largest part l lies in exactly the classes N in (l - s, l], so one class
+walk, which class_members shares, visits every asked class of
+verify_pairings: its largest part runs from n down to the least asked N,
+and its other parts stay above l minus the greatest, which for N = 1..n is
+all of D(n).  verify_pairings runs the kernel only from case-1 members and
+fixed points: each case-1 image must take case 2 and map back, so the
+pairing sends case 1 one-to-one into case 2, and equal case-1 and case-2
+counts per N then make every case-2 member the image of a case-1 member,
+whose pairing was checked both ways.
 class_sum and class_sums, re-exported here, live in partitions beside the
 signed (smallest, largest) histogram they read, independent of the pairing.
 Any departure from the proven regime (several parts divisible by N, guard
@@ -37,6 +38,7 @@ member left over) raises AlgorithmFault rather than being repaired.
 from __future__ import annotations
 
 from bisect import insort
+from itertools import chain
 from typing import Iterable, Iterator
 
 from .errors import AlgorithmFault
@@ -173,9 +175,16 @@ def class_members(n: int, N: int) -> Iterator[Partition]:
         raise ValueError("the empty partition has no class membership")
     if N < 1:
         raise ValueError("N must be positive")
-    for largest in range(n, N - 1, -1):
-        for parts in _descending_distinct_parts(n - largest, largest - 1, largest - N, (largest,)):
-            yield _walked(parts)
+    yield from map(_walked, _class_walk(n, N, N))
+
+
+def _class_walk(n: int, low: int, high: int) -> Iterator[tuple[int, ...]]:
+    # the descending parts of the members of C(low) .. C(high) in D(n), each
+    # once: largest part l from n down to low, the other parts above l - high
+    return chain.from_iterable(
+        _descending_distinct_parts(n - largest, largest - 1, max(0, largest - high), (largest,))
+        for largest in range(n, low - 1, -1)
+    )
 
 
 def verify_pairings(n: int, moduli: Iterable[int]) -> dict[int, dict[str, int]]:
@@ -192,38 +201,35 @@ def verify_pairings(n: int, moduli: Iterable[int]) -> dict[int, dict[str, int]]:
     _require_enumerable(n, DEFAULT_ENUMERATION_GUARD)
     if not tallies:
         return {}
-    low, high = min(tallies), max(tallies)
-    for largest in range(n, low - 1, -1):
-        floor = max(0, largest - high)
-        for parts in _descending_distinct_parts(n - largest, largest - 1, floor, (largest,)):
-            smallest = parts[-1]
-            for N in range(largest - smallest + 1, largest + 1):
-                tally = tallies.get(N)
-                if tally is None:
-                    continue
-                # the one multiple of N the window [smallest, largest] can hold
-                multiple = largest - largest % N
-                if multiple < smallest or multiple not in parts:
-                    tally[1] += 1
-                    continue
-                _, _, image = _pair_parts(parts, N, n)
-                if image is None:
-                    tally[2] += 1
-                    if len(parts) != 1 or n % N != 0:
-                        raise _fault(parts, N, "unexpected fixed point")
-                    continue
-                tally[0] += 1
-                # the kernel checked the image's sum, distinct parts and class
-                if abs(len(image) - len(parts)) != 1:
-                    raise _fault(parts, N, f"parity not reversed by the image {_show(image)}")
-                case, _, back = _pair_parts(image, N, n)
-                if case != CASE_INSERT:
-                    raise _fault(image, N, f"the image of {_show(parts)} takes {case}")
-                if back != parts:
-                    # parts itself passes both image checks, so they run only
-                    # here, to name what a wrong back image got wrong
-                    _check_image(image, N, n, back)
-                    raise _fault(parts, N, f"not an involution: the image is {_show(image)}")
+    for parts in _class_walk(n, min(tallies), max(tallies)):
+        largest, smallest = parts[0], parts[-1]
+        for N in range(largest - smallest + 1, largest + 1):
+            tally = tallies.get(N)
+            if tally is None:
+                continue
+            # the one multiple of N the window [smallest, largest] can hold
+            multiple = largest - largest % N
+            if multiple < smallest or multiple not in parts:
+                tally[1] += 1
+                continue
+            _, _, image = _pair_parts(parts, N, n)
+            if image is None:
+                tally[2] += 1
+                if len(parts) != 1 or n % N != 0:
+                    raise _fault(parts, N, "unexpected fixed point")
+                continue
+            tally[0] += 1
+            # the kernel checked the image's sum, distinct parts and class
+            if abs(len(image) - len(parts)) != 1:
+                raise _fault(parts, N, f"parity not reversed by the image {_show(image)}")
+            case, _, back = _pair_parts(image, N, n)
+            if case != CASE_INSERT:
+                raise _fault(image, N, f"the image of {_show(parts)} takes {case}")
+            if back != parts:
+                # parts itself passes both image checks, so they run only
+                # here, to name what a wrong back image got wrong
+                _check_image(image, N, n, back)
+                raise _fault(parts, N, f"not an involution: the image is {_show(image)}")
     for N, (case1, case2, fixed) in tallies.items():
         if fixed != (expected := 1 if n % N == 0 else 0):
             raise AlgorithmFault(f"fixed point count {fixed} != {expected} for n={n}, N={N}")

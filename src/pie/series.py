@@ -24,17 +24,17 @@ the CPolynomial of its row over den * r**n.
 
 Named builders at the bottom assemble the generating functions the identity
 suite compares.  They build every product and quotient of factors
-(1 - x q^k) one factor at a time on stored numerators and never invert a
-whole series.  Builders documented as double constructions still compute
-the same series two independent ways and raise AlgorithmFault if the
-results differ.
+(1 - x q^k) one factor at a time on stored numerators, each through the one
+shifted-add kernel _add_shifted, and never invert a whole series.  Builders
+documented as double constructions still compute the same series two
+independent ways and raise AlgorithmFault if the results differ.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
-from itertools import accumulate, repeat
+from itertools import accumulate, repeat, zip_longest
 from math import comb, lcm
 from operator import add, mul, sub
 from typing import Callable, Iterable, Sequence, Union
@@ -264,43 +264,36 @@ def coefficient_rows(series: TruncatedSeries) -> list[tuple[int, str]]:
     return [(e, str(v)) for e, v in enumerate(series.coeffs) if v]
 
 
-# -- factor-at-a-time kernels ----------------------------------------------
+# -- the shifted-add kernel -------------------------------------------------
 #
-# Each kernel updates a list of stored numerators in place at O(Q) per
-# factor; the list's length fixes the truncation order.  A weight w is the
-# stored weight of x q^k at the list's grade r, that is x * r**k: p r^(k-1)
-# for x = p/r, r^k for x = 1.  _over_factor needs k >= 1.  A row weight or
-# row head takes the row helpers, ints the inline loop, so an int weight
-# walks a list only while its head is a row or it holds no row.
+# One kernel, _add_shifted, updates a list of stored numerators in place at
+# O(Q) per call; the list's length fixes the truncation order.  A factor
+# (1 - x q^k) adds -w q^k times a snapshot of the list, and its inverse adds
+# w q^k times the list itself, read ascending, so each term reads entries
+# already divided.  A weight w is the stored weight of x q^k at the list's
+# grade r, that is x * r**k: p r^(k-1) for x = p/r, r^k for x = 1.
+# _over_factor needs k >= 1.  A row weight or row head takes the row
+# helpers, ints the inline loop, so an int weight walks a list only while
+# its head is a row or it holds no row.
 
 
 def _times_factor(coeffs: list, w: Stored, k: int) -> list:
-    """Multiply by (1 - x q^k) of stored weight w, walking descending."""
-    return _walk(coeffs, _times(w, -1), k, range(len(coeffs) - 1, k - 1, -1))
+    """Multiply by (1 - x q^k) of stored weight w."""
+    return _add_shifted(coeffs, coeffs[: max(len(coeffs) - k, 0)], k, _times(w, -1))
 
 
 def _over_factor(coeffs: list, w: Stored, k: int) -> list:
-    """Divide by (1 - x q^k) of stored weight w, walking ascending."""
-    return _walk(coeffs, w, k, range(k, len(coeffs)))
-
-
-def _walk(coeffs: list, w: Stored, k: int, es: range) -> list:
-    # coeffs[e] += w * coeffs[e - k] for e in the order es gives
-    if tuple in (type(w), type(coeffs[0])):
-        for e in es:
-            if coeffs[e - k]:
-                coeffs[e] = _plus(coeffs[e], _times(w, coeffs[e - k]))
-    else:
-        for e in es:
-            if coeffs[e - k]:
-                coeffs[e] += w * coeffs[e - k]
-    return coeffs
+    """Divide by (1 - x q^k) of stored weight w."""
+    return _add_shifted(coeffs, coeffs, k, w)
 
 
 def _add_shifted(acc: list, coeffs: Sequence, shift: int, weight: Stored) -> list:
     """Add weight * q^shift * coeffs, truncated at the order of acc; at a
-    grade r, weight is the stored weight x * r**shift of x q^shift."""
+    grade r, weight is the stored weight x * r**shift of x q^shift.  coeffs
+    may be acc itself, read as the loop updates it."""
     span = range(min(len(coeffs), len(acc) - shift))
+    if not span:
+        return acc
     if tuple in (type(weight), type(acc[0]), type(coeffs[0])):
         for i in span:
             if coeffs[i]:
@@ -312,24 +305,7 @@ def _add_shifted(acc: list, coeffs: Sequence, shift: int, weight: Stored) -> lis
     return acc
 
 
-# -- q-Pochhammer products --------------------------------------------------
-
-
-def _product(x: ScalarLike, ks: Iterable[int], order: int) -> TruncatedSeries:
-    """prod_{k in ks} (1 - x q^k) for k >= 1, truncated at the given order."""
-    p, r = _split(x)
-    nums = [1] + [0] * order
-    for k in ks:
-        _times_factor(nums, _times(p, r ** (k - 1)), k)
-    return TruncatedSeries._stored(order, nums, r)
-
-
-def pochhammer_infinite(x: ScalarLike, order: int, start: int = 1) -> TruncatedSeries:
-    """prod_{k >= start} (1 - x q^k) truncated; factors past the order are 1."""
-    if start < 0:
-        raise ValueError("start must be nonnegative")
-    product = _product(x, range(max(start, 1), order + 1), order)
-    return product - product.scale(x) if start == 0 else product
+# -- sums over the tails of (q)_inf -----------------------------------------
 
 
 @lru_cache(maxsize=8)
@@ -344,20 +320,19 @@ def _unit_tails(order: int, grade: int) -> tuple[tuple[int, ...], ...]:
 
 def _tail_sum(weights: Sequence, order: int, grade: int) -> TruncatedSeries:
     """sum_n w_n q^n (q^{n+1})_inf, truncated at the order, from the stored
-    weights weights[n] = w_n * grade**n of w_n q^n: row weights take one int
+    weights weights[n] = w_n * grade**n of w_n q^n: row weights fill one int
     sum per power of c, and its q^N coefficients make the row at q^N."""
-    if tuple in map(type, weights):
-        rows = [_row(w) for w in weights]
-        powers = range(max(map(len, rows)))
-        sums = [_tail_sum([r[a] if a < len(r) else 0 for r in rows], order, grade) for a in powers]
-        nums = [_plus((), row) for row in zip(*(s.nums for s in sums))]  # trimmed
-        return TruncatedSeries._stored(order, nums or [0] * (order + 1), grade)
     tails = _unit_tails(order, grade)
-    acc = [0] * (order + 1)
-    for n, w in enumerate(weights):
-        if w:
-            _add_shifted(acc, tails[n], n, w)
-    return TruncatedSeries._stored(order, acc, grade)
+    rows = tuple in map(type, weights)
+    sums = []
+    for column in zip_longest(*map(_row, weights), fillvalue=0) if rows else [weights]:
+        acc = [0] * (order + 1)
+        for n, w in enumerate(column):
+            if w:
+                _add_shifted(acc, tails[n], n, w)
+        sums.append(acc)
+    nums = [_plus((), row) for row in zip(*sums)] if rows else sums[0]  # trimmed
+    return TruncatedSeries._stored(order, nums or [0] * (order + 1), grade)
 
 
 def _scalar_powers(c: Stored, order: int) -> list:

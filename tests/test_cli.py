@@ -300,6 +300,9 @@ def test_cor_2_4_numeric_holds_past_n_59(capsys):
         (("verify", "--id", "bs_onevar", "--mode", "numeric", "--n-max", "60", "--z", "150", "--c", "30"), {}),
         (("report-all", "--n-max", "60", "--q-order", "8"), {"PIE_Z": "170", "PIE_C": "5"}),
         (("report-all", "--n-max", "60", "--q-order", "8"), {"PIE_Z": "150", "PIE_C": "30"}),
+        (("verify", "--id", "bs_basic", "--q-order", "301"), {}),
+        (("report-all", "--n-max", "3"), {"PIE_Q_ORDER": "301"}),
+        (("series", "--name", "K", "--order", "301"), {}),
     ],
     ids=[
         "n-max-0",
@@ -342,6 +345,9 @@ def test_cor_2_4_numeric_holds_past_n_59(capsys):
         "bs-onevar-term-overflows",
         "report-all-env-term-overflows-z-170-c-5",
         "report-all-env-term-overflows-z-150-c-30",
+        "q-order-301",
+        "env-q-order-301",
+        "series-order-301",
     ],
 )
 def test_zero_or_empty_settings_are_usage_errors(capsys, monkeypatch, argv, env):
@@ -353,6 +359,33 @@ def test_zero_or_empty_settings_are_usage_errors(capsys, monkeypatch, argv, env)
     assert code == 2
     assert out == ""
     assert "usage error" in err
+
+
+@pytest.mark.parametrize(
+    "argv, env, flag",
+    [
+        (("report-all", "--n-max", "5", "--q-order", "3000"), {}, "q-order"),
+        (("report-all",), {"PIE_Q_ORDER": "301"}, "q-order"),
+        (("verify", "--id", "entry4", "--q-order", "301"), {}, "q-order"),
+        (("series", "--name", "entry4", "--order", "20000"), {}, "order"),
+        (("series", "--name", "A"), {"PIE_Q_ORDER": "301"}, "order"),
+    ],
+    ids=["report-all-3000", "report-all-env-301", "verify-301", "series-20000", "series-env-301"],
+)
+def test_q_order_above_the_cap_names_the_flag(capsys, monkeypatch, argv, env, flag):
+    # any q-order the command line accepts finishes; a larger one exits 2 at once
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"usage error: {flag} must lie in 1..300")
+
+
+def test_q_order_at_the_cap_runs(capsys):
+    code, out, _ = run(capsys, "verify", "--id", "entry4", "--q-order", "300")
+    assert code == 0
+    assert json.loads(out)[0]["status"] == "pass"
 
 
 @pytest.mark.parametrize(

@@ -256,6 +256,33 @@ def test_verify_pairings_keeps_the_enumeration_guard():
     assert verify_pairings(0, ()) == {}
 
 
+def _old_class_loops(n, low, high):
+    # the walks class_members (low = high = N) and verify_pairings spelled out
+    # before they shared one: largest part l from n down to low, the other
+    # parts above l - high
+    return [
+        parts
+        for largest in range(n, low - 1, -1)
+        for parts in involution._descending_distinct_parts(
+            n - largest, largest - 1, max(0, largest - high), (largest,)
+        )
+    ]
+
+
+@pytest.mark.parametrize("n", range(1, 31))
+def test_class_walk_yields_the_old_loops_tuples(n):
+    members = [p.parts for p in enumerate_distinct(n)]
+    for low in range(1, n + 1):
+        for high in range(low, n + 1):
+            walked = list(involution._class_walk(n, low, high))
+            assert walked == _old_class_loops(n, low, high), (low, high)
+            # the union of C(low) .. C(high), each member once: the window
+            # (l - s, l] of a member meets [low, high]
+            union = [p for p in members if p[0] >= low and p[0] - p[-1] < high]
+            assert sorted(walked) == sorted(union), (low, high)
+        assert [p.parts for p in class_members(n, low)] == _old_class_loops(n, low, low)
+
+
 def test_uncovered_case2_member_faults_the_sweep(monkeypatch):
     # without 4+2, C(3) of 6 holds one case-1 member (3+2+1, whose image is
     # 4+2) and no case-2 member, so the count no longer covers case 2

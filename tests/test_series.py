@@ -12,13 +12,12 @@ from pie.exact import C, CPolynomial, divisors
 from pie.series import (
     ExpSeries,
     TruncatedSeries,
+    _add_shifted,
     _over_factor,
-    _product,
     _split,
     _times,
     _times_factor,
     coefficient_rows,
-    pochhammer_infinite,
     series_A,
     series_A_euler,
     series_A_quotient,
@@ -29,6 +28,8 @@ from pie.series import (
     series_dilcher_binomial,
     series_entry4,
 )
+
+from pochhammer import _product, pochhammer_infinite
 
 D_COUNTS = [0, 1, 2, 2, 3, 2, 4, 2, 4, 3, 4, 2, 6, 2, 4, 4, 5, 2, 6, 2, 6]
 
@@ -271,6 +272,69 @@ def test_factor_kernels_match_series_arithmetic(case, x):
         assert list(got.coeffs) == schoolbook(f.coeffs, other), kernel.__name__
 
 
+# stored numerators as plain coefficient lists in c, for a recurrence that
+# shares no code with the kernel's row helpers
+
+
+def _poly(v):
+    return list(v) if isinstance(v, (tuple, list)) else [v]
+
+
+def _poly_plus(x, y):
+    x, y = _poly(x), _poly(y)
+    return [a + b for a, b in zip(x + [0] * len(y), y + [0] * len(x))]
+
+
+def _poly_times(x, y):
+    x, y = _poly(x), _poly(y)
+    out = [0] * (len(x) + len(y))
+    for i, a in enumerate(x):
+        for j, b in enumerate(y):
+            out[i + j] += a * b
+    return out
+
+
+def _trimmed(v):
+    v = _poly(v)
+    while v and not v[-1]:
+        v.pop()
+    return tuple(v)
+
+
+KERNEL_CASES = {
+    "ints": ([3, -1, 4, 0, 5, 9, -2], -2),
+    "rows": ([(1,), (), (0, 2), (3, -1, 1), (), (5,), (0, 0, -4)], (1, 1)),
+    "row-weight": ([2, 0, -1, 7, 0, 3], (0, 3)),
+    # the running 1/(xq)_n of _alternating_sum: a row head over int zeros
+    "row-head": ([(1,), 0, 0, 0, 0], (0, 1)),
+}
+
+
+@pytest.mark.parametrize("name", KERNEL_CASES)
+def test_factor_kernels_match_a_plain_recurrence(name):
+    coeffs, w = KERNEL_CASES[name]
+    minus_w = _poly_times(w, -1)
+    for k in range(1, len(coeffs) + 2):
+        # times: out[e] = c[e] - w c[e-k]; over: out[e] = c[e] + w out[e-k]
+        times, over = list(coeffs), list(coeffs)
+        for e in range(k, len(coeffs)):
+            times[e] = _poly_plus(coeffs[e], _poly_times(minus_w, coeffs[e - k]))
+            over[e] = _poly_plus(coeffs[e], _poly_times(w, over[e - k]))
+        for kernel, want in ((_times_factor, times), (_over_factor, over)):
+            got = kernel(list(coeffs), w, k)
+            assert list(map(_trimmed, got)) == list(map(_trimmed, want)), (kernel.__name__, k)
+            if k >= len(coeffs):
+                assert got == coeffs, (kernel.__name__, k)
+
+
+def test_shifted_add_of_nothing_reads_nothing():
+    # an empty snapshot, as _times_factor takes at k >= len, leaves the list
+    # as it was, whatever the types of its head and of the weight
+    for acc, w in (([5, 1], 3), ([(1,), 0], (0, 1)), ([2], (4,))):
+        assert _add_shifted(list(acc), [], 1, w) == acc
+        assert _add_shifted(list(acc), acc, len(acc), w) == acc
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     _series_cases(2),
@@ -461,6 +525,24 @@ def test_symbolic_rows_match_the_cpolynomial_construction(name):
     oracle = cp_series(80)[name]
     for order in range(81):
         assert list(ROW_BUILDERS[name](order).coeffs) == oracle[: order + 1], order
+
+
+@pytest.mark.parametrize(
+    "builder, weight",
+    [
+        (lambda c: series_M(2, c, 20), lambda c, n: n**2 * c**n if n else 0),
+        (lambda c: series_A_euler(c, 20), lambda c, n: c**n),
+    ],
+    ids=["M2", "A-euler"],
+)
+@pytest.mark.parametrize(
+    "c", [1 + 2 * C, 1 + C, Fraction(1, 2) - C / 3 + C**2], ids=["1+2c", "1+c", "quadratic"]
+)
+def test_tail_sum_of_non_monomial_row_weights(builder, weight, c):
+    # weights mixing several powers of c: one int sum per power of c, put
+    # back together into the rows, against the CPolynomial construction
+    oracle = cp_tail_sum([weight(c, n) for n in range(21)], 20)
+    assert list(builder(c).coeffs) == oracle
 
 
 # -- named series -------------------------------------------------------------
