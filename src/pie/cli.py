@@ -35,10 +35,6 @@ def _parse_complex(text: str) -> complex:
     return complex(text.strip().replace(" ", "").replace("i", "j"))
 
 
-def _parse_complex_list(text: str) -> tuple[complex, ...]:
-    return tuple(_parse_complex(tok) for tok in text.split(",") if tok.strip())
-
-
 def _parse_c_value(text: str):
     from fractions import Fraction
 
@@ -58,23 +54,27 @@ def build_parser() -> argparse.ArgumentParser:
         description="verify weighted partition identities with exact arithmetic",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the run settings verify and report-all share
+    runs = argparse.ArgumentParser(add_help=False)
+    runs.add_argument("--n-max", type=int, default=None)
+    runs.add_argument("--q-order", type=int, default=None)
+    runs.add_argument("--format", choices=FORMATS, default=None)
+    runs.add_argument("--output", default=None)
+    runs.add_argument("--timings", action="store_true")
 
-    verify = sub.add_parser("verify", help="run identity checks")
+    verify = sub.add_parser("verify", parents=[runs], help="run identity checks")
+    verify.set_defaults(handler=_cmd_verify)
     group = verify.add_mutually_exclusive_group(required=True)
     group.add_argument("--id", dest="ident", help="identity tag to check")
     group.add_argument("--all", action="store_true", help="check every identity")
-    verify.add_argument("--n-max", type=int, default=None)
-    verify.add_argument("--q-order", type=int, default=None)
     verify.add_argument("--m-max", type=int, default=None)
     verify.add_argument("--mode", choices=MODES, default=None)
     verify.add_argument("--z", default=None, help="comma-separated complex grid")
     verify.add_argument("--c", default=None, help="comma-separated complex grid")
     verify.add_argument("--tol", type=float, default=None)
-    verify.add_argument("--format", choices=FORMATS, default=None)
-    verify.add_argument("--output", default=None)
-    verify.add_argument("--timings", action="store_true")
 
     series = sub.add_parser("series", help="dump series coefficients as CSV")
+    series.set_defaults(handler=_cmd_series)
     series.add_argument(
         "--name", required=True, choices=("entry4", "M", "K", "A", "dilcher")
     )
@@ -84,19 +84,15 @@ def build_parser() -> argparse.ArgumentParser:
     series.add_argument("--output", default=None)
 
     inv = sub.add_parser("involution", help="trace or sweep the pairing")
+    inv.set_defaults(handler=_cmd_involution)
     inv.add_argument("--n", type=int, required=True)
     inv.add_argument("--N-divisor", dest="modulus", type=int, required=True)
     inv.add_argument("--trace", action="store_true")
     inv.add_argument("--sweep", action="store_true", help="sweep every N up to n")
     inv.add_argument("--output", default=None)
 
-    rep = sub.add_parser("report-all", help="full manifest of every check")
-    rep.add_argument("--n-max", type=int, default=None)
-    rep.add_argument("--q-order", type=int, default=None)
-    rep.add_argument("--format", choices=FORMATS, default=None)
-    rep.add_argument("--output", default=None)
-    rep.add_argument("--timings", action="store_true")
-
+    rep = sub.add_parser("report-all", parents=[runs], help="full manifest of every check")
+    rep.set_defaults(handler=_cmd_report_all)
     return parser
 
 
@@ -141,7 +137,7 @@ def _tolerance(value: float) -> float:
 def _grid(name: str, text: str) -> tuple[complex, ...]:
     import cmath
 
-    grid = _parse_complex_list(text)
+    grid = tuple(_parse_complex(tok) for tok in text.split(",") if tok.strip())
     if not grid:
         raise ValueError(f"the {name} grid is empty")
     if not all(map(cmath.isfinite, grid)):
@@ -199,7 +195,8 @@ def emit_report(reports, fmt: str, sink, timings: bool = False) -> None:
             writer.writerow([d["id"], d["mode"], d["status"], d["elapsed_ms"], failure])
         else:
             mark = "PASS" if d["status"] == "pass" else "FAIL"
-            sink.write(f"{mark} {d['id']} [{d['mode']}]{failure and ' ' + failure}\n")
+            ms = "" if d["elapsed_ms"] is None else f" {d['elapsed_ms']} ms"
+            sink.write(f"{mark} {d['id']} [{d['mode']}]{ms}{failure and ' ' + failure}\n")
 
 
 def _emit(args: argparse.Namespace, run) -> int:
@@ -302,13 +299,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "series":
-            return _cmd_series(args)
-        if args.command == "involution":
-            return _cmd_involution(args)
-        return _cmd_report_all(args)
+        return args.handler(args)
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -43,7 +43,7 @@ import time
 from cmath import isfinite
 from enum import Enum
 from fractions import Fraction
-from functools import cache, lru_cache, partial
+from functools import lru_cache, partial
 from itertools import product
 from math import factorial
 
@@ -160,8 +160,6 @@ class IdentityReport(_Value):
 def _stringify(value):
     if value is None or isinstance(value, (int, float, str)):
         return value
-    if isinstance(value, (Fraction, complex, CPolynomial)):
-        return str(value)
     if isinstance(value, (list, tuple)):
         return [_stringify(v) for v in value]
     if isinstance(value, dict):
@@ -468,7 +466,7 @@ def _cor24_sides(n: int, k: int) -> tuple[int, int]:
     rhs = _at(_binomial_profile(n), k, 1)
     if k == 1 and lhs == rhs:
         # the k=1 chain collapses to the divisor count
-        rhs = len(divisors(n))
+        rhs = _table(_divisor_counts, n)[n]
     return lhs, rhs
 
 
@@ -569,22 +567,23 @@ def _check_eq_1_13(cfg: CheckConfig):
 
 
 def _check_thm22(cfg: CheckConfig, part: str):
-    pairs = cache(lambda c: _thm22_pairs(part, cfg.m_max, cfg.q_order, c))
-    ms = range(cfg.m_max + 1) if part == "exp" else range(1, cfg.m_max + 1)
+    def mismatch(c):
+        pairs = _thm22_pairs(part, cfg.m_max, cfg.q_order, c)
+        return _first(_grid(m=pairs), lambda m: _series_differ(*pairs[m], values=False))
+
     rng = {
         "m_max": cfg.m_max,
         "q_order": cfg.q_order,
         "c_values": list(cfg.c_exact),
         "part": part,
     }
-    mismatch = lambda c, m: _series_differ(*pairs(c)[m], values=False)
-    return rng, partial(_first, _grid(c=cfg.c_exact, m=ms), mismatch)
+    return rng, partial(_first, _grid(c=cfg.c_exact), mismatch)
 
 
 REGISTRY = {
     # a window holds s weights, so sum_e a(e) is the signed smallest-part sum
     IdentityId.BS_BASIC: lambda cfg: _over_n(
-        cfg, lambda n: _differ(_at(_window_profile(n), 0, 1), len(divisors(n)))
+        cfg, lambda n: _differ(_at(_window_profile(n), 0, 1), _table(_divisor_counts, n)[n])
     ),
     IdentityId.BS_INT: lambda cfg: _sweep(
         cfg, lambda n, z: _differ(_at(_window_profile(n), z, 1), sigma_int(z, n)), key="z"

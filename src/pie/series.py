@@ -165,10 +165,7 @@ class TruncatedSeries:
         out = [total(map(times, xs[: e + 1], ys[e::-1])) for e in range(self.order + 1)]
         return TruncatedSeries._stored(self.order, out, grade, self.den * other.den)
 
-    def __rmul__(self, other: object) -> "TruncatedSeries":
-        if isinstance(other, (int, Fraction, CPolynomial)):
-            return self.scale(other)
-        return NotImplemented
+    __rmul__ = __mul__
 
     def scale(self, scalar: ScalarLike) -> "TruncatedSeries":
         p, r = _split(scalar)

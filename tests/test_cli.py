@@ -1,15 +1,18 @@
 """The command-line front end: flags, formats, exit codes, determinism."""
 
 import hashlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from pie.cli import main
+from pie.cli import build_parser, emit_report, main
+from pie.identities import IdentityId, IdentityReport
 from pie.partitions import class_sums
 
 
@@ -203,6 +206,60 @@ def test_timings_flag_populates_elapsed(capsys):
     )
     assert code == 0
     assert json.loads(out)[0]["elapsed_ms"] is not None
+
+
+def test_text_timings_carry_the_json_elapsed_ms():
+    # with timings each text line carries elapsed_ms as json rounds it
+    reports = [
+        IdentityReport(IdentityId.BS_BASIC, "exact", {}, "pass", None, 1.23456),
+        IdentityReport(IdentityId.COR_2_4, "numeric", {}, "fail", {"n": 3}, 0.0004),
+    ]
+    texts = {}
+    for timings in (False, True):
+        emit_report(reports, "text", sink := io.StringIO(), timings=timings)
+        texts[timings] = sink.getvalue()
+    assert texts[False] == 'PASS bs_basic [exact]\nFAIL cor_2_4 [numeric] {"n": 3}\n'
+    assert texts[True] == (
+        'PASS bs_basic [exact] 1.235 ms\nFAIL cor_2_4 [numeric] 0.0 ms {"n": 3}\n'
+    )
+    emit_report(reports, "json", sink := io.StringIO(), timings=True)
+    assert [d["elapsed_ms"] for d in json.loads(sink.getvalue())] == [1.235, 0.0]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--id", "bs_basic", "--n-max", "10"),
+        ("report-all", "--n-max", "6", "--q-order", "12"),
+    ],
+    ids=["verify", "report-all"],
+)
+def test_text_format_prints_timings(capsys, argv):
+    code, out, _ = run(capsys, *argv, "--format", "text", "--timings")
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == (1 if argv[0] == "verify" else 22)
+    line = re.compile(r"PASS \w+ \[(exact|numeric)\] \d+\.\d{1,3} ms")
+    assert all(map(line.fullmatch, lines))
+
+
+def test_verify_and_report_all_share_the_run_flags():
+    parser = build_parser()
+    names = ("n_max", "q_order", "format", "output", "timings")
+    shared = ("--n-max", "9", "--q-order", "14", "--format", "csv", "--output", "o.csv", "--timings")
+    for flags in ((), shared):
+        verify = vars(parser.parse_args(["verify", "--id", "bs_basic", *flags]))
+        report = vars(parser.parse_args(["report-all", *flags]))
+        assert [verify[k] for k in names] == [report[k] for k in names]
+    assert [report[k] for k in names] == [9, 14, "csv", "o.csv", True]
+    assert set(report) == {"command", "handler", *names}  # report-all gains no flag
+
+
+def test_report_all_takes_no_m_max(capsys):
+    code, out, err = run(capsys, "report-all", "--m-max", "3")
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments: --m-max 3" in err
 
 
 def test_env_overrides(capsys, monkeypatch):

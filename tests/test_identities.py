@@ -620,6 +620,54 @@ def test_fault_report_keeps_range(monkeypatch):
     assert set(rep.range) == {"m_max", "q_order", "c_values", "part"}
 
 
+# to_json_dict of thm_2_2 failures, pinned from the search over the (c, m)
+# grid: c runs outermost, and m runs within the one build of each c
+THM22_RECORDS = {
+    "all": '"first_failure": {"c": "1", "m": 1, "q_power": 1}',
+    "last": '"first_failure": {"c": "-1/2", "m": 2, "q_power": 1}',
+}
+
+
+@pytest.mark.parametrize("skewed_at", ["all", "last"])
+@pytest.mark.parametrize("part", ["exp", "bell"])
+def test_thm22_failure_reports_are_pinned(monkeypatch, part, skewed_at):
+    real, built = identities.series_K, []
+
+    def skewed(m, c, order):
+        built.append(c)
+        s = real(m, c, order)
+        return s.scale(2) if skewed_at == "all" or (m, c) == (2, Fraction(-1, 2)) else s
+
+    monkeypatch.setattr(identities, "series_K", skewed)
+    _clear_caches()
+    try:
+        rep = check_identity(f"thm_2_2_{part}", CheckConfig(n_max=6, q_order=10, m_max=2))
+    finally:
+        _clear_caches()
+    assert json.dumps(rep.to_json_dict(), sort_keys=True) == (
+        '{"elapsed_ms": null, ' + THM22_RECORDS[skewed_at] + f', "id": "thm_2_2_{part}", '
+        '"mode": "exact", "range": {"c_values": ["1", "2/3", "-1/2"], "m_max": 2, '
+        f'"part": "{part}", "q_order": 10}}, "status": "fail"}}'
+    )
+    # a failure at the first c builds no series at a later one
+    last = 1 if skewed_at == "all" else 3
+    assert built == [c for c in CheckConfig().c_exact[:last] for _m in (1, 2)]
+
+
+def test_divisor_counts_come_from_the_one_table(monkeypatch):
+    # bs_basic and cor_2_4's k = 1 collapse read d(n) from the shared table
+    def banned(n):
+        raise AssertionError("a d(n) read bypassed the divisor-count table")
+
+    monkeypatch.setattr(identities, "divisors", banned)
+    _clear_caches()
+    try:
+        for tag in ("bs_basic", "cor_2_4"):
+            assert check_identity(tag, CheckConfig(n_max=40)).status == "pass"
+    finally:
+        _clear_caches()
+
+
 def _skew_two_sizes(real):
     # the partition (n - 1, 1) counted twice by (largest, #sizes), for n >= 3
     def skewed(n):

@@ -107,6 +107,18 @@ def test_scale_lifts_to_cpoly():
     assert g == S(3, C, 2 * C) and g[0] == C
 
 
+@pytest.mark.parametrize("k", [3, Fraction(2, 3), C], ids=["int", "fraction", "c"])
+@pytest.mark.parametrize(
+    "s", [S(5, 2, 0, -1, 4), series_K(1, C, 5)], ids=["int-series", "row-series"]
+)
+def test_scalar_product_commutes(k, s):
+    # __rmul__ is __mul__, whose scalar branch is scale
+    assert k * s == s * k == s.scale(k)
+    assert TruncatedSeries.__dict__["__rmul__"] is TruncatedSeries.__dict__["__mul__"]
+    with pytest.raises(TypeError):
+        2.5 * s
+
+
 def test_equality_across_rings():
     # int and constant CPolynomial entries of one value are one series
     assert S(2, 1, 2) == S(2, CPolynomial(1), CPolynomial(2))
