@@ -12,9 +12,9 @@ The commands cover:
     signed zeros and repeated point exercise the numeric power tables,
     which go by grid position (0j == -0j, yet their powers differ);
   - report-all at the stretch range 200/80 in json under the built-in
-    grid, the one range that builds H_n and the size cells past n = 60
-    (each once, at exactly 200) and grows the doubling d(m) table past
-    its cap 64, to 128 and then 256;
+    grid, the one range that builds the signed D(n) sums and the size
+    cells past n = 60 (each once, at exactly 200) and grows the doubling
+    d(m) table past its cap 64, to 128 and then 256;
   - pie series --order 40 for A, M, K and entry4 at --m 1 and --m 3, with
     --c symbolic, 1, 2/3, -1/2 and 0, and for dilcher, which takes no c, at
     --m 1 and --m 3;
@@ -29,6 +29,10 @@ script's output against both is empty:
     python scripts/output_digests.py > after.txt
     python scripts/output_digests.py --src /path/to/other/src > before.txt
     diff before.txt after.txt
+
+The scale-1 output of the tree itself is pinned in tests/output_digests.txt:
+
+    python scripts/output_digests.py | diff tests/output_digests.txt -
 
 Usage:
     python scripts/output_digests.py [scale] [--src PATH]

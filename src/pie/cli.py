@@ -114,12 +114,6 @@ def _choice(name: str, choices: tuple[str, ...]):
     return parse
 
 
-def _positive(name: str, value):
-    if not value > 0:
-        raise ValueError(f"{name} must be positive, got {value}")
-    return value
-
-
 def _within(name: str, value: int, high: int) -> int:
     if not 1 <= value <= high:
         raise ValueError(f"{name} must lie in 1..{high}, got {value}")
@@ -146,6 +140,7 @@ def _grid(name: str, text: str) -> tuple[complex, ...]:
 
 
 def _config_from(args: argparse.Namespace) -> CheckConfig:
+    from .exact import BELL_DEGREE_CAP
     from .identities import CheckConfig
 
     cfg = CheckConfig()
@@ -156,7 +151,7 @@ def _config_from(args: argparse.Namespace) -> CheckConfig:
     return CheckConfig(
         n_max=n_max,
         q_order=_within("q-order", q_order, MAX_Q_ORDER),
-        m_max=_positive("m-max", _setting(args, "m_max", "M_MAX", int, cfg.m_max)),
+        m_max=_within("m-max", _setting(args, "m_max", "M_MAX", int, cfg.m_max), BELL_DEGREE_CAP),
         mode=_setting(args, "mode", "MODE", _choice("mode", MODES), cfg.mode),
         tolerance=_tolerance(_setting(args, "tol", "TOLERANCE", float, cfg.tolerance)),
         z_grid=cfg.z_grid if z_text is None else _grid("z", z_text),

@@ -70,7 +70,7 @@ from .partitions import (
     class_sums,
     count_exact_part_sizes,
     partitions_by_largest_and_sizes,
-    signed_window_counts,
+    window_marginals,
 )
 from .series import (
     ExpSeries,
@@ -187,8 +187,9 @@ _divisor_counts = partial(_sigma_powers, z=0)
 # functions e -> e^z c^e are linearly independent, so two sides agree for
 # every (z, c) exactly when their profiles are equal, as the exact checks test;
 # bs_int's exponents and the numeric grids evaluate a profile built once per
-# n.  The D(n) sides are linear maps of the signed (smallest, largest)
-# histogram H_n, the P(n) sides of the size-count DP's (largest, #sizes) cells.
+# n.  The D(n) sides read the three marginals of the signed (smallest,
+# largest) histogram H_n that partitions.window_marginals keeps, the P(n)
+# sides the size-count DP's (largest, #sizes) cells.
 #
 # The P(n) sides group the cells by v into G_v = sum_l cnt(l, v) * c^(l-v).
 # P_1 = sum_v G_v * (c-1)^(v-1), by Horner's rule in (c - 1), is agl_pti's
@@ -215,10 +216,7 @@ def _window_profile(n: int) -> Profile:
 @lru_cache(maxsize=None)
 def _smallest_profile(n: int) -> Profile:
     # sign * c^s over D(n)
-    row = [0] * (n + 1)
-    for (s, _largest), h in signed_window_counts(n).items():
-        row[s] += h
-    return _profile(row)
+    return _profile(window_marginals(n)[0])
 
 
 @lru_cache(maxsize=None)
@@ -346,9 +344,7 @@ def check_cor27(n: int) -> tuple[int, int]:
     """Count with exactly two part sizes vs the signed s*(l-s) moment."""
     if n < 1:
         raise ValueError("n must be positive")
-    lhs = count_exact_part_sizes(n, 2)
-    rhs = -sum(h * s * (largest - s) for (s, largest), h in signed_window_counts(n).items())
-    return lhs, rhs
+    return count_exact_part_sizes(n, 2), -window_marginals(n)[2]
 
 
 def check_cor25(n: int) -> tuple[int, int]:

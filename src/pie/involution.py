@@ -28,7 +28,7 @@ pairing sends case 1 one-to-one into case 2, and equal case-1 and case-2
 counts per N then make every case-2 member the image of a case-1 member,
 whose pairing was checked both ways.
 class_sum and class_sums, re-exported here, live in partitions beside the
-signed (smallest, largest) histogram they read, independent of the pairing.
+signed D(n) sums they read, independent of the pairing.
 Any departure from the proven regime (several parts divisible by N, guard
 overrun, nonpositive intermediate, duplicate inserted or output part, output
 of the wrong size or outside the class, a second stopping point, a case-2
@@ -50,7 +50,7 @@ from .partitions import (
     _require_enumerable,
     _walked,
 )
-from .partitions import class_sum, class_sums  # re-exported: they read H_n, not the pairing
+from .partitions import class_sum, class_sums  # re-exported: H_n's class sums, not the pairing
 
 CASE_REMOVE = "case1"
 CASE_INSERT = "case2"

@@ -7,7 +7,6 @@ lexicographically descending order, so (n) comes first and (1,1,...,1) last.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import accumulate
 from types import MappingProxyType
 from typing import Iterable, Iterator
@@ -199,7 +198,7 @@ def _table(build, n: int):
 def _size_tables(n_max: int) -> None:
     """Declare a run over n <= n_max: a table that does not reach n_max is
     built exactly to n_max at its first read, so once for the run."""
-    for build in (_signed_window_table, _size_cell_table):
+    for build in (_window_table, _size_cell_table):
         if _tables.get(build, (-1,))[0] < n_max:
             _tables[build] = n_max, None
 
@@ -256,53 +255,60 @@ def partitions_by_largest_and_sizes(n: int) -> Cells:
     return _table(_size_cell_table, n)[0][n]
 
 
-def _signed_window_table(cap: int) -> tuple[Cells, ...]:
-    # table[n][(s, l)] = H_n(s, l) for every n <= cap, nonzero cells only.
+def _window_table(cap: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...], int], ...]:
+    # table[n] = (row, sums, moment) for every n <= cap: the three marginals of
+    # H_n(s, l), the signed count of D(n) by smallest part s and largest part l.
     # For s < l the middle parts form a distinct subset of (s, l) summing to
     # n - s - l, each one flipping the sign, so H_n(s, l) is minus the
     # q^(n-s-l) coefficient of prod_{s<j<l} (1 - q^j).  The product for
     # (s, l + 1) is the one for (s, l) times (1 - q^l), truncated at the
-    # largest degree any n <= cap still reads.
-    table: list[dict[tuple[int, int], int]] = [{} for _ in range(cap + 1)]
+    # largest degree any n <= cap still reads.  Each H_n(s, l) adds to row[s],
+    # to the class sums of N in (l - s, l] through a difference array, and
+    # s * (l - s) times itself to the moment.
+    rows = [[0] * (n + 1) for n in range(cap + 1)]
+    diffs = [[0] * (n + 2) for n in range(cap + 1)]
+    moments = [0] * (cap + 1)
     for s in range(1, cap + 1):
-        table[s][(s, s)] = 1
+        rows[s][s] = diffs[s][1] = 1
+        diffs[s][s + 1] = -1
         poly = [1] + [0] * (cap - 2 * s - 1)
         for l in range(s + 1, cap - s + 1):
-            key = (s, l)
-            base = s + l
-            for d, a in enumerate(poly):
+            low, high, weight = l - s + 1, l + 1, s * (l - s)
+            for n, a in enumerate(poly, s + l):
                 if a:
-                    table[base + d][key] = -a
+                    rows[n][s] -= a
+                    diff = diffs[n]
+                    diff[low] -= a
+                    diff[high] += a
+                    moments[n] -= a * weight
             del poly[-1:]
             for i in range(len(poly) - 1, l - 1, -1):
                 poly[i] -= poly[i - l]
-    return tuple(MappingProxyType(row) for row in table)
+    return tuple(
+        (tuple(row), tuple(accumulate(diff[: n + 1])), moment)
+        for n, (row, diff, moment) in enumerate(zip(rows, diffs, moments))
+    )
 
 
-def signed_window_counts(n: int) -> Cells:
-    """H_n(s, l): the signed count of D(n) by (smallest, largest) part.
+def window_marginals(n: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """The three signed sums over D(n) that the D(n) sides read.
 
     Each distinct-part partition of n with smallest part s and largest part
-    l contributes (-1)^(#parts - 1) to the cell (s, l); only nonzero cells
-    are kept.  Every sum over D(n) whose summand depends on a partition only
-    through (s, l, parity of #parts) is a linear map of this histogram, which
-    has at most n^2/4 cells where |D(n)| grows like exp(pi * sqrt(n / 3)).
-    Built for every n up to the table cap in one integer pass, cached.
+    l carries the sign (-1)^(#parts - 1).  Returned: the smallest-part row
+    (entry s = 0..n sums the signs with that smallest part), the class sums
+    (entry N = 0..n sums the signs in the window class C(N), l - s < N <= l)
+    and the moment, the sum of sign * s * (l - s).  Built for every n up to
+    the table cap in one integer pass, cached; the (s, l) histogram itself
+    is never stored.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return _table(_signed_window_table, n)[n]
+    return _table(_window_table, n)[n]
 
 
-@lru_cache(maxsize=None)
 def class_sums(n: int) -> tuple[int, ...]:
-    """Entry N is the signed sum over D(n) in the window class C(N), N = 0..n, off H_n."""
-    # entry N sums the cells (s, l) with l - s < N <= l, by a difference array
-    diff = [0] * (n + 2)
-    for (s, largest), h in signed_window_counts(n).items():
-        diff[largest - s + 1] += h
-        diff[largest + 1] -= h
-    return tuple(accumulate(diff[: n + 1]))
+    """Entry N is the signed sum over D(n) in the window class C(N), N = 0..n."""
+    return window_marginals(n)[1]
 
 
 def class_sum(n: int, N: int) -> int:

@@ -27,7 +27,7 @@ def table_builds(monkeypatch):
     {"cells": [...], "windows": [...]} in build order."""
     builds = {"cells": [], "windows": []}
     monkeypatch.setattr(partitions, "_tables", {})
-    for key, name in (("cells", "_size_cell_table"), ("windows", "_signed_window_table")):
+    for key, name in (("cells", "_size_cell_table"), ("windows", "_window_table")):
 
         def build(cap, real=getattr(partitions, name), caps=builds[key]):
             caps.append(cap)

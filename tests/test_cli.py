@@ -13,7 +13,6 @@ import pytest
 
 from pie.cli import build_parser, emit_report, main
 from pie.identities import IdentityId, IdentityReport
-from pie.partitions import class_sums
 
 
 def run(capsys, *argv):
@@ -61,7 +60,6 @@ def test_involution_summary_and_sweep(capsys):
 
 
 def test_involution_builds_the_histogram_at_its_n(capsys, table_builds):
-    class_sums.cache_clear()  # so the class sum reads H_n
     code, out, _ = run(capsys, "involution", "--n", "40", "--N-divisor", "7")
     assert code == 0
     assert out.endswith("class_sum=0\n")
@@ -360,6 +358,8 @@ def test_cor_2_4_numeric_holds_past_n_59(capsys):
         (("verify", "--id", "bs_basic", "--q-order", "301"), {}),
         (("report-all", "--n-max", "3"), {"PIE_Q_ORDER": "301"}),
         (("series", "--name", "K", "--order", "301"), {}),
+        (("verify", "--id", "eq_1_13", "--m-max", "1000"), {}),
+        (("report-all",), {"PIE_M_MAX": "11"}),
     ],
     ids=[
         "n-max-0",
@@ -405,6 +405,8 @@ def test_cor_2_4_numeric_holds_past_n_59(capsys):
         "q-order-301",
         "env-q-order-301",
         "series-order-301",
+        "eq-1-13-m-max-1000",
+        "report-all-env-m-max-11",
     ],
 )
 def test_zero_or_empty_settings_are_usage_errors(capsys, monkeypatch, argv, env):

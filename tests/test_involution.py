@@ -25,7 +25,8 @@ from pie.involution import (
     trace_lines,
     verify_pairings,
 )
-from pie.partitions import Partition, enumerate_distinct, signed_window_counts
+from pie.partitions import Partition, enumerate_distinct
+from windows import signed_window_counts
 
 
 def P(*parts):

@@ -15,15 +15,16 @@ from pie.partitions import (
     Partition,
     _descending_distinct_parts,
     _descending_parts,
-    _signed_window_table,
     _size_cell_table,
     _size_tables,
+    _window_table,
     count_exact_part_sizes,
     enumerate_distinct,
     enumerate_partitions,
     partitions_by_largest_and_sizes,
-    signed_window_counts,
+    window_marginals,
 )
+from windows import cell_marginals, signed_window_counts
 
 # hand-checked initial segment of the partition counts
 P_SMALL = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
@@ -343,6 +344,8 @@ def test_signed_windows_full_range(n):
     cells = signed_window_counts(n)
     assert sum(cells.values()) == -euler_coefficient(n)
     assert cells[n, n] == 1
+    # the marginals built without cells are the oracle's, read off its cells
+    assert window_marginals(n) == cell_marginals(n)
 
 
 def test_cell_tables_do_not_depend_on_the_cap():
@@ -350,18 +353,18 @@ def test_cell_tables_do_not_depend_on_the_cap():
     for small, large in ((64, 128), (40, 64), (130, 200)):
         cells_s, rows_s = _size_cell_table(small)
         cells_l, rows_l = _size_cell_table(large)
-        windows_s, windows_l = _signed_window_table(small), _signed_window_table(large)
+        windows_s, windows_l = _window_table(small), _window_table(large)
         assert len(cells_s) == len(windows_s) == small + 1
         for n in range(small + 1):
             assert cells_s[n] == cells_l[n]
-            assert windows_s[n] == windows_l[n]
+            assert windows_s[n] == windows_l[n] == cell_marginals(n)
             for v, row in enumerate(rows_s):
                 assert row[n] == rows_l[v][n]
 
 
 def test_stepping_n_outside_a_run_grows_the_tables_geometrically(table_builds):
     for n in range(1, 201):
-        signed_window_counts(n)
+        window_marginals(n)
         partitions_by_largest_and_sizes(n)
         count_exact_part_sizes(n, 2)
     assert table_builds == {"cells": [32, 64, 128, 256], "windows": [32, 64, 128, 256]}
@@ -371,21 +374,22 @@ def test_a_declared_run_builds_each_table_once_at_its_n_max(table_builds):
     _size_tables(130)
     assert table_builds == {"cells": [], "windows": []}  # built at first read
     for n in range(1, 131):
-        signed_window_counts(n)
+        window_marginals(n)
         partitions_by_largest_and_sizes(n)
     _size_tables(100)  # the cached tables reach it
-    signed_window_counts(100)
+    window_marginals(100)
     assert table_builds == {"cells": [130], "windows": [130]}
     # past the run's n_max, growth is geometric again
-    signed_window_counts(131)
+    window_marginals(131)
     assert table_builds == {"cells": [130], "windows": [130, 256]}
 
 
 def test_cell_maps_are_read_only():
     with pytest.raises(TypeError):
         partitions_by_largest_and_sizes(5)[5, 1] = 2
-    with pytest.raises(TypeError):
-        signed_window_counts(5)[5, 5] = 2
+    row, sums, moment = marginals = window_marginals(5)
+    assert type(marginals) is type(row) is type(sums) is tuple
+    assert type(moment) is int
 
 
 def test_count_exact_part_sizes_checks_n_first():
@@ -395,17 +399,22 @@ def test_count_exact_part_sizes_checks_n_first():
 
 @pytest.mark.parametrize("n", range(1, 61))
 def test_distinct_stats_matches_enumeration(n):
-    # the histogram DP against the signed (smallest, largest) tally of D(n)
+    # the oracle's cells and the marginals against a signed tally of D(n)
     brute = Counter()
+    row, sums, moment = [0] * (n + 1), [0] * (n + 1), 0
     for p in enumerate_distinct(n):
-        brute[(p.smallest, p.largest)] += 1 if p.num_parts % 2 else -1
+        s, l = p.smallest, p.largest
+        sign = 1 if p.num_parts % 2 else -1
+        brute[(s, l)] += sign
+        row[s] += sign
+        for N in range(l - s + 1, l + 1):
+            sums[N] += sign
+        moment += sign * s * (l - s)
     assert signed_window_counts(n) == {key: h for key, h in brute.items() if h}
+    assert window_marginals(n) == (tuple(row), tuple(sums), moment)
     # class sums over l >= N > l - s detect divisibility
     for N in range(1, n + 1):
-        total = sum(
-            h for (s, l), h in signed_window_counts(n).items() if l >= N > l - s
-        )
-        assert total == (1 if n % N == 0 else 0)
+        assert sums[N] == (1 if n % N == 0 else 0)
 
 
 def test_partition_str():
