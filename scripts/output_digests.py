@@ -18,9 +18,10 @@ The commands cover:
   - pie series --order 40 for A, M, K and entry4 at --m 1 and --m 3, with
     --c symbolic, 1, 2/3, -1/2 and 0, and for dilcher, which takes no c, at
     --m 1 and --m 3;
-  - pie involution --sweep at --n 24, --n 60 and --n 80, at --n 20 the
-    class listing of --N-divisor 3 with --trace and that of --N-divisor 4
-    without it, and at --n 60 the listing of --N-divisor 7 with --trace.
+  - pie involution --sweep at --n 24, --n 60, --n 80 and --n 100, the
+    largest n it accepts, at --n 20 the class listing of --N-divisor 3 with
+    --trace and that of --N-divisor 4 without it, at --n 60 the listing of
+    --N-divisor 7 with --trace, and at --n 100 that of --N-divisor 7.
 
 Every command runs in a fresh interpreter with no other PIE_* variable set.
 Two source trees give byte-identical outputs exactly when a diff of this
@@ -61,8 +62,8 @@ SERIES_ORDER = 40
 SERIES_NAMES = ("A", "M", "K", "entry4")
 SERIES_MS = (1, 3)
 SERIES_CS = ("symbolic", "1", "2/3", "-1/2", "0")
-SWEEP_NS = (24, 60, 80)
-LISTINGS = ((20, 3, "--trace"), (20, 4), (60, 7, "--trace"))
+SWEEP_NS = (24, 60, 80, 100)
+LISTINGS = ((20, 3, "--trace"), (20, 4), (60, 7, "--trace"), (100, 7))
 MIN_RANGE = 4
 
 

@@ -22,8 +22,8 @@ from contextlib import contextmanager
 from .errors import AlgorithmFault
 
 MAX_N = 200
-# a pairing sweep walks all of D(n): 1.2 s at |D(80)| = 77,312 and 5.9 s at |D(100)| =
-# 444,793 (medians, shared 2-vCPU host, Python 3.11); |D(200)| = 487,067,746 would take hours
+# a pairing sweep walks all of D(n): 0.52 s at |D(80)| = 77,312 and 2.7 s at |D(100)| = 444,793
+# (medians of 5 runs, shared 2-vCPU host, Python 3.11); |D(200)| = 487,067,746 would take hours
 MAX_INVOLUTION_N = 100
 # the long-q range CI runs, report-all --n-max 12 --q-order 300, takes about 1.2 s
 MAX_Q_ORDER = 300
@@ -87,8 +87,9 @@ def build_parser() -> argparse.ArgumentParser:
     inv.set_defaults(handler=_cmd_involution)
     inv.add_argument("--n", type=int, required=True)
     inv.add_argument("--N-divisor", dest="modulus", type=int, required=True)
-    inv.add_argument("--trace", action="store_true")
-    inv.add_argument("--sweep", action="store_true", help="sweep every N up to n")
+    shown = inv.add_mutually_exclusive_group()
+    shown.add_argument("--trace", action="store_true")
+    shown.add_argument("--sweep", action="store_true", help="sweep every N up to n")
     inv.add_argument("--output", default=None)
 
     rep = sub.add_parser("report-all", parents=[runs], help="full manifest of every check")
@@ -255,29 +256,31 @@ def _cmd_involution(args: argparse.Namespace) -> int:
     if not 1 <= N <= n:
         raise ValueError("need 1 <= N-divisor <= n")
     _size_tables(n)
-    with _sink(args) as sink:
-        if args.sweep:
-            for modulus, counts in verify_pairings(n, range(1, n + 1)).items():
-                total, expected = class_sum(n, modulus), int(n % modulus == 0)
-                if total != expected:
-                    raise AlgorithmFault(f"class sum {total} != {expected} at n={n}, N={modulus}")
-                sink.write(
-                    f"N={modulus} members={counts['members']} "
-                    f"fixed={counts['fixed']} class_sum={total}\n"
-                )
-            sink.write(f"sweep ok for n={n}\n")
-            return 0
+    # every line is made before the sink opens, so a fault leaves --output as it was
+    lines = []
+    if args.sweep:
+        for modulus, counts in verify_pairings(n, range(1, n + 1)).items():
+            total, expected = class_sum(n, modulus), int(n % modulus == 0)
+            if total != expected:
+                raise AlgorithmFault(f"class sum {total} != {expected} at n={n}, N={modulus}")
+            lines.append(
+                f"N={modulus} members={counts['members']} "
+                f"fixed={counts['fixed']} class_sum={total}"
+            )
+        lines.append(f"sweep ok for n={n}")
+    else:
         verify_pairings(n, (N,))
         for p in class_members(n, N):
             trace = pair(p, N)
             if args.trace:
-                for line in trace_lines(trace):
-                    sink.write(line + "\n")
+                lines += trace_lines(trace)
             else:
                 target = "fixed" if trace.is_fixed else str(trace.output)
-                sink.write(f"{p} -> {target} ({trace.case})\n")
-        sink.write(f"class_sum={class_sum(n, N)}\n")
-        return 0
+                lines.append(f"{p} -> {target} ({trace.case})")
+        lines.append(f"class_sum={class_sum(n, N)}")
+    with _sink(args) as sink:
+        sink.writelines(line + "\n" for line in lines)
+    return 0
 
 
 def _cmd_report_all(args: argparse.Namespace) -> int:

@@ -14,30 +14,33 @@ window).  The pairing:
             then insert T as a new part.
   fixed   - the single-part partition (n) with N | n pairs with nothing.
 
-One kernel, _pair_parts, runs both directions on plain part tuples; pair
-wraps it with a step record.  Its case-2 walk runs every subtraction while
-the parts stay positive, so the one walk that finds the stopping j also
-shows it is the only j in the window.  A partition with smallest part s and
-largest part l lies in exactly the classes N in (l - s, l], so one class
-walk, which class_members shares, visits every asked class of
-verify_pairings: its largest part runs from n down to the least asked N,
-and its other parts stay above l minus the greatest, which for N = 1..n is
-all of D(n).  verify_pairings runs the kernel only from case-1 members and
-fixed points: each case-1 image must take case 2 and map back, so the
-pairing sends case 1 one-to-one into case 2, and equal case-1 and case-2
-counts per N then make every case-2 member the image of a case-1 member,
-whose pairing was checked both ways.
+One kernel, _pair_mask, runs both directions on masks, in which bit a is
+set iff a is a part: the multiple of N is mask & multiples[N], each add or
+subtraction of N moves one bit, and both ends of the window are read with
+bit_length.  pair converts a partition to its mask and back and records the
+steps.  The case-2 walk runs every subtraction while the parts stay
+positive, so the one walk that finds the stopping j also shows it is the
+only j in the window.  A partition with smallest part s and largest part l
+lies in exactly the classes N in (l - s, l], so one class walk, which
+class_members shares, visits every asked class of verify_pairings: its
+largest part runs from n down to the least asked N, and its other parts
+stay above l minus the greatest, which for N = 1..n is all of D(n).
+verify_pairings runs the kernel only from case-1 members and fixed points:
+each case-1 image must take case 2 and map back, so the pairing sends case
+1 one-to-one into case 2, and equal case-1 and case-2 counts per N then
+make every case-2 member the image of a case-1 member, whose pairing was
+checked both ways.
 class_sum and class_sums, re-exported here, live in partitions beside the
 signed D(n) sums they read, independent of the pairing.
-Any departure from the proven regime (several parts divisible by N, guard
-overrun, nonpositive intermediate, duplicate inserted or output part, output
-of the wrong size or outside the class, a second stopping point, a case-2
-member left over) raises AlgorithmFault rather than being repaired.
+Any departure from the proven regime (an input outside C(N) or with parts
+not distinct or not summing to n, a walk past the multiples of N up to n, a
+nonpositive intermediate, an inserted part already present, an output
+outside the class, a second stopping point, a case-2 member left over)
+raises AlgorithmFault rather than being repaired.
 """
 
 from __future__ import annotations
 
-from bisect import insort
 from itertools import chain
 from typing import Iterable, Iterator
 
@@ -91,80 +94,86 @@ def pair(p: Partition, N: int) -> PairingTrace:
     """Apply the pairing to p within C(N) and return the full trace."""
     if not in_class(p, N):
         raise ValueError(f"{p} is not in the class C({N})")
-    steps: list[tuple[tuple[int, ...], str]] = []
-    case, moved, out = _pair_parts(p.parts, N, p.n, steps)
-    return PairingTrace(p, N, case, tuple(steps), moved, None if out is None else Partition(out))
+    case, moved, out, steps = _pair_parts(p.parts, N, p.n)
+    return PairingTrace(p, N, case, steps, moved, None if out is None else Partition(out))
 
 
-def _pair_parts(
-    parts: tuple[int, ...], N: int, n: int, steps: list | None = None
-) -> tuple[str, int | None, tuple[int, ...] | None]:
-    """The pairing kernel on the descending parts of a member of C(N) of n.
+def _pair_parts(parts: tuple[int, ...], N: int, n: int):
+    # _pair_mask on the descending parts of a partition of n, with the output
+    # as descending parts and the steps' working parts ascending
+    mask = _mask(parts)
+    if sum(parts) != n or mask.bit_count() != len(parts):
+        raise AlgorithmFault(f"{_show(parts)} is not a distinct-part partition of {n}, N={N}")
+    steps: list[tuple[int, str]] = []
+    case, moved, out = _pair_mask(mask, N, _multiples(N, n), steps)
+    steps = tuple((_parts(m)[::-1], action) for m, action in steps)
+    return case, moved, None if out is None else _parts(out), steps
 
-    Returns (case, part removed or inserted, descending output parts); the
-    fixed point returns (CASE_FIXED, None, None).  When steps is a list, the
-    ascending working parts after each step are appended with its action.
+
+def _pair_mask(mask: int, N: int, multiples: int, steps: list | None = None):
+    """The pairing kernel on the mask of a member of C(N); multiples masks the
+    multiples of N up to the n it partitions.  Returns (case, part removed or
+    inserted, output mask), or (CASE_FIXED, None, None), and appends each
+    step's working mask and action to steps when it is a list.  The parts
+    stay in a window narrower than N, so a part moved by N lands on a free bit.
     """
-    moved = None
-    for a in parts:  # a plain loop beats a comprehension or map(N.__rmod__, parts)
-        if not a % N:
-            if moved is not None:
-                raise _fault(parts, N, f"window property violated: several parts divisible by {N}")
-            moved = a
-    if moved is not None and len(parts) == 1:
+    top = mask.bit_length() - 1
+    if not top >= N > top - (mask & -mask).bit_length() + 1:
+        raise _fault(mask, N, f"input outside C({N})")
+    hit = mask & multiples  # at most one part in the window
+    if hit == mask:
         return CASE_FIXED, None, None
-    working = sorted(parts)
-    if moved is not None:
-        case = CASE_REMOVE
-        working.remove(moved)
+    work = mask ^ hit
+    if hit:
+        case, moved = CASE_REMOVE, hit.bit_length() - 1
         if steps is not None:
-            steps.append((tuple(working), f"remove {moved}"))
+            steps.append((work, f"remove {moved}"))
         for _ in range(moved // N):
-            low = working.pop(0)
-            insort(working, low + N)
+            low = work & -work
+            work += (low << N) - low
             if steps is not None:
-                steps.append((tuple(working), f"add {N} to smallest part {low}"))
+                steps.append((work, f"add {N} to smallest part {low.bit_length() - 1}"))
     else:
         # walk every subtraction: the first j in the window is the stopping
-        # point, and any later one disproves its uniqueness
-        guard, kept = -(-n // N), None
-        for j, high in _subtractions(working, N):
-            if j > guard:
-                raise _fault(parts, N, f"subtraction loop exceeded guard {guard}")
-            if kept is None and steps is not None:
-                steps.append((tuple(working), f"subtract {N} from largest part {high}"))
-            if working[-1] - N < j * N < working[0] + N:
-                if kept is not None:
-                    raise _fault(parts, N, "the stopping window admits a second j")
-                moved, kept = j * N, working.copy()
-        if kept is None:
-            raise _fault(parts, N, f"nonpositive intermediate part {working[-1] - N}")
-        case, working = CASE_INSERT, kept
-        if moved in working:
-            raise _fault(parts, N, f"inserted part {moved} duplicates an existing part")
-        insort(working, moved)
+        # point, and any later one disproves its uniqueness.  T = j*N is the
+        # j-th set bit of multiples; running out of them passes the guard n
+        case, kept = CASE_INSERT, 0
+        while top > N:
+            if not multiples:
+                raise _fault(mask, N, f"subtraction loop ran past the multiples of {N}")
+            work += (1 << (top - N)) - (1 << top)
+            T = multiples & -multiples
+            multiples ^= T
+            if not kept and steps is not None:
+                steps.append((work, f"subtract {N} from largest part {top}"))
+            top = work.bit_length() - 1
+            if top - N < T.bit_length() - 1 < (work & -work).bit_length() - 1 + N:
+                if kept:
+                    raise _fault(mask, N, "the stopping window admits a second j")
+                kept, bit = work, T
+        if not kept:
+            raise _fault(mask, N, f"nonpositive intermediate part {top - N}")
+        moved, work = bit.bit_length() - 1, kept | bit
+        if work == kept:
+            raise _fault(mask, N, f"inserted part {moved} duplicates an existing part")
         if steps is not None:
-            steps.append((tuple(working), f"insert {moved}"))
-    out = tuple(reversed(working))
-    if len(set(out)) != len(out):
-        raise _fault(parts, N, f"duplicate part in output {_show(out)}")
-    if sum(out) != n:
-        raise _fault(parts, N, f"output {_show(out)} does not partition {n}")
-    if not out[0] >= N > out[0] - out[-1]:
-        raise _fault(parts, N, f"output {_show(out)} left C({N})")
-    return case, moved, out
+            steps.append((work, f"insert {moved}"))
+    top = work.bit_length() - 1
+    if not top >= N > top - (work & -work).bit_length() + 1:
+        raise _fault(mask, N, f"output {_show(_parts(work))} left C({N})")
+    return case, moved, work
 
 
-def _subtractions(working: list[int], N: int):
-    # subtract N from the largest of the ascending parts in working, again
-    # and again while it stays positive; yield j and the part it was taken
-    # from after the j-th subtraction
-    j = 0
-    while working[-1] > N:
-        high = working.pop()
-        insort(working, high - N)
-        j += 1
-        yield j, high
+def _mask(parts: tuple[int, ...]) -> int:
+    return sum(map((1).__lshift__, parts))
+
+
+def _parts(mask: int) -> tuple[int, ...]:
+    return tuple(a for a in range(mask.bit_length() - 1, 0, -1) if mask >> a & 1)
+
+
+def _multiples(N: int, n: int) -> int:
+    return sum(1 << a for a in range(N, n + 1, N))
 
 
 def class_members(n: int, N: int) -> Iterator[Partition]:
@@ -201,8 +210,10 @@ def verify_pairings(n: int, moduli: Iterable[int]) -> dict[int, dict[str, int]]:
     _require_enumerable(n, DEFAULT_ENUMERATION_GUARD)
     if not tallies:
         return {}
+    multiples = {N: _multiples(N, n) for N in tallies}
     for parts in _class_walk(n, min(tallies), max(tallies)):
         largest, smallest = parts[0], parts[-1]
+        mask = 0  # built at the first case-1 class
         for N in range(largest - smallest + 1, largest + 1):
             tally = tallies.get(N)
             if tally is None:
@@ -212,24 +223,25 @@ def verify_pairings(n: int, moduli: Iterable[int]) -> dict[int, dict[str, int]]:
             if multiple < smallest or multiple not in parts:
                 tally[1] += 1
                 continue
-            _, _, image = _pair_parts(parts, N, n)
+            mask = mask or _mask(parts)
+            _, _, image = _pair_mask(mask, N, multiples[N])
             if image is None:
                 tally[2] += 1
                 if len(parts) != 1 or n % N != 0:
-                    raise _fault(parts, N, "unexpected fixed point")
+                    raise _fault(mask, N, "unexpected fixed point")
                 continue
             tally[0] += 1
-            # the kernel checked the image's sum, distinct parts and class
-            if abs(len(image) - len(parts)) != 1:
-                raise _fault(parts, N, f"parity not reversed by the image {_show(image)}")
-            case, _, back = _pair_parts(image, N, n)
+            # the kernel checked the image's class; it sums to n by construction
+            if abs(image.bit_count() - len(parts)) != 1:
+                raise _fault(mask, N, f"parity not reversed by the image {_show(_parts(image))}")
+            case, _, back = _pair_mask(image, N, multiples[N])
             if case != CASE_INSERT:
                 raise _fault(image, N, f"the image of {_show(parts)} takes {case}")
-            if back != parts:
+            if back != mask:
                 # parts itself passes both image checks, so they run only
                 # here, to name what a wrong back image got wrong
                 _check_image(image, N, n, back)
-                raise _fault(parts, N, f"not an involution: the image is {_show(image)}")
+                raise _fault(mask, N, f"not an involution: the image is {_show(_parts(image))}")
     for N, (case1, case2, fixed) in tallies.items():
         if fixed != (expected := 1 if n % N == 0 else 0):
             raise AlgorithmFault(f"fixed point count {fixed} != {expected} for n={n}, N={N}")
@@ -243,13 +255,13 @@ def verify_pairings(n: int, moduli: Iterable[int]) -> dict[int, dict[str, int]]:
     }
 
 
-def _check_image(parts: tuple[int, ...], N: int, n: int, image: tuple[int, ...]) -> None:
+def _check_image(mask: int, N: int, n: int, image: int) -> None:
     # parity reversal and closure of one image, checked outside the kernel
-    if abs(len(image) - len(parts)) != 1:
-        raise _fault(parts, N, f"parity not reversed by the image {_show(image)}")
-    if not (sum(image) == n and len(set(image)) == len(image)
-            and image[0] >= N > image[0] - image[-1]):
-        raise _fault(parts, N, f"the image {_show(image)} left the class")
+    parts = _parts(image)
+    if abs(len(parts) - mask.bit_count()) != 1:
+        raise _fault(mask, N, f"parity not reversed by the image {_show(parts)}")
+    if not (sum(parts) == n and parts[0] >= N > parts[0] - parts[-1]):
+        raise _fault(mask, N, f"the image {_show(parts)} left the class")
 
 
 def trace_lines(trace: PairingTrace) -> list[str]:
@@ -275,5 +287,5 @@ def _show(parts) -> str:
     return "+".join(map(str, parts))
 
 
-def _fault(parts: tuple[int, ...], N: int, what: str) -> AlgorithmFault:
-    return AlgorithmFault(f"{what} for {_show(parts)}, N={N}")
+def _fault(mask: int, N: int, what: str) -> AlgorithmFault:
+    return AlgorithmFault(f"{what} for {_show(_parts(mask))}, N={N}")

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from pie.cli import build_parser, emit_report, main
+from pie.errors import AlgorithmFault
 from pie.identities import IdentityId, IdentityReport
 
 
@@ -126,6 +127,30 @@ def test_bad_flags_exit_two(capsys):
     assert run(capsys, "verify")[0] == 2
     assert run(capsys, "nonsense")[0] == 2
     assert run(capsys, "series", "--name", "WRONG")[0] == 2
+    # a sweep prints no traces, so --trace beside it is refused, not dropped
+    code, out, err = run(capsys, "involution", "--n", "6", "--N-divisor", "1", "--sweep", "--trace")
+    assert (code, out) == (2, "")
+    assert "argument --trace: not allowed with argument --sweep" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("--N-divisor", "1", "--sweep"), ("--N-divisor", "3", "--trace"), ("--N-divisor", "3")],
+    ids=["sweep", "trace", "listing"],
+)
+def test_a_faulting_involution_run_leaves_the_output_file(tmp_path, capsys, monkeypatch, argv):
+    from pie import involution
+
+    def faulting(*args):
+        raise AlgorithmFault("injected")
+
+    target = tmp_path / "pairs.txt"
+    target.write_text("kept\n")
+    monkeypatch.setattr(involution, "_pair_mask", faulting)
+    code, out, err = run(capsys, "involution", "--n", "6", *argv, "--output", str(target))
+    assert (code, out) == (1, "")
+    assert "algorithm fault: injected" in err
+    assert target.read_text() == "kept\n"
 
 
 def test_n_max_guard(capsys):

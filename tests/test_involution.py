@@ -5,6 +5,7 @@ import hashlib
 import pickle
 import re
 from bisect import insort
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -303,12 +304,12 @@ def test_sweep_runs_the_kernel_from_case1_members_and_fixed_points(monkeypatch):
     n = 30
     calls = dict.fromkeys(range(1, n + 1), 0)
 
-    def counted(parts, N, n, steps=None):
+    def counted(mask, N, multiples, steps=None):
         calls[N] += 1
-        return kernel(parts, N, n, steps)
+        return kernel(mask, N, multiples, steps)
 
-    kernel = involution._pair_parts
-    monkeypatch.setattr(involution, "_pair_parts", counted)
+    kernel = involution._pair_mask
+    monkeypatch.setattr(involution, "_pair_mask", counted)
     verify_pairings(n, range(1, n + 1))
     expected = dict.fromkeys(range(1, n + 1), 0)
     for p in enumerate_distinct(n):
@@ -340,25 +341,109 @@ def test_pair_outputs_and_traces_unchanged():
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == TRACE_DIGEST_N20
 
 
+@pytest.mark.parametrize("n", range(1, 31))
+def test_mask_kernel_matches_the_reference_both_ways(n):
+    # every membership of D(n), its image and the image's image
+    for p in enumerate_distinct(n):
+        mask = involution._mask(p.parts)
+        for N in range(p.largest - p.smallest + 1, p.largest + 1):
+            multiples, steps = involution._multiples(N, n), []
+            case, moved, image = involution._pair_mask(mask, N, multiples, steps)
+            ref_case, ref_moved, ref_steps, ref_image = reference_pair(p.parts, N)
+            assert (case, moved) == (ref_case, ref_moved)
+            assert tuple((involution._parts(m)[::-1], a) for m, a in steps) == ref_steps
+            if ref_image is None:
+                assert image is None
+                continue
+            assert involution._parts(image) == ref_image
+            back_case, back_moved, _, _ = reference_pair(ref_image, N)
+            assert involution._pair_mask(image, N, multiples) == (back_case, back_moved, mask)
+
+
+@lru_cache(maxsize=None)
+def _distinct_sets(m, lo, hi):
+    # the sets of distinct integers in lo..hi that sum to m
+    if m == 0:
+        return 1
+    if hi < lo or m < lo:
+        return 0
+    return _distinct_sets(m, lo, hi - 1) + _distinct_sets(m - hi, lo, hi - 1) * (hi <= m)
+
+
+def _class_size(n, N):
+    # |C(N)| in D(n), counted by largest part l >= N and smallest part s > l - N
+    # without walking a partition: the one-part (n), and below l >= N the
+    # smallest s with distinct parts between them
+    return int(n >= N) + sum(
+        _distinct_sets(n - l - s, s + 1, l - 1)
+        for l in range(N, n)
+        for s in range(max(1, l - N + 1), min(l, n - l + 1))
+    )
+
+
+@pytest.mark.parametrize("n", range(1, 41))
+def test_sweep_tallies_match_a_recursion(n):
+    # members and fixed points per N, from a count that shares no walk with
+    # the sweep; the one fixed point is (n) itself, when N divides n
+    expected = {
+        N: {"members": _class_size(n, N), "fixed": int(n % N == 0)} for N in range(1, n + 1)
+    }
+    assert verify_pairings(n, range(1, n + 1)) == expected
+
+
 @pytest.mark.parametrize(
     "parts, N, n, message",
     [
-        ((2, 1), 1, 3, "several parts divisible by 1"),
-        ((7,), 2, 2, "exceeded guard 1"),
-        ((1,), 2, 1, "nonpositive intermediate part -1"),
-        ((3, 1), 2, 4, "duplicate part in output"),
-        ((4, 2), 4, 7, "does not partition 7"),
-        ((5, 1), 2, 6, "left C(2)"),
+        ((2, 1), 1, 3, "input outside C(1) for 2+1, N=1"),
+        ((7,), 2, 2, "7 is not a distinct-part partition of 2, N=2"),
+        ((1,), 2, 1, "input outside C(2) for 1, N=2"),
+        ((3, 1), 2, 4, "input outside C(2) for 3+1, N=2"),
+        ((4, 2), 4, 7, "4+2 is not a distinct-part partition of 7, N=4"),
+        ((5, 1), 2, 6, "input outside C(2) for 5+1, N=2"),
+        ((2, 2), 3, 4, "2+2 is not a distinct-part partition of 4, N=3"),
     ],
     ids=[
-        "several-multiples", "guard", "nonpositive", "duplicate-output", "wrong-sum", "outside"
+        "several-multiples", "guard", "nonpositive", "duplicate-output", "wrong-sum", "outside",
+        "repeated-part",
     ],
 )
 def test_pair_parts_faults_outside_the_regime(parts, N, n, message):
-    # inputs outside C(N), or a wrong n, reach each check of the kernel; an
-    # inserted part j*N cannot equal a working part, which is not 0 mod N
+    # the kernel takes only members of C(N), and its tuple entry only
+    # distinct parts of n, so the inputs that once reached the kernel's later
+    # checks (several multiples of N, a guard overrun, a nonpositive
+    # intermediate, a duplicate or outside output) fault on entry; a repeated
+    # part would otherwise carry into another mask
     with pytest.raises(AlgorithmFault, match=re.escape(message)):
         _pair_parts(parts, N, n)
+
+
+def _skewed_multiples(monkeypatch, skew):
+    # the multiples of N that the kernel reads, with the bits of skew[N] flipped
+    def skewed(N, n):
+        return multiples(N, n) ^ skew.get(N, 0)
+
+    multiples = involution._multiples
+    monkeypatch.setattr(involution, "_multiples", skewed)
+
+
+@pytest.mark.parametrize(
+    "parts, N, skew, message",
+    [
+        ((3, 2, 1), 3, 1 << 3, "nonpositive intermediate part 0 for 3+2+1, N=3"),
+        ((6,), 3, 1 << 6, "inserted part 3 duplicates an existing part for 6, N=3"),
+        ((4,), 3, 1 << 2, "output 2+1 left C(3) for 4, N=3"),
+        ((7,), 2, 1 << 4 | 1 << 6, "subtraction loop ran past the multiples of 2 for 7, N=2"),
+    ],
+    ids=["nonpositive", "duplicate-part", "outside", "guard"],
+)
+def test_kernel_checks_reached_through_skewed_multiples(monkeypatch, parts, N, skew, message):
+    # no member of C(N) reaches these checks with the true multiples: a
+    # member of case 1 sent down the case-2 walk ends with no stopping point
+    # or inserts a part it holds, a stray 2 stops the walk below N, and a
+    # table cut at 2 runs out before the walk does
+    _skewed_multiples(monkeypatch, {N: skew})
+    with pytest.raises(AlgorithmFault, match=re.escape(message)):
+        pair(Partition(parts), N)
 
 
 @pytest.mark.parametrize(
@@ -367,13 +452,13 @@ def test_pair_parts_faults_outside_the_regime(parts, N, n, message):
     ids=["in-class", "same-parity", "wrong-sum"],
 )
 def test_wrong_image_faults_the_sweep(monkeypatch, capsys, image, message):
-    def skewed(parts, N, n, steps=None):
-        if parts == (4, 2) and N == 3:
-            return "case2", 3, image
-        return kernel(parts, N, n, steps)
+    def skewed(mask, N, multiples, steps=None):
+        if mask == involution._mask((4, 2)) and N == 3:
+            return "case2", 3, involution._mask(image)
+        return kernel(mask, N, multiples, steps)
 
-    kernel = involution._pair_parts
-    monkeypatch.setattr(involution, "_pair_parts", skewed)
+    kernel = involution._pair_mask
+    monkeypatch.setattr(involution, "_pair_mask", skewed)
     with pytest.raises(AlgorithmFault, match=message):
         verify_pairings(6, range(1, 7))
     assert main(["involution", "--n", "6", "--N-divisor", "1", "--sweep"]) == 1
@@ -452,29 +537,24 @@ def test_stopping_window_admits_exactly_one_j(n):
 
 
 @pytest.fixture
-def doubled_subtractions(monkeypatch):
-    # every subtraction step is yielded twice, so the stopping j lies in the
-    # window twice in one walk
-    def doubled(working, N):
-        for step in walk(working, N):
-            yield step
-            yield step
-
-    walk = involution._subtractions
-    monkeypatch.setattr(involution, "_subtractions", doubled)
+def stray_multiple(monkeypatch):
+    # the multiples of 3 gain a stray 2, so T runs 2, 3, 6, ...: the walk of
+    # 5+4 (or of 7) meets the window at T = 2 and again at T = 3
+    _skewed_multiples(monkeypatch, {3: 1 << 2})
 
 
-@pytest.mark.usefixtures("doubled_subtractions")
+@pytest.mark.usefixtures("stray_multiple")
 def test_second_stopping_point_faults_the_sweep(capsys):
-    with pytest.raises(AlgorithmFault, match="second j"):
-        verify_pairings(6, range(1, 7))
-    assert main(["involution", "--n", "6", "--N-divisor", "1", "--sweep"]) == 1
+    message = "the stopping window admits a second j for 7, N=3"
+    with pytest.raises(AlgorithmFault, match=re.escape(message)):
+        verify_pairings(7, range(1, 8))
+    assert main(["involution", "--n", "7", "--N-divisor", "1", "--sweep"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "second j" in captured.err
 
 
-@pytest.mark.usefixtures("doubled_subtractions")
+@pytest.mark.usefixtures("stray_multiple")
 def test_second_stopping_point_faults_the_kernel():
     message = "the stopping window admits a second j for 5+4, N=3"
     with pytest.raises(AlgorithmFault, match=re.escape(message)):
