@@ -22,8 +22,8 @@ from contextlib import contextmanager
 from .errors import AlgorithmFault
 
 MAX_N = 200
-# a pairing sweep walks all of D(n): 0.52 s at |D(80)| = 77,312 and 2.7 s at |D(100)| = 444,793
-# (medians of 5 runs, shared 2-vCPU host, Python 3.11); |D(200)| = 487,067,746 would take hours
+# a pairing sweep walks all of D(n): 0.53 s at |D(80)| = 77,312 and 2.2 s at |D(100)| = 444,793
+# (medians of 3 rounds, shared 2-vCPU host, Python 3.11); |D(200)| = 487,067,746 would take hours
 MAX_INVOLUTION_N = 100
 # the long-q range CI runs, report-all --n-max 12 --q-order 300, takes about 1.2 s
 MAX_Q_ORDER = 300

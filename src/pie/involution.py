@@ -17,14 +17,15 @@ window).  The pairing:
 One kernel, _pair_mask, runs both directions on masks, in which bit a is
 set iff a is a part: the multiple of N is mask & multiples[N], each add or
 subtraction of N moves one bit, and both ends of the window are read with
-bit_length.  pair converts a partition to its mask and back and records the
-steps.  The case-2 walk runs every subtraction while the parts stay
+bit_length.  The case-2 walk runs every subtraction while the parts stay
 positive, so the one walk that finds the stopping j also shows it is the
 only j in the window.  A partition with smallest part s and largest part l
-lies in exactly the classes N in (l - s, l], so one class walk, which
-class_members shares, visits every asked class of verify_pairings: its
-largest part runs from n down to the least asked N, and its other parts
-stay above l minus the greatest, which for N = 1..n is all of D(n).
+lies in exactly the classes N in (l - s, l], so one class walk of masks,
+which class_members shares, visits every asked class of verify_pairings:
+its largest part runs from n down to the least asked N, and its other
+parts stay above l minus the greatest, which for N = 1..n is all of D(n).
+Parts become tuples only in pair, which records the steps, in
+class_members and in fault messages.
 verify_pairings runs the kernel only from case-1 members and fixed points:
 each case-1 image must take case 2 and map back, so the pairing sends case
 1 one-to-one into case 2, and equal case-1 and case-2 counts per N then
@@ -49,7 +50,8 @@ from .partitions import (
     DEFAULT_ENUMERATION_GUARD,
     Partition,
     _Value,
-    _descending_distinct_parts,
+    _distinct_masks,
+    _parts,
     _require_enumerable,
     _walked,
 )
@@ -168,10 +170,6 @@ def _mask(parts: tuple[int, ...]) -> int:
     return sum(map((1).__lshift__, parts))
 
 
-def _parts(mask: int) -> tuple[int, ...]:
-    return tuple(a for a in range(mask.bit_length() - 1, 0, -1) if mask >> a & 1)
-
-
 def _multiples(N: int, n: int) -> int:
     return sum(1 << a for a in range(N, n + 1, N))
 
@@ -184,14 +182,14 @@ def class_members(n: int, N: int) -> Iterator[Partition]:
         raise ValueError("the empty partition has no class membership")
     if N < 1:
         raise ValueError("N must be positive")
-    yield from map(_walked, _class_walk(n, N, N))
+    yield from map(_walked, map(_parts, _class_walk(n, N, N)))
 
 
-def _class_walk(n: int, low: int, high: int) -> Iterator[tuple[int, ...]]:
-    # the descending parts of the members of C(low) .. C(high) in D(n), each
-    # once: largest part l from n down to low, the other parts above l - high
+def _class_walk(n: int, low: int, high: int) -> Iterator[int]:
+    # the masks of the members of C(low) .. C(high) in D(n), each once:
+    # largest part l from n down to low, the other parts above l - high
     return chain.from_iterable(
-        _descending_distinct_parts(n - largest, largest - 1, max(0, largest - high), (largest,))
+        _distinct_masks(n - largest, largest - 1, max(0, largest - high), 1 << largest)
         for largest in range(n, low - 1, -1)
     )
 
@@ -211,36 +209,38 @@ def verify_pairings(n: int, moduli: Iterable[int]) -> dict[int, dict[str, int]]:
     if not tallies:
         return {}
     multiples = {N: _multiples(N, n) for N in tallies}
-    for parts in _class_walk(n, min(tallies), max(tallies)):
-        largest, smallest = parts[0], parts[-1]
-        mask = 0  # built at the first case-1 class
+    for mask in _class_walk(n, min(tallies), max(tallies)):
+        largest, smallest = mask.bit_length() - 1, (mask & -mask).bit_length() - 1
+        size = mask.bit_count()
         for N in range(largest - smallest + 1, largest + 1):
             tally = tallies.get(N)
             if tally is None:
                 continue
-            # the one multiple of N the window [smallest, largest] can hold
-            multiple = largest - largest % N
-            if multiple < smallest or multiple not in parts:
+            # the parts lie in a window that holds at most one multiple of N
+            if not mask & multiples[N]:
                 tally[1] += 1
                 continue
-            mask = mask or _mask(parts)
             _, _, image = _pair_mask(mask, N, multiples[N])
             if image is None:
                 tally[2] += 1
-                if len(parts) != 1 or n % N != 0:
+                if size != 1 or n % N != 0:
                     raise _fault(mask, N, "unexpected fixed point")
                 continue
             tally[0] += 1
             # the kernel checked the image's class; it sums to n by construction
-            if abs(image.bit_count() - len(parts)) != 1:
+            if abs(image.bit_count() - size) != 1:
                 raise _fault(mask, N, f"parity not reversed by the image {_show(_parts(image))}")
             case, _, back = _pair_mask(image, N, multiples[N])
             if case != CASE_INSERT:
-                raise _fault(image, N, f"the image of {_show(parts)} takes {case}")
+                raise _fault(image, N, f"the image of {_show(_parts(mask))} takes {case}")
             if back != mask:
-                # parts itself passes both image checks, so they run only
-                # here, to name what a wrong back image got wrong
-                _check_image(image, N, n, back)
+                # the member passes both checks of the back image, so they
+                # run only here, to name what a wrong back image got wrong
+                parts = _parts(back)
+                if abs(len(parts) - image.bit_count()) != 1:
+                    raise _fault(image, N, f"parity not reversed by the image {_show(parts)}")
+                if not (sum(parts) == n and parts[0] >= N > parts[0] - parts[-1]):
+                    raise _fault(image, N, f"the image {_show(parts)} left the class")
                 raise _fault(mask, N, f"not an involution: the image is {_show(_parts(image))}")
     for N, (case1, case2, fixed) in tallies.items():
         if fixed != (expected := 1 if n % N == 0 else 0):
@@ -255,24 +255,12 @@ def verify_pairings(n: int, moduli: Iterable[int]) -> dict[int, dict[str, int]]:
     }
 
 
-def _check_image(mask: int, N: int, n: int, image: int) -> None:
-    # parity reversal and closure of one image, checked outside the kernel
-    parts = _parts(image)
-    if abs(len(parts) - mask.bit_count()) != 1:
-        raise _fault(mask, N, f"parity not reversed by the image {_show(parts)}")
-    if not (sum(parts) == n and parts[0] >= N > parts[0] - parts[-1]):
-        raise _fault(mask, N, f"the image {_show(parts)} left the class")
-
-
 def trace_lines(trace: PairingTrace) -> list[str]:
     """Line-oriented text rendering of a trace, one step per line."""
     lines = [f"input {trace.input} N={trace.modulus} case={trace.case}"]
     for snapshot, action in trace.steps:
         lines.append(f"step {action}: working {_show(reversed(snapshot))}")
-    if trace.is_fixed:
-        lines.append("fixed")
-    else:
-        lines.append(f"output {trace.output}")
+    lines.append("fixed" if trace.is_fixed else f"output {trace.output}")
     return lines
 
 

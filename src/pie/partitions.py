@@ -51,8 +51,7 @@ class Partition(_Value):
     __match_args__ = ("parts",)
 
     def __init__(self, parts: Iterable[int]) -> None:
-        if not isinstance(parts, tuple):
-            parts = tuple(parts)
+        parts = tuple(parts)
         if parts:
             if parts[-1] < 1:
                 raise ValueError(f"parts must be positive integers: {parts}")
@@ -119,26 +118,38 @@ def _descending_parts(n: int, cap: int) -> Iterator[tuple[int, ...]]:
         buf.pop()
 
 
-def _descending_distinct_parts(n: int, cap: int, floor: int = 0, head=()) -> Iterator[tuple]:
-    # every part of n lies in floor < part <= cap; each tuple starts with head.
-    # Depth first, each open level stacked as (remainder, next part to try).
-    buf, stack = list(head), []
-    below_floor = floor * (floor + 1) // 2
-    rem, a = n, cap if cap < n else n
+def _distinct_masks(n: int, cap: int, floor: int = 0, head: int = 0) -> Iterator[int]:
+    # masks (bit a set iff a is a part) of the partitions of n into distinct
+    # parts in (floor, cap], cap >= 0, ORed with head, parts descending.
+    # Depth first, each open level stacked as (mask, remainder, next part to
+    # try); a remainder equal to the next part is yielded at once
+    if not n:
+        yield head
+        return
+    stack, mask, rem, a = [], head, n, cap if cap < n else n
     while True:
-        if not rem:
-            yield tuple(buf)
-        # the leftover must fit under distinct parts in (floor, a)
-        elif a > floor and rem - a <= a * (a - 1) // 2 - below_floor:
-            stack.append((rem, a - 1))
-            buf.append(a)
-            rem -= a
-            a = a - 1 if a <= rem else rem
-            continue
-        if not stack:
+        # the remainder must fit under the sum of the parts in (floor, a], which
+        # is at most 0 once a <= floor
+        if rem <= (a - floor) * (a + floor + 1) // 2:
+            if a == rem:
+                yield mask | 1 << a
+                a -= 1
+            else:
+                stack.append((mask, rem, a - 1))
+                mask, rem = mask | 1 << a, rem - a
+                a = a - 1 if a <= rem else rem
+        elif stack:
+            mask, rem, a = stack.pop()
+        else:
             return
-        rem, a = stack.pop()
-        buf.pop()
+
+
+def _parts(mask: int) -> tuple[int, ...]:
+    parts = []  # peeled off the top bit, largest first
+    while mask:
+        parts.append(top := mask.bit_length() - 1)
+        mask ^= 1 << top
+    return tuple(parts)
 
 
 def _walked(parts: tuple[int, ...]) -> Partition:
@@ -168,7 +179,7 @@ def enumerate_partitions(n: int, guard: int = DEFAULT_ENUMERATION_GUARD) -> Iter
 def enumerate_distinct(n: int, guard: int = DEFAULT_ENUMERATION_GUARD) -> Iterator[Partition]:
     """Yield every partition of n with pairwise distinct parts, descending."""
     _require_enumerable(n, guard)
-    yield from map(_walked, _descending_distinct_parts(n, n))
+    yield from map(_walked, map(_parts, _distinct_masks(n, n)))
 
 
 def _max_distinct_sizes(n: int) -> int:

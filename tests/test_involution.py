@@ -26,7 +26,7 @@ from pie.involution import (
     trace_lines,
     verify_pairings,
 )
-from pie.partitions import Partition, enumerate_distinct
+from pie.partitions import Partition, _parts, enumerate_distinct, enumerate_partitions
 from windows import signed_window_counts
 
 
@@ -258,41 +258,30 @@ def test_verify_pairings_keeps_the_enumeration_guard():
     assert verify_pairings(0, ()) == {}
 
 
-def _old_class_loops(n, low, high):
-    # the walks class_members (low = high = N) and verify_pairings spelled out
-    # before they shared one: largest part l from n down to low, the other
-    # parts above l - high
-    return [
-        parts
-        for largest in range(n, low - 1, -1)
-        for parts in involution._descending_distinct_parts(
-            n - largest, largest - 1, max(0, largest - high), (largest,)
-        )
-    ]
-
-
 @pytest.mark.parametrize("n", range(1, 31))
 def test_class_walk_yields_the_old_loops_tuples(n):
-    members = [p.parts for p in enumerate_distinct(n)]
+    # D(n) from the other walker, in the order the old loops kept: largest
+    # part l from n down to low, the other parts above l - high
+    members = [p.parts for p in enumerate_partitions(n) if p.is_distinct]
     for low in range(1, n + 1):
         for high in range(low, n + 1):
-            walked = list(involution._class_walk(n, low, high))
-            assert walked == _old_class_loops(n, low, high), (low, high)
+            walked = list(map(_parts, involution._class_walk(n, low, high)))
             # the union of C(low) .. C(high), each member once: the window
             # (l - s, l] of a member meets [low, high]
             union = [p for p in members if p[0] >= low and p[0] - p[-1] < high]
-            assert sorted(walked) == sorted(union), (low, high)
-        assert [p.parts for p in class_members(n, low)] == _old_class_loops(n, low, low)
+            assert walked == union, (low, high)
+        in_low = [p for p in members if p[0] >= low > p[0] - p[-1]]
+        assert [p.parts for p in class_members(n, low)] == in_low
 
 
 def test_uncovered_case2_member_faults_the_sweep(monkeypatch):
     # without 4+2, C(3) of 6 holds one case-1 member (3+2+1, whose image is
     # 4+2) and no case-2 member, so the count no longer covers case 2
-    def dropped(n, cap, floor=0, head=()):
-        return (parts for parts in walk(n, cap, floor, head) if parts != (4, 2))
+    def dropped(n, cap, floor=0, head=0):
+        return (mask for mask in walk(n, cap, floor, head) if mask != 1 << 4 | 1 << 2)
 
-    walk = involution._descending_distinct_parts
-    monkeypatch.setattr(involution, "_descending_distinct_parts", dropped)
+    walk = involution._distinct_masks
+    monkeypatch.setattr(involution, "_distinct_masks", dropped)
     message = "0 case-2 members != 1 case-1 members for n=6, N=3"
     with pytest.raises(AlgorithmFault, match=re.escape(message)):
         verify_pairings(6, range(1, 7))
@@ -351,11 +340,11 @@ def test_mask_kernel_matches_the_reference_both_ways(n):
             case, moved, image = involution._pair_mask(mask, N, multiples, steps)
             ref_case, ref_moved, ref_steps, ref_image = reference_pair(p.parts, N)
             assert (case, moved) == (ref_case, ref_moved)
-            assert tuple((involution._parts(m)[::-1], a) for m, a in steps) == ref_steps
+            assert tuple((_parts(m)[::-1], a) for m, a in steps) == ref_steps
             if ref_image is None:
                 assert image is None
                 continue
-            assert involution._parts(image) == ref_image
+            assert _parts(image) == ref_image
             back_case, back_moved, _, _ = reference_pair(ref_image, N)
             assert involution._pair_mask(image, N, multiples) == (back_case, back_moved, mask)
 

@@ -11,10 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pie.involution import _mask
 from pie.partitions import (
     Partition,
-    _descending_distinct_parts,
     _descending_parts,
+    _distinct_masks,
+    _parts,
     _size_cell_table,
     _size_tables,
     _window_table,
@@ -148,15 +150,36 @@ def test_walk_against_recursive_enumeration(n):
 
 @pytest.mark.parametrize("n", range(0, 31))
 def test_distinct_walk_against_filtered_enumeration(n):
-    # the stack walk against an independent list in the same order: the
-    # partitions of n with distinct parts in (floor, cap], head in front
+    # the mask walk against an independent list in the same order, built by
+    # the other walker: the partitions of n with distinct parts in
+    # (floor, cap], head in front
     distinct = [p.parts for p in enumerate_partitions(n) if p.is_distinct]
     for cap in range(n + 2):
         for floor in range(6):
             window = [parts for parts in distinct if all(floor < a <= cap for a in parts)]
             for head in ((), (99,)):
-                walked = list(_descending_distinct_parts(n, cap, floor, head))
+                walked = list(map(_parts, _distinct_masks(n, cap, floor, _mask(head))))
                 assert walked == [head + parts for parts in window], (cap, floor, head)
+
+
+def test_distinct_walk_counts_match_the_product_dp():
+    # |D(n)| is the q^n coefficient of prod_{k >= 1} (1 + q^k)
+    counts = [1] + [0] * 60
+    for k in range(1, 61):
+        for m in range(60, k - 1, -1):
+            counts[m] += counts[m - k]
+    assert [sum(1 for _ in _distinct_masks(n, n)) for n in range(61)] == counts
+    assert counts[60] == 10880
+
+
+@pytest.mark.parametrize("n", range(0, 31))
+def test_parts_of_a_walked_mask(n):
+    # peeling the top bit agrees with a scan over every bit position, and
+    # the parts rebuild the mask
+    for mask in _distinct_masks(n, n):
+        scanned = tuple(a for a in range(mask.bit_length() - 1, 0, -1) if mask >> a & 1)
+        assert _parts(mask) == scanned
+        assert _mask(_parts(mask)) == mask
 
 
 @pytest.mark.parametrize("n", [5, 12, 19, 26])
