@@ -25,7 +25,8 @@ MAX_N = 200
 # a pairing sweep walks all of D(n): 0.53 s at |D(80)| = 77,312 and 2.2 s at |D(100)| = 444,793
 # (medians of 3 rounds, shared 2-vCPU host, Python 3.11); |D(200)| = 487,067,746 would take hours
 MAX_INVOLUTION_N = 100
-# the long-q range CI runs, report-all --n-max 12 --q-order 300, takes about 1.2 s
+# report-all at --q-order 300 takes about 0.8 s at --n-max 12 (long-q) and 1.3 s at --n-max 200,
+# the largest range CI runs (medians of 9 and 5 runs, shared 2-vCPU host, Python 3.11)
 MAX_Q_ORDER = 300
 FORMATS = ("json", "csv", "text")
 MODES = ("exact", "numeric")
@@ -103,13 +104,18 @@ def _setting(args: argparse.Namespace, flag: str, env_name: str, parse, default)
     if value is not None:
         return value
     text = os.environ.get(f"PIE_{env_name}")
-    return default if text is None else parse(text)
+    if text is None:
+        return default
+    try:
+        return parse(text)
+    except ValueError as exc:  # int("") and float("x") name no setting
+        raise ValueError(f"{flag.replace('_', '-')} from PIE_{env_name}: {exc}") from None
 
 
-def _choice(name: str, choices: tuple[str, ...]):
+def _choice(choices: tuple[str, ...]):
     def parse(text: str) -> str:
         if text not in choices:
-            raise ValueError(f"{name} must be one of {', '.join(choices)}, got {text!r}")
+            raise ValueError(f"must be one of {', '.join(choices)}, got {text!r}")
         return text
 
     return parse
@@ -153,7 +159,7 @@ def _config_from(args: argparse.Namespace) -> CheckConfig:
         n_max=n_max,
         q_order=_within("q-order", q_order, MAX_Q_ORDER),
         m_max=_within("m-max", _setting(args, "m_max", "M_MAX", int, cfg.m_max), BELL_DEGREE_CAP),
-        mode=_setting(args, "mode", "MODE", _choice("mode", MODES), cfg.mode),
+        mode=_setting(args, "mode", "MODE", _choice(MODES), cfg.mode),
         tolerance=_tolerance(_setting(args, "tol", "TOLERANCE", float, cfg.tolerance)),
         z_grid=cfg.z_grid if z_text is None else _grid("z", z_text),
         c_grid=cfg.c_grid if c_text is None else _grid("c", c_text),
@@ -197,7 +203,7 @@ def emit_report(reports, fmt: str, sink, timings: bool = False) -> None:
 
 def _emit(args: argparse.Namespace, run) -> int:
     """Run the checks and write their reports; exit 1 if any failed."""
-    fmt = _setting(args, "format", "FORMAT", _choice("format", FORMATS), "json")
+    fmt = _setting(args, "format", "FORMAT", _choice(FORMATS), "json")
     reports = run()
     with _sink(args) as sink:
         emit_report(reports, fmt, sink, timings=args.timings)

@@ -76,6 +76,35 @@ def _times(x: Stored, y: Stored) -> Stored:
     return reduce(_plus, (_times((0,) * a + (w,), y) for a, w in enumerate(x) if w))
 
 
+# -- packed ints --------------------------------------------------------------
+#
+# Ints v_0 .. v_{n-1} pack into sum_k v_k 2^(Wk), in slots of W = 8 * size
+# bits, for |v_k| < 2^(W-1); the bias holds 2^(W-1) in every slot.  Both
+# directions go through bytes, in time linear in n * W.  Plus the bias, slot
+# k holds v_k + 2^(W-1), in 0 .. 2^W - 1, so no slot borrows from the next:
+# that sum is the signed slots side by side with their top bits flipped,
+# and it reads back slot by slot as unsigned ints.
+
+
+def _bias(size: int, count: int) -> int:
+    """2^(8 * size - 1), the top bit, in each of count slots of size bytes."""
+    return int.from_bytes((1 << 8 * size - 1).to_bytes(size, "little") * count, "little")
+
+
+def _pack(nums: Sequence[int], size: int, bias: int) -> int:
+    """sum_k nums[k] * 2^(8 * size * k); bias is _bias(size, len(nums))."""
+    raw = b"".join([v.to_bytes(size, "little", signed=True) for v in nums])
+    return (int.from_bytes(raw, "little") ^ bias) - bias
+
+
+def _unpack(packed: int, count: int, size: int, bias: int) -> list[int]:
+    """Slots 0 .. count - 1 of a packed int, bias being _bias(size, count);
+    the slots above them carry only upward and are dropped."""
+    n, half = size * count, 1 << 8 * size - 1
+    raw = ((packed + bias) & (1 << 8 * n) - 1).to_bytes(n, "little")
+    return [int.from_bytes(raw[i : i + size], "little") - half for i in range(0, n, size)]
+
+
 def _sum_text(coeffs: Iterable, x: str) -> str:
     """'a + b*x + d*x^2 ...' from the coefficients of x^0, x^1, ..., each
     printed as its format and zeros skipped, and "0" when all are zero: a

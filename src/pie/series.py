@@ -11,10 +11,13 @@ entry, the zero row being ().  A series holds all ints or all rows, and
 exact.py's _plus and _times, CPolynomial's own row arithmetic, add and
 multiply them.  Built at c = p/r, a series takes grade r, so c q^k
 multiplies numerators by p * r**(k-1), a unit factor (1 - q^k) weighs
-r**k, and a product of two series of one grade is a convolution of
-numerators.  A symbolic c is a CPolynomial, stored as a row p over its den
-r, so its weights are rows: c^a * w shifts a row by a and multiplies it by
-the int w, and a product of symbolic series is a bivariate product of rows.
+r**k, and a product of two series of one grade convolves their numerators.
+Int numerators convolve by Kronecker substitution: each series packs into
+one int with a slot per power of q (exact.py's _pack), the two ints
+multiply once, and the slots of q^0 .. q^Q read back (_unpack).  A
+symbolic c is a CPolynomial, stored as a row p over its den r, so its
+weights are rows: c^a * w shifts a row by a and multiplies it by the int w,
+and a product of symbolic series is a bivariate product of rows.
 Only scaling by a non-integer rational (the 1/m! of an exponential
 generating function) or a polynomial with rational coefficients changes
 den, and operands of other grades or dens are brought to their lcm.
@@ -33,14 +36,15 @@ independent ways and raise AlgorithmFault if the results differ.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache, partial, reduce
+from functools import lru_cache, reduce
 from itertools import accumulate, repeat, zip_longest
 from math import comb, lcm
-from operator import add, mul, sub
+from operator import add, mul, or_, sub
 from typing import Callable, Iterable, Sequence, Union
 
 from .errors import AlgorithmFault
 from .exact import CPolynomial, Stored, _plus, _ratio, _row, _sum_text, _times, divisors
+from .exact import _bias, _pack, _unpack
 
 Coefficient = Union[Fraction, CPolynomial]
 ScalarLike = Union[int, Fraction, CPolynomial]
@@ -157,12 +161,16 @@ class TruncatedSeries:
             if isinstance(other, (int, Fraction, CPolynomial)):
                 return self.scale(other)
             return NotImplemented
-        grade = self._match(other)
+        grade, count = self._match(other), self.order + 1
         xs, ys = self._numerators(grade, self.den), other._numerators(grade, other.den)
-        # ints convolve at C speed; rows make it a bivariate product
-        rows = tuple in (type(xs[0]), type(ys[0]))
-        total, times = (partial(reduce, _plus), _times) if rows else (sum, mul)
-        out = [total(map(times, xs[: e + 1], ys[e::-1])) for e in range(self.order + 1)]
+        if tuple in (type(xs[0]), type(ys[0])):
+            # rows make it a bivariate product
+            out = [reduce(_plus, map(_times, xs[: e + 1], ys[e::-1])) for e in range(count)]
+        else:
+            # ints multiply once, packed into slots that hold every z_e, e <= Q
+            size = _slot_size(xs, ys)
+            bias = _bias(size, count)
+            out = _unpack(_pack(xs, size, bias) * _pack(ys, size, bias), count, size, bias)
         return TruncatedSeries._stored(self.order, out, grade, self.den * other.den)
 
     __rmul__ = __mul__
@@ -254,6 +262,21 @@ class TruncatedSeries:
 
     def __repr__(self) -> str:
         return f"TruncatedSeries(order={self.order}, {self})"
+
+
+def _slot_size(xs: Sequence[int], ys: Sequence[int]) -> int:
+    """Bytes per slot that hold both int sequences of length Q + 1 and every
+    z_e, e <= Q, of their product.
+
+    |z_e| <= sum_k |x_k| |y_(e-k)| < (Q + 1) * 2^M for M the largest
+    bits(x_k) + max_(j <= Q-k) bits(y_j), the maxima being bit lengths of
+    prefix ors, so a signed slot takes M + bits(Q + 1) + 1 bits.  At grade r
+    numerators grow like r^k, and M stays near Q log2(r), half of
+    bits(max|x|) + bits(max|y|).
+    """
+    top = map(int.bit_length, accumulate(map(abs, ys), or_))
+    bits = max(map(add, map(int.bit_length, reversed(xs)), top))
+    return (bits + len(xs).bit_length() + 8) // 8
 
 
 def coefficient_rows(series: TruncatedSeries) -> list[tuple[int, str]]:

@@ -7,12 +7,16 @@ import os
 import re
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pie.cli import build_parser, emit_report, main
+from pie.cli import FORMATS, MAX_N, MAX_Q_ORDER, MODES, build_parser, emit_report, main
 from pie.errors import AlgorithmFault
+from pie.exact import BELL_DEGREE_CAP
 from pie.identities import IdentityId, IdentityReport
 
 
@@ -519,3 +523,133 @@ def test_report_all_bytes_stable_across_processes():
     assert len(reports) == 22
     numeric = [r for r in reports if r["mode"] == "numeric"]
     assert all(r["range"]["z_grid"][0] == "(1.25-0.5j)" for r in numeric)
+
+
+# -- the run settings, by flag and by environment -------------------------------
+
+
+def run_isolated(argv, env):
+    """main(argv) with exactly the given PIE_* variables set: (code, out, err)."""
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as patch, redirect_stdout(out), redirect_stderr(err):
+        for name in [k for k in os.environ if k.startswith("PIE_")]:
+            patch.delenv(name)
+        for name, value in env.items():
+            patch.setenv(name, value)
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def _first_range(key):
+    return lambda out: json.loads(out)[0]["range"][key]
+
+
+def _shape(out):
+    """The format a passing one-report output was written in."""
+    if out.startswith("["):
+        return "json"
+    return "csv" if out.startswith("id,mode,") else "text"
+
+
+def _bounded(high):
+    return st.integers(min_value=1, max_value=high).map(str)
+
+
+def _not_in(high):
+    # out of range, not an int, empty, nan and inf
+    words = st.sampled_from(["", " ", "abc", "1.5", "1e3", "nan", "inf", "-inf", "0x10"])
+    return st.one_of(
+        st.integers(max_value=0).map(str), st.integers(min_value=high + 1).map(str), words
+    )
+
+
+def _other_than(choices):
+    # text an environment variable can hold
+    text = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"))
+    return st.one_of(st.sampled_from(["", "nan", "inf", "JSON"]), text.filter(lambda t: t not in choices))
+
+
+# flag name: (environment variable, a cheap verify run, the parse of a value,
+# how the output shows it, valid values, invalid values)
+RUN_SETTINGS = {
+    "n-max": (
+        "PIE_N_MAX", ("--id", "bs_basic"), int, _first_range("n_max"),
+        _bounded(MAX_N), _not_in(MAX_N),
+    ),
+    "q-order": (
+        "PIE_Q_ORDER", ("--id", "uchimura_triple"), int, _first_range("q_order"),
+        _bounded(MAX_Q_ORDER), _not_in(MAX_Q_ORDER),
+    ),
+    "m-max": (
+        "PIE_M_MAX", ("--id", "eq_1_13", "--n-max", "3"), int, _first_range("m_max"),
+        _bounded(BELL_DEGREE_CAP), _not_in(BELL_DEGREE_CAP),
+    ),
+    "tol": (
+        "PIE_TOLERANCE", ("--id", "bs_onevar", "--mode", "numeric", "--n-max", "3"), float,
+        _first_range("tolerance"),
+        st.floats(min_value=0, max_value=1, exclude_min=True, exclude_max=True).map(repr),
+        st.one_of(
+            st.floats(max_value=0).map(repr),
+            st.floats(min_value=1).map(repr),
+            st.sampled_from(["nan", "", "abc", "1/2"]),
+        ),
+    ),
+    "format": (
+        "PIE_FORMAT", ("--id", "bs_basic", "--n-max", "3"), str, _shape,
+        st.sampled_from(FORMATS), _other_than(FORMATS),
+    ),
+    "mode": (
+        "PIE_MODE", ("--id", "bs_onevar", "--n-max", "3"), str,
+        lambda out: json.loads(out)[0]["mode"],
+        st.sampled_from(MODES), _other_than(MODES),
+    ),
+}
+SETTING_NAMES = sorted(RUN_SETTINGS)
+
+
+def _setting_case(pick):
+    """(flag, strategy of cases built from its table row)."""
+    return st.sampled_from(SETTING_NAMES).flatmap(
+        lambda flag: st.tuples(st.just(flag), pick(RUN_SETTINGS[flag]))
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(_setting_case(lambda row: row[4]), st.booleans())
+def test_a_valid_setting_reaches_the_report(case, from_env):
+    flag, text = case
+    env_name, argv, parse, shown, *_ = RUN_SETTINGS[flag]
+    flags = () if from_env else (f"--{flag}={text}",)
+    code, out, err = run_isolated(
+        ("verify", *argv, *flags), {env_name: text} if from_env else {}
+    )
+    assert (code, err) == (0, "")
+    assert shown(out) == parse(text)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_setting_case(lambda row: row[5]), st.booleans())
+def test_an_invalid_setting_exits_two_and_names_it(case, from_env):
+    flag, text = case
+    env_name, argv, *_ = RUN_SETTINGS[flag]
+    flags = () if from_env else (f"--{flag}={text}",)
+    code, out, err = run_isolated(
+        ("verify", *argv, *flags), {env_name: text} if from_env else {}
+    )
+    assert (code, out) == (2, "")
+    assert flag in err
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    _setting_case(
+        lambda row: st.tuples(row[4], st.one_of(row[4], row[5]))
+    )
+)
+def test_a_flag_overrides_its_environment_value(case):
+    # the environment value is never read, so even an invalid one is harmless
+    flag, (text, env_text) = case
+    env_name, argv, parse, shown, *_ = RUN_SETTINGS[flag]
+    code, out, err = run_isolated(("verify", *argv, f"--{flag}={text}"), {env_name: env_text})
+    assert (code, err) == (0, "")
+    assert shown(out) == parse(text)

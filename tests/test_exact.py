@@ -12,8 +12,11 @@ from pie.exact import (
     BELL_DEGREE_CAP,
     C,
     CPolynomial,
+    _bias,
     _c_powers,
+    _pack,
     _sum_weighed,
+    _unpack,
     _weigh,
     _z_powers,
     bell_polynomial,
@@ -476,3 +479,29 @@ def test_weight_params_disk():
     for c in (0.95 + 0j, 0.5 + 0.5j, -1.2 + 0j):
         lhs, rhs = lhs_rhs_thm21(12, 1.5, c)
         assert abs(lhs - rhs) <= 1e-9 * abs(rhs)
+
+
+# -- packed ints --------------------------------------------------------------
+
+
+@st.composite
+def _slots(draw):
+    """(size, values) with every |value| < 2^(8 * size - 1), the slot's ends included."""
+    size = draw(st.integers(min_value=1, max_value=40))
+    half = 1 << 8 * size - 1
+    ends = st.sampled_from([-half, -half + 1, -1, 0, 1, half - 1])
+    value = st.one_of(ends, st.integers(min_value=-half, max_value=half - 1))
+    return size, draw(st.lists(value, min_size=1, max_size=40))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_slots(), st.integers(min_value=-(2**200), max_value=2**200))
+def test_pack_and_unpack_are_inverse(slots, above):
+    # the packed value is the plain sum of shifted slots, and any int above
+    # the read slots, negative ones included, is dropped on the way back
+    size, values = slots
+    count, bias = len(values), _bias(size, len(values))
+    packed = _pack(values, size, bias)
+    assert packed == sum(v << 8 * size * k for k, v in enumerate(values))
+    assert _unpack(packed, count, size, bias) == values
+    assert _unpack(packed + (above << 8 * size * count), count, size, bias) == values

@@ -29,6 +29,7 @@ from pie.series import (
     series_entry4,
 )
 
+from convolution import schoolbook_product
 from pochhammer import _product, pochhammer_infinite
 
 D_COUNTS = [0, 1, 2, 2, 3, 2, 4, 2, 4, 3, 4, 2, 6, 2, 4, 4, 5, 2, 6, 2, 6]
@@ -371,6 +372,79 @@ def test_integer_ring_matches_fraction_schoolbook(case, r1, r2, den_factor, m, p
     first = next((e for e, (x, y) in enumerate(zip(a, b)) if x != y), None)
     assert fr.first_difference(gr) == first
     assert (fr == gr) is (first is None)
+
+
+# -- packed int products -------------------------------------------------------
+
+
+@st.composite
+def _int_numerators(draw, order: int):
+    """order + 1 int numerators: zero, the series one, random ints of a drawn
+    size, or graded growth s_k * r^k for small s_k and r in {2, 3}."""
+    kind = draw(st.sampled_from(["zero", "one", "random", "graded"]))
+    if kind in ("zero", "one"):
+        return [int(kind == "one" and not k) for k in range(order + 1)]
+    if kind == "random":
+        top = 2 ** draw(st.integers(min_value=0, max_value=300))
+        entries = st.integers(min_value=-top, max_value=top)
+        return draw(st.lists(entries, min_size=order + 1, max_size=order + 1))
+    r = draw(st.sampled_from([2, 3]))
+    small = draw(st.lists(st.integers(-9, 9), min_size=order + 1, max_size=order + 1))
+    return [s * r**k for k, s in enumerate(small)]
+
+
+def _packed_matches_schoolbook(xs, ys, grade=1, den=1):
+    order = len(xs) - 1
+    f = TruncatedSeries._stored(order, xs, grade, den)
+    g = TruncatedSeries._stored(order, ys, grade)
+    product = f * g
+    assert product.nums == tuple(schoolbook_product(xs, ys))
+    assert (product.grade, product.den) == (grade, den)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=80).flatmap(
+        lambda order: st.tuples(_int_numerators(order), _int_numerators(order))
+    ),
+    st.sampled_from([1, 2, 3]),
+    st.integers(min_value=1, max_value=6),
+)
+def test_packed_product_matches_the_schoolbook_convolution(operands, grade, den):
+    _packed_matches_schoolbook(*operands, grade, den)
+
+
+SIGNS = {
+    "plus": lambda k: 1,
+    "minus": lambda k: -1,
+    "alternating": lambda k: (-1) ** k,
+}
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=80),
+    st.integers(min_value=1, max_value=80),
+    st.sampled_from(sorted(SIGNS)),
+    st.sampled_from(sorted(SIGNS)),
+)
+def test_packed_product_at_the_width_bound(order, b, x_signs, y_signs):
+    # every numerator is +-(2^b - 1), so |z_Q| = (Q + 1)(2^b - 1)^2 fills
+    # the slot width the bit lengths bound, at every width mod 8
+    top = 2**b - 1
+    xs = [SIGNS[x_signs](k) * top for k in range(order + 1)]
+    ys = [SIGNS[y_signs](k) * top for k in range(order + 1)]
+    _packed_matches_schoolbook(xs, ys)
+
+
+def test_packed_product_at_the_largest_order():
+    # Q = 300 at c = 2/3, the widest slots any accepted range takes, and the
+    # worst-case numerators of the same bit length
+    a, k = series_A(Fraction(2, 3), 300), series_K(3, Fraction(2, 3), 300)
+    assert max(v.bit_length() for v in a.nums + k.nums) >= 470
+    _packed_matches_schoolbook(list(a.nums), list(k.nums), grade=3)
+    top = 2**480 - 1
+    _packed_matches_schoolbook([top] * 301, [(-1) ** j * top for j in range(301)])
 
 
 def test_rational_coefficients_are_fractions():
