@@ -9,6 +9,7 @@ import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import pytest
 from hypothesis import given, settings
@@ -566,25 +567,33 @@ def _not_in(high):
 def _other_than(choices):
     # text an environment variable can hold
     text = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"))
-    return st.one_of(st.sampled_from(["", "nan", "inf", "JSON"]), text.filter(lambda t: t not in choices))
+    words = st.sampled_from(["", "nan", "inf", "JSON"])
+    return st.one_of(words, text.filter(lambda t: t not in choices))
 
 
-# flag name: (environment variable, a cheap verify run, the parse of a value,
-# how the output shows it, valid values, invalid values)
+class RunSetting(NamedTuple):
+    env: str  # its environment variable
+    argv: tuple  # a cheap verify run that reports it
+    parse: Callable  # the value a text stands for
+    shown: Callable  # the value as the run's output shows it
+    valid: st.SearchStrategy
+    invalid: st.SearchStrategy
+
+
 RUN_SETTINGS = {
-    "n-max": (
+    "n-max": RunSetting(
         "PIE_N_MAX", ("--id", "bs_basic"), int, _first_range("n_max"),
         _bounded(MAX_N), _not_in(MAX_N),
     ),
-    "q-order": (
+    "q-order": RunSetting(
         "PIE_Q_ORDER", ("--id", "uchimura_triple"), int, _first_range("q_order"),
         _bounded(MAX_Q_ORDER), _not_in(MAX_Q_ORDER),
     ),
-    "m-max": (
+    "m-max": RunSetting(
         "PIE_M_MAX", ("--id", "eq_1_13", "--n-max", "3"), int, _first_range("m_max"),
         _bounded(BELL_DEGREE_CAP), _not_in(BELL_DEGREE_CAP),
     ),
-    "tol": (
+    "tol": RunSetting(
         "PIE_TOLERANCE", ("--id", "bs_onevar", "--mode", "numeric", "--n-max", "3"), float,
         _first_range("tolerance"),
         st.floats(min_value=0, max_value=1, exclude_min=True, exclude_max=True).map(repr),
@@ -594,11 +603,11 @@ RUN_SETTINGS = {
             st.sampled_from(["nan", "", "abc", "1/2"]),
         ),
     ),
-    "format": (
+    "format": RunSetting(
         "PIE_FORMAT", ("--id", "bs_basic", "--n-max", "3"), str, _shape,
         st.sampled_from(FORMATS), _other_than(FORMATS),
     ),
-    "mode": (
+    "mode": RunSetting(
         "PIE_MODE", ("--id", "bs_onevar", "--n-max", "3"), str,
         lambda out: json.loads(out)[0]["mode"],
         st.sampled_from(MODES), _other_than(MODES),
@@ -608,48 +617,43 @@ SETTING_NAMES = sorted(RUN_SETTINGS)
 
 
 def _setting_case(pick):
-    """(flag, strategy of cases built from its table row)."""
+    """(flag, a case drawn from pick(its RunSetting))."""
     return st.sampled_from(SETTING_NAMES).flatmap(
         lambda flag: st.tuples(st.just(flag), pick(RUN_SETTINGS[flag]))
     )
 
 
+def _run_setting(flag, text, from_env):
+    """The flag's cheap verify run, text given as the flag or as its variable."""
+    row = RUN_SETTINGS[flag]
+    if from_env:
+        return run_isolated(("verify", *row.argv), {row.env: text})
+    return run_isolated(("verify", *row.argv, f"--{flag}={text}"), {})
+
+
 @settings(max_examples=60, deadline=None)
-@given(_setting_case(lambda row: row[4]), st.booleans())
+@given(_setting_case(lambda row: row.valid), st.booleans())
 def test_a_valid_setting_reaches_the_report(case, from_env):
     flag, text = case
-    env_name, argv, parse, shown, *_ = RUN_SETTINGS[flag]
-    flags = () if from_env else (f"--{flag}={text}",)
-    code, out, err = run_isolated(
-        ("verify", *argv, *flags), {env_name: text} if from_env else {}
-    )
+    code, out, err = _run_setting(flag, text, from_env)
     assert (code, err) == (0, "")
-    assert shown(out) == parse(text)
+    assert RUN_SETTINGS[flag].shown(out) == RUN_SETTINGS[flag].parse(text)
 
 
 @settings(max_examples=150, deadline=None)
-@given(_setting_case(lambda row: row[5]), st.booleans())
+@given(_setting_case(lambda row: row.invalid), st.booleans())
 def test_an_invalid_setting_exits_two_and_names_it(case, from_env):
-    flag, text = case
-    env_name, argv, *_ = RUN_SETTINGS[flag]
-    flags = () if from_env else (f"--{flag}={text}",)
-    code, out, err = run_isolated(
-        ("verify", *argv, *flags), {env_name: text} if from_env else {}
-    )
+    code, out, err = _run_setting(*case, from_env)
     assert (code, out) == (2, "")
-    assert flag in err
+    assert case[0] in err
 
 
 @settings(max_examples=60, deadline=None)
-@given(
-    _setting_case(
-        lambda row: st.tuples(row[4], st.one_of(row[4], row[5]))
-    )
-)
+@given(_setting_case(lambda row: st.tuples(row.valid, st.one_of(row.valid, row.invalid))))
 def test_a_flag_overrides_its_environment_value(case):
     # the environment value is never read, so even an invalid one is harmless
     flag, (text, env_text) = case
-    env_name, argv, parse, shown, *_ = RUN_SETTINGS[flag]
-    code, out, err = run_isolated(("verify", *argv, f"--{flag}={text}"), {env_name: env_text})
+    row = RUN_SETTINGS[flag]
+    code, out, err = run_isolated(("verify", *row.argv, f"--{flag}={text}"), {row.env: env_text})
     assert (code, err) == (0, "")
-    assert shown(out) == parse(text)
+    assert row.shown(out) == row.parse(text)

@@ -429,8 +429,9 @@ SIGNS = {
     st.sampled_from(sorted(SIGNS)),
 )
 def test_packed_product_at_the_width_bound(order, b, x_signs, y_signs):
-    # every numerator is +-(2^b - 1), so |z_Q| = (Q + 1)(2^b - 1)^2 fills
-    # the slot width the bit lengths bound, at every width mod 8
+    # every numerator is +-(2^b - 1); with one sign on both sides |z_Q| =
+    # (Q + 1)(2^b - 1)^2 fills the width the bit lengths bound, at every
+    # width mod 8
     top = 2**b - 1
     xs = [SIGNS[x_signs](k) * top for k in range(order + 1)]
     ys = [SIGNS[y_signs](k) * top for k in range(order + 1)]
