@@ -25,8 +25,9 @@ MAX_N = 200
 # a pairing sweep walks all of D(n): 0.53 s at |D(80)| = 77,312 and 2.2 s at |D(100)| = 444,793
 # (medians of 3 rounds, shared 2-vCPU host, Python 3.11); |D(200)| = 487,067,746 would take hours
 MAX_INVOLUTION_N = 100
-# report-all at --q-order 300 takes about 0.8 s at --n-max 12 (long-q) and 1.3 s at --n-max 200,
-# the largest range CI runs (medians of 9 and 5 runs, shared 2-vCPU host, Python 3.11)
+# report-all at --q-order 300 takes about 0.65 s at --n-max 12 (long-q) and 1.2 s at --n-max 200,
+# the largest range CI runs (medians of 18 and 5 runs of byte-compiled sources, shared 2-vCPU
+# host, Python 3.11)
 MAX_Q_ORDER = 300
 FORMATS = ("json", "csv", "text")
 MODES = ("exact", "numeric")
@@ -315,5 +316,21 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
 
+def run(argv: list[str] | None = None) -> int:
+    """The process entry: `python -m pie` and the `pie` script end here.
+
+    It runs `main` and then freezes the collector, so the interpreter's
+    shutdown collections skip every object still alive instead of walking
+    the whole heap; the operating system takes the pages back at exit.
+    `atexit` handlers and the flush of stdout still run.  Call `main` to run
+    a command in process: it leaves the collector as it found it.
+    """
+    status = main(argv)
+    import gc
+
+    gc.freeze()
+    return status
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -1,5 +1,6 @@
 """The command-line front end: flags, formats, exit codes, determinism."""
 
+import gc
 import hashlib
 import io
 import json
@@ -503,20 +504,29 @@ def test_largest_z_below_overflow_passes(capsys):
     assert json.loads(out)[0]["status"] == "pass"
 
 
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def pie_process(*argv: str, env: dict | None = None, code: str | None = None):
+    """A fresh interpreter running `python -m pie argv` (or `python -c code`)
+    on this tree's sources, with no PIE_* variable but those in env."""
+    base = {k: v for k, v in os.environ.items() if not k.startswith("PIE_")}
+    base["PYTHONPATH"] = os.pathsep.join(filter(None, (str(ROOT / "src"), base.get("PYTHONPATH"))))
+    command = ["-m", "pie", *argv] if code is None else ["-c", code, *argv]
+    return subprocess.run(
+        [sys.executable, *command], env={**base, **(env or {})}, capture_output=True, timeout=120
+    )
+
+
 def test_report_all_bytes_stable_across_processes():
-    env = {k: v for k, v in os.environ.items() if not k.startswith("PIE_")}
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    env["PIE_Z"] = "1.25-0.5j,-1.5+0.25j,0.75,-0.5+0.5j"
-    env["PIE_C"] = "0.5+0.25j,-0.6,0.3-0.4j,0.1+0.7j"
+    env = {
+        "PIE_Z": "1.25-0.5j,-1.5+0.25j,0.75,-0.5+0.5j",
+        "PIE_C": "0.5+0.25j,-0.6,0.3-0.4j,0.1+0.7j",
+    }
     outs = []
     for hash_seed in ("1", "2"):
-        proc = subprocess.run(
-            [sys.executable, "-m", "pie", "report-all", "--n-max", "20", "--q-order", "12"],
-            env={**env, "PYTHONHASHSEED": hash_seed},
-            capture_output=True,
-            timeout=120,
-        )
+        argv = ("report-all", "--n-max", "20", "--q-order", "12")
+        proc = pie_process(*argv, env={**env, "PYTHONHASHSEED": hash_seed})
         assert proc.returncode == 0, proc.stderr.decode()
         outs.append(proc.stdout)
     assert outs[0] == outs[1]
@@ -524,6 +534,86 @@ def test_report_all_bytes_stable_across_processes():
     assert len(reports) == 22
     numeric = [r for r in reports if r["mode"] == "numeric"]
     assert all(r["range"]["z_grid"][0] == "(1.25-0.5j)" for r in numeric)
+
+
+# -- the process entry ----------------------------------------------------------
+
+PROCESS_RUNS = [
+    ("report-all", "--n-max", "12", "--q-order", "12"),
+    ("verify", "--id", "class_sum", "--n-max", "20"),
+]
+
+
+@pytest.mark.parametrize("argv", PROCESS_RUNS)
+def test_a_process_writes_what_main_writes_in_process(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    proc = pie_process(*argv)
+    assert (proc.returncode, proc.stderr) == (code, b"")
+    assert proc.stdout == out.encode()
+    assert json.loads(proc.stdout)
+
+
+def test_a_process_writes_the_whole_manifest_to_its_output_file(tmp_path, capsys):
+    argv = PROCESS_RUNS[0]
+    _, out, _ = run(capsys, *argv)
+    target = tmp_path / "manifest.json"
+    proc = pie_process(*argv, "--output", str(target))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
+    assert target.read_bytes() == out.encode()
+    assert len(json.loads(target.read_bytes())) == 22
+
+
+@pytest.mark.parametrize(
+    "argv, status, message",
+    [
+        (("verify", "--id", "bs_basic", "--n-max", "5"), 0, ""),
+        (("verify", "--id", "bs_basic", "--n-max", "0"), 2, "usage error: "),
+        (("verify", "--id", "bs_basic", "--output", "{missing}/r.json"), 1, "output error: "),
+    ],
+)
+def test_a_process_keeps_its_exit_codes_and_messages(tmp_path, argv, status, message):
+    argv = [a.format(missing=tmp_path / "missing") for a in argv]
+    proc = pie_process(*argv)
+    assert proc.returncode == status
+    err = proc.stderr.decode()
+    assert err.startswith(message) if message else err == ""
+    assert err.count("\n") == bool(message)
+
+
+FREEZE_PROBE = """\
+import gc, importlib, runpy, sys
+
+entry, sys.argv = sys.argv[1], ["pie", *sys.argv[2:]]
+try:
+    if ":" in entry:
+        module, _, name = entry.partition(":")
+        sys.exit(getattr(importlib.import_module(module), name)())
+    runpy.run_module(entry, run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    print(exc.code, gc.get_freeze_count() > 0, file=sys.stderr)
+"""
+
+
+def _console_script() -> str:
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    (target,) = re.findall(r'^pie = "([\w.:]+)"$', text, re.M)
+    return target
+
+
+@pytest.mark.parametrize("entry", ["pie", "pie.cli", _console_script()])
+def test_every_process_entry_freezes_the_heap_before_exit(entry):
+    argv = ("series", "--name", "K", "--m", "1", "--c", "1", "--order", "5")
+    proc = pie_process(entry, *argv, code=FREEZE_PROBE)
+    assert proc.stdout == b"1,1\n2,2\n3,2\n4,3\n5,2\n"
+    assert proc.stderr.decode().split() == ["0", "True"]
+
+
+def test_main_in_process_leaves_the_collector_alone(capsys):
+    frozen = gc.get_freeze_count()
+    code, _, _ = run(capsys, "verify", "--id", "bs_basic", "--n-max", "5")
+    assert code == 0
+    assert gc.get_freeze_count() == frozen
+    assert gc.isenabled()
 
 
 # -- the run settings, by flag and by environment -------------------------------
