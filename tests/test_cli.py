@@ -576,8 +576,8 @@ def test_a_process_keeps_its_exit_codes_and_messages(tmp_path, argv, status, mes
     proc = pie_process(*argv)
     assert proc.returncode == status
     err = proc.stderr.decode()
-    assert err.startswith(message) if message else err == ""
-    assert err.count("\n") == bool(message)
+    # one message line on a failure, nothing on a pass
+    assert err.startswith(message) and err.count("\n") == (status != 0)
 
 
 FREEZE_PROBE = """\
