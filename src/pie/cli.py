@@ -212,32 +212,29 @@ def _emit(args: argparse.Namespace, run) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    from .identities import NUMERIC_CAPABLE, IdentityId, check_identity
+    from .identities import NUMERIC_CAPABLE, IdentityId, _run_checks
 
     cfg = _config_from(args)
-    if not args.all:
-        idents = [args.ident]
-    elif cfg.mode == "numeric":
-        idents = [i for i in IdentityId if i in NUMERIC_CAPABLE]
-    else:
-        idents = list(IdentityId)
-    return _emit(args, lambda: [check_identity(i, cfg) for i in idents])
+    idents = [args.ident]
+    if args.all:  # in numeric mode, every tag with a numeric form
+        idents = [i for i in IdentityId if cfg.mode == "exact" or i in NUMERIC_CAPABLE]
+    return _emit(args, lambda: _run_checks([(i, cfg) for i in idents]))
 
 
 def _cmd_series(args: argparse.Namespace) -> int:
     import csv
 
+    from .exact import BELL_DEGREE_CAP
     from .series import coefficient_rows, series_A, series_K, series_M
     from .series import series_dilcher_binomial, series_entry4
 
     order = _within("order", _setting(args, "order", "Q_ORDER", int, 30), MAX_Q_ORDER)
     c, name, m = _parse_c_value(args.c), args.name, args.m
     # the builders' errors name their parameters (dilcher's k is --m), not the flags
-    least_m = {"M": 0, "K": 1, "dilcher": 1}.get(name, m)
-    if m < least_m:
-        raise ValueError(f"--m must be at least {least_m} for {name}, got {m}")
-    if name == "dilcher" and m > 6:
-        raise ValueError(f"--m must lie in 1..6 for dilcher, got {m}")
+    bounds = {"M": (0, BELL_DEGREE_CAP), "K": (1, BELL_DEGREE_CAP), "dilcher": (1, 6)}
+    least, most = bounds.get(name, (m, m))
+    if not least <= m <= most:
+        raise ValueError(f"--m must lie in {least}..{most} for {name}, got {m}")
     if name == "dilcher" and order < m:
         raise ValueError(f"--order must be at least --m = {m} for dilcher, got {order}")
     result = {

@@ -12,9 +12,11 @@ An exact checker declares the range it covers and a search.  Every search
 is the one first-failure search _first: it walks a grid of points, in
 order, and stops at the first point where the checker's mismatch function
 finds a difference; the failure record is that point merged with the
-difference.  The profile-pair tags compare their two integer profiles once
-per n, a verdict for every complex z (or k) and c; the other exact checks
-compare series, normal forms in Q[c] or integers, all with zero tolerance.
+difference.  The profile-pair tags, bs_onevar, thm_2_3, thm_2_6, agl_pti,
+agl_scaled and eq_1_13 (on M_0's rows at symbolic c), compare two integer
+profiles once per n, a verdict for every complex exponent and c; the other
+exact checks compare series, normal forms in Q[c] or integers, all with
+zero tolerance.
 
 The four identities with a numeric form share one table: tag -> both
 profiles at n, the name of the exponent axis, and whether c = 1.  Numeric
@@ -32,7 +34,8 @@ to per-point evaluation.
 
 check_identity alone times a check, runs its search with the partition
 tables sized to the run's n_max, turns an AlgorithmFault into a failing
-report over the checker's declared range, and builds the report.  The
+report over the checker's declared range, and builds the report; _run_checks
+builds every check, which runs no search, before the first runs.  The
 frozen CheckConfig and the assignable IdentityReport are plain records on
 partitions._Value, so no check imports dataclasses or inspect.
 """
@@ -44,7 +47,7 @@ from cmath import isfinite
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import product
+from itertools import compress, product
 from math import factorial
 
 from .errors import AlgorithmFault
@@ -204,7 +207,7 @@ Profile = tuple[tuple[int, int], ...]
 
 def _profile(row) -> Profile:
     """The profile of a dense row, row[e] = a_n(e)."""
-    return tuple((e, a) for e, a in enumerate(row) if a)
+    return tuple(compress(enumerate(row), row))
 
 
 @lru_cache(maxsize=None)
@@ -420,8 +423,8 @@ def _grid(**axes) -> list[dict]:
     return [dict(zip(axes, values)) for values in product(*axes.values())]
 
 
-def _differ(lhs, rhs, names: tuple[str, str] = ("lhs", "rhs")) -> dict | None:
-    return None if lhs == rhs else dict(zip(names, (lhs, rhs)))
+def _differ(lhs, rhs) -> dict | None:
+    return None if lhs == rhs else {"lhs": lhs, "rhs": rhs}
 
 
 def _series_differ(a, b, values: bool = True) -> dict | None:
@@ -443,7 +446,7 @@ def _ns(cfg: CheckConfig) -> range:
 
 def _over_n(cfg: CheckConfig, mismatch, **rng):
     """Search mismatch(n) for every n <= n_max."""
-    return {"n_max": cfg.n_max, **rng}, partial(_first, _grid(n=_ns(cfg)), mismatch)
+    return {"n_max": cfg.n_max, **rng}, lambda: _first(_grid(n=_ns(cfg)), mismatch)
 
 
 def _profile_check(profiles, **rng):
@@ -454,7 +457,7 @@ def _profile_check(profiles, **rng):
 def _sweep(cfg: CheckConfig, mismatch, key: str = "k", **rng):
     """Search mismatch(n, k) for every n <= n_max and k in the exponent grid."""
     rng = {"n_max": cfg.n_max, "exponents": list(cfg.exponents), **rng}
-    return rng, partial(_first, _grid(n=_ns(cfg), **{key: cfg.exponents}), mismatch)
+    return rng, lambda: _first(_grid(n=_ns(cfg), **{key: cfg.exponents}), mismatch)
 
 
 def _cor24_sides(n: int, k: int) -> tuple[int, int]:
@@ -467,9 +470,9 @@ def _cor24_sides(n: int, k: int) -> tuple[int, int]:
 
 
 def _check_class_sum(cfg: CheckConfig):
-    points = [{"n": n, "N": N} for n in _ns(cfg) for N in range(1, n + 1)]
+    points = lambda: ({"n": n, "N": N} for n in _ns(cfg) for N in range(1, n + 1))
     mismatch = lambda n, N: _differ(class_sum(n, N), 1 if n % N == 0 else 0)
-    return {"n_max": cfg.n_max}, partial(_first, points, mismatch)
+    return {"n_max": cfg.n_max}, lambda: _first(points(), mismatch)
 
 
 def _check_entry4(cfg: CheckConfig):
@@ -550,16 +553,16 @@ def _check_dilcher_cm(cfg: CheckConfig):
 
 
 def _check_eq_1_13(cfg: CheckConfig):
+    # M_m weighs c^s q^s by s^m, so its c^s q^N coefficient is s^m times M_0's,
+    # as the weighted side's is s^m a_N(s): M_0's rows settle every complex m
     def search():
-        series = {m: series_M(m, C, cfg.n_max) for m in range(1, cfg.m_max + 1)}
-        return _first(
-            _grid(m=series, n=_ns(cfg)),
-            lambda m, n: _differ(
-                series[m][n], _weighted(_smallest_profile(n), m), ("series", "weights")
-            ),
-        )
+        m0 = series_M(0, C, cfg.n_max)
+        if (m0.den, m0.grade) != (1, 1):  # else nums[n] is not the q^n coefficient's row
+            raise AlgorithmFault(f"M_0 at symbolic c has den {m0.den}, grade {m0.grade}")
+        rows = lambda n: (_smallest_profile(n), _profile(m0.nums[n]))
+        return _first(_grid(n=_ns(cfg)), partial(_profiles_differ, rows))
 
-    return {"n_max": cfg.n_max, "m_max": cfg.m_max, "c": "symbolic"}, search
+    return {"n_max": cfg.n_max, "m": "all complex", "c": "symbolic"}, search
 
 
 def _check_thm22(cfg: CheckConfig, part: str):
@@ -664,15 +667,10 @@ def _numeric_check(cfg: CheckConfig, profiles, key: str, c_is_one: bool):
     return rng, search, lambda: worst
 
 
-def check_identity(ident, config: CheckConfig | None = None) -> IdentityReport:
-    """Run one registered identity check and return its report.
-
-    Unknown tags raise ValueError; requesting numeric mode for an identity
-    without a numeric form raises ValueError as well.  Internal faults become
-    failing reports over the check's declared range, never silent repairs.
-    """
-    if config is None:
-        config = CheckConfig()
+def _build_check(ident, config: CheckConfig) -> tuple:
+    """(tag, range, search, worst-condition reader) of one registered check,
+    built but not run.  ValueError: an unknown tag or mode, numeric mode on a
+    tag without a numeric form, or a range the checker rejects."""
     if not isinstance(ident, IdentityId):
         try:
             ident = IdentityId(str(ident).lower())
@@ -680,40 +678,42 @@ def check_identity(ident, config: CheckConfig | None = None) -> IdentityReport:
             raise ValueError(f"unknown identity tag: {ident!r}") from None
     if config.mode not in ("exact", "numeric"):
         raise ValueError(f"unknown mode: {config.mode!r}")
-    worst = None
     if config.mode == "exact":
-        rng, search = REGISTRY[ident](config)
-    elif ident in _NUMERIC:
-        rng, search, worst = _numeric_check(config, *_NUMERIC[ident])
-    else:
-        raise ValueError(f"identity {ident.value} has no numeric mode")
+        return ident, *REGISTRY[ident](config), None
+    if ident in _NUMERIC:
+        return ident, *_numeric_check(config, *_NUMERIC[ident])
+    raise ValueError(f"identity {ident.value} has no numeric mode")
+
+
+def check_identity(ident, config: CheckConfig | None = None) -> IdentityReport:
+    """Run one registered identity check and return its report.  A check the
+    configuration cannot build raises ValueError (see _build_check); internal
+    faults become failing reports over its declared range, never repairs."""
+    config = config or CheckConfig()
+    ident, rng, search, worst = _build_check(ident, config)
     _size_tables(config.n_max)
     t0 = time.perf_counter()
     try:
         failure = search()
     except AlgorithmFault as fault:
         failure = {"fault": str(fault)}
-    return IdentityReport(
-        id=ident,
-        mode=config.mode,
-        range=rng,
-        status="pass" if failure is None else "fail",
-        first_failure=failure,
-        elapsed_ms=(time.perf_counter() - t0) * 1000.0,
-        condition=None if worst is None else worst(),
-    )
+    elapsed_ms = (time.perf_counter() - t0) * 1000.0
+    status = "pass" if failure is None else "fail"
+    condition = None if worst is None else worst()
+    return IdentityReport(ident, config.mode, rng, status, failure, elapsed_ms, condition)
+
+
+def _run_checks(checks) -> list[IdentityReport]:
+    """Reports of the (tag, config) checks in order.  Every check is built,
+    which declares its range and search and runs nothing, before the first
+    runs through check_identity, so a range one checker rejects costs no search."""
+    for ident, cfg in checks:
+        _build_check(ident, cfg)
+    return [check_identity(ident, cfg) for ident, cfg in checks]
 
 
 def run_all(config: CheckConfig | None = None):
     """Exact reports for every tag, then numeric reports where defined."""
-    if config is None:
-        config = CheckConfig()
-    exact_cfg = config.replace(mode="exact")
-    reports = [check_identity(ident, exact_cfg) for ident in IdentityId]
-    numeric_cfg = config.replace(mode="numeric")
-    reports += [
-        check_identity(ident, numeric_cfg)
-        for ident in IdentityId
-        if ident in NUMERIC_CAPABLE
-    ]
-    return reports
+    exact, numeric = ((config or CheckConfig()).replace(mode=m) for m in ("exact", "numeric"))
+    checks = [(ident, exact) for ident in IdentityId]
+    return _run_checks(checks + [(i, numeric) for i, _ in checks if i in NUMERIC_CAPABLE])

@@ -188,8 +188,13 @@ def test_q_order_below_thm_1_2_k_max_names_the_flag(capsys, argv):
         (("--name", "dilcher", "--m", "0"), "--m"),
         (("--name", "M", "--m", "-1"), "--m"),
         (("--name", "K", "--m", "0"), "--m"),
+        (("--name", "M", "--m", "11"), "--m"),
+        (("--name", "K", "--m", "11"), "--m"),
     ],
-    ids=["dilcher-order-below-m", "dilcher-m-7", "dilcher-m-0", "M-m-negative", "K-m-0"],
+    ids=[
+        "dilcher-order-below-m", "dilcher-m-7", "dilcher-m-0", "M-m-negative", "K-m-0",
+        "M-m-11", "K-m-11",
+    ],
 )
 def test_series_errors_name_the_flag(capsys, argv, flag):
     code, out, err = run(capsys, "series", *argv)
@@ -282,6 +287,22 @@ def test_verify_and_report_all_share_the_run_flags():
         assert [verify[k] for k in names] == [report[k] for k in names]
     assert [report[k] for k in names] == [9, 14, "csv", "o.csv", True]
     assert set(report) == {"command", "handler", *names}  # report-all gains no flag
+
+
+@pytest.mark.parametrize("command", [("report-all",), ("verify", "--all")])
+def test_a_range_one_checker_rejects_runs_no_check(capsys, monkeypatch, command):
+    # thm_1_2 rejects a q-order below its k_max = 4 when its check is built;
+    # every check is built before any runs, so no table is sized and no search runs
+    from pie import identities
+
+    def banned(*args):
+        raise AssertionError("a check ran before every check was built")
+
+    monkeypatch.setattr(identities, "_first", banned)
+    monkeypatch.setattr(identities, "_size_tables", banned)
+    code, out, err = run(capsys, *command, "--n-max", "200", "--q-order", "3")
+    assert (code, out) == (2, "")
+    assert err == "usage error: q-order 3 is below thm_1_2's k_max = 4\n"
 
 
 def test_report_all_takes_no_m_max(capsys):
@@ -680,7 +701,7 @@ RUN_SETTINGS = {
         _bounded(MAX_Q_ORDER), _not_in(MAX_Q_ORDER),
     ),
     "m-max": RunSetting(
-        "PIE_M_MAX", ("--id", "eq_1_13", "--n-max", "3"), int, _first_range("m_max"),
+        "PIE_M_MAX", ("--id", "thm_2_2_bell", "--q-order", "3"), int, _first_range("m_max"),
         _bounded(BELL_DEGREE_CAP), _not_in(BELL_DEGREE_CAP),
     ),
     "tol": RunSetting(

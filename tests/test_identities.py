@@ -199,6 +199,25 @@ def test_agl_wide_sweep():
 def test_eq_1_13_bridge():
     rep = check_identity(IdentityId.EQ_1_13, CheckConfig(n_max=30, m_max=4))
     assert rep.passed
+    assert rep.range == {"n_max": 30, "m": "all complex", "c": "symbolic"}
+
+
+def test_eq_1_13_builds_one_series_inside_its_search(monkeypatch):
+    real, built = identities.series_M, []
+    monkeypatch.setattr(identities, "series_M", lambda *args: built.append(args) or real(*args))
+    _tag, _range, search, _worst = identities._build_check("eq_1_13", CheckConfig(n_max=12))
+    assert built == []  # building the check builds no series
+    assert search() is None
+    assert built == [(0, C, 12)]
+
+
+def test_eq_1_13_reads_rows_only_at_den_and_grade_one(monkeypatch):
+    # a halved M_0 keeps its int rows and takes den 2: read as rows, it would pass
+    real = identities.series_M
+    monkeypatch.setattr(identities, "series_M", lambda *args: real(*args).scale(Fraction(1, 2)))
+    rep = check_identity(IdentityId.EQ_1_13, CheckConfig(n_max=6))
+    assert rep.status == "fail"
+    assert rep.first_failure == {"fault": "M_0 at symbolic c has den 2, grade 1"}
 
 
 # -- numeric mode ------------------------------------------------------------------
@@ -342,6 +361,17 @@ def test_registry_is_closed_and_total():
     assert {r.id for r in exact} == set(IdentityId)
     assert {r.id for r in numeric} == set(NUMERIC_CAPABLE)
     assert all(r.passed for r in reports)
+
+
+def test_run_all_runs_each_check_through_check_identity(monkeypatch):
+    # check_identity is the one per-check entry, so timing and tracing tools
+    # that wrap it see every check of a run
+    real, calls = identities.check_identity, []
+    monkeypatch.setattr(
+        identities, "check_identity", lambda ident, cfg: calls.append(ident) or real(ident, cfg)
+    )
+    reports = run_all(CheckConfig(n_max=6, q_order=8, m_max=2))
+    assert calls == [r.id for r in reports]
 
 
 def test_run_all_builds_each_table_once_at_its_n_max(table_builds):
@@ -520,7 +550,7 @@ FORCED_FAILURES = [
         _double,
         {"m", "n", "weights", "convolution", "series"},
     ),
-    ("eq_1_13", "exact", "series_M", _double, {"m", "n", "series", "weights"}),
+    ("eq_1_13", "exact", "series_M", _double, PROFILE_RECORD),
     ("thm_1_2", "exact", "series_dilcher_binomial", _double_last, {"k", "q_power"} | LHS_RHS),
     ("thm_2_2_exp", "exact", "series_K", _double, {"c", "m", "q_power"}),
     ("thm_2_2_bell", "exact", "series_K", _double, {"c", "m", "q_power"}),
@@ -546,6 +576,11 @@ PROFILE_PAIRS = {
     "thm_2_6": identities._thm26_profiles,
     "agl_pti": partial(check_agl, scaled=False),
     "agl_scaled": partial(check_agl, scaled=True),
+    # the smallest-part row against M_0's row at the run's n_max = 6
+    "eq_1_13": lambda n: (
+        identities._smallest_profile(n),
+        identities._profile(identities.series_M(0, C, 6).nums[n]),
+    ),
 }
 
 

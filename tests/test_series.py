@@ -675,6 +675,17 @@ def test_series_M_zeroth_moment_telescopes():
     assert m0 == TruncatedSeries.one(order) - pochhammer_infinite(1, order)
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_series_M_rows_scale_by_s_to_the_m(m):
+    # eq_1_13 rests on this: at symbolic c, the c^s q^N coefficient of M_m is
+    # s^m times M_0's, so one build of M_0 settles every m
+    m0, mm = series_M(0, C, 60), series_M(m, C, 60)
+    assert (m0.den, m0.grade, mm.den, mm.grade) == (1, 1, 1, 1)
+    assert all(m0.nums[1:])  # every q^N past q^0 has a row
+    for N in range(61):
+        assert mm.nums[N] == tuple(s**m * a for s, a in enumerate(m0.nums[N]))
+
+
 def test_series_K_divisor_coefficients():
     k1 = series_K(1, Fraction(1), 8)
     assert [k1[i] for i in range(1, 6)] == [1, 2, 2, 3, 2]
