@@ -688,7 +688,7 @@ def _build_check(ident, config: CheckConfig) -> tuple:
 def check_identity(ident, config: CheckConfig | None = None) -> IdentityReport:
     """Run one registered identity check and return its report.  A check the
     configuration cannot build raises ValueError (see _build_check); internal
-    faults become failing reports over its declared range, never repairs."""
+    faults become failing reports over its declared range, never silent repairs."""
     config = config or CheckConfig()
     ident, rng, search, worst = _build_check(ident, config)
     _size_tables(config.n_max)
@@ -704,9 +704,9 @@ def check_identity(ident, config: CheckConfig | None = None) -> IdentityReport:
 
 
 def _run_checks(checks) -> list[IdentityReport]:
-    """Reports of the (tag, config) checks in order.  Every check is built,
-    which declares its range and search and runs nothing, before the first
-    runs through check_identity, so a range one checker rejects costs no search."""
+    """Reports of the (tag, config) checks in order.  All are built before the
+    first runs, so a range one checker rejects costs no search; each then runs
+    through check_identity, which builds it again for a range and a closure."""
     for ident, cfg in checks:
         _build_check(ident, cfg)
     return [check_identity(ident, cfg) for ident, cfg in checks]
