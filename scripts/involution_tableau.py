@@ -11,7 +11,8 @@ Usage:
 
 import sys
 
-from pie.involution import class_members, class_sum, pair
+from pie.involution import class_members, pair
+from pie.partitions import class_sum
 
 
 def main() -> int:

@@ -2,7 +2,7 @@
 
 Library surface:
 
-  partitions  - enumeration, statistics, and exact counting of partitions
+  partitions  - partition records, the D(n) walk, and the exact counting DPs
   exact       - divisor sums, polynomials in c, complex powers, Bell polys
   series      - truncated q-series in one graded stored form, and builders
   involution  - the sign-reversing pairing on distinct-part partitions
@@ -23,14 +23,8 @@ _HOMES = {
     "errors": ("AlgorithmFault",),
     "exact": ("C", "CPolynomial", "bell_polynomial", "divisors", "sigma_int"),
     "identities": ("CheckConfig", "IdentityId", "IdentityReport", "check_identity", "run_all"),
-    "involution": ("PairingTrace", "in_class", "membership_count", "pair"),
-    "partitions": (
-        "Partition",
-        "class_sum",
-        "count_exact_part_sizes",
-        "enumerate_distinct",
-        "enumerate_partitions",
-    ),
+    "involution": ("PairingTrace", "in_class", "pair"),
+    "partitions": ("Partition", "class_sum", "count_exact_part_sizes"),
     "series": ("ExpSeries", "TruncatedSeries"),
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}

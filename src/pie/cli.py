@@ -252,8 +252,8 @@ def _cmd_series(args: argparse.Namespace) -> int:
 
 
 def _cmd_involution(args: argparse.Namespace) -> int:
-    from .involution import class_members, class_sum, pair, trace_lines, verify_pairings
-    from .partitions import _size_tables
+    from .involution import class_members, pair, trace_lines, verify_pairings
+    from .partitions import _size_tables, class_sum
 
     n, N = args.n, args.modulus
     _within("n", n, MAX_INVOLUTION_N)

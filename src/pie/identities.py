@@ -53,7 +53,6 @@ from math import factorial
 from .errors import AlgorithmFault
 from .exact import (
     C,
-    CPolynomial,
     Scalar,
     _bell_polynomials,
     _c_powers,
@@ -61,7 +60,6 @@ from .exact import (
     _weigh,
     _z_powers,
     divisors,
-    fractional_weight,
     sigma_int,
 )
 from .partitions import (
@@ -285,11 +283,6 @@ def _thm26_profiles(n: int) -> tuple[Profile, Profile]:
     return _initial_profile(n), _shifted_binomial_profile(n)
 
 
-def _weighted(profile: Profile, k: int) -> CPolynomial:
-    """The profile under the weight e^k, as an exact polynomial in c."""
-    return CPolynomial({e: a * e**k for e, a in profile})
-
-
 def _profiles_differ(profiles, n: int) -> dict | None:
     """The least e where the two profiles(n) differ, with a_n(e) on each side
     (0 where a side lacks e); profiles store no zero a_n(e), so one exists."""
@@ -304,43 +297,6 @@ def _profiles_differ(profiles, n: int) -> dict | None:
 def _at(profile: Profile, k: int, c: Scalar) -> Scalar:
     """The profile under the weight e^k at an exact scalar c."""
     return sum(a * e**k * c**e for e, a in profile)
-
-
-# -- single-point sides -------------------------------------------------------
-
-
-def _sides(profiles, n: int, k, c) -> tuple:
-    """Both sides of a weighted identity at one (n, k, c).
-
-    The types of (k, c) choose the arithmetic: a nonnegative integer k with
-    symbolic c gives a pair of CPolynomial, with an exact rational c a pair
-    of exact scalars; anything else is evaluated in complex doubles.
-    """
-    if n < 1:
-        raise ValueError("n must be positive")
-    sides = profiles(n)
-    if isinstance(k, int) and not isinstance(k, bool) and k >= 0:
-        if isinstance(c, CPolynomial):
-            return tuple(_weighted(p, k) for p in sides)
-        if isinstance(c, (int, Fraction)):
-            return tuple(_at(p, k, c) for p in sides)
-    return tuple(fractional_weight(p, k, c)[0] for p in sides)
-
-
-def lhs_rhs_thm21(n: int, z, c):
-    """Both sides of the two-variable weighted identity (window weights
-    against sigma_{z,c}) at a single n."""
-    return _sides(_thm21_profiles, n, z, c)
-
-
-def lhs_rhs_thm23(n: int, k, c):
-    """Both sides of the smallest-part power identity at a single n."""
-    return _sides(_thm23_profiles, n, k, c)
-
-
-def lhs_rhs_thm26(n: int, k, c):
-    """Both sides of the initial-segment power identity at a single n."""
-    return _sides(_thm26_profiles, n, k, c)
 
 
 def check_cor27(n: int) -> tuple[int, int]:

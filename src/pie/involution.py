@@ -31,8 +31,6 @@ each case-1 image must take case 2 and map back, so the pairing sends case
 1 one-to-one into case 2, and equal case-1 and case-2 counts per N then
 make every case-2 member the image of a case-1 member, whose pairing was
 checked both ways.
-class_sum and class_sums, re-exported here, live in partitions beside the
-signed D(n) sums they read, independent of the pairing.
 Any departure from the proven regime (an input outside C(N) or with parts
 not distinct or not summing to n, a walk past the multiples of N up to n, a
 nonpositive intermediate, an inserted part already present, an output
@@ -46,16 +44,7 @@ from itertools import chain
 from typing import Iterable, Iterator
 
 from .errors import AlgorithmFault
-from .partitions import (
-    DEFAULT_ENUMERATION_GUARD,
-    Partition,
-    _Value,
-    _distinct_masks,
-    _parts,
-    _require_enumerable,
-    _walked,
-)
-from .partitions import class_sum, class_sums  # re-exported: H_n's class sums, not the pairing
+from .partitions import Partition, _Value, _distinct_masks, _parts, _require_enumerable, _walked
 
 CASE_REMOVE = "case1"
 CASE_INSERT = "case2"
@@ -83,13 +72,6 @@ def in_class(p: Partition, N: int) -> bool:
     if N < 1:
         raise ValueError("N must be positive")
     return p.largest >= N > p.largest - p.smallest
-
-
-def membership_count(p: Partition) -> int:
-    """How many N put p inside C(N); scans and must equal the smallest part."""
-    _require_distinct(p)
-    lo, hi = p.smallest, p.largest
-    return sum(1 for N in range(1, hi + 1) if hi >= N > hi - lo)
 
 
 def pair(p: Partition, N: int) -> PairingTrace:
@@ -177,7 +159,7 @@ def _multiples(N: int, n: int) -> int:
 def class_members(n: int, N: int) -> Iterator[Partition]:
     """Members of D(n) in C(N), in enumeration order.  Only the class is
     walked: below each largest part l >= N the other parts exceed l - N."""
-    _require_enumerable(n, DEFAULT_ENUMERATION_GUARD)
+    _require_enumerable(n)
     if n == 0:
         raise ValueError("the empty partition has no class membership")
     if N < 1:
@@ -205,7 +187,7 @@ def verify_pairings(n: int, moduli: Iterable[int]) -> dict[int, dict[str, int]]:
     tallies = {N: [0, 0, 0] for N in moduli}  # case-1 members, case-2 members, fixed points
     if not all(1 <= N <= n for N in tallies):
         raise ValueError("need 1 <= N <= n for every modulus")
-    _require_enumerable(n, DEFAULT_ENUMERATION_GUARD)
+    _require_enumerable(n)
     if not tallies:
         return {}
     multiples = {N: _multiples(N, n) for N in tallies}

@@ -1,8 +1,8 @@
 """Integer partitions, their statistics, and exact counting helpers.
 
-Everything in this module is exact integer arithmetic.  Enumeration order is
-deterministic: partitions are yielded as nonincreasing part tuples in
-lexicographically descending order, so (n) comes first and (1,1,...,1) last.
+Everything in this module is exact integer arithmetic.  The one walker of
+D(n), _distinct_masks, yields the partitions into distinct parts as masks in
+lexicographically descending order of their parts, so (n) comes first.
 """
 
 from __future__ import annotations
@@ -11,9 +11,8 @@ from itertools import accumulate
 from types import MappingProxyType
 from typing import Iterable, Iterator
 
-# Full enumeration of P(n) is exponential; refuse accidental big n unless the
-# caller raises the guard explicitly.
-DEFAULT_ENUMERATION_GUARD = 200
+# Walking D(n) is exponential in sqrt(n); refuse any n past this.
+ENUMERATION_GUARD = 200
 
 # the nonzero cells of one n in a cached table: every caller shares one read-only view
 Cells = MappingProxyType[tuple[int, int], int]
@@ -74,16 +73,6 @@ class Partition(_Value):
         return self.parts[0]
 
     @property
-    def num_parts(self) -> int:
-        self._require_nonempty()
-        return len(self.parts)
-
-    @property
-    def num_distinct(self) -> int:
-        self._require_nonempty()
-        return len(set(self.parts))
-
-    @property
     def is_distinct(self) -> bool:
         return len(set(self.parts)) == len(self.parts)
 
@@ -93,29 +82,6 @@ class Partition(_Value):
 
     def __str__(self) -> str:
         return "+".join(str(a) for a in self.parts) if self.parts else "(empty)"
-
-
-def _descending_parts(n: int, cap: int) -> Iterator[tuple[int, ...]]:
-    # parts <= cap; depth first, each open level stacked as (remainder, next
-    # part to try), and a remainder left for parts of 1 is yielded as ones
-    buf, stack = [], []
-    rem, a = n, cap if cap < n else n
-    while True:
-        if not rem:
-            yield tuple(buf)
-        elif a > 1:
-            stack.append((rem, a - 1))
-            buf.append(a)
-            rem -= a
-            if rem < a:
-                a = rem
-            continue
-        elif a == 1:
-            yield (*buf, *(1,) * rem)
-        if not stack:
-            return
-        rem, a = stack.pop()
-        buf.pop()
 
 
 def _distinct_masks(n: int, cap: int, floor: int = 0, head: int = 0) -> Iterator[int]:
@@ -160,26 +126,11 @@ def _walked(parts: tuple[int, ...]) -> Partition:
     return p
 
 
-def _require_enumerable(n: int, guard: int) -> None:
+def _require_enumerable(n: int) -> None:
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n > guard:
-        raise ValueError(f"n={n} exceeds the enumeration guard {guard}")
-
-
-def enumerate_partitions(n: int, guard: int = DEFAULT_ENUMERATION_GUARD) -> Iterator[Partition]:
-    """Yield every partition of n exactly once, lexicographically descending.
-
-    n = 0 yields the single empty partition by convention.
-    """
-    _require_enumerable(n, guard)
-    yield from map(_walked, _descending_parts(n, n))
-
-
-def enumerate_distinct(n: int, guard: int = DEFAULT_ENUMERATION_GUARD) -> Iterator[Partition]:
-    """Yield every partition of n with pairwise distinct parts, descending."""
-    _require_enumerable(n, guard)
-    yield from map(_walked, map(_parts, _distinct_masks(n, n)))
+    if n > ENUMERATION_GUARD:
+        raise ValueError(f"n={n} exceeds the enumeration guard {ENUMERATION_GUARD}")
 
 
 def _max_distinct_sizes(n: int) -> int:

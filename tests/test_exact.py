@@ -8,6 +8,7 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from enumeration import enumerate_partitions
 from pie.exact import (
     BELL_DEGREE_CAP,
     C,
@@ -25,8 +26,7 @@ from pie.exact import (
     fractional_weight,
     sigma_int,
 )
-from pie.identities import lhs_rhs_thm21
-from pie.partitions import enumerate_partitions
+from sides import lhs_rhs_thm21
 
 # frozen from a 40-digit re-summation of sum_d d^z c^d over d | 12
 SIGMA_ORACLE_Z = complex(1.5, 0.5)

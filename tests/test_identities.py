@@ -11,6 +11,7 @@ from math import comb
 
 import pytest
 
+from enumeration import enumerate_distinct
 from pie import exact, identities, partitions
 from pie.errors import AlgorithmFault
 from pie.exact import C, CPolynomial, divisors, fractional_weight
@@ -22,16 +23,10 @@ from pie.identities import (
     check_cor25,
     check_cor27,
     check_identity,
-    lhs_rhs_thm21,
-    lhs_rhs_thm23,
-    lhs_rhs_thm26,
     run_all,
 )
-from pie.partitions import (
-    count_exact_part_sizes,
-    enumerate_distinct,
-    partitions_by_largest_and_sizes,
-)
+from pie.partitions import count_exact_part_sizes, partitions_by_largest_and_sizes
+from sides import lhs_rhs_thm21, lhs_rhs_thm23, lhs_rhs_thm26
 
 EXACT_CFG = CheckConfig(n_max=30, q_order=20, m_max=3)
 
@@ -835,7 +830,7 @@ def test_numeric_values_against_mpmath_oracle(tag, n):
     mpmath = pytest.importorskip("mpmath")
     tally = Counter()
     for p in enumerate_distinct(n):
-        tally[p.smallest, p.largest] += 1 if p.num_parts % 2 else -1
+        tally[p.smallest, p.largest] += 1 if len(p.parts) % 2 else -1
     cfg = CheckConfig()
     c_grid = (1 + 0j,) if tag == "cor_2_4" else cfg.c_grid
     with mpmath.workdps(50):

@@ -11,18 +11,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pie.involution import _mask
+from enumeration import _descending_parts, enumerate_distinct, enumerate_partitions
+from pie.involution import _mask, class_members, verify_pairings
 from pie.partitions import (
     Partition,
-    _descending_parts,
     _distinct_masks,
     _parts,
     _size_cell_table,
     _size_tables,
     _window_table,
     count_exact_part_sizes,
-    enumerate_distinct,
-    enumerate_partitions,
     partitions_by_largest_and_sizes,
     window_marginals,
 )
@@ -47,7 +45,7 @@ class PartitionStats:
 
 def stats(p: Partition) -> PartitionStats:
     """Return (smallest, largest, #parts, #distinct sizes) of a nonempty partition."""
-    return PartitionStats(p.smallest, p.largest, p.num_parts, p.num_distinct)
+    return PartitionStats(p.smallest, p.largest, len(p.parts), len(set(p.parts)))
 
 
 _PCOUNTS: list[int] = [1]
@@ -126,8 +124,8 @@ def test_stream_count_n60():
 
 @pytest.mark.parametrize("n", range(1, 41))
 def test_distinct_equals_filtered_enumeration(n):
-    filtered = [p.parts for p in enumerate_partitions(n) if p.is_distinct]
-    assert [p.parts for p in enumerate_distinct(n)] == filtered
+    # the library's mask walk of D(n) against the filtered walk of P(n)
+    assert list(map(_parts, _distinct_masks(n, n))) == [p.parts for p in enumerate_distinct(n)]
 
 
 @cache
@@ -197,12 +195,12 @@ def test_empty_partition_only_from_zero():
 
 
 def test_enumeration_guard():
-    with pytest.raises(ValueError):
-        next(enumerate_partitions(201))
-    with pytest.raises(ValueError):
-        next(enumerate_distinct(300))
-    # overridable
-    assert next(enumerate_partitions(201, guard=201)).parts == (201,)
+    # both walks of D(n) in the library stop at n = 200, with no override
+    with pytest.raises(ValueError, match="exceeds the enumeration guard 200"):
+        next(class_members(201, 1))
+    with pytest.raises(ValueError, match="exceeds the enumeration guard 200"):
+        verify_pairings(201, [1])
+    assert next(class_members(200, 1)).parts == (200,)
 
 
 def test_partition_validation():
@@ -269,8 +267,8 @@ def test_emitted_partitions_are_valid(n):
         assert sum(parts) == n
         assert all(a >= 1 for a in parts)
         assert all(parts[i] >= parts[i + 1] for i in range(len(parts) - 1))
-        assert p.num_distinct <= p.largest
-        assert p.num_distinct <= p.num_parts
+        assert len(set(parts)) <= p.largest
+        assert len(set(parts)) <= len(parts)
 
 
 def test_count_exact_part_sizes_examples():
@@ -296,7 +294,7 @@ def test_size_counts_sum_to_partition_count(n):
 
 @pytest.mark.parametrize("n", range(1, 23))
 def test_count_exact_part_sizes_against_enumeration(n):
-    brute = Counter(p.num_distinct for p in enumerate_partitions(n))
+    brute = Counter(len(set(p.parts)) for p in enumerate_partitions(n))
     for t in range(1, n + 1):
         assert count_exact_part_sizes(n, t) == brute.get(t, 0)
 
@@ -310,7 +308,7 @@ def test_count_exact_part_sizes_validation():
 
 @pytest.mark.parametrize("n", range(1, 26))
 def test_profile_by_largest_and_sizes_against_enumeration(n):
-    brute = Counter((p.largest, p.num_distinct) for p in enumerate_partitions(n))
+    brute = Counter((p.largest, len(set(p.parts))) for p in enumerate_partitions(n))
     assert partitions_by_largest_and_sizes(n) == dict(brute)
 
 
@@ -427,7 +425,7 @@ def test_distinct_stats_matches_enumeration(n):
     row, sums, moment = [0] * (n + 1), [0] * (n + 1), 0
     for p in enumerate_distinct(n):
         s, l = p.smallest, p.largest
-        sign = 1 if p.num_parts % 2 else -1
+        sign = 1 if len(p.parts) % 2 else -1
         brute[(s, l)] += sign
         row[s] += sign
         for N in range(l - s + 1, l + 1):
