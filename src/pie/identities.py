@@ -5,8 +5,8 @@ its checker and returns a machine-readable IdentityReport.  Each weighted
 side is built once per n as an exact integer weight profile (see the weight
 profiles section).  The two parts of thm_2_2 read one cached build of A, K_m
 and M_m per (c, m_max, q_order), and the bell part takes every Y_m from one
-pass of the Bell recurrence.  Every read of the divisor counts d(m) goes
-through one table, _divisor_counts under partitions._table.
+pass of the Bell recurrence.  Every read of the divisor counts d(m) but
+bs_int's sigma_int(0, n) goes through one table, _divisor_counts.
 
 An exact checker declares the range it covers and a search.  Every search
 is the one first-failure search _first: it walks a grid of points, in
@@ -25,12 +25,12 @@ grids for (z, c) and compares within a relative tolerance, recording a
 condition estimate (the sum of the left side's term magnitudes over its
 value's magnitude) instead of ever widening the tolerance.  A numeric check
 is one loop nest over n, z and c running fractional_weight's two stages on
-power tables keyed by grid position: e^z for e <= n_max once per z, c^e once
-per c, and each profile weighed once per (n, z).  Each side's value comes
-from the one weighed sum, exact._sum_weighed; where the two profiles are
-equal it sums one for both sides.  Every term is formed as a single-point
-call forms it, so values, conditions and failure records are bit-identical
-to per-point evaluation.
+power tables keyed by grid position and formed at build: e^z for e <= n_max
+once per z, c^e once per c, and each profile weighed once per (n, z).  Each
+side's value comes from the one weighed sum, exact._sum_weighed; where the
+two profiles are equal it sums one for both sides.  Every term is formed as
+a single-point call forms it, so values, conditions and failure records are
+bit-identical to per-point evaluation.
 
 check_identity alone times a check, runs its search with the partition
 tables sized to the run's n_max, turns an AlgorithmFault into a failing
@@ -63,14 +63,13 @@ from .exact import (
     sigma_int,
 )
 from .partitions import (
-    _max_distinct_sizes,
     _Value,
     _size_tables,
     _table,
     class_sum,
     class_sums,
     count_exact_part_sizes,
-    partitions_by_largest_and_sizes,
+    size_rows,
     window_marginals,
 )
 from .series import (
@@ -190,9 +189,9 @@ _divisor_counts = partial(_sigma_powers, z=0)
 # bs_int's exponents and the numeric grids evaluate a profile built once per
 # n.  The D(n) sides read the three marginals of the signed (smallest,
 # largest) histogram H_n that partitions.window_marginals keeps, the P(n)
-# sides the size-count DP's (largest, #sizes) cells.
+# sides the rows G_v = sum_l cnt(l, v) * c^(l-v) that the size-count DP
+# keeps, cnt(l, v) counting the partitions with largest l and v sizes.
 #
-# The P(n) sides group the cells by v into G_v = sum_l cnt(l, v) * c^(l-v).
 # P_1 = sum_v G_v * (c-1)^(v-1), by Horner's rule in (c - 1), is agl_pti's
 # right side and P_0 = (c - 1) * P_1 agl_scaled's.  thm_2_3's is P_0 less its
 # constant term: a base l - j = 0 contributes nothing for every exponent k,
@@ -234,16 +233,13 @@ def _initial_profile(n: int) -> Profile:
 @lru_cache(maxsize=None)
 def _binomial_rows(n: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
     """G_1, P_1 and P_0 at n, each as its coefficients of c^0..c^n."""
-    cells = partitions_by_largest_and_sizes(n)
-    groups = [[0] * (n + 1) for _ in range(_max_distinct_sizes(n))]
-    for (largest, v), cnt in cells.items():
-        groups[v - 1][largest - v] += cnt
+    groups = size_rows(n)
     # Horner's rule: p1 <- (c - 1) * p1 + G_v for v = v_max..1
     p1 = [0] * (n + 1)
     for g in reversed(groups):
         p1 = [b - a + x for a, b, x in zip(p1, [0, *p1], g)]
     p0 = [b - a for a, b in zip(p1, [0, *p1])]
-    return tuple(groups[0]), tuple(p1), tuple(p0)
+    return groups[0], tuple(p1), tuple(p0)
 
 
 @lru_cache(maxsize=None)
@@ -590,19 +586,20 @@ def _numeric_check(cfg: CheckConfig, profiles, key: str, c_is_one: bool):
     are equal tuples it sums one for both sides, bit-identical to a second
     sum of the same terms.  The power tables go by position, since 0j == -0j
     while their powers differ; a failure record holds the grid values.  A
-    point where a side or the magnitude sum is not finite is a ValueError
-    naming n, z and c: an overflowing term says nothing about the identity.
+    power that overflows a double is a ValueError at build, and a point where
+    a side or the magnitude sum is not finite is one in the search, naming
+    n, z and c: an overflowing term says nothing about the identity.
     """
     z_grid, tol = cfg.z_grid, cfg.tolerance
     c_grid = (1 + 0j,) if c_is_one else cfg.c_grid
     c_range = {"c": 1} if c_is_one else {"c_grid": list(c_grid)}
     rng = {"n_max": cfg.n_max, "z_grid": list(z_grid), **c_range, "tolerance": tol}
+    z_tables = [(z, _z_powers(z, cfg.n_max)) for z in z_grid]
+    c_tables = [(c, _c_powers(c, cfg.n_max)) for c in c_grid]
     worst = 0.0
 
     def search():
         nonlocal worst
-        z_tables = [(z, _z_powers(z, cfg.n_max)) for z in z_grid]
-        c_tables = [(c, _c_powers(c, cfg.n_max)) for c in c_grid]
         for n in _ns(cfg):
             lhs_profile, rhs_profile = profiles(n)
             shared = lhs_profile == rhs_profile
@@ -626,7 +623,7 @@ def _numeric_check(cfg: CheckConfig, profiles, key: str, c_is_one: bool):
 def _build_check(ident, config: CheckConfig) -> tuple:
     """(tag, range, search, worst-condition reader) of one registered check,
     built but not run.  ValueError: an unknown tag or mode, numeric mode on a
-    tag without a numeric form, or a range the checker rejects."""
+    tag without a numeric form, or a range or grid the checker rejects."""
     if not isinstance(ident, IdentityId):
         try:
             ident = IdentityId(str(ident).lower())

@@ -8,14 +8,10 @@ lexicographically descending order of their parts, so (n) comes first.
 from __future__ import annotations
 
 from itertools import accumulate
-from types import MappingProxyType
 from typing import Iterable, Iterator
 
 # Walking D(n) is exponential in sqrt(n); refuse any n past this.
 ENUMERATION_GUARD = 200
-
-# the nonzero cells of one n in a cached table: every caller shares one read-only view
-Cells = MappingProxyType[tuple[int, int], int]
 
 
 class _Value:
@@ -165,56 +161,54 @@ def _size_tables(n_max: int) -> None:
             _tables[build] = n_max, None
 
 
-def _size_cell_table(cap: int) -> tuple[tuple[Cells, ...], tuple[tuple[int, ...], ...]]:
-    # table[n][(m, v)] counts partitions of n with largest part m and v sizes,
-    # for every n <= cap, in one pass over m = 1..cap; the final f comes back
-    # too.  f[v][r] counts partitions of r into sizes below m with v sizes, so
-    # carry[r] = sum_{k>=1} f[v-1][r - k*m] is cell (m, v) at n = r.  Rows go
-    # top-down: row v-1 still holds the sizes below m when row v reads it.
+def _size_cell_table(cap: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    # table[n][v-1][l-v] counts the partitions of n with largest part l and v
+    # sizes, n <= cap, in one pass over l = 1..cap: row v-1 holds G_v's c^0..c^n
+    # coefficients.  The working state f[v][r] counts partitions of r into v
+    # sizes below l, so carry[r] = sum_{k>=1} f[v-1][r - k*l] is the count at
+    # (l, v) and n = r, zero for r < l + v(v-1)/2.  Rows go top-down: row v-1
+    # still holds the sizes below l when row v reads it.
     vmax = _max_distinct_sizes(cap)
     f = [[0] * (cap + 1) for _ in range(vmax + 1)]
     f[0][0] = 1
-    table: list[dict[tuple[int, int], int]] = [{} for _ in range(cap + 1)]
-    for m in range(1, cap + 1):
+    table = [[[0] * (n + 1) for _ in range(_max_distinct_sizes(n))] for n in range(cap + 1)]
+    for l in range(1, cap + 1):
         for v in range(vmax, 0, -1):
-            key, prev, row = (m, v), f[v - 1], f[v]
+            prev, row = f[v - 1], f[v]
             carry = [0] * (cap + 1)
-            for r in range(m, cap + 1):
-                s = prev[r - m] + carry[r - m]
+            for r in range(l + v * (v - 1) // 2, cap + 1):
+                s = prev[r - l] + carry[r - l]
                 if s:
                     carry[r] = s
                     row[r] += s
-                    table[r][key] = s
-    return tuple(MappingProxyType(row) for row in table), tuple(tuple(row) for row in f)
+                    table[r][v - 1][l - v] = s
+    return tuple(tuple(map(tuple, rows)) for rows in table)
 
 
 def count_exact_part_sizes(n: int, t: int) -> int:
     """Number of partitions of n with exactly t distinct part sizes.
 
-    Read off the one-pass size-count DP; scales to n in the hundreds, far
-    beyond what enumeration can reach.  count_exact_part_sizes(n, 1) equals
-    the divisor count d(n).
+    G_t at c = 1, the sum of its row (see size_rows); scales to n in the
+    hundreds, far beyond what enumeration can reach.
+    count_exact_part_sizes(n, 1) equals the divisor count d(n).
     """
-    if n < 1:
-        raise ValueError("n must be positive")
+    rows = size_rows(n)
     if t < 1:
         raise ValueError("t must be positive")
-    if t * (t + 1) // 2 > n:
-        return 0
-    return _table(_size_cell_table, n)[1][t][n]
+    return sum(rows[t - 1]) if t <= len(rows) else 0
 
 
-def partitions_by_largest_and_sizes(n: int) -> Cells:
-    """Group P(n) by (largest part, number of distinct sizes), as counts.
+def size_rows(n: int) -> tuple[tuple[int, ...], ...]:
+    """G_1, ..., G_vmax at n, each as its coefficients of c^0..c^n.
 
-    The sum-over-P(n) side of several identities depends on a partition only
-    through this pair, so the grouped counts replace full enumeration.  Only
-    nonzero cells are kept, recorded for every n up to the table cap by one
-    pass of the size-count DP (see _size_cell_table), cached.
+    G_v = sum_l cnt(l, v) * c^(l-v), where cnt(l, v) counts the partitions
+    of n with largest part l and v distinct part sizes, the only statistics
+    of a partition that the sum-over-P(n) sides read.  Built for every n up
+    to the table cap by one pass of the size-count DP, cached.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    return _table(_size_cell_table, n)[0][n]
+    return _table(_size_cell_table, n)[n]
 
 
 def _window_table(cap: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...], int], ...]:

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import accumulate, repeat, zip_longest
+from itertools import accumulate, compress, repeat, zip_longest
 from math import comb, lcm
 from operator import add, mul, or_, sub
 from typing import Callable, Iterable, Sequence, Union
@@ -351,7 +351,8 @@ def _tail_sum(weights: Sequence, order: int, grade: int) -> TruncatedSeries:
             if w:
                 _add_shifted(acc, tails[n], n, w)
         sums.append(acc)
-    nums = [_plus((), row) for row in zip(*sums)] if rows else sums[0]  # trimmed
+    ends = range(1, len(sums) + 1)  # a row is cut once, after its last nonzero entry
+    nums = [row[: max(compress(ends, row), default=0)] for row in zip(*sums)] if rows else sums[0]
     return TruncatedSeries._stored(order, nums or [0] * (order + 1), grade)
 
 

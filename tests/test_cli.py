@@ -305,6 +305,26 @@ def test_a_range_one_checker_rejects_runs_no_check(capsys, monkeypatch, command)
     assert err == "usage error: q-order 3 is below thm_1_2's k_max = 4\n"
 
 
+@pytest.mark.parametrize(
+    "env, point", [("PIE_Z", "z=(800+0j)"), ("PIE_C", "c=(1e+200+0j)")], ids=["z", "c"]
+)
+@pytest.mark.parametrize("command", [("report-all",), ("verify", "--all", "--mode", "numeric")])
+def test_an_overflowing_grid_rejects_runs_no_check(capsys, monkeypatch, command, env, point):
+    # a numeric check forms its power tables when it is built, so a grid point
+    # whose powers overflow a double fails the build pass, before any search
+    from pie import identities
+
+    def banned(*args):
+        raise AssertionError("a check ran before every check was built")
+
+    monkeypatch.setattr(identities, "_first", banned)
+    monkeypatch.setattr(identities, "_size_tables", banned)
+    monkeypatch.setenv(env, point[3:-4])
+    code, out, err = run(capsys, *command, "--n-max", "200", "--q-order", "80")
+    assert (code, out) == (2, "")
+    assert err == f"usage error: {point} overflows a double at a power <= 200\n"
+
+
 def test_report_all_takes_no_m_max(capsys):
     code, out, err = run(capsys, "report-all", "--m-max", "3")
     assert code == 2

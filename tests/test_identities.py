@@ -25,8 +25,9 @@ from pie.identities import (
     check_identity,
     run_all,
 )
-from pie.partitions import count_exact_part_sizes, partitions_by_largest_and_sizes
+from pie.partitions import count_exact_part_sizes, size_rows
 from sides import lhs_rhs_thm21, lhs_rhs_thm23, lhs_rhs_thm26
+from size_cells import cells_of, rows_of
 
 EXACT_CFG = CheckConfig(n_max=30, q_order=20, m_max=3)
 
@@ -502,9 +503,9 @@ def _skew_class_sums(real):
 def _skew_one_part(real):
     # the one-part partition (n) counted twice by (largest, #sizes)
     def skewed(n):
-        counts = dict(real(n))
+        counts = cells_of(real(n))
         counts[n, 1] = counts.get((n, 1), 0) + 1
-        return counts
+        return rows_of(counts, n)
 
     return skewed
 
@@ -554,8 +555,8 @@ FORCED_FAILURES = [
     ("cor_2_5", "exact", "count_exact_part_sizes", _plus_one, {"n"} | LHS_RHS),
     ("thm_2_6", "exact", "window_marginals", _skew_cell, PROFILE_RECORD),
     ("cor_2_7", "exact", "count_exact_part_sizes", _plus_one, {"n"} | LHS_RHS),
-    ("agl_pti", "exact", "partitions_by_largest_and_sizes", _skew_one_part, PROFILE_RECORD),
-    ("agl_scaled", "exact", "partitions_by_largest_and_sizes", _skew_one_part, PROFILE_RECORD),
+    ("agl_pti", "exact", "size_rows", _skew_one_part, PROFILE_RECORD),
+    ("agl_scaled", "exact", "size_rows", _skew_one_part, PROFILE_RECORD),
     ("class_sum", "exact", "class_sum", _plus_one, {"n", "N"} | LHS_RHS),
     ("bs_onevar", "numeric", "class_sums", _skew_class_sums, {"n", "z", "c"} | LHS_RHS),
     ("thm_2_3", "numeric", None, None, {"n", "k", "c"} | LHS_RHS),
@@ -699,16 +700,16 @@ def test_divisor_counts_come_from_the_one_table(monkeypatch):
 def _skew_two_sizes(real):
     # the partition (n - 1, 1) counted twice by (largest, #sizes), for n >= 3
     def skewed(n):
-        counts = dict(real(n))
+        counts = cells_of(real(n))
         if n >= 3:
             counts[n - 1, 2] = counts.get((n - 1, 2), 0) + 1
-        return counts
+        return rows_of(counts, n)
 
     return skewed
 
 
-# the tags whose right sides read the (largest, #sizes) cells, with the keys
-# of their failure records
+# the tags whose right sides read the (largest, #sizes) counts as G_v rows,
+# with the keys of their failure records
 CELL_READERS = {
     "thm_2_3": PROFILE_RECORD,
     "cor_2_4": {"n", "k"} | LHS_RHS,
@@ -725,8 +726,8 @@ def test_skewed_cells_reach_every_cell_reader(monkeypatch, skew):
     # may read a row built before the skew
     cfg = CheckConfig(n_max=6, q_order=10, m_max=2)
     assert all(check_identity(tag, cfg).passed for tag in CELL_READERS)
-    real = identities.partitions_by_largest_and_sizes
-    monkeypatch.setattr(identities, "partitions_by_largest_and_sizes", skew(real))
+    real = identities.size_rows
+    monkeypatch.setattr(identities, "size_rows", skew(real))
     _clear_caches()
     try:
         reports = {tag: check_identity(tag, cfg) for tag in CELL_READERS}
@@ -758,7 +759,7 @@ def _per_cell_sides(n: int) -> tuple:
     shifted: dict[int, int] = {}
     pti: dict[int, int] = {}
     scaled: dict[int, int] = {}
-    for (largest, v), cnt in partitions_by_largest_and_sizes(n).items():
+    for (largest, v), cnt in cells_of(size_rows(n)).items():
         # sum_{j=0..v} (-1)^j C(v, j) c^(l-j), base 0 dropped
         for j, b in enumerate(_signed_binomials(v)):
             base = largest - j
@@ -801,6 +802,56 @@ def test_binomial_family_overlaps():
         binomial, shifted, pti, scaled = _per_cell_sides(n)
         assert shifted == tuple((e + 1, a) for e, a in pti), n
         assert binomial == tuple((e, a) for e, a in scaled if e), n
+
+
+# the product form below packs its coefficients in c, c^i in the signed slot
+# i of SLOT bits; every coefficient met for n <= 200 lies below 2^62 in size
+SLOT = 64
+
+
+def _p1_product_form(n_max: int) -> list[int]:
+    """The q^n coefficients, n = 0..n_max, of the generating function of P_1,
+
+        sum_{l>=1} q^l (c - q)(c - q^2)...(c - q^(l-1)) / (q;q)_l,
+
+    each packed in c.  A partition with largest size l and v sizes weighs
+    c^(l-1) ((c-1)/c)^(v-1): the size l gives c^(l-1) q^l / (1 - q^l), each
+    size j < l is absent or present with weight ((c-1)/c) q^j / (1 - q^j),
+    and c^(l-1) prod_{j<l} (1 - q^j / c) = prod_{j<l} (c - q^j).  Term l + 1
+    is term l times q (c - q^l) / (1 - q^(l+1)).  Coefficientwise, term l is
+    at most q^l (-q;q)_(l-1) / (q;q)_l, below the overpartition count, which
+    is under 2^54 at 200, so the sum over l stays under 2^62.
+    """
+    term = [0] + [1] * n_max  # q / (1 - q)
+    total = term[:]
+    for l in range(1, n_max):
+        term = [0] + [(term[k] << SLOT) - (term[k - l] if k >= l else 0) for k in range(n_max)]
+        for k in range(l + 1, n_max + 1):
+            term[k] += term[k - l - 1]
+        total = [a + b for a, b in zip(total, term)]
+    return total
+
+
+def _unpacked(x: int, length: int) -> tuple[int, ...]:
+    """The signed slots 0..length-1 of a packed int, which holds no more."""
+    out = []
+    for _ in range(length):
+        a = x & ((1 << SLOT) - 1)
+        a -= (a >> (SLOT - 1)) << SLOT
+        out.append(a)
+        x = (x - a) >> SLOT
+    assert x == 0
+    return tuple(out)
+
+
+def test_p1_row_matches_its_product_form():
+    # every P(n) side is built from G_1 and P_1; this oracle reads no table
+    packed = _p1_product_form(200)
+    for n in range(1, 201):
+        g1, p1, _p0 = identities._binomial_rows(n)
+        assert p1 == _unpacked(packed[n], n + 1), n
+        # the one-size partitions d + ... + d weigh c^(d-1)
+        assert g1 == tuple(int(n % (e + 1) == 0) for e in range(n + 1)), n
 
 
 # -- numeric mode against a 50-digit oracle ----------------------------------------

@@ -21,9 +21,10 @@ from pie.partitions import (
     _size_tables,
     _window_table,
     count_exact_part_sizes,
-    partitions_by_largest_and_sizes,
+    size_rows,
     window_marginals,
 )
+from size_cells import cells_of, rows_of
 from windows import cell_marginals, signed_window_counts
 
 # hand-checked initial segment of the partition counts
@@ -309,7 +310,7 @@ def test_count_exact_part_sizes_validation():
 @pytest.mark.parametrize("n", range(1, 26))
 def test_profile_by_largest_and_sizes_against_enumeration(n):
     brute = Counter((p.largest, len(set(p.parts))) for p in enumerate_partitions(n))
-    assert partitions_by_largest_and_sizes(n) == dict(brute)
+    assert size_rows(n) == rows_of(brute, n)
 
 
 @cache
@@ -330,14 +331,14 @@ def _count_with_largest(n: int, largest: int) -> int:
 # every n <= 200 crosses the table caps 32, 64, 128 and 256
 @pytest.mark.parametrize("n", range(1, 201))
 def test_size_cells_full_range(n):
-    cells = partitions_by_largest_and_sizes(n)
-    assert all(cnt > 0 for cnt in cells.values())
-    assert sum(cells.values()) == partition_count(n)
+    counts = cells_of(size_rows(n))
+    assert all(cnt > 0 for cnt in counts.values())
+    assert sum(counts.values()) == partition_count(n)
     divisor_count = sum(1 for d in range(1, n + 1) if n % d == 0)
-    assert sum(cnt for (_largest, v), cnt in cells.items() if v == 1) == divisor_count
+    assert sum(cnt for (_largest, v), cnt in counts.items() if v == 1) == divisor_count
     by_largest = Counter()
     by_sizes = Counter()
-    for (largest, v), cnt in cells.items():
+    for (largest, v), cnt in counts.items():
         by_largest[largest] += cnt
         by_sizes[v] += cnt
     for largest in range(1, n + 1):
@@ -372,21 +373,18 @@ def test_signed_windows_full_range(n):
 def test_cell_tables_do_not_depend_on_the_cap():
     # a run builds its tables at its own n_max, so any two caps must agree
     for small, large in ((64, 128), (40, 64), (130, 200)):
-        cells_s, rows_s = _size_cell_table(small)
-        cells_l, rows_l = _size_cell_table(large)
+        rows_s, rows_l = _size_cell_table(small), _size_cell_table(large)
         windows_s, windows_l = _window_table(small), _window_table(large)
-        assert len(cells_s) == len(windows_s) == small + 1
+        assert len(rows_s) == len(windows_s) == small + 1
         for n in range(small + 1):
-            assert cells_s[n] == cells_l[n]
+            assert rows_s[n] == rows_l[n]
             assert windows_s[n] == windows_l[n] == cell_marginals(n)
-            for v, row in enumerate(rows_s):
-                assert row[n] == rows_l[v][n]
 
 
 def test_stepping_n_outside_a_run_grows_the_tables_geometrically(table_builds):
     for n in range(1, 201):
         window_marginals(n)
-        partitions_by_largest_and_sizes(n)
+        size_rows(n)
         count_exact_part_sizes(n, 2)
     assert table_builds == {"cells": [32, 64, 128, 256], "windows": [32, 64, 128, 256]}
 
@@ -396,7 +394,7 @@ def test_a_declared_run_builds_each_table_once_at_its_n_max(table_builds):
     assert table_builds == {"cells": [], "windows": []}  # built at first read
     for n in range(1, 131):
         window_marginals(n)
-        partitions_by_largest_and_sizes(n)
+        size_rows(n)
     _size_tables(100)  # the cached tables reach it
     window_marginals(100)
     assert table_builds == {"cells": [130], "windows": [130]}
@@ -406,8 +404,10 @@ def test_a_declared_run_builds_each_table_once_at_its_n_max(table_builds):
 
 
 def test_cell_maps_are_read_only():
+    groups = size_rows(5)
+    assert type(groups) is type(groups[0]) is tuple
     with pytest.raises(TypeError):
-        partitions_by_largest_and_sizes(5)[5, 1] = 2
+        groups[0][4] = 2
     row, sums, moment = marginals = window_marginals(5)
     assert type(marginals) is type(row) is type(sums) is tuple
     assert type(moment) is int
