@@ -18,6 +18,9 @@ The commands cover:
   - pie series --order 40 for A, M, K and entry4 at --m 1 and --m 3, with
     --c symbolic, 1, 2/3, -1/2 and 0, and for dilcher, which takes no c, at
     --m 1 and --m 3;
+  - pie series --order 300, the largest order accepted, for entry4 at --c
+    symbolic, whose int sum at a packed c takes the widest slots, and for
+    dilcher at --m 4, whose Lambert levels go deepest at thm_1_2's k_max;
   - pie involution --sweep at --n 24, --n 60, --n 80 and --n 100, the
     largest n it accepts, at --n 20 the class listing of --N-divisor 3 with
     --trace and that of --N-divisor 4 without it, at --n 60 the listing of
@@ -39,8 +42,9 @@ Usage:
     python scripts/output_digests.py [scale] [--src PATH]
 
 scale (default 1) multiplies every range and every n, each kept at least
-4, the smallest q-order report-all admits (thm_1_2's k_max), and a
-listing's n kept no less than its modulus.  0.1 gives a quick smoke run.
+4, the smallest q-order report-all admits (thm_1_2's k_max), a listing's n
+kept no less than its modulus, and the order-300 dumps' order no more than
+300.  0.1 gives a quick smoke run.
 """
 
 import argparse
@@ -62,6 +66,8 @@ SERIES_ORDER = 40
 SERIES_NAMES = ("A", "M", "K", "entry4")
 SERIES_MS = (1, 3)
 SERIES_CS = ("symbolic", "1", "2/3", "-1/2", "0")
+LONG_SERIES = (("entry4", "--c=symbolic"), ("dilcher", "--m", "4"))
+LONG_ORDER = 300  # cli.MAX_Q_ORDER
 SWEEP_NS = (24, 60, 80, 100)
 LISTINGS = ((20, 3, "--trace"), (20, 4), (60, 7, "--trace"), (100, 7))
 MIN_RANGE = 4
@@ -94,6 +100,9 @@ def commands(scale: float):
                 ]
     for m in SERIES_MS:
         yield {}, ["series", "--name", "dilcher", "--m", str(m), "--order", scaled(SERIES_ORDER)]
+    for name, *flags in LONG_SERIES:
+        order = min(LONG_ORDER, int(scaled(LONG_ORDER)))
+        yield {}, ["series", "--name", name, *flags, "--order", str(order)]
     for n in SWEEP_NS:
         yield {}, ["involution", "--n", scaled(n), "--N-divisor", "1", "--sweep"]
     for n, modulus, *flags in LISTINGS:

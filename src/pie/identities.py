@@ -5,8 +5,10 @@ its checker and returns a machine-readable IdentityReport.  Each weighted
 side is built once per n as an exact integer weight profile (see the weight
 profiles section).  The two parts of thm_2_2 read one cached build of A, K_m
 and M_m per (c, m_max, q_order), and the bell part takes every Y_m from one
-pass of the Bell recurrence.  Every read of the divisor counts d(m) but
-bs_int's sigma_int(0, n) goes through one table, _divisor_counts.
+pass of the Bell recurrence.  The series at c = 1 that several checks read,
+K_1, M_1 and entry4's sides, are built once per run through _shared.  Every
+read of the divisor counts d(m) but bs_int's sigma_int(0, n) goes through
+one table, _divisor_counts.
 
 An exact checker declares the range it covers and a search.  Every search
 is the one first-failure search _first: it walks a grid of points, in
@@ -25,12 +27,12 @@ grids for (z, c) and compares within a relative tolerance, recording a
 condition estimate (the sum of the left side's term magnitudes over its
 value's magnitude) instead of ever widening the tolerance.  A numeric check
 is one loop nest over n, z and c running fractional_weight's two stages on
-power tables keyed by grid position and formed at build: e^z for e <= n_max
-once per z, c^e once per c, and each profile weighed once per (n, z).  Each
-side's value comes from the one weighed sum, exact._sum_weighed; where the
-two profiles are equal it sums one for both sides.  Every term is formed as
-a single-point call forms it, so values, conditions and failure records are
-bit-identical to per-point evaluation.
+power tables formed at build, once per run for all four checks: e^z for
+e <= n_max once per z, c^e once per c, and each profile weighed once per
+(n, z).  Each side's value comes from the one weighed sum,
+exact._sum_weighed; where the two profiles are equal it sums one for both
+sides.  Every term is formed as a single-point call forms it, so values,
+conditions and failure records are bit-identical to per-point evaluation.
 
 check_identity alone times a check, runs its search with the partition
 tables sized to the run's n_max, turns an AlgorithmFault into a failing
@@ -331,12 +333,21 @@ def check_agl(n: int, scaled: bool) -> tuple[Profile, Profile]:
     return tuple((j - 1, a) for j, a in _initial_profile(n)), _profile(p1)
 
 
+@lru_cache(maxsize=32)
+def _shared(builder, *args):
+    """builder(*args), built once while it is among the last 32 asked for:
+    K_1 and M_1 at c = 1 serve uchimura_triple and thm_2_2, and entry4's
+    sides at c = 1 serve uchimura_triple and entry4.  The args are the key,
+    so a symbolic c, an unhashable CPolynomial, never comes here."""
+    return builder(*args)
+
+
 @lru_cache(maxsize=8)
 def _thm22_series(c, m_max: int, q_order: int) -> tuple:
     """A, then K_m and M_m for m = 1..m_max, at c: built once for both parts."""
     ms = range(1, m_max + 1)
-    a_series, ks = series_A(c, q_order), tuple(series_K(m, c, q_order) for m in ms)
-    return a_series, ks, tuple(series_M(m, c, q_order) for m in ms)
+    a_series, ks = series_A(c, q_order), tuple(_shared(series_K, m, c, q_order) for m in ms)
+    return a_series, ks, tuple(_shared(series_M, m, c, q_order) for m in ms)
 
 
 def _thm22_pairs(part: str, m_max: int, q_order: int, c) -> dict:
@@ -435,7 +446,7 @@ def _check_entry4(cfg: CheckConfig):
             return _series_differ(*series_entry4(C, q))
         # c = 1 collapses to the divisor-count series
         divisor = _table(_divisor_counts, q)[: q + 1]
-        lhs, rhs = series_entry4(1, q)
+        lhs, rhs = _shared(series_entry4, 1, q)
         return _series_differ(lhs, divisor) or _series_differ(rhs, divisor)
 
     return {"q_order": q, "c": ["symbolic", 1]}, partial(
@@ -449,9 +460,9 @@ def _check_uchimura(cfg: CheckConfig):
     def search():
         # three constructions of sum d(n) q^n, each against the divisor counts
         forms = {
-            "M-form": series_M(1, 1, q),
-            "alternating": series_entry4(1, q)[0],
-            "lambert": series_K(1, 1, q),
+            "M-form": _shared(series_M, 1, 1, q),
+            "alternating": _shared(series_entry4, 1, q)[0],
+            "lambert": _shared(series_K, 1, 1, q),
         }
         divisor = _table(_divisor_counts, q)[: q + 1]
         return _first(_grid(form=forms), lambda form: _series_differ(forms[form], divisor))
@@ -577,6 +588,22 @@ _NUMERIC = {
 NUMERIC_CAPABLE = frozenset(_NUMERIC)
 
 
+# the power tables of the run in progress, keyed by (powers, repr(point),
+# top): a repr keeps 0j and -0j apart, which compare and hash equal, inside
+# tuples too, while their powers differ.  None outside a run.
+_run_tables: dict | None = None
+
+
+def _power_table(powers, point: complex, top: int) -> list[complex]:
+    """powers(point, top), formed once per run for every numeric check that
+    reads it, and once per check outside a run."""
+    tables = {} if _run_tables is None else _run_tables
+    key = (powers, repr(point), top)
+    if key not in tables:
+        tables[key] = powers(point, top)
+    return tables[key]
+
+
 def _numeric_check(cfg: CheckConfig, profiles, key: str, c_is_one: bool):
     """Evaluate both profiles(n) over the (z, c) grids for every n <= n_max.
 
@@ -584,18 +611,19 @@ def _numeric_check(cfg: CheckConfig, profiles, key: str, c_is_one: bool):
     met: the sum of left-side term magnitudes over the left side's value.
     The search nests n, z position and c position.  Where both profiles(n)
     are equal tuples it sums one for both sides, bit-identical to a second
-    sum of the same terms.  The power tables go by position, since 0j == -0j
-    while their powers differ; a failure record holds the grid values.  A
-    power that overflows a double is a ValueError at build, and a point where
-    a side or the magnitude sum is not finite is one in the search, naming
-    n, z and c: an overflowing term says nothing about the identity.
+    sum of the same terms.  The power tables are keyed by each point's repr,
+    since 0j == -0j while their powers differ; a failure record holds the
+    grid values.  A power that overflows a double is a ValueError at build,
+    and a point where a side or the magnitude sum is not finite is one in
+    the search, naming n, z and c: an overflowing term says nothing about
+    the identity.
     """
     z_grid, tol = cfg.z_grid, cfg.tolerance
     c_grid = (1 + 0j,) if c_is_one else cfg.c_grid
     c_range = {"c": 1} if c_is_one else {"c_grid": list(c_grid)}
     rng = {"n_max": cfg.n_max, "z_grid": list(z_grid), **c_range, "tolerance": tol}
-    z_tables = [(z, _z_powers(z, cfg.n_max)) for z in z_grid]
-    c_tables = [(c, _c_powers(c, cfg.n_max)) for c in c_grid]
+    z_tables = [(z, _power_table(_z_powers, z, cfg.n_max)) for z in z_grid]
+    c_tables = [(c, _power_table(_c_powers, c, cfg.n_max)) for c in c_grid]
     worst = 0.0
 
     def search():
@@ -659,10 +687,16 @@ def check_identity(ident, config: CheckConfig | None = None) -> IdentityReport:
 def _run_checks(checks) -> list[IdentityReport]:
     """Reports of the (tag, config) checks in order.  All are built before the
     first runs, so a range one checker rejects costs no search; each then runs
-    through check_identity, which builds it again for a range and a closure."""
-    for ident, cfg in checks:
-        _build_check(ident, cfg)
-    return [check_identity(ident, cfg) for ident, cfg in checks]
+    through check_identity, which builds it again for a range and a closure,
+    reading the power tables the first build formed."""
+    global _run_tables
+    _run_tables = {}
+    try:
+        for ident, cfg in checks:
+            _build_check(ident, cfg)
+        return [check_identity(ident, cfg) for ident, cfg in checks]
+    finally:
+        _run_tables = None
 
 
 def run_all(config: CheckConfig | None = None):

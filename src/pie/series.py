@@ -31,10 +31,22 @@ suite compares.  They build every product and quotient of factors
 shifted-add kernel _add_shifted, and never invert a whole series.  Builders
 documented as double constructions still compute the same series two
 independent ways and raise AlgorithmFault if the results differ.
+
+entry4's left side at a symbolic c = p/r, p a row, mixes the powers of c in
+its running 1/(cq)_n, so it is not built on rows.  The int sum runs once at
+c = p(2^W)/r, over the grade r itself (a reduced fraction could change the
+grade), and each q^j numerator unpacks into its row in slots of W bits.  W
+comes from a majorant: the same sum at |p|_1 / r, |p|_1 the sum of the
+|entries| of p, with every term made positive.  The l1 norm of rows is
+subadditive and submultiplicative, so the q^j numerator of that sum bounds
+the sum of the |entries| of row j, and slots of bits(largest bound) + 2 bits
+decode every row exactly.  Construction (c) of the k-fold divisor sums reads
+one cached Lambert level per k, each built from the level below it.
 """
 
 from __future__ import annotations
 
+from array import array
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import accumulate, compress, repeat, zip_longest
@@ -361,29 +373,60 @@ def _scalar_powers(c: Stored, order: int) -> list:
 
 
 def _alternating_sum(
-    x: ScalarLike, fold: int, shift: Callable, weight: Callable, order: int
-) -> TruncatedSeries:
-    """sum_{n>=1} (-1)^(n-1) w_n q^shift(n) / ((1-q^n)^fold (xq)_n), at the
-    grade r of x, from the stored weights weight(n) = w_n * r**n of w_n q^n;
-    shift(n) >= n.
+    p: int, r: int, fold: int, shift: Callable, weight: Callable, order: int
+) -> list[int]:
+    """The numerators at grade r of sum_{n>=1} (-1)^(n-1) w_n q^shift(n) /
+    ((1-q^n)^fold (xq)_n) for x = p/r, from the int stored weights weight(n)
+    = w_n * r**n of w_n q^n; shift(n) >= n.  p/r need not be in lowest
+    terms: the grade is r.
 
     A running 1/(xq)_n takes one factor per n and is cut to the degrees that
     shift(n), increasing in n, leaves inside the order.
     """
-    p, r = _split(x)
     acc = [0] * (order + 1)
-    # a row head sends the int weights of the fold down the row path
-    inv = [(1,) if type(p) is tuple else 1] + [0] * order
+    inv = [1] + [0] * order
     n = 1
     while shift(n) <= order:
         del inv[order - shift(n) + 1 :]
-        body = list(_over_factor(inv, _times(p, r ** (n - 1)), n))
+        body = list(_over_factor(inv, p * r ** (n - 1), n))
         for _ in range(fold):
             _over_factor(body, r**n, n)
         sign = (-1) ** (n - 1) * r ** (shift(n) - n)
-        _add_shifted(acc, body, shift(n), _times(weight(n), sign))
+        _add_shifted(acc, body, shift(n), weight(n) * sign)
         n += 1
-    return TruncatedSeries._stored(order, acc, r)
+    return acc
+
+
+def _triangular(n: int) -> int:
+    return n * (n + 1) // 2
+
+
+def _entry4_numerators(p: Stored, r: int, order: int) -> list:
+    """entry4's left side at c = p/r, as numerators at grade r: ints for an
+    int p, rows for a row p, read from the int sum at c = p(2^W)/r."""
+    if type(p) is int:
+        ppow = _scalar_powers(p, order)
+        return _alternating_sum(p, r, 1, _triangular, ppow.__getitem__, order)
+    # the majorant: at |p|_1 / r with every term positive, each numerator
+    # bounds the sum of |entries| of its row
+    norm = sum(map(abs, p))
+    npow = _scalar_powers(norm, order)
+    bound = _alternating_sum(norm, r, 1, _triangular, lambda n: (-1) ** (n - 1) * npow[n], order)
+    size = (max(norm, *bound).bit_length() + 9) // 8  # 2 bits to spare, in bytes
+    packed = _entry4_numerators(_pack(p, size, _bias(size, len(p))), r, order)
+    return [_row_of(v, size) for v in packed]
+
+
+def _row_of(packed: int, size: int) -> tuple:
+    """The row of ints a packed int holds in slots of size bytes, cut after
+    its last nonzero entry.  A top nonzero slot k - 1 whose entries lie below
+    a quarter of the slot puts bits(packed) >= 8 * size * (k - 1), so the
+    slots read cover it."""
+    count = abs(packed).bit_length() // (8 * size) + 1
+    row = _unpack(packed, count, size, _bias(size, count))
+    while row and not row[-1]:
+        row.pop()
+    return tuple(row)
 
 
 # -- named series -----------------------------------------------------------
@@ -433,6 +476,13 @@ def series_M(m: int, c: ScalarLike, order: int) -> TruncatedSeries:
     return _tail_sum(weights, order, r)
 
 
+@lru_cache(maxsize=512)
+def _divisors(n: int) -> tuple[int, ...]:
+    # series_K_divisor reads every n <= Q once per (m, c): trial division
+    # once per n, for every n up to the largest order the CLI accepts (300)
+    return tuple(divisors(n))
+
+
 def series_K_divisor(m: int, c: ScalarLike, order: int) -> TruncatedSeries:
     """K_{m,c} = sum_n sigma_{m-1,c}(n) q^n from explicit divisor sums."""
     if m < 1:
@@ -442,7 +492,7 @@ def series_K_divisor(m: int, c: ScalarLike, order: int) -> TruncatedSeries:
     plus, times = _ops(p)
     vals = [0] * (order + 1)
     for n in range(1, order + 1):
-        for d in divisors(n):
+        for d in _divisors(n):
             vals[n] = plus(vals[n], times(ppow[d], d ** (m - 1) * rpow[n - d]))
     return TruncatedSeries._stored(order, vals, r)
 
@@ -481,8 +531,8 @@ def series_entry4(c: ScalarLike, order: int) -> tuple[TruncatedSeries, Truncated
     Returned as (lhs, rhs); their equality is an identity check, and the
     c = 1 coefficients are the divisor counts d(n).
     """
-    ppow = _scalar_powers(_split(c)[0], order)
-    lhs = _alternating_sum(c, 1, lambda n: n * (n + 1) // 2, lambda n: ppow[n], order)
+    p, r = _split(c)
+    lhs = TruncatedSeries._stored(order, _entry4_numerators(p, r, order), r)
     return lhs, series_K_lambert(1, c, order)
 
 
@@ -507,23 +557,42 @@ def series_dilcher_binomial(
     a = _tail_sum([comb(n, k) for n in range(order + 1)], order, 1)
 
     offset = comb(k, 2)
-    b_raw = _alternating_sum(1, k, lambda n: comb(n + k, 2), lambda n: 1, order + offset)
-    if any(b_raw.nums[:offset]):
+    b_raw = _alternating_sum(1, 1, k, lambda n: comb(n + k, 2), lambda n: 1, order + offset)
+    if any(b_raw[:offset]):
         raise AlgorithmFault(
             f"k-fold alternating sum has support below q^{offset} (k={k})"
         )
-    b = TruncatedSeries._stored(order, b_raw.nums[offset:])
+    b = TruncatedSeries._stored(order, b_raw[offset:])
+    return a, b, TruncatedSeries._stored(order, _lambert_level(k, order)[1])
 
-    # (c): level[j] = sum over chains ending at top index j, as prefix sums of
-    # q^j/(1-q^j) times the previous level at j
-    prev = [[1] + [0] * order] * (order + 1)
-    for _ in range(k):
-        cur = [[0] * (order + 1)]
-        for j in range(1, order + 1):
-            block = _over_factor(prev[j][: order + 1 - j], 1, j)
-            cur.append(_add_shifted(list(cur[-1]), block, j, 1))
-        prev = cur
-    return a, b, TruncatedSeries._stored(order, prev[order])
+
+@lru_cache(maxsize=1)
+def _lambert_level(k: int, order: int) -> tuple[tuple[Sequence[int], ...], tuple[int, ...]]:
+    """Level k of construction (c) as (heads, top).  Entry j of a level sums
+    the chains j >= j_1 >= ... >= j_k >= 1: the prefix sums over j of
+    q^j/(1-q^j) times entry j of level k - 1, level 0 being the series one.
+    heads[j] is entry j through q^(order - j), all of it that level k + 1
+    reads, and top is entry order whole.  Each level is built from the
+    cached one below it, so k = 1 .. k_max in turn build k_max levels, and
+    only the last level stays alive."""
+    if not k:
+        heads = tuple(_compact([1] + [0] * (order - j)) for j in range(order + 1))
+        return heads, (1,) + (0,) * order
+    below, running = _lambert_level(k - 1, order)[0], [0] * (order + 1)
+    heads = [_compact(running)]
+    for j in range(1, order + 1):
+        _add_shifted(running, _over_factor(list(below[j]), 1, j), j, 1)
+        heads.append(_compact(running[: order + 1 - j]))
+    return tuple(heads), tuple(running)
+
+
+def _compact(values: list[int]) -> Sequence[int]:
+    """values as an array of unsigned 64-bit ints, a fifth of a tuple's
+    memory, or as a tuple where one does not fit."""
+    try:
+        return array("Q", values)
+    except OverflowError:
+        return tuple(values)
 
 
 class ExpSeries:

@@ -325,6 +325,45 @@ def test_an_overflowing_grid_rejects_runs_no_check(capsys, monkeypatch, command,
     assert err == f"usage error: {point} overflows a double at a power <= 200\n"
 
 
+# the default grids, and the edge grid whose signed zeros and repeated z
+# CI runs at n = 200: zero reprs kept apart, repeats formed once
+TABLE_GRIDS = {
+    "default": ({}, 4, 4),
+    "edge": ({"PIE_Z": "0,-0j,1.5-0.5j,1.5-0.5j", "PIE_C": "-0.3,0.85,0.4-0.3j,-0j"}, 3, 4),
+}
+
+
+@pytest.mark.parametrize("grid", TABLE_GRIDS, ids=TABLE_GRIDS)
+def test_report_all_forms_each_power_table_once(capsys, monkeypatch, grid):
+    # the 18 exact and 4 numeric checks are each built twice, yet one run
+    # forms e^z once per distinct z and c^e once per distinct c, c = 1 included
+    from pie import identities
+
+    env, z_count, c_count = TABLE_GRIDS[grid]
+    formed = []
+    for name in ("_z_powers", "_c_powers"):
+
+        def counted(point, top, real=getattr(identities, name), name=name):
+            formed.append((name, repr(point), top))
+            return real(point, top)
+
+        monkeypatch.setattr(identities, name, counted)
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    code, out, _ = run(capsys, "report-all", "--n-max", "12", "--q-order", "8")
+    assert code == 0 and len(json.loads(out)) == 22
+    assert len(formed) == len(set(formed)) == z_count + c_count + 1
+    assert {top for _name, _point, top in formed} == {12}
+    assert ("_c_powers", repr(1 + 0j), 12) in formed
+    if grid == "edge":
+        zeros = {point for name, point, _top in formed if name == "_z_powers"} - {"(1.5-0.5j)"}
+        assert len(zeros) == 2
+    # a second run forms its tables again: none outlives the run that formed them
+    formed.clear()
+    assert run(capsys, "report-all", "--n-max", "12", "--q-order", "8")[0] == 0
+    assert len(formed) == z_count + c_count + 1
+
+
 def test_report_all_takes_no_m_max(capsys):
     code, out, err = run(capsys, "report-all", "--m-max", "3")
     assert code == 2

@@ -382,6 +382,28 @@ def test_a_check_that_reads_no_table_builds_none(table_builds):
     assert table_builds == {"cells": [], "windows": []}
 
 
+def test_run_all_builds_each_series_at_c_one_once(monkeypatch):
+    # K_1 and M_1 at c = 1 serve uchimura_triple and thm_2_2, and entry4's
+    # sides at c = 1 serve uchimura_triple and entry4: one build each per run
+    built = Counter()
+    for name in ("series_K", "series_M", "series_entry4"):
+
+        def counted(*args, real=getattr(identities, name), name=name):
+            built[(name, *map(str, args))] += 1
+            return real(*args)
+
+        monkeypatch.setattr(identities, name, counted)
+    _clear_caches()
+    try:
+        reports = run_all(CheckConfig(n_max=10, q_order=12, m_max=2))
+    finally:
+        _clear_caches()
+    assert all(r.passed for r in reports)
+    for key in ("series_K", 1, 1), ("series_M", 1, 1), ("series_entry4", 1):
+        assert (*map(str, key), "12") in built
+    assert set(built.values()) == {1}
+
+
 def test_check_config_value_semantics():
     # a frozen record of its ten fields, taken by position or keyword:
     # equal only to a CheckConfig, hashed and shown by the fields in order

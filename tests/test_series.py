@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pie.exact import C, CPolynomial, divisors
+from pie import series
+from pie.exact import C, CPolynomial, _bias, _pack, _row, divisors
 from pie.series import (
     ExpSeries,
     TruncatedSeries,
@@ -29,7 +30,9 @@ from pie.series import (
     series_entry4,
 )
 
+from alternating import entry4_lhs
 from convolution import schoolbook_product
+from lambert import nested_lambert
 from pochhammer import _product, pochhammer_infinite
 
 D_COUNTS = [0, 1, 2, 2, 3, 2, 4, 2, 4, 3, 4, 2, 6, 2, 4, 4, 5, 2, 6, 2, 6]
@@ -318,7 +321,8 @@ KERNEL_CASES = {
     "ints": ([3, -1, 4, 0, 5, 9, -2], -2),
     "rows": ([(1,), (), (0, 2), (3, -1, 1), (), (5,), (0, 0, -4)], (1, 1)),
     "row-weight": ([2, 0, -1, 7, 0, 3], (0, 3)),
-    # the running 1/(xq)_n of _alternating_sum: a row head over int zeros
+    # a row head over int zeros, as the row-path alternating sum of
+    # tests/alternating.py starts its running 1/(xq)_n
     "row-head": ([(1,), 0, 0, 0, 0], (0, 1)),
 }
 
@@ -720,6 +724,41 @@ def test_series_entry4_symbolic():
     assert lhs == rhs
 
 
+# -- symbolic entry4 on ints packed in c ---------------------------------------
+
+PACKED_CS = {"c": C, "-c": -C, "c/2": C / 2, "(2c+1)/3": (2 * C + 1) / 3, "c^2": C**2}
+
+
+@pytest.mark.parametrize("c", PACKED_CS.values(), ids=PACKED_CS)
+def test_packed_entry4_matches_the_row_sum(c):
+    # the int sum at c = p(2^W) / r, unpacked, against the sum run on rows
+    for order in range(61):
+        got, want = series_entry4(c, order)[0], entry4_lhs(c, order)
+        assert (got.grade, got.den) == (want.grade, want.den), order
+        assert got.nums == tuple(map(_row, want.nums)), order
+
+
+@pytest.mark.parametrize("c", PACKED_CS.values(), ids=PACKED_CS)
+def test_packed_entry4_slots_hold_the_majorant(monkeypatch, c):
+    # two int sums run: the majorant at |p|_1, whose q^j numerator bounds the
+    # sum of |entries| of row j, then the sum at p(2^W); the slot of W bits
+    # keeps two bits over the largest bound
+    real, calls = series._alternating_sum, []
+
+    def recorded(p, *rest):
+        calls.append((p, real(p, *rest)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(series, "_alternating_sum", recorded)
+    lhs = series_entry4(c, 60)[0]
+    (norm, bound), (at, _packed) = calls
+    p = _split(c)[0]
+    assert norm == sum(map(abs, p))
+    assert all(sum(map(abs, row)) <= b for row, b in zip(lhs.nums, bound))
+    size = next(s for s in range(1, 100) if _pack(p, s, _bias(s, len(p))) == at)
+    assert 8 * size >= max(bound).bit_length() + 2
+
+
 def test_dilcher_reduces_to_triple_identity_at_one():
     a, b, c3 = series_dilcher_binomial(1, 10)
     assert a == b == c3
@@ -731,6 +770,59 @@ def test_dilcher_threeway_agreement(k):
     a, b, c3 = series_dilcher_binomial(k, 12)
     assert a == b
     assert a == c3
+
+
+LEVEL_CALLS = {
+    "ascending": lambda order: [(k, order) for k in range(1, 7)],
+    "descending": lambda order: [(k, order) for k in range(6, 0, -1)],
+    # each k right after a build at the next order
+    "interleaved": lambda order: [(k, q) for k in range(1, 7) for q in (order + 1, order)],
+}
+
+
+@pytest.mark.parametrize("calls", LEVEL_CALLS.values(), ids=LEVEL_CALLS)
+def test_dilcher_lambert_levels_match_a_from_scratch_loop(calls):
+    # construction (c) reads cached levels; no call order may change it
+    series._lambert_level.cache_clear()
+    for order in range(1, 40):
+        for k, q in calls(order):
+            if k <= q:
+                want = cached_nested_lambert(k, q)
+                assert series_dilcher_binomial(k, q)[2].nums == want, (k, q)
+
+
+@cache
+def cached_nested_lambert(k, order):
+    return tuple(nested_lambert(k, order))
+
+
+def test_dilcher_lambert_levels_past_64_bits(monkeypatch):
+    # a level entry that no unsigned 64-bit int holds is kept as a tuple, and
+    # levels of tuples give the same construction (c)
+    assert series._compact([0, 2**64 - 1]).tolist() == [0, 2**64 - 1]
+    assert series._compact([1, 2**64]) == (1, 2**64)
+
+    def overflowing(code, values):
+        raise OverflowError("an entry past 2^64")
+
+    monkeypatch.setattr(series, "array", overflowing)
+    series._lambert_level.cache_clear()
+    try:
+        for k in range(1, 7):
+            assert series_dilcher_binomial(k, 30)[2].nums == cached_nested_lambert(k, 30), k
+    finally:
+        series._lambert_level.cache_clear()
+
+
+def test_series_K_divisor_divides_each_n_once(monkeypatch):
+    real, calls = series.divisors, []
+    monkeypatch.setattr(series, "divisors", lambda n: calls.append(n) or real(n))
+    series._divisors.cache_clear()
+    for m in (1, 2, 3):
+        for c in (1, C, Fraction(2, 3)):
+            assert series_K_divisor(m, c, 30) == series_K_lambert(m, c, 30)
+    assert calls == list(range(1, 31))
+    series._divisors.cache_clear()
 
 
 def test_dilcher_validation():
