@@ -772,6 +772,11 @@ def test_dilcher_threeway_agreement(k):
     assert a == c3
 
 
+@cache
+def cached_nested_lambert(k, order):
+    return tuple(nested_lambert(k, order))
+
+
 LEVEL_CALLS = {
     "ascending": lambda order: [(k, order) for k in range(1, 7)],
     "descending": lambda order: [(k, order) for k in range(6, 0, -1)],
@@ -789,11 +794,6 @@ def test_dilcher_lambert_levels_match_a_from_scratch_loop(calls):
             if k <= q:
                 want = cached_nested_lambert(k, q)
                 assert series_dilcher_binomial(k, q)[2].nums == want, (k, q)
-
-
-@cache
-def cached_nested_lambert(k, order):
-    return tuple(nested_lambert(k, order))
 
 
 def test_dilcher_lambert_levels_past_64_bits(monkeypatch):
