@@ -77,6 +77,7 @@ from .partitions import (
 from .series import (
     ExpSeries,
     TruncatedSeries,
+    _lambert_level,
     series_A,
     series_K,
     series_M,
@@ -478,9 +479,13 @@ def _check_thm_1_2(cfg: CheckConfig):
         a, b, c3 = series_dilcher_binomial(k, cfg.q_order)
         return _series_differ(a, b) or _series_differ(a, c3)
 
-    return {"q_order": cfg.q_order, "k_max": cfg.k_fold_max}, partial(
-        _first, _grid(k=range(1, cfg.k_fold_max + 1)), mismatch
-    )
+    def search():
+        try:
+            return _first(_grid(k=range(1, cfg.k_fold_max + 1)), mismatch)
+        finally:  # no Lambert level of construction (c) outlives the check
+            _lambert_level.cache_clear()
+
+    return {"q_order": cfg.q_order, "k_max": cfg.k_fold_max}, search
 
 
 def _check_dilcher_cm(cfg: CheckConfig):

@@ -1,6 +1,9 @@
-"""q-Pochhammer products for the tests, built on the series layer's factor kernel."""
+"""q-Pochhammer products and the A quotient for the tests, built on the row
+kernel of tests/row_kernel.py."""
 
-from pie.series import TruncatedSeries, _split, _times, _times_factor
+from pie.series import TruncatedSeries, _split, _times
+
+from row_kernel import over_factor, times_factor
 
 
 def _product(x, ks, order: int) -> TruncatedSeries:
@@ -8,7 +11,7 @@ def _product(x, ks, order: int) -> TruncatedSeries:
     p, r = _split(x)
     nums = [1] + [0] * order
     for k in ks:
-        _times_factor(nums, _times(p, r ** (k - 1)), k)
+        times_factor(nums, _times(p, r ** (k - 1)), k)
     return TruncatedSeries._stored(order, nums, r)
 
 
@@ -18,3 +21,15 @@ def pochhammer_infinite(x, order: int, start: int = 1) -> TruncatedSeries:
         raise ValueError("start must be nonnegative")
     product = _product(x, range(max(start, 1), order + 1), order)
     return product - product.scale(x) if start == 0 else product
+
+
+def a_quotient(c, order: int) -> TruncatedSeries:
+    """(q)_inf / (cq)_inf at c's grade r, one factor at a time, on rows for a
+    symbolic c: the unit factors weigh r^k, the factors 1 - c q^k p r^(k-1)."""
+    p, r = _split(c)
+    nums = [1] + [0] * order
+    for k in range(1, order + 1):
+        times_factor(nums, r**k, k)
+    for k in range(1, order + 1):
+        over_factor(nums, _times(p, r ** (k - 1)), k)
+    return TruncatedSeries._stored(order, nums, r)

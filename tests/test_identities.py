@@ -12,7 +12,7 @@ from math import comb
 import pytest
 
 from enumeration import enumerate_distinct
-from pie import exact, identities, partitions
+from pie import exact, identities, partitions, series
 from pie.errors import AlgorithmFault
 from pie.exact import C, CPolynomial, divisors, fractional_weight
 from pie.identities import (
@@ -134,6 +134,31 @@ def test_divisor_count_readers_share_one_table(monkeypatch):
         for _reader, cfg in steps:
             assert check_identity(ident, cfg).passed, (ident, cfg)
     assert builds == [32, 64, 128, 256]
+
+
+@pytest.mark.parametrize("fails", [False, True], ids=["passing", "failing"])
+def test_thm_1_2_keeps_no_lambert_level(monkeypatch, fails):
+    # construction (c) builds each Lambert level once, levels 0 .. k from the
+    # one below, and no level outlives the check, whether it passes or stops
+    # at a failure
+    levels, cleared = series._lambert_level, []
+    levels.cache_clear()
+
+    def clear(real=levels.cache_clear):
+        cleared.append(levels.cache_info().misses)
+        real()
+
+    monkeypatch.setattr(levels, "cache_clear", clear)
+    if fails:
+        def skewed(k, q, real=identities.series_dilcher_binomial):
+            a, b, c3 = real(k, q)
+            return a, b, c3.scale(2) if k == 3 else c3
+
+        monkeypatch.setattr(identities, "series_dilcher_binomial", skewed)
+    rep = check_identity("thm_1_2", CheckConfig(q_order=40, k_fold_max=5))
+    assert rep.passed is not fails
+    assert cleared == [4 if fails else 6]
+    assert levels.cache_info().currsize == 0
 
 
 def test_agl_examples():

@@ -33,7 +33,8 @@ from pie.series import (
 from alternating import entry4_lhs
 from convolution import schoolbook_product
 from lambert import nested_lambert
-from pochhammer import _product, pochhammer_infinite
+from pochhammer import _product, a_quotient, pochhammer_infinite
+from row_kernel import over_factor, times_factor
 
 D_COUNTS = [0, 1, 2, 2, 3, 2, 4, 2, 4, 3, 4, 2, 6, 2, 4, 4, 5, 2, 6, 2, 6]
 
@@ -272,7 +273,8 @@ def _series_cases(count):
 @given(_series_cases(1), SCALARS)
 def test_factor_kernels_match_series_arithmetic(case, x):
     # the kernels on numerators stored at x's grade against multiplying by
-    # (1 - x q^k) and by its geometric inverse, sum_j x^j q^(jk)
+    # (1 - x q^k) and by its geometric inverse, sum_j x^j q^(jk): the row
+    # kernel of tests/row_kernel.py always, series.py's int kernel on ints
     order, coeffs, k = case
     f = TruncatedSeries(order, coeffs)
     p, r = _split(x)
@@ -283,13 +285,16 @@ def test_factor_kernels_match_series_arithmetic(case, x):
     for j in range(order // k + 1):
         geometric[j * k] = x**j
     w = _times(p, r ** (k - 1))  # p is a row for a polynomial x
-    for kernel, other in ((_times_factor, factor), (_over_factor, geometric)):
+    kernels = [(times_factor, factor), (over_factor, geometric)]
+    if tuple not in map(type, (*g.nums, w)):
+        kernels += [(_times_factor, factor), (_over_factor, geometric)]
+    for kernel, other in kernels:
         got = TruncatedSeries._stored(order, kernel(list(g.nums), w, k), g.grade, g.den)
         assert list(got.coeffs) == schoolbook(f.coeffs, other), kernel.__name__
 
 
 # stored numerators as plain coefficient lists in c, for a recurrence that
-# shares no code with the kernel's row helpers
+# shares no code with the row helpers
 
 
 def _poly(v):
@@ -321,15 +326,16 @@ KERNEL_CASES = {
     "ints": ([3, -1, 4, 0, 5, 9, -2], -2),
     "rows": ([(1,), (), (0, 2), (3, -1, 1), (), (5,), (0, 0, -4)], (1, 1)),
     "row-weight": ([2, 0, -1, 7, 0, 3], (0, 3)),
-    # a row head over int zeros, as the row-path alternating sum of
-    # tests/alternating.py starts its running 1/(xq)_n
     "row-head": ([(1,), 0, 0, 0, 0], (0, 1)),
 }
 
 
 @pytest.mark.parametrize("name", KERNEL_CASES)
 def test_factor_kernels_match_a_plain_recurrence(name):
+    # series.py's kernel takes ints only; the row cases test the row kernel
+    # that the packed builds are checked against
     coeffs, w = KERNEL_CASES[name]
+    kernels = [times_factor, over_factor] + [_times_factor, _over_factor] * (name == "ints")
     minus_w = _poly_times(w, -1)
     for k in range(1, len(coeffs) + 2):
         # times: out[e] = c[e] - w c[e-k]; over: out[e] = c[e] + w out[e-k]
@@ -337,7 +343,7 @@ def test_factor_kernels_match_a_plain_recurrence(name):
         for e in range(k, len(coeffs)):
             times[e] = _poly_plus(coeffs[e], _poly_times(minus_w, coeffs[e - k]))
             over[e] = _poly_plus(coeffs[e], _poly_times(w, over[e - k]))
-        for kernel, want in ((_times_factor, times), (_over_factor, over)):
+        for kernel, want in zip(kernels, [times, over] * 2):
             got = kernel(list(coeffs), w, k)
             assert list(map(_trimmed, got)) == list(map(_trimmed, want)), (kernel.__name__, k)
             if k >= len(coeffs):
@@ -346,8 +352,8 @@ def test_factor_kernels_match_a_plain_recurrence(name):
 
 def test_shifted_add_of_nothing_reads_nothing():
     # an empty snapshot, as _times_factor takes at k >= len, leaves the list
-    # as it was, whatever the types of its head and of the weight
-    for acc, w in (([5, 1], 3), ([(1,), 0], (0, 1)), ([2], (4,))):
+    # as it was
+    for acc, w in (([5, 1], 3), ([0, 0], -1), ([2], 4)):
         assert _add_shifted(list(acc), [], 1, w) == acc
         assert _add_shifted(list(acc), acc, len(acc), w) == acc
 
@@ -724,39 +730,75 @@ def test_series_entry4_symbolic():
     assert lhs == rhs
 
 
-# -- symbolic entry4 on ints packed in c ---------------------------------------
+# -- builds packed in c ----------------------------------------------------------
 
-PACKED_CS = {"c": C, "-c": -C, "c/2": C / 2, "(2c+1)/3": (2 * C + 1) / 3, "c^2": C**2}
+PACKED_CS = {
+    "c": C,
+    "-c": -C,
+    "c/2": C / 2,
+    "(2c+1)/3": (2 * C + 1) / 3,
+    "c^2": C**2,
+    "3c-c^3": 3 * C - C**3,
+    "0": CPolynomial(0),
+}
+
+
+def _matches_the_row_build(build, reference, c):
+    # the packed build at every Q <= 60 keeps the stored form of the row
+    # build, a series at order Q being the first Q + 1 numerators of the one
+    # at 60; a row (1,) may stand for the int 1 at Q = 0
+    want = reference(c, 60)
+    for order in range(61):
+        got = build(c, order)
+        assert (got.grade, got.den) == (want.grade, want.den), order
+        assert got.nums == tuple(map(_row, want.nums[: order + 1])), order
 
 
 @pytest.mark.parametrize("c", PACKED_CS.values(), ids=PACKED_CS)
 def test_packed_entry4_matches_the_row_sum(c):
     # the int sum at c = p(2^W) / r, unpacked, against the sum run on rows
-    for order in range(61):
-        got, want = series_entry4(c, order)[0], entry4_lhs(c, order)
-        assert (got.grade, got.den) == (want.grade, want.den), order
-        assert got.nums == tuple(map(_row, want.nums)), order
+    _matches_the_row_build(lambda c, q: series_entry4(c, q)[0], entry4_lhs, c)
+
+
+@pytest.mark.parametrize("c", PACKED_CS.values(), ids=PACKED_CS)
+def test_packed_quotient_matches_the_row_product(c):
+    # the int quotient at c = p(2^W) / r, unpacked, against the row kernel's
+    _matches_the_row_build(series_A_quotient, a_quotient, c)
+
+
+def _slots_hold_the_majorant(monkeypatch, build, c):
+    # two int builds run: the majorant at |p|_1, whose q^j numerator bounds
+    # the sum of |entries| of row j, then the build at p(2^W); the slot of W
+    # bits is the fewest bytes that keep two bits over the largest bound
+    real_in_rows, real_row_of, calls, sizes = series._in_rows, series._row_of, [], set()
+
+    def spied(int_build, p):
+        def spy(x, sign):
+            calls.append((x, sign, int_build(x, sign)))
+            return calls[-1][2]
+
+        return real_in_rows(spy, p)
+
+    monkeypatch.setattr(series, "_in_rows", spied)
+    monkeypatch.setattr(series, "_row_of", lambda v, size: sizes.add(size) or real_row_of(v, size))
+    got = build(c)
+    (norm, minus, bound), (at, plus, _packed) = calls
+    p = _split(c)[0]
+    assert (norm, minus, plus) == (sum(map(abs, p)), -1, 1)
+    assert all(sum(map(abs, row)) <= b for row, b in zip(got.nums, bound))
+    (size,) = sizes
+    assert at == _pack(p, size, _bias(size, len(p)))
+    assert 8 * size - 8 < max(norm, *bound).bit_length() + 2 <= 8 * size
 
 
 @pytest.mark.parametrize("c", PACKED_CS.values(), ids=PACKED_CS)
 def test_packed_entry4_slots_hold_the_majorant(monkeypatch, c):
-    # two int sums run: the majorant at |p|_1, whose q^j numerator bounds the
-    # sum of |entries| of row j, then the sum at p(2^W); the slot of W bits
-    # keeps two bits over the largest bound
-    real, calls = series._alternating_sum, []
+    _slots_hold_the_majorant(monkeypatch, lambda c: series_entry4(c, 60)[0], c)
 
-    def recorded(p, *rest):
-        calls.append((p, real(p, *rest)))
-        return calls[-1][1]
 
-    monkeypatch.setattr(series, "_alternating_sum", recorded)
-    lhs = series_entry4(c, 60)[0]
-    (norm, bound), (at, _packed) = calls
-    p = _split(c)[0]
-    assert norm == sum(map(abs, p))
-    assert all(sum(map(abs, row)) <= b for row, b in zip(lhs.nums, bound))
-    size = next(s for s in range(1, 100) if _pack(p, s, _bias(s, len(p))) == at)
-    assert 8 * size >= max(bound).bit_length() + 2
+@pytest.mark.parametrize("c", PACKED_CS.values(), ids=PACKED_CS)
+def test_packed_quotient_slots_hold_the_majorant(monkeypatch, c):
+    _slots_hold_the_majorant(monkeypatch, lambda c: series_A_quotient(c, 60), c)
 
 
 def test_dilcher_reduces_to_triple_identity_at_one():
