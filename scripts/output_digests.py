@@ -20,7 +20,8 @@ The commands cover:
     --m 1 and --m 3;
   - pie series --order 300, the largest order accepted, for entry4 and A at
     --c symbolic, whose int builds at a packed c take the widest slots, and
-    for dilcher at --m 4, whose Lambert levels go deepest at thm_1_2's k_max;
+    for dilcher, whose dump builds constructions (a) and (b), at --m 4,
+    thm_1_2's k_max, and at --m 6, the deepest fold --m admits;
   - pie involution --sweep at --n 24, --n 60, --n 80 and --n 100, the
     largest n it accepts, at --n 20 the class listing of --N-divisor 3 with
     --trace and that of --N-divisor 4 without it, at --n 60 the listing of
@@ -66,7 +67,12 @@ SERIES_ORDER = 40
 SERIES_NAMES = ("A", "M", "K", "entry4")
 SERIES_MS = (1, 3)
 SERIES_CS = ("symbolic", "1", "2/3", "-1/2", "0")
-LONG_SERIES = (("entry4", "--c=symbolic"), ("A", "--c=symbolic"), ("dilcher", "--m", "4"))
+LONG_SERIES = (
+    ("entry4", "--c=symbolic"),
+    ("A", "--c=symbolic"),
+    ("dilcher", "--m", "4"),
+    ("dilcher", "--m", "6"),
+)
 LONG_ORDER = 300  # cli.MAX_Q_ORDER
 SWEEP_NS = (24, 60, 80, 100)
 LISTINGS = ((20, 3, "--trace"), (20, 4), (60, 7, "--trace"), (100, 7))

@@ -3,12 +3,13 @@
 Every identity in scope has a closed tag; check_identity dispatches a tag to
 its checker and returns a machine-readable IdentityReport.  Each weighted
 side is built once per n as an exact integer weight profile (see the weight
-profiles section).  The two parts of thm_2_2 read one cached build of A, K_m
-and M_m per (c, m_max, q_order), and the bell part takes every Y_m from one
-pass of the Bell recurrence.  The series at c = 1 that several checks read,
-K_1, M_1 and entry4's sides, are built once per run through _shared.  Every
-read of the divisor counts d(m) but bs_int's sigma_int(0, n) goes through
-one table, _divisor_counts.
+profiles section).  Work that several checks read is built once per run
+through _once, whose store lives as long as _run_checks: the one build of A,
+K_m and M_m per (c, m_max, q_order) that both parts of thm_2_2 read, K_1, M_1
+and entry4's sides at c = 1, and the numeric power tables.  The bell part
+takes every Y_m from one pass of the Bell recurrence.  Every read of the
+divisor counts d(m) but bs_int's sigma_int(0, n) goes through one table,
+_divisor_counts.
 
 An exact checker declares the range it covers and a search.  Every search
 is the one first-failure search _first: it walks a grid of points, in
@@ -77,7 +78,7 @@ from .partitions import (
 from .series import (
     ExpSeries,
     TruncatedSeries,
-    _lambert_level,
+    _nested_lambert,
     series_A,
     series_K,
     series_M,
@@ -334,28 +335,36 @@ def check_agl(n: int, scaled: bool) -> tuple[Profile, Profile]:
     return tuple((j - 1, a) for j, a in _initial_profile(n)), _profile(p1)
 
 
-@lru_cache(maxsize=32)
-def _shared(builder, *args):
-    """builder(*args), built once while it is among the last 32 asked for:
-    K_1 and M_1 at c = 1 serve uchimura_triple and thm_2_2, and entry4's
-    sides at c = 1 serve uchimura_triple and entry4.  The args are the key,
-    so a symbolic c, an unhashable CPolynomial, never comes here."""
-    return builder(*args)
+# what _once built in the run in progress; None outside a run
+_run_store: dict | None = None
 
 
-@lru_cache(maxsize=8)
+def _once(build, *args):
+    """build(*args), built once per run for every check that reads it and
+    anew outside a run.  The key is (build, *args), a float or complex by its
+    repr (0j == -0j while their powers differ), so Fraction(1) and 1 are one
+    key.  Callers pass build as the module global read at call time, so a
+    wrapper installed after import is what runs."""
+    if _run_store is None:
+        return build(*args)
+    key = (build, *(repr(a) if isinstance(a, (float, complex)) else a for a in args))
+    if key not in _run_store:
+        _run_store[key] = build(*args)
+    return _run_store[key]
+
+
 def _thm22_series(c, m_max: int, q_order: int) -> tuple:
-    """A, then K_m and M_m for m = 1..m_max, at c: built once for both parts."""
+    """A, then K_m and M_m for m = 1..m_max, at c: built once per run for both parts."""
     ms = range(1, m_max + 1)
-    a_series, ks = series_A(c, q_order), tuple(_shared(series_K, m, c, q_order) for m in ms)
-    return a_series, ks, tuple(_shared(series_M, m, c, q_order) for m in ms)
+    a_series, ks = series_A(c, q_order), tuple(_once(series_K, m, c, q_order) for m in ms)
+    return a_series, ks, tuple(_once(series_M, m, c, q_order) for m in ms)
 
 
 def _thm22_pairs(part: str, m_max: int, q_order: int, c) -> dict:
     """m -> the two series one part of thm_2_2 compares at c: the direct
     and the t-exponential route at m = 0..m_max for the exp part, each M_m
     and its Bell closed form at m = 1..m_max for the bell part."""
-    a_series, ks, ms = _thm22_series(c, m_max, q_order)
+    a_series, ks, ms = _once(_thm22_series, c, m_max, q_order)
     if part == "bell":
         ys = _bell_polynomials(m_max, ks)
         return {m: (ms[m - 1], a_series * ys[m]) for m in range(1, m_max + 1)}
@@ -447,7 +456,7 @@ def _check_entry4(cfg: CheckConfig):
             return _series_differ(*series_entry4(C, q))
         # c = 1 collapses to the divisor-count series
         divisor = _table(_divisor_counts, q)[: q + 1]
-        lhs, rhs = _shared(series_entry4, 1, q)
+        lhs, rhs = _once(series_entry4, 1, q)
         return _series_differ(lhs, divisor) or _series_differ(rhs, divisor)
 
     return {"q_order": q, "c": ["symbolic", 1]}, partial(
@@ -461,9 +470,9 @@ def _check_uchimura(cfg: CheckConfig):
     def search():
         # three constructions of sum d(n) q^n, each against the divisor counts
         forms = {
-            "M-form": _shared(series_M, 1, 1, q),
-            "alternating": _shared(series_entry4, 1, q)[0],
-            "lambert": _shared(series_K, 1, 1, q),
+            "M-form": _once(series_M, 1, 1, q),
+            "alternating": _once(series_entry4, 1, q)[0],
+            "lambert": _once(series_K, 1, 1, q),
         }
         divisor = _table(_divisor_counts, q)[: q + 1]
         return _first(_grid(form=forms), lambda form: _series_differ(forms[form], divisor))
@@ -475,15 +484,14 @@ def _check_thm_1_2(cfg: CheckConfig):
     if cfg.q_order < cfg.k_fold_max:
         raise ValueError(f"q-order {cfg.q_order} is below thm_1_2's k_max = {cfg.k_fold_max}")
 
-    def mismatch(k):
-        a, b, c3 = series_dilcher_binomial(k, cfg.q_order)
-        return _series_differ(a, b) or _series_differ(a, c3)
+    def mismatch(k, nested):
+        a, b = series_dilcher_binomial(k, cfg.q_order)
+        return _series_differ(a, b) or _series_differ(a, nested[k - 1])
 
     def search():
-        try:
-            return _first(_grid(k=range(1, cfg.k_fold_max + 1)), mismatch)
-        finally:  # no Lambert level of construction (c) outlives the check
-            _lambert_level.cache_clear()
+        # construction (c) for every k <= k_max, from one pass over its levels
+        nested = _nested_lambert(cfg.k_fold_max, cfg.q_order)
+        return _first(_grid(k=range(1, cfg.k_fold_max + 1)), partial(mismatch, nested=nested))
 
     return {"q_order": cfg.q_order, "k_max": cfg.k_fold_max}, search
 
@@ -593,22 +601,6 @@ _NUMERIC = {
 NUMERIC_CAPABLE = frozenset(_NUMERIC)
 
 
-# the power tables of the run in progress, keyed by (powers, repr(point),
-# top): a repr keeps 0j and -0j apart, which compare and hash equal, inside
-# tuples too, while their powers differ.  None outside a run.
-_run_tables: dict | None = None
-
-
-def _power_table(powers, point: complex, top: int) -> list[complex]:
-    """powers(point, top), formed once per run for every numeric check that
-    reads it, and once per check outside a run."""
-    tables = {} if _run_tables is None else _run_tables
-    key = (powers, repr(point), top)
-    if key not in tables:
-        tables[key] = powers(point, top)
-    return tables[key]
-
-
 def _numeric_check(cfg: CheckConfig, profiles, key: str, c_is_one: bool):
     """Evaluate both profiles(n) over the (z, c) grids for every n <= n_max.
 
@@ -627,8 +619,8 @@ def _numeric_check(cfg: CheckConfig, profiles, key: str, c_is_one: bool):
     c_grid = (1 + 0j,) if c_is_one else cfg.c_grid
     c_range = {"c": 1} if c_is_one else {"c_grid": list(c_grid)}
     rng = {"n_max": cfg.n_max, "z_grid": list(z_grid), **c_range, "tolerance": tol}
-    z_tables = [(z, _power_table(_z_powers, z, cfg.n_max)) for z in z_grid]
-    c_tables = [(c, _power_table(_c_powers, c, cfg.n_max)) for c in c_grid]
+    z_tables = [(z, _once(_z_powers, z, cfg.n_max)) for z in z_grid]
+    c_tables = [(c, _once(_c_powers, c, cfg.n_max)) for c in c_grid]
     worst = 0.0
 
     def search():
@@ -693,15 +685,16 @@ def _run_checks(checks) -> list[IdentityReport]:
     """Reports of the (tag, config) checks in order.  All are built before the
     first runs, so a range one checker rejects costs no search; each then runs
     through check_identity, which builds it again for a range and a closure,
-    reading the power tables the first build formed."""
-    global _run_tables
-    _run_tables = {}
+    reading the power tables the first build formed.  The run store that
+    _once reads lives exactly as long as the run."""
+    global _run_store
+    _run_store = {}
     try:
         for ident, cfg in checks:
             _build_check(ident, cfg)
         return [check_identity(ident, cfg) for ident, cfg in checks]
     finally:
-        _run_tables = None
+        _run_store = None
 
 
 def run_all(config: CheckConfig | None = None):

@@ -47,7 +47,6 @@ packed, they measured 1.1-1.3x (K) and 1.4-2x (tail sums) slower.
 
 from __future__ import annotations
 
-from array import array
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import accumulate, compress, repeat, zip_longest
@@ -532,16 +531,14 @@ def series_entry4(c: ScalarLike, order: int) -> tuple[TruncatedSeries, Truncated
     return TruncatedSeries._stored(order, _in_rows(build, p), r), series_K_lambert(1, c, order)
 
 
-def series_dilcher_binomial(
-    k: int, order: int
-) -> tuple[TruncatedSeries, TruncatedSeries, TruncatedSeries]:
-    """Three constructions of the k-fold divisor-sum generating function:
+def series_dilcher_binomial(k: int, order: int) -> tuple[TruncatedSeries, TruncatedSeries]:
+    """Two constructions of the k-fold divisor-sum generating function:
 
       (a) sum_{n>=k} C(n,k) q^n (q^{n+1})_inf
       (b) q^(-C(k,2)) * sum_{n>=1} (-1)^(n-1) q^(C(n+k,2)) / ((1-q^n)^k (q)_n)
-      (c) the k-fold nested Lambert sum over j_1 >= j_2 >= ... >= j_k
 
-    (b) is assembled at internal order Q + C(k,2); the down-shift must land on
+    _nested_lambert builds the third, (c), for every k at once.  (b) is
+    assembled at internal order Q + C(k,2); the down-shift must land on
     zero low-order coefficients or the transcription is wrong, which raises
     AlgorithmFault instead of silently truncating.
     """
@@ -558,36 +555,26 @@ def series_dilcher_binomial(
         raise AlgorithmFault(
             f"k-fold alternating sum has support below q^{offset} (k={k})"
         )
-    b = TruncatedSeries._stored(order, b_raw[offset:])
-    return a, b, TruncatedSeries._stored(order, _lambert_level(k, order)[1])
+    return a, TruncatedSeries._stored(order, b_raw[offset:])
 
 
-@lru_cache(maxsize=1)
-def _lambert_level(k: int, order: int) -> tuple[tuple[Sequence[int], ...], tuple[int, ...]]:
-    """Level k of construction (c) as (heads, top).  Entry j of a level sums
-    the chains j >= j_1 >= ... >= j_k >= 1: the prefix sums over j of
-    q^j/(1-q^j) times entry j of level k - 1, level 0 being the series one.
-    heads[j] is entry j through q^(order - j), all of it that level k + 1
-    reads, and top is entry order whole.  Built from the cached level below,
-    k = 1 .. k_max take k_max builds, and thm_1_2's check clears them."""
-    if not k:
-        heads = tuple(_compact([1] + [0] * (order - j)) for j in range(order + 1))
-        return heads, (1,) + (0,) * order
-    below, running = _lambert_level(k - 1, order)[0], [0] * (order + 1)
-    heads = [_compact(running)]
-    for j in range(1, order + 1):
-        _add_shifted(running, _over_factor(list(below[j]), 1, j), j, 1)
-        heads.append(_compact(running[: order + 1 - j]))
-    return tuple(heads), tuple(running)
+def _nested_lambert(k_max: int, order: int) -> list[TruncatedSeries]:
+    """Construction (c) for k = 1..k_max: the k-fold nested Lambert sum over
+    j_1 >= j_2 >= ... >= j_k >= 1 of the products of q^(j_i)/(1-q^(j_i)).
 
-
-def _compact(values: list[int]) -> Sequence[int]:
-    """values as an array of unsigned 64-bit ints, a fifth of a tuple's
-    memory, or as a tuple where one does not fit."""
-    try:
-        return array("Q", values)
-    except OverflowError:
-        return tuple(values)
+    Entry j of level k sums the chains j >= j_1 >= ... >= j_k >= 1: the
+    prefix sums over j of q^j/(1-q^j) times entry j of level k - 1, level 0
+    being the series one.  One ascending pass builds level k from level
+    k - 1, keeping of entry j only heads[j], its terms through q^(order - j)
+    that the next level reads; entry order whole is (c) at k."""
+    heads, out = [[1] + [0] * (order - j) for j in range(order + 1)], []
+    for _k in range(k_max):
+        running, below, heads = [0] * (order + 1), heads, [[]]  # heads[0] is never read
+        for j in range(1, order + 1):
+            _add_shifted(running, _over_factor(below[j], 1, j), j, 1)
+            heads.append(running[: order + 1 - j])
+        out.append(TruncatedSeries._stored(order, running))
+    return out
 
 
 class ExpSeries:

@@ -12,7 +12,7 @@ from math import comb
 import pytest
 
 from enumeration import enumerate_distinct
-from pie import exact, identities, partitions, series
+from pie import cli, exact, identities, partitions
 from pie.errors import AlgorithmFault
 from pie.exact import C, CPolynomial, divisors, fractional_weight
 from pie.identities import (
@@ -138,27 +138,21 @@ def test_divisor_count_readers_share_one_table(monkeypatch):
 
 @pytest.mark.parametrize("fails", [False, True], ids=["passing", "failing"])
 def test_thm_1_2_keeps_no_lambert_level(monkeypatch, fails):
-    # construction (c) builds each Lambert level once, levels 0 .. k from the
-    # one below, and no level outlives the check, whether it passes or stops
-    # at a failure
-    levels, cleared = series._lambert_level, []
-    levels.cache_clear()
+    # construction (c) for k = 1..k_max comes from one local pass over its
+    # levels, made once per check whether it passes or stops at a failure;
+    # no level is cached, so none outlives the check
+    calls = []
 
-    def clear(real=levels.cache_clear):
-        cleared.append(levels.cache_info().misses)
-        real()
+    def nested(k_max, q, real=identities._nested_lambert):
+        calls.append((k_max, q))
+        return [s.scale(2) if fails and k == 3 else s for k, s in enumerate(real(k_max, q), 1)]
 
-    monkeypatch.setattr(levels, "cache_clear", clear)
-    if fails:
-        def skewed(k, q, real=identities.series_dilcher_binomial):
-            a, b, c3 = real(k, q)
-            return a, b, c3.scale(2) if k == 3 else c3
-
-        monkeypatch.setattr(identities, "series_dilcher_binomial", skewed)
+    monkeypatch.setattr(identities, "_nested_lambert", nested)
     rep = check_identity("thm_1_2", CheckConfig(q_order=40, k_fold_max=5))
     assert rep.passed is not fails
-    assert cleared == [4 if fails else 6]
-    assert levels.cache_info().currsize == 0
+    assert calls == [(5, 40)]
+    if fails:
+        assert rep.first_failure["k"] == 3
 
 
 def test_agl_examples():
@@ -408,25 +402,59 @@ def test_a_check_that_reads_no_table_builds_none(table_builds):
 
 
 def test_run_all_builds_each_series_at_c_one_once(monkeypatch):
-    # K_1 and M_1 at c = 1 serve uchimura_triple and thm_2_2, and entry4's
-    # sides at c = 1 serve uchimura_triple and entry4: one build each per run
+    # K_1 and M_1 at c = 1 serve uchimura_triple and thm_2_2, entry4's sides
+    # at c = 1 serve uchimura_triple and entry4, and A at each c serves both
+    # parts of thm_2_2: one build each per run, and none outlives its run
     built = Counter()
-    for name in ("series_K", "series_M", "series_entry4"):
+    for name in ("series_A", "series_K", "series_M", "series_entry4"):
 
         def counted(*args, real=getattr(identities, name), name=name):
             built[(name, *map(str, args))] += 1
             return real(*args)
 
         monkeypatch.setattr(identities, name, counted)
-    _clear_caches()
-    try:
-        reports = run_all(CheckConfig(n_max=10, q_order=12, m_max=2))
-    finally:
-        _clear_caches()
-    assert all(r.passed for r in reports)
-    for key in ("series_K", 1, 1), ("series_M", 1, 1), ("series_entry4", 1):
-        assert (*map(str, key), "12") in built
-    assert set(built.values()) == {1}
+    cfg = CheckConfig(n_max=10, q_order=12, m_max=2)
+    for runs in (1, 2):
+        assert all(r.passed for r in run_all(cfg))
+        for key in ("series_K", 1, 1), ("series_M", 1, 1), ("series_entry4", 1):
+            assert (*map(str, key), "12") in built
+        assert [k for k in built if k[0] == "series_A"] == [
+            ("series_A", str(c), "12") for c in cfg.c_exact
+        ]
+        assert set(built.values()) == {runs}
+
+
+def _fault_in_thm_2_2(monkeypatch):
+    def broken(c, order):
+        raise AlgorithmFault("constructions disagree")
+
+    monkeypatch.setattr(identities, "series_A", broken)
+    reports = run_all(CheckConfig(n_max=6, q_order=8, m_max=2))
+    failed = [(r.id, r.first_failure) for r in reports if not r.passed]
+    fault = {"fault": "constructions disagree"}
+    return failed == [(IdentityId.THM_2_2_EXP, fault), (IdentityId.THM_2_2_BELL, fault)]
+
+
+# runs that end in three ways: every check passes, a check's build raises
+# ValueError (thm_1_2 rejects q-order 3), and checks fail with an AlgorithmFault
+RUN_ENDS = {
+    "passing": lambda mp: all(r.passed for r in run_all(CheckConfig(n_max=6, q_order=8, m_max=2))),
+    "rejected-build": lambda mp: cli.main(["verify", "--all", "--q-order", "3"]) == 2,
+    "algorithm-fault": _fault_in_thm_2_2,
+}
+
+
+@pytest.mark.parametrize("end", RUN_ENDS.values(), ids=RUN_ENDS)
+def test_run_store_lives_only_as_long_as_its_run(monkeypatch, capsys, end):
+    opened, real = [], identities._build_check
+    monkeypatch.setattr(
+        identities,
+        "_build_check",
+        lambda *args: opened.append(identities._run_store is not None) or real(*args),
+    )
+    assert end(monkeypatch)
+    assert opened and all(opened)
+    assert identities._run_store is None
 
 
 def test_check_config_value_semantics():
@@ -685,11 +713,8 @@ def test_fault_report_keeps_range(monkeypatch):
         raise AlgorithmFault("constructions disagree")
 
     monkeypatch.setattr(identities, "series_A", broken)
-    _clear_caches()  # the shared thm_2_2 build would hide the patch
-    try:
-        rep = check_identity(IdentityId.THM_2_2_EXP, cfg)
-    finally:
-        _clear_caches()
+    # no thm_2_2 build outlives the passing check, so the patch reaches this one
+    rep = check_identity(IdentityId.THM_2_2_EXP, cfg)
     assert rep.status == "fail"
     assert rep.first_failure == {"fault": "constructions disagree"}
     assert rep.range == passing.range
@@ -715,11 +740,7 @@ def test_thm22_failure_reports_are_pinned(monkeypatch, part, skewed_at):
         return s.scale(2) if skewed_at == "all" or (m, c) == (2, Fraction(-1, 2)) else s
 
     monkeypatch.setattr(identities, "series_K", skewed)
-    _clear_caches()
-    try:
-        rep = check_identity(f"thm_2_2_{part}", CheckConfig(n_max=6, q_order=10, m_max=2))
-    finally:
-        _clear_caches()
+    rep = check_identity(f"thm_2_2_{part}", CheckConfig(n_max=6, q_order=10, m_max=2))
     assert json.dumps(rep.to_json_dict(), sort_keys=True) == (
         '{"elapsed_ms": null, ' + THM22_RECORDS[skewed_at] + f', "id": "thm_2_2_{part}", '
         '"mode": "exact", "range": {"c_values": ["1", "2/3", "-1/2"], "m_max": 2, '

@@ -14,6 +14,7 @@ from pie.series import (
     ExpSeries,
     TruncatedSeries,
     _add_shifted,
+    _nested_lambert,
     _over_factor,
     _split,
     _times,
@@ -802,58 +803,26 @@ def test_packed_quotient_slots_hold_the_majorant(monkeypatch, c):
 
 
 def test_dilcher_reduces_to_triple_identity_at_one():
-    a, b, c3 = series_dilcher_binomial(1, 10)
+    (a, b), (c3,) = series_dilcher_binomial(1, 10), _nested_lambert(1, 10)
     assert a == b == c3
     assert [a[i] for i in range(1, 11)] == D_COUNTS[1:11]
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_dilcher_threeway_agreement(k):
-    a, b, c3 = series_dilcher_binomial(k, 12)
+    a, b = series_dilcher_binomial(k, 12)
     assert a == b
-    assert a == c3
+    assert a == _nested_lambert(k, 12)[k - 1]
 
 
-@cache
-def cached_nested_lambert(k, order):
-    return tuple(nested_lambert(k, order))
-
-
-LEVEL_CALLS = {
-    "ascending": lambda order: [(k, order) for k in range(1, 7)],
-    "descending": lambda order: [(k, order) for k in range(6, 0, -1)],
-    # each k right after a build at the next order
-    "interleaved": lambda order: [(k, q) for k in range(1, 7) for q in (order + 1, order)],
-}
-
-
-@pytest.mark.parametrize("calls", LEVEL_CALLS.values(), ids=LEVEL_CALLS)
-def test_dilcher_lambert_levels_match_a_from_scratch_loop(calls):
-    # construction (c) reads cached levels; no call order may change it
-    series._lambert_level.cache_clear()
-    for order in range(1, 40):
-        for k, q in calls(order):
-            if k <= q:
-                want = cached_nested_lambert(k, q)
-                assert series_dilcher_binomial(k, q)[2].nums == want, (k, q)
-
-
-def test_dilcher_lambert_levels_past_64_bits(monkeypatch):
-    # a level entry that no unsigned 64-bit int holds is kept as a tuple, and
-    # levels of tuples give the same construction (c)
-    assert series._compact([0, 2**64 - 1]).tolist() == [0, 2**64 - 1]
-    assert series._compact([1, 2**64]) == (1, 2**64)
-
-    def overflowing(code, values):
-        raise OverflowError("an entry past 2^64")
-
-    monkeypatch.setattr(series, "array", overflowing)
-    series._lambert_level.cache_clear()
-    try:
-        for k in range(1, 7):
-            assert series_dilcher_binomial(k, 30)[2].nums == cached_nested_lambert(k, 30), k
-    finally:
-        series._lambert_level.cache_clear()
+def test_nested_lambert_matches_a_from_scratch_loop():
+    # construction (c) for every k <= 6 from one pass over its levels, each
+    # level built from the one below, against each k built anew
+    for order in range(1, 41):
+        nested = _nested_lambert(6, order)
+        assert len(nested) == 6
+        for k, series_k in enumerate(nested, 1):
+            assert series_k.nums == tuple(nested_lambert(k, order)), (k, order)
 
 
 def test_series_K_divisor_divides_each_n_once(monkeypatch):
