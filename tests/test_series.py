@@ -815,14 +815,30 @@ def test_dilcher_threeway_agreement(k):
     assert a == _nested_lambert(k, 12)[k - 1]
 
 
-def test_nested_lambert_matches_a_from_scratch_loop():
-    # construction (c) for every k <= 6 from one pass over its levels, each
-    # level built from the one below, against each k built anew
+@cache
+def cached_nested_lambert(k, order):
+    return tuple(nested_lambert(k, order))
+
+
+LEVEL_CALLS = {
+    "ascending": lambda order: [(k, order) for k in range(1, 7)],
+    "descending": lambda order: [(k, order) for k in range(6, 0, -1)],
+    # each k right after a build at the next order
+    "interleaved": lambda order: [(k, q) for k in range(1, 7) for q in (order + 1, order)],
+}
+
+
+@pytest.mark.parametrize("calls", LEVEL_CALLS.values(), ids=LEVEL_CALLS)
+def test_dilcher_lambert_levels_match_a_from_scratch_loop(calls):
+    # construction (c) for every k <= k_max from one pass over its levels,
+    # each level built from the one below, against each k built anew; no
+    # call order may change it
     for order in range(1, 41):
-        nested = _nested_lambert(6, order)
-        assert len(nested) == 6
-        for k, series_k in enumerate(nested, 1):
-            assert series_k.nums == tuple(nested_lambert(k, order)), (k, order)
+        for k_max, q in calls(order):
+            nested = _nested_lambert(k_max, q)
+            assert len(nested) == k_max
+            for k, series_k in enumerate(nested, 1):
+                assert series_k.nums == cached_nested_lambert(k, q), (k, k_max, q)
 
 
 def test_series_K_divisor_divides_each_n_once(monkeypatch):
