@@ -225,13 +225,13 @@ def _cmd_series(args: argparse.Namespace) -> int:
     import csv
 
     from .exact import BELL_DEGREE_CAP
-    from .series import coefficient_rows, series_A, series_K, series_M
+    from .series import K_FOLD_CAP, coefficient_rows, series_A, series_K, series_M
     from .series import series_dilcher_binomial, series_entry4
 
     order = _within("order", _setting(args, "order", "Q_ORDER", int, 30), MAX_Q_ORDER)
     c, name, m = _parse_c_value(args.c), args.name, args.m
     # the builders' errors name their parameters (dilcher's k is --m), not the flags
-    bounds = {"M": (0, BELL_DEGREE_CAP), "K": (1, BELL_DEGREE_CAP), "dilcher": (1, 6)}
+    bounds = {"M": (0, BELL_DEGREE_CAP), "K": (1, BELL_DEGREE_CAP), "dilcher": (1, K_FOLD_CAP)}
     least, most = bounds.get(name, (m, m))
     if not least <= m <= most:
         raise ValueError(f"--m must lie in {least}..{most} for {name}, got {m}")

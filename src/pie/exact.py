@@ -10,7 +10,9 @@ stored value is an int or a row, two ints give an int, and an int meets a
 row as the constant row.  Fraction is the boundary: coefficient, items and
 exact evaluation return Fraction, and str prints every coefficient as a
 Fraction would.  Numeric mode works in complex doubles with j^z defined
-through the principal real logarithm of the positive integer j.
+through the principal real logarithm of the positive integer j.  _once,
+the one memo of series and identities, keeps what it builds in a store
+that lives exactly as long as a run of identities._run_checks.
 """
 
 from __future__ import annotations
@@ -266,6 +268,24 @@ class CPolynomial:
 
 # the indeterminate
 C = CPolynomial({1: 1})
+
+
+# what _once built in the run in progress; None outside a run
+_run_store: dict | None = None
+
+
+def _once(build, *args):
+    """build(*args), once per run and anew outside one, keyed by (build,
+    *args), or by build and the args' reprs where one is a float or complex
+    (0j == -0j while their powers differ).  Callers pass build as the module
+    global read at call time, so a wrapper installed later runs."""
+    if _run_store is None:
+        return build(*args)
+    signed = not {float, complex}.isdisjoint(map(type, args))
+    key = (build, *map(repr, args)) if signed else (build, *args)
+    if key not in _run_store:
+        _run_store[key] = build(*args)
+    return _run_store[key]
 
 
 def divisors(n: int) -> list[int]:

@@ -2,10 +2,10 @@
 
 Every identity in scope has a closed tag; check_identity dispatches a tag to
 its checker and returns a machine-readable IdentityReport.  Each weighted
-side is built once per n as an exact integer weight profile (see the weight
-profiles section).  Work that several checks read is built once per run
-through _once, whose store lives as long as _run_checks: the one build of A,
-K_m and M_m per (c, m_max, q_order) that both parts of thm_2_2 read, K_1, M_1
+side is an exact integer weight profile at n (see the weight profiles
+section).  exact._once is the one memo, its store living exactly as long as
+a run: every check's build, each profile at each n, the one build of A, K_m
+and M_m per (c, m_max, q_order) that both parts of thm_2_2 read, K_1, M_1
 and entry4's sides at c = 1, and the numeric power tables.  The bell part
 takes every Y_m from one pass of the Bell recurrence.  Every read of the
 divisor counts d(m) but bs_int's sigma_int(0, n) goes through one table,
@@ -35,11 +35,12 @@ exact._sum_weighed; where the two profiles are equal it sums one for both
 sides.  Every term is formed as a single-point call forms it, so values,
 conditions and failure records are bit-identical to per-point evaluation.
 
-check_identity alone times a check, runs its search with the partition
-tables sized to the run's n_max, turns an AlgorithmFault into a failing
-report over the checker's declared range, and builds the report; _run_checks
-builds every check, which runs no search, before the first runs.  The
-frozen CheckConfig and the assignable IdentityReport are plain records on
+_run_checks opens and closes every run: it builds each check, which runs no
+search, sizes the partition tables to the largest n_max, and runs each
+through check_identity, which reads the build, times its search, turns an
+AlgorithmFault into a failing report over the declared range, and builds the
+report; outside a run check_identity is a run of one check.  The frozen
+CheckConfig and the assignable IdentityReport are plain records on
 partitions._Value, so no check imports dataclasses or inspect.
 """
 
@@ -49,16 +50,18 @@ import time
 from cmath import isfinite
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import partial
 from itertools import compress, product
 from math import factorial
 
+from . import exact
 from .errors import AlgorithmFault
 from .exact import (
     C,
     Scalar,
     _bell_polynomials,
     _c_powers,
+    _once,
     _sum_weighed,
     _weigh,
     _z_powers,
@@ -76,6 +79,7 @@ from .partitions import (
     window_marginals,
 )
 from .series import (
+    K_FOLD_CAP,
     ExpSeries,
     TruncatedSeries,
     _nested_lambert,
@@ -211,30 +215,26 @@ def _profile(row) -> Profile:
     return tuple(compress(enumerate(row), row))
 
 
-@lru_cache(maxsize=None)
 def _window_profile(n: int) -> Profile:
     # sign * (c^(l-s+1) + ... + c^l) over D(n): c^N carries the class sum of C(N)
     return _profile(class_sums(n))
 
 
-@lru_cache(maxsize=None)
 def _smallest_profile(n: int) -> Profile:
     # sign * c^s over D(n)
     return _profile(window_marginals(n)[0])
 
 
-@lru_cache(maxsize=None)
 def _initial_profile(n: int) -> Profile:
     # sign * (c + c^2 + ... + c^s) over D(n): suffix sums of the smallest part
     row = [0] * (n + 2)
-    for s, a in _smallest_profile(n):
+    for s, a in _once(_smallest_profile, n):
         row[s] = a
     for j in range(n, 0, -1):
         row[j] += row[j + 1]
     return _profile(row)
 
 
-@lru_cache(maxsize=None)
 def _binomial_rows(n: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
     """G_1, P_1 and P_0 at n, each as its coefficients of c^0..c^n."""
     groups = size_rows(n)
@@ -246,24 +246,21 @@ def _binomial_rows(n: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int,
     return groups[0], tuple(p1), tuple(p0)
 
 
-@lru_cache(maxsize=None)
 def _binomial_profile(n: int) -> Profile:
     # sum over P(n) of c^(l-v) (c-1)^v with base l - j = 0 dropped: P_0 less c^0
-    return _profile((0, *_binomial_rows(n)[2][1:]))
+    return _profile((0, *_once(_binomial_rows, n)[2][1:]))
 
 
-@lru_cache(maxsize=None)
 def _shifted_binomial_profile(n: int) -> Profile:
     # sum over P(n) with v >= 2 of c^(l-v+1) (c-1)^(v-1), plus sum over d | n
     # of c^d: c * (P_1 - G_1) and the divisor term
-    g1, p1, _p0 = _binomial_rows(n)
+    g1, p1, _p0 = _once(_binomial_rows, n)
     row = [0, *(p - g for g, p in zip(g1, p1))]
     for d in divisors(n):
         row[d] += 1
     return _profile(row)
 
 
-@lru_cache(maxsize=None)
 def _divisor_profile(n: int) -> Profile:
     return tuple((d, 1) for d in divisors(n))
 
@@ -272,15 +269,15 @@ def _divisor_profile(n: int) -> Profile:
 
 
 def _thm21_profiles(n: int) -> tuple[Profile, Profile]:
-    return _window_profile(n), _divisor_profile(n)
+    return _once(_window_profile, n), _once(_divisor_profile, n)
 
 
 def _thm23_profiles(n: int) -> tuple[Profile, Profile]:
-    return _smallest_profile(n), _binomial_profile(n)
+    return _once(_smallest_profile, n), _once(_binomial_profile, n)
 
 
 def _thm26_profiles(n: int) -> tuple[Profile, Profile]:
-    return _initial_profile(n), _shifted_binomial_profile(n)
+    return _once(_initial_profile, n), _once(_shifted_binomial_profile, n)
 
 
 def _profiles_differ(profiles, n: int) -> dict | None:
@@ -326,31 +323,13 @@ def check_agl(n: int, scaled: bool) -> tuple[Profile, Profile]:
     """
     if n < 1:
         raise ValueError("n must be positive")
-    _g1, p1, p0 = _binomial_rows(n)
+    _g1, p1, p0 = _once(_binomial_rows, n)
     if scaled:
         # c^s - 1 over D(n): minus the signed count at e = 0, then the
         # smallest parts' profile, which starts at e = 1
-        smallest = _smallest_profile(n)
+        smallest = _once(_smallest_profile, n)
         return _profile((-sum(a for _s, a in smallest),)) + smallest, _profile(p0)
-    return tuple((j - 1, a) for j, a in _initial_profile(n)), _profile(p1)
-
-
-# what _once built in the run in progress; None outside a run
-_run_store: dict | None = None
-
-
-def _once(build, *args):
-    """build(*args), built once per run for every check that reads it and
-    anew outside a run.  The key is (build, *args), a float or complex by its
-    repr (0j == -0j while their powers differ), so Fraction(1) and 1 are one
-    key.  Callers pass build as the module global read at call time, so a
-    wrapper installed after import is what runs."""
-    if _run_store is None:
-        return build(*args)
-    key = (build, *(repr(a) if isinstance(a, (float, complex)) else a for a in args))
-    if key not in _run_store:
-        _run_store[key] = build(*args)
-    return _run_store[key]
+    return tuple((j - 1, a) for j, a in _once(_initial_profile, n)), _profile(p1)
 
 
 def _thm22_series(c, m_max: int, q_order: int) -> tuple:
@@ -434,8 +413,8 @@ def _sweep(cfg: CheckConfig, mismatch, key: str = "k", **rng):
 
 
 def _cor24_sides(n: int, k: int) -> tuple[int, int]:
-    lhs = _at(_smallest_profile(n), k, 1)
-    rhs = _at(_binomial_profile(n), k, 1)
+    lhs = _at(_once(_smallest_profile, n), k, 1)
+    rhs = _at(_once(_binomial_profile, n), k, 1)
     if k == 1 and lhs == rhs:
         # the k=1 chain collapses to the divisor count
         rhs = _table(_divisor_counts, n)[n]
@@ -459,9 +438,8 @@ def _check_entry4(cfg: CheckConfig):
         lhs, rhs = _once(series_entry4, 1, q)
         return _series_differ(lhs, divisor) or _series_differ(rhs, divisor)
 
-    return {"q_order": q, "c": ["symbolic", 1]}, partial(
-        _first, _grid(c=("symbolic", 1)), mismatch
-    )
+    search = partial(_first, _grid(c=("symbolic", 1)), mismatch)
+    return {"q_order": q, "c": ["symbolic", 1]}, search
 
 
 def _check_uchimura(cfg: CheckConfig):
@@ -481,6 +459,8 @@ def _check_uchimura(cfg: CheckConfig):
 
 
 def _check_thm_1_2(cfg: CheckConfig):
+    if not 1 <= cfg.k_fold_max <= K_FOLD_CAP:
+        raise ValueError(f"thm_1_2's k_max = {cfg.k_fold_max} lies outside 1..{K_FOLD_CAP}")
     if cfg.q_order < cfg.k_fold_max:
         raise ValueError(f"q-order {cfg.q_order} is below thm_1_2's k_max = {cfg.k_fold_max}")
 
@@ -517,7 +497,7 @@ def _check_dilcher_cm(cfg: CheckConfig):
         series = {m: series_M(m, 1, n_max) for m in formulas}
 
         def mismatch(m, n):
-            weights = _at(_smallest_profile(n), m, 1)
+            weights = _at(_once(_smallest_profile, n), m, 1)
             formula = formulas[m](n)
             if not weights == formula == series[m][n]:
                 return {"weights": weights, "convolution": formula, "series": series[m][n]}
@@ -535,7 +515,7 @@ def _check_eq_1_13(cfg: CheckConfig):
         m0 = series_M(0, C, cfg.n_max)
         if (m0.den, m0.grade) != (1, 1):  # else nums[n] is not the q^n coefficient's row
             raise AlgorithmFault(f"M_0 at symbolic c has den {m0.den}, grade {m0.grade}")
-        rows = lambda n: (_smallest_profile(n), _profile(m0.nums[n]))
+        rows = lambda n: (_once(_smallest_profile, n), _profile(m0.nums[n]))
         return _first(_grid(n=_ns(cfg)), partial(_profiles_differ, rows))
 
     return {"n_max": cfg.n_max, "m": "all complex", "c": "symbolic"}, search
@@ -558,10 +538,13 @@ def _check_thm22(cfg: CheckConfig, part: str):
 REGISTRY = {
     # a window holds s weights, so sum_e a(e) is the signed smallest-part sum
     IdentityId.BS_BASIC: lambda cfg: _over_n(
-        cfg, lambda n: _differ(_at(_window_profile(n), 0, 1), _table(_divisor_counts, n)[n])
+        cfg,
+        lambda n: _differ(_at(_once(_window_profile, n), 0, 1), _table(_divisor_counts, n)[n]),
     ),
     IdentityId.BS_INT: lambda cfg: _sweep(
-        cfg, lambda n, z: _differ(_at(_window_profile(n), z, 1), sigma_int(z, n)), key="z"
+        cfg,
+        lambda n, z: _differ(_at(_once(_window_profile, n), z, 1), sigma_int(z, n)),
+        key="z",
     ),
     IdentityId.BS_ONEVAR: _profile_check(_thm21_profiles, z="all complex", c="symbolic"),
     IdentityId.UCHIMURA_TRIPLE: _check_uchimura,
@@ -664,12 +647,14 @@ def _build_check(ident, config: CheckConfig) -> tuple:
 
 
 def check_identity(ident, config: CheckConfig | None = None) -> IdentityReport:
-    """Run one registered identity check and return its report.  A check the
+    """Run one registered identity check and return its report: in a run from
+    the run's build of it, and outside one as a run of one check.  A check the
     configuration cannot build raises ValueError (see _build_check); internal
     faults become failing reports over its declared range, never silent repairs."""
     config = config or CheckConfig()
-    ident, rng, search, worst = _build_check(ident, config)
-    _size_tables(config.n_max)
+    if exact._run_store is None:
+        return _run_checks([(ident, config)])[0]
+    ident, rng, search, worst = _once(_build_check, ident, config)
     t0 = time.perf_counter()
     try:
         failure = search()
@@ -682,23 +667,22 @@ def check_identity(ident, config: CheckConfig | None = None) -> IdentityReport:
 
 
 def _run_checks(checks) -> list[IdentityReport]:
-    """Reports of the (tag, config) checks in order.  All are built before the
-    first runs, so a range one checker rejects costs no search; each then runs
-    through check_identity, which builds it again for a range and a closure,
-    reading the power tables the first build formed.  The run store that
-    _once reads lives exactly as long as the run."""
-    global _run_store
-    _run_store = {}
+    """Reports of the (tag, config) checks in order, from one run: _once's
+    store is open from its first build to its last report, however it ends.
+    Every check is built before the first runs, so a range one checker
+    rejects costs no search, and each then runs through check_identity."""
+    exact._run_store = {}
     try:
         for ident, cfg in checks:
-            _build_check(ident, cfg)
+            _once(_build_check, ident, cfg)
+        _size_tables(max(cfg.n_max for _ident, cfg in checks))
         return [check_identity(ident, cfg) for ident, cfg in checks]
     finally:
-        _run_store = None
+        exact._run_store = None
 
 
 def run_all(config: CheckConfig | None = None):
     """Exact reports for every tag, then numeric reports where defined."""
-    exact, numeric = ((config or CheckConfig()).replace(mode=m) for m in ("exact", "numeric"))
-    checks = [(ident, exact) for ident in IdentityId]
+    exact_cfg, numeric = ((config or CheckConfig()).replace(mode=m) for m in ("exact", "numeric"))
+    checks = [(ident, exact_cfg) for ident in IdentityId]
     return _run_checks(checks + [(i, numeric) for i, _ in checks if i in NUMERIC_CAPABLE])

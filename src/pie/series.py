@@ -30,7 +30,9 @@ suite compares.  They build every product and quotient of factors
 (1 - x q^k) one factor at a time on int numerators, each through the one
 shifted-add kernel _add_shifted, and never invert a whole series.  Builders
 documented as double constructions still compute the same series two
-independent ways and raise AlgorithmFault if the results differ.
+independent ways and raise AlgorithmFault if the results differ.  A run
+builds the tails of (q)_inf at each order and grade and the divisors of each
+n once, through exact._once; outside a run each call builds them anew.
 
 At a symbolic c = p/r, p a row, A's product quotient and entry4's left side
 mix the powers of c in every factor (1 - c q^k), so _in_rows packs c: the
@@ -48,7 +50,7 @@ packed, they measured 1.1-1.3x (K) and 1.4-2x (tail sums) slower.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import reduce
 from itertools import accumulate, compress, repeat, zip_longest
 from math import comb, lcm
 from operator import add, mul, or_, sub
@@ -56,10 +58,11 @@ from typing import Callable, Iterable, Sequence, Union
 
 from .errors import AlgorithmFault
 from .exact import CPolynomial, Stored, _plus, _ratio, _row, _sum_text, _times, divisors
-from .exact import _bias, _pack, _unpack
+from .exact import _bias, _once, _pack, _unpack
 
 Coefficient = Union[Fraction, CPolynomial]
 ScalarLike = Union[int, Fraction, CPolynomial]
+K_FOLD_CAP = 6  # the largest k of series_dilcher_binomial's k-fold divisor sums
 
 
 def _split(c: ScalarLike) -> tuple:
@@ -331,7 +334,6 @@ def _add_shifted(acc: list, coeffs: Sequence[int], shift: int, weight: int) -> l
 # -- sums over the tails of (q)_inf -----------------------------------------
 
 
-@lru_cache(maxsize=8)
 def _unit_tails(order: int, grade: int) -> tuple[tuple[int, ...], ...]:
     # tails[n] = prod_{k >= n+1} (1 - q^k) stored at the grade, built
     # descending so each tail costs one factor
@@ -345,7 +347,7 @@ def _tail_sum(weights: Sequence, order: int, grade: int) -> TruncatedSeries:
     """sum_n w_n q^n (q^{n+1})_inf, truncated at the order, from the stored
     weights weights[n] = w_n * grade**n of w_n q^n: row weights fill one int
     sum per power of c, and its q^N coefficients make the row at q^N."""
-    tails = _unit_tails(order, grade)
+    tails = _once(_unit_tails, order, grade)
     rows = tuple in map(type, weights)
     sums = []
     for column in zip_longest(*map(_row, weights), fillvalue=0) if rows else [weights]:
@@ -466,13 +468,6 @@ def series_M(m: int, c: ScalarLike, order: int) -> TruncatedSeries:
     return _tail_sum(weights, order, r)
 
 
-@lru_cache(maxsize=512)
-def _divisors(n: int) -> tuple[int, ...]:
-    # series_K_divisor reads every n <= Q once per (m, c): trial division
-    # once per n, for every n up to the largest order the CLI accepts (300)
-    return tuple(divisors(n))
-
-
 def series_K_divisor(m: int, c: ScalarLike, order: int) -> TruncatedSeries:
     """K_{m,c} = sum_n sigma_{m-1,c}(n) q^n from explicit divisor sums."""
     if m < 1:
@@ -482,7 +477,7 @@ def series_K_divisor(m: int, c: ScalarLike, order: int) -> TruncatedSeries:
     plus, times = _ops(p)
     vals = [0] * (order + 1)
     for n in range(1, order + 1):
-        for d in _divisors(n):
+        for d in _once(divisors, n):
             vals[n] = plus(vals[n], times(ppow[d], d ** (m - 1) * rpow[n - d]))
     return TruncatedSeries._stored(order, vals, r)
 
@@ -542,8 +537,8 @@ def series_dilcher_binomial(k: int, order: int) -> tuple[TruncatedSeries, Trunca
     zero low-order coefficients or the transcription is wrong, which raises
     AlgorithmFault instead of silently truncating.
     """
-    if not 1 <= k <= 6:
-        raise ValueError("k must be between 1 and 6")
+    if not 1 <= k <= K_FOLD_CAP:
+        raise ValueError(f"k must be between 1 and {K_FOLD_CAP}")
     if order < k:
         raise ValueError("order must be at least k")
 

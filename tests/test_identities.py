@@ -12,7 +12,7 @@ from math import comb
 import pytest
 
 from enumeration import enumerate_distinct
-from pie import cli, exact, identities, partitions
+from pie import cli, exact, identities, partitions, series
 from pie.errors import AlgorithmFault
 from pie.exact import C, CPolynomial, divisors, fractional_weight
 from pie.identities import (
@@ -390,7 +390,6 @@ def test_run_all_runs_each_check_through_check_identity(monkeypatch):
 
 
 def test_run_all_builds_each_table_once_at_its_n_max(table_builds):
-    _clear_caches()  # so every n <= 40 reads the tables, not a cached profile
     reports = run_all(CheckConfig(n_max=40, q_order=12, m_max=2))
     assert all(r.passed for r in reports)
     assert table_builds == {"cells": [40], "windows": [40]}
@@ -450,11 +449,76 @@ def test_run_store_lives_only_as_long_as_its_run(monkeypatch, capsys, end):
     monkeypatch.setattr(
         identities,
         "_build_check",
-        lambda *args: opened.append(identities._run_store is not None) or real(*args),
+        lambda *args: opened.append(exact._run_store is not None) or real(*args),
     )
     assert end(monkeypatch)
     assert opened and all(opened)
-    assert identities._run_store is None
+    assert exact._run_store is None
+
+
+def test_check_identity_on_its_own_is_a_run_of_one_check(monkeypatch):
+    # the store is open while the check is built and while its search runs,
+    # and dropped when check_identity returns
+    opened, real_build, real_first = [], identities._build_check, identities._first
+
+    def build(*args):
+        opened.append(("build", exact._run_store is not None))
+        return real_build(*args)
+
+    def first(*args):
+        opened.append(("search", exact._run_store is not None))
+        return real_first(*args)
+
+    monkeypatch.setattr(identities, "_build_check", build)
+    monkeypatch.setattr(identities, "_first", first)
+    assert exact._run_store is None
+    assert check_identity("bs_basic", CheckConfig(n_max=8)).passed
+    assert opened == [("build", True), ("search", True)]
+    assert exact._run_store is None
+
+
+# the per-n profile builders, each read through exact._once
+PROFILE_BUILDERS = (
+    "_window_profile", "_smallest_profile", "_initial_profile", "_binomial_rows",
+    "_binomial_profile", "_shifted_binomial_profile", "_divisor_profile",
+)
+
+
+def test_each_run_builds_each_check_and_profile_once(monkeypatch):
+    # per run_all, one build of every check and of every profile at each n;
+    # nothing outlives the run, so a second run builds all of them again, and
+    # no builder keeps a cache of its own behind the run store
+    layers = (exact, series, identities)
+    assert not [v for m in layers for v in vars(m).values() if hasattr(v, "cache_clear")]
+    built = Counter()
+
+    def spy(name):
+        real = getattr(identities, name)
+        return lambda *args: built.update([(name, *map(str, args))]) or real(*args)
+
+    for name in ("_build_check", *PROFILE_BUILDERS):
+        monkeypatch.setattr(identities, name, spy(name))
+    cfg = CheckConfig(n_max=10, q_order=12, m_max=2)
+    for runs in (1, 2):
+        reports = run_all(cfg)
+        assert all(r.passed for r in reports)
+        assert len([k for k in built if k[0] == "_build_check"]) == len(reports)
+        for name in PROFILE_BUILDERS:
+            assert sorted(int(k[1]) for k in built if k[0] == name) == list(range(1, 11))
+        assert set(built.values()) == {runs}
+
+
+@pytest.mark.parametrize("k_fold_max", [7, 0])
+def test_thm_1_2_rejects_a_k_max_outside_its_range_at_build(monkeypatch, k_fold_max):
+    # series_dilcher_binomial builds k = 1..6 only; a k_max outside that range
+    # fails thm_1_2's build, so no table is sized and no search runs
+    def banned(*args):
+        raise AssertionError("a check ran before every check was built")
+
+    monkeypatch.setattr(identities, "_first", banned)
+    monkeypatch.setattr(identities, "_size_tables", banned)
+    with pytest.raises(ValueError, match=f"k_max = {k_fold_max} lies outside 1..6"):
+        run_all(CheckConfig(n_max=6, q_order=10, k_fold_max=k_fold_max))
 
 
 def test_check_config_value_semantics():
@@ -655,12 +719,6 @@ PROFILE_PAIRS = {
 }
 
 
-def _clear_caches():
-    for value in vars(identities).values():
-        if hasattr(value, "cache_clear"):
-            value.cache_clear()
-
-
 @pytest.mark.parametrize(
     "tag, mode, builder, skew, keys",
     FORCED_FAILURES,
@@ -672,15 +730,11 @@ def test_forced_failure_record(request, monkeypatch, tag, mode, builder, skew, k
     else:
         monkeypatch.setattr(identities, builder, skew(getattr(identities, builder)))
     profile_pair = mode == "exact" and tag in PROFILE_PAIRS
-    _clear_caches()  # cached profiles would hide the skew
-    try:
-        rep = check_identity(tag, CheckConfig(n_max=6, q_order=10, m_max=2, mode=mode))
-        failure = rep.first_failure
-        if failure and profile_pair:
-            # the skewed profiles at the failing n, read while the skew holds
-            sides = [dict(p) for p in PROFILE_PAIRS[tag](failure["n"])]
-    finally:
-        _clear_caches()
+    rep = check_identity(tag, CheckConfig(n_max=6, q_order=10, m_max=2, mode=mode))
+    failure = rep.first_failure
+    if failure and profile_pair:
+        # the skewed profiles at the failing n, read while the skew holds
+        sides = [dict(p) for p in PROFILE_PAIRS[tag](failure["n"])]
     assert rep.status == "fail"
     assert set(failure) == keys
     if profile_pair:
@@ -757,12 +811,8 @@ def test_divisor_counts_come_from_the_one_table(monkeypatch):
         raise AssertionError("a d(n) read bypassed the divisor-count table")
 
     monkeypatch.setattr(identities, "divisors", banned)
-    _clear_caches()
-    try:
-        for tag in ("bs_basic", "cor_2_4"):
-            assert check_identity(tag, CheckConfig(n_max=40)).status == "pass"
-    finally:
-        _clear_caches()
+    for tag in ("bs_basic", "cor_2_4"):
+        assert check_identity(tag, CheckConfig(n_max=40)).status == "pass"
 
 
 def _skew_two_sizes(real):
@@ -789,18 +839,13 @@ CELL_READERS = {
 
 @pytest.mark.parametrize("skew", [_skew_one_part, _skew_two_sizes])
 def test_skewed_cells_reach_every_cell_reader(monkeypatch, skew):
-    # every tag first runs on the true cells, so every cache holds true rows
-    # when the skew lands: clearing must reach the shared kernel, and no tag
-    # may read a row built before the skew
+    # every tag first runs on the true cells; no row built then outlives its
+    # run, so the skew must reach the shared kernel of every later check
     cfg = CheckConfig(n_max=6, q_order=10, m_max=2)
     assert all(check_identity(tag, cfg).passed for tag in CELL_READERS)
     real = identities.size_rows
     monkeypatch.setattr(identities, "size_rows", skew(real))
-    _clear_caches()
-    try:
-        reports = {tag: check_identity(tag, cfg) for tag in CELL_READERS}
-    finally:
-        _clear_caches()
+    reports = {tag: check_identity(tag, cfg) for tag in CELL_READERS}
     # thm_2_6 reads only cells with at least two sizes, c * (P_1 - G_1),
     # so a skewed one-size cell leaves it passing
     failing = set(CELL_READERS) - ({"thm_2_6"} if skew is _skew_one_part else set())

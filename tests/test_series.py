@@ -842,14 +842,15 @@ def test_dilcher_lambert_levels_match_a_from_scratch_loop(calls):
 
 
 def test_series_K_divisor_divides_each_n_once(monkeypatch):
+    # every K_m of a run reads one trial division of each n <= Q; nothing
+    # outlives the run, so a second run divides again
+    from pie.identities import CheckConfig, run_all
+
     real, calls = series.divisors, []
     monkeypatch.setattr(series, "divisors", lambda n: calls.append(n) or real(n))
-    series._divisors.cache_clear()
-    for m in (1, 2, 3):
-        for c in (1, C, Fraction(2, 3)):
-            assert series_K_divisor(m, c, 30) == series_K_lambert(m, c, 30)
-    assert calls == list(range(1, 31))
-    series._divisors.cache_clear()
+    for runs in (1, 2):
+        assert all(r.passed for r in run_all(CheckConfig(n_max=6, q_order=30, m_max=3)))
+        assert sorted(calls) == sorted(list(range(1, 31)) * runs)
 
 
 def test_dilcher_validation():
