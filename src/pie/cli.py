@@ -22,8 +22,9 @@ from contextlib import contextmanager
 from .errors import AlgorithmFault
 
 MAX_N = 200
-# a pairing sweep walks all of D(n): 0.53 s at |D(80)| = 77,312 and 2.2 s at |D(100)| = 444,793
-# (medians of 3 rounds, shared 2-vCPU host, Python 3.11); |D(200)| = 487,067,746 would take hours
+# a pairing sweep walks all of D(n): 0.25 s at |D(80)| = 77,312 and 1.2-1.7 s at |D(100)| = 444,793
+# (whole process, medians of 3 runs in each of two rounds, shared 2-vCPU host, Python 3.11);
+# |D(200)| = 487,067,746 would take hours
 MAX_INVOLUTION_N = 100
 # report-all at --q-order 300 takes about 0.5 s at --n-max 12 (long-q) and 0.9 s at --n-max 200,
 # the largest range CI runs (medians of 18 and 6 runs of byte-compiled sources, shared 2-vCPU

@@ -406,15 +406,17 @@ def _profile_check(profiles, **rng):
     return lambda cfg: _over_n(cfg, partial(_profiles_differ, profiles), **rng)
 
 
-def _sweep(cfg: CheckConfig, mismatch, key: str = "k", **rng):
-    """Search mismatch(n, k) for every n <= n_max and k in the exponent grid."""
+def _sweep(cfg: CheckConfig, profiles, sides, key: str = "k", **rng):
+    """Compare both sides(n, k, *profiles(n)) for every n <= n_max and k in
+    the exponent grid, n outermost, reading profiles(n) once for every k."""
     rng = {"n_max": cfg.n_max, "exponents": list(cfg.exponents), **rng}
-    return rng, lambda: _first(_grid(n=_ns(cfg), **{key: cfg.exponents}), mismatch)
+    exponents = _grid(**{key: cfg.exponents})
+    at_n = lambda n, read: _first(exponents, lambda k: _differ(*sides(n, k, *read)))
+    return rng, lambda: _first(_grid(n=_ns(cfg)), lambda n: at_n(n, profiles(n)))
 
 
-def _cor24_sides(n: int, k: int) -> tuple[int, int]:
-    lhs = _at(_once(_smallest_profile, n), k, 1)
-    rhs = _at(_once(_binomial_profile, n), k, 1)
+def _cor24_sides(n: int, k: int, smallest: Profile, binomial: Profile) -> tuple[int, int]:
+    lhs, rhs = _at(smallest, k, 1), _at(binomial, k, 1)
     if k == 1 and lhs == rhs:
         # the k=1 chain collapses to the divisor count
         rhs = _table(_divisor_counts, n)[n]
@@ -495,9 +497,10 @@ def _check_dilcher_cm(cfg: CheckConfig):
             4: lambda n: s3[n] + 3 * s1s1[n] + 4 * ds2[n] + 6 * dds1[n] + dddd[n],
         }
         series = {m: series_M(m, 1, n_max) for m in formulas}
+        smallest = {n: _once(_smallest_profile, n) for n in _ns(cfg)}
 
         def mismatch(m, n):
-            weights = _at(_once(_smallest_profile, n), m, 1)
+            weights = _at(smallest[n], m, 1)
             formula = formulas[m](n)
             if not weights == formula == series[m][n]:
                 return {"weights": weights, "convolution": formula, "series": series[m][n]}
@@ -543,7 +546,8 @@ REGISTRY = {
     ),
     IdentityId.BS_INT: lambda cfg: _sweep(
         cfg,
-        lambda n, z: _differ(_at(_once(_window_profile, n), z, 1), sigma_int(z, n)),
+        lambda n: (_once(_window_profile, n),),
+        lambda n, z, window: (_at(window, z, 1), sigma_int(z, n)),
         key="z",
     ),
     IdentityId.BS_ONEVAR: _profile_check(_thm21_profiles, z="all complex", c="symbolic"),
@@ -555,7 +559,7 @@ REGISTRY = {
     IdentityId.THM_2_2_EXP: lambda cfg: _check_thm22(cfg, "exp"),
     IdentityId.THM_2_2_BELL: lambda cfg: _check_thm22(cfg, "bell"),
     IdentityId.THM_2_3: _profile_check(_thm23_profiles, k="all complex", c="symbolic"),
-    IdentityId.COR_2_4: lambda cfg: _sweep(cfg, lambda n, k: _differ(*_cor24_sides(n, k)), c=1),
+    IdentityId.COR_2_4: lambda cfg: _sweep(cfg, _thm23_profiles, _cor24_sides, c=1),
     IdentityId.COR_2_5: lambda cfg: _over_n(cfg, lambda n: _differ(*check_cor25(n))),
     IdentityId.THM_2_6: _profile_check(_thm26_profiles, k="all complex", c="symbolic"),
     IdentityId.COR_2_7: lambda cfg: _over_n(cfg, lambda n: _differ(*check_cor27(n))),

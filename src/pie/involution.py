@@ -14,23 +14,23 @@ window).  The pairing:
             then insert T as a new part.
   fixed   - the single-part partition (n) with N | n pairs with nothing.
 
-One kernel, _pair_mask, runs both directions on masks, in which bit a is
-set iff a is a part: the multiple of N is mask & multiples[N], each add or
-subtraction of N moves one bit, and both ends of the window are read with
-bit_length.  The case-2 walk runs every subtraction while the parts stay
-positive, so the one walk that finds the stopping j also shows it is the
-only j in the window.  A partition with smallest part s and largest part l
-lies in exactly the classes N in (l - s, l], so one class walk of masks,
-which class_members shares, visits every asked class of verify_pairings:
-its largest part runs from n down to the least asked N, and its other
-parts stay above l minus the greatest, which for N = 1..n is all of D(n).
-Parts become tuples only in pair, which records the steps, in
-class_members and in fault messages.
-verify_pairings runs the kernel only from case-1 members and fixed points:
-each case-1 image must take case 2 and map back, so the pairing sends case
-1 one-to-one into case 2, and equal case-1 and case-2 counts per N then
-make every case-2 member the image of a case-1 member, whose pairing was
-checked both ways.
+One kernel, _pair_masks, runs the pairing over a batch of members of one
+class, on masks in which bit a is set iff a is a part: the multiple of N is
+mask & multiples[N], each add or subtraction of N moves one bit, and both
+ends of the window are read with bit_length.  A case-1 image is walked back
+through case 2 in the same pass and must return to its member.  The case-2
+walk runs every subtraction while the parts stay positive, so the walk that
+finds the stopping j also shows it is the only j in the window.  A
+partition with smallest part s and largest part l lies in exactly the
+classes N in (l - s, l], so one class walk of masks, which class_members
+shares, visits every asked class of verify_pairings: its largest part runs
+from n down to the least asked N, and its other parts stay above l minus
+the greatest, which for N = 1..n is all of D(n).  Parts become tuples only
+in pair, which runs the kernel on a batch of one, in class_members and in
+fault messages.  verify_pairings hands the kernel only the case-1 members
+and fixed points of each largest part and N: as each case-1 image takes
+case 2 and walks back, equal case-1 and case-2 counts per N make every
+case-2 member the image of a case-1 member, checked both ways.
 Any departure from the proven regime (an input outside C(N) or with parts
 not distinct or not summing to n, a walk past the multiples of N up to n, a
 nonpositive intermediate, an inserted part already present, an output
@@ -40,7 +40,7 @@ raises AlgorithmFault rather than being repaired.
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, groupby
 from typing import Iterable, Iterator
 
 from .errors import AlgorithmFault
@@ -83,69 +83,95 @@ def pair(p: Partition, N: int) -> PairingTrace:
 
 
 def _pair_parts(parts: tuple[int, ...], N: int, n: int):
-    # _pair_mask on the descending parts of a partition of n, with the output
-    # as descending parts and the steps' working parts ascending
+    # the kernel on a batch of one: the descending parts of a partition of n,
+    # with the output as descending parts and the steps' working parts ascending
     mask = _mask(parts)
     if sum(parts) != n or mask.bit_count() != len(parts):
         raise AlgorithmFault(f"{_show(parts)} is not a distinct-part partition of {n}, N={N}")
     steps: list[tuple[int, str]] = []
-    case, moved, out = _pair_mask(mask, N, _multiples(N, n), steps)
+    _, _, (case, moved, out) = _pair_masks((mask,), N, _multiples(N, n), steps)
     steps = tuple((_parts(m)[::-1], action) for m, action in steps)
     return case, moved, None if out is None else _parts(out), steps
 
 
-def _pair_mask(mask: int, N: int, multiples: int, steps: list | None = None):
-    """The pairing kernel on the mask of a member of C(N); multiples masks the
-    multiples of N up to the n it partitions.  Returns (case, part removed or
-    inserted, output mask), or (CASE_FIXED, None, None), and appends each
-    step's working mask and action to steps when it is a list.  The parts
-    stay in a window narrower than N, so a part moved by N lands on a free bit.
-    """
-    top = mask.bit_length() - 1
-    if not top >= N > top - (mask & -mask).bit_length() + 1:
-        raise _fault(mask, N, f"input outside C({N})")
-    hit = mask & multiples  # at most one part in the window
-    if hit == mask:
-        return CASE_FIXED, None, None
-    work = mask ^ hit
-    if hit:
-        case, moved = CASE_REMOVE, hit.bit_length() - 1
-        if steps is not None:
-            steps.append((work, f"remove {moved}"))
-        for _ in range(moved // N):
-            low = work & -work
-            work += (low << N) - low
+def _pair_masks(masks, N: int, multiples: int, steps: list | None = None):
+    """The pairing kernel on masks of members of C(N), multiples masking the
+    multiples of N up to their n.  Counts the fixed points and the case-1
+    members whose image is in C(N), has one part fewer, takes case 2 and
+    walks back to them.  Returns both counts and the last member's (case,
+    part moved, image), and appends each step to a member's image (working
+    mask, action) to steps when it is a list.  The parts stay in a window
+    narrower than N, so a part moved by N lands on a free bit."""
+    case1 = fixed = 0
+    last = None
+    for mask in masks:
+        top = mask.bit_length() - 1
+        if not top >= N > top - (mask & -mask).bit_length() + 1:
+            raise _fault(mask, N, f"input outside C({N})")
+        hit = mask & multiples  # at most one part in the window
+        if hit == mask:
+            if mask & (mask - 1):
+                raise _fault(mask, N, "unexpected fixed point")
+            fixed += 1
+            last = CASE_FIXED, None, None
+            continue
+        work = mask ^ hit
+        if hit:
+            moved = hit.bit_length() - 1
             if steps is not None:
-                steps.append((work, f"add {N} to smallest part {low.bit_length() - 1}"))
-    else:
-        # walk every subtraction: the first j in the window is the stopping
-        # point, and any later one disproves its uniqueness.  T = j*N is the
-        # j-th set bit of multiples; running out of them passes the guard n
-        case, kept = CASE_INSERT, 0
+                steps.append((work, f"remove {moved}"))
+            for _ in range(moved // N):
+                low = work & -work
+                work += (low << N) - low
+                if steps is not None:
+                    steps.append((work, f"add {N} to smallest part {low.bit_length() - 1}"))
+            last, start, record = (CASE_REMOVE, moved, work), work, None
+            top = work.bit_length() - 1
+            if not top >= N > top - (work & -work).bit_length() + 1:
+                raise _fault(mask, N, f"output {_show(_parts(work))} left C({N})")
+            if work.bit_count() != mask.bit_count() - 1:
+                raise _fault(mask, N, f"parity not reversed by the image {_show(_parts(work))}")
+            if work & multiples:
+                raise _fault(work, N, f"the image of {_show(_parts(mask))} takes {CASE_REMOVE}")
+        else:
+            start, record = mask, steps
+        # the case-2 walk from start, every subtraction: the first j in the
+        # window is the stopping point, and any later one disproves its
+        # uniqueness.  T = j*N is the j-th set bit of multiples, taken off
+        # left; running out of them passes the guard n
+        kept, left = 0, multiples
         while top > N:
-            if not multiples:
-                raise _fault(mask, N, f"subtraction loop ran past the multiples of {N}")
+            if not left:
+                raise _fault(start, N, f"subtraction loop ran past the multiples of {N}")
             work += (1 << (top - N)) - (1 << top)
-            T = multiples & -multiples
-            multiples ^= T
-            if not kept and steps is not None:
-                steps.append((work, f"subtract {N} from largest part {top}"))
+            T = left & -left
+            left ^= T
+            if not kept and record is not None:
+                record.append((work, f"subtract {N} from largest part {top}"))
             top = work.bit_length() - 1
             if top - N < T.bit_length() - 1 < (work & -work).bit_length() - 1 + N:
                 if kept:
-                    raise _fault(mask, N, "the stopping window admits a second j")
+                    raise _fault(start, N, "the stopping window admits a second j")
                 kept, bit = work, T
         if not kept:
-            raise _fault(mask, N, f"nonpositive intermediate part {top - N}")
-        moved, work = bit.bit_length() - 1, kept | bit
+            raise _fault(start, N, f"nonpositive intermediate part {top - N}")
+        work = kept | bit
+        if hit:
+            if work != mask:
+                raise _fault(mask, N, f"not an involution: the image {_show(_parts(start))} "
+                                      f"walks back to {_show(_parts(work))}")
+            case1 += 1
+            continue
+        moved = bit.bit_length() - 1
         if work == kept:
             raise _fault(mask, N, f"inserted part {moved} duplicates an existing part")
         if steps is not None:
             steps.append((work, f"insert {moved}"))
-    top = work.bit_length() - 1
-    if not top >= N > top - (work & -work).bit_length() + 1:
-        raise _fault(mask, N, f"output {_show(_parts(work))} left C({N})")
-    return case, moved, work
+        top = work.bit_length() - 1
+        if not top >= N > top - (work & -work).bit_length() + 1:
+            raise _fault(mask, N, f"output {_show(_parts(work))} left C({N})")
+        last = CASE_INSERT, moved, work
+    return case1, fixed, last
 
 
 def _mask(parts: tuple[int, ...]) -> int:
@@ -182,7 +208,8 @@ def verify_pairings(n: int, moduli: Iterable[int]) -> dict[int, dict[str, int]]:
     stopping point and the predicted fixed points.  Raises AlgorithmFault on any
     violation; returns {N: {"members": ..., "fixed": ...}} in moduli order.
     A case-2 member is only counted: the module docstring gives the
-    counting argument that covers it.  No state is kept per partition.
+    counting argument that covers it.  The only state kept per partition is
+    the kernel's batches, of one largest part at a time.
     """
     tallies = {N: [0, 0, 0] for N in moduli}  # case-1 members, case-2 members, fixed points
     if not all(1 <= N <= n for N in tallies):
@@ -191,39 +218,25 @@ def verify_pairings(n: int, moduli: Iterable[int]) -> dict[int, dict[str, int]]:
     if not tallies:
         return {}
     multiples = {N: _multiples(N, n) for N in tallies}
-    for mask in _class_walk(n, min(tallies), max(tallies)):
-        largest, smallest = mask.bit_length() - 1, (mask & -mask).bit_length() - 1
-        size = mask.bit_count()
-        for N in range(largest - smallest + 1, largest + 1):
-            tally = tallies.get(N)
-            if tally is None:
+    for top, masks in groupby(_class_walk(n, min(tallies), max(tallies)), int.bit_length):
+        largest = top - 1
+        batches = {N: [] for N in tallies if N <= largest}
+        for mask in masks:
+            for N in range(largest - (mask & -mask).bit_length() + 2, largest + 1):
+                batch = batches.get(N)
+                if batch is None:
+                    continue
+                # the parts lie in a window that holds at most one multiple of N
+                if mask & multiples[N]:
+                    batch.append(mask)
+                else:
+                    tallies[N][1] += 1
+        for N, batch in batches.items():
+            if not batch:
                 continue
-            # the parts lie in a window that holds at most one multiple of N
-            if not mask & multiples[N]:
-                tally[1] += 1
-                continue
-            _, _, image = _pair_mask(mask, N, multiples[N])
-            if image is None:
-                tally[2] += 1
-                if size != 1 or n % N != 0:
-                    raise _fault(mask, N, "unexpected fixed point")
-                continue
-            tally[0] += 1
-            # the kernel checked the image's class; it sums to n by construction
-            if abs(image.bit_count() - size) != 1:
-                raise _fault(mask, N, f"parity not reversed by the image {_show(_parts(image))}")
-            case, _, back = _pair_mask(image, N, multiples[N])
-            if case != CASE_INSERT:
-                raise _fault(image, N, f"the image of {_show(_parts(mask))} takes {case}")
-            if back != mask:
-                # the member passes both checks of the back image, so they
-                # run only here, to name what a wrong back image got wrong
-                parts = _parts(back)
-                if abs(len(parts) - image.bit_count()) != 1:
-                    raise _fault(image, N, f"parity not reversed by the image {_show(parts)}")
-                if not (sum(parts) == n and parts[0] >= N > parts[0] - parts[-1]):
-                    raise _fault(image, N, f"the image {_show(parts)} left the class")
-                raise _fault(mask, N, f"not an involution: the image is {_show(_parts(image))}")
+            case1, fixed, _ = _pair_masks(batch, N, multiples[N])
+            tallies[N][0] += case1
+            tallies[N][2] += fixed
     for N, (case1, case2, fixed) in tallies.items():
         if fixed != (expected := 1 if n % N == 0 else 0):
             raise AlgorithmFault(f"fixed point count {fixed} != {expected} for n={n}, N={N}")

@@ -152,7 +152,7 @@ def test_a_faulting_involution_run_leaves_the_output_file(tmp_path, capsys, monk
 
     target = tmp_path / "pairs.txt"
     target.write_text("kept\n")
-    monkeypatch.setattr(involution, "_pair_mask", faulting)
+    monkeypatch.setattr(involution, "_pair_masks", faulting)
     code, out, err = run(capsys, "involution", "--n", "6", *argv, "--output", str(target))
     assert (code, out) == (1, "")
     assert "algorithm fault: injected" in err

@@ -508,6 +508,23 @@ def test_each_run_builds_each_check_and_profile_once(monkeypatch):
         assert set(built.values()) == {runs}
 
 
+@pytest.mark.parametrize("tag", ["bs_int", "cor_2_4", "dilcher_cm"])
+def test_each_search_reads_each_profile_once_per_n(monkeypatch, tag):
+    # the exponent and m loops reuse the profiles read at n: a run reads
+    # each profile through the run store at most once per n
+    reads = Counter()
+
+    def spy(build, *args):
+        reads[build.__name__, *args] += 1
+        return real(build, *args)
+
+    real = identities._once
+    monkeypatch.setattr(identities, "_once", spy)
+    assert check_identity(tag, CheckConfig(n_max=12)).passed
+    profile_reads = [count for key, count in reads.items() if key[0] in PROFILE_BUILDERS]
+    assert len(profile_reads) >= 12 and set(profile_reads) == {1}
+
+
 @pytest.mark.parametrize("k_fold_max", [7, 0])
 def test_thm_1_2_rejects_a_k_max_outside_its_range_at_build(monkeypatch, k_fold_max):
     # series_dilcher_binomial builds k = 1..6 only; a k_max outside that range

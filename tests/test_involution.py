@@ -5,6 +5,7 @@ import hashlib
 import pickle
 import re
 from bisect import insort
+from collections import Counter
 from functools import lru_cache
 
 import pytest
@@ -291,25 +292,29 @@ def test_uncovered_case2_member_faults_the_sweep(monkeypatch):
 
 
 def test_sweep_runs_the_kernel_from_case1_members_and_fixed_points(monkeypatch):
-    # each case-1 member costs two kernel calls (its image and the image's
-    # image), a fixed point one, and a case-2 member none
+    # every case-1 member and fixed point enters the kernel once per N, and
+    # a case-2 member never
     n = 30
-    calls = dict.fromkeys(range(1, n + 1), 0)
+    entered, batches = Counter(), []
 
-    def counted(mask, N, multiples, steps=None):
-        calls[N] += 1
-        return kernel(mask, N, multiples, steps)
+    def counted(masks, N, multiples, steps=None):
+        batches.append((N, {mask.bit_length() for mask in masks}))
+        entered.update((mask, N) for mask in masks)
+        return kernel(masks, N, multiples, steps)
 
-    kernel = involution._pair_mask
-    monkeypatch.setattr(involution, "_pair_mask", counted)
+    kernel = involution._pair_masks
+    monkeypatch.setattr(involution, "_pair_masks", counted)
     verify_pairings(n, range(1, n + 1))
-    expected = dict.fromkeys(range(1, n + 1), 0)
+    expected = Counter()
     for p in enumerate_distinct(n):
         for N in range(p.largest - p.smallest + 1, p.largest + 1):
             if any(a % N == 0 for a in p.parts):
-                expected[N] += 1 if len(p.parts) == 1 else 2
-    assert calls == expected
-    assert sum(calls.values()) == 2 * 361 + 8  # 361 case-1 members, 8 divisors of 30
+                expected[involution._mask(p.parts), N] += 1
+    assert entered == expected
+    assert sum(expected.values()) == 361 + 8  # 361 case-1 members, 8 divisors of 30
+    # one batch per largest part l and N: never empty, never two l in one
+    assert all(len(tops) == 1 for _, tops in batches)
+    assert len({(N, *tops) for N, tops in batches}) == len(batches)
 
 
 # the trace lines of every pairing in D(n), n <= 20, each followed by the
@@ -335,21 +340,29 @@ def test_pair_outputs_and_traces_unchanged():
 
 @pytest.mark.parametrize("n", range(1, 31))
 def test_mask_kernel_matches_the_reference_both_ways(n):
-    # every membership of D(n), its image and the image's image
+    # every membership of D(n), its image and the image's image, each as a
+    # batch of one; then each class as one batch, counted
+    counts = {}
     for p in enumerate_distinct(n):
         mask = involution._mask(p.parts)
         for N in range(p.largest - p.smallest + 1, p.largest + 1):
             multiples, steps = involution._multiples(N, n), []
-            case, moved, image = involution._pair_mask(mask, N, multiples, steps)
+            *tallied, (case, moved, image) = involution._pair_masks([mask], N, multiples, steps)
             ref_case, ref_moved, ref_steps, ref_image = reference_pair(p.parts, N)
             assert (case, moved) == (ref_case, ref_moved)
+            assert tallied == [case == "case1", case == "fixed"]
             assert tuple((_parts(m)[::-1], a) for m, a in steps) == ref_steps
+            counts.setdefault(N, Counter())[case] += 1
             if ref_image is None:
                 assert image is None
                 continue
             assert _parts(image) == ref_image
             back_case, back_moved, _, _ = reference_pair(ref_image, N)
-            assert involution._pair_mask(image, N, multiples) == (back_case, back_moved, mask)
+            assert involution._pair_masks([image], N, multiples)[2] == (back_case, back_moved, mask)
+    for N, cases in counts.items():
+        members = [involution._mask(p.parts) for p in class_members(n, N)]
+        case1, fixed, _ = involution._pair_masks(members, N, involution._multiples(N, n))
+        assert (case1, fixed) == (cases["case1"], cases["fixed"]) and cases["case2"] == case1
 
 
 @lru_cache(maxsize=None)
@@ -425,38 +438,51 @@ def _skewed_multiples(monkeypatch, skew):
         ((6,), 3, 1 << 6, "inserted part 3 duplicates an existing part for 6, N=3"),
         ((4,), 3, 1 << 2, "output 2+1 left C(3) for 4, N=3"),
         ((7,), 2, 1 << 4 | 1 << 6, "subtraction loop ran past the multiples of 2 for 7, N=2"),
+        ((4, 2), 4, 1 << 2, "unexpected fixed point for 4+2, N=4"),
     ],
-    ids=["nonpositive", "duplicate-part", "outside", "guard"],
+    ids=["nonpositive", "duplicate-part", "outside", "guard", "two-part-fixed-point"],
 )
 def test_kernel_checks_reached_through_skewed_multiples(monkeypatch, parts, N, skew, message):
     # no member of C(N) reaches these checks with the true multiples: a
     # member of case 1 sent down the case-2 walk ends with no stopping point
-    # or inserts a part it holds, a stray 2 stops the walk below N, and a
-    # table cut at 2 runs out before the walk does
+    # or inserts a part it holds, a stray 2 stops the walk below N, a table
+    # cut at 2 runs out before the walk does, and a stray 2 makes both parts
+    # of 4+2 multiples of 4
     _skewed_multiples(monkeypatch, {N: skew})
     with pytest.raises(AlgorithmFault, match=re.escape(message)):
         pair(Partition(parts), N)
 
 
 @pytest.mark.parametrize(
-    "image, message",
-    [((6,), "not an involution"), ((5, 1), "parity"), ((4, 2, 1), "left the class")],
+    "skew, message",
+    [
+        (1 << 0, "not an involution: the image 4+2 walks back to 2+1+0 for 3+2+1, N=3"),
+        (1 << 1, "parity not reversed by the image 5 for 3+2+1, N=3"),
+        (1 << 2, "not an involution: the image 4 walks back to 2+1 for 4+2, N=3"),
+    ],
     ids=["in-class", "same-parity", "wrong-sum"],
 )
-def test_wrong_image_faults_the_sweep(monkeypatch, capsys, image, message):
-    def skewed(mask, N, multiples, steps=None):
-        if mask == involution._mask((4, 2)) and N == 3:
-            return "case2", 3, involution._mask(image)
-        return kernel(mask, N, multiples, steps)
-
-    kernel = involution._pair_mask
-    monkeypatch.setattr(involution, "_pair_mask", skewed)
-    with pytest.raises(AlgorithmFault, match=message):
+def test_wrong_image_faults_the_sweep(monkeypatch, capsys, skew, message):
+    # a stray multiple 0 of 3 leaves 3+2+1's image 4+2 in the class but
+    # walks it back to a part 0; a stray 1 takes two parts off 3+2+1, so its
+    # image 5 keeps its parity; a stray 2 sends 4+2 to 4, which sums to 4 and
+    # walks back to 2+1
+    _skewed_multiples(monkeypatch, {3: skew})
+    with pytest.raises(AlgorithmFault, match=re.escape(message)):
         verify_pairings(6, range(1, 7))
     assert main(["involution", "--n", "6", "--N-divisor", "1", "--sweep"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "algorithm fault" in captured.err
+
+
+def test_pair_walks_a_case1_image_back(monkeypatch):
+    # a stray multiple 0 of 3 leaves 3+2+1's image 4+2 in the class but
+    # inserts a part 0 on the walk back: pair() checks the round trip too
+    _skewed_multiples(monkeypatch, {3: 1})
+    message = "not an involution: the image 4+2 walks back to 2+1+0 for 3+2+1, N=3"
+    with pytest.raises(AlgorithmFault, match=re.escape(message)):
+        pair(P(3, 2, 1), 3)
 
 
 def test_pairing_trace_value_semantics():
