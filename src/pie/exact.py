@@ -28,7 +28,7 @@ from typing import Iterable, Sequence, Union
 Scalar = Union[int, Fraction]
 Stored = Union[int, tuple]  # a value in Q[c]'s row arithmetic: an int, or a row in c
 
-# Bell polynomial degree guard; the identity checks never need more.
+# the largest Bell degree built, and so the bound of --m-max and of pie series --m
 BELL_DEGREE_CAP = 10
 
 
@@ -376,7 +376,7 @@ def fractional_weight(pairs, z: complex, c: complex) -> tuple[complex, float]:
     return _sum_weighed(_weigh(pairs, _z_powers(z, top)), _c_powers(c, top))
 
 
-def bell_polynomial(m: int, u: Sequence, cap: int = BELL_DEGREE_CAP):
+def bell_polynomial(m: int, u: Sequence):
     """Complete Bell polynomial Y_m(u_1, ..., u_m) by the binomial recurrence.
 
         Y_0 = 1,   Y_{m+1} = sum_{k=0..m} C(m, k) * Y_{m-k} * u_{k+1}
@@ -384,15 +384,15 @@ def bell_polynomial(m: int, u: Sequence, cap: int = BELL_DEGREE_CAP):
     u may hold elements of any commutative ring that supports + and * with
     integers (rationals, CPolynomial, truncated series, symbolic terms).
     """
-    return _bell_polynomials(m, u, cap)[m]
+    return _bell_polynomials(m, u)[m]
 
 
-def _bell_polynomials(m: int, u: Sequence, cap: int = BELL_DEGREE_CAP) -> list:
+def _bell_polynomials(m: int, u: Sequence) -> list:
     """[Y_0, ..., Y_m] from one pass of bell_polynomial's recurrence."""
     if not isinstance(m, int) or m < 0:
         raise ValueError("m must be a nonnegative integer")
-    if m > cap:
-        raise ValueError(f"m={m} exceeds the Bell degree cap {cap}")
+    if m > BELL_DEGREE_CAP:
+        raise ValueError(f"m={m} exceeds the Bell degree cap {BELL_DEGREE_CAP}")
     if len(u) < m:
         raise ValueError(f"need {m} arguments, got {len(u)}")
     ys: list = [1]

@@ -40,7 +40,9 @@ search, sizes the partition tables to the largest n_max, and runs each
 through check_identity, which reads the build, times its search, turns an
 AlgorithmFault into a failing report over the declared range, and builds the
 report; outside a run check_identity is a run of one check.  The frozen
-CheckConfig and the assignable IdentityReport are plain records on
+CheckConfig holds only the seven settings the command line sets; bs_int's
+and cor_2_4's exponents, thm_2_2's exact c points and thm_1_2's k_max are
+constants here.  It and the assignable IdentityReport are plain records on
 partitions._Value, so no check imports dataclasses or inspect.
 """
 
@@ -72,14 +74,12 @@ from .partitions import (
     _Value,
     _size_tables,
     _table,
-    class_sum,
     class_sums,
     count_exact_part_sizes,
     size_rows,
     window_marginals,
 )
 from .series import (
-    K_FOLD_CAP,
     ExpSeries,
     TruncatedSeries,
     _nested_lambert,
@@ -113,19 +113,15 @@ class IdentityId(str, Enum):
 
 
 class CheckConfig(_Value):
-    """Shared knobs for the checkers; every grid is fixed, never random."""
+    """The run settings the command line sets; every grid is fixed, never random."""
 
-    __match_args__ = ("n_max", "q_order", "m_max", "k_fold_max", "exponents",
-                      "z_grid", "c_grid", "c_exact", "mode", "tolerance")
+    __match_args__ = ("n_max", "q_order", "m_max", "z_grid", "c_grid", "mode", "tolerance")
 
-    def __init__(self, n_max: int = 30, q_order: int = 25, m_max: int = 4, k_fold_max: int = 4,
-                 exponents: tuple[int, ...] = (0, 1, 2, 3, 4),
+    def __init__(self, n_max: int = 30, q_order: int = 25, m_max: int = 4,
                  z_grid: tuple[complex, ...] = (1.5 + 0j, -1 + 0j, -2 + 0j, 0.5 + 0.5j),
                  c_grid: tuple[complex, ...] = (0.4 + 0j, -0.3 + 0j, 0.4 - 0.3j, 0.2 + 0.7j),
-                 c_exact: tuple[Fraction, ...] = (Fraction(1), Fraction(2, 3), Fraction(-1, 2)),
                  mode: str = "exact", tolerance: float = 1e-9) -> None:
-        fields = (n_max, q_order, m_max, k_fold_max, exponents,
-                  z_grid, c_grid, c_exact, mode, tolerance)
+        fields = n_max, q_order, m_max, z_grid, c_grid, mode, tolerance
         self.__dict__.update(zip(self.__match_args__, fields))
 
     def replace(self, **changes) -> CheckConfig:
@@ -298,8 +294,6 @@ def _at(profile: Profile, k: int, c: Scalar) -> Scalar:
 
 def check_cor27(n: int) -> tuple[int, int]:
     """Count with exactly two part sizes vs the signed s*(l-s) moment."""
-    if n < 1:
-        raise ValueError("n must be positive")
     return count_exact_part_sizes(n, 2), -window_marginals(n)[2]
 
 
@@ -321,8 +315,6 @@ def check_agl(n: int, scaled: bool) -> tuple[Profile, Profile]:
     Unscaled: weights 1 + c + ... + c^(s-1) over D(n) against P_1, the sum of
     c^(l-v) (c-1)^(v-1) over P(n); scaled: weights c^s - 1 against P_0.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
     _g1, p1, p0 = _once(_binomial_rows, n)
     if scaled:
         # c^s - 1 over D(n): minus the signed count at e = 0, then the
@@ -392,6 +384,11 @@ def _series_differ(a, b, values: bool = True) -> dict | None:
 # -- exact checkers: each returns its range and its search ----------------------
 
 
+_EXPONENTS = (0, 1, 2, 3, 4)  # bs_int's z and cor_2_4's k
+_C_EXACT = (Fraction(1), Fraction(2, 3), Fraction(-1, 2))  # both thm_2_2 parts' c
+_K_MAX = 4  # the largest k of thm_1_2's k-fold divisor sums
+
+
 def _ns(cfg: CheckConfig) -> range:
     return range(1, cfg.n_max + 1)
 
@@ -408,9 +405,9 @@ def _profile_check(profiles, **rng):
 
 def _sweep(cfg: CheckConfig, profiles, sides, key: str = "k", **rng):
     """Compare both sides(n, k, *profiles(n)) for every n <= n_max and k in
-    the exponent grid, n outermost, reading profiles(n) once for every k."""
-    rng = {"n_max": cfg.n_max, "exponents": list(cfg.exponents), **rng}
-    exponents = _grid(**{key: cfg.exponents})
+    _EXPONENTS, n outermost, reading profiles(n) once for every k."""
+    rng = {"n_max": cfg.n_max, "exponents": list(_EXPONENTS), **rng}
+    exponents = _grid(**{key: _EXPONENTS})
     at_n = lambda n, read: _first(exponents, lambda k: _differ(*sides(n, k, *read)))
     return rng, lambda: _first(_grid(n=_ns(cfg)), lambda n: at_n(n, profiles(n)))
 
@@ -424,9 +421,15 @@ def _cor24_sides(n: int, k: int, smallest: Profile, binomial: Profile) -> tuple[
 
 
 def _check_class_sum(cfg: CheckConfig):
-    points = lambda: ({"n": n, "N": N} for n in _ns(cfg) for N in range(1, n + 1))
-    mismatch = lambda n, N: _differ(class_sum(n, N), 1 if n % N == 0 else 0)
-    return {"n_max": cfg.n_max}, lambda: _first(points(), mismatch)
+    def mismatch(n):
+        # C(1)..C(n) against the indicator of N | n in one comparison; only a
+        # mismatch looks for the least failing N
+        sums, divides = class_sums(n), tuple(int(n % N == 0) for N in range(1, n + 1))
+        if sums[1:] != divides:
+            return _first(_grid(N=range(1, n + 1)), lambda N: _differ(sums[N], divides[N - 1]))
+        return None
+
+    return _over_n(cfg, mismatch)
 
 
 def _check_entry4(cfg: CheckConfig):
@@ -461,10 +464,8 @@ def _check_uchimura(cfg: CheckConfig):
 
 
 def _check_thm_1_2(cfg: CheckConfig):
-    if not 1 <= cfg.k_fold_max <= K_FOLD_CAP:
-        raise ValueError(f"thm_1_2's k_max = {cfg.k_fold_max} lies outside 1..{K_FOLD_CAP}")
-    if cfg.q_order < cfg.k_fold_max:
-        raise ValueError(f"q-order {cfg.q_order} is below thm_1_2's k_max = {cfg.k_fold_max}")
+    if cfg.q_order < _K_MAX:
+        raise ValueError(f"q-order {cfg.q_order} is below thm_1_2's k_max = {_K_MAX}")
 
     def mismatch(k, nested):
         a, b = series_dilcher_binomial(k, cfg.q_order)
@@ -472,10 +473,10 @@ def _check_thm_1_2(cfg: CheckConfig):
 
     def search():
         # construction (c) for every k <= k_max, from one pass over its levels
-        nested = _nested_lambert(cfg.k_fold_max, cfg.q_order)
-        return _first(_grid(k=range(1, cfg.k_fold_max + 1)), partial(mismatch, nested=nested))
+        nested = _nested_lambert(_K_MAX, cfg.q_order)
+        return _first(_grid(k=range(1, _K_MAX + 1)), partial(mismatch, nested=nested))
 
-    return {"q_order": cfg.q_order, "k_max": cfg.k_fold_max}, search
+    return {"q_order": cfg.q_order, "k_max": _K_MAX}, search
 
 
 def _check_dilcher_cm(cfg: CheckConfig):
@@ -529,13 +530,8 @@ def _check_thm22(cfg: CheckConfig, part: str):
         pairs = _thm22_pairs(part, cfg.m_max, cfg.q_order, c)
         return _first(_grid(m=pairs), lambda m: _series_differ(*pairs[m], values=False))
 
-    rng = {
-        "m_max": cfg.m_max,
-        "q_order": cfg.q_order,
-        "c_values": list(cfg.c_exact),
-        "part": part,
-    }
-    return rng, partial(_first, _grid(c=cfg.c_exact), mismatch)
+    rng = {"m_max": cfg.m_max, "q_order": cfg.q_order, "c_values": list(_C_EXACT), "part": part}
+    return rng, partial(_first, _grid(c=_C_EXACT), mismatch)
 
 
 REGISTRY = {

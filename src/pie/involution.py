@@ -100,8 +100,7 @@ def _pair_masks(masks, N: int, multiples: int, steps: list | None = None):
     members whose image is in C(N), has one part fewer, takes case 2 and
     walks back to them.  Returns both counts and the last member's (case,
     part moved, image), and appends each step to a member's image (working
-    mask, action) to steps when it is a list.  The parts stay in a window
-    narrower than N, so a part moved by N lands on a free bit."""
+    mask, action) to steps when it is a list."""
     case1 = fixed = 0
     last = None
     for mask in masks:
@@ -127,6 +126,9 @@ def _pair_masks(masks, N: int, multiples: int, steps: list | None = None):
                     steps.append((work, f"add {N} to smallest part {low.bit_length() - 1}"))
             last, start, record = (CASE_REMOVE, moved, work), work, None
             top = work.bit_length() - 1
+            # an invariant guard no input reaches: in a window narrower than N
+            # each add moves the smallest part s to s + N, a free bit above the
+            # rest, so the window stays narrower than N and the top exceeds N
             if not top >= N > top - (work & -work).bit_length() + 1:
                 raise _fault(mask, N, f"output {_show(_parts(work))} left C({N})")
             if work.bit_count() != mask.bit_count() - 1:

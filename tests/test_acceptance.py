@@ -48,8 +48,7 @@ def test_criterion_01_signed_smallest_part_counts_divisors():
 def test_criterion_02_two_variable_weights_exact():
     with criterion(2, "two-variable weighted identity, exact, n<=60, all complex z"):
         t0 = time.perf_counter()
-        cfg = CheckConfig(n_max=60, exponents=(0, 1, 2, 3, 4))
-        rep = check_identity(IdentityId.BS_ONEVAR, cfg)
+        rep = check_identity(IdentityId.BS_ONEVAR, CheckConfig(n_max=60))
         assert rep.passed, rep.first_failure
         assert rep.range["z"] == "all complex"
         assert time.perf_counter() - t0 < 120.0
@@ -87,21 +86,18 @@ def test_criterion_05_involution_properties():
 def test_criterion_06_exponential_generating_functions():
     with criterion(6, "EGF route equality and Bell relation, m<=5, Q=30"):
         t0 = time.perf_counter()
-        cfg = CheckConfig(
-            m_max=5,
-            q_order=30,
-            c_exact=(Fraction(1), Fraction(2, 3), Fraction(-1, 2)),
-        )
+        cfg = CheckConfig(m_max=5, q_order=30)
         rep_exp = check_identity(IdentityId.THM_2_2_EXP, cfg)
         rep_bell = check_identity(IdentityId.THM_2_2_BELL, cfg)
         assert rep_exp.passed, rep_exp.first_failure
         assert rep_bell.passed, rep_bell.first_failure
+        assert rep_exp.range["c_values"] == [Fraction(1), Fraction(2, 3), Fraction(-1, 2)]
         assert time.perf_counter() - t0 < 60.0
 
 
 def test_criterion_07_binomial_weight_identities():
-    with criterion(7, "binomial-weight identities exact, n<=50, k<=3"):
-        cfg = CheckConfig(n_max=50, exponents=(0, 1, 2, 3))
+    with criterion(7, "binomial-weight identities exact, n<=50, k<=4"):
+        cfg = CheckConfig(n_max=50)
         for ident in (
             IdentityId.THM_2_3,
             IdentityId.THM_2_6,
@@ -121,7 +117,7 @@ def test_criterion_08_two_size_count_formula():
 
 def test_criterion_09_q_series_identities():
     with criterion(9, "q-series identities to order 25"):
-        cfg = CheckConfig(q_order=25, k_fold_max=4)
+        cfg = CheckConfig(q_order=25)
         for ident in (
             IdentityId.ENTRY4,  # symbolic c, plus the c=1 divisor collapse
             IdentityId.UCHIMURA_TRIPLE,

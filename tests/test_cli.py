@@ -289,6 +289,24 @@ def test_verify_and_report_all_share_the_run_flags():
     assert set(report) == {"command", "handler", *names}  # report-all gains no flag
 
 
+def test_every_check_config_field_is_a_run_setting(monkeypatch):
+    # CheckConfig holds only what a flag or PIE_* variable sets: with every
+    # run flag of verify away from its default, every field moves, so a field
+    # only library callers could set fails here
+    from pie.cli import _config_from
+    from pie.identities import CheckConfig
+
+    for name in [k for k in os.environ if k.startswith("PIE_")]:
+        monkeypatch.delenv(name)
+    args = build_parser().parse_args([
+        "verify", "--all", "--n-max", "9", "--q-order", "14", "--m-max", "3", "--mode", "numeric",
+        "--z", "1,2j", "--c", "0.5", "--tol", "1e-6",
+    ])
+    cfg, default = vars(_config_from(args)), vars(CheckConfig())
+    assert list(cfg) == list(CheckConfig.__match_args__)
+    assert [name for name in cfg if cfg[name] == default[name]] == []
+
+
 @pytest.mark.parametrize("command", [("report-all",), ("verify", "--all")])
 def test_a_range_one_checker_rejects_runs_no_check(capsys, monkeypatch, command):
     # thm_1_2 rejects a q-order below its k_max = 4 when its check is built;

@@ -47,7 +47,7 @@ def sigma_zc_exact(z: int, n: int) -> CPolynomial:
     return CPolynomial({d: d**z for d in divisors(n)})
 
 
-def bell_polynomial_direct(m: int, u, cap: int = BELL_DEGREE_CAP):
+def bell_polynomial_direct(m: int, u):
     """Y_m evaluated straight from its sum over partitions of m.
 
     Independent of the recurrence route: for each multiset of parts with
@@ -59,8 +59,8 @@ def bell_polynomial_direct(m: int, u, cap: int = BELL_DEGREE_CAP):
     """
     if not isinstance(m, int) or m < 0:
         raise ValueError("m must be a nonnegative integer")
-    if m > cap:
-        raise ValueError(f"m={m} exceeds the Bell degree cap {cap}")
+    if m > BELL_DEGREE_CAP:
+        raise ValueError(f"m={m} exceeds the Bell degree cap {BELL_DEGREE_CAP}")
     if m == 0:
         return 1
     if len(u) < m:
@@ -444,13 +444,13 @@ def test_bell_against_sympy_partial_bell(m):
 
 
 def test_bell_cap_and_validation():
+    assert bell_polynomial(BELL_DEGREE_CAP, [1] * BELL_DEGREE_CAP) == 115975  # the Bell number B_10
     with pytest.raises(ValueError):
         bell_polynomial(11, list(range(1, 12)))
     with pytest.raises(ValueError):
         bell_polynomial(3, [1])
     with pytest.raises(ValueError):
         bell_polynomial_direct(-1, [])
-    assert bell_polynomial(11, list(range(1, 12)), cap=11) is not None
 
 
 def test_bell_over_rationals():

@@ -90,6 +90,17 @@ def test_cor25_examples():
     assert check_cor25(2) == (0, 0)
 
 
+@pytest.mark.parametrize("n", [0, -1])
+@pytest.mark.parametrize(
+    "check",
+    [check_cor25, check_cor27, partial(check_agl, scaled=False), partial(check_agl, scaled=True)],
+    ids=["cor25", "cor27", "agl", "agl-scaled"],
+)
+def test_pointwise_checks_reject_n_below_one(check, n):
+    with pytest.raises(ValueError, match="n must be positive"):
+        check(n)
+
+
 def test_cor25_outside_a_run_grows_one_divisor_table(monkeypatch):
     builds = []
 
@@ -148,9 +159,9 @@ def test_thm_1_2_keeps_no_lambert_level(monkeypatch, fails):
         return [s.scale(2) if fails and k == 3 else s for k, s in enumerate(real(k_max, q), 1)]
 
     monkeypatch.setattr(identities, "_nested_lambert", nested)
-    rep = check_identity("thm_1_2", CheckConfig(q_order=40, k_fold_max=5))
+    rep = check_identity("thm_1_2", CheckConfig(q_order=40))
     assert rep.passed is not fails
-    assert calls == [(5, 40)]
+    assert calls == [(identities._K_MAX, 40)]
     if fails:
         assert rep.first_failure["k"] == 3
 
@@ -168,11 +179,11 @@ def test_agl_examples():
 
 
 def test_check_thm22_report():
-    cfg = CheckConfig(m_max=3, q_order=15, c_exact=(Fraction(1),))
+    cfg = CheckConfig(m_max=3, q_order=15)
     rep = check_identity(IdentityId.THM_2_2_EXP, cfg)
     assert rep.status == "pass"
     assert rep.id is IdentityId.THM_2_2_EXP
-    assert rep.range["c_values"] == [Fraction(1)]
+    assert rep.range["c_values"] == list(identities._C_EXACT)
 
 
 def test_single_point_sides_at_an_exact_rational_c():
@@ -199,10 +210,9 @@ def test_every_identity_passes_exact(ident):
 
 
 def test_bs_int_wide_sweep():
-    rep = check_identity(
-        IdentityId.BS_INT, CheckConfig(n_max=60, exponents=(0, 1, 2, 3, 4))
-    )
+    rep = check_identity(IdentityId.BS_INT, CheckConfig(n_max=60))
     assert rep.passed
+    assert rep.range["exponents"] == list(identities._EXPONENTS) == [0, 1, 2, 3, 4]
 
 
 def test_agl_wide_sweep():
@@ -418,7 +428,7 @@ def test_run_all_builds_each_series_at_c_one_once(monkeypatch):
         for key in ("series_K", 1, 1), ("series_M", 1, 1), ("series_entry4", 1):
             assert (*map(str, key), "12") in built
         assert [k for k in built if k[0] == "series_A"] == [
-            ("series_A", str(c), "12") for c in cfg.c_exact
+            ("series_A", str(c), "12") for c in identities._C_EXACT
         ]
         assert set(built.values()) == {runs}
 
@@ -525,44 +535,38 @@ def test_each_search_reads_each_profile_once_per_n(monkeypatch, tag):
     assert len(profile_reads) >= 12 and set(profile_reads) == {1}
 
 
-@pytest.mark.parametrize("k_fold_max", [7, 0])
-def test_thm_1_2_rejects_a_k_max_outside_its_range_at_build(monkeypatch, k_fold_max):
-    # series_dilcher_binomial builds k = 1..6 only; a k_max outside that range
-    # fails thm_1_2's build, so no table is sized and no search runs
-    def banned(*args):
-        raise AssertionError("a check ran before every check was built")
-
-    monkeypatch.setattr(identities, "_first", banned)
-    monkeypatch.setattr(identities, "_size_tables", banned)
-    with pytest.raises(ValueError, match=f"k_max = {k_fold_max} lies outside 1..6"):
-        run_all(CheckConfig(n_max=6, q_order=10, k_fold_max=k_fold_max))
+@pytest.mark.parametrize(
+    "name, value", [("exponents", (-1,)), ("c_exact", (Fraction(1, 2),)), ("k_fold_max", 7)]
+)
+def test_check_config_takes_no_library_only_range(name, value):
+    # the exponent grid, the exact c points and thm_1_2's k_max are constants
+    # of identities, so no configuration names a range a checker would reject
+    message = f"CheckConfig.__init__() got an unexpected keyword argument '{name}'"
+    with pytest.raises(TypeError, match=re.escape(message)):
+        CheckConfig(**{name: value})
+    with pytest.raises(TypeError, match=re.escape(message)):
+        CheckConfig().replace(**{name: value})
 
 
 def test_check_config_value_semantics():
-    # a frozen record of its ten fields, taken by position or keyword:
+    # a frozen record of its seven fields, taken by position or keyword:
     # equal only to a CheckConfig, hashed and shown by the fields in order
-    names = (
-        "n_max", "q_order", "m_max", "k_fold_max", "exponents",
-        "z_grid", "c_grid", "c_exact", "mode", "tolerance",
-    )
+    names = ("n_max", "q_order", "m_max", "z_grid", "c_grid", "mode", "tolerance")
     cfg = CheckConfig()
     values = tuple(getattr(cfg, name) for name in names)
     assert CheckConfig.__match_args__ == names
-    assert values[:4] + values[8:] == (30, 25, 4, 4, "exact", 1e-9)
+    assert values[:3] + values[5:] == (30, 25, 4, "exact", 1e-9)
     assert cfg == CheckConfig(*values) == CheckConfig(**dict(zip(names, values)))
     assert hash(cfg) == hash(CheckConfig()) == hash(values)
     assert cfg != values and cfg != CheckConfig(n_max=31)
     assert repr(cfg) == (
-        "CheckConfig(n_max=30, q_order=25, m_max=4, k_fold_max=4, exponents=(0, 1, 2, 3, 4), "
+        "CheckConfig(n_max=30, q_order=25, m_max=4, "
         "z_grid=((1.5+0j), (-1+0j), (-2+0j), (0.5+0.5j)), "
-        "c_grid=((0.4+0j), (-0.3+0j), (0.4-0.3j), (0.2+0.7j)), "
-        "c_exact=(Fraction(1, 1), Fraction(2, 3), Fraction(-1, 2)), mode='exact', tolerance=1e-09)"
+        "c_grid=((0.4+0j), (-0.3+0j), (0.4-0.3j), (0.2+0.7j)), mode='exact', tolerance=1e-09)"
     )
     assert repr(CheckConfig(7, 9, mode="numeric", z_grid=(1j,))) == (
-        "CheckConfig(n_max=7, q_order=9, m_max=4, k_fold_max=4, exponents=(0, 1, 2, 3, 4), "
-        "z_grid=(1j,), c_grid=((0.4+0j), (-0.3+0j), (0.4-0.3j), (0.2+0.7j)), "
-        "c_exact=(Fraction(1, 1), Fraction(2, 3), Fraction(-1, 2)), mode='numeric', "
-        "tolerance=1e-09)"
+        "CheckConfig(n_max=7, q_order=9, m_max=4, z_grid=(1j,), "
+        "c_grid=((0.4+0j), (-0.3+0j), (0.4-0.3j), (0.2+0.7j)), mode='numeric', tolerance=1e-09)"
     )
     with pytest.raises(AttributeError, match="cannot assign to field 'n_max'"):
         cfg.n_max = 5
@@ -713,7 +717,7 @@ FORCED_FAILURES = [
     ("cor_2_7", "exact", "count_exact_part_sizes", _plus_one, {"n"} | LHS_RHS),
     ("agl_pti", "exact", "size_rows", _skew_one_part, PROFILE_RECORD),
     ("agl_scaled", "exact", "size_rows", _skew_one_part, PROFILE_RECORD),
-    ("class_sum", "exact", "class_sum", _plus_one, {"n", "N"} | LHS_RHS),
+    ("class_sum", "exact", "class_sums", _skew_class_sums, {"n", "N"} | LHS_RHS),
     ("bs_onevar", "numeric", "class_sums", _skew_class_sums, {"n", "z", "c"} | LHS_RHS),
     ("thm_2_3", "numeric", None, None, {"n", "k", "c"} | LHS_RHS),
     ("cor_2_4", "numeric", None, None, {"n", "k"} | LHS_RHS),
@@ -758,6 +762,31 @@ def test_forced_failure_record(request, monkeypatch, tag, mode, builder, skew, k
         values = [failure["lhs"], failure["rhs"]]
         assert values == [side.get(failure["e"], 0) for side in sides]
         assert all(type(v) is int for v in values)
+
+
+@pytest.mark.parametrize(
+    "cells, record",
+    [
+        (None, {"n": 1, "N": 1, "lhs": 2, "rhs": 1}),
+        ({5: (5, 3), 6: (2,)}, {"n": 5, "N": 3, "lhs": 1, "rhs": 0}),
+    ],
+    ids=["every-class", "least-of-several"],
+)
+def test_class_sum_names_the_least_failing_n_and_N(monkeypatch, cells, record):
+    # class_sum compares each row C(1)..C(n) at once, yet names the least
+    # (n, N) whose class sum misses the indicator of N | n
+    real = identities.class_sums
+
+    def skewed(n):
+        sums = list(real(n))
+        for N in cells.get(n, ()):
+            sums[N] += 1
+        return tuple(sums)
+
+    skew = _skew_class_sums(real) if cells is None else skewed
+    monkeypatch.setattr(identities, "class_sums", skew)
+    rep = check_identity("class_sum", CheckConfig(n_max=8))
+    assert rep.first_failure == record
 
 
 @pytest.mark.parametrize(
@@ -819,7 +848,7 @@ def test_thm22_failure_reports_are_pinned(monkeypatch, part, skewed_at):
     )
     # a failure at the first c builds no series at a later one
     last = 1 if skewed_at == "all" else 3
-    assert built == [c for c in CheckConfig().c_exact[:last] for _m in (1, 2)]
+    assert built == [c for c in identities._C_EXACT[:last] for _m in (1, 2)]
 
 
 def test_divisor_counts_come_from_the_one_table(monkeypatch):
