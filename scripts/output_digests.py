@@ -18,9 +18,10 @@ The commands cover:
   - pie series --order 40 for A, M, K and entry4 at --m 1 and --m 3, with
     --c symbolic, 1, 2/3, -1/2 and 0, and for dilcher, which takes no c, at
     --m 1 and --m 3;
-  - pie series --order 300, the largest order accepted, for entry4 and A at
-    --c symbolic, whose int builds at a packed c take the widest slots, and
-    for dilcher, whose dump builds constructions (a) and (b), at --m 4,
+  - pie series --order 300, the largest order accepted, for entry4, A and
+    K at --m 4 at --c symbolic, whose int builds at a packed c take the
+    widest slots (both K constructions pack the same ints, so only a pinned
+    digest sees a K row decoded wrong), and for dilcher, whose dump builds constructions (a) and (b), at --m 4,
     thm_1_2's k_max, and at --m 6, the deepest fold --m admits;
   - pie involution --sweep at --n 24, --n 60, --n 80 and --n 100, the
     largest n it accepts, at --n 20 the class listing of --N-divisor 3 with
@@ -70,6 +71,7 @@ SERIES_CS = ("symbolic", "1", "2/3", "-1/2", "0")
 LONG_SERIES = (
     ("entry4", "--c=symbolic"),
     ("A", "--c=symbolic"),
+    ("K", "--m", "4", "--c=symbolic"),
     ("dilcher", "--m", "4"),
     ("dilcher", "--m", "6"),
 )

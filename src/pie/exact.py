@@ -4,15 +4,16 @@ The exact mode of every identity check lives in the ring Q[c], whose one
 stored form is a row over a den: the row is the tuple of the ints of c^0 ..
 c^d with a nonzero top entry, the zero row being (), and the den is a
 positive int coprime to the row's entries, so equality is equality of the
-pair.  CPolynomial is that ring's value type.  _plus and _times are the row
-arithmetic, which CPolynomial shares with the q-series kernels: there a
-stored value is an int or a row, two ints give an int, and an int meets a
-row as the constant row.  Fraction is the boundary: coefficient, items and
-exact evaluation return Fraction, and str prints every coefficient as a
-Fraction would.  Numeric mode works in complex doubles with j^z defined
-through the principal real logarithm of the positive integer j.  _once,
-the one memo of series and identities, keeps what it builds in a store
-that lives exactly as long as a run of identities._run_checks.
+pair.  CPolynomial is that ring's value type, and _plus and _times, its row
+sum and product, serve it alone in the package; they take an int as the
+constant row.  The q-series layer stores the same rows but computes on ints
+packed by _pack and read back by _unpack.  Fraction is the boundary:
+coefficient, items and exact evaluation return Fraction, and str prints
+every coefficient as a Fraction would.  Numeric mode works in complex
+doubles with j^z defined through the principal real logarithm of the
+positive integer j, summed over power tables by _weigh and _sum_weighed.
+_once, the one memo of series and identities, keeps what it builds in a
+store that lives exactly as long as a run of identities._run_checks.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from operator import add
 from typing import Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction]
-Stored = Union[int, tuple]  # a value in Q[c]'s row arithmetic: an int, or a row in c
+Stored = Union[int, tuple]  # a stored value in Q[c]: an int, or a row in c
 
 # the largest Bell degree built, and so the bound of --m-max and of pie series --m
 BELL_DEGREE_CAP = 10
@@ -61,21 +62,16 @@ def _plus(x: Stored, y: Stored) -> Stored:
 
 
 def _times(x: Stored, y: Stored) -> Stored:
-    """x * y for stored values, a row when either is one: a monomial w c^a
-    shifts the other row by a and multiplies it by w."""
+    """x * y for stored values, a row when either is one."""
     if type(x) is int:
         x, y = y, x
     if type(y) is int:
-        if type(x) is int:
-            return x * y
-        return x if y == 1 else tuple(map(y.__mul__, x)) if y else ()
-    if not x or not y:
-        return ()
-    for x, y in ((x, y), (y, x)):
-        if not any(x[:-1]):
-            return (0,) * (len(x) - 1) + _times(y, x[-1])
-    # x split into its monomials
-    return reduce(_plus, (_times((0,) * a + (w,), y) for a, w in enumerate(x) if w))
+        return x * y if type(x) is int else tuple(y * v for v in x) if y else ()
+    out = [0] * (len(x) + len(y) - 1) if x and y else []
+    for a, v in enumerate(x):
+        for b, w in enumerate(y):
+            out[a + b] += v * w
+    return tuple(out)
 
 
 # -- packed ints --------------------------------------------------------------
@@ -352,28 +348,6 @@ def _sum_weighed(weighed, c_powers: Sequence[complex]) -> tuple[complex, float]:
         total += term
         magnitude += abs(term)
     return total, magnitude
-
-
-def fractional_weight(pairs, z: complex, c: complex) -> tuple[complex, float]:
-    """sum_e a(e) * e^z * c^e over (e, a(e)) pairs in complex doubles, and
-    the sum of the term magnitudes, whose ratio to the value is the
-    condition estimate.
-
-    This is the weight operator sending c^e to e^z * c^e, evaluated at c; a
-    weight profile and CPolynomial.items() are both such pairs.  At e = 0
-    it is the identity for z = 0 and annihilates the term otherwise,
-    matching (c * d/dc)^k for integer k.
-
-    It composes two stages over power tables, which numeric checks build
-    once per grid point and call directly: _weigh forms a(e) * e^z, and
-    _sum_weighed, the one weighed sum, adds (a(e) * e^z) * c^e in the
-    pairs' order; a check reads both sides' values from it.  e^z comes
-    from complex_power and c^e from complex(c)**e, so every term, and so
-    every sum, is bit-identical however the tables are shared.
-    """
-    pairs = tuple(pairs)
-    top = max((e for e, _a in pairs), default=0)
-    return _sum_weighed(_weigh(pairs, _z_powers(z, top)), _c_powers(c, top))
 
 
 def bell_polynomial(m: int, u: Sequence):

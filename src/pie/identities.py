@@ -23,17 +23,17 @@ zero tolerance.
 
 The four identities with a numeric form share one table: tag -> both
 profiles at n, the name of the exponent axis, and whether c = 1.  Numeric
-mode evaluates both profiles with exact.fractional_weight on fixed complex
-grids for (z, c) and compares within a relative tolerance, recording a
-condition estimate (the sum of the left side's term magnitudes over its
-value's magnitude) instead of ever widening the tolerance.  A numeric check
-is one loop nest over n, z and c running fractional_weight's two stages on
-power tables formed at build, once per run for all four checks: e^z for
-e <= n_max once per z, c^e once per c, and each profile weighed once per
-(n, z).  Each side's value comes from the one weighed sum,
-exact._sum_weighed; where the two profiles are equal it sums one for both
-sides.  Every term is formed as a single-point call forms it, so values,
-conditions and failure records are bit-identical to per-point evaluation.
+mode evaluates both profiles, sum_e a(e) * e^z * c^e in complex doubles, on
+fixed complex grids for (z, c) and compares within a relative tolerance,
+recording a condition estimate (the sum of the left side's term magnitudes
+over its value's magnitude) instead of ever widening the tolerance.  A
+numeric check is one loop nest over n, z and c on power tables formed at
+build, once per run for all four checks: e^z for e <= n_max once per z, c^e
+once per c, and each profile weighed once per (n, z) by exact._weigh.  Each
+side's value comes from the one weighed sum, exact._sum_weighed; where the
+two profiles are equal it sums one for both sides.  Every term is
+(a(e) * e^z) * c^e, added in ascending e, so values, conditions and failure
+records are bit-identical to evaluating each point on its own.
 
 _run_checks opens and closes every run: it builds each check, which runs no
 search, sizes the partition tables to the largest n_max, and runs each

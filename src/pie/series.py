@@ -1,63 +1,57 @@
 """Truncated formal power series in q over exact coefficients in Q[c].
 
-A TruncatedSeries tracks the coefficients of q^0 .. q^Q exactly.  No
-floating point ever enters this module.
+A TruncatedSeries tracks the coefficients of q^0 .. q^Q exactly; no
+floating point enters this module.  Its one stored form is numerators
+graded by an integer r >= 1 over one integer den, the q^n coefficient being
+nums[n] / (den * r**n).  A numerator is an int, or where c is symbolic a
+row, exact.py's form of Q[c]: the tuple of the ints of c^0 .. c^d with a
+nonzero top entry, the zero row being ().  A series holds all ints or all
+rows.  Built at c = p/r, a series takes grade r, so c q^k weighs
+p * r**(k-1) and a unit factor (1 - q^k) weighs r**k.  Only scaling by a
+non-integer rational (the 1/m! of an exponential generating function) or a
+polynomial with rational coefficients changes den, and operands of other
+grades or dens are brought to their lcm.
 
-Every series has one stored form: numerators graded by an integer r >= 1
-over one integer den, the q^n coefficient being nums[n] / (den * r**n).  A
-numerator is a Python int, or where c is symbolic a row, the form exact.py
-stores Q[c] in: the tuple of the ints of c^0 .. c^d with a nonzero top
-entry, the zero row being ().  A series holds all ints or all rows, and
-exact.py's _plus and _times, CPolynomial's own row arithmetic, add and
-multiply them.  Built at c = p/r, a series takes grade r, so c q^k
-multiplies numerators by p * r**(k-1), a unit factor (1 - q^k) weighs
-r**k, and a product of two series of one grade convolves their numerators.
-Int numerators convolve by Kronecker substitution: each series packs into
-one int with a slot per power of q (exact.py's _pack), the two ints
-multiply once, and the slots of q^0 .. q^Q read back (_unpack).  A
-symbolic c is a CPolynomial, stored as a row p over its den r, so its
-weights are rows: c^a * w shifts a row by a and multiplies it by the int w,
-and a product of symbolic series is a bivariate product of rows.
-Only scaling by a non-integer rational (the 1/m! of an exponential
-generating function) or a polynomial with rational coefficients changes
-den, and operands of other grades or dens are brought to their lcm.
-Fraction and CPolynomial are the read-out types: coeffs, indexing, str and
-coefficient_rows give a c-free coefficient as a Fraction, and any other as
-the CPolynomial of its row over den * r**n.
+Ints are the one numerator the kernels and builders compute on.  Int series
+multiply by Kronecker substitution: each packs into one int with a slot per
+power of q (exact.py's _pack), the two ints multiply once, and the slots of
+q^0 .. q^Q read back (_unpack).  Rows are only stored and read out: the one
+operation on them here is a product with an int, _scaled, so two symbolic
+series compare on their stored rows.  A sum, a product or a polynomial
+scaling of symbolic series, which no command runs, goes through the
+coefficients: CPolynomial arithmetic in, the constructor out.  coeffs,
+indexing, str and coefficient_rows read a c-free coefficient out as a
+Fraction, any other as the CPolynomial of its row over den * r**n.
 
-Named builders at the bottom assemble the generating functions the identity
-suite compares.  They build every product and quotient of factors
-(1 - x q^k) one factor at a time on int numerators, each through the one
-shifted-add kernel _add_shifted, and never invert a whole series.  Builders
-documented as double constructions still compute the same series two
-independent ways and raise AlgorithmFault if the results differ.  A run
-builds the tails of (q)_inf at each order and grade and the divisors of each
-n once, through exact._once; outside a run each call builds them anew.
+The named builders at the bottom build every product and quotient of
+factors (1 - x q^k) one factor at a time through the one shifted-add kernel
+_add_shifted, and never invert a whole series.  Double constructions build
+one series two independent ways and raise AlgorithmFault if they differ.
+A run builds the tails of (q)_inf at each order and grade and the divisors
+of each n once, through exact._once.
 
-At a symbolic c = p/r, p a row, A's product quotient and entry4's left side
-mix the powers of c in every factor (1 - c q^k), so _in_rows packs c: the
-builder's int path runs once at c = p(2^W)/r, over the grade r itself (a
-reduced fraction could change the grade), and each q^j numerator unpacks
-into its row in slots of W bits.  W comes from a majorant, the same build at
-|p|_1 / r with every term made positive, |p|_1 the sum of the |entries| of
-p.  The l1 norm of rows is subadditive and submultiplicative, so the q^j
-numerator of the majorant bounds the l1 norm of row j, and slots of
-bits(largest bound) + 2 bits decode every row.  The K builders and the tail
-sums (A's Euler sum, M) keep rows, whose weights at c = C are monomials:
-packed, they measured 1.1-1.3x (K) and 1.4-2x (tail sums) slower.
+At a symbolic c = p/r, p a row, a builder runs its int path through
+_in_rows, which packs c: the path runs once at c = p(2^W)/r, over the grade
+r itself (a reduced fraction could change it), and each q^j numerator
+unpacks into its row in slots of W bits.  W comes from a majorant, the same
+build at |p|_1 / r with every term made positive, |p|_1 the sum of the
+|entries| of p: the l1 norm of rows is subadditive and submultiplicative,
+so the majorant's q^j numerator bounds row j's, and slots of bits(largest
+bound) + 2 bits decode every row.  A's quotient, entry4's left side and
+both K builders pack their numerators so; the tail sums (A's Euler sum, M)
+pack their weights and add one int column per power of c.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
 from itertools import accumulate, compress, repeat, zip_longest
 from math import comb, lcm
 from operator import add, mul, or_, sub
 from typing import Callable, Iterable, Sequence, Union
 
 from .errors import AlgorithmFault
-from .exact import CPolynomial, Stored, _plus, _ratio, _row, _sum_text, _times, divisors
+from .exact import CPolynomial, Stored, _ratio, _row, _sum_text, divisors
 from .exact import _bias, _once, _pack, _unpack
 
 Coefficient = Union[Fraction, CPolynomial]
@@ -72,9 +66,17 @@ def _split(c: ScalarLike) -> tuple:
     return (c._num, c._den) if isinstance(c, CPolynomial) else _ratio(c)
 
 
-def _ops(*values: Stored) -> tuple:
-    """(plus, times) for stored values: add and mul, or _plus and _times once any is a row."""
-    return (_plus, _times) if tuple in map(type, values) else (add, mul)
+def _scaled(nums: Sequence[Stored], weights: Iterable[int]) -> list:
+    """Each numerator times its int weight, the numerators all ints or all
+    rows: a row times an int is the one row operation of this module."""
+    if nums and type(nums[0]) is tuple:
+        return [tuple(w * v for v in row) if w else () for row, w in zip(nums, weights)]
+    return list(map(mul, nums, weights))
+
+
+def _symbolic(*series: "TruncatedSeries") -> bool:
+    """Whether any of the series stores rows."""
+    return any(type(f.nums[0]) is tuple for f in series)
 
 
 def _aligned(nums: Iterable[Stored]) -> tuple:
@@ -109,9 +111,9 @@ class TruncatedSeries:
             raise ValueError("order must be nonnegative")
         if len(coeffs) != order + 1:
             raise ValueError("need exactly order+1 coefficients")
-        parts = [_split(v) for v in coeffs]
-        self.order, self.grade, self.den = order, 1, lcm(*(r for _p, r in parts))
-        self.nums = _aligned(_times(p, self.den // r) for p, r in parts)
+        ps, rs = zip(*map(_split, coeffs))
+        self.order, self.grade, self.den = order, 1, lcm(*rs)
+        self.nums = tuple(_scaled(_aligned(ps), [self.den // r for r in rs]))
 
     @classmethod
     def _stored(cls, order: int, nums: Iterable[Stored], grade=1, den=1):
@@ -149,15 +151,15 @@ class TruncatedSeries:
         if step == 1 and w == 1:
             return self.nums
         weights = repeat(w) if step == 1 else (w * step**e for e in range(self.order + 1))
-        return list(map(_ops(self.nums[0])[1], self.nums, weights))
+        return _scaled(self.nums, weights)
 
     def _termwise(self, other: object, op) -> "TruncatedSeries":
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         grade, den = self._match(other), lcm(self.den, other.den)
+        if _symbolic(self, other):
+            return TruncatedSeries(self.order, list(map(op, self.coeffs, other.coeffs)))
         xs, ys = self._numerators(grade, den), other._numerators(grade, den)
-        if tuple in (type(xs[0]), type(ys[0])):
-            op, ys = _plus, ys if op is add else map(_times, ys, repeat(-1))
         return TruncatedSeries._stored(self.order, map(op, xs, ys), grade, den)
 
     # -- arithmetic --------------------------------------------------------
@@ -177,15 +179,15 @@ class TruncatedSeries:
                 return self.scale(other)
             return NotImplemented
         grade, count = self._match(other), self.order + 1
+        if _symbolic(self, other):
+            xs, ys = self.coeffs, other.coeffs
+            out = [sum(map(mul, xs[: e + 1], ys[e::-1]), Fraction(0)) for e in range(count)]
+            return TruncatedSeries(self.order, out)
+        # ints multiply once, packed into slots that hold every z_e, e <= Q
         xs, ys = self._numerators(grade, self.den), other._numerators(grade, other.den)
-        if tuple in (type(xs[0]), type(ys[0])):
-            # rows make it a bivariate product
-            out = [reduce(_plus, map(_times, xs[: e + 1], ys[e::-1])) for e in range(count)]
-        else:
-            # ints multiply once, packed into slots that hold every z_e, e <= Q
-            size = _slot_size(xs, ys)
-            bias = _bias(size, count)
-            out = _unpack(_pack(xs, size, bias) * _pack(ys, size, bias), count, size, bias)
+        size = _slot_size(xs, ys)
+        bias = _bias(size, count)
+        out = _unpack(_pack(xs, size, bias) * _pack(ys, size, bias), count, size, bias)
         return TruncatedSeries._stored(self.order, out, grade, self.den * other.den)
 
     __rmul__ = __mul__
@@ -194,15 +196,20 @@ class TruncatedSeries:
         p, r = _split(scalar)
         if not p:
             return TruncatedSeries.zero(self.order)
-        nums = map(_ops(p, self.nums[0])[1], self.nums, repeat(p))
+        if type(p) is int:
+            nums = _scaled(self.nums, repeat(p))
+        elif _symbolic(self):
+            return TruncatedSeries(self.order, [v * scalar for v in self.coeffs])
+        else:
+            nums = _scaled([p] * (self.order + 1), self.nums)
         return TruncatedSeries._stored(self.order, nums, self.grade, self.den * r)
 
     def shift(self, k: int) -> "TruncatedSeries":
         """Multiply by q^k (k >= 0); coefficients past the order fall off."""
         if k < 0:
             raise ValueError("shift must be nonnegative")
-        n, times = self.order, _ops(self.nums[0])[1]
-        kept = list(map(times, self.nums[: max(n + 1 - k, 0)], repeat(self.grade**k)))
+        n = self.order
+        kept = _scaled(self.nums[: max(n + 1 - k, 0)], repeat(self.grade**k))
         return TruncatedSeries._stored(n, [0] * (n + 1 - len(kept)) + kept, self.grade, self.den)
 
     def truncate(self, new_order: int) -> "TruncatedSeries":
@@ -261,8 +268,13 @@ class TruncatedSeries:
         return _coefficient(self.nums[power], self.den * self.grade**power)
 
     def first_difference(self, other: "TruncatedSeries") -> int | None:
-        """The lowest power of q where two series of one order differ, or None."""
-        return next((e for e, v in enumerate((self - other).nums) if v), None)
+        """The lowest power of q where two series of one order differ, or
+        None: their numerators compare, at the lcm of their grades and dens."""
+        grade, den = self._match(other), lcm(self.den, other.den)
+        xs, ys = self._numerators(grade, den), other._numerators(grade, den)
+        if type(xs[0]) is not type(ys[0]):
+            xs, ys = map(_row, xs), map(_row, ys)
+        return next((e for e, (x, y) in enumerate(zip(xs, ys)) if x != y), None)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TruncatedSeries):
@@ -361,8 +373,8 @@ def _tail_sum(weights: Sequence, order: int, grade: int) -> TruncatedSeries:
     return TruncatedSeries._stored(order, nums or [0] * (order + 1), grade)
 
 
-def _scalar_powers(c: Stored, order: int) -> list:
-    return list(accumulate(repeat(c, order), _ops(c)[1], initial=1))
+def _scalar_powers(x: int, order: int) -> list[int]:
+    return list(accumulate(repeat(x, order), mul, initial=1))
 
 
 def _alternating_sum(
@@ -396,7 +408,7 @@ def _triangular(n: int) -> int:
 
 def _in_rows(build: Callable[[int, int], list], p: Stored) -> list:
     """build(p, 1), a builder's int numerators at c = p/r, rows for a row p
-    read from build(p(2^W), 1); build(x, -1) makes every term positive."""
+    read from build(p(2^W), 1); build(x, -1) has every term positive at x >= 0."""
     if type(p) is int:
         return build(p, 1)
     norm = sum(map(abs, p))
@@ -441,7 +453,7 @@ def series_A_quotient(c: ScalarLike, order: int) -> TruncatedSeries:
 def series_A_euler(c: ScalarLike, order: int) -> TruncatedSeries:
     """(q)_inf / (cq)_inf via the Euler expansion sum_n c^n q^n (q^{n+1})_inf."""
     p, r = _split(c)
-    return _tail_sum(_scalar_powers(p, order), order, r)
+    return _tail_sum(_in_rows(lambda x, _sign: _scalar_powers(x, order), p), order, r)
 
 
 def series_A(c: ScalarLike, order: int) -> TruncatedSeries:
@@ -463,9 +475,8 @@ def series_M(m: int, c: ScalarLike, order: int) -> TruncatedSeries:
     if m < 0:
         raise ValueError("m must be nonnegative")
     p, r = _split(c)
-    ppow = _scalar_powers(p, order)
-    weights = [0] + [_times(ppow[n], n**m) for n in range(1, order + 1)]
-    return _tail_sum(weights, order, r)
+    build = lambda x, _sign: [n**m * v if n else 0 for n, v in enumerate(_scalar_powers(x, order))]
+    return _tail_sum(_in_rows(build, p), order, r)
 
 
 def series_K_divisor(m: int, c: ScalarLike, order: int) -> TruncatedSeries:
@@ -473,13 +484,14 @@ def series_K_divisor(m: int, c: ScalarLike, order: int) -> TruncatedSeries:
     if m < 1:
         raise ValueError("m must be positive")
     p, r = _split(c)
-    ppow, rpow = _scalar_powers(p, order), _scalar_powers(r, order)
-    plus, times = _ops(p)
-    vals = [0] * (order + 1)
-    for n in range(1, order + 1):
-        for d in _once(divisors, n):
-            vals[n] = plus(vals[n], times(ppow[d], d ** (m - 1) * rpow[n - d]))
-    return TruncatedSeries._stored(order, vals, r)
+    rpow = _scalar_powers(r, order)
+    divs = [(n, _once(divisors, n)) for n in range(1, order + 1)]
+
+    def build(x: int, _sign: int) -> list:
+        xpow = _scalar_powers(x, order)
+        return [0] + [sum([xpow[d] * d ** (m - 1) * rpow[n - d] for d in ds]) for n, ds in divs]
+
+    return TruncatedSeries._stored(order, _in_rows(build, p), r)
 
 
 def series_K_lambert(m: int, c: ScalarLike, order: int) -> TruncatedSeries:
@@ -487,15 +499,17 @@ def series_K_lambert(m: int, c: ScalarLike, order: int) -> TruncatedSeries:
     if m < 1:
         raise ValueError("m must be positive")
     p, r = _split(c)
-    ppow, rpow = _scalar_powers(p, order), _scalar_powers(r, order)
-    plus, times = _ops(p)
-    vals = [0] * (order + 1)
-    for j in range(1, order + 1):
-        weight = times(ppow[j], j ** (m - 1))
-        if weight:
+    rpow = _scalar_powers(r, order)
+
+    def build(x: int, _sign: int) -> list:
+        vals, xpow = [0] * (order + 1), _scalar_powers(x, order)
+        for j in range(1, order + 1):
+            weight = xpow[j] * j ** (m - 1)
             for e in range(j, order + 1, j):
-                vals[e] = plus(vals[e], times(weight, rpow[e - j]))
-    return TruncatedSeries._stored(order, vals, r)
+                vals[e] += weight * rpow[e - j]
+        return vals
+
+    return TruncatedSeries._stored(order, _in_rows(build, p), r)
 
 
 def series_K(m: int, c: ScalarLike, order: int) -> TruncatedSeries:

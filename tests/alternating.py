@@ -6,7 +6,10 @@ keeps.  That construction is kept here, for a c whose numerator p is an int
 or a row.
 """
 
-from pie.series import TruncatedSeries, _scalar_powers, _split, _times
+from itertools import accumulate, repeat
+
+from pie.exact import _times
+from pie.series import TruncatedSeries, _split
 
 from row_kernel import add_shifted, over_factor
 
@@ -32,5 +35,5 @@ def alternating_sum(x, fold: int, shift, weight, order: int) -> TruncatedSeries:
 
 def entry4_lhs(c, order: int) -> TruncatedSeries:
     """sum_n (-1)^(n-1) c^n q^(n(n+1)/2) / ((1-q^n)(cq)_n), truncated."""
-    ppow = _scalar_powers(_split(c)[0], order)
+    ppow = list(accumulate(repeat(_split(c)[0], order), _times, initial=1))
     return alternating_sum(c, 1, lambda n: n * (n + 1) // 2, ppow.__getitem__, order)

@@ -1,7 +1,8 @@
 """q-Pochhammer products and the A quotient for the tests, built on the row
 kernel of tests/row_kernel.py."""
 
-from pie.series import TruncatedSeries, _split, _times
+from pie.exact import _times
+from pie.series import TruncatedSeries, _split
 
 from row_kernel import over_factor, times_factor
 

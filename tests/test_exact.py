@@ -23,10 +23,9 @@ from pie.exact import (
     bell_polynomial,
     complex_power,
     divisors,
-    fractional_weight,
     sigma_int,
 )
-from sides import lhs_rhs_thm21
+from sides import fractional_weight, lhs_rhs_thm21
 
 # frozen from a 40-digit re-summation of sum_d d^z c^d over d | 12
 SIGMA_ORACLE_Z = complex(1.5, 0.5)

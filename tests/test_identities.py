@@ -14,7 +14,7 @@ import pytest
 from enumeration import enumerate_distinct
 from pie import cli, exact, identities, partitions, series
 from pie.errors import AlgorithmFault
-from pie.exact import C, CPolynomial, divisors, fractional_weight
+from pie.exact import C, CPolynomial, divisors
 from pie.identities import (
     NUMERIC_CAPABLE,
     CheckConfig,
@@ -26,7 +26,7 @@ from pie.identities import (
     run_all,
 )
 from pie.partitions import count_exact_part_sizes, size_rows
-from sides import lhs_rhs_thm21, lhs_rhs_thm23, lhs_rhs_thm26
+from sides import fractional_weight, lhs_rhs_thm21, lhs_rhs_thm23, lhs_rhs_thm26
 from size_cells import cells_of, rows_of
 
 EXACT_CFG = CheckConfig(n_max=30, q_order=20, m_max=3)

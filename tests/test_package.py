@@ -91,10 +91,8 @@ def test_unknown_name_raises_attribute_error():
 
 # public with no reader in the library: exact.bell_polynomial, which acceptance
 # criterion 8 imports, while the checks take every Y_m from the private
-# exact._bell_polynomials; and exact.fractional_weight, the one-point numeric
-# evaluator that scripts/numeric_conditioning.py calls and the tests hold
-# numeric mode to, which runs its two stages on shared power tables
-UNREAD_BY_DESIGN = {"exact.bell_polynomial", "exact.fractional_weight"}
+# exact._bell_polynomials
+UNREAD_BY_DESIGN = {"exact.bell_polynomial"}
 
 
 def test_every_public_function_and_class_has_a_reader_in_the_library():

@@ -12,10 +12,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SMALL_ARGS = {
-    "involution_tableau.py": ["6"],
-    "numeric_conditioning.py": ["8"],
     "output_digests.py": ["0.1"],
-    "run_checks.py": ["8", "12"],
 }
 
 

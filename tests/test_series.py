@@ -1,5 +1,6 @@
 """Truncated q-series arithmetic and the named generating functions."""
 
+import sys
 from fractions import Fraction
 from functools import cache, partial
 from math import factorial
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pie import series
-from pie.exact import C, CPolynomial, _bias, _pack, _row, divisors
+from pie.exact import C, CPolynomial, _bias, _pack, _row, _times, divisors
 from pie.series import (
     ExpSeries,
     TruncatedSeries,
@@ -17,7 +18,6 @@ from pie.series import (
     _nested_lambert,
     _over_factor,
     _split,
-    _times,
     _times_factor,
     coefficient_rows,
     series_A,
@@ -625,6 +625,13 @@ def test_symbolic_rows_match_the_cpolynomial_construction(name):
         assert list(ROW_BUILDERS[name](order).coeffs) == oracle[: order + 1], order
 
 
+NON_MONOMIAL_ROWS = {
+    "1+2c": 1 + 2 * C,
+    "1+c": 1 + C,
+    "quadratic": Fraction(1, 2) - C / 3 + C**2,
+}
+
+
 @pytest.mark.parametrize(
     "builder, weight",
     [
@@ -633,14 +640,43 @@ def test_symbolic_rows_match_the_cpolynomial_construction(name):
     ],
     ids=["M2", "A-euler"],
 )
-@pytest.mark.parametrize(
-    "c", [1 + 2 * C, 1 + C, Fraction(1, 2) - C / 3 + C**2], ids=["1+2c", "1+c", "quadratic"]
-)
+@pytest.mark.parametrize("c", NON_MONOMIAL_ROWS.values(), ids=NON_MONOMIAL_ROWS)
 def test_tail_sum_of_non_monomial_row_weights(builder, weight, c):
     # weights mixing several powers of c: one int sum per power of c, put
     # back together into the rows, against the CPolynomial construction
     oracle = cp_tail_sum([weight(c, n) for n in range(21)], 20)
     assert list(builder(c).coeffs) == oracle
+
+
+@pytest.mark.parametrize("m", [1, 3])
+@pytest.mark.parametrize("c", NON_MONOMIAL_ROWS.values(), ids=NON_MONOMIAL_ROWS)
+def test_series_K_at_non_monomial_rows(m, c):
+    # both K builders packed in c, against the Lambert sum
+    # sum_j j^(m-1) c^j q^j / (1 - q^j) on CPolynomial coefficients
+    oracle = [CPolynomial(0)] * 21
+    for j in range(1, 21):
+        for e in range(j, 21, j):
+            oracle[e] = oracle[e] + j ** (m - 1) * c**j
+    assert list(series_K(m, c, 20).coeffs) == oracle
+
+
+def test_symbolic_builds_and_comparisons_run_no_row_arithmetic(monkeypatch):
+    # the builders compute on ints and compare stored rows: with the row sum
+    # and product raising wherever pie's modules bind them, the symbolic
+    # builds still run their double constructions and compare, at their own
+    # and at another grade and den
+    def banned(*args):
+        raise AssertionError("row arithmetic in a symbolic build")
+
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "pie"]
+    for module in modules:
+        for name in ("_plus", "_times"):
+            if name in vars(module):
+                monkeypatch.setattr(module, name, banned)
+    lhs, rhs = series_entry4(C, 40)
+    for f in (series_A(C, 40), series_K(4, C, 40), series_M(2, C, 40), lhs):
+        assert f == regraded(f, 3, 2) and f != regraded(f, 3, 2).shift(1)
+    assert lhs == rhs
 
 
 # -- named series -------------------------------------------------------------
@@ -767,39 +803,65 @@ def test_packed_quotient_matches_the_row_product(c):
     _matches_the_row_build(series_A_quotient, a_quotient, c)
 
 
-def _slots_hold_the_majorant(monkeypatch, build, c):
-    # two int builds run: the majorant at |p|_1, whose q^j numerator bounds
-    # the sum of |entries| of row j, then the build at p(2^W); the slot of W
-    # bits is the fewest bytes that keep two bits over the largest bound
-    real_in_rows, real_row_of, calls, sizes = series._in_rows, series._row_of, [], set()
+def _slots_hold_the_majorant(monkeypatch, build, c, builds):
+    # each of the builds packed in c runs two int builds: the majorant at
+    # |p|_1, whose q^j numerator bounds the sum of |entries| of row j, then
+    # the build at p(2^W); the slot of W bits is the fewest bytes that keep
+    # two bits over the largest bound
+    real_in_rows, real_row_of, packed = series._in_rows, series._row_of, []
 
     def spied(int_build, p):
+        calls, sizes = [], set()
+
         def spy(x, sign):
             calls.append((x, sign, int_build(x, sign)))
             return calls[-1][2]
 
-        return real_in_rows(spy, p)
+        packed.append((calls, sizes))
+        rows = real_in_rows(spy, p)
+        packed[-1] += (rows,)
+        return rows
+
+    def spied_row_of(v, size):
+        packed[-1][1].add(size)
+        return real_row_of(v, size)
 
     monkeypatch.setattr(series, "_in_rows", spied)
-    monkeypatch.setattr(series, "_row_of", lambda v, size: sizes.add(size) or real_row_of(v, size))
-    got = build(c)
-    (norm, minus, bound), (at, plus, _packed) = calls
+    monkeypatch.setattr(series, "_row_of", spied_row_of)
+    build(c)
+    assert len(packed) == builds
     p = _split(c)[0]
-    assert (norm, minus, plus) == (sum(map(abs, p)), -1, 1)
-    assert all(sum(map(abs, row)) <= b for row, b in zip(got.nums, bound))
-    (size,) = sizes
-    assert at == _pack(p, size, _bias(size, len(p)))
-    assert 8 * size - 8 < max(norm, *bound).bit_length() + 2 <= 8 * size
+    for ((norm, minus, bound), (at, plus, _packed)), (size,), rows in packed:
+        assert (norm, minus, plus) == (sum(map(abs, p)), -1, 1)
+        assert all(sum(map(abs, row)) <= b for row, b in zip(rows, bound))
+        assert at == _pack(p, size, _bias(size, len(p)))
+        assert 8 * size - 8 < max(norm, *bound).bit_length() + 2 <= 8 * size
 
 
 @pytest.mark.parametrize("c", PACKED_CS.values(), ids=PACKED_CS)
 def test_packed_entry4_slots_hold_the_majorant(monkeypatch, c):
-    _slots_hold_the_majorant(monkeypatch, lambda c: series_entry4(c, 60)[0], c)
+    # the left side, then K_1 for the right
+    _slots_hold_the_majorant(monkeypatch, lambda c: series_entry4(c, 60), c, 2)
 
 
 @pytest.mark.parametrize("c", PACKED_CS.values(), ids=PACKED_CS)
 def test_packed_quotient_slots_hold_the_majorant(monkeypatch, c):
-    _slots_hold_the_majorant(monkeypatch, lambda c: series_A_quotient(c, 60), c)
+    _slots_hold_the_majorant(monkeypatch, lambda c: series_A_quotient(c, 60), c, 1)
+
+
+@pytest.mark.parametrize(
+    "build, builds",
+    [
+        (lambda c: series_K(3, c, 60), 2),
+        (lambda c: series_M(2, c, 60), 1),
+        (lambda c: series_A_euler(c, 60), 1),
+    ],
+    ids=["K3", "M2", "A-euler"],
+)
+@pytest.mark.parametrize("c", PACKED_CS.values(), ids=PACKED_CS)
+def test_packed_K_and_tail_weights_slots_hold_the_majorant(monkeypatch, build, builds, c):
+    # both K builders pack their numerators; the tail sums pack their weights
+    _slots_hold_the_majorant(monkeypatch, build, c, builds)
 
 
 def test_dilcher_reduces_to_triple_identity_at_one():
