@@ -20,8 +20,8 @@ The commands cover:
     --m 1 and --m 3;
   - pie series --order 300, the largest order accepted, for entry4, A and
     K at --m 4 at --c symbolic, whose int builds at a packed c take the
-    widest slots (both K constructions pack the same ints, so only a pinned
-    digest sees a K row decoded wrong), and for dilcher, whose dump builds constructions (a) and (b), at --m 4,
+    widest slots (both K constructions pack the same ints, so a K row
+    decoded wrong passes pie itself), and for dilcher, whose dump builds constructions (a) and (b), at --m 4,
     thm_1_2's k_max, and at --m 6, the deepest fold --m admits;
   - pie involution --sweep at --n 24, --n 60, --n 80 and --n 100, the
     largest n it accepts, at --n 20 the class listing of --N-divisor 3 with

@@ -8,8 +8,8 @@ pair.  CPolynomial is that ring's value type, and _plus and _times, its row
 sum and product, serve it alone in the package; they take an int as the
 constant row.  The q-series layer stores the same rows but computes on ints
 packed by _pack and read back by _unpack.  Fraction is the boundary:
-coefficient, items and exact evaluation return Fraction, and str prints
-every coefficient as a Fraction would.  Numeric mode works in complex
+items and exact evaluation return Fraction, and str prints every
+coefficient as a Fraction would.  Numeric mode works in complex
 doubles with j^z defined through the principal real logarithm of the
 positive integer j, summed over power tables by _weigh and _sum_weighed.
 _once, the one memo of series and identities, keeps what it builds in a
@@ -26,7 +26,6 @@ from math import comb, gcd, isqrt, lcm
 from operator import add
 from typing import Iterable, Sequence, Union
 
-Scalar = Union[int, Fraction]
 Stored = Union[int, tuple]  # a stored value in Q[c]: an int, or a row in c
 
 # the largest Bell degree built, and so the bound of --m-max and of pie series --m
@@ -127,9 +126,9 @@ def _sum_text(coeffs: Iterable, x: str) -> str:
 class CPolynomial:
     """A polynomial in one indeterminate c with exact rational coefficients.
 
-    Stored as the module docstring's row _num over the den _den.
-    coefficient, items and evaluate at an exact point give Fraction; str and
-    repr print every coefficient as a Fraction would.
+    Stored as the module docstring's row _num over the den _den.  items and
+    evaluate at an exact point give Fraction; str and repr print every
+    coefficient as a Fraction would.
     """
 
     __slots__ = ("_num", "_den")
@@ -164,19 +163,6 @@ class CPolynomial:
         out = cls.__new__(cls)
         out._num, out._den = num, den
         return out
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._num
-
-    @property
-    def degree(self) -> int:
-        """Degree of the polynomial; -1 for the zero polynomial."""
-        return len(self._num) - 1
-
-    def coefficient(self, exponent: int) -> Fraction:
-        v = self._num[exponent] if 0 <= exponent < len(self._num) else 0
-        return Fraction(v, self._den)
 
     def items(self) -> tuple[tuple[int, Fraction], ...]:
         return tuple((e, Fraction(v, self._den)) for e, v in enumerate(self._num) if v)

@@ -60,7 +60,6 @@ from . import exact
 from .errors import AlgorithmFault
 from .exact import (
     C,
-    Scalar,
     _bell_polynomials,
     _c_powers,
     _once,
@@ -287,9 +286,9 @@ def _profiles_differ(profiles, n: int) -> dict | None:
     return {"e": e, "lhs": left.get(e, 0), "rhs": right.get(e, 0)}
 
 
-def _at(profile: Profile, k: int, c: Scalar) -> Scalar:
-    """The profile under the weight e^k at an exact scalar c."""
-    return sum(a * e**k * c**e for e, a in profile)
+def _at(profile: Profile, k: int) -> int:
+    """The profile under the weight e^k at c = 1."""
+    return sum(a * e**k for e, a in profile)
 
 
 def check_cor27(n: int) -> tuple[int, int]:
@@ -413,7 +412,7 @@ def _sweep(cfg: CheckConfig, profiles, sides, key: str = "k", **rng):
 
 
 def _cor24_sides(n: int, k: int, smallest: Profile, binomial: Profile) -> tuple[int, int]:
-    lhs, rhs = _at(smallest, k, 1), _at(binomial, k, 1)
+    lhs, rhs = _at(smallest, k), _at(binomial, k)
     if k == 1 and lhs == rhs:
         # the k=1 chain collapses to the divisor count
         rhs = _table(_divisor_counts, n)[n]
@@ -501,7 +500,7 @@ def _check_dilcher_cm(cfg: CheckConfig):
         smallest = {n: _once(_smallest_profile, n) for n in _ns(cfg)}
 
         def mismatch(m, n):
-            weights = _at(smallest[n], m, 1)
+            weights = _at(smallest[n], m)
             formula = formulas[m](n)
             if not weights == formula == series[m][n]:
                 return {"weights": weights, "convolution": formula, "series": series[m][n]}
@@ -538,12 +537,12 @@ REGISTRY = {
     # a window holds s weights, so sum_e a(e) is the signed smallest-part sum
     IdentityId.BS_BASIC: lambda cfg: _over_n(
         cfg,
-        lambda n: _differ(_at(_once(_window_profile, n), 0, 1), _table(_divisor_counts, n)[n]),
+        lambda n: _differ(_at(_once(_window_profile, n), 0), _table(_divisor_counts, n)[n]),
     ),
     IdentityId.BS_INT: lambda cfg: _sweep(
         cfg,
         lambda n: (_once(_window_profile, n),),
-        lambda n, z, window: (_at(window, z, 1), sigma_int(z, n)),
+        lambda n, z, window: (_at(window, z), sigma_int(z, n)),
         key="z",
     ),
     IdentityId.BS_ONEVAR: _profile_check(_thm21_profiles, z="all complex", c="symbolic"),

@@ -646,9 +646,6 @@ class ExpSeries:
 
     __hash__ = None  # type: ignore[assignment]
 
-    def __getitem__(self, m: int) -> TruncatedSeries:
-        return self.coeffs[m]
-
     def _check(self, other: "ExpSeries") -> None:
         if self.t_order != other.t_order or self.q_order != other.q_order:
             raise ValueError("ExpSeries order mismatch")

@@ -12,7 +12,7 @@ the checks' shared power tables to.
 from fractions import Fraction
 
 from pie.exact import CPolynomial, _c_powers, _sum_weighed, _weigh, _z_powers
-from pie.identities import _at, _thm21_profiles, _thm23_profiles, _thm26_profiles
+from pie.identities import _thm21_profiles, _thm23_profiles, _thm26_profiles
 
 
 def fractional_weight(pairs, z: complex, c: complex) -> tuple[complex, float]:
@@ -40,7 +40,7 @@ def _sides(profiles, n: int, k, c) -> tuple:
     sides = profiles(n)
     exact_k = isinstance(k, int) and not isinstance(k, bool) and k >= 0
     if exact_k and isinstance(c, (int, Fraction, CPolynomial)):
-        return tuple(_at(p, k, c) for p in sides)
+        return tuple(sum(a * e**k * c**e for e, a in p) for p in sides)
     return tuple(fractional_weight(p, k, c)[0] for p in sides)
 
 

@@ -262,8 +262,8 @@ def test_power_tables_entry_zero_and_overflow():
 
 def test_cpoly_normal_form():
     assert CPolynomial({2: 0, 1: 1}) == C
-    assert CPolynomial(0).is_zero
-    assert (C - C).is_zero
+    assert not CPolynomial(0)
+    assert not C - C
     assert CPolynomial({0: Fraction(3, 1)}) == 3
 
 
@@ -285,8 +285,8 @@ def test_cpoly_rejects_floats():
 def test_cpoly_power_and_degree():
     assert (C + 1) ** 0 == 1
     assert ((C + 1) ** 2) == CPolynomial({0: 1, 1: 2, 2: 1})
-    assert CPolynomial(0).degree == -1
-    assert (C**7).degree == 7
+    assert dict(CPolynomial(0).items()) == {}
+    assert dict((C**7).items()) == {7: 1}
 
 
 def test_cpoly_str():
@@ -368,9 +368,6 @@ def _assert_row_form(p: CPolynomial, expected: dict[int, Fraction]) -> None:
     items = tuple(sorted(expected.items()))
     assert p.items() == items
     assert all(type(v) is Fraction for _, v in p.items())
-    for e in range(-1, 14):
-        assert p.coefficient(e) == expected.get(e, 0)
-        assert type(p.coefficient(e)) is Fraction
     assert repr(p) == f"CPolynomial({dict(items)!r})"
     assert str(p) == _poly_text(expected)
 

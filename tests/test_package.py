@@ -1,14 +1,17 @@
 """The package surface resolves on first use, each pie command loads only
-the layers it runs, and the README's Library example prints what it says
-(the last two checked in fresh interpreters, with no time bound)."""
+the layers it runs, the README's Library example prints what it says, and
+every function in src/pie runs on a command or names why not (the last
+three checked in fresh interpreters, with no time bound)."""
 
 import ast
 import importlib
+import importlib.util
 import json
 import os
 import re
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -16,6 +19,7 @@ import pytest
 import pie
 
 SRC = Path(pie.__file__).resolve().parent.parent
+ROOT = Path(__file__).resolve().parent.parent
 LAYERS = ("partitions", "exact", "series", "involution", "identities", "cli", "errors")
 PUBLIC = [
     "AlgorithmFault",
@@ -137,7 +141,7 @@ def _fresh(code: str, result: str = LOADED):
     script = (
         "import io, json, sys\n"
         "from contextlib import redirect_stdout\n"
-        f"with redirect_stdout(io.StringIO()):\n    {code}\n"
+        f"with redirect_stdout(io.StringIO()):\n{textwrap.indent(code, '    ')}\n"
         f"print(json.dumps({result}))\n"
     )
     proc = subprocess.run(
@@ -243,12 +247,16 @@ def test_only_the_csv_format_loads_csv():
 # -- the README's Library example ----------------------------------------------------
 
 
-def test_readme_library_example_runs():
-    root = Path(__file__).resolve().parent.parent
-    readme = (root / "README.md").read_text(encoding="utf-8")
+def _readme_example() -> str:
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
     (block,) = re.findall(r"```python\n(.*?)```", readme, re.S)
+    return block
+
+
+def test_readme_library_example_runs():
+    block = _readme_example()
     env = {k: v for k, v in os.environ.items() if not k.startswith("PIE_")}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(root / "src"), env.get("PYTHONPATH"))))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-c", block], env=env, capture_output=True, text=True, timeout=120
     )
@@ -259,3 +267,108 @@ def test_readme_library_example_runs():
         # the divisor counts d(1..10) = 1, 2, 2, 3, 2, 4, 2, 4, 3, 4
         "q + 2*q^2 + 2*q^3 + 3*q^4 + 2*q^5 + 4*q^6 + 2*q^7 + 4*q^8 + 3*q^9 + 4*q^10 + O(q^11)",
     ]
+
+
+# -- every function runs on a command ------------------------------------------------
+
+
+# the defs in src/pie that no command below runs, each with the reason it stays.
+# perfbench/traced_pie.py wraps its METHODS by name, so those stay until the
+# benchmark untraces them; a row that runs or names no def fails the gate, so
+# each row leaves together with its code
+TRACED = {
+    "exact.CPolynomial": "__add__ __neg__ __sub__ __rsub__ __mul__ __truediv__ __pow__ __eq__ evaluate",
+    "series.TruncatedSeries": "__sub__ __neg__ shift truncate inverse exp log",
+    "series.ExpSeries": "__add__ __mul__ scale_coeffs __eq__",
+}
+EXCUSED = {
+    **{
+        f"{cls}.{name}": "wrapped by name in perfbench/traced_pie.py's METHODS; no command runs it"
+        for cls, names in TRACED.items()
+        for name in names.split()
+    },
+    "exact._plus": "the row sum that only CPolynomial's traced arithmetic calls",
+    "exact._times": "the row product that only CPolynomial's traced arithmetic calls",
+    "exact.CPolynomial.items": "read only by the traced evaluate and by __repr__",
+    "series.ExpSeries._check": "the order check of the traced ExpSeries sum and product",
+    "partitions._Value.__eq__": "records are equal by their fields, as the README states",
+    "partitions._Value.__repr__": "a record's repr, for the library and the tests",
+    "partitions._Value.__setattr__": "keeps Partition, CheckConfig and PairingTrace frozen",
+    "partitions._Value.__delattr__": "keeps Partition, CheckConfig and PairingTrace frozen",
+    "exact.CPolynomial.__repr__": "the repr of a library value; no command prints one",
+    "series.TruncatedSeries.__repr__": "the repr of a library value; no command prints one",
+    "exact.bell_polynomial": "public Bell polynomial, the oracle of acceptance criterion 8; "
+    "the checks read every Y_m from _bell_polynomials",
+    "involution._fault": "builds the AlgorithmFault of a pairing fault, which the proof excludes",
+}
+
+
+def _defs() -> dict:
+    """(module, first line, name) -> 'module.qualname' for every def in
+    src/pie, methods and nested functions included: lambdas, comprehensions
+    and class and module bodies are no defs.  The first line is that of a
+    code object, the first decorator's where there is one."""
+    found = {}
+
+    def walk(node, prefix: str, module: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                line = min(d.lineno for d in [*child.decorator_list, child])
+                found[module, line, child.name] = f"{module}.{prefix}{child.name}"
+                walk(child, f"{prefix}{child.name}.<locals>.", module)
+            elif isinstance(child, ast.ClassDef):
+                walk(child, f"{prefix}{child.name}.", module)
+            else:
+                walk(child, prefix, module)
+
+    for path in sorted((SRC / "pie").glob("*.py")):
+        walk(ast.parse(path.read_text(encoding="utf-8")), "", path.stem)
+    return found
+
+
+def _commands() -> list:
+    """(env, argv) of every command the gate runs, the last a usage error."""
+    spec = importlib.util.spec_from_file_location(
+        "output_digests", ROOT / "scripts" / "output_digests.py"
+    )
+    digests = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digests)
+    return [
+        *digests.commands(0.3),
+        ({}, ["verify", "--all", "--mode", "exact"]),
+        ({}, ["verify", "--all", "--mode", "numeric"]),
+        ({}, ["report-all", "--timings", "--format", "text"]),
+        ({"PIE_MODE": "numeric", "PIE_FORMAT": "csv"}, ["verify", "--all"]),
+        ({}, ["report-all", "--q-order", "3"]),
+    ]
+
+
+def test_every_function_runs_on_a_command_or_is_excused():
+    # the profile hook goes in before pie is imported, so calls made at
+    # import count; a generator counts when it first resumes
+    commands = _commands()
+    code = f"""
+ran = set()
+sys.setprofile(lambda frame, event, arg: event == "call" and ran.add(frame.f_code))
+import os
+import pie.cli
+statuses = []
+for env, argv in {commands!r}:
+    os.environ.update(env)
+    statuses.append(pie.cli.run(argv))
+    for name in env:
+        del os.environ[name]
+exec({_readme_example()!r}, {{}})
+dir(pie)
+sys.setprofile(None)
+"""
+    result = "[sorted({(f.co_filename, f.co_firstlineno, f.co_name) for f in ran}), statuses]"
+    ran, statuses = _fresh(code, result)
+    assert statuses == [0] * (len(commands) - 1) + [2]
+    pie_dir = SRC / "pie"
+    ran = {(Path(file).stem, line, name) for file, line, name in ran if Path(file).parent == pie_dir}
+    never = {qualname for key, qualname in _defs().items() if key not in ran}
+    unexcused = sorted(never - EXCUSED.keys())
+    assert not unexcused, f"no command runs these, and EXCUSED gives no reason: {unexcused}"
+    stale = sorted(EXCUSED.keys() - never)
+    assert not stale, f"EXCUSED rows that run or name no def: {stale}"
