@@ -96,10 +96,16 @@ def _pack(nums: Sequence[int], size: int, bias: int) -> int:
 
 def _unpack(packed: int, count: int, size: int, bias: int) -> list[int]:
     """Slots 0 .. count - 1 of a packed int, bias being _bias(size, count);
-    the slots above them carry only upward and are dropped."""
+    the slots above them carry only upward and are dropped.  A slot whose
+    bytes are the bias's reads 0 without converting, as most slots of a
+    row at c = C do."""
     n, half = size * count, 1 << 8 * size - 1
     raw = ((packed + bias) & (1 << 8 * n) - 1).to_bytes(n, "little")
-    return [int.from_bytes(raw[i : i + size], "little") - half for i in range(0, n, size)]
+    zero = half.to_bytes(size, "little")
+    return [
+        0 if (slot := raw[i : i + size]) == zero else int.from_bytes(slot, "little") - half
+        for i in range(0, n, size)
+    ]
 
 
 def _sum_text(coeffs: Iterable, x: str) -> str:

@@ -22,15 +22,18 @@ through case 2 in the same pass and must return to its member.  The case-2
 walk runs every subtraction while the parts stay positive, so the walk that
 finds the stopping j also shows it is the only j in the window.  A
 partition with smallest part s and largest part l lies in exactly the
-classes N in (l - s, l], so one class walk of masks, which class_members
-shares, visits every asked class of verify_pairings: its largest part runs
-from n down to the least asked N, and its other parts stay above l minus
-the greatest, which for N = 1..n is all of D(n).  Parts become tuples only
-in pair, which runs the kernel on a batch of one, in class_members and in
-fault messages.  verify_pairings hands the kernel only the case-1 members
-and fixed points of each largest part and N: as each case-1 image takes
-case 2 and walks back, equal case-1 and case-2 counts per N make every
-case-2 member the image of a case-1 member, checked both ways.
+classes N in (l - s, l].  verify_pairings walks the masks of each largest
+part l once, from n down to the least asked N, with the other parts above
+l minus the greatest asked N (for N = 1..n, all of D(n)), and buckets them
+by s.  The members of C(N) below l are the buckets s > l - N, so as N
+steps up from 1 one list grows by a bucket a step, and each asked N keeps
+from it the members holding a multiple of N: the case-1 members and fixed
+points, the only ones the kernel sees.  As each case-1 image takes case 2
+and walks back, equal case-1 and case-2 counts per N make every case-2
+member the image of a case-1 member, checked both ways.  Parts become
+tuples only in pair, which runs the kernel on a batch of one, in
+class_members, which walks one class in enumeration order, and in fault
+messages.
 Any departure from the proven regime (an input outside C(N) or with parts
 not distinct or not summing to n, a walk past the multiples of N up to n, a
 nonpositive intermediate, an inserted part already present, an output
@@ -40,7 +43,7 @@ raises AlgorithmFault rather than being repaired.
 
 from __future__ import annotations
 
-from itertools import chain, groupby
+from itertools import chain
 from typing import Iterable, Iterator
 
 from .errors import AlgorithmFault
@@ -211,7 +214,8 @@ def verify_pairings(n: int, moduli: Iterable[int]) -> dict[int, dict[str, int]]:
     violation; returns {N: {"members": ..., "fixed": ...}} in moduli order.
     A case-2 member is only counted: the module docstring gives the
     counting argument that covers it.  The only state kept per partition is
-    the kernel's batches, of one largest part at a time.
+    one largest part's members, bucketed by smallest part, and the batch of
+    one N at a time.
     """
     tallies = {N: [0, 0, 0] for N in moduli}  # case-1 members, case-2 members, fixed points
     if not all(1 <= N <= n for N in tallies):
@@ -220,25 +224,28 @@ def verify_pairings(n: int, moduli: Iterable[int]) -> dict[int, dict[str, int]]:
     if not tallies:
         return {}
     multiples = {N: _multiples(N, n) for N in tallies}
-    for top, masks in groupby(_class_walk(n, min(tallies), max(tallies)), int.bit_length):
-        largest = top - 1
-        batches = {N: [] for N in tallies if N <= largest}
-        for mask in masks:
-            for N in range(largest - (mask & -mask).bit_length() + 2, largest + 1):
-                batch = batches.get(N)
-                if batch is None:
-                    continue
-                # the parts lie in a window that holds at most one multiple of N
-                if mask & multiples[N]:
-                    batch.append(mask)
-                else:
-                    tallies[N][1] += 1
-        for N, batch in batches.items():
-            if not batch:
+    high = max(tallies)
+    for largest in range(n, min(tallies) - 1, -1):
+        # the masks below one largest part, bucketed by smallest part s
+        buckets = [[] for _ in range(largest + 1)]
+        for mask in _distinct_masks(n - largest, largest - 1, max(0, largest - high), 1 << largest):
+            buckets[(mask & -mask).bit_length() - 1].append(mask)
+        members = []
+        for N in range(1, min(largest, high) + 1):
+            # C(N) below largest: the members with s > largest - N
+            members += buckets[largest - N + 1]
+            tally = tallies.get(N)
+            if tally is None or not members:
                 continue
-            case1, fixed, _ = _pair_masks(batch, N, multiples[N])
-            tallies[N][0] += case1
-            tallies[N][2] += fixed
+            # the window holds at most one multiple of N: case-1 members and
+            # the fixed point hold it, case-2 members hold none
+            at = multiples[N]
+            batch = [mask for mask in members if mask & at]
+            tally[1] += len(members) - len(batch)
+            if batch:
+                case1, fixed, _ = _pair_masks(batch, N, at)
+                tally[0] += case1
+                tally[2] += fixed
     for N, (case1, case2, fixed) in tallies.items():
         if fixed != (expected := 1 if n % N == 0 else 0):
             raise AlgorithmFault(f"fixed point count {fixed} != {expected} for n={n}, N={N}")

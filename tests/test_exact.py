@@ -501,3 +501,20 @@ def test_pack_and_unpack_are_inverse(slots, above):
     assert packed == sum(v << 8 * size * k for k, v in enumerate(values))
     assert _unpack(packed, count, size, bias) == values
     assert _unpack(packed + (above << 8 * size * count), count, size, bias) == values
+
+
+@pytest.mark.parametrize("size", range(1, 10))
+def test_unpack_reads_mostly_zero_rows_back(size):
+    # zero slots read back without converting: rows of mostly zeros around
+    # the slot extremes +-(2^(W-1) - 1), one of them with its top slots zero
+    top = (1 << 8 * size - 1) - 1
+    rows = [
+        [0] * 12,
+        [top] + [0] * 10 + [-top],
+        [0, 0, -top, 0, 0, 0, top, 0, 0, 0, 0],
+        [-top, 1, 0, 0, -1, top] + [0] * 8,
+        [0] * 7 + [top],
+    ]
+    for values in rows:
+        count, bias = len(values), _bias(size, len(values))
+        assert _unpack(_pack(values, size, bias), count, size, bias) == values

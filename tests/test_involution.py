@@ -247,6 +247,18 @@ def test_single_modulus_walk_matches_the_full_sweep(n):
         assert verify_pairings(n, (N,)) == {N: counts[N]}
 
 
+@pytest.mark.parametrize("n", range(1, 41))
+def test_unsorted_gapped_moduli_match_the_full_sweep(n):
+    # moduli out of order and with gaps: each N's counts are the full
+    # sweep's, keyed in the order given
+    counts = verify_pairings(n, range(1, n + 1))
+    for moduli in ((12, 3, 7), (n, 2, 1), (5,), (n, n // 2 + 1, 1)):
+        moduli = tuple(dict.fromkeys(N for N in moduli if N <= n))
+        tallies = verify_pairings(n, moduli)
+        assert list(tallies) == list(moduli)
+        assert tallies == {N: counts[N] for N in moduli}
+
+
 def test_verify_pairings_rejects_moduli_outside_range():
     with pytest.raises(ValueError):
         verify_pairings(6, (0,))
