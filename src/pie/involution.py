@@ -25,15 +25,15 @@ partition with smallest part s and largest part l lies in exactly the
 classes N in (l - s, l].  verify_pairings walks the masks of each largest
 part l once, from n down to the least asked N, with the other parts above
 l minus the greatest asked N (for N = 1..n, all of D(n)), and buckets them
-by s.  The members of C(N) below l are the buckets s > l - N, so as N
-steps up from 1 one list grows by a bucket a step, and each asked N keeps
-from it the members holding a multiple of N: the case-1 members and fixed
-points, the only ones the kernel sees.  As each case-1 image takes case 2
-and walks back, equal case-1 and case-2 counts per N make every case-2
-member the image of a case-1 member, checked both ways.  Parts become
-tuples only in pair, which runs the kernel on a batch of one, in
-class_members, which walks one class in enumeration order, and in fault
-messages.
+by s one chunk of the walk at a time.  The members of C(N) below l are the
+buckets s > l - N, so as N steps up from 1 one list grows by a bucket a
+step, and each asked N keeps from it the members holding a multiple of N:
+the case-1 members and fixed points, the only ones the kernel sees.  As
+each case-1 image takes case 2 and walks back, equal case-1 and case-2
+counts per N make every case-2 member the image of a case-1 member,
+checked both ways.  Parts become tuples only in pair, which runs the
+kernel on a batch of one, in class_members, which walks one class in
+enumeration order with its chunks flattened, and in fault messages.
 Any departure from the proven regime (an input outside C(N) or with parts
 not distinct or not summing to n, a walk past the multiples of N up to n, a
 nonpositive intermediate, an inserted part already present, an output
@@ -47,7 +47,7 @@ from itertools import chain
 from typing import Iterable, Iterator
 
 from .errors import AlgorithmFault
-from .partitions import Partition, _Value, _distinct_masks, _parts, _require_enumerable, _walked
+from .partitions import Partition, _Value, _distinct_chunks, _parts, _require_enumerable, _walked
 
 CASE_REMOVE = "case1"
 CASE_INSERT = "case2"
@@ -195,16 +195,11 @@ def class_members(n: int, N: int) -> Iterator[Partition]:
         raise ValueError("the empty partition has no class membership")
     if N < 1:
         raise ValueError("N must be positive")
-    yield from map(_walked, map(_parts, _class_walk(n, N, N)))
-
-
-def _class_walk(n: int, low: int, high: int) -> Iterator[int]:
-    # the masks of the members of C(low) .. C(high) in D(n), each once:
-    # largest part l from n down to low, the other parts above l - high
-    return chain.from_iterable(
-        _distinct_masks(n - largest, largest - 1, max(0, largest - high), 1 << largest)
-        for largest in range(n, low - 1, -1)
+    chunks = chain.from_iterable(
+        _distinct_chunks(n - largest, largest - 1, max(0, largest - N), 1 << largest)
+        for largest in range(n, N - 1, -1)
     )
+    yield from map(_walked, map(_parts, chain.from_iterable(chunks)))
 
 
 def verify_pairings(n: int, moduli: Iterable[int]) -> dict[int, dict[str, int]]:
@@ -214,8 +209,8 @@ def verify_pairings(n: int, moduli: Iterable[int]) -> dict[int, dict[str, int]]:
     violation; returns {N: {"members": ..., "fixed": ...}} in moduli order.
     A case-2 member is only counted: the module docstring gives the
     counting argument that covers it.  The only state kept per partition is
-    one largest part's members, bucketed by smallest part, and the batch of
-    one N at a time.
+    one chunk of the walk, one largest part's members, bucketed by smallest
+    part, and the batch of one N at a time.
     """
     tallies = {N: [0, 0, 0] for N in moduli}  # case-1 members, case-2 members, fixed points
     if not all(1 <= N <= n for N in tallies):
@@ -228,7 +223,8 @@ def verify_pairings(n: int, moduli: Iterable[int]) -> dict[int, dict[str, int]]:
     for largest in range(n, min(tallies) - 1, -1):
         # the masks below one largest part, bucketed by smallest part s
         buckets = [[] for _ in range(largest + 1)]
-        for mask in _distinct_masks(n - largest, largest - 1, max(0, largest - high), 1 << largest):
+        chunks = _distinct_chunks(n - largest, largest - 1, max(0, largest - high), 1 << largest)
+        for mask in chain.from_iterable(chunks):
             buckets[(mask & -mask).bit_length() - 1].append(mask)
         members = []
         for N in range(1, min(largest, high) + 1):

@@ -1,8 +1,10 @@
 """Integer partitions, their statistics, and exact counting helpers.
 
 Everything in this module is exact integer arithmetic.  The one walker of
-D(n), _distinct_masks, yields the partitions into distinct parts as masks in
-lexicographically descending order of their parts, so (n) comes first.
+D(n), _distinct_chunks, yields the partitions into distinct parts as lists
+of masks, in lexicographically descending order of their parts, so (n) comes
+first.  It walks part by part only while the remainder exceeds _TAIL; each
+smaller remainder is one row of a table, ORed with the parts above it.
 """
 
 from __future__ import annotations
@@ -80,30 +82,45 @@ class Partition(_Value):
         return "+".join(str(a) for a in self.parts) if self.parts else "(empty)"
 
 
-def _distinct_masks(n: int, cap: int, floor: int = 0, head: int = 0) -> Iterator[int]:
-    # masks (bit a set iff a is a part) of the partitions of n into distinct
-    # parts in (floor, cap], cap >= 0, ORed with head, parts descending.
-    # Depth first, each open level stacked as (mask, remainder, next part to
-    # try); a remainder equal to the next part is yielded at once
-    if not n:
-        yield head
-        return
+# The walk of D(n) stops descending at a remainder of at most _TAIL and splices
+# that remainder's row of one table instead.  The 10,880 members of D(60) took
+# 5.6-5.9 ms node by node and take 1.1 ms so.  _TAIL = 20 gives 2,754 masks,
+# built in 0.18 ms; 24 and 28 give 7,229 and 17,294 masks, walk D(60) in 0.9
+# and 0.7 ms, and left verify_pairings(60, 1..60) within noise of 20 (min of
+# 15 runs in process, CPython 3.11.7, one CPU)
+_TAIL = 20
+# _tails[rem][a]: the masks of the partitions of rem into distinct parts <= a,
+# a <= rem <= _TAIL, parts descending; built at the first walk
+_tails: list[list[list[int]]] = []
+
+
+def _distinct_chunks(n: int, cap: int, floor: int = 0, head: int = 0) -> Iterator[list[int]]:
+    # lists of masks (bit a set iff a is a part) of the partitions of n into
+    # distinct parts in (floor, cap], cap >= 0, ORed with head, parts descending
+    # across and within the lists.  Depth first, each open level stacked as
+    # (mask, remainder, next part to try); a remainder of at most _TAIL is
+    # spliced from its row of _tails, less the masks with a part <= floor
+    if not _tails:
+        for rem in range(_TAIL + 1):
+            rows = [[0] if rem == 0 else []]
+            for a in range(1, rem + 1):
+                rows.append([1 << a | m for m in _tails[rem - a][min(a - 1, rem - a)]] + rows[-1])
+            _tails.append(rows)
+    low = (2 << floor) - 1  # the bits of 0..floor
     stack, mask, rem, a = [], head, n, cap if cap < n else n
     while True:
+        if rem <= _TAIL:
+            yield [mask | m for m in _tails[rem][a] if not m & low]
         # the remainder must fit under the sum of the parts in (floor, a], which
         # is at most 0 once a <= floor
-        if rem <= (a - floor) * (a + floor + 1) // 2:
-            if a == rem:
-                yield mask | 1 << a
-                a -= 1
-            else:
-                stack.append((mask, rem, a - 1))
-                mask, rem = mask | 1 << a, rem - a
-                a = a - 1 if a <= rem else rem
-        elif stack:
-            mask, rem, a = stack.pop()
-        else:
+        elif rem <= (a - floor) * (a + floor + 1) // 2:
+            stack.append((mask, rem, a - 1))
+            mask, rem = mask | 1 << a, rem - a
+            a = a - 1 if a <= rem else rem
+            continue
+        if not stack:
             return
+        mask, rem, a = stack.pop()
 
 
 def _parts(mask: int) -> tuple[int, ...]:

@@ -1,8 +1,9 @@
 """Every partition of n, and those with distinct parts, for the tests.
 
-The library walks D(n) only as masks (partitions._distinct_masks); this
-oracle walks all of P(n) as part tuples and finds D(n) by filtering that
-walk, so it shares no code with the mask walker.  Both enumerations run in
+The library walks D(n) only as masks, in chunks spliced from a table of
+small remainders (partitions._distinct_chunks); this oracle walks all of
+P(n) as part tuples and finds D(n) by filtering that walk, so it shares no
+code or table with the mask walker.  Both enumerations run in
 lexicographically descending order of the parts: (n) first, (1, ..., 1) last.
 """
 

@@ -277,27 +277,22 @@ def test_verify_pairings_keeps_the_enumeration_guard():
 @pytest.mark.parametrize("n", range(1, 31))
 def test_class_walk_yields_the_old_loops_tuples(n):
     # D(n) from the other walker, in the order the old loops kept: largest
-    # part l from n down to low, the other parts above l - high
+    # part l from n down to N, the other parts above l - N
     members = [p.parts for p in enumerate_partitions(n) if p.is_distinct]
-    for low in range(1, n + 1):
-        for high in range(low, n + 1):
-            walked = list(map(_parts, involution._class_walk(n, low, high)))
-            # the union of C(low) .. C(high), each member once: the window
-            # (l - s, l] of a member meets [low, high]
-            union = [p for p in members if p[0] >= low and p[0] - p[-1] < high]
-            assert walked == union, (low, high)
-        in_low = [p for p in members if p[0] >= low > p[0] - p[-1]]
-        assert [p.parts for p in class_members(n, low)] == in_low
+    for N in range(1, n + 1):
+        loops = [p for l in range(n, N - 1, -1) for p in members if p[0] == l and p[-1] > l - N]
+        assert [p.parts for p in class_members(n, N)] == loops, N
 
 
 def test_uncovered_case2_member_faults_the_sweep(monkeypatch):
     # without 4+2, C(3) of 6 holds one case-1 member (3+2+1, whose image is
     # 4+2) and no case-2 member, so the count no longer covers case 2
     def dropped(n, cap, floor=0, head=0):
-        return (mask for mask in walk(n, cap, floor, head) if mask != 1 << 4 | 1 << 2)
+        chunks = walk(n, cap, floor, head)
+        return ([mask for mask in chunk if mask != 1 << 4 | 1 << 2] for chunk in chunks)
 
-    walk = involution._distinct_masks
-    monkeypatch.setattr(involution, "_distinct_masks", dropped)
+    walk = involution._distinct_chunks
+    monkeypatch.setattr(involution, "_distinct_chunks", dropped)
     message = "0 case-2 members != 1 case-1 members for n=6, N=3"
     with pytest.raises(AlgorithmFault, match=re.escape(message)):
         verify_pairings(6, range(1, 7))

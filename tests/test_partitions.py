@@ -6,6 +6,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -14,8 +15,9 @@ from hypothesis import strategies as st
 from enumeration import _descending_parts, enumerate_distinct, enumerate_partitions
 from pie.involution import _mask, class_members, verify_pairings
 from pie.partitions import (
+    _TAIL,
     Partition,
-    _distinct_masks,
+    _distinct_chunks,
     _parts,
     _size_cell_table,
     _size_tables,
@@ -126,7 +128,12 @@ def test_stream_count_n60():
 @pytest.mark.parametrize("n", range(1, 41))
 def test_distinct_equals_filtered_enumeration(n):
     # the library's mask walk of D(n) against the filtered walk of P(n)
-    assert list(map(_parts, _distinct_masks(n, n))) == [p.parts for p in enumerate_distinct(n)]
+    assert list(map(_parts, _masks(n, n))) == [p.parts for p in enumerate_distinct(n)]
+
+
+def _masks(n: int, cap: int, floor: int = 0, head: int = 0):
+    # the walk's chunks, flattened into one stream of masks
+    return chain.from_iterable(_distinct_chunks(n, cap, floor, head))
 
 
 @cache
@@ -147,17 +154,18 @@ def test_walk_against_recursive_enumeration(n):
     assert all(type(p) is Partition for p in walked)
 
 
-@pytest.mark.parametrize("n", range(0, 31))
+@pytest.mark.parametrize("n", [*range(0, 31), 33, 37, 40])
 def test_distinct_walk_against_filtered_enumeration(n):
     # the mask walk against an independent list in the same order, built by
     # the other walker: the partitions of n with distinct parts in
-    # (floor, cap], head in front
+    # (floor, cap], head in front.  Floors reach past the table bound, so
+    # every tail row is compared whole and filtered by each floor
     distinct = [p.parts for p in enumerate_partitions(n) if p.is_distinct]
     for cap in range(n + 2):
-        for floor in range(6):
+        for floor in range(_TAIL + 2):
             window = [parts for parts in distinct if all(floor < a <= cap for a in parts)]
             for head in ((), (99,)):
-                walked = list(map(_parts, _distinct_masks(n, cap, floor, _mask(head))))
+                walked = list(map(_parts, _masks(n, cap, floor, _mask(head))))
                 assert walked == [head + parts for parts in window], (cap, floor, head)
 
 
@@ -167,7 +175,7 @@ def test_distinct_walk_counts_match_the_product_dp():
     for k in range(1, 61):
         for m in range(60, k - 1, -1):
             counts[m] += counts[m - k]
-    assert [sum(1 for _ in _distinct_masks(n, n)) for n in range(61)] == counts
+    assert [sum(map(len, _distinct_chunks(n, n))) for n in range(61)] == counts
     assert counts[60] == 10880
 
 
@@ -175,7 +183,7 @@ def test_distinct_walk_counts_match_the_product_dp():
 def test_parts_of_a_walked_mask(n):
     # peeling the top bit agrees with a scan over every bit position, and
     # the parts rebuild the mask
-    for mask in _distinct_masks(n, n):
+    for mask in _masks(n, n):
         scanned = tuple(a for a in range(mask.bit_length() - 1, 0, -1) if mask >> a & 1)
         assert _parts(mask) == scanned
         assert _mask(_parts(mask)) == mask
