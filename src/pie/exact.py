@@ -306,7 +306,7 @@ def complex_power(j: int, z: complex) -> complex:
     return cmath.exp(complex(z) * math.log(j))
 
 
-def _table(name: str, point, top: int, power) -> list[complex]:
+def _power_table(name: str, point, top: int, power) -> list[complex]:
     """power(e) for e = 0..top; an overflow is a ValueError naming the point."""
     try:
         return [power(e) for e in range(top + 1)]
@@ -316,13 +316,13 @@ def _table(name: str, point, top: int, power) -> list[complex]:
 
 def _z_powers(z: complex, top: int) -> list[complex]:
     """e^z for e = 0..top, entry 0 being 1 for z = 0 and 0 otherwise."""
-    return _table("z", z, top, lambda e: complex_power(e, z) if e else complex(z == 0))
+    return _power_table("z", z, top, lambda e: complex_power(e, z) if e else complex(z == 0))
 
 
 def _c_powers(c: complex, top: int) -> list[complex]:
     """complex(c)**e for e = 0..top, each by ** and not a running product."""
     c = complex(c)
-    return _table("c", c, top, lambda e: c**e)
+    return _power_table("c", c, top, lambda e: c**e)
 
 
 def _weigh(pairs, z_powers: Sequence[complex]) -> list[tuple[int, complex]]:

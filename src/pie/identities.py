@@ -15,14 +15,15 @@ An exact checker declares the range it covers and a search.  Every search
 is the one first-failure search _first: it walks a grid of points, in
 order, and stops at the first point where the checker's mismatch function
 finds a difference; the failure record is that point merged with the
-difference.  The profile-pair tags, bs_onevar, thm_2_3, thm_2_6, agl_pti,
-agl_scaled and eq_1_13 (on M_0's rows at symbolic c), compare two integer
-profiles once per n, a verdict for every complex exponent and c; the other
-exact checks compare series, normal forms in Q[c] or integers, all with
-zero tolerance.
+difference.  The profile-pair tags compare two integer profiles once per
+n, a verdict for every complex exponent and c.  bs_onevar, thm_2_3, thm_2_6,
+agl_pti and agl_scaled declare their pair once, in _PAIRS, which numeric
+mode, cor_2_4 and class_sum read too; eq_1_13 compares M_0's rows at
+symbolic c, whose build needs the run's n_max.  The other exact checks
+compare series, normal forms in Q[c] or integers, all with zero tolerance.
 
-The four identities with a numeric form share one table: tag -> both
-profiles at n, the name of the exponent axis, and whether c = 1.  Numeric
+The four identities with a numeric form share one table: tag -> its _PAIRS
+pair, the name of the exponent axis, and whether c = 1.  Numeric
 mode evaluates both profiles, sum_e a(e) * e^z * c^e in complex doubles, on
 fixed complex grids for (z, c) and compares within a relative tolerance,
 recording a condition estimate (the sum of the left side's term magnitudes
@@ -260,21 +261,6 @@ def _divisor_profile(n: int) -> Profile:
     return tuple((d, 1) for d in divisors(n))
 
 
-# both sides of each weighted identity at n, as a pair of profiles
-
-
-def _thm21_profiles(n: int) -> tuple[Profile, Profile]:
-    return _once(_window_profile, n), _once(_divisor_profile, n)
-
-
-def _thm23_profiles(n: int) -> tuple[Profile, Profile]:
-    return _once(_smallest_profile, n), _once(_binomial_profile, n)
-
-
-def _thm26_profiles(n: int) -> tuple[Profile, Profile]:
-    return _once(_initial_profile, n), _once(_shifted_binomial_profile, n)
-
-
 def _profiles_differ(profiles, n: int) -> dict | None:
     """The least e where the two profiles(n) differ, with a_n(e) on each side
     (0 where a side lacks e); profiles store no zero a_n(e), so one exists."""
@@ -308,7 +294,7 @@ def check_cor25(n: int) -> tuple[int, int]:
     return count_exact_part_sizes(n, 2), numerator // 2
 
 
-def check_agl(n: int, scaled: bool) -> tuple[Profile, Profile]:
+def _agl_profiles(n: int, scaled: bool) -> tuple[Profile, Profile]:
     """Both profiles of the geometric smallest-part weight identity.
 
     Unscaled: weights 1 + c + ... + c^(s-1) over D(n) against P_1, the sum of
@@ -321,6 +307,22 @@ def check_agl(n: int, scaled: bool) -> tuple[Profile, Profile]:
         smallest = _once(_smallest_profile, n)
         return _profile((-sum(a for _s, a in smallest),)) + smallest, _profile(p0)
     return tuple((j - 1, a) for j, a in _once(_initial_profile, n)), _profile(p1)
+
+
+# tag -> (both profiles at n, the range keys its exact check adds beside
+# n_max), for both modes, cor_2_4, class_sum and the tests; each row reads
+# its builders as module globals at call time, as _once asks
+_PAIRS = {
+    IdentityId.BS_ONEVAR: (lambda n: (_once(_window_profile, n), _once(_divisor_profile, n)),
+                           {"z": "all complex", "c": "symbolic"}),
+    IdentityId.THM_2_3: (lambda n: (_once(_smallest_profile, n), _once(_binomial_profile, n)),
+                         {"k": "all complex", "c": "symbolic"}),
+    IdentityId.THM_2_6: (lambda n: (_once(_initial_profile, n),
+                                    _once(_shifted_binomial_profile, n)),
+                         {"k": "all complex", "c": "symbolic"}),
+    IdentityId.AGL_PTI: (lambda n: _agl_profiles(n, False), {"c": "symbolic", "scaled": False}),
+    IdentityId.AGL_SCALED: (lambda n: _agl_profiles(n, True), {"c": "symbolic", "scaled": True}),
+}
 
 
 def _thm22_series(c, m_max: int, q_order: int) -> tuple:
@@ -397,9 +399,8 @@ def _over_n(cfg: CheckConfig, mismatch, **rng):
     return {"n_max": cfg.n_max, **rng}, lambda: _first(_grid(n=_ns(cfg)), mismatch)
 
 
-def _profile_check(profiles, **rng):
-    """The checker comparing both profiles(n) once for every n <= n_max."""
-    return lambda cfg: _over_n(cfg, partial(_profiles_differ, profiles), **rng)
+def _pair_check(tag: IdentityId, cfg: CheckConfig):
+    return _over_n(cfg, partial(_profiles_differ, _PAIRS[tag][0]), **_PAIRS[tag][1])
 
 
 def _sweep(cfg: CheckConfig, profiles, sides, key: str = "k", **rng):
@@ -419,16 +420,10 @@ def _cor24_sides(n: int, k: int, smallest: Profile, binomial: Profile) -> tuple[
     return lhs, rhs
 
 
-def _check_class_sum(cfg: CheckConfig):
-    def mismatch(n):
-        # C(1)..C(n) against the indicator of N | n in one comparison; only a
-        # mismatch looks for the least failing N
-        sums, divides = class_sums(n), tuple(int(n % N == 0) for N in range(1, n + 1))
-        if sums[1:] != divides:
-            return _first(_grid(N=range(1, n + 1)), lambda N: _differ(sums[N], divides[N - 1]))
-        return None
-
-    return _over_n(cfg, mismatch)
+def _class_sum_differ(n: int) -> dict | None:
+    # C(N) against the indicator of N | n is bs_onevar's comparison, its e named N
+    difference = _profiles_differ(_PAIRS[IdentityId.BS_ONEVAR][0], n)
+    return difference and {"N": difference.pop("e"), **difference}
 
 
 def _check_entry4(cfg: CheckConfig):
@@ -545,7 +540,6 @@ REGISTRY = {
         lambda n, z, window: (_at(window, z), sigma_int(z, n)),
         key="z",
     ),
-    IdentityId.BS_ONEVAR: _profile_check(_thm21_profiles, z="all complex", c="symbolic"),
     IdentityId.UCHIMURA_TRIPLE: _check_uchimura,
     IdentityId.ENTRY4: _check_entry4,
     IdentityId.DILCHER_CM: _check_dilcher_cm,
@@ -553,30 +547,24 @@ REGISTRY = {
     IdentityId.THM_1_2: _check_thm_1_2,
     IdentityId.THM_2_2_EXP: lambda cfg: _check_thm22(cfg, "exp"),
     IdentityId.THM_2_2_BELL: lambda cfg: _check_thm22(cfg, "bell"),
-    IdentityId.THM_2_3: _profile_check(_thm23_profiles, k="all complex", c="symbolic"),
-    IdentityId.COR_2_4: lambda cfg: _sweep(cfg, _thm23_profiles, _cor24_sides, c=1),
+    IdentityId.COR_2_4: lambda cfg: _sweep(cfg, _PAIRS[IdentityId.THM_2_3][0], _cor24_sides, c=1),
     IdentityId.COR_2_5: lambda cfg: _over_n(cfg, lambda n: _differ(*check_cor25(n))),
-    IdentityId.THM_2_6: _profile_check(_thm26_profiles, k="all complex", c="symbolic"),
     IdentityId.COR_2_7: lambda cfg: _over_n(cfg, lambda n: _differ(*check_cor27(n))),
-    IdentityId.AGL_PTI: _profile_check(
-        partial(check_agl, scaled=False), c="symbolic", scaled=False
-    ),
-    IdentityId.AGL_SCALED: _profile_check(
-        partial(check_agl, scaled=True), c="symbolic", scaled=True
-    ),
-    IdentityId.CLASS_SUM: _check_class_sum,
+    IdentityId.CLASS_SUM: lambda cfg: _over_n(cfg, _class_sum_differ),
+    # the profile-pair tags: both profiles of the pair once for every n <= n_max
+    **{tag: partial(_pair_check, tag) for tag in _PAIRS},
 }
 
 
 # -- numeric checkers ---------------------------------------------------------
 
-# tag -> (both profiles at n, name of the exponent axis, whether c = 1 as the
-# corollary states it instead of the c grid)
+# tag -> (its _PAIRS pair, name of the exponent axis, whether c = 1 as the
+# corollary states it instead of the c grid); cor_2_4 is thm_2_3 at c = 1
 _NUMERIC = {
-    IdentityId.BS_ONEVAR: (_thm21_profiles, "z", False),
-    IdentityId.THM_2_3: (_thm23_profiles, "k", False),
-    IdentityId.COR_2_4: (_thm23_profiles, "k", True),
-    IdentityId.THM_2_6: (_thm26_profiles, "k", False),
+    IdentityId.BS_ONEVAR: (_PAIRS[IdentityId.BS_ONEVAR][0], "z", False),
+    IdentityId.THM_2_3: (_PAIRS[IdentityId.THM_2_3][0], "k", False),
+    IdentityId.COR_2_4: (_PAIRS[IdentityId.THM_2_3][0], "k", True),
+    IdentityId.THM_2_6: (_PAIRS[IdentityId.THM_2_6][0], "k", False),
 }
 
 # identities whose statements extend to complex (z, c) sampling

@@ -1,7 +1,7 @@
 """Both sides of thm_2_1, thm_2_3 and thm_2_6 at one (n, k, c), for the tests.
 
-Each side is read from the profile pair the registry compares, so a test at
-one point checks the same profiles the checks do.  The types of (k, c)
+Each side is read from the profile pair identities._PAIRS declares, so a
+test at one point checks the same profiles the checks do.  The types of (k, c)
 choose the arithmetic: a nonnegative integer k with an exact c (an int, a
 Fraction or the symbolic C) weighs the profile exactly, giving a CPolynomial
 at symbolic c; anything else is evaluated in complex doubles by
@@ -12,7 +12,7 @@ the checks' shared power tables to.
 from fractions import Fraction
 
 from pie.exact import CPolynomial, _c_powers, _sum_weighed, _weigh, _z_powers
-from pie.identities import _thm21_profiles, _thm23_profiles, _thm26_profiles
+from pie.identities import _PAIRS, IdentityId
 
 
 def fractional_weight(pairs, z: complex, c: complex) -> tuple[complex, float]:
@@ -36,8 +36,8 @@ def fractional_weight(pairs, z: complex, c: complex) -> tuple[complex, float]:
     return _sum_weighed(_weigh(pairs, _z_powers(z, top)), _c_powers(c, top))
 
 
-def _sides(profiles, n: int, k, c) -> tuple:
-    sides = profiles(n)
+def _sides(tag: IdentityId, n: int, k, c) -> tuple:
+    sides = _PAIRS[tag][0](n)
     exact_k = isinstance(k, int) and not isinstance(k, bool) and k >= 0
     if exact_k and isinstance(c, (int, Fraction, CPolynomial)):
         return tuple(sum(a * e**k * c**e for e, a in p) for p in sides)
@@ -46,14 +46,14 @@ def _sides(profiles, n: int, k, c) -> tuple:
 
 def lhs_rhs_thm21(n: int, z, c):
     """Window weights against sigma_{z,c}(n): the bs_onevar profiles."""
-    return _sides(_thm21_profiles, n, z, c)
+    return _sides(IdentityId.BS_ONEVAR, n, z, c)
 
 
 def lhs_rhs_thm23(n: int, k, c):
     """The smallest-part power identity: the thm_2_3 profiles."""
-    return _sides(_thm23_profiles, n, k, c)
+    return _sides(IdentityId.THM_2_3, n, k, c)
 
 
 def lhs_rhs_thm26(n: int, k, c):
     """The initial-segment power identity: the thm_2_6 profiles."""
-    return _sides(_thm26_profiles, n, k, c)
+    return _sides(IdentityId.THM_2_6, n, k, c)

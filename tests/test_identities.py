@@ -6,7 +6,7 @@ import re
 import sys
 from collections import Counter
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache
 from math import comb
 
 import pytest
@@ -19,7 +19,6 @@ from pie.identities import (
     NUMERIC_CAPABLE,
     CheckConfig,
     IdentityId,
-    check_agl,
     check_cor25,
     check_cor27,
     check_identity,
@@ -30,6 +29,7 @@ from sides import fractional_weight, lhs_rhs_thm21, lhs_rhs_thm23, lhs_rhs_thm26
 from size_cells import cells_of, rows_of
 
 EXACT_CFG = CheckConfig(n_max=30, q_order=20, m_max=3)
+AGL_TAGS = (IdentityId.AGL_PTI, IdentityId.AGL_SCALED)
 
 # module-level sampling grid; the acceptance suite runs the wider one
 Z_GRID = (1.5 + 0j, -1 + 0j, 0.5 + 0.5j, 2 - 1j)
@@ -93,7 +93,7 @@ def test_cor25_examples():
 @pytest.mark.parametrize("n", [0, -1])
 @pytest.mark.parametrize(
     "check",
-    [check_cor25, check_cor27, partial(check_agl, scaled=False), partial(check_agl, scaled=True)],
+    [check_cor25, check_cor27, *(identities._PAIRS[t][0] for t in AGL_TAGS)],
     ids=["cor25", "cor27", "agl", "agl-scaled"],
 )
 def test_pointwise_checks_reject_n_below_one(check, n):
@@ -168,12 +168,13 @@ def test_thm_1_2_keeps_no_lambert_level(monkeypatch, fails):
 
 def test_agl_examples():
     # profiles: (e, a) pairs for the sides sum_e a * c^e
-    lhs, rhs = check_agl(3, scaled=False)
+    pti, scaled = (identities._PAIRS[t][0] for t in AGL_TAGS)
+    lhs, rhs = pti(3)
     assert lhs == ((1, 1), (2, 1))  # c + c^2
     assert rhs == lhs
-    lhs, rhs = check_agl(1, scaled=False)
+    lhs, rhs = pti(1)
     assert lhs == rhs == ((0, 1),)
-    lhs, rhs = check_agl(5, scaled=True)
+    lhs, rhs = scaled(5)
     assert sum(a for _e, a in lhs) == 0  # both sides vanish at c = 1
     assert sum(a for _e, a in rhs) == 0
 
@@ -321,7 +322,7 @@ def test_numeric_failure_record_matches_single_point_sums(monkeypatch, skewed_bi
         failure = check_identity(ident, EDGE_CFG).first_failure
         assert failure["n"] == 1 and failure["k"] == EDGE_Z[0]
         assert calls == {"_weigh": 2, "_sum_weighed": 2}
-        lhs, rhs = identities._thm23_profiles(failure["n"])
+        lhs, rhs = identities._PAIRS[IdentityId.THM_2_3][0](failure["n"])
         c = failure.get("c", 1 + 0j)
         assert failure["lhs"] == fractional_weight(lhs, failure["k"], c)[0]
         assert failure["rhs"] == fractional_weight(rhs, failure["k"], c)[0]
@@ -727,11 +728,7 @@ FORCED_FAILURES = [
 
 # the profile pair each profile-pair tag compares at n
 PROFILE_PAIRS = {
-    "bs_onevar": identities._thm21_profiles,
-    "thm_2_3": identities._thm23_profiles,
-    "thm_2_6": identities._thm26_profiles,
-    "agl_pti": partial(check_agl, scaled=False),
-    "agl_scaled": partial(check_agl, scaled=True),
+    **{tag.value: profiles for tag, (profiles, _rng) in identities._PAIRS.items()},
     # the smallest-part row against M_0's row at the run's n_max = 6
     "eq_1_13": lambda n: (
         identities._smallest_profile(n),
@@ -764,6 +761,22 @@ def test_forced_failure_record(request, monkeypatch, tag, mode, builder, skew, k
         assert all(type(v) is int for v in values)
 
 
+def _skew_classes(cells):
+    """class_sums with C(N) + 1 for each N in cells[n]; every class of every
+    n for cells None."""
+    real = identities.class_sums
+    if cells is None:
+        return _skew_class_sums(real)
+
+    def skewed(n):
+        sums = list(real(n))
+        for N in cells.get(n, ()):
+            sums[N] += 1
+        return tuple(sums)
+
+    return skewed
+
+
 @pytest.mark.parametrize(
     "cells, record",
     [
@@ -775,18 +788,29 @@ def test_forced_failure_record(request, monkeypatch, tag, mode, builder, skew, k
 def test_class_sum_names_the_least_failing_n_and_N(monkeypatch, cells, record):
     # class_sum compares each row C(1)..C(n) at once, yet names the least
     # (n, N) whose class sum misses the indicator of N | n
-    real = identities.class_sums
-
-    def skewed(n):
-        sums = list(real(n))
-        for N in cells.get(n, ()):
-            sums[N] += 1
-        return tuple(sums)
-
-    skew = _skew_class_sums(real) if cells is None else skewed
-    monkeypatch.setattr(identities, "class_sums", skew)
+    monkeypatch.setattr(identities, "class_sums", _skew_classes(cells))
     rep = check_identity("class_sum", CheckConfig(n_max=8))
     assert rep.first_failure == record
+
+
+@pytest.mark.parametrize("cells", [None, {5: (5, 3), 6: (2,)}], ids=["every-class", "two-cells"])
+def test_class_sum_reads_bs_onevar_comparison(monkeypatch, cells):
+    # one skew fails both tags at the same n and the same point: class_sum
+    # is bs_onevar's comparison with its e named N
+    monkeypatch.setattr(identities, "class_sums", _skew_classes(cells))
+    cfg = CheckConfig(n_max=8)
+    pair, sums = (check_identity(tag, cfg).first_failure for tag in ("bs_onevar", "class_sum"))
+    assert list(pair) == ["n", "e", "lhs", "rhs"]
+    assert list(sums) == ["n", "N", "lhs", "rhs"]
+    assert list(sums.values()) == list(pair.values())
+
+
+def test_numeric_rows_read_the_declared_pairs():
+    # one declaration per pair: each numeric row holds its tag's _PAIRS pair,
+    # cor_2_4 thm_2_3's at c = 1, and no pair of its own
+    source = {IdentityId.COR_2_4: IdentityId.THM_2_3}
+    for ident, (profiles, _key, _c_is_one) in identities._NUMERIC.items():
+        assert profiles is identities._PAIRS[source.get(ident, ident)][0], ident
 
 
 @pytest.mark.parametrize(
@@ -948,8 +972,7 @@ def test_binomial_kernel_matches_per_cell_sums():
         kernel = (
             identities._binomial_profile(n),
             identities._shifted_binomial_profile(n),
-            check_agl(n, scaled=False)[1],
-            check_agl(n, scaled=True)[1],
+            *(identities._PAIRS[t][0](n)[1] for t in AGL_TAGS),
         )
         assert kernel == _per_cell_sides(n), n
 

@@ -269,6 +269,18 @@ def test_readme_library_example_runs():
     ]
 
 
+def test_readme_profile_pair_table_lists_the_declared_pairs():
+    # the tag column of the README's profile-pair table: every _PAIRS tag,
+    # plus eq_1_13, whose right side needs the run's n_max
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Statements checked as profile pairs\n", 1)[1].split("\n## ", 1)[0]
+    tags = re.findall(r"^\| `(\w+)` \|", section, re.M)
+    from pie.identities import _PAIRS
+
+    declared = [tag.value for tag in _PAIRS]
+    assert sorted(tags) == sorted([*declared, "eq_1_13"])
+
+
 # -- every function runs on a command ------------------------------------------------
 
 
