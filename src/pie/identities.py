@@ -18,9 +18,10 @@ finds a difference; the failure record is that point merged with the
 difference.  The profile-pair tags compare two integer profiles once per
 n, a verdict for every complex exponent and c.  bs_onevar, thm_2_3, thm_2_6,
 agl_pti and agl_scaled declare their pair once, in _PAIRS, which numeric
-mode, cor_2_4 and class_sum read too; eq_1_13 compares M_0's rows at
-symbolic c, whose build needs the run's n_max.  The other exact checks
-compare series, normal forms in Q[c] or integers, all with zero tolerance.
+mode, cor_2_4 and class_sum read too; thm_2_3 and thm_2_6 view the AGL
+pairs.  eq_1_13 compares M_0's rows at symbolic c, whose build needs the
+run's n_max.  The other exact checks compare series, normal forms in Q[c]
+or integers, all with zero tolerance.
 
 The four identities with a numeric form share one table: tag -> its _PAIRS
 pair, the name of the exponent axis, and whether c = 1.  Numeric
@@ -54,7 +55,7 @@ from cmath import isfinite
 from enum import Enum
 from fractions import Fraction
 from functools import partial
-from itertools import compress, product
+from itertools import accumulate, compress, product
 from math import factorial
 
 from . import exact
@@ -197,11 +198,11 @@ _divisor_counts = partial(_sigma_powers, z=0)
 # keeps, cnt(l, v) counting the partitions with largest l and v sizes.
 #
 # P_1 = sum_v G_v * (c-1)^(v-1), by Horner's rule in (c - 1), is agl_pti's
-# right side and P_0 = (c - 1) * P_1 agl_scaled's.  thm_2_3's is P_0 less its
-# constant term: a base l - j = 0 contributes nothing for every exponent k,
-# including k = 0, as the weight operator annihilates constants.  thm_2_6's
-# is c * (P_1 - G_1) plus its divisor term, which equals c * G_1, so it is
-# c * P_1; the tests check both overlaps on per-cell sums.
+# right side and P_0 = (c - 1) * P_1 agl_scaled's.  thm_2_3 reads agl_scaled's
+# pair without its e = 0 terms: a base l - j = 0 contributes nothing for every
+# exponent k, as the weight operator annihilates constants.  thm_2_6 reads
+# agl_pti's times c, c * G_1 being its divisor term sum_{d | n} c^d; the
+# tests keep both theorems' own forms, cell by cell, in _per_cell_sides.
 
 Profile = tuple[tuple[int, int], ...]
 
@@ -221,40 +222,32 @@ def _smallest_profile(n: int) -> Profile:
     return _profile(window_marginals(n)[0])
 
 
-def _initial_profile(n: int) -> Profile:
-    # sign * (c + c^2 + ... + c^s) over D(n): suffix sums of the smallest part
-    row = [0] * (n + 2)
-    for s, a in _once(_smallest_profile, n):
-        row[s] = a
-    for j in range(n, 0, -1):
-        row[j] += row[j + 1]
-    return _profile(row)
-
-
-def _binomial_rows(n: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """G_1, P_1 and P_0 at n, each as its coefficients of c^0..c^n."""
-    groups = size_rows(n)
+def _binomial_rows(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """P_1 and P_0 at n, each as its coefficients of c^0..c^n."""
     # Horner's rule: p1 <- (c - 1) * p1 + G_v for v = v_max..1
     p1 = [0] * (n + 1)
-    for g in reversed(groups):
+    for g in reversed(size_rows(n)):
         p1 = [b - a + x for a, b, x in zip(p1, [0, *p1], g)]
-    p0 = [b - a for a, b in zip(p1, [0, *p1])]
-    return groups[0], tuple(p1), tuple(p0)
+    return tuple(p1), tuple(b - a for a, b in zip(p1, [0, *p1]))
 
 
-def _binomial_profile(n: int) -> Profile:
-    # sum over P(n) of c^(l-v) (c-1)^v with base l - j = 0 dropped: P_0 less c^0
-    return _profile((0, *_once(_binomial_rows, n)[2][1:]))
+def _pti_profiles(n: int) -> tuple[Profile, Profile]:
+    """agl_pti's pair: the weights 1 + c + ... + c^(s-1) over D(n), the
+    smallest parts' suffix sums shifted down by one, against P_1, the sum of
+    c^(l-v) (c-1)^(v-1) over P(n)."""
+    p1, _p0 = _once(_binomial_rows, n)
+    row = [0] * n
+    for s, a in _once(_smallest_profile, n):
+        row[s - 1] = a
+    return _profile([*accumulate(reversed(row))][::-1]), _profile(p1)
 
 
-def _shifted_binomial_profile(n: int) -> Profile:
-    # sum over P(n) with v >= 2 of c^(l-v+1) (c-1)^(v-1), plus sum over d | n
-    # of c^d: c * (P_1 - G_1) and the divisor term
-    g1, p1, _p0 = _once(_binomial_rows, n)
-    row = [0, *(p - g for g, p in zip(g1, p1))]
-    for d in divisors(n):
-        row[d] += 1
-    return _profile(row)
+def _scaled_profiles(n: int) -> tuple[Profile, Profile]:
+    """agl_scaled's pair: the weights c^s - 1 over D(n), minus the signed
+    count at e = 0 and then the smallest parts' profile, against P_0."""
+    _p1, p0 = _once(_binomial_rows, n)
+    smallest = _once(_smallest_profile, n)
+    return _profile((-sum(a for _s, a in smallest),)) + smallest, _profile(p0)
 
 
 def _divisor_profile(n: int) -> Profile:
@@ -294,34 +287,21 @@ def check_cor25(n: int) -> tuple[int, int]:
     return count_exact_part_sizes(n, 2), numerator // 2
 
 
-def _agl_profiles(n: int, scaled: bool) -> tuple[Profile, Profile]:
-    """Both profiles of the geometric smallest-part weight identity.
-
-    Unscaled: weights 1 + c + ... + c^(s-1) over D(n) against P_1, the sum of
-    c^(l-v) (c-1)^(v-1) over P(n); scaled: weights c^s - 1 against P_0.
-    """
-    _g1, p1, p0 = _once(_binomial_rows, n)
-    if scaled:
-        # c^s - 1 over D(n): minus the signed count at e = 0, then the
-        # smallest parts' profile, which starts at e = 1
-        smallest = _once(_smallest_profile, n)
-        return _profile((-sum(a for _s, a in smallest),)) + smallest, _profile(p0)
-    return tuple((j - 1, a) for j, a in _once(_initial_profile, n)), _profile(p1)
-
-
 # tag -> (both profiles at n, the range keys its exact check adds beside
 # n_max), for both modes, cor_2_4, class_sum and the tests; each row reads
 # its builders as module globals at call time, as _once asks
 _PAIRS = {
     IdentityId.BS_ONEVAR: (lambda n: (_once(_window_profile, n), _once(_divisor_profile, n)),
                            {"z": "all complex", "c": "symbolic"}),
-    IdentityId.THM_2_3: (lambda n: (_once(_smallest_profile, n), _once(_binomial_profile, n)),
+    IdentityId.THM_2_3: (lambda n: tuple(tuple(p for p in side if p[0])
+                                         for side in _once(_scaled_profiles, n)),
                          {"k": "all complex", "c": "symbolic"}),
-    IdentityId.THM_2_6: (lambda n: (_once(_initial_profile, n),
-                                    _once(_shifted_binomial_profile, n)),
+    IdentityId.THM_2_6: (lambda n: tuple(tuple((e + 1, a) for e, a in side)
+                                         for side in _once(_pti_profiles, n)),
                          {"k": "all complex", "c": "symbolic"}),
-    IdentityId.AGL_PTI: (lambda n: _agl_profiles(n, False), {"c": "symbolic", "scaled": False}),
-    IdentityId.AGL_SCALED: (lambda n: _agl_profiles(n, True), {"c": "symbolic", "scaled": True}),
+    IdentityId.AGL_PTI: (lambda n: _once(_pti_profiles, n), {"c": "symbolic", "scaled": False}),
+    IdentityId.AGL_SCALED: (lambda n: _once(_scaled_profiles, n),
+                            {"c": "symbolic", "scaled": True}),
 }
 
 

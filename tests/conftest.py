@@ -9,16 +9,17 @@ from pie import identities, partitions
 def skewed_binomial_profile(monkeypatch):
     """Make the right side of thm_2_3 / cor_2_4 wrong by one coefficient.
 
-    The first profile entry of every n gains 1, a genuine discrepancy that
-    every mode must report as a failure at n = 1.
+    P_0's coefficient of c^1 gains 1 at every n, a genuine discrepancy in
+    thm_2_3's right side, the view of agl_scaled's, that every mode must
+    report as a failure at n = 1.
     """
-    real = identities._binomial_profile
+    real = identities._binomial_rows
 
     def skewed(n):
-        (e, a), *rest = real(n)
-        return ((e, a + 1), *rest)
+        p1, (p0_0, p0_1, *rest) = real(n)
+        return p1, (p0_0, p0_1 + 1, *rest)
 
-    monkeypatch.setattr(identities, "_binomial_profile", skewed)
+    monkeypatch.setattr(identities, "_binomial_rows", skewed)
 
 
 @pytest.fixture

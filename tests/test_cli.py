@@ -16,7 +16,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pie.cli import FORMATS, MAX_N, MAX_Q_ORDER, MODES, build_parser, emit_report, main
+from pie.cli import (
+    FORMATS,
+    MAX_GRID_POINTS,
+    MAX_N,
+    MAX_Q_ORDER,
+    MODES,
+    build_parser,
+    emit_report,
+    main,
+)
 from pie.errors import AlgorithmFault
 from pie.exact import BELL_DEGREE_CAP
 from pie.identities import IdentityId, IdentityReport
@@ -441,6 +450,11 @@ def test_cor_2_4_numeric_holds_past_n_59(capsys):
     assert json.loads(out)[0]["status"] == "pass"
 
 
+# a grid one point above MAX_GRID_POINTS, and one at it
+NINE = ",".join(["0.5"] * 9)
+EIGHT = ",".join(["0.5"] * 8)
+
+
 @pytest.mark.parametrize(
     "argv, env",
     [
@@ -489,6 +503,10 @@ def test_cor_2_4_numeric_holds_past_n_59(capsys):
         (("series", "--name", "K", "--order", "301"), {}),
         (("verify", "--id", "eq_1_13", "--m-max", "1000"), {}),
         (("report-all",), {"PIE_M_MAX": "11"}),
+        (("verify", "--id", "bs_onevar", "--mode", "numeric", "--n-max", "3", f"--z={NINE}"), {}),
+        (("verify", "--id", "bs_onevar", "--mode", "numeric", "--n-max", "3", f"--c={NINE}"), {}),
+        (("verify", "--id", "bs_onevar", "--mode", "numeric", "--n-max", "3"), {"PIE_Z": NINE}),
+        (("report-all", "--n-max", "3"), {"PIE_C": NINE}),
     ],
     ids=[
         "n-max-0",
@@ -536,6 +554,10 @@ def test_cor_2_4_numeric_holds_past_n_59(capsys):
         "series-order-301",
         "eq-1-13-m-max-1000",
         "report-all-env-m-max-11",
+        "z-grid-9-points",
+        "c-grid-9-points",
+        "env-z-grid-9-points",
+        "report-all-env-c-grid-9-points",
     ],
 )
 def test_zero_or_empty_settings_are_usage_errors(capsys, monkeypatch, argv, env):
@@ -568,6 +590,18 @@ def test_q_order_above_the_cap_names_the_flag(capsys, monkeypatch, argv, env, fl
     assert code == 2
     assert out == ""
     assert err.startswith(f"usage error: {flag} must lie in 1..300")
+
+
+@pytest.mark.parametrize("axis", ["z", "c"])
+def test_a_grid_above_the_cap_names_its_axis(capsys, axis):
+    # the numeric checks' cost grows with the product of the two grids, so
+    # each holds 1..MAX_GRID_POINTS points; a grid at the cap still runs
+    argv = ("verify", "--all", "--mode", "numeric", "--n-max", "5")
+    code, out, _ = run(capsys, *argv, f"--{axis}={EIGHT}")
+    assert code == 0 and all(r["status"] == "pass" for r in json.loads(out))
+    code, out, err = run(capsys, *argv, f"--{axis}={NINE}")
+    assert (code, out) == (2, "")
+    assert err == f"usage error: the {axis} grid must have 1..{MAX_GRID_POINTS} points, got 9\n"
 
 
 def test_q_order_at_the_cap_runs(capsys):

@@ -490,8 +490,8 @@ def test_check_identity_on_its_own_is_a_run_of_one_check(monkeypatch):
 
 # the per-n profile builders, each read through exact._once
 PROFILE_BUILDERS = (
-    "_window_profile", "_smallest_profile", "_initial_profile", "_binomial_rows",
-    "_binomial_profile", "_shifted_binomial_profile", "_divisor_profile",
+    "_window_profile", "_smallest_profile", "_binomial_rows", "_pti_profiles",
+    "_scaled_profiles", "_divisor_profile",
 )
 
 
@@ -916,11 +916,8 @@ def test_skewed_cells_reach_every_cell_reader(monkeypatch, skew):
     real = identities.size_rows
     monkeypatch.setattr(identities, "size_rows", skew(real))
     reports = {tag: check_identity(tag, cfg) for tag in CELL_READERS}
-    # thm_2_6 reads only cells with at least two sizes, c * (P_1 - G_1),
-    # so a skewed one-size cell leaves it passing
-    failing = set(CELL_READERS) - ({"thm_2_6"} if skew is _skew_one_part else set())
-    assert {tag for tag, rep in reports.items() if not rep.passed} == failing
-    for tag in failing:
+    assert {tag for tag, rep in reports.items() if not rep.passed} == set(CELL_READERS)
+    for tag in CELL_READERS:
         assert set(reports[tag].first_failure) == CELL_READERS[tag]
 
 
@@ -935,9 +932,10 @@ def _signed_binomials(v: int) -> tuple[int, ...]:
 
 @cache
 def _per_cell_sides(n: int) -> tuple:
-    """The four right sides the kernel builds, summed cell by cell over the
-    (largest l, #sizes v) counts with signed binomial rows: thm_2_3's and
-    thm_2_6's profiles, then agl_pti's and agl_scaled's right sides."""
+    """The four right sides of the profile pairs that read the cells, summed
+    cell by cell over the (largest l, #sizes v) counts with signed binomial
+    rows: thm_2_3's and thm_2_6's as the paper states them, then agl_pti's
+    and agl_scaled's."""
     binomial: dict[int, int] = {}
     shifted: dict[int, int] = {}
     pti: dict[int, int] = {}
@@ -968,12 +966,11 @@ def _per_cell_sides(n: int) -> tuple:
 
 
 def test_binomial_kernel_matches_per_cell_sums():
+    # thm_2_3's and thm_2_6's rows view the AGL pairs; the per-cell sums
+    # build thm_2_6's right side as the paper states it, divisor term and all
+    tags = (IdentityId.THM_2_3, IdentityId.THM_2_6, *AGL_TAGS)
     for n in range(1, 201):
-        kernel = (
-            identities._binomial_profile(n),
-            identities._shifted_binomial_profile(n),
-            *(identities._PAIRS[t][0](n)[1] for t in AGL_TAGS),
-        )
+        kernel = tuple(identities._PAIRS[t][0](n)[1] for t in tags)
         assert kernel == _per_cell_sides(n), n
 
 
@@ -1027,10 +1024,11 @@ def _unpacked(x: int, length: int) -> tuple[int, ...]:
 
 
 def test_p1_row_matches_its_product_form():
-    # every P(n) side is built from G_1 and P_1; this oracle reads no table
+    # every P(n) side is built from P_1, and G_1 is thm_2_6's divisor term
+    # over c; this oracle reads no table
     packed = _p1_product_form(200)
     for n in range(1, 201):
-        g1, p1, _p0 = identities._binomial_rows(n)
+        (g1, *_rest), (p1, _p0) = size_rows(n), identities._binomial_rows(n)
         assert p1 == _unpacked(packed[n], n + 1), n
         # the one-size partitions d + ... + d weigh c^(d-1)
         assert g1 == tuple(int(n % (e + 1) == 0) for e in range(n + 1)), n
