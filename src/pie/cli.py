@@ -36,6 +36,10 @@ MAX_Q_ORDER = 300
 MAX_GRID_POINTS = 8
 FORMATS = ("json", "csv", "text")
 MODES = ("exact", "numeric")
+# the variable each flag falls back on; any other PIE_* variable is a usage error
+ENVIRONMENT = dict(n_max="PIE_N_MAX", q_order="PIE_Q_ORDER", order="PIE_Q_ORDER", z="PIE_Z",
+                   c="PIE_C", m_max="PIE_M_MAX", mode="PIE_MODE", tol="PIE_TOLERANCE",
+                   format="PIE_FORMAT", output="PIE_OUTPUT")
 
 
 def _parse_complex(text: str) -> complex:
@@ -104,18 +108,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _setting(args: argparse.Namespace, flag: str, env_name: str, parse, default):
+def _setting(args: argparse.Namespace, flag: str, parse, default):
     # a flag or env value that is present is used as given, never defaulted
     value = getattr(args, flag, None)
     if value is not None:
         return value
-    text = os.environ.get(f"PIE_{env_name}")
+    text = os.environ.get(ENVIRONMENT[flag])
     if text is None:
         return default
     try:
         return parse(text)
     except ValueError as exc:  # int("") and float("x") name no setting
-        raise ValueError(f"{flag.replace('_', '-')} from PIE_{env_name}: {exc}") from None
+        raise ValueError(f"{flag.replace('_', '-')} from {ENVIRONMENT[flag]}: {exc}") from None
+
+
+def _unknown_settings() -> None:
+    # a misspelled PIE_* variable would leave its setting at the default
+    known = set(ENVIRONMENT.values())
+    unknown = ", ".join(sorted(k for k in os.environ if k.startswith("PIE_") and k not in known))
+    if unknown:
+        raise ValueError(f"unknown setting {unknown}; known: {', '.join(sorted(known))}")
 
 
 def _choice(choices: tuple[str, ...]):
@@ -157,16 +169,16 @@ def _config_from(args: argparse.Namespace) -> CheckConfig:
     from .identities import CheckConfig
 
     cfg = CheckConfig()
-    n_max = _within("n-max", _setting(args, "n_max", "N_MAX", int, cfg.n_max), MAX_N)
-    q_order = _setting(args, "q_order", "Q_ORDER", int, cfg.q_order)
-    z_text = _setting(args, "z", "Z", str, None)
-    c_text = _setting(args, "c", "C", str, None)
+    n_max = _within("n-max", _setting(args, "n_max", int, cfg.n_max), MAX_N)
+    q_order = _setting(args, "q_order", int, cfg.q_order)
+    z_text = _setting(args, "z", str, None)
+    c_text = _setting(args, "c", str, None)
     return CheckConfig(
         n_max=n_max,
         q_order=_within("q-order", q_order, MAX_Q_ORDER),
-        m_max=_within("m-max", _setting(args, "m_max", "M_MAX", int, cfg.m_max), BELL_DEGREE_CAP),
-        mode=_setting(args, "mode", "MODE", _choice(MODES), cfg.mode),
-        tolerance=_tolerance(_setting(args, "tol", "TOLERANCE", float, cfg.tolerance)),
+        m_max=_within("m-max", _setting(args, "m_max", int, cfg.m_max), BELL_DEGREE_CAP),
+        mode=_setting(args, "mode", _choice(MODES), cfg.mode),
+        tolerance=_tolerance(_setting(args, "tol", float, cfg.tolerance)),
         z_grid=cfg.z_grid if z_text is None else _grid("z", z_text),
         c_grid=cfg.c_grid if c_text is None else _grid("c", c_text),
     )
@@ -174,7 +186,7 @@ def _config_from(args: argparse.Namespace) -> CheckConfig:
 
 @contextmanager
 def _sink(args: argparse.Namespace):
-    path = _setting(args, "output", "OUTPUT", str, None)
+    path = _setting(args, "output", str, None)
     if path is None or path == "-":
         yield sys.stdout
     else:
@@ -209,7 +221,7 @@ def emit_report(reports, fmt: str, sink, timings: bool = False) -> None:
 
 def _emit(args: argparse.Namespace, run) -> int:
     """Run the checks and write their reports; exit 1 if any failed."""
-    fmt = _setting(args, "format", "FORMAT", _choice(FORMATS), "json")
+    fmt = _setting(args, "format", _choice(FORMATS), "json")
     reports = run()
     with _sink(args) as sink:
         emit_report(reports, fmt, sink, timings=args.timings)
@@ -233,7 +245,7 @@ def _cmd_series(args: argparse.Namespace) -> int:
     from .series import K_FOLD_CAP, coefficient_rows, series_A, series_K, series_M
     from .series import series_dilcher_binomial, series_entry4
 
-    order = _within("order", _setting(args, "order", "Q_ORDER", int, 30), MAX_Q_ORDER)
+    order = _within("order", _setting(args, "order", int, 30), MAX_Q_ORDER)
     c, name, m = _parse_c_value(args.c), args.name, args.m
     # the builders' errors name their parameters (dilcher's k is --m), not the flags
     bounds = {"M": (0, BELL_DEGREE_CAP), "K": (1, BELL_DEGREE_CAP), "dilcher": (1, K_FOLD_CAP)}
@@ -306,6 +318,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        _unknown_settings()
         return args.handler(args)
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -8,20 +8,19 @@ row, exact.py's form of Q[c]: the tuple of the ints of c^0 .. c^d with a
 nonzero top entry, the zero row being ().  A series holds all ints or all
 rows.  Built at c = p/r, a series takes grade r, so c q^k weighs
 p * r**(k-1) and a unit factor (1 - q^k) weighs r**k.  Only scaling by a
-non-integer rational (the 1/m! of an exponential generating function) or a
-polynomial with rational coefficients changes den, and operands of other
-grades or dens are brought to their lcm.
+non-integer rational (the 1/m! of an exponential generating function)
+changes den, and operands of other grades or dens are brought to their lcm.
 
 Ints are the one numerator the kernels and builders compute on.  Int series
 multiply by Kronecker substitution: each packs into one int with a slot per
 power of q (exact.py's _pack), the two ints multiply once, and the slots of
-q^0 .. q^Q read back (_unpack).  Rows are only stored and read out: the one
-operation on them here is a product with an int, _scaled, so two symbolic
-series compare on their stored rows.  A sum, a product or a polynomial
-scaling of symbolic series, which no command runs, goes through the
-coefficients: CPolynomial arithmetic in, the constructor out.  coeffs,
-indexing, str and coefficient_rows read a c-free coefficient out as a
-Fraction, any other as the CPolynomial of its row over den * r**n.
+q^0 .. q^Q read back (_unpack).  Rows are only built, compared and read
+out: the one operation on them here is a product with an int, _scaled, so
+two symbolic series compare on their stored rows and scale by an int or a
+Fraction.  A sum, product, inverse, exp or log of a symbolic series raises
+TypeError, as does scaling any series by a CPolynomial.  coeffs, indexing,
+str and coefficient_rows read a c-free coefficient out as a Fraction, any
+other as the CPolynomial of its row over den * r**n.
 
 The named builders at the bottom build every product and quotient of
 factors (1 - x q^k) one factor at a time through the one shifted-add kernel
@@ -74,15 +73,11 @@ def _scaled(nums: Sequence[Stored], weights: Iterable[int]) -> list:
     return list(map(mul, nums, weights))
 
 
-def _symbolic(*series: "TruncatedSeries") -> bool:
-    """Whether any of the series stores rows."""
-    return any(type(f.nums[0]) is tuple for f in series)
-
-
-def _aligned(nums: Iterable[Stored]) -> tuple:
-    """Stored numerators as a tuple, all rows once any is a row."""
-    nums = tuple(nums)
-    return tuple(map(_row, nums)) if tuple in map(type, nums) else nums
+def _ints(*series: "TruncatedSeries") -> None:
+    """Raise TypeError if any of the series stores rows: a series in Q[c] is
+    built, compared and read out, never combined."""
+    if any(type(f.nums[0]) is tuple for f in series):
+        raise TypeError("series in Q[c] are not combined, only compared and read out")
 
 
 def _coefficient(num: Stored, d: int) -> Coefficient:
@@ -100,8 +95,8 @@ class TruncatedSeries:
 
     order, nums, grade and den are the one stored form the module docstring
     describes; coeffs gives the coefficients themselves.  The constructor
-    takes coefficients that are ints, Fractions or CPolynomials, and clears
-    every denominator, a CPolynomial's included, into den.
+    takes int and Fraction coefficients and clears their denominators into
+    den; a series in Q[c] comes from a builder.
     """
 
     __slots__ = ("order", "nums", "grade", "den")
@@ -111,15 +106,15 @@ class TruncatedSeries:
             raise ValueError("order must be nonnegative")
         if len(coeffs) != order + 1:
             raise ValueError("need exactly order+1 coefficients")
-        ps, rs = zip(*map(_split, coeffs))
+        ps, rs = zip(*map(_ratio, coeffs))
         self.order, self.grade, self.den = order, 1, lcm(*rs)
-        self.nums = tuple(_scaled(_aligned(ps), [self.den // r for r in rs]))
+        self.nums = tuple(p * (self.den // r) for p, r in zip(ps, rs))
 
     @classmethod
     def _stored(cls, order: int, nums: Iterable[Stored], grade=1, den=1):
-        """A series from stored numerators, all rows once any is a row."""
+        """A series from stored numerators, all ints or all rows."""
         out = cls.__new__(cls)
-        out.order, out.nums, out.grade, out.den = order, _aligned(nums), grade, den
+        out.order, out.nums, out.grade, out.den = order, tuple(nums), grade, den
         return out
 
     # -- constructors ------------------------------------------------------
@@ -156,9 +151,8 @@ class TruncatedSeries:
     def _termwise(self, other: object, op) -> "TruncatedSeries":
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
+        _ints(self, other)
         grade, den = self._match(other), lcm(self.den, other.den)
-        if _symbolic(self, other):
-            return TruncatedSeries(self.order, list(map(op, self.coeffs, other.coeffs)))
         xs, ys = self._numerators(grade, den), other._numerators(grade, den)
         return TruncatedSeries._stored(self.order, map(op, xs, ys), grade, den)
 
@@ -175,14 +169,9 @@ class TruncatedSeries:
 
     def __mul__(self, other: object) -> "TruncatedSeries":
         if not isinstance(other, TruncatedSeries):
-            if isinstance(other, (int, Fraction, CPolynomial)):
-                return self.scale(other)
-            return NotImplemented
+            return self.scale(other) if isinstance(other, (int, Fraction)) else NotImplemented
+        _ints(self, other)
         grade, count = self._match(other), self.order + 1
-        if _symbolic(self, other):
-            xs, ys = self.coeffs, other.coeffs
-            out = [sum(map(mul, xs[: e + 1], ys[e::-1]), Fraction(0)) for e in range(count)]
-            return TruncatedSeries(self.order, out)
         # ints multiply once, packed into slots that hold every z_e, e <= Q
         xs, ys = self._numerators(grade, self.den), other._numerators(grade, other.den)
         size = _slot_size(xs, ys)
@@ -192,25 +181,19 @@ class TruncatedSeries:
 
     __rmul__ = __mul__
 
-    def scale(self, scalar: ScalarLike) -> "TruncatedSeries":
-        p, r = _split(scalar)
-        if not p:
-            return TruncatedSeries.zero(self.order)
-        if type(p) is int:
-            nums = _scaled(self.nums, repeat(p))
-        elif _symbolic(self):
-            return TruncatedSeries(self.order, [v * scalar for v in self.coeffs])
-        else:
-            nums = _scaled([p] * (self.order + 1), self.nums)
+    def scale(self, scalar: int | Fraction) -> "TruncatedSeries":
+        p, r = _ratio(scalar)
+        nums = _scaled(self.nums, repeat(p))
         return TruncatedSeries._stored(self.order, nums, self.grade, self.den * r)
 
     def shift(self, k: int) -> "TruncatedSeries":
         """Multiply by q^k (k >= 0); coefficients past the order fall off."""
         if k < 0:
             raise ValueError("shift must be nonnegative")
-        n = self.order
+        n, zero = self.order, () if type(self.nums[0]) is tuple else 0
         kept = _scaled(self.nums[: max(n + 1 - k, 0)], repeat(self.grade**k))
-        return TruncatedSeries._stored(n, [0] * (n + 1 - len(kept)) + kept, self.grade, self.den)
+        nums = [zero] * (n + 1 - len(kept)) + kept
+        return TruncatedSeries._stored(n, nums, self.grade, self.den)
 
     def truncate(self, new_order: int) -> "TruncatedSeries":
         if new_order > self.order:
@@ -220,10 +203,10 @@ class TruncatedSeries:
         )
 
     def inverse(self) -> "TruncatedSeries":
-        """Multiplicative inverse; the constant term must be a unit."""
+        """Multiplicative inverse; the constant term must be nonzero."""
+        _ints(self)
         f = self.coeffs
-        # a CPolynomial coefficient has degree > 0: no unit of Q[c]
-        if isinstance(f[0], CPolynomial) or not f[0]:
+        if not f[0]:
             raise ValueError("constant term is not invertible")
         out = [1 / f[0]]
         for m in range(1, self.order + 1):
@@ -237,6 +220,7 @@ class TruncatedSeries:
         Uses the derivative recurrence  n*E_n = sum_{k=1..n} k f_k E_{n-k},
         so only scalar divisions by n occur and everything stays exact.
         """
+        _ints(self)
         f = self.coeffs
         if f[0]:
             raise ValueError("exp needs a zero constant term")
@@ -251,6 +235,7 @@ class TruncatedSeries:
 
         L_n = f_n - (1/n) sum_{k=1..n-1} k L_k f_{n-k}, from f = exp(L).
         """
+        _ints(self)
         f = self.coeffs
         if not f[0] == 1:
             raise ValueError("log needs constant term one")
@@ -370,7 +355,7 @@ def _tail_sum(weights: Sequence, order: int, grade: int) -> TruncatedSeries:
         sums.append(acc)
     ends = range(1, len(sums) + 1)  # a row is cut once, after its last nonzero entry
     nums = [row[: max(compress(ends, row), default=0)] for row in zip(*sums)] if rows else sums[0]
-    return TruncatedSeries._stored(order, nums or [0] * (order + 1), grade)
+    return TruncatedSeries._stored(order, nums or [()] * (order + 1), grade)
 
 
 def _scalar_powers(x: int, order: int) -> list[int]:

@@ -11,7 +11,7 @@ from itertools import accumulate, repeat
 from pie.exact import _times
 from pie.series import TruncatedSeries, _split
 
-from row_kernel import add_shifted, over_factor
+from row_kernel import add_shifted, as_rows, over_factor
 
 
 def alternating_sum(x, fold: int, shift, weight, order: int) -> TruncatedSeries:
@@ -30,7 +30,7 @@ def alternating_sum(x, fold: int, shift, weight, order: int) -> TruncatedSeries:
         sign = (-1) ** (n - 1) * r ** (shift(n) - n)
         add_shifted(acc, body, shift(n), _times(weight(n), sign))
         n += 1
-    return TruncatedSeries._stored(order, acc, r)
+    return TruncatedSeries._stored(order, as_rows(acc), r)
 
 
 def entry4_lhs(c, order: int) -> TruncatedSeries:

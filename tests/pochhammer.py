@@ -4,7 +4,7 @@ kernel of tests/row_kernel.py."""
 from pie.exact import _times
 from pie.series import TruncatedSeries, _split
 
-from row_kernel import over_factor, times_factor
+from row_kernel import as_rows, over_factor, times_factor
 
 
 def _product(x, ks, order: int) -> TruncatedSeries:
@@ -13,7 +13,7 @@ def _product(x, ks, order: int) -> TruncatedSeries:
     nums = [1] + [0] * order
     for k in ks:
         times_factor(nums, _times(p, r ** (k - 1)), k)
-    return TruncatedSeries._stored(order, nums, r)
+    return TruncatedSeries._stored(order, as_rows(nums), r)
 
 
 def pochhammer_infinite(x, order: int, start: int = 1) -> TruncatedSeries:
@@ -33,4 +33,4 @@ def a_quotient(c, order: int) -> TruncatedSeries:
         times_factor(nums, r**k, k)
     for k in range(1, order + 1):
         over_factor(nums, _times(p, r ** (k - 1)), k)
-    return TruncatedSeries._stored(order, nums, r)
+    return TruncatedSeries._stored(order, as_rows(nums), r)

@@ -507,6 +507,8 @@ EIGHT = ",".join(["0.5"] * 8)
         (("verify", "--id", "bs_onevar", "--mode", "numeric", "--n-max", "3", f"--c={NINE}"), {}),
         (("verify", "--id", "bs_onevar", "--mode", "numeric", "--n-max", "3"), {"PIE_Z": NINE}),
         (("report-all", "--n-max", "3"), {"PIE_C": NINE}),
+        (("verify", "--id", "bs_basic"), {"PIE_NMAX": "5"}),
+        (("report-all", "--n-max", "3"), {"PIE_TOL": "0.1"}),
     ],
     ids=[
         "n-max-0",
@@ -558,6 +560,8 @@ EIGHT = ",".join(["0.5"] * 8)
         "c-grid-9-points",
         "env-z-grid-9-points",
         "report-all-env-c-grid-9-points",
+        "env-misspelled-n-max",
+        "report-all-env-misspelled-tolerance",
     ],
 )
 def test_zero_or_empty_settings_are_usage_errors(capsys, monkeypatch, argv, env):
@@ -590,6 +594,60 @@ def test_q_order_above_the_cap_names_the_flag(capsys, monkeypatch, argv, env, fl
     assert code == 2
     assert out == ""
     assert err.startswith(f"usage error: {flag} must lie in 1..300")
+
+
+# verify --all with n_max, q_order and m_max at their caps, the corner of the
+# exact range
+CAPS = {"n-max": MAX_N, "q-order": MAX_Q_ORDER, "m-max": BELL_DEGREE_CAP}
+CORNER = ("verify", "--all", *(x for flag, cap in CAPS.items() for x in (f"--{flag}", str(cap))))
+
+
+def test_the_exact_corner_is_accepted_and_one_past_it_is_not(capsys, monkeypatch):
+    # the corner only parses here; CI's "exact corner" row runs this argv,
+    # so a moved cap that the row does not follow fails here
+    from pie.cli import _config_from
+
+    for name in [k for k in os.environ if k.startswith("PIE_")]:
+        monkeypatch.delenv(name)
+    cfg = _config_from(build_parser().parse_args(CORNER))
+    assert (cfg.n_max, cfg.q_order, cfg.m_max) == tuple(CAPS.values())
+    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
+    assert re.search(r",\s*".join(f'"{arg}"' for arg in CORNER) + r"\)", workflow)
+    for flag, cap in CAPS.items():
+        argv = [str(cap + 1) if prev == f"--{flag}" else arg
+                for prev, arg in zip((None, *CORNER), CORNER)]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"usage error: {flag} must lie in 1..{cap}, got {cap + 1}\n"
+
+
+@pytest.mark.parametrize("name", ["PIE_NMAX", "PIE_TOL", "PIE_ORDER", "PIE_"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--id", "bs_basic", "--n-max", "3"),
+        ("report-all", "--n-max", "3"),
+        ("series", "--name", "K", "--order", "3"),
+        ("involution", "--n", "5", "--N-divisor", "1"),
+    ],
+    ids=["verify", "report-all", "series", "involution"],
+)
+def test_an_unknown_variable_exits_two_and_names_it(name, argv):
+    # a misspelled PIE_* variable would leave its setting at the default
+    code, out, err = run_isolated(argv, {name: "5"})
+    assert (code, out) == (2, "")
+    assert err.startswith(f"usage error: unknown setting {name}; known: PIE_C, PIE_FORMAT, ")
+
+
+def test_a_variable_a_command_does_not_read_is_accepted():
+    # series reads PIE_Q_ORDER and PIE_OUTPUT only; every other known name,
+    # even with a value its own command would reject, leaves it as it was
+    from pie.cli import ENVIRONMENT
+
+    argv = ("series", "--name", "K", "--order", "3")
+    unread = set(ENVIRONMENT.values()) - {"PIE_Q_ORDER", "PIE_OUTPUT"}
+    assert run_isolated(argv, dict.fromkeys(unread, "bogus")) == run_isolated(argv, {})
+    assert run_isolated(argv, {})[0] == 0
 
 
 @pytest.mark.parametrize("axis", ["z", "c"])

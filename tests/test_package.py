@@ -309,7 +309,7 @@ EXCUSED = {
     "partitions._Value.__delattr__": "keeps Partition, CheckConfig and PairingTrace frozen",
     "exact.CPolynomial.__repr__": "the repr of a library value; no command prints one",
     "series.TruncatedSeries.__repr__": "the repr of a library value; no command prints one",
-    "exact.bell_polynomial": "public Bell polynomial, the oracle of acceptance criterion 8; "
+    "exact.bell_polynomial": "public Bell polynomial, the oracle of acceptance criterion 11; "
     "the checks read every Y_m from _bell_polynomials",
     "involution._fault": "builds the AlgorithmFault of a pairing fault, which the proof excludes",
 }

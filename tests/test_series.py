@@ -3,7 +3,8 @@
 import sys
 from fractions import Fraction
 from functools import cache, partial
-from math import factorial
+from math import factorial, lcm
+from operator import add, mul, sub
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from pie.series import (
     _add_shifted,
     _nested_lambert,
     _over_factor,
+    _scaled,
     _split,
     _times_factor,
     coefficient_rows,
@@ -35,14 +37,22 @@ from alternating import entry4_lhs
 from convolution import schoolbook_product
 from lambert import nested_lambert
 from pochhammer import _product, a_quotient, pochhammer_infinite
-from row_kernel import over_factor, times_factor
+from row_kernel import as_rows, over_factor, times_factor
 
 D_COUNTS = [0, 1, 2, 2, 3, 2, 4, 2, 4, 3, 4, 2, 6, 2, 4, 4, 5, 2, 6, 2, 6]
 
 
 def S(order, *coeffs):
-    """The series with the given leading coefficients, zero past them."""
-    return TruncatedSeries(order, [*coeffs, *[0] * (order + 1 - len(coeffs))])
+    """The series with the given leading coefficients, zero past them: an
+    int series for int and Fraction coefficients, and with any CPolynomial
+    among them the rows over one den that a builder at symbolic c stores."""
+    coeffs = [*coeffs, *[0] * (order + 1 - len(coeffs))]
+    if not any(isinstance(v, CPolynomial) for v in coeffs):
+        return TruncatedSeries(order, coeffs)
+    polys = [CPolynomial(v) for v in coeffs]
+    den = lcm(*(f._den for f in polys))
+    rows = [tuple(v * (den // f._den) for v in f._num) for f in polys]
+    return TruncatedSeries._stored(order, rows, 1, den)
 
 
 # -- test-local series --------------------------------------------------------
@@ -104,31 +114,58 @@ def test_shift_and_truncate():
         f.truncate(9)
 
 
-def test_scale_lifts_to_cpoly():
-    # a CPolynomial scalar multiplies the numerators and keeps grade and den
-    f = S(3, 1, 1).scale(C)
-    assert f[1] == C and not f[2]
-    g = S(3, Fraction(1, 2), 1).scale(2 * C)
-    assert (g.grade, g.den) == (1, 2)
-    assert g == S(3, C, 2 * C) and g[0] == C
-
-
-@pytest.mark.parametrize("k", [3, Fraction(2, 3), C], ids=["int", "fraction", "c"])
+@pytest.mark.parametrize("k", [3, Fraction(2, 3)], ids=["int", "fraction"])
 @pytest.mark.parametrize(
     "s", [S(5, 2, 0, -1, 4), series_K(1, C, 5)], ids=["int-series", "row-series"]
 )
 def test_scalar_product_commutes(k, s):
-    # __rmul__ is __mul__, whose scalar branch is scale
+    # __rmul__ is __mul__, whose scalar branch is scale: an int or a Fraction
     assert k * s == s * k == s.scale(k)
     assert TruncatedSeries.__dict__["__rmul__"] is TruncatedSeries.__dict__["__mul__"]
-    with pytest.raises(TypeError):
-        2.5 * s
+    for scalar in (2.5, C):
+        for product in (lambda: scalar * s, lambda: s * scalar, lambda: s.scale(scalar)):
+            with pytest.raises(TypeError):
+                product()
 
 
 def test_equality_across_rings():
-    # int and constant CPolynomial entries of one value are one series
+    # an int series and a row series whose rows are constants of the same
+    # values are one series
     assert S(2, 1, 2) == S(2, CPolynomial(1), CPolynomial(2))
     assert S(2, Fraction(1, 2)) == S(2, CPolynomial(Fraction(1, 2)))
+    assert S(2, CPolynomial(1), CPolynomial(2)).nums == ((1,), (2,), ())
+
+
+def test_row_series_are_not_combined():
+    # a series in Q[c] is built, compared and read out: a sum, a difference or
+    # a product with one, or its inverse, exp or log, raises TypeError, as
+    # does a CPolynomial entry; scaling it by an int or a Fraction stays
+    rows, ints = series_K(1, C, 5), S(5, 2, 0, -1)
+    for a, b in ((rows, ints), (ints, rows), (rows, rows)):
+        for op in (add, sub, mul):
+            with pytest.raises(TypeError):
+                op(a, b)
+    for unary in (rows.inverse, rows.exp, rows.log):
+        with pytest.raises(TypeError):
+            unary()
+    with pytest.raises(TypeError):
+        TruncatedSeries(2, [C, 1, 0])
+    half = rows.scale(Fraction(-1, 2))
+    assert (half.nums, half.den) == (tuple(_scaled(rows.nums, [-1] * 6)), 2)
+    assert half.coeffs == tuple(v / -2 for v in rows.coeffs)
+
+
+@pytest.mark.parametrize("k", [0, 1, 3, 5, 6, 9])
+def test_shift_of_a_row_series_pads_empty_rows(k):
+    # q^k times a builder's rows is the series built with k leading zero
+    # rows, (), at its own grade and at another; an int 0 there would make
+    # the series neither all ints nor all rows.  Equality would not see it:
+    # it reads an int and a row of one value as one coefficient
+    f = series_A(C, 5)
+    want = TruncatedSeries._stored(5, [()] * min(k, 6) + list(f.nums[: max(6 - k, 0)]))
+    assert f.shift(k).nums == want.nums
+    assert regraded(f, 3).shift(k).nums == regraded(want, 3).nums
+    assert all(type(v) is tuple for v in f.shift(k).nums)
 
 
 # -- inverse ------------------------------------------------------------------
@@ -145,7 +182,8 @@ def test_inverse_of_one():
 def test_inverse_requires_unit_constant():
     with pytest.raises(ValueError):
         S(4, 0, 1).inverse()
-    with pytest.raises(ValueError):
+    # a constant term in Q[c] is a row: no inverse is taken of rows
+    with pytest.raises(TypeError):
         S(4, C).inverse()
 
 
@@ -261,11 +299,14 @@ ENTRIES = st.one_of(
 
 
 def _series_cases(count):
-    return st.integers(min_value=1, max_value=12).flatmap(
-        lambda order: st.tuples(
-            st.just(order),
-            *[st.lists(ENTRIES, min_size=order + 1, max_size=order + 1)] * count,
-            st.integers(min_value=1, max_value=order),
+    # rational entries, an int series, or entries that may mix in Q[c]
+    # polynomials, stored as rows
+    kinds = st.tuples(st.integers(min_value=1, max_value=12), st.sampled_from([FRACTIONS, ENTRIES]))
+    return kinds.flatmap(
+        lambda case: st.tuples(
+            st.just(case[0]),
+            *[st.lists(case[1], min_size=case[0] + 1, max_size=case[0] + 1)] * count,
+            st.integers(min_value=1, max_value=case[0]),
         )
     )
 
@@ -277,7 +318,7 @@ def test_factor_kernels_match_series_arithmetic(case, x):
     # (1 - x q^k) and by its geometric inverse, sum_j x^j q^(jk): the row
     # kernel of tests/row_kernel.py always, series.py's int kernel on ints
     order, coeffs, k = case
-    f = TruncatedSeries(order, coeffs)
+    f = S(order, *coeffs)
     p, r = _split(x)
     g = regraded(f, r)
     factor = [1] + [0] * order
@@ -290,7 +331,7 @@ def test_factor_kernels_match_series_arithmetic(case, x):
     if tuple not in map(type, (*g.nums, w)):
         kernels += [(_times_factor, factor), (_over_factor, geometric)]
     for kernel, other in kernels:
-        got = TruncatedSeries._stored(order, kernel(list(g.nums), w, k), g.grade, g.den)
+        got = TruncatedSeries._stored(order, as_rows(kernel(list(g.nums), w, k)), g.grade, g.den)
         assert list(got.coeffs) == schoolbook(f.coeffs, other), kernel.__name__
 
 
@@ -370,16 +411,24 @@ def test_shifted_add_of_nothing_reads_nothing():
 )
 def test_integer_ring_matches_fraction_schoolbook(case, r1, r2, den_factor, m, poly):
     # products, scaling, sums and equality across grades and denominators,
-    # on entries mixing rationals and Q[c] polynomials
+    # on int series; row series, whose entries may mix in Q[c] polynomials,
+    # scale by a rational and compare, and are never combined
     order, a, b, _ = case
-    f, g = TruncatedSeries(order, a), TruncatedSeries(order, b)
+    f, g = S(order, *a), S(order, *b)
     fr, gr = regraded(f, r1, den_factor), regraded(g, r2)
     assert fr == f and gr == g and fr.coeffs == f.coeffs
-    assert list((fr * gr).coeffs) == schoolbook(a, b)
-    assert list((fr + gr).coeffs) == [x + y for x, y in zip(a, b)]
+    if tuple in map(type, fr.nums + gr.nums):
+        with pytest.raises(TypeError):
+            fr * gr
+        with pytest.raises(TypeError):
+            fr + gr
+    else:
+        assert list((fr * gr).coeffs) == schoolbook(a, b)
+        assert list((fr + gr).coeffs) == [x + y for x, y in zip(a, b)]
     inverse = Fraction(1, factorial(m))
     assert list(fr.scale(inverse).coeffs) == [x * inverse for x in a]
-    assert list(fr.scale(poly).coeffs) == [x * poly for x in a]
+    with pytest.raises(TypeError):
+        fr.scale(poly)
     first = next((e for e, (x, y) in enumerate(zip(a, b)) if x != y), None)
     assert fr.first_difference(gr) == first
     assert (fr == gr) is (first is None)
@@ -480,31 +529,54 @@ def test_rational_coefficients_are_fractions():
             build()
 
 
-def test_symbolic_series_coefficients_are_ints(monkeypatch):
-    # the Q[c] builders and an integral series scaled by c stay on int
-    # arithmetic: no CPolynomial arithmetic runs while they build, and every
-    # stored numerator is a row of ints with a nonzero top entry
-    def banned(*args):
-        raise AssertionError("CPolynomial arithmetic in a symbolic build")
+# every named builder that takes c, by its value
+C_BUILDERS = {
+    "A": lambda c: series_A(c, 20),
+    "A-quotient": lambda c: series_A_quotient(c, 20),
+    "A-euler": lambda c: series_A_euler(c, 20),
+    "M3": lambda c: series_M(3, c, 30),
+    "K2": lambda c: series_K(2, c, 30),
+    "K2-divisor": lambda c: series_K_divisor(2, c, 30),
+    "K2-lambert": lambda c: series_K_lambert(2, c, 30),
+    "entry4 lhs": lambda c: series_entry4(c, 40)[0],
+    "entry4 rhs": lambda c: series_entry4(c, 40)[1],
+}
 
+
+def test_symbolic_series_coefficients_are_ints(monkeypatch):
+    # no CPolynomial arithmetic runs while the builders build at c symbolic
+    # and at 2/3, nor in the sum, product and scaling of int series: every
+    # builder at symbolic c stores only rows of ints with a nonzero top
+    # entry, the zero polynomial's rows included, and at 2/3 only ints
+    def banned(*args):
+        raise AssertionError("CPolynomial arithmetic in a series build")
+
+    third = Fraction(2, 3)
     with monkeypatch.context() as patch:
         for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "__mul__",
                      "__rmul__", "__truediv__", "__pow__"):
             patch.setattr(CPolynomial, name, banned)
-        built = (
-            *series_entry4(C, 40),
-            series_M(3, C, 30),
-            series_K(2, C, 30),
-            series_A(C, 20),
-            series_K(2, 1, 20).scale(C),
-            TruncatedSeries.one(5).scale(C),
-        )
-    for f in built:
-        assert (f.grade, f.den) == (1, 1)
-        assert any(len(v) > 1 for v in f.nums)
+        built = {name: build(C) for name, build in C_BUILDERS.items()}
+        zero = [build(CPolynomial(0)) for build in C_BUILDERS.values()]
+        rational = {name: build(third) for name, build in C_BUILDERS.items()}
+        a, k = rational["A"], rational["K2"].truncate(20)
+        combined = (a + k, a - k, a * k, a.scale(third), third * k)
+    for name, f in built.items():
+        assert (f.grade, f.den) == (1, 1), name
+        assert any(len(v) > 1 for v in f.nums), name
         for v in f.nums:
-            assert type(v) is tuple and all(type(x) is int for x in v)
-            assert not v or v[-1]
+            assert type(v) is tuple and all(type(x) is int for x in v), name
+            assert not v or v[-1], name
+    for f in zero:
+        assert all(type(v) is tuple for v in f.nums)
+    for f in (*rational.values(), *combined):
+        assert all(type(v) is int for v in f.nums)
+    xs, ys = a.coeffs, k.coeffs
+    assert combined[0].coeffs == tuple(map(add, xs, ys))
+    assert combined[1].coeffs == tuple(map(sub, xs, ys))
+    assert list(combined[2].coeffs) == schoolbook(xs, ys)
+    assert combined[3].coeffs == tuple(v * third for v in xs)
+    assert combined[4].coeffs == tuple(v * third for v in ys)
 
 
 @pytest.mark.parametrize("c", [Fraction(1), Fraction(2, 3), Fraction(-1, 2), Fraction(0)])
@@ -532,16 +604,17 @@ def test_symbolic_series_evaluate_to_the_series_at_c(c):
 
 
 def test_cancelled_coefficients_read_out_as_fractions():
-    # a difference or product whose row numerators cancel to a constant
-    # reads out as the builders' c-free coefficients do
-    difference = series_A(C, 6) - series_A_euler(C, 6)
-    assert type(difference[3]) is type(TruncatedSeries.zero(6)[3]) is Fraction
-    assert all(type(v) is Fraction and v == 0 for v in difference.coeffs)
-    product = S(2, 1, C, 0) * S(2, 1, -C, 0)
-    assert [type(v) for v in product.coeffs] == [Fraction, Fraction, CPolynomial]
-    assert product.coeffs == (1, 0, -(C**2))
-    half = S(1, C + Fraction(1, 2)) - S(1, C)
-    assert half[0] == Fraction(1, 2) and type(half[0]) is Fraction
+    # a row whose powers of c past c^0 cancelled, as a builder's rows do
+    # where the packed ints decode to a constant, reads out as a c-free
+    # coefficient: the empty row as zero, a one-entry row over den as a
+    # Fraction
+    assert type(series_M(1, C, 6)[0]) is type(TruncatedSeries.zero(6)[0]) is Fraction
+    assert series_M(1, C, 6).nums[0] == () and series_M(1, C, 6)[0] == 0
+    assert series_A(C, 6).nums[0] == (1,) and series_A(C, 6)[0] == 1
+    f = S(2, C + Fraction(1, 2) - C, C**2, 0)
+    assert (f.nums, f.den) == (((1,), (0, 0, 2), ()), 2)
+    assert [type(v) for v in f.coeffs] == [Fraction, CPolynomial, Fraction]
+    assert f.coeffs == (Fraction(1, 2), C**2, 0)
 
 
 # -- the CPolynomial-numerator construction, kept as an oracle ----------------
